@@ -18,7 +18,6 @@
 #![warn(rust_2018_idioms)]
 #![forbid(unsafe_code)]
 
-pub mod report;
 pub mod runner;
 pub mod scale;
 pub mod systems;

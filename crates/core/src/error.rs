@@ -83,9 +83,6 @@ pub enum OptionsError {
         /// The rejected byte budget.
         got: usize,
     },
-    /// `wal_group_max_bytes` is zero, which would stall every commit
-    /// group behind the backpressure gate.
-    ZeroWalGroupBytes,
     /// `wal_segment_max_bytes` is zero, which would seal a fresh segment
     /// after every single commit group.
     ZeroWalSegmentBytes,
@@ -109,7 +106,6 @@ impl std::fmt::Display for OptionsError {
             Self::MemoryBytes { got } => {
                 write!(f, "memory_bytes must be at least 64 KiB, got {got}")
             }
-            Self::ZeroWalGroupBytes => write!(f, "wal_group_max_bytes must be positive"),
             Self::ZeroWalSegmentBytes => {
                 write!(f, "wal_segment_max_bytes must be positive")
             }

@@ -47,12 +47,6 @@ pub struct FloDbOptions {
     /// Enable the Membuffer level; `false` degenerates to the classic
     /// single-level design ("No HT" in Figure 17).
     pub membuffer_enabled: bool,
-    /// Scan restarts tolerated before the writer-blocking fallback
-    /// (RESTART_THRESHOLD in Algorithm 3).
-    pub scan_restart_threshold: u32,
-    /// Maximum piggybacking-chain length before a scan must establish a
-    /// fresh sequence number (§4.4).
-    pub piggyback_chain_limit: u32,
     /// Consecutive master scans allowed to reuse the previous master's
     /// sequence number without re-draining the Membuffer (§4.4's
     /// low-concurrency optimization). `0` disables reuse: every master
@@ -64,25 +58,8 @@ pub struct FloDbOptions {
     /// Persist immutable Memtables to disk; `false` drops them instead,
     /// isolating memory-component throughput (the Figure 17 mode).
     pub persist_enabled: bool,
-    /// Memtable byte size that triggers a persist.
-    pub memtable_flush_trigger_fraction: f64,
     /// Commit-log mode.
     pub wal: WalMode,
-    /// Commit the log through the leader/follower group-commit pipeline
-    /// (one frame, one write, at most one fsync per *group*). `false`
-    /// falls back to the pre-group-commit design — every put appends its
-    /// own frame under a global mutex — kept as an ablation and as the
-    /// bench baseline. Ignored when `wal` is [`WalMode::Disabled`].
-    pub wal_group_commit: bool,
-    /// Soft cap on the encoded bytes of one WAL commit group: writers that
-    /// would grow the open group past this wait for the next group
-    /// (backpressure). A single oversized record still commits alone.
-    pub wal_group_max_bytes: usize,
-    /// Extra time a group-commit leader lingers for its group to fill
-    /// before committing. Zero (the default) adds no artificial latency:
-    /// groups then form only from writers that arrived while the previous
-    /// group was committing.
-    pub wal_group_max_wait: std::time::Duration,
     /// Active WAL segment size (bytes, header included) that makes the
     /// group-commit leader roll to a fresh generation at the next group
     /// boundary. Sealed generations are retired (deleted) once a persisted
@@ -90,25 +67,10 @@ pub struct FloDbOptions {
     /// on-disk log stays bounded by roughly one segment under indefinite
     /// write traffic, and recovery replays only the live generations.
     pub wal_segment_max_bytes: usize,
-    /// How many yield iterations a group-commit follower spins on the
-    /// committed counter before parking on a futex
-    /// (`GroupCommitConfig::follower_spin`).
-    ///
-    /// The default of 64 was tuned on a 1-CPU container, where the yields
-    /// are what hand the core back to the leader; on real multi-core
-    /// hardware the budget should track the leader's commit latency
-    /// instead — raise it (hundreds) for microsecond buffered appends,
-    /// lower it toward 0 (park immediately) when commits fsync a slow
-    /// device. The default constructors read the
-    /// `FLODB_WAL_FOLLOWER_SPIN` environment variable so the retune needs
-    /// no rebuild.
-    pub wal_follower_spin: u32,
     /// Disk component tuning.
     pub disk: DiskOptions,
     /// Storage environment (simulated or real disk).
     pub env: Arc<dyn Env>,
-    /// Run compactions on the persist thread after each flush.
-    pub compact_after_flush: bool,
     /// How much the engine measures itself (see
     /// [`crate::telemetry::TelemetryLevel`]): `Off` reduces every
     /// telemetry site to a branch on a cached enum, `Counters` adds the
@@ -144,21 +106,13 @@ impl FloDbOptions {
             drain_batch_entries: 256,
             use_multi_insert: true,
             membuffer_enabled: true,
-            scan_restart_threshold: 8,
-            piggyback_chain_limit: 8,
             master_reuse_limit: 0,
             linearizable_scans: false,
             persist_enabled: true,
-            memtable_flush_trigger_fraction: 1.0,
             wal: WalMode::Disabled,
-            wal_group_commit: true,
-            wal_group_max_bytes: 1024 * 1024,
-            wal_group_max_wait: std::time::Duration::ZERO,
             wal_segment_max_bytes: 64 * 1024 * 1024,
-            wal_follower_spin: follower_spin_from_env(),
             disk: DiskOptions::default(),
             env: Arc::new(MemEnv::new(None)),
-            compact_after_flush: true,
             telemetry: TelemetryLevel::Counters,
         }
     }
@@ -195,14 +149,10 @@ impl FloDbOptions {
         (self.memory_bytes as f64 * self.membuffer_fraction) as usize
     }
 
-    /// Byte budget of the Memtable level.
+    /// Byte budget of the Memtable level; a Memtable this large is
+    /// switched out and persisted.
     pub fn memtable_bytes(&self) -> usize {
         self.memory_bytes - self.membuffer_bytes()
-    }
-
-    /// Memtable size that triggers persisting.
-    pub fn memtable_flush_trigger(&self) -> usize {
-        (self.memtable_bytes() as f64 * self.memtable_flush_trigger_fraction) as usize
     }
 
     /// Validates option consistency, reporting the first violation as a
@@ -226,24 +176,11 @@ impl FloDbOptions {
                 got: self.memory_bytes,
             });
         }
-        if self.wal_group_max_bytes == 0 {
-            return Err(OptionsError::ZeroWalGroupBytes);
-        }
         if self.wal_segment_max_bytes == 0 {
             return Err(OptionsError::ZeroWalSegmentBytes);
         }
         Ok(())
     }
-}
-
-/// Reads the `FLODB_WAL_FOLLOWER_SPIN` override (see
-/// [`FloDbOptions::wal_follower_spin`]), falling back to the 1-CPU-tuned
-/// default of 64.
-fn follower_spin_from_env() -> u32 {
-    std::env::var("FLODB_WAL_FOLLOWER_SPIN")
-        .ok()
-        .and_then(|v| v.trim().parse().ok())
-        .unwrap_or(64)
 }
 
 #[cfg(test)]
@@ -279,10 +216,6 @@ mod tests {
         let mut o = FloDbOptions::small_for_tests();
         o.memory_bytes = 1;
         assert_eq!(o.validate(), Err(OptionsError::MemoryBytes { got: 1 }));
-
-        let mut o = FloDbOptions::small_for_tests();
-        o.wal_group_max_bytes = 0;
-        assert_eq!(o.validate(), Err(OptionsError::ZeroWalGroupBytes));
 
         let mut o = FloDbOptions::small_for_tests();
         o.partition_bits = 17;

@@ -251,12 +251,12 @@ impl KvStore for ShardedFloDb {
             }
             self.shards[shard].write_tagged(
                 sub,
-                BatchAnnotation {
+                Some(&BatchAnnotation {
                     batch_id,
                     shard: shard as u32,
                     shard_count,
                     ops: sub.len() as u32,
-                },
+                }),
             )?;
         }
         Ok(())

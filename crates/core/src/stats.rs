@@ -44,8 +44,7 @@ pub struct FloDbStats {
     /// Times a writer stalled waiting for Memtable room.
     pub write_stalls: AtomicU64,
     /// WAL commit groups written (each is one frame, one write, at most
-    /// one fsync). In the legacy per-put pipeline every record is its own
-    /// group.
+    /// one fsync).
     pub wal_groups: AtomicU64,
     /// Records across all WAL commit groups; divide by [`Self::wal_groups`]
     /// for the mean group size.

@@ -51,6 +51,14 @@ use crate::view::{ImmMembuffer, MemView, ViewCell};
 /// Scan outcome signalling that a concurrent update invalidated the scan.
 struct Restart;
 
+/// Scan restarts tolerated before the writer-blocking fallback
+/// (RESTART_THRESHOLD in Algorithm 3).
+const SCAN_RESTART_THRESHOLD: u32 = 8;
+
+/// Maximum piggybacking-chain length before a scan must establish a fresh
+/// sequence number (§4.4).
+const PIGGYBACK_CHAIN_LIMIT: u32 = 8;
+
 /// A validated scan snapshot: key → (seq, value), tombstones included so
 /// the merge can shadow older versions; the emission loop filters them.
 type MergedRange = std::collections::BTreeMap<Box<[u8]>, (u64, Option<Box<[u8]>>)>;
@@ -59,13 +67,12 @@ type MergedRange = std::collections::BTreeMap<Box<[u8]>, (u64, Option<Box<[u8]>>
 /// group-commit pipeline in front of it, and the poison latch that makes
 /// log failures deterministic.
 struct WalState {
-    /// Leader/follower batching; `None` runs the legacy per-put pipeline
-    /// (every put appends its own frame under the log mutex).
-    committer: Option<GroupCommitter<StorageError>>,
-    /// The segmented log (active writer + sealed backlog). With group
-    /// commit only one leader at a time touches it, so this mutex is
-    /// uncontended; in legacy mode it is the global per-put bottleneck
-    /// the group-commit pipeline exists to remove.
+    /// Leader/follower batching: one frame, one append and at most one
+    /// fsync per *group* of concurrent writers.
+    committer: GroupCommitter<StorageError>,
+    /// The segmented log (active writer + sealed backlog). Only one
+    /// commit leader at a time appends, so writers never contend on this
+    /// mutex; the persist thread takes it briefly during retirement.
     log: Mutex<LogManager>,
     /// Tracks each write's logged→applied window so segment retirement
     /// can wait until everything logged into a sealed segment has reached
@@ -365,17 +372,12 @@ impl FloDb {
                     next_generation,
                 )?;
                 Some(WalState {
-                    committer: opts.wal_group_commit.then(|| {
-                        GroupCommitter::new(GroupCommitConfig {
-                            max_group_bytes: opts.wal_group_max_bytes,
-                            // Groups are framed in place: the leader
-                            // patches the WAL header into this reserved
-                            // prefix and appends with one write, no
-                            // payload re-copy.
-                            frame_prefix: wal::FRAME_HEADER_BYTES,
-                            max_group_wait: opts.wal_group_max_wait,
-                            follower_spin: opts.wal_follower_spin,
-                        })
+                    committer: GroupCommitter::new(GroupCommitConfig {
+                        // Groups are framed in place: the leader patches
+                        // the WAL header into this reserved prefix and
+                        // appends with one write, no payload re-copy.
+                        frame_prefix: wal::FRAME_HEADER_BYTES,
+                        ..GroupCommitConfig::default()
                     }),
                     log: ranked_mutex(WAL_LOG, log),
                     inflight: PhasedInflight::new(),
@@ -386,7 +388,7 @@ impl FloDb {
         };
 
         let membuffer_enabled = opts.membuffer_enabled;
-        let memtable_trigger = opts.memtable_flush_trigger();
+        let memtable_trigger = opts.memtable_bytes();
         let drain_style = if opts.use_multi_insert {
             DrainStyle::MultiInsert
         } else {
@@ -583,78 +585,62 @@ impl FloDb {
     /// insertion order. One submission means the whole batch lands inside
     /// a single group — and therefore a single WAL frame — so crash
     /// recovery (which truncates at frame granularity) replays it
-    /// all-or-nothing.
-    fn write_impl(&self, batch: &WriteBatch) -> Result<(), WriteError> {
+    /// all-or-nothing. This is the body of [`KvStore::write`].
+    ///
+    /// With `tag` set the frame is also stamped with a sub-batch
+    /// annotation (see [`wal::BatchAnnotation`]). The sharded router uses
+    /// this to tie sibling sub-batches together across shard logs: the
+    /// annotation is encoded at the head of the submission, inside the
+    /// committer's critical section, so it and its records are contiguous
+    /// in one frame and recover all-or-nothing. Recovery strips
+    /// annotations out of the replayed records, so a tagged write replays
+    /// exactly like an untagged one, and `wal_group_records` counts only
+    /// the real operations, not the annotation.
+    pub fn write_tagged(
+        &self,
+        batch: &WriteBatch,
+        tag: Option<&wal::BatchAnnotation>,
+    ) -> Result<(), WriteError> {
+        let inner = &*self.inner;
+        debug_assert!(
+            tag.is_none_or(|tag| tag.ops as usize == batch.len()),
+            "annotation ops must match batch"
+        );
+        let t0 = inner.telemetry.full().then(Instant::now);
         if batch.is_empty() {
             // Even an empty commit observes the poison and health
             // latches — the contract is that *every* write on a poisoned
             // or degraded store reports it, so an empty batch cannot
             // read as a healthy write path.
-            self.inner.check_degraded()?;
-            if let Some(wal) = &self.inner.wal {
+            inner.check_degraded()?;
+            if let Some(wal) = &inner.wal {
                 if wal.poisoned.load(Ordering::Acquire) {
                     return Err(wal.poison_error());
                 }
             }
-            return Ok(());
+        } else {
+            // Logged→applied window; see `put_impl`.
+            let _inflight = inner.wal.as_ref().map(|w| w.inflight.enter());
+            self.wal_append(
+                |inner, buf| {
+                    if let Some(tag) = tag {
+                        tag.encode_into(buf);
+                    }
+                    for (key, value) in batch.iter() {
+                        encode_record_parts(buf, key, inner.seq.next(), value);
+                    }
+                },
+                batch.len() as u64,
+            )?;
+            for (key, value) in batch.iter() {
+                self.apply_to_memory(key, value);
+            }
+            FloDbStats::add(&inner.stats.puts, batch.puts());
+            FloDbStats::add(&inner.stats.deletes, batch.deletes());
         }
-        // Logged→applied window; see `put_impl`.
-        let _inflight = self.inner.wal.as_ref().map(|w| w.inflight.enter());
-        self.wal_append(
-            |inner, buf| {
-                for (key, value) in batch.iter() {
-                    encode_record_parts(buf, key, inner.seq.next(), value);
-                }
-            },
-            batch.len() as u64,
-        )?;
-        for (key, value) in batch.iter() {
-            self.apply_to_memory(key, value);
-        }
-        Ok(())
-    }
-
-    /// Like [`KvStore::write`], but stamps the batch's WAL frame with a
-    /// sub-batch annotation (see [`wal::BatchAnnotation`]). The sharded
-    /// router uses this to tie sibling sub-batches together across shard
-    /// logs: the annotation is encoded at the head of the frame payload,
-    /// inside the committer's critical section, so it and its records are
-    /// contiguous in one frame and recover all-or-nothing. Recovery strips
-    /// annotations out of the replayed records, so a tagged write replays
-    /// exactly like an untagged one.
-    ///
-    /// Operation stats (`puts`/`deletes`) are counted here, like
-    /// [`KvStore::write`] counts them; `wal_group_records` counts only the
-    /// real operations, not the annotation.
-    pub fn write_tagged(
-        &self,
-        batch: &WriteBatch,
-        tag: wal::BatchAnnotation,
-    ) -> Result<(), WriteError> {
-        debug_assert_eq!(tag.ops as usize, batch.len(), "annotation ops must match batch");
-        if batch.is_empty() {
-            // Nothing to annotate; keep the empty-write poison contract.
-            return self.write_impl(batch);
-        }
-        // Logged→applied window; see `put_impl`.
-        let t0 = self.inner.telemetry.full().then(Instant::now);
-        let _inflight = self.inner.wal.as_ref().map(|w| w.inflight.enter());
-        self.wal_append(
-            |inner, buf| {
-                tag.encode_into(buf);
-                for (key, value) in batch.iter() {
-                    encode_record_parts(buf, key, inner.seq.next(), value);
-                }
-            },
-            batch.len() as u64,
-        )?;
-        for (key, value) in batch.iter() {
-            self.apply_to_memory(key, value);
-        }
-        FloDbStats::add(&self.inner.stats.puts, batch.puts());
-        FloDbStats::add(&self.inner.stats.deletes, batch.deletes());
         if let Some(t0) = t0 {
-            self.inner
+            // One sample per batch: the caller-visible commit latency.
+            inner
                 .telemetry
                 .record_op(OpClass::Put, t0.elapsed().as_nanos() as u64);
         }
@@ -718,31 +704,14 @@ impl FloDb {
         // waiting on another thread's commit.
         let t_submit = inner.telemetry.full().then(Instant::now);
         let commit_ns = std::cell::Cell::new(0u64);
-        let timed_commit = |frame: &mut Vec<u8>| self.commit_group_frame(wal, frame, &commit_ns);
-        let outcome = match &wal.committer {
-            Some(committer) => committer.submit(
-                // Encoding runs inside the committer's critical section,
-                // so sampling sequence numbers there makes log order match
-                // sequence order exactly — and keeps a multi-record
-                // submission's records contiguous in the group.
-                |buf| encode(inner, buf),
-                timed_commit,
-            ),
-            None => {
-                // Legacy pipeline: one submission, one frame, one append,
-                // all under a global mutex (the pre-group-commit design,
-                // kept as an ablation and bench baseline). A multi-record
-                // submission still forms a single frame.
-                let mut frame = vec![0u8; wal::FRAME_HEADER_BYTES];
-                encode(inner, &mut frame);
-                timed_commit(&mut frame)
-                    .map(|()| CommitRole::Leader {
-                        records: 1,
-                        bytes: 0,
-                    })
-                    .map_err(Arc::new)
-            }
-        };
+        let outcome = wal.committer.submit(
+            // Encoding runs inside the committer's critical section, so
+            // sampling sequence numbers there makes log order match
+            // sequence order exactly — and keeps a multi-record
+            // submission's records contiguous in the group.
+            |buf| encode(inner, buf),
+            |frame| self.commit_group_frame(wal, frame, &commit_ns),
+        );
         if let Some(t_submit) = t_submit {
             let total = t_submit.elapsed().as_nanos() as u64;
             inner
@@ -784,7 +753,21 @@ impl FloDb {
     ) -> Result<(), StorageError> {
         let inner = &*self.inner;
         let t0 = inner.telemetry.full().then(Instant::now);
-        let outcome = wal.append_checked(|log| log.append_group_frame(frame))?;
+        let outcome = wal.append_checked(|log| {
+            let outcome = log.append_group_frame(frame)?;
+            // Published under the log lock, like retirement's update of
+            // the same gauge: a store after the unlock could overwrite a
+            // newer count with this stale one.
+            inner
+                .stats
+                .wal_active_bytes
+                .store(outcome.active_bytes, Ordering::Relaxed);
+            inner
+                .stats
+                .wal_generations
+                .store(outcome.live_generations, Ordering::Relaxed);
+            Ok(outcome)
+        })?;
         if outcome.sync_ns > 0 && inner.telemetry.counters() {
             FloDbStats::add(&inner.stats.wal_sync_ns, outcome.sync_ns);
         }
@@ -809,14 +792,6 @@ impl FloDb {
                     .record_stage(StageClass::WalRotation, outcome.rotation_ns);
             }
         }
-        inner
-            .stats
-            .wal_active_bytes
-            .store(outcome.active_bytes, Ordering::Relaxed);
-        inner
-            .stats
-            .wal_generations
-            .store(outcome.live_generations, Ordering::Relaxed);
         if outcome.rotated {
             FloDbStats::bump(&inner.stats.wal_rotations);
             inner.telemetry.event(
@@ -1009,7 +984,7 @@ impl FloDb {
         let mut restarts = 0u32;
         loop {
             let role = inner.coord.enter(
-                inner.opts.piggyback_chain_limit,
+                PIGGYBACK_CHAIN_LIMIT,
                 inner.opts.master_reuse_limit,
                 inner.opts.linearizable_scans,
             );
@@ -1041,7 +1016,7 @@ impl FloDb {
                         inner.coord.invalidate_reuse();
                     }
                     restarts += 1;
-                    if restarts >= inner.opts.scan_restart_threshold {
+                    if restarts >= SCAN_RESTART_THRESHOLD {
                         return self.fallback_scan(low, high);
                     }
                 }
@@ -1317,16 +1292,10 @@ fn persist_loop(inner: &Arc<Inner>) {
 /// recovery flushes at open (and flushes whose follow-up compaction was
 /// cut short) can leave `needs_compaction()` true with an empty memory
 /// component, and nothing else would ever clear it — `quiesce` would
-/// wait on that debt forever. Runs under the same policy switch as the
-/// post-flush compaction (`compact_after_flush` assigns compaction to
-/// the persist thread) and degrades rather than panics on persistent
+/// wait on that debt forever. Degrades rather than panics on persistent
 /// failure, like every other persist-thread I/O.
 fn maybe_compact(inner: &Arc<Inner>) -> bool {
-    if !inner.opts.persist_enabled
-        || !inner.opts.compact_after_flush
-        || inner.is_degraded()
-        || !inner.disk.needs_compaction()
-    {
+    if !inner.opts.persist_enabled || inner.is_degraded() || !inner.disk.needs_compaction() {
         return false;
     }
     let t0 = inner.telemetry.counters().then(Instant::now);
@@ -1406,19 +1375,20 @@ fn flush_imm(inner: &Arc<Inner>, imm: &Arc<SkipList>) -> bool {
                 .telemetry
                 .event(TraceEventKind::Flush, record_count, ns);
         }
-        if inner.opts.compact_after_flush {
-            let t0 = inner.telemetry.counters().then(Instant::now);
-            if let Err(e) = io_with_retries(inner, || inner.disk.compact_all()) {
-                // The flush itself landed, so the table can still be
-                // released below — only the level shape degrades.
-                inner.degrade("compaction", &e);
-            } else if let Some(t0) = t0 {
-                let ns = t0.elapsed().as_nanos() as u64;
-                inner.telemetry.record_stage(StageClass::Compaction, ns);
-                inner.telemetry.event(TraceEventKind::Compaction, ns, 0);
-            }
+        let t0 = inner.telemetry.counters().then(Instant::now);
+        if let Err(e) = io_with_retries(inner, || inner.disk.compact_all()) {
+            // The flush itself landed, so the table can still be
+            // released below — only the level shape degrades.
+            inner.degrade("compaction", &e);
+        } else if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            inner.telemetry.record_stage(StageClass::Compaction, ns);
+            inner.telemetry.event(TraceEventKind::Compaction, ns, 0);
         }
     }
+    // Counted before the release: `quiesce` reads "no immutable Memtable"
+    // as "flush settled", counters included.
+    FloDbStats::bump(&inner.stats.persists);
     // Release the immutable Memtable; scans holding a snapshot keep it
     // alive through their Arc (the paper's second RCU use, realized by
     // reference counting on top of the snapshot grace period).
@@ -1426,7 +1396,6 @@ fn flush_imm(inner: &Arc<Inner>, imm: &Arc<SkipList>) -> bool {
         imm_mtb: None,
         ..old.clone()
     });
-    FloDbStats::bump(&inner.stats.persists);
     let _g = inner.room.lock();
     inner.room_cv.notify_all();
     true
@@ -1570,20 +1539,23 @@ fn maybe_retire_wal(inner: &Arc<Inner>) -> bool {
         wal.log.lock().take_sealed_up_to(horizon);
         return false;
     }
-    // Untrack under the log lock (cheap), but run the deletions and the
-    // directory fsync outside it: every committing writer serializes on
-    // that lock, and sealed files need no coordination with appends.
-    let taken = {
-        let mut log = wal.log.lock();
-        let taken = log.take_sealed_up_to(horizon);
-        inner
-            .stats
-            .wal_generations
-            .store(log.live_generations(), Ordering::Relaxed);
-        taken
+    // Copy the backlog under the log lock (cheap), but run the deletions
+    // and the directory fsync outside it: every committing writer
+    // serializes on that lock, and sealed files need no coordination with
+    // appends. The segments stay *tracked* until the files are gone and
+    // the counters say so: `quiesce` reads a non-empty sealed list as
+    // "retirement pending", and untracking first would let it return
+    // with segment files still on disk and `wal_retired_bytes` short.
+    let doomed: Vec<_> = {
+        let log = wal.log.lock();
+        log.sealed()
+            .iter()
+            .filter(|seg| seg.generation <= horizon)
+            .copied()
+            .collect()
     };
-    match io_with_retries(inner, || {
-        log_manager::delete_segments(inner.opts.env.as_ref(), &taken)
+    let retired = match io_with_retries(inner, || {
+        log_manager::delete_segments(inner.opts.env.as_ref(), &doomed)
     }) {
         Ok(retired) => {
             FloDbStats::add(&inner.stats.wal_retired_bytes, retired.bytes);
@@ -1603,7 +1575,14 @@ fn maybe_retire_wal(inner: &Arc<Inner>) -> bool {
             FloDbStats::bump(&inner.stats.io_degraded);
             false
         }
-    }
+    };
+    let mut log = wal.log.lock();
+    log.take_sealed_up_to(horizon);
+    inner
+        .stats
+        .wal_generations
+        .store(log.live_generations(), Ordering::Relaxed);
+    retired
 }
 
 /// The oldest generation that must stay live once everything up to
@@ -1649,17 +1628,7 @@ impl KvStore for FloDb {
     }
 
     fn write(&self, batch: &WriteBatch) -> Result<(), WriteError> {
-        let t0 = self.inner.telemetry.full().then(Instant::now);
-        self.write_impl(batch)?;
-        FloDbStats::add(&self.inner.stats.puts, batch.puts());
-        FloDbStats::add(&self.inner.stats.deletes, batch.deletes());
-        if let Some(t0) = t0 {
-            // One sample per batch: the caller-visible commit latency.
-            self.inner
-                .telemetry
-                .record_op(OpClass::Put, t0.elapsed().as_nanos() as u64);
-        }
-        Ok(())
+        self.write_tagged(batch, None)
     }
 
     fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
@@ -1748,11 +1717,10 @@ impl KvStore for FloDb {
             // then means: no *achievable* background work remains.
             let degraded = self.inner.is_degraded();
             // Compaction debt is only worth waiting on when the persist
-            // thread is the one servicing it (`compact_after_flush`);
-            // otherwise nobody ever will, and waiting would wedge.
-            let compaction_pending = self.inner.opts.compact_after_flush
-                && self.inner.opts.persist_enabled
-                && self.inner.disk.needs_compaction();
+            // thread services it; with persisting off nobody ever will,
+            // and waiting would wedge.
+            let compaction_pending =
+                self.inner.opts.persist_enabled && self.inner.disk.needs_compaction();
             if mbf_len == 0
                 && !imm_mbf
                 && (degraded

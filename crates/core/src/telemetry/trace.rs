@@ -211,20 +211,20 @@ impl TraceRing {
         let cap = self.slots.len() as u64;
         let ticket = self.cursor.fetch_add(1, Ordering::Relaxed);
         let slot = &self.slots[(ticket % cap) as usize];
-        // The slot is writable only if its previous lap's writer fully
-        // published (or it was never written). Acquire pairs with that
-        // writer's publishing Release so its payload stores cannot be
-        // ordered after ours.
-        let expected = if ticket >= cap { 2 * (ticket - cap) + 2 } else { 0 };
-        if slot
-            .seq
-            .compare_exchange(
-                expected,
-                2 * ticket + 1,
-                Ordering::Acquire,
-                Ordering::Relaxed,
-            )
-            .is_err()
+        // The slot is writable only from a published (even) sequence of
+        // an older ticket, or from never-written. Any older lap will do,
+        // not just the previous one: a lap whose push was dropped leaves
+        // the slot further behind, and the next lapper must still be
+        // able to claim it. Acquire pairs with the last writer's
+        // publishing Release so its payload stores cannot be ordered
+        // after ours.
+        let seen = slot.seq.load(Ordering::Relaxed);
+        if seen % 2 == 1
+            || seen > 2 * ticket
+            || slot
+                .seq
+                .compare_exchange(seen, 2 * ticket + 1, Ordering::Acquire, Ordering::Relaxed)
+                .is_err()
         {
             self.dropped.fetch_add(1, Ordering::Relaxed);
             return;
@@ -333,6 +333,30 @@ mod tests {
         assert_eq!(payloads, vec![6, 7, 8, 9], "oldest overwritten first");
         assert_eq!(ring.recorded(), 10);
         assert_eq!(ring.dropped(), 0);
+    }
+
+    #[test]
+    fn a_dropped_push_does_not_retire_its_slot() {
+        let ring = TraceRing::with_capacity(4);
+        for i in 0..4u64 {
+            ring.push(TraceEventKind::Drain, 0, i, 0);
+        }
+        // Ticket 0's writer is lapped mid-write: slot 0 looks claimed, so
+        // ticket 4's push is dropped.
+        ring.slots[0].seq.store(1, Ordering::Relaxed);
+        for i in 4..8u64 {
+            ring.push(TraceEventKind::Drain, 0, i, 0);
+        }
+        assert_eq!(ring.dropped(), 1);
+        // The stalled writer publishes; slot 0 is now two laps behind
+        // ticket 8, which must still be able to claim it.
+        ring.slots[0].seq.store(2, Ordering::Release);
+        for i in 8..12u64 {
+            ring.push(TraceEventKind::Drain, 0, i, 0);
+        }
+        assert_eq!(ring.dropped(), 1);
+        let payloads: Vec<u64> = ring.dump().iter().map(|e| e.a).collect();
+        assert_eq!(payloads, vec![8, 9, 10, 11]);
     }
 
     #[test]

@@ -16,11 +16,10 @@ fn fault_env() -> Arc<FaultEnv> {
     Arc::new(FaultEnv::new(Arc::new(MemEnv::new(None))))
 }
 
-fn opts(env: Arc<dyn Env>, group_commit: bool) -> FloDbOptions {
+fn opts(env: Arc<dyn Env>) -> FloDbOptions {
     let mut opts = FloDbOptions::small_for_tests();
     opts.env = env;
     opts.wal = WalMode::Enabled { sync: false };
-    opts.wal_group_commit = group_commit;
     // Keep the disk component off the failing env's append path as long
     // as possible: no eager flush happens in these short tests.
     opts.persist_enabled = false;
@@ -29,66 +28,62 @@ fn opts(env: Arc<dyn Env>, group_commit: bool) -> FloDbOptions {
 
 #[test]
 fn wal_failure_rejects_write_and_poisons_store() {
-    for group_commit in [true, false] {
-        let env = fault_env();
-        let db = FloDb::open(opts(Arc::clone(&env) as Arc<dyn Env>, group_commit)).unwrap();
-        db.put(b"good", b"1").unwrap();
+    let env = fault_env();
+    let db = FloDb::open(opts(Arc::clone(&env) as Arc<dyn Env>)).unwrap();
+    db.put(b"good", b"1").unwrap();
 
-        // Log dies now: every segment append from here on fails.
-        env.arm(FaultPlan::persistent("segment-append", FaultKind::Io));
-        let err = db.put(b"lost", b"2").unwrap_err();
-        assert!(
-            matches!(err, WriteError::Wal(_)),
-            "first failure must surface as Wal, got {err:?} (group={group_commit})"
-        );
-        // The failed write was never applied — acknowledged state only.
-        assert_eq!(db.get(b"lost"), None);
+    // Log dies now: every segment append from here on fails.
+    env.arm(FaultPlan::persistent("segment-append", FaultKind::Io));
+    let err = db.put(b"lost", b"2").unwrap_err();
+    assert!(
+        matches!(err, WriteError::Wal(_)),
+        "first failure must surface as Wal, got {err:?}"
+    );
+    // The failed write was never applied — acknowledged state only.
+    assert_eq!(db.get(b"lost"), None);
 
-        // Poisoned: later writes are rejected without touching the log,
-        // carrying the original failure.
-        let err = db.put(b"after", b"3").unwrap_err();
-        assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
-        let err = db.delete(b"good").unwrap_err();
-        assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
-        assert!(db.wal_poison().is_some());
-        assert!(db.wal_poison().unwrap().to_string().contains("injected"));
-        assert!(env.injected("segment-append") >= 1, "the fault really fired");
+    // Poisoned: later writes are rejected without touching the log,
+    // carrying the original failure.
+    let err = db.put(b"after", b"3").unwrap_err();
+    assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
+    let err = db.delete(b"good").unwrap_err();
+    assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
+    assert!(db.wal_poison().is_some());
+    assert!(db.wal_poison().unwrap().to_string().contains("injected"));
+    assert!(env.injected("segment-append") >= 1, "the fault really fired");
 
-        // Reads and scans keep serving the acknowledged prefix.
-        assert_eq!(db.get(b"good"), Some(b"1".to_vec()));
-        assert_eq!(db.scan(b"a", b"z").len(), 1);
-    }
+    // Reads and scans keep serving the acknowledged prefix.
+    assert_eq!(db.get(b"good"), Some(b"1".to_vec()));
+    assert_eq!(db.scan(b"a", b"z").len(), 1);
 }
 
 #[test]
 fn failed_batch_applies_none_of_its_operations() {
-    for group_commit in [true, false] {
-        let env = fault_env();
-        let db = FloDb::open(opts(Arc::clone(&env) as Arc<dyn Env>, group_commit)).unwrap();
-        db.put(b"keep", b"1").unwrap();
+    let env = fault_env();
+    let db = FloDb::open(opts(Arc::clone(&env) as Arc<dyn Env>)).unwrap();
+    db.put(b"keep", b"1").unwrap();
 
-        // Log dies now.
-        env.arm(FaultPlan::persistent("segment-append", FaultKind::Io));
-        let mut batch = WriteBatch::new();
-        batch.put(b"a", b"1").put(b"b", b"2").delete(b"keep");
-        let err = db.write(&batch).unwrap_err();
-        assert!(
-            matches!(err, WriteError::Wal(_)),
-            "batch failure must surface as Wal, got {err:?} (group={group_commit})"
-        );
-        // None of the batch's operations were applied: `Err` means the
-        // whole batch was rejected, not a prefix of it.
-        assert_eq!(db.get(b"a"), None);
-        assert_eq!(db.get(b"b"), None);
-        assert_eq!(db.get(b"keep"), Some(b"1".to_vec()));
-        // And the store is poisoned for subsequent batches too — even an
-        // empty one must not read as a healthy write path.
-        let err = db.write(&batch).unwrap_err();
-        assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
-        let err = db.write(&WriteBatch::new()).unwrap_err();
-        assert!(matches!(err, WriteError::Poisoned(_)), "empty batch: {err:?}");
-        assert_eq!(db.stats().puts, 1, "failed batch must not count");
-    }
+    // Log dies now.
+    env.arm(FaultPlan::persistent("segment-append", FaultKind::Io));
+    let mut batch = WriteBatch::new();
+    batch.put(b"a", b"1").put(b"b", b"2").delete(b"keep");
+    let err = db.write(&batch).unwrap_err();
+    assert!(
+        matches!(err, WriteError::Wal(_)),
+        "batch failure must surface as Wal, got {err:?}"
+    );
+    // None of the batch's operations were applied: `Err` means the
+    // whole batch was rejected, not a prefix of it.
+    assert_eq!(db.get(b"a"), None);
+    assert_eq!(db.get(b"b"), None);
+    assert_eq!(db.get(b"keep"), Some(b"1".to_vec()));
+    // And the store is poisoned for subsequent batches too — even an
+    // empty one must not read as a healthy write path.
+    let err = db.write(&batch).unwrap_err();
+    assert!(matches!(err, WriteError::Poisoned(_)), "got {err:?}");
+    let err = db.write(&WriteBatch::new()).unwrap_err();
+    assert!(matches!(err, WriteError::Poisoned(_)), "empty batch: {err:?}");
+    assert_eq!(db.stats().puts, 1, "failed batch must not count");
 }
 
 #[test]
@@ -96,7 +91,7 @@ fn acknowledged_prefix_survives_recovery_after_failure() {
     let env = fault_env();
     let env_dyn: Arc<dyn Env> = Arc::clone(&env) as Arc<dyn Env>;
     {
-        let db = FloDb::open(opts(Arc::clone(&env_dyn), true)).unwrap();
+        let db = FloDb::open(opts(Arc::clone(&env_dyn))).unwrap();
         for i in 0..50u64 {
             db.put(&i.to_be_bytes(), b"acked").unwrap();
         }
@@ -105,7 +100,7 @@ fn acknowledged_prefix_survives_recovery_after_failure() {
         // Crash while poisoned.
     }
     env.disarm_all(); // The disk heals on restart.
-    let db = FloDb::open(opts(env_dyn, true)).unwrap();
+    let db = FloDb::open(opts(env_dyn)).unwrap();
     for i in 0..50u64 {
         assert_eq!(db.get(&i.to_be_bytes()), Some(b"acked".to_vec()), "key {i}");
     }

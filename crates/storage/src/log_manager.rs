@@ -214,12 +214,14 @@ impl LogManager {
     /// Removes sealed segments with `generation <= up_to` from tracking
     /// and returns them — without touching their files.
     ///
-    /// Two uses: handing the (slow) deletions to [`delete_segments`]
-    /// outside the log lock, and giving up on a failed retirement — the
-    /// files then stay on disk, recovery still sees them relative to the
-    /// recorded oldest-live mark, and the next open prunes them; a
-    /// persistently failing environment degrades to leftover files
-    /// instead of wedging the persist thread or `quiesce`.
+    /// Two uses: untracking segments whose files [`delete_segments`]
+    /// already removed outside the log lock (untrack *last*, so a
+    /// non-empty sealed list keeps meaning "retirement pending"), and
+    /// giving up on a failed retirement — the files then stay on disk,
+    /// recovery still sees them relative to the recorded oldest-live
+    /// mark, and the next open prunes them; a persistently failing
+    /// environment degrades to leftover files instead of wedging the
+    /// persist thread or `quiesce`.
     pub fn take_sealed_up_to(&mut self, up_to: u64) -> Vec<SealedSegment> {
         let mut taken = Vec::new();
         self.sealed.retain(|seg| {
@@ -273,9 +275,9 @@ impl LogManager {
     }
 }
 
-/// Deletes the given (already untracked) segments' files and syncs the
-/// directory. Runs no manager lock — sealed segments are immutable, so
-/// deleting them needs no coordination with appends.
+/// Deletes the given sealed segments' files and syncs the directory.
+/// Runs no manager lock — sealed segments are immutable, so deleting
+/// them needs no coordination with appends.
 ///
 /// On error, already-deleted files are gone and the rest remain as stale
 /// leftovers below the caller's recorded oldest-live mark (recovery

@@ -19,7 +19,6 @@
 
 use std::collections::HashMap;
 use std::mem;
-use std::time::{Duration, Instant};
 
 use crate::shim::atomic::{AtomicU64, Ordering};
 use crate::lock_order::GROUP_COMMIT_STATE;
@@ -39,14 +38,6 @@ pub struct GroupCommitConfig {
     /// reserved space — and hand the whole buffer to one write, instead
     /// of re-copying the payload behind a separately-built header.
     pub frame_prefix: usize,
-    /// Extra time a fresh leader lingers for the open group to fill before
-    /// committing. Zero (the default) commits immediately: batching then
-    /// comes purely from writers that arrived while the previous leader
-    /// was committing, adding no artificial latency. Note that any commit
-    /// that *blocks* (fsync, a throttled device) batches naturally even
-    /// at zero: writers that arrive while the leader sleeps fill the open
-    /// group, so group size tracks exactly how slow durability is.
-    pub max_group_wait: Duration,
     /// How many `yield_now` iterations a follower spends waiting for its
     /// group's commit before parking on a futex. Group commits of
     /// in-memory or OS-buffered appends finish within a few scheduling
@@ -64,10 +55,7 @@ pub struct GroupCommitConfig {
     /// microseconds and parking would dominate, and lower it toward zero
     /// when commits fsync a slow device, where every spin cycle is wasted
     /// against a millisecond-scale wait. `0` parks immediately and is
-    /// always correct. FloDB exposes this as
-    /// `FloDbOptions::wal_follower_spin`, overridable at process start
-    /// via the `FLODB_WAL_FOLLOWER_SPIN` environment variable, so the
-    /// retune needs no rebuild.
+    /// always correct. FloDB's WAL runs on the [`Default`] value.
     pub follower_spin: u32,
 }
 
@@ -76,7 +64,6 @@ impl Default for GroupCommitConfig {
         Self {
             max_group_bytes: 1024 * 1024,
             frame_prefix: 0,
-            max_group_wait: Duration::ZERO,
             follower_spin: 64,
         }
     }
@@ -112,8 +99,6 @@ struct State<E> {
     open_group: u64,
     /// Whether a leader currently owns a claimed group.
     leader_active: bool,
-    /// Whether that leader is lingering for fill (`max_group_wait`).
-    leader_lingering: bool,
     /// Spare buffer swapped in when a group is claimed; retains its
     /// capacity across groups so steady state allocates nothing.
     spare: Vec<u8>,
@@ -158,8 +143,6 @@ pub struct GroupCommitter<E> {
     done_cv: Condvar,
     /// Writers blocked on an over-full open group park here.
     room_cv: Condvar,
-    /// A lingering leader parks here waiting for fill.
-    fill_cv: Condvar,
 }
 
 impl<E: Send + Sync> GroupCommitter<E> {
@@ -172,7 +155,6 @@ impl<E: Send + Sync> GroupCommitter<E> {
                 members: 0,
                 open_group: 1,
                 leader_active: false,
-                leader_lingering: false,
                 spare: Vec::new(),
                 parked: 0,
                 outcomes: HashMap::new(),
@@ -180,7 +162,6 @@ impl<E: Send + Sync> GroupCommitter<E> {
             committed: AtomicU64::new(0),
             done_cv: ranked_condvar(GROUP_COMMIT_STATE),
             room_cv: ranked_condvar(GROUP_COMMIT_STATE),
-            fill_cv: ranked_condvar(GROUP_COMMIT_STATE),
         }
     }
 
@@ -216,11 +197,6 @@ impl<E: Send + Sync> GroupCommitter<E> {
         }
         encode(&mut state.buf);
         state.members += 1;
-        if state.leader_lingering
-            && (state.buf.len() >= self.cfg.max_group_bytes || state.members > 1)
-        {
-            self.fill_cv.notify_one();
-        }
 
         // Leader check must precede any waiting: if no leader is active,
         // nobody else will commit this group for us.
@@ -273,17 +249,6 @@ impl<E: Send + Sync> GroupCommitter<E> {
         Commit: FnOnce(&mut Vec<u8>) -> Result<(), E>,
     {
         state.leader_active = true;
-        if !self.cfg.max_group_wait.is_zero() {
-            // Linger for fill: encoders notify `fill_cv` on arrival.
-            let deadline = Instant::now() + self.cfg.max_group_wait;
-            state.leader_lingering = true;
-            while state.buf.len() < self.cfg.max_group_bytes {
-                if self.fill_cv.wait_until(&mut state, deadline).timed_out() {
-                    break;
-                }
-            }
-            state.leader_lingering = false;
-        }
 
         // Claim: swap the open buffer out, open the next group.
         let spare = mem::take(&mut state.spare);
@@ -530,21 +495,6 @@ mod tests {
             .submit(|buf| buf.extend_from_slice(&[0u8; 64]), |_| Ok(()))
             .unwrap();
         assert_eq!(role, CommitRole::Leader { records: 1, bytes: 64 });
-    }
-
-    #[test]
-    fn lingering_leader_still_commits_alone() {
-        // With max_group_wait set and no other writers, the leader must
-        // time out and commit its singleton group.
-        let gc: Committer = GroupCommitter::new(GroupCommitConfig {
-            max_group_bytes: 1024,
-            max_group_wait: Duration::from_millis(5),
-            ..GroupCommitConfig::default()
-        });
-        let t0 = Instant::now();
-        let role = gc.submit(|buf| buf.push(9), |_| Ok(())).unwrap();
-        assert_eq!(role, CommitRole::Leader { records: 1, bytes: 1 });
-        assert!(t0.elapsed() >= Duration::from_millis(4));
     }
 
     #[test]

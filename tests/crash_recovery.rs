@@ -233,37 +233,6 @@ fn repeated_restarts_accumulate_nothing() {
 }
 
 #[test]
-fn legacy_per_put_pipeline_recovers_identically() {
-    // The pre-group-commit pipeline (`wal_group_commit: false`) stays a
-    // supported ablation; its recovery semantics must be unchanged, and
-    // the two pipelines' logs must be mutually readable (a store written
-    // under one mode reopens under the other).
-    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-    {
-        let mut opts = wal_opts(Arc::clone(&env), false);
-        opts.wal_group_commit = false;
-        let db = FloDb::open(opts).unwrap();
-        for i in 0..100u64 {
-            db.put(&key(i), b"legacy").unwrap();
-        }
-        db.delete(&key(3)).unwrap();
-    }
-    // Reopen under group commit: the log replays regardless of the
-    // pipeline that wrote it.
-    let db = FloDb::open(wal_opts(Arc::clone(&env), false)).unwrap();
-    assert_eq!(db.get(&key(3)), None);
-    assert_eq!(db.get(&key(42)).as_deref(), Some(b"legacy".as_slice()));
-    db.put(&key(200), b"group").unwrap();
-    drop(db);
-    // And back again under the legacy pipeline.
-    let mut opts = wal_opts(env, false);
-    opts.wal_group_commit = false;
-    let db = FloDb::open(opts).unwrap();
-    assert_eq!(db.get(&key(42)).as_deref(), Some(b"legacy".as_slice()));
-    assert_eq!(db.get(&key(200)).as_deref(), Some(b"group".as_slice()));
-}
-
-#[test]
 fn kill_mid_batch_recovers_batches_all_or_nothing() {
     // Concurrent threads commit multi-op batches, then the store is killed
     // at *every sampled byte offset* of the log (a crash can tear the file
@@ -283,7 +252,6 @@ fn kill_mid_batch_recovers_batches_all_or_nothing() {
     }
     fn batch_opts(env: Arc<dyn Env>) -> FloDbOptions {
         let mut opts = wal_opts(env, false);
-        opts.wal_group_commit = true;
         // No background flushes: the log stays the only durable state, so
         // the cut sweep below only has to replicate the log file.
         opts.persist_enabled = false;
@@ -381,7 +349,6 @@ fn sharded_kill_at_any_offset_recovers_whole_sub_batch_prefixes() {
     }
     fn sharded_opts(env: Arc<dyn Env>) -> ShardedOptions {
         let mut base = wal_opts(env, false);
-        base.wal_group_commit = true;
         // No background flushes: the logs stay the only durable state, so
         // the sweep below only has to replicate log files.
         base.persist_enabled = false;

@@ -13,8 +13,6 @@
 // each uses a subset of these bodies.
 #![allow(dead_code)]
 
-use std::time::Duration;
-
 use flodb::core::drain::{help_drain_imm_via, DrainStyle};
 use flodb::core::view::{ImmMembuffer, MemView, ViewCell};
 use flodb::membuffer::{MemBuffer, MemBufferConfig};
@@ -229,7 +227,6 @@ pub fn group_commit_broadcast_body() {
     let gc: Arc<GroupCommitter<String>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
         frame_prefix: 0,
-        max_group_wait: Duration::ZERO,
         follower_spin: 0,
     }));
     let handles: Vec<_> = [b'a', b'b']
@@ -265,7 +262,6 @@ pub fn group_commit_error_body() {
     let gc: Arc<GroupCommitter<String>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
         frame_prefix: 0,
-        max_group_wait: Duration::ZERO,
         follower_spin: 0,
     }));
     let handles: Vec<_> = (0..2u8)
@@ -307,7 +303,6 @@ pub fn group_commit_injected_fault_body() {
     let gc: Arc<GroupCommitter<StorageError>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
         frame_prefix: 0,
-        max_group_wait: Duration::ZERO,
         follower_spin: 0,
     }));
     let handles: Vec<_> = (0..2u8)
@@ -377,7 +372,6 @@ fn router_split(broken: bool) {
                 Arc::new(GroupCommitter::new(GroupCommitConfig {
                     max_group_bytes: 1024,
                     frame_prefix: 0,
-                    max_group_wait: Duration::ZERO,
                     follower_spin: 0,
                 })),
                 Arc::new(Mutex::new(Vec::<u8>::new())),

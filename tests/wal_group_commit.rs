@@ -1,7 +1,7 @@
 //! Group-commit WAL integration tests: concurrent writers must lose and
 //! reorder nothing, and a store killed mid-workload under group commit
-//! must recover exactly the acknowledged writes — the same state the
-//! legacy single-frame-per-put pipeline recovers.
+//! must recover exactly the acknowledged writes — the state a sequential
+//! replay of each writer's operations produces.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -9,11 +9,10 @@ use std::sync::Arc;
 use flodb::storage::{wal, Env, MemEnv, Record};
 use flodb::{FloDb, FloDbOptions, KvStore, WalMode, WriteBatch};
 
-fn wal_opts(env: Arc<dyn Env>, group_commit: bool) -> FloDbOptions {
+fn wal_opts(env: Arc<dyn Env>) -> FloDbOptions {
     let mut opts = FloDbOptions::small_for_tests();
     opts.env = env;
     opts.wal = WalMode::Enabled { sync: false };
-    opts.wal_group_commit = group_commit;
     opts
 }
 
@@ -77,30 +76,58 @@ fn records_per_frame(env: &dyn Env) -> Vec<usize> {
 fn write_batch_emits_exactly_one_group_frame() {
     // The atomicity contract rests on this: recovery truncates at frame
     // granularity, so an N-op batch is all-or-nothing exactly when it
-    // occupies one frame — under both WAL pipelines.
+    // occupies one frame.
     const OPS: usize = 23;
-    for group_commit in [true, false] {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-        {
-            let db = FloDb::open(wal_opts(Arc::clone(&env), group_commit)).unwrap();
-            let mut batch = WriteBatch::new();
-            for i in 0..OPS as u64 - 1 {
-                batch.put(&key(0, i), &i.to_le_bytes());
-            }
-            batch.delete(&key(0, 0));
-            db.write(&batch).unwrap();
-            let stats = db.stats();
-            assert_eq!(stats.wal_groups, 1, "group={group_commit}");
-            assert_eq!(stats.wal_group_records, OPS as u64, "group={group_commit}");
-            // Crash without flushing so the log survives inspection.
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    {
+        let db = FloDb::open(wal_opts(Arc::clone(&env))).unwrap();
+        let mut batch = WriteBatch::new();
+        for i in 0..OPS as u64 - 1 {
+            batch.put(&key(0, i), &i.to_le_bytes());
         }
-        assert_eq!(
-            records_per_frame(env.as_ref()),
-            vec![OPS],
-            "an {OPS}-op batch must land as one frame holding all its \
-             records (group={group_commit})"
-        );
+        batch.delete(&key(0, 0));
+        db.write(&batch).unwrap();
+        let stats = db.stats();
+        assert_eq!(stats.wal_groups, 1);
+        assert_eq!(stats.wal_group_records, OPS as u64);
+        // Crash without flushing so the log survives inspection.
     }
+    assert_eq!(
+        records_per_frame(env.as_ref()),
+        vec![OPS],
+        "an {OPS}-op batch must land as one frame holding all its records"
+    );
+}
+
+#[test]
+fn single_writer_one_record_frames_replay() {
+    // A lone writer never finds a group to join, so every put commits as
+    // its own one-record frame — byte for byte what the retired per-put
+    // pipeline wrote for every put. Such logs must keep replaying, and a
+    // store reopened on one must keep appending to the same history.
+    const PUTS: u64 = 100;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    {
+        let db = FloDb::open(wal_opts(Arc::clone(&env))).unwrap();
+        for i in 0..PUTS {
+            db.put(&key(0, i), b"alone").unwrap();
+        }
+        db.delete(&key(0, 3)).unwrap();
+    }
+    assert_eq!(
+        records_per_frame(env.as_ref()),
+        vec![1; PUTS as usize + 1],
+        "every record must sit in its own frame"
+    );
+
+    let db = FloDb::open(wal_opts(Arc::clone(&env))).unwrap();
+    assert_eq!(db.get(&key(0, 3)), None);
+    assert_eq!(db.get(&key(0, 42)).as_deref(), Some(b"alone".as_slice()));
+    db.put(&key(0, 200), b"later").unwrap();
+    drop(db);
+    let db = FloDb::open(wal_opts(env)).unwrap();
+    assert_eq!(db.get(&key(0, 42)).as_deref(), Some(b"alone".as_slice()));
+    assert_eq!(db.get(&key(0, 200)).as_deref(), Some(b"later".as_slice()));
 }
 
 #[test]
@@ -108,7 +135,7 @@ fn concurrent_group_commit_loses_and_reorders_nothing() {
     const THREADS: u64 = 8;
     const OPS: u64 = 400;
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-    let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env), true)).unwrap());
+    let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env))).unwrap());
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let db = Arc::clone(&db);
@@ -164,45 +191,55 @@ fn concurrent_group_commit_loses_and_reorders_nothing() {
 }
 
 #[test]
-fn group_commit_recovers_identically_to_legacy_pipeline() {
-    // The same deterministic concurrent workload (disjoint key ranges per
-    // thread, so the final state is well-defined) run under both WAL
-    // pipelines, then crashed and recovered: the visible state must match
-    // exactly. This is the recovery-equivalence contract that lets group
-    // commit replace the per-put pipeline.
+fn group_commit_recovery_matches_a_sequential_oracle() {
+    // A deterministic concurrent workload of writes, overwrites and
+    // tombstones, crashed and recovered. Threads own disjoint key ranges
+    // and each thread's acks are sequential, so the only legal recovered
+    // state is the one replaying every thread's operations in program
+    // order produces — whatever groups the committer happened to form.
     const THREADS: u64 = 4;
     const OPS: u64 = 300;
-    let run = |group_commit: bool| -> Vec<(Vec<u8>, Vec<u8>)> {
-        let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-        {
-            let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env), group_commit)).unwrap());
-            let mut handles = Vec::new();
-            for t in 0..THREADS {
-                let db = Arc::clone(&db);
-                handles.push(std::thread::spawn(move || {
-                    for i in 0..OPS {
-                        // Writes, overwrites and tombstones, all replayed.
-                        db.put(&key(t, i % 64), &(t * OPS + i).to_le_bytes()).unwrap();
-                        if i % 5 == 0 {
-                            db.delete(&key(t, (i + 1) % 64)).unwrap();
-                        }
+    // Thread `t`'s operations, in program order; `None` is a delete.
+    fn ops_of(t: u64) -> impl Iterator<Item = ([u8; 16], Option<[u8; 8]>)> {
+        (0..OPS).flat_map(move |i| {
+            let put = (key(t, i % 64), Some((t * OPS + i).to_le_bytes()));
+            let delete = (i % 5 == 0).then(|| (key(t, (i + 1) % 64), None));
+            std::iter::once(put).chain(delete)
+        })
+    }
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    {
+        let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env))).unwrap());
+        let mut handles = Vec::new();
+        for t in 0..THREADS {
+            let db = Arc::clone(&db);
+            handles.push(std::thread::spawn(move || {
+                for (key, value) in ops_of(t) {
+                    match value {
+                        Some(value) => db.put(&key, &value).unwrap(),
+                        None => db.delete(&key).unwrap(),
                     }
-                }));
-            }
-            for h in handles {
-                h.join().unwrap();
-            }
-            // Crash without quiescing.
+                }
+            }));
         }
-        let db = FloDb::open(wal_opts(env, group_commit)).unwrap();
-        db.scan(&key(0, 0), &key(THREADS, 0))
-    };
-    let via_group = run(true);
-    let via_legacy = run(false);
-    assert!(!via_group.is_empty());
+        for h in handles {
+            h.join().unwrap();
+        }
+        // Crash without quiescing.
+    }
+    let mut oracle = std::collections::BTreeMap::new();
+    for (key, value) in (0..THREADS).flat_map(ops_of) {
+        match value {
+            Some(value) => oracle.insert(key.to_vec(), value.to_vec()),
+            None => oracle.remove(key.as_slice()),
+        };
+    }
+    assert!(!oracle.is_empty());
+    let db = FloDb::open(wal_opts(env)).unwrap();
     assert_eq!(
-        via_group, via_legacy,
-        "group-commit recovery diverged from the single-frame pipeline"
+        db.scan(&key(0, 0), &key(THREADS, 0)),
+        oracle.into_iter().collect::<Vec<_>>(),
+        "group-commit recovery diverged from the sequential oracle"
     );
 }
 
@@ -215,7 +252,7 @@ fn killed_mid_workload_recovers_every_acknowledged_write() {
     // mid-workload (drop joins in-flight operations, so this models a
     // crash immediately after the last ack).
     let acked: Vec<_> = {
-        let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env), true)).unwrap());
+        let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env))).unwrap());
         let mut handles = Vec::new();
         for t in 0..THREADS {
             let db = Arc::clone(&db);
@@ -236,7 +273,7 @@ fn killed_mid_workload_recovers_every_acknowledged_write() {
         handles.into_iter().map(|h| h.join().unwrap()).collect()
     };
 
-    let db = FloDb::open(wal_opts(env, true)).unwrap();
+    let db = FloDb::open(wal_opts(env)).unwrap();
     let mut total = 0u64;
     for (t, thread_acks) in acked.iter().enumerate() {
         for &i in thread_acks {

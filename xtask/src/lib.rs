@@ -2,7 +2,7 @@
 //!
 //! Two commands share this library:
 //!
-//! * `cargo xtask lint` — five line-based rules ([`run_lint`]), one per
+//! * `cargo xtask lint` — six line-based rules ([`run_lint`]), one per
 //!   module under [`rules`]:
 //!   1. **`safety-comment`** — every `unsafe` site needs a `// SAFETY:`
 //!      comment or `# Safety` doc section.
@@ -17,6 +17,8 @@
 //!   5. **`seqcst-ordering`** — `Ordering::SeqCst` in modeled-crate
 //!      production code needs an `// ORDERING:` justification or a
 //!      downgrade to the weakest sufficient ordering.
+//!   6. **`env-read`** — no `std::env::var*` in engine-crate production
+//!      code; configuration arrives through `FloDbOptions` only.
 //! * `cargo xtask locks` — the whole-workspace lock-order analysis
 //!   ([`locks::run_locks`]): lock-site extraction, the declared hierarchy
 //!   in `LOCK_ORDER.toml`, rank/cycle/blocking checks, and the
@@ -34,6 +36,7 @@ pub mod rules;
 
 use std::path::{Path, PathBuf};
 
+pub use rules::env_read::check_env_reads;
 pub use rules::env_unwrap::check_env_unwraps;
 pub use rules::ordering::check_seqcst_ordering;
 pub use rules::panic::check_write_path_panics;
@@ -43,7 +46,7 @@ pub use rules::{Finding, Rule};
 
 use common::scan;
 
-/// Runs all five lint rules over the workspace rooted at `root` and
+/// Runs all six lint rules over the workspace rooted at `root` and
 /// returns every finding, sorted by file and line.
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -89,11 +92,16 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     // Rule 5 scope: the same modeled crates the locks pass covers — the
     // crates whose memory-ordering story the model checker and the lock
     // hierarchy are supposed to document.
-    let mut ordering_files = Vec::new();
+    let mut modeled_files = Vec::new();
     for rel in locks::MODELED_CRATES {
-        scan(root, rel, &mut ordering_files);
+        scan(root, rel, &mut modeled_files);
     }
-    for_each_file(&ordering_files, &mut findings, check_seqcst_ordering);
+    for_each_file(&modeled_files, &mut findings, check_seqcst_ordering);
+
+    // Rule 6 scope: the same five crates — together they are the engine a
+    // store links in. The bench and workload harnesses scale themselves
+    // from the environment by design and stay out of scope.
+    for_each_file(&modeled_files, &mut findings, check_env_reads);
 
     findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     findings

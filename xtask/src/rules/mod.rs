@@ -4,6 +4,7 @@
 //! them over their respective scopes. See the crate docs for the rule
 //! catalogue.
 
+pub mod env_read;
 pub mod env_unwrap;
 pub mod ordering;
 pub mod panic;
@@ -29,6 +30,8 @@ pub enum Rule {
     /// An `Ordering::SeqCst` in modeled-crate production code without an
     /// `ORDERING:` justification comment.
     SeqCstOrdering,
+    /// A `std::env::var*` read in engine-crate production code.
+    EnvRead,
 }
 
 impl fmt::Display for Rule {
@@ -39,6 +42,7 @@ impl fmt::Display for Rule {
             Rule::WritePathPanic => write!(f, "write-path-panic"),
             Rule::EnvUnwrap => write!(f, "env-unwrap"),
             Rule::SeqCstOrdering => write!(f, "seqcst-ordering"),
+            Rule::EnvRead => write!(f, "env-read"),
         }
     }
 }

@@ -5,7 +5,9 @@
 
 use std::path::Path;
 
-use xtask::{check_raw_sync, check_safety_comments, check_write_path_panics, Rule};
+use xtask::{
+    check_env_reads, check_raw_sync, check_safety_comments, check_write_path_panics, Rule,
+};
 
 fn fixture(name: &str) -> (std::path::PathBuf, String) {
     let path = Path::new(env!("CARGO_MANIFEST_DIR"))
@@ -52,6 +54,19 @@ fn write_path_unwrap_fails() {
     );
     assert_eq!(findings[0].rule, Rule::WritePathPanic);
     assert_eq!(findings[0].line, 4, "the `self.wal.append(batch).unwrap()` line");
+}
+
+#[test]
+fn env_read_in_engine_fails() {
+    let (path, content) = fixture("env_read_in_engine.rs");
+    let findings = check_env_reads(&path, &content);
+    assert_eq!(
+        findings.len(),
+        1,
+        "the production read must fire, the #[cfg(test)] one must not: {findings:?}"
+    );
+    assert_eq!(findings[0].rule, Rule::EnvRead);
+    assert_eq!(findings[0].line, 4, "the `std::env::var(..)` line");
 }
 
 #[test]
