@@ -71,8 +71,11 @@ pub fn apply_batch(
 /// `cursor` (wrapping within the range). Returns `(entries_moved,
 /// next_cursor)`.
 ///
-/// Sweeping buckets in order keeps each batch inside one partition most of
-/// the time, which is what makes multi-insert path reuse effective.
+/// The sweep follows the Membuffer's occupancy summary, so it costs the
+/// buckets that hold something plus one load per 64 empty ones — an idle
+/// beat over an empty buffer touches no bucket. Visiting occupied buckets
+/// in order keeps each batch inside one partition most of the time, which
+/// is what makes multi-insert path reuse effective.
 ///
 /// Each background drainer must own a *disjoint* bucket range: two
 /// drainers sharing a bucket could both have a claim of the same key in
@@ -91,21 +94,45 @@ pub fn drain_sweep(
     style: DrainStyle,
 ) -> (usize, usize) {
     debug_assert!(range_start + range_len <= mbf.total_buckets());
-    let len = range_len.max(1);
-    let mut cursor = cursor % len;
+    let range_end = range_start + range_len;
+    let first = range_start + cursor % range_len.max(1);
     let mut moved = 0;
-    let mut scanned = 0;
+    // A batch is applied once it reaches `flush_at` entries, so with one
+    // more bucket's worth of room the vector never regrows; it is only
+    // allocated once a bucket holds something (an idle beat allocates
+    // nothing).
+    let flush_at = max_entries.min(64);
+    let room = flush_at + flodb_membuffer::SLOTS_PER_BUCKET;
     let mut pending: Vec<DrainedEntry> = Vec::new();
-    while scanned < len && moved + pending.len() < max_entries {
-        pending.extend(mbf.claim_bucket(range_start + cursor));
-        cursor = (cursor + 1) % len;
-        scanned += 1;
-        if pending.len() >= max_entries.min(64) {
-            moved += apply_batch(mbf, mtb, seq, std::mem::take(&mut pending), style);
+    // One lap: from the cursor to the end of the range, then the part
+    // before the cursor.
+    for (mut from, to) in [(first, range_end), (range_start, first)] {
+        while let Some(bucket) = mbf.next_occupied(from, to) {
+            if moved + pending.len() >= max_entries {
+                moved += apply_batch(mbf, mtb, seq, pending, style);
+                return (moved, bucket - range_start);
+            }
+            if pending.capacity() == 0 {
+                pending.reserve_exact(room);
+            }
+            pending.extend(mbf.claim_bucket(bucket));
+            from = bucket + 1;
+            if pending.len() >= flush_at {
+                moved += apply_batch(mbf, mtb, seq, std::mem::take(&mut pending), style);
+            }
         }
     }
     moved += apply_batch(mbf, mtb, seq, pending, style);
-    (moved, cursor)
+    (moved, first - range_start)
+}
+
+/// One participant's share of a cooperative full drain.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct DrainHelp {
+    /// Chunks this participant claimed from the shared tracker.
+    pub chunks: usize,
+    /// Entries it moved into the Memtable.
+    pub entries: usize,
 }
 
 /// Participates in the cooperative full drain of a frozen Membuffer
@@ -113,8 +140,11 @@ pub fn drain_sweep(
 /// Algorithm 2 lines 12-16), resolving the target Memtable *inside each
 /// chunk's RCU read-side critical section* of `view`.
 ///
-/// Claims chunks from the shared tracker until none remain; returns the
-/// number of entries this participant moved.
+/// Claims chunks — 64-bucket occupancy words, see
+/// [`MemBuffer::claim_chunk`] — from the shared tracker until none
+/// remain. A word with no resident entry costs its two tracker RMWs and
+/// one load: the drain is proportional to what the buffer holds, not to
+/// what it could hold.
 ///
 /// The per-chunk view coupling is what makes the help race-safe against
 /// the persist thread: resolving the Memtable once up front (an `Arc`
@@ -131,8 +161,8 @@ pub fn help_drain_imm_via(
     view: &ViewCell,
     seq: &SequenceGenerator,
     style: DrainStyle,
-) -> usize {
-    let mut moved = 0;
+) -> DrainHelp {
+    let mut help = DrainHelp::default();
     // Mutation hook for the model-checker regression suite
     // (tests/model_mutation.rs): resolve the Memtable once, outside any
     // critical section — re-introducing the pre-PR-5 race this function's
@@ -141,18 +171,22 @@ pub fn help_drain_imm_via(
     #[cfg(flodb_model_mutation)]
     let mtb = view.read(|v| std::sync::Arc::clone(&v.mtb));
     while let Some(chunk) = imm.tracker.claim() {
-        let drained = imm.buffer.claim_bucket(chunk);
-        #[cfg(flodb_model_mutation)]
-        {
-            moved += apply_batch(&imm.buffer, &mtb, seq, drained, style);
-        }
-        #[cfg(not(flodb_model_mutation))]
-        {
-            moved += view.read(|v| apply_batch(&imm.buffer, &v.mtb, seq, drained, style));
+        help.chunks += 1;
+        let drained = imm.buffer.claim_chunk(chunk);
+        if !drained.is_empty() {
+            #[cfg(flodb_model_mutation)]
+            {
+                help.entries += apply_batch(&imm.buffer, &mtb, seq, drained, style);
+            }
+            #[cfg(not(flodb_model_mutation))]
+            {
+                help.entries +=
+                    view.read(|v| apply_batch(&imm.buffer, &v.mtb, seq, drained, style));
+            }
         }
         imm.tracker.finish();
     }
-    moved
+    help
 }
 
 #[cfg(test)]
@@ -274,7 +308,7 @@ mod tests {
             let view = Arc::clone(&view);
             let seq = Arc::clone(&seq);
             handles.push(std::thread::spawn(move || {
-                help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert)
+                help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert).entries
             }));
         }
         let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
@@ -289,14 +323,21 @@ mod tests {
         // A persist switch mid-drain must not lose entries: chunks drained
         // before the switch land in the old table, chunks after in the new
         // one — and the two tables together hold everything.
-        let mbf = Arc::new(small_mbf());
+        let mbf = Arc::new(MemBuffer::new(MemBufferConfig {
+            partition_bits: 2,
+            buckets_per_partition: 64,
+        }));
+        // One 64-bucket chunk per partition; the key's top two bits pick
+        // the partition, so every chunk holds something.
         let mut accepted = 0;
         for i in 0..100u64 {
-            if mbf.add(&i.to_be_bytes(), Some(b"v")) == flodb_membuffer::AddResult::Added {
+            let key = (i % 4) << 62 | i;
+            if mbf.add(&key.to_be_bytes(), Some(b"v")) == flodb_membuffer::AddResult::Added {
                 accepted += 1;
             }
         }
         let imm = Arc::new(ImmMembuffer::new(Arc::clone(&mbf)));
+        assert_eq!(imm.tracker.total(), 4);
         let old_mtb = Arc::new(SkipList::new());
         let view = ViewCell::new(crate::view::MemView {
             mbf: None,
@@ -305,16 +346,14 @@ mod tests {
             imm_mtb: None,
         });
         let seq = SequenceGenerator::new();
-        // Drain a few chunks into the current table...
+        // Drain two chunks into the current table...
         let mut moved = 0;
-        for _ in 0..3 {
-            if let Some(chunk) = imm.tracker.claim() {
-                let drained = imm.buffer.claim_bucket(chunk);
-                moved += view.read(|v| {
-                    apply_batch(&imm.buffer, &v.mtb, &seq, drained, DrainStyle::MultiInsert)
-                });
-                imm.tracker.finish();
-            }
+        for _ in 0..2 {
+            let chunk = imm.tracker.claim().unwrap();
+            let drained = imm.buffer.claim_chunk(chunk);
+            moved += view
+                .read(|v| apply_batch(&imm.buffer, &v.mtb, &seq, drained, DrainStyle::MultiInsert));
+            imm.tracker.finish();
         }
         // ...then a persist-style switch...
         let new_mtb = Arc::new(SkipList::new());
@@ -324,8 +363,40 @@ mod tests {
             ..old.clone()
         });
         // ...and the rest of the cooperative drain follows the view.
-        moved += help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-        assert_eq!(moved, accepted);
+        let help = help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
+        assert_eq!(help.chunks, 2);
+        assert_eq!(moved + help.entries, accepted);
+        assert!(!old_mtb.is_empty() && !new_mtb.is_empty());
         assert_eq!(old_mtb.len() + new_mtb.len(), accepted, "no entry lost");
+    }
+
+    #[test]
+    fn idle_sweep_touches_no_bucket_and_the_next_add_is_found() {
+        // The benchmark store's shape: 16 partitions x 512 buckets.
+        let mbf = MemBuffer::new(MemBufferConfig {
+            partition_bits: 4,
+            buckets_per_partition: 512,
+        });
+        let total = mbf.total_buckets();
+        assert_eq!(total, 8192);
+        let mtb = SkipList::new();
+        let seq = SequenceGenerator::new();
+        let sweep = |cursor| {
+            drain_sweep(&mbf, &mtb, &seq, 0, total, cursor, 64, DrainStyle::MultiInsert)
+        };
+        let (moved, mut cursor) = sweep(4000);
+        assert_eq!(moved, 0);
+        // One key per partition, so buckets on both sides of the cursor —
+        // the first and the last word included — get an entry in turn.
+        for p in 0..16u64 {
+            let key = (p << 60 | p).to_be_bytes();
+            mbf.add(&key, Some(b"v"));
+            let (moved, next) = sweep(cursor);
+            assert_eq!(moved, 1, "the sweep after the add to partition {p} missed it");
+            assert!(mtb.get(&key).is_some());
+            cursor = next;
+        }
+        assert!(mbf.is_drained());
+        assert_eq!(sweep(cursor).0, 0);
     }
 }

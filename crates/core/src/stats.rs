@@ -39,8 +39,13 @@ pub struct FloDbStats {
     /// Master scans that reused a previous master's sequence number
     /// without draining (§4.4 optimization).
     pub master_reuse_scans: AtomicU64,
-    /// Times a writer helped drain the immutable Membuffer.
+    /// Times a paused writer helped drain the immutable Membuffer, i.e.
+    /// claimed at least one chunk of the cooperative drain.
     pub writer_drain_helps: AtomicU64,
+    /// Freezes that got the drained Membuffer back as its sole owner and
+    /// kept it for the next freeze instead of dropping it (the rest found
+    /// a snapshot or a late helper still holding a reference).
+    pub membuffer_recycles: AtomicU64,
     /// Times a writer stalled waiting for Memtable room.
     pub write_stalls: AtomicU64,
     /// WAL commit groups written (each is one frame, one write, at most

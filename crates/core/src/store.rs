@@ -150,7 +150,11 @@ struct Inner {
     /// writes made *after* the first scan's linearization point into the
     /// Memtable with sequence numbers *below* the first scan's stamp,
     /// silently including a partial post-cut round in its snapshot.
-    freeze_lock: Mutex<()>,
+    ///
+    /// The lock also owns the *spare* Membuffer: a fully drained buffer
+    /// the last freeze got back as sole owner (`ImmMembuffer::reclaim`),
+    /// which the next freeze installs instead of building a new one.
+    freeze_lock: Mutex<Option<Arc<MemBuffer>>>,
     stats: FloDbStats,
     stop: AtomicBool,
     force_flush: AtomicBool,
@@ -412,7 +416,7 @@ impl FloDb {
             pause_writers: PauseFlag::new(),
             pause_draining: PauseFlag::new(),
             coord: ScanCoordinator::new(),
-            freeze_lock: ranked_mutex(CORE_FREEZE, ()),
+            freeze_lock: ranked_mutex(CORE_FREEZE, None),
             stats: FloDbStats::default(),
             stop: AtomicBool::new(false),
             force_flush: AtomicBool::new(false),
@@ -845,14 +849,29 @@ impl FloDb {
             while inner.pause_writers.is_paused() {
                 let imm = inner.view.read(|v| v.imm_mbf.clone());
                 match imm {
-                    Some(imm) if imm.drain_ready() && !imm.tracker.is_complete() => {
-                        FloDbStats::bump(&inner.stats.writer_drain_helps);
+                    // Help only while chunks remain; once the last one is
+                    // claimed the frozen buffer is someone else's to
+                    // finish, and re-entering the help would spin a core
+                    // the master needs until `is_complete`.
+                    Some(imm) if imm.drain_ready() && !imm.tracker.exhausted() => {
                         // The view-coupled variant: a persist switch
                         // racing this help must not strand the batch in a
                         // Memtable whose flush already collected entries.
-                        drain::help_drain_imm_via(&imm, &inner.view, &inner.seq, inner.drain_style);
+                        let help = drain::help_drain_imm_via(
+                            &imm,
+                            &inner.view,
+                            &inner.seq,
+                            inner.drain_style,
+                        );
+                        if help.chunks > 0 {
+                            FloDbStats::bump(&inner.stats.writer_drain_helps);
+                        }
                     }
-                    Some(_) => {
+                    Some(imm) => {
+                        // Let go before parking: a reference held across
+                        // the wait would keep the freezer from recycling
+                        // the drained buffer.
+                        drop(imm);
                         inner
                             .pause_writers
                             .wait_until_resumed_timeout(Duration::from_micros(50));
@@ -1030,8 +1049,8 @@ impl FloDb {
         inner.pause_draining.pause();
         inner.pause_writers.pause();
         let seq = {
-            let _freezing = inner.freeze_lock.lock();
-            freeze_and_drain_membuffer(inner);
+            let mut freezing = inner.freeze_lock.lock();
+            freeze_and_drain_membuffer(inner, &mut freezing);
             // Line 12: the scan's linearization stamp.
             inner.seq.next()
         };
@@ -1081,13 +1100,20 @@ impl FloDb {
             }
         }
 
-        // PANIC-OK: same contract as `get` — the scan path is infallible
-        // until fallible reads land (see ROADMAP), so a disk error aborts.
-        for record in inner.disk.scan(low, high).expect("disk scan failed") {
+        let mut fresher = false;
+        let scanned = inner.disk.scan_each(low, high, &mut |record| {
             if record.seq > scan_seq {
-                return Err(Restart);
+                fresher = true;
+                return ControlFlow::Break(());
             }
             absorb(&record.key, record.seq, record.value);
+            ControlFlow::Continue(())
+        });
+        // PANIC-OK: same contract as `get` — the scan path is infallible
+        // until fallible reads land (see ROADMAP), so a disk error aborts.
+        scanned.expect("disk scan failed");
+        if fresher {
+            return Err(Restart);
         }
 
         Ok(merged)
@@ -1110,9 +1136,9 @@ impl FloDb {
         // freeze-and-stamp mid-iteration, so (with writers and drains
         // paused) no post-stamp entry can appear and the loop terminates
         // once the bounded population of racing writers has quiesced.
-        let _freezing = inner.freeze_lock.lock();
+        let mut freezing = inner.freeze_lock.lock();
         let result = loop {
-            freeze_and_drain_membuffer(inner);
+            freeze_and_drain_membuffer(inner, &mut freezing);
             let seq = inner.seq.next();
             match self.collect_range(low, high, seq) {
                 Ok(entries) => break entries,
@@ -1122,7 +1148,7 @@ impl FloDb {
                 Err(Restart) => continue,
             }
         };
-        drop(_freezing);
+        drop(freezing);
         inner.pause_writers.resume();
         inner.pause_draining.resume();
         result
@@ -1207,9 +1233,11 @@ fn drain_loop(inner: &Arc<Inner>, worker: usize) {
 /// Lines 6-11 of Algorithm 3: install a fresh Membuffer, freeze the
 /// old one, and fully drain it into the Memtable (cooperating with
 /// helping writers). Callers must hold `pause_draining` and
-/// `pause_writers` (via the freeze lock protocol); both master scans and
-/// the WAL-retirement checkpoint come through here.
-fn freeze_and_drain_membuffer(inner: &Inner) {
+/// `pause_writers` and pass the state behind `freeze_lock`: `spare` is the
+/// Membuffer to install (a new one is built only when there is none) and
+/// receives the drained one back if nobody else still holds it. Both
+/// master scans and the WAL-retirement checkpoint come through here.
+fn freeze_and_drain_membuffer(inner: &Inner, spare: &mut Option<Arc<MemBuffer>>) {
     let t0 = inner.telemetry.counters().then(Instant::now);
     inner.telemetry.event(TraceEventKind::FreezeBegin, 0, 0);
     if inner.opts.membuffer_enabled {
@@ -1217,7 +1245,7 @@ fn freeze_and_drain_membuffer(inner: &Inner) {
         // `update` waits a grace period, subsuming MemBufferRCUWait and
         // MemTableRCUWait (lines 8-9).
         inner.view.update(|old| MemView {
-            mbf: Some(inner.new_membuffer()),
+            mbf: Some(spare.take().unwrap_or_else(|| inner.new_membuffer())),
             imm_mbf: old
                 .mbf
                 .as_ref()
@@ -1240,7 +1268,8 @@ fn freeze_and_drain_membuffer(inner: &Inner) {
         let imm = inner.view.read(|v| v.imm_mbf.clone());
         if let Some(imm) = &imm {
             imm.open_for_drain();
-            let moved = drain::help_drain_imm_via(imm, &inner.view, &inner.seq, inner.drain_style);
+            let moved =
+                drain::help_drain_imm_via(imm, &inner.view, &inner.seq, inner.drain_style).entries;
             FloDbStats::add(&inner.stats.drained_entries, moved as u64);
             inner.telemetry.event(TraceEventKind::Drain, moved as u64, 0);
             let backoff = Backoff::new();
@@ -1258,6 +1287,13 @@ fn freeze_and_drain_membuffer(inner: &Inner) {
             imm_mbf: None,
             ..old.clone()
         });
+        // That switch's grace period has retired the last view holding
+        // the drained buffer: keep it for the next freeze unless a
+        // snapshot or a late helper still owns a reference.
+        *spare = imm.and_then(ImmMembuffer::reclaim);
+        if spare.is_some() {
+            FloDbStats::bump(&inner.stats.membuffer_recycles);
+        }
     } else {
         // No Membuffer: a pure grace period quiesces in-flight writes.
         inner.view.update(MemView::clone);
@@ -1502,8 +1538,8 @@ fn maybe_retire_wal(inner: &Arc<Inner>) -> bool {
     inner.pause_draining.pause();
     inner.pause_writers.pause();
     {
-        let _freezing = inner.freeze_lock.lock();
-        freeze_and_drain_membuffer(inner);
+        let mut freezing = inner.freeze_lock.lock();
+        freeze_and_drain_membuffer(inner, &mut freezing);
     }
     inner.pause_writers.resume();
     inner.pause_draining.resume();

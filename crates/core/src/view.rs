@@ -69,6 +69,35 @@ impl ImmMembuffer {
         #[cfg(not(flodb_model_mutation))]
         self.ready.load(Ordering::Acquire)
     }
+
+    /// Hands the fully drained buffer back for re-installation as the next
+    /// fresh Membuffer — iff the caller is its sole owner.
+    ///
+    /// Call after the `imm_mbf: None` switch's grace period: the view no
+    /// longer references the buffer then, but a view snapshot taken
+    /// earlier (a range scan's, say) or a helper still holding its `Arc`
+    /// may. Re-installing a buffer such a holder believes frozen would put
+    /// live writes under it, so any other owner — of this `ImmMembuffer`
+    /// or of the buffer itself — means `None`, and the buffer is simply
+    /// dropped by its last holder as before. With no other owner nobody
+    /// can obtain a reference any more, so the check cannot be raced. The
+    /// buffer must also be empty with an all-clear occupancy summary
+    /// ([`MemBuffer::is_drained`]), i.e. indistinguishable from a new one.
+    pub fn reclaim(this: Arc<Self>) -> Option<Arc<MemBuffer>> {
+        // Mutation hook for the model-checker regression suite
+        // (tests/model_mutation.rs): skip the sole-owner check, so a
+        // buffer a snapshot still holds gets re-installed. Never set
+        // outside that suite.
+        #[cfg(flodb_model_mutation)]
+        let buffer = Arc::clone(&this.buffer);
+        #[cfg(not(flodb_model_mutation))]
+        let buffer = {
+            let mut buffer = Arc::try_unwrap(this).ok()?.buffer;
+            Arc::get_mut(&mut buffer)?;
+            buffer
+        };
+        buffer.is_drained().then_some(buffer)
+    }
 }
 
 /// One immutable snapshot of the four memory components

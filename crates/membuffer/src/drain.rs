@@ -53,6 +53,15 @@ impl DrainTracker {
         (idx < self.total).then_some(idx)
     }
 
+    /// Returns whether every chunk has been claimed (though perhaps not
+    /// yet finished): a would-be helper has nothing left to take and
+    /// should wait for [`Self::is_complete`] instead of claiming.
+    pub fn exhausted(&self) -> bool {
+        // Relaxed: a hint that publishes nothing; `finish`/`is_complete`
+        // carry the release/acquire edge of the drained data.
+        self.next.load(Ordering::Relaxed) >= self.total
+    }
+
     /// Records that one claimed chunk has been fully processed.
     pub fn finish(&self) {
         self.finished.fetch_add(1, Ordering::Release);
@@ -110,7 +119,9 @@ mod tests {
     fn incomplete_until_all_finished() {
         let t = DrainTracker::new(2);
         t.claim();
+        assert!(!t.exhausted());
         t.claim();
+        assert!(t.exhausted(), "nothing left to claim");
         assert!(!t.is_complete());
         t.finish();
         assert!(!t.is_complete());

@@ -15,13 +15,17 @@
 use crossbeam_epoch::{self as epoch, Owned};
 use crossbeam_utils::CachePadded;
 use flodb_sync::kv::key_partition;
-use flodb_sync::shim::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use flodb_sync::shim::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use crate::bucket::{Bucket, HtEntry, SLOTS};
 use crate::drain::DrainTracker;
 
 /// Number of entry slots per bucket (re-exported for sizing math).
 pub const SLOTS_PER_BUCKET: usize = SLOTS;
+
+/// Buckets summarized by one occupancy word — and handed out as one
+/// chunk of a cooperative full drain ([`MemBuffer::claim_chunk`]).
+const WORD_BUCKETS: usize = u64::BITS as usize;
 
 /// FNV-1a 64-bit hash; cheap, dependency-free and well distributed for the
 /// short keys key-value workloads use.
@@ -135,6 +139,16 @@ pub struct MemBuffer {
     partitions: Box<[Partition]>,
     partition_bits: u32,
     bucket_mask: usize,
+    /// Occupancy summary, one bit per bucket in global bucket order: bit
+    /// `i % 64` of word `i / 64` is set iff bucket `i` holds at least one
+    /// entry. Both flips happen under that bucket's lock (`add` sets on
+    /// empty -> non-empty, `remove_drained` clears on non-empty -> empty),
+    /// so the equivalence holds at every lock release. Drainers read it
+    /// *without* the lock to skip empty buckets: on the live buffer a
+    /// stale clear bit only defers an entry to the next sweep; on a frozen
+    /// buffer the bits are read after the freeze's grace period, which
+    /// orders every writer's flip before the read.
+    occupancy: Box<[AtomicU64]>,
     entries: AtomicUsize,
     bytes: AtomicIsize,
 }
@@ -150,11 +164,13 @@ impl MemBuffer {
                     .map(|_| CachePadded::new(Bucket::new()))
                     .collect(),
             })
-            .collect();
+            .collect::<Box<[Partition]>>();
+        let words = (partitions.len() * per_partition).div_ceil(WORD_BUCKETS);
         Self {
             partitions,
             partition_bits: config.partition_bits,
             bucket_mask: per_partition - 1,
+            occupancy: (0..words).map(|_| AtomicU64::new(0)).collect(),
             entries: AtomicUsize::new(0),
             bytes: AtomicIsize::new(0),
         }
@@ -195,7 +211,7 @@ impl MemBuffer {
         self.bucket_mask + 1
     }
 
-    /// Returns the total number of buckets (drainable chunks).
+    /// Returns the total number of buckets.
     pub fn total_buckets(&self) -> usize {
         self.partitions.len() * (self.bucket_mask + 1)
     }
@@ -205,11 +221,36 @@ impl MemBuffer {
         key_partition(key, self.partition_bits)
     }
 
+    /// Returns the global bucket index (`0..total_buckets()`, the index
+    /// space of [`Self::claim_bucket`] and [`Self::next_occupied`]) a key
+    /// maps to.
+    pub fn bucket_of(&self, key: &[u8]) -> usize {
+        let (p, b) = self.bucket_for(key);
+        self.global_index(p, b)
+    }
+
+    /// Global index of bucket `b` in partition `p` (partitions own
+    /// consecutive index ranges).
+    #[inline]
+    fn global_index(&self, p: usize, b: usize) -> usize {
+        p * (self.bucket_mask + 1) + b
+    }
+
     #[inline]
     fn bucket_for(&self, key: &[u8]) -> (usize, usize) {
         let partition = self.partition_of(key);
         let bucket = (fnv1a(key) as usize) & self.bucket_mask;
         (partition, bucket)
+    }
+
+    /// The occupancy word and bit mask of bucket `b` in partition `p`.
+    #[inline]
+    fn occupancy_bit(&self, p: usize, b: usize) -> (&AtomicU64, u64) {
+        let index = self.global_index(p, b);
+        (
+            &self.occupancy[index / WORD_BUCKETS],
+            1 << (index % WORD_BUCKETS),
+        )
     }
 
     /// Inserts or updates `key`; `None` writes a tombstone.
@@ -223,12 +264,14 @@ impl MemBuffer {
         let _lock = bucket.lock();
 
         let mut free_slot = None;
+        let mut occupied = false;
         for (i, slot) in bucket.slots.iter().enumerate() {
             let cur = slot.load(Ordering::Acquire, &guard);
             // SAFETY: Non-null slots point to live entries; the bucket
             // lock excludes removal while we hold it.
             match unsafe { cur.as_ref() } {
                 Some(entry) => {
+                    occupied = true;
                     if entry.key.as_ref() == key {
                         // In-place update: replace the slot pointer with a
                         // fresh (unmarked) entry so a concurrent drain of
@@ -260,6 +303,11 @@ impl MemBuffer {
                     .fetch_add(new.charge_bytes() as isize, Ordering::Relaxed);
                 bucket.slots[i].store(new, Ordering::Release);
                 self.entries.fetch_add(1, Ordering::Relaxed);
+                if !occupied {
+                    // Release pairs with the drainers' Acquire word loads.
+                    let (word, bit) = self.occupancy_bit(p, b);
+                    word.fetch_or(bit, Ordering::Release);
+                }
                 AddResult::Added
             }
             None => AddResult::BucketFull,
@@ -287,24 +335,82 @@ impl MemBuffer {
         None
     }
 
-    /// Creates a drain tracker spanning every bucket.
+    /// Creates a tracker for a cooperative full drain: one chunk per
+    /// occupancy word, i.e. per 64 consecutive buckets (see
+    /// [`Self::claim_chunk`]).
     pub fn drain_tracker(&self) -> DrainTracker {
-        DrainTracker::new(self.total_buckets())
+        DrainTracker::new(self.occupancy.len())
+    }
+
+    /// Returns the first bucket in `from..to` (global bucket indices,
+    /// clamped to [`Self::total_buckets`]) whose occupancy bit is set,
+    /// skipping empty buckets a word at a time without touching them.
+    pub fn next_occupied(&self, from: usize, to: usize) -> Option<usize> {
+        let to = to.min(self.total_buckets());
+        let mut at = from;
+        while at < to {
+            let bits =
+                self.occupancy[at / WORD_BUCKETS].load(Ordering::Acquire) >> (at % WORD_BUCKETS);
+            if bits != 0 {
+                let found = at + bits.trailing_zeros() as usize;
+                return (found < to).then_some(found);
+            }
+            at = (at / WORD_BUCKETS + 1) * WORD_BUCKETS;
+        }
+        None
+    }
+
+    /// Returns whether the buffer holds no entry *and* its occupancy
+    /// summary is all clear — the state of a freshly built buffer, which
+    /// is what lets a fully drained one be installed again.
+    pub fn is_drained(&self) -> bool {
+        self.is_empty()
+            && self
+                .occupancy
+                .iter()
+                .all(|word| word.load(Ordering::Acquire) == 0)
     }
 
     /// Claims every unmarked entry in the bucket with global index `chunk`
     /// (Figure 6, steps 1-2: retrieve and mark).
     ///
-    /// Consecutive chunk indices fall in the same partition, so a drainer
-    /// sweeping chunks in order produces key-neighborhood-local batches.
+    /// A bucket whose occupancy bit is clear is skipped outright — no
+    /// epoch pin, no bucket lock, no allocation. Consecutive indices fall
+    /// in the same partition, so a drainer sweeping in order produces
+    /// key-neighborhood-local batches.
     pub fn claim_bucket(&self, chunk: usize) -> Vec<DrainedEntry> {
-        let p = chunk / (self.bucket_mask + 1);
-        let b = chunk & self.bucket_mask;
+        let mut out = Vec::new();
+        if self.next_occupied(chunk, chunk + 1).is_some() {
+            out.reserve_exact(SLOTS);
+            self.claim_into(chunk, &mut out);
+        }
+        out
+    }
+
+    /// Claims every unmarked entry in the 64 buckets of occupancy word
+    /// `chunk` (the unit [`Self::drain_tracker`] hands out), visiting only
+    /// the buckets whose bit is set: an empty word costs one load.
+    pub fn claim_chunk(&self, chunk: usize) -> Vec<DrainedEntry> {
+        // Sized once for what the set bits can hold: the drain paths never
+        // regrow a vector (see `flodb_storage::block::Block::decode`).
+        let occupied = self.occupancy[chunk].load(Ordering::Acquire).count_ones() as usize;
+        let mut out = Vec::with_capacity(occupied * SLOTS);
+        let end = (chunk + 1) * WORD_BUCKETS;
+        let mut from = chunk * WORD_BUCKETS;
+        while let Some(bucket) = self.next_occupied(from, end) {
+            self.claim_into(bucket, &mut out);
+            from = bucket + 1;
+        }
+        out
+    }
+
+    fn claim_into(&self, index: usize, out: &mut Vec<DrainedEntry>) {
+        let p = index / (self.bucket_mask + 1);
+        let b = index & self.bucket_mask;
         let bucket = &self.partitions[p].buckets[b];
         let guard = epoch::pin();
         let _lock = bucket.lock();
 
-        let mut out = Vec::new();
         for (i, slot) in bucket.slots.iter().enumerate() {
             let cur = slot.load(Ordering::Acquire, &guard);
             // SAFETY: Non-null slots are live under the bucket lock.
@@ -323,7 +429,6 @@ impl MemBuffer {
                 }
             }
         }
-        out
     }
 
     /// Removes previously drained entries (Figure 6, step 3).
@@ -358,6 +463,14 @@ impl MemBuffer {
                 // no new reader can reach it; deferring past the current
                 // epoch covers the lock-free readers that already did.
                 unsafe { guard.defer_destroy(old) };
+                let emptied = bucket
+                    .slots
+                    .iter()
+                    .all(|s| s.load(Ordering::Acquire, &guard).is_null());
+                if emptied {
+                    let (word, bit) = self.occupancy_bit(token.partition, token.bucket);
+                    word.fetch_and(!bit, Ordering::Release);
+                }
             }
         }
     }
@@ -525,6 +638,44 @@ mod tests {
         for i in 0..20u64 {
             assert_eq!(m.get(&k(i)), None);
         }
+    }
+
+    #[test]
+    fn claim_of_an_empty_bucket_takes_no_lock() {
+        let m = Arc::new(small());
+        // Hold bucket 0's spinlock for the whole test: a claim that tried
+        // to take it would spin forever instead of answering.
+        let _held = m.partitions[0].buckets[0].lock();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let claimer = {
+            let m = Arc::clone(&m);
+            std::thread::spawn(move || tx.send(m.claim_bucket(0).len()).unwrap())
+        };
+        let claimed = rx
+            .recv_timeout(std::time::Duration::from_secs(10))
+            .expect("claim_bucket on a clear-bit bucket waited for the bucket lock");
+        assert_eq!(claimed, 0);
+        claimer.join().unwrap();
+    }
+
+    #[test]
+    fn occupancy_summary_tracks_bucket_transitions() {
+        let m = small();
+        assert!(m.is_drained());
+        assert_eq!(m.next_occupied(0, m.total_buckets()), None);
+        m.add(b"a", Some(b"1"));
+        let index = m.bucket_of(b"a");
+        assert_eq!(m.next_occupied(0, m.total_buckets()), Some(index));
+        assert_eq!(m.next_occupied(index + 1, m.total_buckets()), None);
+        assert_eq!(m.next_occupied(0, index), None, "the range end is exclusive");
+        // An in-place update is not a transition; the drain of the last
+        // entry is.
+        m.add(b"a", Some(b"2"));
+        let drained = m.claim_chunk(index / WORD_BUCKETS);
+        assert_eq!(drained.len(), 1);
+        assert!(!m.is_drained(), "claimed but not yet removed");
+        m.remove_drained(&[drained[0].token]);
+        assert!(m.is_drained());
     }
 
     #[test]

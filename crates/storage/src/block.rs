@@ -65,11 +65,16 @@ impl BlockBuilder {
     }
 
     /// Serializes the block and resets the builder.
+    ///
+    /// The next block's buffer starts with this one's capacity, so after
+    /// its first block a builder fills each buffer without regrowing it:
+    /// see [`Block::decode`] for why the hot paths avoid `realloc`.
     pub fn finish(&mut self) -> Vec<u8> {
         self.first_key = None;
         self.last_key = None;
         self.count = 0;
-        std::mem::take(&mut self.buf)
+        let next = Vec::with_capacity(self.buf.capacity());
+        std::mem::replace(&mut self.buf, next)
     }
 }
 
@@ -81,13 +86,50 @@ pub struct Block {
 
 impl Block {
     /// Decodes a serialized block.
+    ///
+    /// Records are counted first (a pass over a few dozen varints) so the
+    /// vector is allocated once at its final size. Growing it by doubling
+    /// instead is what coupled readers to the compaction thread: glibc's
+    /// `realloc` locks the arena the *chunk* came from, and a chunk freed
+    /// by another thread reaches this one through its thread cache, so
+    /// each regrowth took the other thread's arena lock — and carved the
+    /// larger chunk from that arena, keeping the pattern alive. A scanner
+    /// and a compaction sharing two cores then spent seconds at a time
+    /// waking each other on those locks (scans twice as slow, compaction
+    /// half as fast), then seconds not doing so.
     pub fn decode(data: &[u8]) -> Result<Self> {
-        let mut records = Vec::new();
+        let (mut count, mut pos) = (0, 0);
+        while pos < data.len() {
+            Record::skip_encoded(data, &mut pos)?;
+            count += 1;
+        }
+        let mut records = Vec::with_capacity(count);
         let mut pos = 0;
         while pos < data.len() {
             records.push(Record::decode_from(data, &mut pos)?);
         }
         Ok(Self { records })
+    }
+
+    /// Point lookup in a *serialized* block: the freshest record for
+    /// `key`, if present, and the only one materialized — a lookup that
+    /// decodes the whole block allocates every neighbour's key and value
+    /// to return one of them.
+    pub fn find(data: &[u8], key: &[u8]) -> Result<Option<Record>> {
+        let mut pos = 0;
+        while pos < data.len() {
+            let start = pos;
+            match Record::skip_encoded(data, &mut pos)?.cmp(key) {
+                std::cmp::Ordering::Less => {}
+                // Within a key's run records are ordered newest-first.
+                std::cmp::Ordering::Equal => {
+                    pos = start;
+                    return Record::decode_from(data, &mut pos).map(Some);
+                }
+                std::cmp::Ordering::Greater => break,
+            }
+        }
+        Ok(None)
     }
 
     /// Returns the freshest record for `key`, if present.
@@ -143,12 +185,34 @@ mod tests {
     }
 
     #[test]
+    fn no_buffer_is_regrown_after_the_first_block() {
+        let mut b = BlockBuilder::new();
+        for i in 0..100u64 {
+            b.add(&record(i, i));
+        }
+        let first = b.finish();
+        let records = Block::decode(&first).unwrap().into_records();
+        assert_eq!(records.capacity(), records.len(), "sized by the count pass");
+        // A second block of the same size fits the capacity the first one
+        // grew to.
+        for i in 0..100u64 {
+            b.add(&record(i, i));
+        }
+        assert_eq!(b.finish().capacity(), first.capacity());
+    }
+
+    #[test]
     fn get_missing_key() {
         let mut b = BlockBuilder::new();
         b.add(&record(1, 1));
         b.add(&record(3, 3));
-        let block = Block::decode(&b.finish()).unwrap();
-        assert!(block.get(&2u64.to_be_bytes()).is_none());
+        let data = b.finish();
+        let block = Block::decode(&data).unwrap();
+        for k in 0..5u64 {
+            let key = k.to_be_bytes();
+            assert_eq!(block.get(&key).is_some(), k == 1 || k == 3);
+            assert_eq!(Block::find(&data, &key).unwrap().as_ref(), block.get(&key));
+        }
     }
 
     #[test]

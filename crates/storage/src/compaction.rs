@@ -152,8 +152,8 @@ impl MergeCursor {
     /// Builds a cursor over `iters`; each must already be positioned.
     pub fn new(iters: Vec<TableIterator>) -> Self {
         let mut cursor = Self {
+            heap: BinaryHeap::with_capacity(iters.len()),
             iters,
-            heap: BinaryHeap::new(),
         };
         for i in 0..cursor.iters.len() {
             cursor.push_from(i);

@@ -8,6 +8,7 @@
 //! component, mirroring the paper's control: "we keep the persisting and
 //! compaction mechanisms of LevelDB" (§4).
 
+use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -342,27 +343,43 @@ impl DiskComponent {
     /// Range scan over `[low, high]` (inclusive): freshest record per key,
     /// in key order, tombstones included so the caller can shadow.
     pub fn scan(&self, low: &[u8], high: &[u8]) -> Result<Vec<Record>> {
+        let mut out = Vec::new();
+        self.scan_each(low, high, &mut |record| {
+            out.push(record);
+            ControlFlow::Continue(())
+        })?;
+        Ok(out)
+    }
+
+    /// [`DiskComponent::scan`] without the intermediate vector: hands each
+    /// record to `visit` as the merge produces it, until the range ends or
+    /// `visit` breaks.
+    pub fn scan_each(
+        &self,
+        low: &[u8],
+        high: &[u8],
+        visit: &mut dyn FnMut(Record) -> ControlFlow<()>,
+    ) -> Result<()> {
         let version = self.versions.current();
-        let mut iters = Vec::new();
-        for level in 0..NUM_LEVELS {
-            for file in version.overlapping(level, low, high) {
-                let table = self.cache.get(file.number)?;
-                let mut it = table.iter();
-                it.seek(low)?;
-                if it.valid() {
-                    iters.push(it);
-                }
+        let files: Vec<_> = (0..NUM_LEVELS)
+            .map(|level| version.overlapping(level, low, high))
+            .collect();
+        let mut iters = Vec::with_capacity(files.iter().map(Vec::len).sum());
+        for file in files.iter().flatten() {
+            let table = self.cache.get(file.number)?;
+            let mut it = table.iter();
+            it.seek(low)?;
+            if it.valid() {
+                iters.push(it);
             }
         }
         let mut cursor = crate::compaction::MergeCursor::new(iters);
-        let mut out = Vec::new();
         while let Some(record) = cursor.next_merged()? {
-            if record.key.as_ref() > high {
+            if record.key.as_ref() > high || visit(record).is_break() {
                 break;
             }
-            out.push(record);
         }
-        Ok(out)
+        Ok(())
     }
 
     /// Runs at most one compaction step; returns whether one ran.
@@ -541,6 +558,27 @@ mod tests {
         assert_eq!(kv[0], (8, 5, false));
         assert_eq!(kv[1], (10, 1000, false));
         assert!(kv.iter().any(|&(k, _, tomb)| k == 20 && tomb));
+    }
+
+    #[test]
+    fn scan_each_stops_where_the_visitor_breaks() {
+        let d = disk();
+        d.flush_records((0..50).map(|k| put(k * 2, k + 1)).collect())
+            .unwrap();
+        d.compact_all().unwrap();
+        d.flush_records(vec![put(10, 1000)]).unwrap();
+        let (low, high) = (8u64.to_be_bytes(), 24u64.to_be_bytes());
+        let mut seen = Vec::new();
+        d.scan_each(&low, &high, &mut |r| {
+            seen.push(r);
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        })
+        .unwrap();
+        assert_eq!(seen, d.scan(&low, &high).unwrap()[..3]);
     }
 
     #[test]

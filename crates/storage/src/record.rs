@@ -139,28 +139,44 @@ impl Record {
 
     /// Decodes one record from `buf` at `*pos`, advancing `*pos`.
     pub fn decode_from(buf: &[u8], pos: &mut usize) -> Result<Self> {
-        let klen = get_varint(buf, pos)? as usize;
-        let vlen = get_varint(buf, pos)? as usize;
-        let seq = get_varint(buf, pos)?;
-        let flags = *buf
-            .get(*pos)
-            .ok_or_else(|| StorageError::Corruption("truncated record flags".into()))?;
-        *pos += 1;
-        let need = klen + if flags & 1 == 0 { vlen } else { 0 };
-        if buf.len() < *pos + need {
-            return Err(StorageError::Corruption("truncated record body".into()));
-        }
+        let (klen, vlen, seq) = decode_header(buf, pos)?;
         let key: Box<[u8]> = Box::from(&buf[*pos..*pos + klen]);
         *pos += klen;
-        let value = if flags & 1 == 1 {
-            None
-        } else {
+        let value = vlen.map(|vlen| {
             let v: Box<[u8]> = Box::from(&buf[*pos..*pos + vlen]);
             *pos += vlen;
-            Some(v)
-        };
+            v
+        });
         Ok(Self { key, seq, value })
     }
+
+    /// Advances `*pos` past one serialized record without materializing
+    /// it, returning its key; fails exactly where [`Record::decode_from`]
+    /// would.
+    pub fn skip_encoded<'a>(buf: &'a [u8], pos: &mut usize) -> Result<&'a [u8]> {
+        let (klen, vlen, _) = decode_header(buf, pos)?;
+        let key = &buf[*pos..*pos + klen];
+        *pos += klen + vlen.unwrap_or(0);
+        Ok(key)
+    }
+}
+
+/// Reads one record's `klen vlen seq flags` header at `*pos`, leaving
+/// `*pos` on the key; returns `(klen, vlen, seq)` with `vlen` `None` for a
+/// tombstone, having checked that key and value lie inside `buf`.
+fn decode_header(buf: &[u8], pos: &mut usize) -> Result<(usize, Option<usize>, u64)> {
+    let klen = get_varint(buf, pos)? as usize;
+    let vlen = get_varint(buf, pos)? as usize;
+    let seq = get_varint(buf, pos)?;
+    let flags = *buf
+        .get(*pos)
+        .ok_or_else(|| StorageError::Corruption("truncated record flags".into()))?;
+    *pos += 1;
+    let vlen = (flags & 1 == 0).then_some(vlen);
+    if buf.len() < *pos + klen + vlen.unwrap_or(0) {
+        return Err(StorageError::Corruption("truncated record body".into()));
+    }
+    Ok((klen, vlen, seq))
 }
 
 #[cfg(test)]
@@ -208,10 +224,12 @@ mod tests {
             r.encode_into(&mut buf);
             assert_eq!(buf.len() - before, r.encoded_len());
         }
-        let mut pos = 0;
+        let (mut pos, mut skip) = (0, 0);
         for r in &records {
             let decoded = Record::decode_from(&buf, &mut pos).unwrap();
             assert_eq!(&decoded, r);
+            let key = Record::skip_encoded(&buf, &mut skip).unwrap();
+            assert_eq!((key, skip), (r.key.as_ref(), pos), "skips what decoding reads");
         }
         assert_eq!(pos, buf.len());
     }
@@ -248,6 +266,7 @@ mod tests {
             let mut pos = 0;
             // Every strict prefix must fail to decode, never panic.
             assert!(Record::decode_from(&buf[..cut], &mut pos).is_err());
+            assert!(Record::skip_encoded(&buf[..cut], &mut 0).is_err());
         }
     }
 }

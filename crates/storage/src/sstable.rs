@@ -284,8 +284,8 @@ impl Table {
         let Some(block_idx) = self.block_for(key) else {
             return Ok(None);
         };
-        let block = self.read_block(block_idx)?;
-        Ok(block.get(key).cloned())
+        let e = &self.index[block_idx];
+        Block::find(&self.file.read_at(e.offset, e.len as usize)?, key)
     }
 
     /// Creates a cursor over the table.

@@ -127,11 +127,18 @@ impl Version {
 
     /// Files at `level` overlapping `[low, high]`.
     pub fn overlapping(&self, level: usize, low: &[u8], high: &[u8]) -> Vec<Arc<FileHandle>> {
-        self.levels[level]
-            .iter()
-            .filter(|f| f.overlaps(low, high))
-            .cloned()
-            .collect()
+        let files = &self.levels[level];
+        if level == 0 {
+            let mut out = Vec::with_capacity(files.len());
+            out.extend(files.iter().filter(|f| f.overlaps(low, high)).cloned());
+            return out;
+        }
+        // Levels >= 1 are sorted and disjoint: the overlapping files are
+        // one contiguous run, found by two binary searches.
+        let start = files.partition_point(|f| f.largest.as_ref() < low);
+        let len = files[start..].partition_point(|f| f.smallest.as_ref() <= high);
+        debug_assert_eq!(len, files.iter().filter(|f| f.overlaps(low, high)).count());
+        files[start..start + len].to_vec()
     }
 
     /// Files to consult for a point lookup of `key`, in freshness order:

@@ -60,6 +60,8 @@ proptest! {
         prop_assert_eq!(block.records(), records.as_slice());
         for r in &records {
             prop_assert_eq!(block.get(&r.key), Some(r));
+            // The lookup that never decodes the block finds the same record.
+            prop_assert_eq!(Block::find(&encoded, &r.key).unwrap().as_ref(), Some(r));
         }
     }
 

@@ -6,7 +6,7 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use flodb::{FloDb, FloDbOptions, KvStore};
+use flodb::{FloDb, FloDbOptions, KvStore, WalMode};
 
 fn key(n: u64) -> [u8; 8] {
     n.to_be_bytes()
@@ -407,5 +407,86 @@ fn freezing_scans_never_lose_acknowledged_writes() {
             Some(k_idx.to_le_bytes().to_vec()),
             "acknowledged write {k_idx} was lost (after {scans} freezing scans)"
         );
+    }
+}
+
+/// The recycled Membuffer under the same audit: a drained buffer comes
+/// back to its freezer as sole owner and is installed again by the next
+/// freeze, so ten thousand back-to-back linearizable scans freeze, drain
+/// and re-install the same two buffers thousands of times while writers
+/// keep overwriting a fixed key set. A second scanner runs wide scans,
+/// each holding a view snapshot — and with it a reference to the
+/// Membuffer of the moment — across its collection; the WAL is on with
+/// small segments, so the persist thread's retirement checkpoints freeze
+/// *that* buffer under the scanner (scans are serialized among themselves,
+/// checkpoints are not), which is exactly when it must not be recycled.
+/// Every key must end at the last version its writer was acknowledged.
+#[test]
+fn recycled_membuffer_never_loses_acknowledged_writes() {
+    const WRITERS: u64 = 2;
+    const KEYS_PER_WRITER: u64 = 1_000;
+    const FREEZES: u64 = 10_000;
+    let mut opts = FloDbOptions::small_for_tests();
+    opts.memory_bytes = 8 * 1024 * 1024; // Keep the flush path quiet-ish.
+    opts.linearizable_scans = true; // Every scan freezes and drains.
+    opts.wal = WalMode::Enabled { sync: false }; // Rotation => checkpoints.
+    let db = Arc::new(FloDb::open(opts).unwrap());
+    let stop = Arc::new(AtomicBool::new(false));
+
+    let writers: Vec<_> = (0..WRITERS)
+        .map(|w| {
+            let db = Arc::clone(&db);
+            let stop = Arc::clone(&stop);
+            std::thread::spawn(move || {
+                // Returns the last fully acknowledged round.
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    round += 1;
+                    for i in 0..KEYS_PER_WRITER {
+                        db.put(&key(w * KEYS_PER_WRITER + i), &round.to_le_bytes())
+                            .unwrap();
+                    }
+                }
+                round
+            })
+        })
+        .collect();
+    let long_scanner = {
+        let db = Arc::clone(&db);
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            while !stop.load(Ordering::Relaxed) {
+                let out = db.scan(&key(0), &key(WRITERS * KEYS_PER_WRITER));
+                assert!(out.windows(2).all(|w| w[0].0 < w[1].0), "unsorted scan");
+            }
+        })
+    };
+
+    // Narrow scans: cheap to collect, so freezes come rapid-fire.
+    for n in 0..FREEZES {
+        let lo = (n * 37) % (WRITERS * KEYS_PER_WRITER);
+        let _ = db.scan(&key(lo), &key(lo + 8));
+    }
+    stop.store(true, Ordering::Relaxed);
+    let rounds: Vec<u64> = writers.into_iter().map(|h| h.join().unwrap()).collect();
+    long_scanner.join().unwrap();
+
+    let recycles = db.flodb_stats().membuffer_recycles.load(Ordering::Relaxed);
+    assert!(
+        recycles >= FREEZES / 10,
+        "only {recycles} of {FREEZES}+ freezes recycled their Membuffer: \
+         the path under test was barely exercised"
+    );
+    db.quiesce();
+    for (w, round) in rounds.iter().enumerate() {
+        assert!(*round >= 1);
+        for i in 0..KEYS_PER_WRITER {
+            let k = w as u64 * KEYS_PER_WRITER + i;
+            assert_eq!(
+                db.get(&key(k)),
+                Some(round.to_le_bytes().to_vec()),
+                "acknowledged write {k} (round {round}) was lost after {recycles} recycles"
+            );
+        }
     }
 }

@@ -61,6 +61,16 @@ fn persist_switch_loses_nothing_random() {
 }
 
 #[test]
+fn recycle_gate_holds() {
+    dfs().model(scenarios::recycle_gate_body);
+}
+
+#[test]
+fn recycle_gate_holds_random() {
+    random().model(scenarios::recycle_gate_body);
+}
+
+#[test]
 fn group_commit_broadcasts_outcomes() {
     dfs().model(scenarios::group_commit_broadcast_body);
 }

@@ -1,6 +1,7 @@
 //! Mutation regression tests for the model checker itself: re-introduce
-//! each of PR 5's two freeze races (via the `flodb_model_mutation` hooks
-//! in `crates/core/src/{view,drain}.rs`) and assert flodb-check *finds*
+//! each of PR 5's two freeze races and drop the Membuffer recycle gate's
+//! ownership check (via the `flodb_model_mutation` hooks in
+//! `crates/core/src/{view,drain}.rs`) and assert flodb-check *finds*
 //! them. A checker that stops finding known-lost-write races has
 //! bit-rotted; this suite turns that into a red test.
 //!
@@ -60,6 +61,23 @@ fn checker_finds_the_stale_memtable_race() {
         .check(scenarios::persist_switch_body)
         .expect_err("replaying the failing schedule must fail again");
     assert_lost_write(&replayed, "missed both the flush");
+}
+
+#[test]
+fn checker_finds_the_unowned_recycle() {
+    // The recycle gate with its sole-owner check dropped: the freezer
+    // takes the drained Membuffer back for re-installation while a view
+    // snapshot still references it.
+    let failure = Builder::dfs(2)
+        .iterations(3000)
+        .check(scenarios::recycle_gate_body)
+        .expect_err("the recycle mutation must hand out a buffer a snapshot holds");
+    assert_lost_write(&failure, "recycled while a snapshot still holds it");
+
+    let replayed = Builder::replay(failure.schedule.clone())
+        .check(scenarios::recycle_gate_body)
+        .expect_err("replaying the failing schedule must fail again");
+    assert_lost_write(&replayed, "recycled while a snapshot still holds it");
 }
 
 #[test]

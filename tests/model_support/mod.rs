@@ -220,6 +220,69 @@ pub fn persist_switch_body() {
     );
 }
 
+/// The recycle gate (`ImmMembuffer::reclaim`): a snapshot holder racing
+/// the freezer.
+///
+/// The freezer runs `freeze_and_drain_membuffer`'s sequence — freeze,
+/// drain, retire the frozen view, then ask for the drained buffer back to
+/// install it again at the next freeze. A concurrent `ViewCell::snapshot`
+/// (what a range scan holds across its whole collection) may have caught
+/// the buffer live, before the freeze, or frozen, between the two
+/// switches; either way it still owns a reference when the freezer asks,
+/// and a buffer someone else can still reach must never go back into
+/// service. Mutated (`--cfg flodb_model_mutation` drops the sole-owner
+/// check), the freezer gets the buffer back regardless.
+pub fn recycle_gate_body() {
+    let view = Arc::new(ViewCell::new(MemView {
+        mbf: Some(Arc::new(tiny_membuffer())),
+        imm_mbf: None,
+        mtb: Arc::new(SkipList::new()),
+        imm_mtb: None,
+    }));
+    let seq = SequenceGenerator::new();
+    // The buffer under test, by address: this thread keeps no reference.
+    let buffer = view.read(|v| {
+        let mbf = v.mbf.as_ref().expect("installed above");
+        mbf.add(b"acked", Some(b"w"));
+        Arc::as_ptr(mbf)
+    });
+
+    // The snapshot holder; the snapshot stays alive inside the join
+    // handle until the freezer collects it below.
+    let holder = {
+        let view = Arc::clone(&view);
+        thread::spawn(move || view.snapshot())
+    };
+
+    view.update(|old| MemView {
+        mbf: Some(Arc::new(tiny_membuffer())),
+        imm_mbf: old
+            .mbf
+            .as_ref()
+            .map(|m| Arc::new(ImmMembuffer::new(Arc::clone(m)))),
+        ..old.clone()
+    });
+    let imm = view.read(|v| v.imm_mbf.clone()).expect("buffer was frozen");
+    imm.open_for_drain();
+    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
+    view.update(|old| MemView {
+        imm_mbf: None,
+        ..old.clone()
+    });
+    let spare = ImmMembuffer::reclaim(imm);
+
+    let snapshot = holder.join().unwrap();
+    let held = snapshot.mbf.iter().any(|m| Arc::as_ptr(m) == buffer)
+        || snapshot
+            .imm_mbf
+            .iter()
+            .any(|imm| Arc::as_ptr(&imm.buffer) == buffer);
+    assert!(
+        !(held && spare.is_some()),
+        "Membuffer recycled while a snapshot still holds it"
+    );
+}
+
 /// Group outcome broadcast: no submitter returns before its record is
 /// durable-ordered in the log, whether it led or followed.
 pub fn group_commit_broadcast_body() {
