@@ -123,69 +123,108 @@ impl WriteBatch {
     }
 }
 
-/// Aggregate operation counters common to all stores, used by the
-/// benchmark harness.
-#[derive(Debug, Clone, Default, PartialEq, Eq)]
-pub struct StoreStats {
+/// Declares [`StoreStats`] and everything that must visit each of its
+/// fields from one table. A row is the field's docs, its kind and its
+/// name; a `counter` accumulates, a `gauge` reports current state (its
+/// delta is the later value). The kind is part of the row, so a new field
+/// cannot skip the decision how it adds, subtracts and exports.
+macro_rules! store_stats {
+    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+        /// Aggregate operation counters common to all stores, used by the
+        /// benchmark harness.
+        #[derive(Debug, Clone, Default, PartialEq, Eq)]
+        pub struct StoreStats {
+            $($(#[$doc])* pub $name: u64,)*
+        }
+
+        impl StoreStats {
+            /// `self += other` per field. Gauges add too: across shards
+            /// they sum to fleet-wide totals ("live WAL generations over
+            /// all shards" is what the bounded-log invariant cares about).
+            pub(crate) fn add(&mut self, other: &StoreStats) {
+                $(self.$name += other.$name;)*
+            }
+
+            /// `self - earlier` per counter, saturating; gauges keep
+            /// `self`'s value (a delta of "live generations" means
+            /// nothing).
+            pub(crate) fn delta_since(&self, earlier: &StoreStats) -> StoreStats {
+                StoreStats {
+                    $($name: store_stats!(@delta $kind self.$name, earlier.$name),)*
+                }
+            }
+
+            /// Every field as an exported `(name, value)` pair, in
+            /// declaration order.
+            pub(crate) fn pairs(&self) -> Vec<(&'static str, u64)> {
+                vec![$((stringify!($name), self.$name),)*]
+            }
+        }
+    };
+    (@delta counter $later:expr, $earlier:expr) => { $later.saturating_sub($earlier) };
+    (@delta gauge $later:expr, $earlier:expr) => { $later };
+}
+
+store_stats! {
     /// Completed put operations (batch puts included).
-    pub puts: u64,
+    counter puts,
     /// Completed delete operations (batch deletes included).
-    pub deletes: u64,
+    counter deletes,
     /// Completed get operations.
-    pub gets: u64,
+    counter gets,
     /// Completed scan operations.
-    pub scans: u64,
+    counter scans,
     /// Keys returned across all scans.
-    pub scanned_keys: u64,
+    counter scanned_keys,
     /// Memtable flushes to disk.
-    pub persists: u64,
+    counter persists,
     /// Writes absorbed directly by the fast memory level (FloDB's
     /// Membuffer; zero for single-level baselines).
-    pub fast_level_writes: u64,
+    counter fast_level_writes,
     /// Scan restarts caused by concurrent updates (FloDB only).
-    pub scan_restarts: u64,
+    counter scan_restarts,
     /// Fallback (writer-blocking) scans (FloDB only).
-    pub fallback_scans: u64,
+    counter fallback_scans,
     /// WAL commit groups written (FloDB only; zero with the WAL off).
-    pub wal_groups: u64,
+    counter wal_groups,
     /// Records across all WAL commit groups (FloDB only); divide by
     /// `wal_groups` for the mean records per group.
-    pub wal_group_records: u64,
+    counter wal_group_records,
     /// Writes acknowledged as group-commit followers — their record rode
     /// in a group another thread committed (FloDB only). The leader split
     /// is `wal_groups`.
-    pub wal_follower_writes: u64,
+    counter wal_follower_writes,
     /// WAL segment rotations — the active segment was sealed at a group
     /// boundary and a fresh generation opened (FloDB only).
-    pub wal_rotations: u64,
+    counter wal_rotations,
     /// Total bytes of WAL segments retired after a persisted checkpoint
     /// covered their records (FloDB only).
-    pub wal_retired_bytes: u64,
+    counter wal_retired_bytes,
     /// Gauge: live WAL generations on disk — sealed awaiting retirement
     /// plus the active one (FloDB only; 0 with the WAL off).
-    pub wal_generations: u64,
+    gauge wal_generations,
     /// Gauge: bytes in the active WAL segment, header included (FloDB
     /// only; 0 with the WAL off).
-    pub wal_active_bytes: u64,
+    gauge wal_active_bytes,
     /// Background I/O attempts retried after a transient failure, and
     /// WAL rotations deferred by a failed segment creation (FloDB only).
-    pub io_retries: u64,
+    counter io_retries,
     /// Background I/O operations abandoned after exhausting their
     /// retries; flush/compaction abandonments also latch the store
     /// degraded — writes rejected, reads still served (FloDB only).
-    pub io_degraded: u64,
+    counter io_degraded,
     /// WAL retirement passes that failed to record the oldest-live mark
     /// or delete retired segment files, leaving the segments on disk as
     /// stale-but-harmless leftovers (FloDB only).
-    pub wal_retire_errors: u64,
+    counter wal_retire_errors,
     /// Total nanoseconds writers spent stalled waiting for Memtable room
     /// (FloDB only; 0 below `TelemetryLevel::Counters` — the companion
     /// of `write_stalls`, sizing the stalls it counts).
-    pub write_stall_ns: u64,
+    counter write_stall_ns,
     /// Total nanoseconds spent in WAL fsync inside committed groups
     /// (FloDB only; 0 below `TelemetryLevel::Counters` or with
     /// `sync: false`).
-    pub wal_sync_ns: u64,
+    counter wal_sync_ns,
 }
 
 /// The uniform key-value store interface (§2.1 of the paper, v2 surface).
@@ -336,6 +375,27 @@ mod tests {
         let mut batch = WriteBatch::new();
         batch.put(b"k", b"v").delete(b"k");
         s.write(&batch).unwrap();
+    }
+
+    #[test]
+    fn stats_add_sums_every_field() {
+        let mut a = StoreStats::default();
+        assert_eq!(a.pairs().len(), 21);
+        a.puts = 1;
+        a.wal_active_bytes = 16;
+        a.wal_retire_errors = 19;
+        a.wal_sync_ns = 21;
+        let mut total = StoreStats::default();
+        total.add(&a);
+        total.add(&a);
+        total.add(&StoreStats::default());
+        assert_eq!(total.puts, 2);
+        assert_eq!(total.wal_active_bytes, 32, "gauges sum across shards");
+        assert_eq!(total.wal_retire_errors, 38);
+        assert_eq!(total.wal_sync_ns, 42);
+        let mut one = StoreStats::default();
+        one.add(&a);
+        assert_eq!(one, a);
     }
 
     #[test]

@@ -357,11 +357,7 @@ mod tests {
         }
         // ...then a persist-style switch...
         let new_mtb = Arc::new(SkipList::new());
-        view.update(|old| crate::view::MemView {
-            mtb: Arc::clone(&new_mtb),
-            imm_mtb: Some(Arc::clone(&old.mtb)),
-            ..old.clone()
-        });
+        view.switch_memtable(Arc::clone(&new_mtb));
         // ...and the rest of the cooperative drain follows the view.
         let help = help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
         assert_eq!(help.chunks, 2);

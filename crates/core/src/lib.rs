@@ -43,7 +43,6 @@
 mod api;
 mod error;
 mod options;
-mod scan;
 pub mod sharded;
 mod stats;
 mod store;

@@ -47,11 +47,6 @@ pub struct FloDbOptions {
     /// Enable the Membuffer level; `false` degenerates to the classic
     /// single-level design ("No HT" in Figure 17).
     pub membuffer_enabled: bool,
-    /// Consecutive master scans allowed to reuse the previous master's
-    /// sequence number without re-draining the Membuffer (§4.4's
-    /// low-concurrency optimization). `0` disables reuse: every master
-    /// drains and is linearizable with respect to updates.
-    pub master_reuse_limit: u32,
     /// Force every scan to establish a fresh sequence number (linearizable
     /// scans at the cost of a full drain per scan, §4.4 "Correctness").
     pub linearizable_scans: bool,
@@ -106,7 +101,6 @@ impl FloDbOptions {
             drain_batch_entries: 256,
             use_multi_insert: true,
             membuffer_enabled: true,
-            master_reuse_limit: 0,
             linearizable_scans: false,
             persist_enabled: true,
             wal: WalMode::Disabled,

@@ -11,16 +11,13 @@
 //!   set, including [`WriteBatch`](crate::WriteBatch) splitting with
 //!   annotated per-shard WAL frames;
 //! - `merge` (private) — the k-way merge fanning per-shard scan
-//!   snapshots into one ordered stream;
-//! - `stats` (private) — per-shard stats summed into the router-level
-//!   view.
+//!   snapshots into one ordered stream.
 //!
 //! [`KvStore`]: crate::KvStore
 
 pub mod partitioner;
 mod merge;
 pub mod router;
-mod stats;
 
 pub use partitioner::Partitioner;
 pub use router::{ShardedFloDb, ShardedOptions, DEFAULT_HASH_SEED};

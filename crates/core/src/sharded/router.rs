@@ -13,7 +13,6 @@ use crate::error::{OpenError, OptionsError, WriteError};
 use crate::options::FloDbOptions;
 use crate::sharded::merge::merge_snapshots;
 use crate::sharded::partitioner::Partitioner;
-use crate::sharded::stats::aggregate;
 use crate::store::FloDb;
 use crate::telemetry::TelemetrySnapshot;
 
@@ -284,8 +283,17 @@ impl KvStore for ShardedFloDb {
         "ShardedFloDB"
     }
 
+    /// Every counter (and gauge) summed across the shards. The router
+    /// itself counts nothing and each operation is counted once, by the
+    /// shard that executed it, so the sums are exactly what an unsharded
+    /// store would report — except `scans`: one router-level scan fans out
+    /// to every shard, so expect `shards ×` the logical scan count.
     fn stats(&self) -> StoreStats {
-        aggregate(&self.per_shard_stats())
+        let mut total = StoreStats::default();
+        for shard in &self.shards {
+            total.add(&shard.stats());
+        }
+        total
     }
 
     fn quiesce(&self) {

@@ -36,9 +36,6 @@ pub struct FloDbStats {
     pub piggyback_scans: AtomicU64,
     /// Master scans (established a sequence number).
     pub master_scans: AtomicU64,
-    /// Master scans that reused a previous master's sequence number
-    /// without draining (§4.4 optimization).
-    pub master_reuse_scans: AtomicU64,
     /// Times a paused writer helped drain the immutable Membuffer, i.e.
     /// claimed at least one chunk of the cooperative drain.
     pub writer_drain_helps: AtomicU64,

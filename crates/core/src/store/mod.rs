@@ -1,0 +1,456 @@
+//! The FloDB store: user-facing operations and background threads.
+//!
+//! Operation flow follows the paper exactly, and the module tree follows
+//! the stages the telemetry names — each stage is a module, and the
+//! modules share state only through [`Inner`]:
+//!
+//! - [`write`] — **Put/Delete** (Algorithm 2): try the Membuffer; on a full
+//!   bucket fall through to the Memtable, first honoring `pauseWriters`
+//!   (helping drain the frozen Membuffer if one exists) and waiting for
+//!   Memtable room. [`commit`] is its durability half: the group-commit
+//!   pipeline in front of the segmented log.
+//! - [`read`] — **Get** (Algorithm 2): MBF → IMM_MBF → MTB → IMM_MTB →
+//!   disk; first hit wins because levels are searched in data-flow order.
+//! - [`scan`] — **Scan** (Algorithm 3): a master scan opens a freeze
+//!   window ([`freeze`]: pause writers, swap in a fresh Membuffer, drain
+//!   the frozen one with writer help), takes a sequence number, unfreezes,
+//!   then iterates MTB/IMM_MTB/disk; any entry fresher than the scan
+//!   number forces a restart, bounded by a writer-blocking fallback.
+//!   Concurrent scans piggyback on the master's sequence number.
+//! - [`persist`] — **draining** (Figure 6) and **persisting** run on
+//!   background threads; component switches use RCU and never block
+//!   readers or writers. [`retire`] keeps the on-disk log bounded behind
+//!   them, and [`recover`] replays it at open.
+//!
+//! This file holds the shared state, `open` and the thin [`KvStore`] impl;
+//! [`settle`] is `flush_all`/`quiesce`, and [`latch`] the error latch
+//! behind the poisoned and degraded states.
+
+mod commit;
+mod freeze;
+mod latch;
+mod persist;
+mod read;
+mod recover;
+mod retire;
+mod scan;
+mod settle;
+mod write;
+
+use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread::JoinHandle;
+use std::time::Instant;
+
+use flodb_membuffer::{MemBuffer, MemBufferConfig};
+use flodb_storage::{DiskComponent, StorageError};
+use flodb_sync::lock_order::{CORE_FREEZE, CORE_PERSIST_PARK, CORE_ROOM, CORE_THREADS};
+use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
+use flodb_sync::{PauseFlag, SequenceGenerator};
+
+use self::commit::WalState;
+use self::latch::ErrorLatch;
+use self::scan::ScanCoordinator;
+use crate::api::{KvStore, ScanEntry, StoreStats, WriteBatch};
+use crate::drain::DrainStyle;
+use crate::error::{OpenError, WriteError};
+use crate::options::{FloDbOptions, WalMode};
+use crate::stats::FloDbStats;
+use crate::telemetry::{EngineTelemetry, OpClass, TelemetrySnapshot, TraceEvent, TraceEventKind};
+use crate::view::{MemView, ViewCell};
+
+/// Everything the stages share.
+struct Inner {
+    opts: FloDbOptions,
+    memtable_trigger: usize,
+    drain_style: DrainStyle,
+    view: ViewCell,
+    seq: SequenceGenerator,
+    disk: DiskComponent,
+    pause_writers: PauseFlag,
+    pause_draining: PauseFlag,
+    coord: ScanCoordinator,
+    /// Serializes [freeze .. stamp] windows across master and fallback
+    /// scans. Two interleaved freezes would let the second one drain
+    /// writes made *after* the first scan's linearization point into the
+    /// Memtable with sequence numbers *below* the first scan's stamp,
+    /// silently including a partial post-cut round in its snapshot.
+    ///
+    /// The lock also owns the *spare* Membuffer: a fully drained buffer
+    /// the last freeze got back as sole owner (`ImmMembuffer::reclaim`),
+    /// which the next freeze installs instead of building a new one.
+    freeze_lock: Mutex<Option<Arc<MemBuffer>>>,
+    stats: FloDbStats,
+    stop: AtomicBool,
+    force_flush: AtomicBool,
+    /// Writers waiting for Memtable room park here (Algorithm 2, line 18).
+    room: Mutex<()>,
+    room_cv: Condvar,
+    /// The persist thread parks here between checks.
+    persist_park: Mutex<()>,
+    persist_cv: Condvar,
+    wal: Option<WalState>,
+    /// Store-level health latch, closed by a *persistent* background I/O
+    /// failure (a flush or compaction still failing after its bounded
+    /// retries). Degraded means: writes are rejected (so memory stays
+    /// bounded), reads keep serving everything acknowledged — including
+    /// the un-flushable immutable Memtable, which stays resident — and
+    /// `quiesce` treats the un-flushable work as settled instead of
+    /// wedging. The WAL is never retired once degraded, so a reopen
+    /// replays every acknowledged write: reopen is the path back to
+    /// health (see ARCHITECTURE.md "Failure model").
+    degraded: ErrorLatch,
+    /// Level-gated latency recorder and flight recorder (see
+    /// [`crate::telemetry`]); at `TelemetryLevel::Off` this is one cached
+    /// enum and two `None`s, and every telemetry call site reduces to a
+    /// branch on it.
+    telemetry: EngineTelemetry,
+}
+
+/// The FloDB key-value store.
+///
+/// See the crate documentation for the architecture; construct with
+/// [`FloDb::open`] and interact through the [`KvStore`] trait.
+pub struct FloDb {
+    inner: Arc<Inner>,
+    threads: Mutex<Vec<JoinHandle<()>>>,
+}
+
+fn new_membuffer(opts: &FloDbOptions) -> Arc<MemBuffer> {
+    Arc::new(MemBuffer::new(MemBufferConfig::for_capacity_bytes(
+        opts.membuffer_bytes(),
+        opts.partition_bits,
+        opts.avg_entry_bytes,
+    )))
+}
+
+/// Starts one background thread running `body` over the shared state.
+fn spawn(
+    inner: &Arc<Inner>,
+    name: String,
+    body: impl FnOnce(&Inner) + Send + 'static,
+) -> Result<JoinHandle<()>, OpenError> {
+    let inner = Arc::clone(inner);
+    std::thread::Builder::new()
+        .name(name)
+        .spawn(move || body(&inner))
+        .map_err(OpenError::Spawn)
+}
+
+impl Inner {
+    fn is_degraded(&self) -> bool {
+        self.degraded.is_closed()
+    }
+
+    /// Latches the store degraded after `what` kept failing through its
+    /// bounded retries.
+    fn degrade(&self, what: &str, err: &StorageError) {
+        FloDbStats::bump(&self.stats.io_degraded);
+        let cause = StorageError::Io(std::io::Error::other(format!(
+            "store degraded: {what} failed persistently: {err}"
+        )));
+        self.degraded.close(&mut self.degraded.cause.lock(), cause);
+        // Flight-recorder postmortem: the trip plus the auto-dump, after
+        // the cause lock is released (the dump takes its own leaf lock).
+        self.telemetry.event(TraceEventKind::Degraded, 0, 0);
+        self.telemetry.dump_to_stderr(what);
+    }
+
+    fn wake_persist(&self) {
+        let _g = self.persist_park.lock();
+        self.persist_cv.notify_all();
+    }
+
+    /// The start of a latency sample: `Some(now)` at
+    /// `TelemetryLevel::Full`, one branch on the cached level below it.
+    #[inline]
+    fn full_timer(&self) -> Option<Instant> {
+        self.telemetry.full().then(Instant::now)
+    }
+
+    /// Records the user operation begun at `t0` ([`Self::full_timer`]).
+    #[inline]
+    fn record_op(&self, class: OpClass, t0: Option<Instant>) {
+        if let Some(t0) = t0 {
+            self.telemetry
+                .record_op(class, t0.elapsed().as_nanos() as u64);
+        }
+    }
+}
+
+impl FloDb {
+    /// Opens a store with `opts`, spawning the background threads.
+    ///
+    /// The disk component recovers its file layout from the manifest (when
+    /// `opts.disk.manifest` is set). If a write-ahead log is enabled and
+    /// log files exist in the environment, their intact frames are
+    /// replayed, flushed to the recovered disk component, and the consumed
+    /// logs deleted; sequence numbering resumes past them.
+    ///
+    /// # Errors
+    ///
+    /// [`OpenError::Options`] if `opts` fails validation,
+    /// [`OpenError::Storage`] if manifest recovery, log replay or log
+    /// creation fails, and [`OpenError::Spawn`] if a background thread
+    /// cannot be started.
+    pub fn open(opts: FloDbOptions) -> Result<Self, OpenError> {
+        opts.validate()?;
+        let disk = DiskComponent::open(Arc::clone(&opts.env), opts.disk)?;
+        let recovered = recover::recover_wal(&opts, &disk)?;
+        let wal = match opts.wal {
+            WalMode::Disabled => None,
+            WalMode::Enabled { sync } => {
+                Some(WalState::create(&opts, sync, recovered.next_generation)?)
+            }
+        };
+
+        let membuffer_enabled = opts.membuffer_enabled;
+        let drain_threads = opts.drain_threads;
+        let inner = Arc::new(Inner {
+            memtable_trigger: opts.memtable_bytes(),
+            drain_style: if opts.use_multi_insert {
+                DrainStyle::MultiInsert
+            } else {
+                DrainStyle::SimpleInsert
+            },
+            view: ViewCell::new(MemView {
+                mbf: membuffer_enabled.then(|| new_membuffer(&opts)),
+                imm_mbf: None,
+                mtb: recovered.mtb,
+                imm_mtb: None,
+            }),
+            seq: SequenceGenerator::starting_at(recovered.max_seq + 1),
+            disk,
+            pause_writers: PauseFlag::new(),
+            pause_draining: PauseFlag::new(),
+            coord: ScanCoordinator::new(),
+            freeze_lock: ranked_mutex(CORE_FREEZE, None),
+            stats: FloDbStats::default(),
+            stop: AtomicBool::new(false),
+            force_flush: AtomicBool::new(false),
+            room: ranked_mutex(CORE_ROOM, ()),
+            room_cv: ranked_condvar(CORE_ROOM),
+            persist_park: ranked_mutex(CORE_PERSIST_PARK, ()),
+            persist_cv: ranked_condvar(CORE_PERSIST_PARK),
+            wal,
+            degraded: ErrorLatch::new("store degraded by a persistent background I/O failure"),
+            telemetry: EngineTelemetry::new(opts.telemetry),
+            opts,
+        });
+        if let Some(wal) = &inner.wal {
+            let log = wal.log.lock();
+            inner
+                .stats
+                .wal_generations
+                .store(log.live_generations(), Ordering::Relaxed);
+            inner
+                .stats
+                .wal_active_bytes
+                .store(log.active_bytes(), Ordering::Relaxed);
+        }
+
+        let mut threads = Vec::new();
+        if membuffer_enabled {
+            for i in 0..drain_threads {
+                let name = format!("flodb-drain-{i}");
+                threads.push(spawn(&inner, name, move |inner| inner.drain_loop(i))?);
+            }
+        }
+        threads.push(spawn(&inner, "flodb-persist".into(), Inner::persist_loop)?);
+
+        Ok(Self {
+            inner,
+            threads: ranked_mutex(CORE_THREADS, threads),
+        })
+    }
+
+    /// Snapshot of FloDB-specific counters.
+    pub fn flodb_stats(&self) -> &FloDbStats {
+        &self.inner.stats
+    }
+
+    /// Snapshot of the engine's telemetry: counters plus (at
+    /// `TelemetryLevel::Full`) per-op and per-stage latency histograms.
+    /// Delta-able ([`TelemetrySnapshot::delta_since`]) and exportable as
+    /// Prometheus-style text or JSON.
+    pub fn telemetry(&self) -> TelemetrySnapshot {
+        self.inner.telemetry.snapshot(self.inner.stats.snapshot())
+    }
+
+    /// The flight recorder's published events, oldest first (empty below
+    /// `TelemetryLevel::Counters`). A bounded, allocation-free-in-steady-
+    /// state trace of structural engine events — freezes, drains,
+    /// rotations, retirements, flushes, compactions, stalls, I/O retries
+    /// and the degraded latch — for postmortems: the same dump is written
+    /// to stderr automatically when the store degrades.
+    pub fn trace_dump(&self) -> Vec<TraceEvent> {
+        self.inner.telemetry.trace_dump()
+    }
+
+    /// Whether the store has latched degraded: a background flush or
+    /// compaction kept failing through its bounded retries. A degraded
+    /// store rejects writes ([`WriteError::Poisoned`]), keeps serving
+    /// every acknowledged read (the un-flushable Memtable stays
+    /// resident), and never retires its WAL — so a reopen replays the
+    /// log and recovers the full acknowledged state. See ARCHITECTURE.md
+    /// "Failure model" for the contract.
+    pub fn is_degraded(&self) -> bool {
+        self.inner.is_degraded()
+    }
+
+    /// The commit-log failure that poisoned this store, if any.
+    ///
+    /// While poisoned, reads and scans keep serving the already-applied
+    /// state but every write is rejected with [`WriteError::Poisoned`].
+    /// Reopening the store recovers the log's acknowledged prefix.
+    pub fn wal_poison(&self) -> Option<Arc<StorageError>> {
+        self.inner.wal.as_ref().and_then(|wal| wal.poison.cause())
+    }
+
+    /// Disk-component statistics (files per level, compactions, bytes).
+    pub fn disk_stats(&self) -> flodb_storage::DiskStats {
+        self.inner.disk.stats()
+    }
+
+    /// Approximate bytes resident in the memory component.
+    pub fn memory_usage(&self) -> usize {
+        self.inner.view.read(|v| {
+            v.mbf.as_ref().map_or(0, |m| m.approximate_bytes())
+                + v.mtb.approximate_bytes()
+                + v.imm_mtb.as_ref().map_or(0, |m| m.approximate_bytes())
+        })
+    }
+
+    /// Runs one validated scan of `[low, high)` and returns the live
+    /// entries as an owned, sorted snapshot.
+    ///
+    /// This is the fan-out building block for the sharded router: each
+    /// shard materializes its snapshot through the full restart protocol,
+    /// then the router k-way-merges the per-shard snapshots and streams
+    /// them to the caller's visitor. Unlike [`KvStore::scan_with`], an
+    /// early `ControlFlow::Break` in that merge prunes the *emission*, not
+    /// the snapshot construction — the restart protocol validates a whole
+    /// range at a time. Counts one `scans` and the returned entries as
+    /// `scanned_keys`, so aggregated stats stay comparable with the
+    /// unsharded path.
+    pub fn scan_snapshot(&self, low: &[u8], high: &[u8]) -> Vec<ScanEntry> {
+        self.scan(low, high)
+    }
+
+}
+
+/// The write methods return `Err(`[`WriteError`]`)` when the write-ahead
+/// log could not acknowledge the write; nothing is applied in that case
+/// and the store is poisoned (see [`WriteError`] for the contract). A lost
+/// append is therefore never silently acknowledged, and never a panic.
+impl KvStore for FloDb {
+    fn put(&self, key: &[u8], value: &[u8]) -> Result<(), WriteError> {
+        self.inner.put_impl(key, Some(value))
+    }
+
+    fn delete(&self, key: &[u8]) -> Result<(), WriteError> {
+        self.inner.put_impl(key, None)
+    }
+
+    fn write(&self, batch: &WriteBatch) -> Result<(), WriteError> {
+        self.write_tagged(batch, None)
+    }
+
+    fn get(&self, key: &[u8]) -> Option<Vec<u8>> {
+        self.inner.get_impl(key)
+    }
+
+    fn scan_with(
+        &self,
+        low: &[u8],
+        high: &[u8],
+        visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+    ) {
+        self.inner.scan_with(low, high, visitor);
+    }
+
+    fn name(&self) -> &'static str {
+        "FloDB"
+    }
+
+    fn stats(&self) -> StoreStats {
+        self.inner.stats.snapshot()
+    }
+
+    fn quiesce(&self) {
+        self.inner.quiesce();
+    }
+}
+
+impl Drop for FloDb {
+    fn drop(&mut self) {
+        self.inner.stop.store(true, Ordering::Release);
+        self.inner.wake_persist();
+        for handle in self.threads.lock().drain(..) {
+            // LOCK-OK: shutdown-only join; the joined workers never take
+            // FloDb.threads, and drop is the lock's only contender.
+            let _ = handle.join();
+        }
+    }
+}
+
+impl std::fmt::Debug for FloDb {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("FloDb")
+            .field("memory_usage", &self.memory_usage())
+            .finish_non_exhaustive()
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    pub(super) fn db() -> FloDb {
+        FloDb::open(FloDbOptions::small_for_tests()).unwrap()
+    }
+
+    pub(super) fn k(n: u64) -> [u8; 8] {
+        n.to_be_bytes()
+    }
+
+    #[test]
+    fn no_membuffer_mode_works() {
+        let mut opts = FloDbOptions::small_for_tests();
+        opts.membuffer_enabled = false;
+        opts.drain_threads = 0;
+        let db = FloDb::open(opts).unwrap();
+        db.put(b"a", b"1").unwrap();
+        assert_eq!(db.get(b"a"), Some(b"1".to_vec()));
+        let out = db.scan(b"a", b"z");
+        assert_eq!(out.len(), 1);
+    }
+
+    #[test]
+    fn concurrent_writers_and_readers() {
+        let db = Arc::new(db());
+        let mut handles = Vec::new();
+        for t in 0..4u64 {
+            let db = Arc::clone(&db);
+            handles.push(std::thread::spawn(move || {
+                for i in 0..500u64 {
+                    let key = t * 1000 + i;
+                    db.put(&k(key), &key.to_le_bytes()).unwrap();
+                    if i % 7 == 0 {
+                        let _ = db.get(&k(t * 1000 + i / 2));
+                    }
+                }
+            }));
+        }
+        for h in handles {
+            h.join().unwrap();
+        }
+        for t in 0..4u64 {
+            for i in (0..500u64).step_by(41) {
+                let key = t * 1000 + i;
+                assert_eq!(db.get(&k(key)), Some(key.to_le_bytes().to_vec()));
+            }
+        }
+    }
+}

@@ -1,0 +1,317 @@
+//! The background stages: draining (Figure 6) moves Membuffer entries
+//! into the Memtable; persisting switches a full Memtable out, flushes it
+//! to the disk component and keeps the level shape compacted. Component
+//! switches use RCU and never block readers or writers.
+
+use std::sync::atomic::Ordering;
+use std::sync::Arc;
+use std::time::{Duration, Instant};
+
+use flodb_memtable::SkipList;
+use flodb_storage::{Record, StorageError};
+use flodb_sync::Backoff;
+
+use super::Inner;
+use crate::drain;
+use crate::stats::FloDbStats;
+use crate::telemetry::{StageClass, TraceEventKind};
+
+/// Maximum reattempts for one background I/O operation before it is
+/// treated as persistently failing.
+const IO_RETRY_LIMIT: u32 = 3;
+
+/// The contents of a Memtable as disk records (recovery's settle-to-disk
+/// and the flush both write these).
+pub(super) fn memtable_records(mtb: &SkipList) -> Vec<Record> {
+    mtb.collect_entries()
+        .into_iter()
+        .map(|(key, vv)| Record {
+            key,
+            seq: vv.seq,
+            value: vv.value,
+        })
+        .collect()
+}
+
+impl Inner {
+    /// Runs `op` with bounded retry-with-backoff for transient I/O errors:
+    /// each failed attempt is counted in `io_retries`, ramped through the
+    /// shared [`Backoff`] (yields first) and then a short real sleep —
+    /// transient conditions like a full device queue or a briefly
+    /// unwritable directory clear in milliseconds, not in spin loops. After
+    /// [`IO_RETRY_LIMIT`] reattempts the last error is returned and the
+    /// caller decides the degradation (latch, counter, or give-up).
+    pub(super) fn io_with_retries<T>(
+        &self,
+        mut op: impl FnMut() -> Result<T, StorageError>,
+    ) -> Result<T, StorageError> {
+        let mut attempt = 0u32;
+        loop {
+            match op() {
+                Ok(v) => return Ok(v),
+                Err(e) => {
+                    if attempt >= IO_RETRY_LIMIT {
+                        return Err(e);
+                    }
+                    attempt += 1;
+                    FloDbStats::bump(&self.stats.io_retries);
+                    self.telemetry
+                        .event(TraceEventKind::IoRetry, u64::from(attempt), 0);
+                    let backoff = Backoff::new();
+                    while !backoff.is_completed() {
+                        backoff.snooze();
+                    }
+                    std::thread::sleep(Duration::from_millis(1 << attempt.min(4)));
+                }
+            }
+        }
+    }
+
+    /// Background draining (Figure 6): continuously move Membuffer entries
+    /// into the Memtable, keeping Membuffer occupancy low.
+    ///
+    /// Each worker owns a disjoint bucket range (see
+    /// [`drain::drain_sweep`]); the pause check runs *inside* the
+    /// read-side critical section so a master scan's freeze either waits
+    /// for this batch or is observed by it — a batch that slipped past
+    /// both could stamp post-freeze writes with pre-stamp sequence
+    /// numbers.
+    pub(super) fn drain_loop(&self, worker: usize) {
+        let workers = self.opts.drain_threads.max(1);
+        let mut cursor = 0usize;
+        let mut idle_beats = 0usize;
+        let batch = self.opts.drain_batch_entries.max(1);
+        while !self.stop.load(Ordering::Acquire) {
+            if self.pause_draining.is_paused() {
+                self.pause_draining
+                    .wait_until_resumed_timeout(Duration::from_millis(10));
+                continue;
+            }
+            // The whole batch runs inside one read-side critical section so
+            // a concurrent component switch waits for it (see ViewCell
+            // docs).
+            let moved = self.view.read(|v| {
+                if self.pause_draining.is_paused() {
+                    return 0;
+                }
+                let Some(mbf) = &v.mbf else { return 0 };
+                let total = mbf.total_buckets();
+                let start = total * worker / workers;
+                let len = total * (worker + 1) / workers - start;
+                let (moved, next) = drain::drain_sweep(
+                    mbf,
+                    &v.mtb,
+                    &self.seq,
+                    start,
+                    len,
+                    cursor,
+                    batch,
+                    self.drain_style,
+                );
+                cursor = next;
+                moved
+            });
+            if moved == 0 {
+                // Nothing to drain: use the idle beat to walk the
+                // reclamation epoch forward (hot-path pins only attempt
+                // this sporadically). `flush` takes the global
+                // participant/garbage mutexes, so an idle store must not
+                // hammer them every 100us from every worker: throttle to
+                // every 8th beat — the bound that matters when a live
+                // guard elsewhere holds the counter gap open indefinitely
+                // — and skip entirely while the collector's counters show
+                // no garbage outstanding (two relaxed loads; without the
+                // counters the beat always flushes).
+                idle_beats = idle_beats.wrapping_add(1);
+                let garbage = FloDbStats::reclamation();
+                let flush = idle_beats.is_multiple_of(8)
+                    && (cfg!(not(feature = "epoch-shim-stats"))
+                        || garbage.destructions_executed != garbage.destructions_deferred);
+                if flush {
+                    crossbeam_epoch::pin().flush();
+                }
+                std::thread::sleep(Duration::from_micros(100));
+            } else {
+                FloDbStats::add(&self.stats.drained_entries, moved as u64);
+                FloDbStats::bump(&self.stats.drain_batches);
+            }
+        }
+    }
+
+    /// Background persisting: switch a full Memtable out (RCU), flush it
+    /// to the disk component, then release it — and, when sealed WAL
+    /// segments await, run a retirement checkpoint so the on-disk log
+    /// stays bounded.
+    pub(super) fn persist_loop(&self) {
+        while !self.stop.load(Ordering::Acquire) {
+            let persisted = self.persist_once(false);
+            let retired = self.maybe_retire_wal();
+            let compacted = self.maybe_compact();
+            if !persisted && !retired && !compacted {
+                let mut g = self.persist_park.lock();
+                self.persist_cv.wait_for(&mut g, Duration::from_micros(500));
+            }
+        }
+        // Final drain-through so `Drop` leaves no frozen component behind.
+        self.persist_once(false);
+    }
+
+    /// One compaction pass over the disk component: retried, timed as a
+    /// [`StageClass::Compaction`], and latching the store degraded if it
+    /// keeps failing (never a panic — whatever was flushed is already
+    /// durable). Returns whether it succeeded.
+    pub(super) fn compact(&self) -> bool {
+        let t0 = self.telemetry.counters().then(Instant::now);
+        if let Err(e) = self.io_with_retries(|| self.disk.compact_all()) {
+            self.degrade("compaction", &e);
+            return false;
+        }
+        if let Some(t0) = t0 {
+            let ns = t0.elapsed().as_nanos() as u64;
+            self.telemetry.record_stage(StageClass::Compaction, ns);
+            self.telemetry.event(TraceEventKind::Compaction, ns, 0);
+        }
+        true
+    }
+
+    /// Whether the disk component carries compaction debt this store
+    /// services: with persisting off nobody ever will, and waiting on it
+    /// would wedge.
+    pub(super) fn compaction_pending(&self) -> bool {
+        self.opts.persist_enabled && self.disk.needs_compaction()
+    }
+
+    /// Services compaction debt that no flush is around to piggyback on:
+    /// recovery flushes at open (and flushes whose follow-up compaction
+    /// was cut short) can leave `needs_compaction()` true with an empty
+    /// memory component, and nothing else would ever clear it — `quiesce`
+    /// would wait on that debt forever.
+    fn maybe_compact(&self) -> bool {
+        !self.is_degraded() && self.compaction_pending() && self.compact()
+    }
+
+    /// One persist step: flush a pending immutable Memtable, then switch
+    /// the live one out and flush it if it is due — over the size trigger,
+    /// or non-empty while a flush is being forced (`flush_all` sets
+    /// `force_flush`; the retirement checkpoint passes `checkpoint`).
+    /// Returns whether progress was made.
+    ///
+    /// At most one switch per call, which is exactly what the retirement
+    /// checkpoint needs — everything it must cover is already in the
+    /// Memtable when this runs, and writes landing after the switch belong
+    /// to the next checkpoint. Looping until the table observes empty
+    /// would instead chase resumed writers forever under sustained
+    /// traffic, churning out tiny SSTs. Only the persist thread calls
+    /// this, so no other thread can be mid-switch.
+    pub(super) fn persist_once(&self, checkpoint: bool) -> bool {
+        let mut progress = false;
+        let pending = self.view.read(|v| v.imm_mtb.clone());
+        if let Some(imm) = pending {
+            progress = self.flush_imm(&imm);
+        }
+        let force = checkpoint || self.force_flush.load(Ordering::Acquire);
+        // A table still pending here could not be flushed (degraded); it
+        // stays resident and nothing may be switched out on top of it.
+        let due = self.view.read(|v| {
+            v.imm_mtb.is_none()
+                && (v.mtb.approximate_bytes() >= self.memtable_trigger
+                    || (force && !v.mtb.is_empty()))
+        });
+        if due {
+            let imm = self.view.switch_memtable(Arc::new(SkipList::new()));
+            self.notify_room();
+            self.flush_imm(&imm);
+            progress = true;
+        }
+        progress
+    }
+
+    /// Wakes writers waiting for Memtable room.
+    fn notify_room(&self) {
+        let _g = self.room.lock();
+        self.room_cv.notify_all();
+    }
+
+    /// Flushes one immutable Memtable to the disk component and releases
+    /// it.
+    ///
+    /// Returns whether progress was made. Transient disk errors are
+    /// retried with backoff ([`Self::io_with_retries`]); a persistent
+    /// failure latches the store degraded and keeps the table **resident**
+    /// — reads serve it live, nothing acknowledged is lost, and since the
+    /// WAL is never retired on a degraded store, a reopen replays it all.
+    /// Never panics: writers were acked when their WAL frame went durable,
+    /// and the log stays intact for recovery.
+    fn flush_imm(&self, imm: &SkipList) -> bool {
+        if self.opts.persist_enabled && !imm.is_empty() {
+            if self.is_degraded() {
+                // Releasing the table would drop acknowledged reads (its
+                // records never reached disk); leave it for reopen to heal.
+                return false;
+            }
+            let records = memtable_records(imm);
+            let record_count = records.len() as u64;
+            let t0 = self.telemetry.counters().then(Instant::now);
+            if let Err(e) = self.io_with_retries(|| self.disk.flush_records(records.clone())) {
+                self.degrade("memtable flush", &e);
+                return false;
+            }
+            if let Some(t0) = t0 {
+                let ns = t0.elapsed().as_nanos() as u64;
+                self.telemetry.record_stage(StageClass::MemtableFlush, ns);
+                self.telemetry.event(TraceEventKind::Flush, record_count, ns);
+            }
+            // If the compaction fails the flush itself still landed, so
+            // the table can be released below — only the level shape
+            // degrades.
+            self.compact();
+        }
+        // Counted before the release: `quiesce` reads "no immutable
+        // Memtable" as "flush settled", counters included.
+        FloDbStats::bump(&self.stats.persists);
+        self.view.release_immutable_memtable();
+        self.notify_room();
+        true
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::store::tests::{db, k};
+    use crate::{FloDb, FloDbOptions, KvStore};
+
+    #[test]
+    fn quiesce_drains_membuffer() {
+        let db = db();
+        for i in 0..100u64 {
+            db.put(&k(i), b"v").unwrap();
+        }
+        db.quiesce();
+        let mbf_len = db.inner.view.read(|v| v.mbf.as_ref().unwrap().len());
+        assert_eq!(mbf_len, 0, "background drain must empty the Membuffer");
+    }
+
+    #[test]
+    fn simple_insert_drain_mode_works() {
+        let mut opts = FloDbOptions::small_for_tests();
+        opts.use_multi_insert = false;
+        let db = FloDb::open(opts).unwrap();
+        for i in 0..100u64 {
+            db.put(&k(i), b"v").unwrap();
+        }
+        db.quiesce();
+        assert_eq!(db.get(&k(42)), Some(b"v".to_vec()));
+    }
+
+    #[test]
+    fn persist_disabled_drops_memtables() {
+        let mut opts = FloDbOptions::small_for_tests();
+        opts.persist_enabled = false;
+        let db = FloDb::open(opts).unwrap();
+        for i in 0..5000u64 {
+            db.put(&k(i), &[0u8; 64]).unwrap();
+        }
+        db.quiesce();
+        assert_eq!(db.disk_stats().flushes, 0, "nothing may reach disk");
+    }
+}

@@ -1,0 +1,291 @@
+//! The write stage (Algorithm 2): log the write, then apply it to the
+//! memory component — the Membuffer when its bucket has room, the
+//! Memtable otherwise.
+
+use std::time::{Duration, Instant};
+
+use flodb_membuffer::AddResult;
+use flodb_storage::record::encode_record_parts;
+use flodb_storage::wal;
+
+use super::{FloDb, Inner};
+use crate::api::WriteBatch;
+use crate::drain;
+use crate::error::WriteError;
+use crate::stats::FloDbStats;
+use crate::telemetry::{OpClass, StageClass, TraceEventKind};
+
+impl FloDb {
+    /// Commits every operation of `batch` to the commit log as **one**
+    /// submission, then applies the operations to the memory component in
+    /// insertion order. One submission means the whole batch lands inside
+    /// a single group — and therefore a single WAL frame — so crash
+    /// recovery (which truncates at frame granularity) replays it
+    /// all-or-nothing. This is the body of
+    /// [`KvStore::write`](crate::KvStore::write).
+    ///
+    /// With `tag` set the frame is also stamped with a sub-batch
+    /// annotation (see [`wal::BatchAnnotation`]). The sharded router uses
+    /// this to tie sibling sub-batches together across shard logs: the
+    /// annotation is encoded at the head of the submission, inside the
+    /// committer's critical section, so it and its records are contiguous
+    /// in one frame and recover all-or-nothing. Recovery strips
+    /// annotations out of the replayed records, so a tagged write replays
+    /// exactly like an untagged one, and `wal_group_records` counts only
+    /// the real operations, not the annotation.
+    pub fn write_tagged(
+        &self,
+        batch: &WriteBatch,
+        tag: Option<&wal::BatchAnnotation>,
+    ) -> Result<(), WriteError> {
+        let inner = &*self.inner;
+        debug_assert!(
+            tag.is_none_or(|tag| tag.ops as usize == batch.len()),
+            "annotation ops must match batch"
+        );
+        let t0 = inner.full_timer();
+        if batch.is_empty() {
+            // Even an empty commit observes the poison and health
+            // latches — the contract is that *every* write on a poisoned
+            // or degraded store reports it, so an empty batch cannot
+            // read as a healthy write path.
+            inner.check_writable()?;
+        } else {
+            // Logged→applied window; see `put_impl`.
+            let _inflight = inner.wal.as_ref().map(|w| w.inflight.enter());
+            inner.wal_append(
+                |inner, buf| {
+                    if let Some(tag) = tag {
+                        tag.encode_into(buf);
+                    }
+                    for (key, value) in batch.iter() {
+                        encode_record_parts(buf, key, inner.seq.next(), value);
+                    }
+                },
+                batch.len() as u64,
+            )?;
+            for (key, value) in batch.iter() {
+                inner.apply_to_memory(key, value);
+            }
+            FloDbStats::add(&inner.stats.puts, batch.puts());
+            FloDbStats::add(&inner.stats.deletes, batch.deletes());
+        }
+        // One sample per batch: the caller-visible commit latency.
+        inner.record_op(OpClass::Put, t0);
+        Ok(())
+    }
+}
+
+impl Inner {
+    /// One put (`value` set) or delete: appends the write to the commit log
+    /// (when enabled), then applies it to the memory component. `Err`
+    /// means the write was *not* acknowledged: its log group failed (or
+    /// the store was already poisoned) and nothing was applied.
+    ///
+    /// The in-flight window spans log append through memory apply: WAL
+    /// segment retirement flips this tracker and waits, so a segment is
+    /// never retired while a write logged into it has yet to reach the
+    /// memory component (where the retirement checkpoint's flush covers
+    /// it).
+    pub(super) fn put_impl(&self, key: &[u8], value: Option<&[u8]>) -> Result<(), WriteError> {
+        let t0 = self.full_timer();
+        let _inflight = self.wal.as_ref().map(|w| w.inflight.enter());
+        self.wal_append(|inner, buf| encode_record_parts(buf, key, inner.seq.next(), value), 1)?;
+        self.apply_to_memory(key, value);
+        let counter = if value.is_some() { &self.stats.puts } else { &self.stats.deletes };
+        FloDbStats::bump(counter);
+        // Deletes are tombstone puts; they share the put class.
+        self.record_op(OpClass::Put, t0);
+        Ok(())
+    }
+
+    /// Applies one acknowledged write to the memory component (Algorithm
+    /// 2); infallible — by the time a write reaches here it is durable (or
+    /// durability is off).
+    fn apply_to_memory(&self, key: &[u8], value: Option<&[u8]>) {
+        // Fast path: complete in the Membuffer (Algorithm 2, lines 10-11).
+        if self.opts.membuffer_enabled {
+            let fast = self.view.read(|v| {
+                v.mbf
+                    .as_ref()
+                    .map(|mbf| mbf.add(key, value))
+                    .unwrap_or(AddResult::BucketFull)
+            });
+            if !matches!(fast, AddResult::BucketFull) {
+                FloDbStats::bump(&self.stats.membuffer_writes);
+                return;
+            }
+        }
+
+        // Slow path (Algorithm 2, lines 12-20).
+        loop {
+            // Honor pauseWriters: help drain or wait (lines 12-16). A
+            // frozen Membuffer only becomes claimable once the freeze's
+            // grace period has elapsed (`drain_ready`); helping before
+            // that could claim a bucket a straggling writer is still
+            // adding to, and the straggler's entry would be dropped with
+            // the buffer. The short timed wait re-checks readiness so
+            // writers still join the drain once it opens.
+            while self.pause_writers.is_paused() {
+                let imm = self.view.read(|v| v.imm_mbf.clone());
+                match imm {
+                    // Help only while chunks remain; once the last one is
+                    // claimed the frozen buffer is someone else's to
+                    // finish, and re-entering the help would spin a core
+                    // the master needs until `is_complete`.
+                    Some(imm) if imm.drain_ready() && !imm.tracker.exhausted() => {
+                        // The view-coupled variant: a persist switch
+                        // racing this help must not strand the batch in a
+                        // Memtable whose flush already collected entries.
+                        let help = drain::help_drain_imm_via(
+                            &imm,
+                            &self.view,
+                            &self.seq,
+                            self.drain_style,
+                        );
+                        if help.chunks > 0 {
+                            FloDbStats::bump(&self.stats.writer_drain_helps);
+                        }
+                    }
+                    Some(imm) => {
+                        // Let go before parking: a reference held across
+                        // the wait would keep the freezer from recycling
+                        // the drained buffer.
+                        drop(imm);
+                        self.pause_writers
+                            .wait_until_resumed_timeout(Duration::from_micros(50));
+                    }
+                    None => self.pause_writers.wait_until_resumed(),
+                }
+            }
+            // Wait for Memtable room (lines 17-18).
+            let mut stall_start: Option<Instant> = None;
+            loop {
+                if self.pause_writers.is_paused() {
+                    break;
+                }
+                let bytes = self.view.read(|v| v.mtb.approximate_bytes());
+                if bytes <= self.memtable_trigger {
+                    break;
+                }
+                if self.is_degraded() {
+                    // Room is made by flushes — the very thing that just
+                    // failed persistently. This write was already
+                    // acknowledged in the WAL, so it must reach memory;
+                    // only writes in flight before the health latch
+                    // closed can be here, a bounded set, so memory stays
+                    // bounded too.
+                    break;
+                }
+                if stall_start.is_none() {
+                    FloDbStats::bump(&self.stats.write_stalls);
+                    // The stall duration (`write_stall_ns`, the stage
+                    // histogram and the begin/end event pair) is what
+                    // attributes a write-latency tail to Memtable
+                    // backpressure; the `Instant` is only sampled once a
+                    // stall actually begins, so the unstalled hot path
+                    // pays nothing for it.
+                    stall_start = Some(Instant::now());
+                    self.telemetry.event(TraceEventKind::StallBegin, 0, 0);
+                }
+                self.wake_persist();
+                let mut g = self.room.lock();
+                self.room_cv.wait_for(&mut g, Duration::from_micros(500));
+            }
+            if let Some(t0) = stall_start {
+                let ns = t0.elapsed().as_nanos() as u64;
+                if self.telemetry.counters() {
+                    FloDbStats::add(&self.stats.write_stall_ns, ns);
+                }
+                self.telemetry.record_stage(StageClass::WriteStall, ns);
+                self.telemetry.event(TraceEventKind::StallEnd, ns, 0);
+            }
+
+            // Insert with a fresh sequence number (lines 19-20). The pause
+            // re-check, the sequence acquisition and the insert share one
+            // RCU read-side critical section: if this write obtains a
+            // sequence number below a scan's stamp, the scan's grace period
+            // (master or fallback freeze) cannot return before the insert
+            // has completed — otherwise a descheduled writer could slip a
+            // pre-stamp entry into a range the scan already iterated past,
+            // tearing the snapshot without triggering a restart.
+            let inserted = self.view.read(|v| {
+                if self.pause_writers.is_paused() {
+                    return false;
+                }
+                let seq = self.seq.next();
+                v.mtb.insert(key, value, seq);
+                true
+            });
+            if inserted {
+                FloDbStats::bump(&self.stats.memtable_writes);
+                return;
+            }
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::store::tests::{db, k};
+    use crate::{KvStore, WriteBatch};
+
+    #[test]
+    fn put_get_roundtrip() {
+        let db = db();
+        db.put(b"hello", b"world").unwrap();
+        assert_eq!(db.get(b"hello"), Some(b"world".to_vec()));
+        assert_eq!(db.get(b"missing"), None);
+    }
+
+    #[test]
+    fn overwrite_returns_latest() {
+        let db = db();
+        db.put(b"k", b"v1").unwrap();
+        db.put(b"k", b"v2").unwrap();
+        assert_eq!(db.get(b"k"), Some(b"v2".to_vec()));
+    }
+
+    #[test]
+    fn delete_hides_key() {
+        let db = db();
+        db.put(b"k", b"v").unwrap();
+        db.delete(b"k").unwrap();
+        assert_eq!(db.get(b"k"), None);
+        // Deleting a missing key is fine.
+        db.delete(b"never-existed").unwrap();
+        assert_eq!(db.get(b"never-existed"), None);
+    }
+
+    #[test]
+    fn stats_track_fast_path() {
+        let db = db();
+        for i in 0..50u64 {
+            db.put(&k(i), b"v").unwrap();
+        }
+        let stats = db.stats();
+        assert_eq!(stats.puts, 50);
+        assert!(
+            stats.fast_level_writes > 0,
+            "most writes should hit the Membuffer"
+        );
+    }
+
+    #[test]
+    fn write_batch_applies_all_ops_in_order() {
+        let db = db();
+        db.put(b"gone", b"x").unwrap();
+        let mut batch = WriteBatch::new();
+        batch.put(b"a", b"1").put(b"b", b"2").delete(b"gone");
+        batch.put(b"a", b"overwritten");
+        db.write(&batch).unwrap();
+        assert_eq!(db.get(b"a"), Some(b"overwritten".to_vec()));
+        assert_eq!(db.get(b"b"), Some(b"2".to_vec()));
+        assert_eq!(db.get(b"gone"), None);
+        let stats = db.stats();
+        assert_eq!(stats.puts, 1 + 3);
+        assert_eq!(stats.deletes, 1);
+        // An empty batch is a no-op.
+        db.write(&WriteBatch::new()).unwrap();
+    }
+}

@@ -110,7 +110,7 @@ impl TelemetrySnapshot {
     pub fn delta_since(&self, earlier: &TelemetrySnapshot) -> TelemetrySnapshot {
         TelemetrySnapshot {
             level: self.level,
-            counters: stats_sub(&self.counters, &earlier.counters),
+            counters: self.counters.delta_since(&earlier.counters),
             ops: std::array::from_fn(|i| self.ops[i].diff(&earlier.ops[i])),
             stages: std::array::from_fn(|i| self.stages[i].diff(&earlier.stages[i])),
         }
@@ -122,7 +122,7 @@ impl TelemetrySnapshot {
     /// complete as the least-recording shard.
     pub fn merge_from(&mut self, other: &TelemetrySnapshot) {
         self.level = self.level.min(other.level);
-        stats_add(&mut self.counters, &other.counters);
+        self.counters.add(&other.counters);
         for (mine, theirs) in self.ops.iter_mut().zip(other.ops.iter()) {
             mine.merge(theirs);
         }
@@ -140,35 +140,21 @@ impl TelemetrySnapshot {
             "# flodb telemetry (level={})\n",
             self.level.name()
         ));
-        for (name, value) in counter_pairs(&self.counters) {
+        for (name, value) in self.counters.pairs() {
             out.push_str(&format!("flodb_{name} {value}\n"));
         }
         if self.level != TelemetryLevel::Full {
             return out;
         }
-        for op in OpClass::ALL {
-            let s = self.op_summary(op);
-            let label = op.name();
-            out.push_str(&format!(
-                "flodb_op_latency_count{{op=\"{label}\"}} {}\n",
-                s.count
-            ));
+        let ops = OpClass::ALL
+            .map(|op| ("flodb_op_latency", "op", op.name(), self.op_summary(op)));
+        let stages = StageClass::ALL
+            .map(|st| ("flodb_stage_duration", "stage", st.name(), self.stage_summary(st)));
+        for (metric, key, label, s) in ops.into_iter().chain(stages) {
+            out.push_str(&format!("{metric}_count{{{key}=\"{label}\"}} {}\n", s.count));
             for (q, v) in quantile_pairs(&s) {
                 out.push_str(&format!(
-                    "flodb_op_latency_ns{{op=\"{label}\",quantile=\"{q}\"}} {v}\n"
-                ));
-            }
-        }
-        for stage in StageClass::ALL {
-            let s = self.stage_summary(stage);
-            let label = stage.name();
-            out.push_str(&format!(
-                "flodb_stage_duration_count{{stage=\"{label}\"}} {}\n",
-                s.count
-            ));
-            for (q, v) in quantile_pairs(&s) {
-                out.push_str(&format!(
-                    "flodb_stage_duration_ns{{stage=\"{label}\",quantile=\"{q}\"}} {v}\n"
+                    "{metric}_ns{{{key}=\"{label}\",quantile=\"{q}\"}} {v}\n"
                 ));
             }
         }
@@ -181,15 +167,14 @@ impl TelemetrySnapshot {
         let mut out = String::new();
         out.push_str("{\n  \"schema\": \"flodb-telemetry/v1\",\n");
         out.push_str(&format!("  \"level\": \"{}\",\n", self.level.name()));
-        out.push_str("  \"counters\": {");
-        let pairs = counter_pairs(&self.counters);
-        for (i, (name, value)) in pairs.iter().enumerate() {
-            out.push_str(&format!(
-                "\"{name}\": {value}{}",
-                if i + 1 == pairs.len() { "" } else { ", " }
-            ));
-        }
-        out.push_str("},\n  \"ops\": [\n");
+        let counters: Vec<String> = self
+            .counters
+            .pairs()
+            .iter()
+            .map(|(name, value)| format!("\"{name}\": {value}"))
+            .collect();
+        out.push_str(&format!("  \"counters\": {{{}}},\n", counters.join(", ")));
+        out.push_str("  \"ops\": [\n");
         for (i, op) in OpClass::ALL.iter().enumerate() {
             json_summary_line(
                 &mut out,
@@ -245,160 +230,6 @@ fn quantile_pairs(s: &HistogramSummary) -> [(&'static str, u64); 5] {
     ]
 }
 
-/// Every counter as a `(name, value)` pair, in [`StoreStats`] field
-/// order. Exhaustive destructuring on purpose: adding a stats field
-/// without deciding how it exports fails compilation here.
-fn counter_pairs(s: &StoreStats) -> Vec<(&'static str, u64)> {
-    let StoreStats {
-        puts,
-        deletes,
-        gets,
-        scans,
-        scanned_keys,
-        persists,
-        fast_level_writes,
-        scan_restarts,
-        fallback_scans,
-        wal_groups,
-        wal_group_records,
-        wal_follower_writes,
-        wal_rotations,
-        wal_retired_bytes,
-        wal_generations,
-        wal_active_bytes,
-        io_retries,
-        io_degraded,
-        wal_retire_errors,
-        write_stall_ns,
-        wal_sync_ns,
-    } = s;
-    vec![
-        ("puts", *puts),
-        ("deletes", *deletes),
-        ("gets", *gets),
-        ("scans", *scans),
-        ("scanned_keys", *scanned_keys),
-        ("persists", *persists),
-        ("fast_level_writes", *fast_level_writes),
-        ("scan_restarts", *scan_restarts),
-        ("fallback_scans", *fallback_scans),
-        ("wal_groups", *wal_groups),
-        ("wal_group_records", *wal_group_records),
-        ("wal_follower_writes", *wal_follower_writes),
-        ("wal_rotations", *wal_rotations),
-        ("wal_retired_bytes", *wal_retired_bytes),
-        ("wal_generations", *wal_generations),
-        ("wal_active_bytes", *wal_active_bytes),
-        ("io_retries", *io_retries),
-        ("io_degraded", *io_degraded),
-        ("wal_retire_errors", *wal_retire_errors),
-        ("write_stall_ns", *write_stall_ns),
-        ("wal_sync_ns", *wal_sync_ns),
-    ]
-}
-
-/// `a - b` per counter, saturating; the two gauges keep `a`'s value.
-/// Exhaustive destructuring on purpose (see [`counter_pairs`]).
-fn stats_sub(a: &StoreStats, b: &StoreStats) -> StoreStats {
-    let StoreStats {
-        puts,
-        deletes,
-        gets,
-        scans,
-        scanned_keys,
-        persists,
-        fast_level_writes,
-        scan_restarts,
-        fallback_scans,
-        wal_groups,
-        wal_group_records,
-        wal_follower_writes,
-        wal_rotations,
-        wal_retired_bytes,
-        wal_generations,
-        wal_active_bytes,
-        io_retries,
-        io_degraded,
-        wal_retire_errors,
-        write_stall_ns,
-        wal_sync_ns,
-    } = a;
-    StoreStats {
-        puts: puts.saturating_sub(b.puts),
-        deletes: deletes.saturating_sub(b.deletes),
-        gets: gets.saturating_sub(b.gets),
-        scans: scans.saturating_sub(b.scans),
-        scanned_keys: scanned_keys.saturating_sub(b.scanned_keys),
-        persists: persists.saturating_sub(b.persists),
-        fast_level_writes: fast_level_writes.saturating_sub(b.fast_level_writes),
-        scan_restarts: scan_restarts.saturating_sub(b.scan_restarts),
-        fallback_scans: fallback_scans.saturating_sub(b.fallback_scans),
-        wal_groups: wal_groups.saturating_sub(b.wal_groups),
-        wal_group_records: wal_group_records.saturating_sub(b.wal_group_records),
-        wal_follower_writes: wal_follower_writes.saturating_sub(b.wal_follower_writes),
-        wal_rotations: wal_rotations.saturating_sub(b.wal_rotations),
-        wal_retired_bytes: wal_retired_bytes.saturating_sub(b.wal_retired_bytes),
-        // Gauges: a delta of "live generations" is meaningless; report
-        // the later snapshot's state.
-        wal_generations: *wal_generations,
-        wal_active_bytes: *wal_active_bytes,
-        io_retries: io_retries.saturating_sub(b.io_retries),
-        io_degraded: io_degraded.saturating_sub(b.io_degraded),
-        wal_retire_errors: wal_retire_errors.saturating_sub(b.wal_retire_errors),
-        write_stall_ns: write_stall_ns.saturating_sub(b.write_stall_ns),
-        wal_sync_ns: wal_sync_ns.saturating_sub(b.wal_sync_ns),
-    }
-}
-
-/// `into += s` per counter (gauges included: they sum to fleet-wide
-/// totals across shards). Exhaustive destructuring on purpose.
-fn stats_add(into: &mut StoreStats, s: &StoreStats) {
-    let StoreStats {
-        puts,
-        deletes,
-        gets,
-        scans,
-        scanned_keys,
-        persists,
-        fast_level_writes,
-        scan_restarts,
-        fallback_scans,
-        wal_groups,
-        wal_group_records,
-        wal_follower_writes,
-        wal_rotations,
-        wal_retired_bytes,
-        wal_generations,
-        wal_active_bytes,
-        io_retries,
-        io_degraded,
-        wal_retire_errors,
-        write_stall_ns,
-        wal_sync_ns,
-    } = s;
-    into.puts += puts;
-    into.deletes += deletes;
-    into.gets += gets;
-    into.scans += scans;
-    into.scanned_keys += scanned_keys;
-    into.persists += persists;
-    into.fast_level_writes += fast_level_writes;
-    into.scan_restarts += scan_restarts;
-    into.fallback_scans += fallback_scans;
-    into.wal_groups += wal_groups;
-    into.wal_group_records += wal_group_records;
-    into.wal_follower_writes += wal_follower_writes;
-    into.wal_rotations += wal_rotations;
-    into.wal_retired_bytes += wal_retired_bytes;
-    into.wal_generations += wal_generations;
-    into.wal_active_bytes += wal_active_bytes;
-    into.io_retries += io_retries;
-    into.io_degraded += io_degraded;
-    into.wal_retire_errors += wal_retire_errors;
-    into.write_stall_ns += write_stall_ns;
-    into.wal_sync_ns += wal_sync_ns;
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -440,9 +271,55 @@ mod tests {
         assert_eq!(total.level, TelemetryLevel::Off);
     }
 
+    /// The exported counter names, in export order. Dashboards and the
+    /// benchmark's trace parser key on these strings, so the table in
+    /// `api.rs` may grow but must not rename or reorder them silently.
+    const EXPORTED: [&str; 21] = [
+        "puts", "deletes", "gets", "scans", "scanned_keys", "persists", "fast_level_writes",
+        "scan_restarts", "fallback_scans", "wal_groups", "wal_group_records",
+        "wal_follower_writes", "wal_rotations", "wal_retired_bytes", "wal_generations",
+        "wal_active_bytes", "io_retries", "io_degraded", "wal_retire_errors", "write_stall_ns",
+        "wal_sync_ns",
+    ];
+
+    /// What `sample()` holds for an exported counter.
+    fn sample_value(name: &str) -> u64 {
+        match name {
+            "puts" => 10,
+            "wal_sync_ns" => 5_000,
+            _ => 0,
+        }
+    }
+
+    #[test]
+    fn delta_keeps_the_later_gauges() {
+        let mut early = sample();
+        early.counters.wal_generations = 3;
+        early.counters.wal_active_bytes = 900;
+        early.counters.wal_rotations = 2;
+        let mut late = early.clone();
+        late.counters.wal_generations = 2;
+        late.counters.wal_active_bytes = 100;
+        late.counters.wal_rotations = 5;
+        let delta = late.delta_since(&early);
+        assert_eq!(delta.counters.wal_generations, 2);
+        assert_eq!(delta.counters.wal_active_bytes, 100);
+        assert_eq!(delta.counters.wal_rotations, 3);
+        // A counter that went backwards (snapshots swapped) saturates.
+        assert_eq!(early.delta_since(&late).counters.wal_rotations, 0);
+    }
+
     #[test]
     fn prometheus_text_carries_counters_and_quantiles() {
         let text = sample().to_prometheus_text();
+        let counters: String = EXPORTED
+            .iter()
+            .map(|name| format!("flodb_{name} {}\n", sample_value(name)))
+            .collect();
+        assert!(
+            text.starts_with(&format!("# flodb telemetry (level=full)\n{counters}flodb_op_")),
+            "counter block changed:\n{text}"
+        );
         assert!(text.contains("flodb_puts 10\n"));
         assert!(text.contains("flodb_wal_sync_ns 5000\n"));
         assert!(text.contains("flodb_op_latency_count{op=\"put\"} 2\n"));
@@ -458,6 +335,14 @@ mod tests {
     #[test]
     fn json_is_structurally_sound() {
         let doc = sample().to_json();
+        let counters: Vec<String> = EXPORTED
+            .iter()
+            .map(|name| format!("\"{name}\": {}", sample_value(name)))
+            .collect();
+        assert!(
+            doc.contains(&format!("  \"counters\": {{{}}},\n", counters.join(", "))),
+            "counter object changed:\n{doc}"
+        );
         assert!(doc.contains("\"schema\": \"flodb-telemetry/v1\""));
         assert!(doc.contains("\"level\": \"full\""));
         assert!(doc.contains("\"puts\": 10"));

@@ -7,8 +7,10 @@
 //! writers dereference it inside an RCU read-side critical section, and
 //! switchers install a new snapshot then wait one grace period, which
 //! doubles as the paper's `MemBufferRCUWait`/`MemTableRCUWait` (all
-//! in-flight operations against the old snapshot have completed when
-//! `update` returns).
+//! in-flight operations against the old snapshot have completed when the
+//! switch returns). The switches are the four named transitions on
+//! [`ViewCell`] — freeze / release the Membuffer, switch / release the
+//! Memtable — and nothing else replaces the view.
 
 use flodb_membuffer::{DrainTracker, MemBuffer};
 use flodb_memtable::SkipList;
@@ -136,7 +138,7 @@ impl ViewCell {
     /// Runs `f` against the current view inside an RCU critical section.
     ///
     /// The entire operation (e.g. a Membuffer add or Memtable insert) runs
-    /// inside the section, so a concurrent [`ViewCell::update`] returns
+    /// inside the section, so a concurrent view switch returns
     /// only after `f` has finished — the property Algorithm 3 needs before
     /// draining.
     #[inline]
@@ -164,18 +166,89 @@ impl ViewCell {
     /// has completed: pending Membuffer adds are in the frozen buffer,
     /// pending Memtable inserts are in the frozen table. Switches are
     /// serialized among themselves but never block readers or writers.
-    pub fn update(&self, make: impl FnOnce(&MemView) -> MemView) {
+    /// Private: the store's switches are the named transitions below, so
+    /// the protocol the model suite checks is the one the store runs.
+    /// `make` also yields what the transition hands back to its caller.
+    fn update<R>(&self, make: impl FnOnce(&MemView) -> (MemView, R)) -> R {
         let _switch = self.switch_lock.lock();
         let old_ptr = self.ptr.load(Ordering::Acquire);
         // SAFETY: Only `update` (serialized by `switch_lock`) replaces the
         // pointer, and frees strictly after a grace period.
         let old = unsafe { &*old_ptr };
-        let new = Box::into_raw(Box::new(make(old)));
-        self.ptr.store(new, Ordering::Release);
+        let (new, out) = make(old);
+        self.ptr.store(Box::into_raw(Box::new(new)), Ordering::Release);
         self.domain.synchronize();
         // SAFETY: The grace period has elapsed: no reader can still hold a
         // reference into the old view box.
         drop(unsafe { Box::from_raw(old_ptr) });
+        out
+    }
+
+    /// Installs `fresh` as the Membuffer and freezes the current one
+    /// (Algorithm 3, lines 6-9). Returns the frozen buffer — not yet
+    /// claimable, see [`ImmMembuffer::open_for_drain`] — or `None` if the
+    /// view had no Membuffer.
+    pub fn freeze_membuffer(&self, fresh: Arc<MemBuffer>) -> Option<Arc<ImmMembuffer>> {
+        self.update(|old| {
+            let frozen = old
+                .mbf
+                .as_ref()
+                .map(|m| Arc::new(ImmMembuffer::new(Arc::clone(m))));
+            let view = MemView {
+                mbf: Some(fresh),
+                imm_mbf: frozen.clone(),
+                ..old.clone()
+            };
+            (view, frozen)
+        })
+    }
+
+    /// Drops the frozen Membuffer from the view once its drain completed.
+    /// After the grace period only snapshots and late helpers can still
+    /// hold it (see [`ImmMembuffer::reclaim`]).
+    pub fn release_frozen_membuffer(&self) {
+        self.update(|old| {
+            let view = MemView {
+                imm_mbf: None,
+                ..old.clone()
+            };
+            (view, ())
+        })
+    }
+
+    /// Installs `fresh` as the Memtable and makes the current one
+    /// immutable, returning it. The grace period is the paper's "RCU to
+    /// make sure that all pending updates to the immutable Memtable have
+    /// completed" (§4.2).
+    pub fn switch_memtable(&self, fresh: Arc<SkipList>) -> Arc<SkipList> {
+        self.update(|old| {
+            let view = MemView {
+                mtb: fresh,
+                imm_mtb: Some(Arc::clone(&old.mtb)),
+                ..old.clone()
+            };
+            (view, Arc::clone(&old.mtb))
+        })
+    }
+
+    /// Drops the immutable Memtable from the view once it is flushed;
+    /// scans holding a snapshot keep it alive through their `Arc` (the
+    /// paper's second RCU use, realized by reference counting on top of
+    /// the snapshot grace period).
+    pub fn release_immutable_memtable(&self) {
+        self.update(|old| {
+            let view = MemView {
+                imm_mtb: None,
+                ..old.clone()
+            };
+            (view, ())
+        })
+    }
+
+    /// A grace period with no switch: returns once every operation in
+    /// flight against the current view has completed.
+    pub fn grace_period(&self) {
+        self.update(|old| (old.clone(), ()))
     }
 }
 
@@ -227,11 +300,7 @@ mod tests {
         let cell = ViewCell::new(view());
         let new_mtb = Arc::new(SkipList::new());
         new_mtb.insert(b"k", Some(b"v"), 1);
-        cell.update(|old| MemView {
-            mtb: Arc::clone(&new_mtb),
-            imm_mtb: Some(Arc::clone(&old.mtb)),
-            ..old.clone()
-        });
+        cell.switch_memtable(Arc::clone(&new_mtb));
         cell.read(|v| {
             assert_eq!(v.mtb.len(), 1);
             assert!(v.imm_mtb.is_some());
@@ -267,11 +336,7 @@ mod tests {
         let updater = {
             let cell = Arc::clone(&cell);
             thread::spawn(move || {
-                cell.update(|old| MemView {
-                    imm_mtb: Some(Arc::clone(&old.mtb)),
-                    mtb: Arc::new(SkipList::new()),
-                    ..old.clone()
-                });
+                cell.switch_memtable(Arc::new(SkipList::new()));
             })
         };
         thread::sleep(std::time::Duration::from_millis(50));
@@ -290,10 +355,7 @@ mod tests {
     fn snapshot_outlives_switch() {
         let cell = ViewCell::new(view());
         let snap = cell.snapshot();
-        cell.update(|old| MemView {
-            mtb: Arc::new(SkipList::new()),
-            ..old.clone()
-        });
+        cell.switch_memtable(Arc::new(SkipList::new()));
         // The snapshot still references the pre-switch memtable.
         snap.mtb.insert(b"z", Some(b"1"), 1);
         assert_eq!(snap.mtb.len(), 1);
@@ -319,7 +381,7 @@ mod tests {
             }));
         }
         for _ in 0..200 {
-            cell.update(|old| old.clone());
+            cell.grace_period();
         }
         stop.store(true, Ordering::Relaxed);
         for h in handles {

@@ -11,9 +11,10 @@ use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 use std::sync::Arc;
 
+use crate::env::Env;
 use crate::error::Result;
 use crate::record::Record;
-use crate::sstable::{table_file_name, TableBuilder, TableIterator};
+use crate::sstable::{table_file_name, TableBuilder, TableIterator, TableMeta};
 use crate::table_cache::TableCache;
 use crate::version::{FileHandle, FileMeta, Version, VersionEdit, NUM_LEVELS};
 
@@ -68,26 +69,6 @@ pub struct CompactionJob {
     pub inputs: Vec<Arc<FileHandle>>,
     /// Overlapping files taken from `level + 1`.
     pub next_inputs: Vec<Arc<FileHandle>>,
-}
-
-impl CompactionJob {
-    /// Key range covered by all inputs.
-    fn key_range(&self) -> (Box<[u8]>, Box<[u8]>) {
-        let mut lo: Option<&[u8]> = None;
-        let mut hi: Option<&[u8]> = None;
-        for f in self.inputs.iter().chain(&self.next_inputs) {
-            if lo.is_none_or(|l| f.smallest.as_ref() < l) {
-                lo = Some(&f.smallest);
-            }
-            if hi.is_none_or(|h| f.largest.as_ref() > h) {
-                hi = Some(&f.largest);
-            }
-        }
-        (
-            Box::from(lo.unwrap_or(&[])),
-            Box::from(hi.unwrap_or(&[])),
-        )
-    }
 }
 
 /// Chooses the most urgent compaction, if any.
@@ -190,13 +171,84 @@ impl MergeCursor {
     }
 }
 
+/// Writes a sorted run of records as consecutive tables, cutting to a new
+/// file once the open one reaches `cfg.target_file_bytes`. Memtable
+/// flushes and compaction outputs both go through here.
+pub(crate) struct TableRoller<'a> {
+    env: &'a dyn Env,
+    cfg: &'a CompactionConfig,
+    new_file_number: &'a mut dyn FnMut() -> u64,
+    open: Option<(u64, TableBuilder)>,
+    done: Vec<FileMeta>,
+}
+
+impl<'a> TableRoller<'a> {
+    pub(crate) fn new(
+        env: &'a dyn Env,
+        cfg: &'a CompactionConfig,
+        new_file_number: &'a mut dyn FnMut() -> u64,
+    ) -> Self {
+        Self {
+            env,
+            cfg,
+            new_file_number,
+            open: None,
+            done: Vec::new(),
+        }
+    }
+
+    /// Appends `record` (callers feed them in table order).
+    pub(crate) fn add(&mut self, record: &Record) -> Result<()> {
+        let (_, builder) = match &mut self.open {
+            Some(open) => open,
+            None => {
+                let number = (self.new_file_number)();
+                let file = self.env.new_writable(&table_file_name(number))?;
+                self.open.insert((
+                    number,
+                    TableBuilder::new(file, self.cfg.block_bytes, self.cfg.bloom_bits_per_key),
+                ))
+            }
+        };
+        builder.add(record)?;
+        if builder.file_size() >= self.cfg.target_file_bytes {
+            self.cut()?;
+        }
+        Ok(())
+    }
+
+    fn cut(&mut self) -> Result<()> {
+        if let Some((number, builder)) = self.open.take() {
+            self.done.push(file_meta(number, builder.finish()?));
+        }
+        Ok(())
+    }
+
+    /// Finishes the open table and returns every table written, in order.
+    pub(crate) fn finish(mut self) -> Result<Vec<FileMeta>> {
+        self.cut()?;
+        Ok(self.done)
+    }
+}
+
+fn file_meta(number: u64, meta: TableMeta) -> FileMeta {
+    FileMeta {
+        number,
+        size: meta.file_size,
+        smallest: meta.smallest,
+        largest: meta.largest,
+        entries: meta.entries,
+        largest_seq: meta.largest_seq,
+    }
+}
+
 /// Runs `job`, writing output files and returning the version edit plus the
 /// metadata of the new files.
 ///
 /// `drop_tombstones` should be true only when nothing below the output
 /// level can hold shadowed versions of the job's key range.
 pub fn run_compaction(
-    env: &dyn crate::env::Env,
+    env: &dyn Env,
     cache: &dyn TableCache,
     job: &CompactionJob,
     cfg: &CompactionConfig,
@@ -212,55 +264,17 @@ pub fn run_compaction(
     }
     let mut cursor = MergeCursor::new(iters);
 
-    let mut edit = VersionEdit::default();
-    let out_level = job.level + 1;
-    let mut builder: Option<(u64, TableBuilder)> = None;
-
+    let mut roller = TableRoller::new(env, cfg, new_file_number);
     while let Some(record) = cursor.next_merged()? {
         if drop_tombstones && record.is_tombstone() {
             continue;
         }
-        if builder.is_none() {
-            let number = new_file_number();
-            let file = env.new_writable(&table_file_name(number))?;
-            builder = Some((
-                number,
-                TableBuilder::new(file, cfg.block_bytes, cfg.bloom_bits_per_key),
-            ));
-        }
-        let (_, b) = builder.as_mut().expect("just ensured");
-        b.add(&record)?;
-        if b.file_size() >= cfg.target_file_bytes {
-            let (number, b) = builder.take().expect("present");
-            let meta = b.finish()?;
-            edit.add(
-                out_level,
-                FileMeta {
-                    number,
-                    size: meta.file_size,
-                    smallest: meta.smallest,
-                    largest: meta.largest,
-                    entries: meta.entries,
-                    largest_seq: meta.largest_seq,
-                },
-            );
-        }
+        roller.add(&record)?;
     }
-    if let Some((number, b)) = builder.take() {
-        if b.entries() > 0 {
-            let meta = b.finish()?;
-            edit.add(
-                out_level,
-                FileMeta {
-                    number,
-                    size: meta.file_size,
-                    smallest: meta.smallest,
-                    largest: meta.largest,
-                    entries: meta.entries,
-                    largest_seq: meta.largest_seq,
-                },
-            );
-        }
+    let mut edit = VersionEdit::default();
+    let out_level = job.level + 1;
+    for meta in roller.finish()? {
+        edit.add(out_level, meta);
     }
     for f in &job.inputs {
         edit.delete(job.level, f.number);
@@ -268,14 +282,13 @@ pub fn run_compaction(
     for f in &job.next_inputs {
         edit.delete(out_level, f.number);
     }
-    let _ = job.key_range(); // Exercised by tests; reserved for seek-bounded merges.
     Ok(edit)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::env::{Env, MemEnv};
+    use crate::env::MemEnv;
     use crate::table_cache::ShardedTableCache;
     use crate::version::VersionSet;
 
@@ -288,15 +301,7 @@ mod tests {
         for r in records {
             b.add(r).unwrap();
         }
-        let meta = b.finish().unwrap();
-        FileMeta {
-            number,
-            size: meta.file_size,
-            smallest: meta.smallest,
-            largest: meta.largest,
-            entries: meta.entries,
-            largest_seq: meta.largest_seq,
-        }
+        file_meta(number, b.finish().unwrap())
     }
 
     fn put(k: u64, seq: u64) -> Record {

@@ -15,14 +15,14 @@ use std::sync::Arc;
 use flodb_sync::lock_order::{DISK_COMPACTION, DISK_MANIFEST};
 use flodb_sync::shim::{ranked_mutex, Mutex};
 
-use crate::compaction::{pick_compaction, run_compaction, CompactionConfig};
+use crate::compaction::{pick_compaction, run_compaction, CompactionConfig, TableRoller};
 use crate::env::Env;
 use crate::error::Result;
 use crate::manifest;
 use crate::record::Record;
-use crate::sstable::{table_file_name, TableBuilder};
+use crate::sstable::table_file_name;
 use crate::table_cache::{GlobalLockTableCache, ShardedTableCache, TableCache};
-use crate::version::{FileMeta, Version, VersionEdit, VersionSet, NUM_LEVELS};
+use crate::version::{Version, VersionEdit, VersionSet, NUM_LEVELS};
 
 /// Options for a [`DiskComponent`].
 #[derive(Debug, Clone, Copy)]
@@ -284,32 +284,14 @@ impl DiskComponent {
         }
         records.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
 
-        let mut edit = VersionEdit::default();
-        let mut builder: Option<(u64, TableBuilder)> = None;
+        let mut alloc = || self.versions.new_file_number();
+        let mut roller = TableRoller::new(self.env.as_ref(), &self.opts.compaction, &mut alloc);
         for record in &records {
-            if builder.is_none() {
-                let number = self.versions.new_file_number();
-                let file = self.env.new_writable(&table_file_name(number))?;
-                builder = Some((
-                    number,
-                    TableBuilder::new(
-                        file,
-                        self.opts.compaction.block_bytes,
-                        self.opts.compaction.bloom_bits_per_key,
-                    ),
-                ));
-            }
-            let (_, b) = builder.as_mut().expect("just ensured");
-            b.add(record)?;
-            if b.file_size() >= self.opts.compaction.target_file_bytes {
-                let (number, b) = builder.take().expect("present");
-                let meta = b.finish()?;
-                edit.add(0, file_meta(number, meta));
-            }
+            roller.add(record)?;
         }
-        if let Some((number, b)) = builder.take() {
-            let meta = b.finish()?;
-            edit.add(0, file_meta(number, meta));
+        let mut edit = VersionEdit::default();
+        for meta in roller.finish()? {
+            edit.add(0, meta);
         }
         self.apply_edit(&edit)?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -447,17 +429,6 @@ impl DiskComponent {
             cache_hits: cache.hits,
             cache_misses: cache.misses,
         }
-    }
-}
-
-fn file_meta(number: u64, meta: crate::sstable::TableMeta) -> FileMeta {
-    FileMeta {
-        number,
-        size: meta.file_size,
-        smallest: meta.smallest,
-        largest: meta.largest,
-        entries: meta.entries,
-        largest_seq: meta.largest_seq,
     }
 }
 

@@ -49,14 +49,12 @@ pub const CORE_VIEW_SWITCH: LockClass = LockClass { name: "core.view_switch", ra
 pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 34 };
 /// `WalState.log`: the WAL append path (leader holds it across fsync).
 pub const WAL_LOG: LockClass = LockClass { name: "wal.log", rank: 40 };
-/// `WalState.poison`: sticky WAL failure, set on the append error path.
-pub const WAL_POISON: LockClass = LockClass { name: "wal.poison", rank: 42 };
 /// `Inner.room` (+room_cv): writers stall here when the memtable is full.
 pub const CORE_ROOM: LockClass = LockClass { name: "core.room", rank: 50 };
 /// `Inner.persist_park` (+persist_cv): the persist thread's park/wake.
 pub const CORE_PERSIST_PARK: LockClass = LockClass { name: "core.persist_park", rank: 52 };
-/// `Inner.degraded_reason`: sticky degraded-mode cause.
-pub const CORE_DEGRADED: LockClass = LockClass { name: "core.degraded", rank: 54 };
+/// `ErrorLatch.cause`: the sticky cause of a poisoned WAL or a degraded store.
+pub const CORE_ERROR_LATCH: LockClass = LockClass { name: "core.error_latch", rank: 54 };
 /// `PauseFlag.lock` (+condvar): pause/resume bookkeeping (leaf).
 pub const SYNC_PAUSE: LockClass = LockClass { name: "sync.pause", rank: 56 };
 /// `TraceRing.dump_lock`: serializes flight-recorder dumps (leaf).

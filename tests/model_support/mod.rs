@@ -84,17 +84,11 @@ pub fn freeze_gate_body() {
     };
 
     // The freezer (master-scan path, `freeze_and_drain_membuffer`):
-    // install a fresh Membuffer, freeze the old one — `update` waits the
+    // install a fresh Membuffer, freeze the old one — the switch waits the
     // grace period — then open the drain and complete it.
-    view.update(|old| MemView {
-        mbf: Some(Arc::new(tiny_membuffer())),
-        imm_mbf: old
-            .mbf
-            .as_ref()
-            .map(|m| Arc::new(ImmMembuffer::new(Arc::clone(m)))),
-        ..old.clone()
-    });
-    let imm = view.read(|v| v.imm_mbf.clone()).expect("buffer was frozen");
+    let imm = view
+        .freeze_membuffer(Arc::new(tiny_membuffer()))
+        .expect("buffer was frozen");
     imm.open_for_drain();
     help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
     while !imm.tracker.is_complete() {
@@ -114,7 +108,7 @@ pub fn freeze_gate_body() {
 ///
 /// Same components and same gate as [`freeze_gate_body`], but the freeze's
 /// grace period is expressed directly — the freezer joins the straggler
-/// before opening the drain — instead of via an RCU `update`. That keeps
+/// before opening the drain — instead of via an RCU view switch. That keeps
 /// the schedule short enough for the bounded search to cover: in
 /// [`freeze_gate_body`] the failing window hides behind ~30 consecutive
 /// scheduler choices (publish + synchronize + the helper's full view
@@ -200,18 +194,11 @@ pub fn persist_switch_body() {
     };
 
     // Persist switch: swap in a fresh Memtable, "flush" the old one,
-    // release it (persist_once's shape, minus the disk).
+    // release it — `persist_once`'s own transitions, minus the disk.
     let new_mtb = Arc::new(SkipList::new());
-    view.update(|old| MemView {
-        mtb: Arc::clone(&new_mtb),
-        imm_mtb: Some(Arc::clone(&old.mtb)),
-        ..old.clone()
-    });
-    let flushed = old_mtb.get(b"acked").is_some();
-    view.update(|old| MemView {
-        imm_mtb: None,
-        ..old.clone()
-    });
+    let imm_mtb = view.switch_memtable(Arc::clone(&new_mtb));
+    let flushed = imm_mtb.get(b"acked").is_some();
+    view.release_immutable_memtable();
 
     helper.join().unwrap();
     assert!(
@@ -254,21 +241,12 @@ pub fn recycle_gate_body() {
         thread::spawn(move || view.snapshot())
     };
 
-    view.update(|old| MemView {
-        mbf: Some(Arc::new(tiny_membuffer())),
-        imm_mbf: old
-            .mbf
-            .as_ref()
-            .map(|m| Arc::new(ImmMembuffer::new(Arc::clone(m)))),
-        ..old.clone()
-    });
-    let imm = view.read(|v| v.imm_mbf.clone()).expect("buffer was frozen");
+    let imm = view
+        .freeze_membuffer(Arc::new(tiny_membuffer()))
+        .expect("buffer was frozen");
     imm.open_for_drain();
     help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-    view.update(|old| MemView {
-        imm_mbf: None,
-        ..old.clone()
-    });
+    view.release_frozen_membuffer();
     let spare = ImmMembuffer::reclaim(imm);
 
     let snapshot = holder.join().unwrap();
@@ -533,7 +511,7 @@ pub fn inflight_grace_body() {
     assert_eq!(inflight.open_windows(), 0);
 }
 
-/// RCU grace periods on the view cell: `update` never returns while a
+/// RCU grace periods on the view cell: a switch never returns while a
 /// reader of the *old* view is still inside its critical section — the
 /// reader's insert must be visible in the frozen table by the time the
 /// switch completes (readers never observe, or mutate, a collected view).
@@ -558,18 +536,14 @@ pub fn rcu_view_switch_body() {
         })
     };
     let new_mtb = Arc::new(SkipList::new());
-    view.update(|old| MemView {
-        mtb: Arc::clone(&new_mtb),
-        imm_mtb: Some(Arc::clone(&old.mtb)),
-        ..old.clone()
-    });
-    // Snapshot *at the moment update returned*: the grace guarantee.
+    view.switch_memtable(Arc::clone(&new_mtb));
+    // Snapshot *at the moment the switch returned*: the grace guarantee.
     let old_len_at_return = old_mtb.len();
     let saw_old = reader.join().unwrap();
     if saw_old {
         assert_eq!(
             old_len_at_return, 1,
-            "update returned while a reader of the old view was mid-insert"
+            "switch returned while a reader of the old view was mid-insert"
         );
     } else {
         assert_eq!(new_mtb.len(), 1, "the reader of the new view inserted there");
