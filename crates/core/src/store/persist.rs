@@ -8,7 +8,8 @@ use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flodb_memtable::SkipList;
-use flodb_storage::{Record, StorageError};
+use flodb_storage::compaction::TableRoller;
+use flodb_storage::{RecordRef, StorageError};
 use flodb_sync::Backoff;
 
 use super::Inner;
@@ -20,17 +21,28 @@ use crate::telemetry::{StageClass, TraceEventKind};
 /// treated as persistently failing.
 const IO_RETRY_LIMIT: u32 = 3;
 
-/// The contents of a Memtable as disk records (recovery's settle-to-disk
-/// and the flush both write these).
-pub(super) fn memtable_records(mtb: &SkipList) -> Vec<Record> {
-    mtb.collect_entries()
-        .into_iter()
-        .map(|(key, vv)| Record {
-            key,
+/// Streams a Memtable into the tables of a flush (the `fill` of
+/// [`flodb_storage::DiskComponent::flush_sorted`]): key order, tombstones
+/// included, each value borrowed under the iterator's guard and copied
+/// once — into its output block. Recovery's settle-to-disk and the persist
+/// stage's flush both write a Memtable this way, and a retried flush simply
+/// runs it again over the same (frozen) table.
+pub(super) fn stream_memtable(
+    mtb: &SkipList,
+    tables: &mut TableRoller<'_>,
+) -> Result<(), StorageError> {
+    let mut it = mtb.iter();
+    it.seek_to_first();
+    while it.valid() {
+        let vv = it.value_ref();
+        tables.add(RecordRef {
+            key: it.key(),
             seq: vv.seq,
-            value: vv.value,
-        })
-        .collect()
+            value: vv.value.as_deref(),
+        })?;
+        it.next();
+    }
+    Ok(())
 }
 
 impl Inner {
@@ -249,10 +261,13 @@ impl Inner {
                 // records never reached disk); leave it for reopen to heal.
                 return false;
             }
-            let records = memtable_records(imm);
-            let record_count = records.len() as u64;
+            let record_count = imm.len() as u64;
             let t0 = self.telemetry.counters().then(Instant::now);
-            if let Err(e) = self.io_with_retries(|| self.disk.flush_records(records.clone())) {
+            let flush = || {
+                self.disk
+                    .flush_sorted(&mut |tables| stream_memtable(imm, tables))
+            };
+            if let Err(e) = self.io_with_retries(flush) {
                 self.degrade("memtable flush", &e);
                 return false;
             }

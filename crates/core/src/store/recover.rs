@@ -5,7 +5,7 @@ use std::sync::Arc;
 use flodb_memtable::SkipList;
 use flodb_storage::{log_manager, DiskComponent, StorageError};
 
-use super::persist::memtable_records;
+use super::persist::stream_memtable;
 use crate::options::{FloDbOptions, WalMode};
 
 /// What `open` resumes from.
@@ -55,7 +55,7 @@ pub(super) fn recover_wal(
     // and the logs must remain.
     if opts.disk.manifest {
         if !recovered.mtb.is_empty() {
-            disk.flush_records(memtable_records(&recovered.mtb))?;
+            disk.flush_sorted(&mut |tables| stream_memtable(&recovered.mtb, tables))?;
             recovered.mtb = Arc::new(SkipList::new());
         }
         // Advance the oldest-live mark durably *before* deleting the

@@ -12,16 +12,16 @@
 //! MTB/IMM_MTB/disk; an entry fresher than its sequence number forces a
 //! restart, and a bounded number of restarts ends in the fallback.
 
-use std::collections::btree_map::Entry;
-use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
+use flodb_storage::DiskComponent;
 use flodb_sync::lock_order::SCAN_COORDINATOR;
 use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
 
 use super::Inner;
 use crate::stats::FloDbStats;
 use crate::telemetry::OpClass;
+use crate::view::MemView;
 
 /// Scan outcome signalling that a concurrent update invalidated the scan.
 struct Restart;
@@ -34,9 +34,94 @@ const SCAN_RESTART_THRESHOLD: u32 = 8;
 /// sequence number (§4.4).
 const PIGGYBACK_CHAIN_LIMIT: u32 = 8;
 
-/// A validated scan snapshot: key → (seq, value), tombstones included so
-/// the merge can shadow older versions; the emission loop filters them.
-type MergedRange = BTreeMap<Box<[u8]>, (u64, Option<Box<[u8]>>)>;
+/// One version a scan absorbed: `key_len` key bytes at `start` in the
+/// arena, followed by the value's bytes unless a tombstone.
+#[derive(Debug, Clone, Copy)]
+struct Slot {
+    start: usize,
+    key_len: usize,
+    /// `None` is a tombstone: kept so it can shadow older versions, and
+    /// filtered by the emission.
+    value_len: Option<usize>,
+    seq: u64,
+}
+
+impl Slot {
+    fn key<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
+        &bytes[self.start..self.start + self.key_len]
+    }
+
+    fn value<'a>(&self, bytes: &'a [u8]) -> Option<&'a [u8]> {
+        let at = self.start + self.key_len;
+        self.value_len.map(|len| &bytes[at..at + len])
+    }
+}
+
+/// A scan's snapshot of its range: every version the Memtables and the
+/// disk held, copied once — from the skiplist node (under the iterator's
+/// guard) or the block buffer it was read from — into one byte arena, plus
+/// one [`Slot`] per version. Two allocations that grow, instead of a tree
+/// node and two boxes per entry; the emission hands the visitor slices of
+/// the arena.
+#[derive(Debug)]
+struct ScanArena {
+    bytes: Vec<u8>,
+    slots: Vec<Slot>,
+}
+
+impl ScanArena {
+    /// Room for a range of a hundred-odd small entries before either
+    /// vector has to grow.
+    fn new() -> Self {
+        Self {
+            bytes: Vec::with_capacity(16 << 10),
+            slots: Vec::with_capacity(256),
+        }
+    }
+
+    fn clear(&mut self) {
+        self.bytes.clear();
+        self.slots.clear();
+    }
+
+    /// Copies one version in.
+    fn absorb(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
+        self.slots.push(Slot {
+            start: self.bytes.len(),
+            key_len: key.len(),
+            value_len: value.map(<[u8]>::len),
+            seq,
+        });
+        self.bytes.extend_from_slice(key);
+        self.bytes.extend_from_slice(value.unwrap_or_default());
+    }
+
+    /// Orders the versions `(key asc, seq desc)` and keeps the first —
+    /// freshest — of each key. The sources arrive as a few key-ordered
+    /// runs (one per Memtable, one from the disk merge), which the stable
+    /// sort merges rather than sorts.
+    fn settle(&mut self) {
+        let Self { bytes, slots } = self;
+        slots.sort_by(|a, b| a.key(bytes).cmp(b.key(bytes)).then(b.seq.cmp(&a.seq)));
+        slots.dedup_by(|next, kept| next.key(bytes) == kept.key(bytes));
+    }
+
+    /// Streams the live entries of a settled arena to `visitor`, in key
+    /// order, until it breaks; returns how many it was handed.
+    fn emit(&self, visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>) -> u64 {
+        let mut emitted = 0;
+        for slot in &self.slots {
+            let Some(value) = slot.value(&self.bytes) else {
+                continue;
+            };
+            emitted += 1;
+            if visitor(slot.key(&self.bytes), value).is_break() {
+                break;
+            }
+        }
+        emitted
+    }
+}
 
 /// The role a scan was admitted under.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -146,26 +231,20 @@ impl Inner {
         visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>,
     ) {
         let t0 = self.full_timer();
-        let merged = self.scan_impl(low, high);
+        let range = self.scan_impl(low, high);
         self.record_op(OpClass::Scan, t0);
         FloDbStats::bump(&self.stats.scans);
-        let mut emitted = 0u64;
-        for (key, (_, value)) in &merged {
-            let Some(value) = value else { continue };
-            emitted += 1;
-            if visitor(key, value).is_break() {
-                break;
-            }
-        }
-        FloDbStats::add(&self.stats.scanned_keys, emitted);
+        FloDbStats::add(&self.stats.scanned_keys, range.emit(visitor));
     }
 
     /// Runs the restart protocol to a validated snapshot of the range.
     ///
-    /// The merged map is only handed out once an attempt validates (no
-    /// entry fresher than the scan stamp was seen), so callers can stream
-    /// it to a visitor without ever re-emitting across restarts.
-    fn scan_impl(&self, low: &[u8], high: &[u8]) -> MergedRange {
+    /// The range is only handed out once an attempt validates (no entry
+    /// fresher than the scan stamp was seen), so callers can stream it to
+    /// a visitor without ever re-emitting across restarts; a restarted
+    /// attempt refills the same arena.
+    fn scan_impl(&self, low: &[u8], high: &[u8]) -> ScanArena {
+        let mut range = ScanArena::new();
         let mut restarts = 0u32;
         loop {
             let role = self
@@ -188,77 +267,30 @@ impl Inner {
                     seq
                 }
             };
-            let result = self.collect_range(low, high, scan_seq);
+            let result = self.collect_range(low, high, scan_seq, &mut range);
             self.coord.exit(role);
             match result {
-                Ok(entries) => return entries,
+                Ok(()) => return range,
                 Err(Restart) => {
                     FloDbStats::bump(&self.stats.scan_restarts);
                     restarts += 1;
                     if restarts >= SCAN_RESTART_THRESHOLD {
-                        return self.fallback_scan(low, high);
+                        self.fallback_scan(low, high, &mut range);
+                        return range;
                     }
                 }
             }
         }
     }
 
-    /// Algorithm 3, lines 15-30: iterate MTB, IMM_MTB and disk, restarting
-    /// on any entry fresher than the scan stamp.
     fn collect_range(
         &self,
         low: &[u8],
         high: &[u8],
         scan_seq: u64,
-    ) -> Result<MergedRange, Restart> {
-        let view = self.view.snapshot();
-        // key -> (seq, value); freshest wins among seqs <= scan_seq.
-        let mut merged = MergedRange::new();
-
-        let mut absorb = |key: &[u8], seq: u64, value: Option<Box<[u8]>>| {
-            match merged.entry(Box::from(key)) {
-                Entry::Vacant(e) => {
-                    e.insert((seq, value));
-                }
-                Entry::Occupied(mut e) => {
-                    if seq > e.get().0 {
-                        e.insert((seq, value));
-                    }
-                }
-            }
-        };
-
-        let memtables = [Some(&view.mtb), view.imm_mtb.as_ref()];
-        for list in memtables.into_iter().flatten() {
-            let mut it = list.iter();
-            it.seek(low);
-            while it.valid() && it.key() <= high {
-                let vv = it.value();
-                if vv.seq > scan_seq {
-                    return Err(Restart);
-                }
-                absorb(it.key(), vv.seq, vv.value);
-                it.next();
-            }
-        }
-
-        let mut fresher = false;
-        let scanned = self.disk.scan_each(low, high, &mut |record| {
-            if record.seq > scan_seq {
-                fresher = true;
-                return ControlFlow::Break(());
-            }
-            absorb(&record.key, record.seq, record.value);
-            ControlFlow::Continue(())
-        });
-        // PANIC-OK: same contract as `get` — the scan path is infallible
-        // until fallible reads land (see ROADMAP), so a disk error aborts.
-        scanned.expect("disk scan failed");
-        if fresher {
-            return Err(Restart);
-        }
-
-        Ok(merged)
+        range: &mut ScanArena,
+    ) -> Result<(), Restart> {
+        collect_range(&self.view.snapshot(), &self.disk, low, high, scan_seq, range)
     }
 
     /// The writer-blocking fallback guaranteeing scan liveness (§4.4).
@@ -271,7 +303,7 @@ impl Inner {
     /// drained first — fast-path writes are never blocked, and a fallback
     /// reading only the Memtable and disk would miss every update still
     /// resident in the Membuffer.
-    fn fallback_scan(&self, low: &[u8], high: &[u8]) -> MergedRange {
+    fn fallback_scan(&self, low: &[u8], high: &[u8], range: &mut ScanArena) {
         FloDbStats::bump(&self.stats.fallback_scans);
         self.freeze_window(|spare| loop {
             self.freeze_and_drain_membuffer(spare);
@@ -279,11 +311,58 @@ impl Inner {
             // A restart here means a writer slipped in between our pause
             // and its own pause check; the population of such racers is
             // bounded by the thread count, so retrying terminates.
-            if let Ok(entries) = self.collect_range(low, high, seq) {
-                break entries;
+            if self.collect_range(low, high, seq, range).is_ok() {
+                break;
             }
         })
     }
+}
+
+/// Algorithm 3, lines 15-30: iterate MTB, IMM_MTB and disk into `range`
+/// (cleared first, settled on success), restarting on any entry fresher
+/// than the scan stamp. Every source lends its records — a Memtable value
+/// under its iterator's guard, a disk record out of its block buffer — and
+/// the arena's copy is the only one made.
+fn collect_range(
+    view: &MemView,
+    disk: &DiskComponent,
+    low: &[u8],
+    high: &[u8],
+    scan_seq: u64,
+    range: &mut ScanArena,
+) -> Result<(), Restart> {
+    range.clear();
+    let memtables = [Some(&view.mtb), view.imm_mtb.as_ref()];
+    for list in memtables.into_iter().flatten() {
+        let mut it = list.iter();
+        it.seek(low);
+        while it.valid() && it.key() <= high {
+            let vv = it.value_ref();
+            if vv.seq > scan_seq {
+                return Err(Restart);
+            }
+            range.absorb(it.key(), vv.seq, vv.value.as_deref());
+            it.next();
+        }
+    }
+
+    let mut fresher = false;
+    let scanned = disk.scan_each(low, high, &mut |record| {
+        if record.seq > scan_seq {
+            fresher = true;
+            return ControlFlow::Break(());
+        }
+        range.absorb(record.key, record.seq, record.value);
+        ControlFlow::Continue(())
+    });
+    // PANIC-OK: same contract as `get` — the scan path is infallible
+    // until fallible reads land (see ROADMAP), so a disk error aborts.
+    scanned.expect("disk scan failed");
+    if fresher {
+        return Err(Restart);
+    }
+    range.settle();
+    Ok(())
 }
 
 #[cfg(test)]
@@ -405,12 +484,238 @@ mod tests {
         assert!(seqs.lock().iter().all(|&s| s == 99));
     }
 
+    // --- the arena, against the owned merge it replaced ---
+
+    use std::collections::btree_map::Entry;
+    use std::collections::BTreeMap;
+
+    use flodb_memtable::SkipList;
+    use flodb_storage::compaction::CompactionConfig;
+    use flodb_storage::{DiskOptions, MemEnv, Record};
+
+    use crate::store::tests::k;
+
+    type Owned = Vec<(Vec<u8>, Vec<u8>)>;
+
+    /// The collection as it was before the arena: every version cloned
+    /// into a `BTreeMap`, freshest wins, tombstones filtered at the end.
+    fn reference(
+        view: &MemView,
+        disk: &DiskComponent,
+        low: &[u8],
+        high: &[u8],
+        scan_seq: u64,
+    ) -> Result<Owned, Restart> {
+        let mut merged: BTreeMap<Box<[u8]>, (u64, Option<Box<[u8]>>)> = BTreeMap::new();
+        let mut absorb = |key: &[u8], seq: u64, value: Option<Box<[u8]>>| {
+            match merged.entry(Box::from(key)) {
+                Entry::Vacant(e) => {
+                    e.insert((seq, value));
+                }
+                Entry::Occupied(mut e) => {
+                    if seq > e.get().0 {
+                        e.insert((seq, value));
+                    }
+                }
+            }
+        };
+        for list in [Some(&view.mtb), view.imm_mtb.as_ref()].into_iter().flatten() {
+            let mut it = list.iter();
+            it.seek(low);
+            while it.valid() && it.key() <= high {
+                let vv = it.value();
+                if vv.seq > scan_seq {
+                    return Err(Restart);
+                }
+                absorb(it.key(), vv.seq, vv.value);
+                it.next();
+            }
+        }
+        for record in disk.scan(low, high).unwrap() {
+            if record.seq > scan_seq {
+                return Err(Restart);
+            }
+            absorb(&record.key, record.seq, record.value);
+        }
+        Ok(merged
+            .into_iter()
+            .filter_map(|(key, (_, value))| Some((key.into_vec(), value?.into_vec())))
+            .collect())
+    }
+
+    fn arena_scan(
+        view: &MemView,
+        disk: &DiskComponent,
+        low: &[u8],
+        high: &[u8],
+        scan_seq: u64,
+    ) -> Result<Owned, Restart> {
+        let mut range = ScanArena::new();
+        collect_range(view, disk, low, high, scan_seq, &mut range)?;
+        let mut out = Vec::new();
+        range.emit(&mut |key, value| {
+            out.push((key.to_vec(), value.to_vec()));
+            ControlFlow::Continue(())
+        });
+        Ok(out)
+    }
+
+    /// A disk component whose first compaction lands in L2: one L0 file
+    /// triggers, and the file is over L1's budget but under L2's.
+    fn leveled_disk() -> DiskComponent {
+        let opts = DiskOptions {
+            compaction: CompactionConfig {
+                l0_trigger: 1,
+                base_level_bytes: 512,
+                ..CompactionConfig::default()
+            },
+            ..DiskOptions::default()
+        };
+        DiskComponent::new(Arc::new(MemEnv::new(None)), opts)
+    }
+
+    fn view_of(mtb: SkipList, imm_mtb: Option<SkipList>) -> MemView {
+        MemView {
+            mbf: None,
+            imm_mbf: None,
+            mtb: Arc::new(mtb),
+            imm_mtb: imm_mtb.map(Arc::new),
+        }
+    }
+
+    #[test]
+    fn arena_merges_mtb_imm_l0_and_l2_like_the_owned_merge() {
+        let disk = leveled_disk();
+        disk.flush_records((0..40).map(|i| Record::put(k(i), i + 1, vec![i as u8; 32])).collect())
+            .unwrap();
+        disk.compact_all().unwrap();
+        let levels = disk.stats().files_per_level;
+        assert_eq!((levels[0], levels[1], levels[2]), (0, 0, 1), "{levels:?}");
+        disk.flush_records(vec![
+            Record::put(k(5), 50, &b"l0"[..]),
+            Record::tombstone(k(6), 51),
+            Record::put(k(7), 52, &b"l0-7"[..]),
+        ])
+        .unwrap();
+        assert_eq!(disk.stats().files_per_level[0], 1);
+
+        let imm = SkipList::new();
+        imm.insert(&k(5), Some(b"imm"), 60);
+        imm.insert(&k(8), None, 61);
+        imm.insert(&k(9), Some(b"imm-9"), 62);
+        let mtb = SkipList::new();
+        mtb.insert(&k(5), Some(b"mtb"), 70);
+        mtb.insert(&k(10), None, 71);
+        mtb.insert(&k(41), Some(b"mtb-only"), 72);
+        let view = view_of(mtb, Some(imm));
+
+        let (low, high) = (k(0), k(100));
+        let got = arena_scan(&view, &disk, &low, &high, 100).ok().unwrap();
+        assert_eq!(got, reference(&view, &disk, &low, &high, 100).ok().unwrap());
+        let value_of = |key: u64| {
+            got.iter()
+                .find(|(found, _)| found.as_slice() == k(key))
+                .map(|(_, v)| v.as_slice())
+        };
+        // One key in MTB, IMM_MTB, L0 and L2: the freshest wins.
+        assert_eq!(value_of(5), Some(&b"mtb"[..]));
+        assert_eq!(value_of(7), Some(&b"l0-7"[..]), "L0 over L2");
+        assert_eq!(value_of(9), Some(&b"imm-9"[..]), "IMM_MTB over L2");
+        assert_eq!(value_of(41), Some(&b"mtb-only"[..]));
+        // Tombstones shadow: an L0 one, an IMM_MTB one, an MTB one.
+        assert_eq!((value_of(6), value_of(8), value_of(10)), (None, None, None));
+        assert_eq!(got.len(), 40 - 3 + 1);
+        assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "sorted, one entry per key");
+
+        // An entry fresher than the stamp restarts, wherever it lives.
+        assert!(arena_scan(&view, &disk, &low, &high, 71).is_err(), "MTB");
+        assert!(arena_scan(&view, &disk, &k(6), &k(9), 61).is_err(), "IMM_MTB");
+        let no_memory = view_of(SkipList::new(), None);
+        assert!(arena_scan(&no_memory, &disk, &low, &high, 51).is_err(), "disk");
+        assert!(reference(&no_memory, &disk, &low, &high, 51).is_err());
+        // ...but only inside the range: [k(0), k(4)] never meets one.
+        assert_eq!(arena_scan(&view, &disk, &k(0), &k(4), 40).ok().unwrap().len(), 5);
+    }
+
+    #[test]
+    fn emission_stops_where_the_visitor_breaks() {
+        let mtb = SkipList::new();
+        for i in 0..10u64 {
+            mtb.insert(&k(i), (i != 1).then_some(b"v"), i + 1);
+        }
+        let mut range = ScanArena::new();
+        collect_range(&view_of(mtb, None), &leveled_disk(), &k(0), &k(9), 100, &mut range)
+            .ok()
+            .unwrap();
+        let mut seen = Vec::new();
+        let emitted = range.emit(&mut |key, _| {
+            seen.push(key.to_vec());
+            if seen.len() == 3 {
+                ControlFlow::Break(())
+            } else {
+                ControlFlow::Continue(())
+            }
+        });
+        // The tombstone at k(1) is skipped, not counted.
+        assert_eq!(emitted, 3);
+        assert_eq!(seen, [k(0).to_vec(), k(2).to_vec(), k(3).to_vec()]);
+    }
+
+    #[test]
+    fn arena_matches_the_owned_merge_on_random_histories() {
+        let mut x = 0xF10D_B5EEDu64;
+        let mut rand = |n: u64| {
+            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+            (x >> 33) % n
+        };
+        for round in 0..40 {
+            let disk = leveled_disk();
+            let (imm, mtb) = (SkipList::new(), SkipList::new());
+            let mut seq = 0u64;
+            // Oldest to newest: flushes (compacted down now and then),
+            // then the immutable Memtable, then the live one.
+            for flush in 0..rand(4) {
+                let batch = (0..1 + rand(60))
+                    .map(|_| {
+                        seq += 1;
+                        match rand(4) {
+                            0 => Record::tombstone(k(rand(64)), seq),
+                            _ => Record::put(k(rand(64)), seq, vec![seq as u8; rand(40) as usize]),
+                        }
+                    })
+                    .collect();
+                disk.flush_records(batch).unwrap();
+                if flush % 2 == 0 {
+                    disk.compact_all().unwrap();
+                }
+            }
+            for list in [&imm, &mtb] {
+                for _ in 0..rand(50) {
+                    seq += 1;
+                    let value = vec![seq as u8; rand(40) as usize];
+                    list.insert(&k(rand(64)), (rand(4) != 0).then_some(&value), seq);
+                }
+            }
+            let view = view_of(mtb, (round % 3 != 0).then_some(imm));
+            for _ in 0..8 {
+                let low = k(rand(64));
+                let high = k(rand(80));
+                // Stamps around the newest sequence number: some scans
+                // validate, some must restart.
+                let stamp = seq.saturating_sub(rand(6)) + rand(3);
+                let got = arena_scan(&view, &disk, &low, &high, stamp).ok();
+                let want = reference(&view, &disk, &low, &high, stamp).ok();
+                assert_eq!(got, want, "round {round}, [{low:?}, {high:?}] at {stamp}");
+            }
+        }
+    }
+
     // --- the protocol, through the store ---
 
     use std::ops::ControlFlow;
     use std::sync::atomic::AtomicBool;
 
-    use crate::store::tests::{db, k};
+    use crate::store::tests::db;
     use crate::{FloDb, FloDbOptions, KvStore};
 
     #[test]

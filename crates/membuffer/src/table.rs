@@ -392,7 +392,7 @@ impl MemBuffer {
     /// the buckets whose bit is set: an empty word costs one load.
     pub fn claim_chunk(&self, chunk: usize) -> Vec<DrainedEntry> {
         // Sized once for what the set bits can hold: the drain paths never
-        // regrow a vector (see `flodb_storage::block::Block::decode`).
+        // regrow a vector (see ARCHITECTURE.md, "Records stay borrowed").
         let occupied = self.occupancy[chunk].load(Ordering::Acquire).count_ones() as usize;
         let mut out = Vec::with_capacity(occupied * SLOTS);
         let end = (chunk + 1) * WORD_BUCKETS;

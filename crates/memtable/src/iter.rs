@@ -132,12 +132,32 @@ impl<'a> SkipListIter<'a> {
     ///
     /// Panics if the cursor is not valid.
     pub fn value(&self) -> VersionedValue {
-        assert!(self.valid(), "value() on invalid iterator");
+        self.value_ref().clone()
+    }
+
+    /// Borrows the current entry's versioned value instead of cloning it.
+    ///
+    /// The same single-pointer snapshot as [`SkipListIter::value`]; the
+    /// borrow is tied to the iterator because the iterator's pin is what
+    /// keeps the value alive should a concurrent update replace it — the
+    /// displaced value is retired, not freed, until this guard drops.
+    /// Readers that only copy the bytes onward (a scan's arena, a flush's
+    /// output block) take this and make that one copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the cursor is not valid.
+    pub fn value_ref(&self) -> &VersionedValue {
+        assert!(self.valid(), "value_ref() on invalid iterator");
         // SAFETY: `current` is a live node; its value pointer is non-null
-        // for published nodes and protected by `self.guard`.
+        // for published nodes, and `self.guard` — owned by the iterator,
+        // never repinned, and outliving the returned borrow of `self` —
+        // protects the pointee from reclamation.
         unsafe {
-            let v = (*self.current).value.load(Ordering::Acquire, &self.guard);
-            v.deref().clone()
+            (*self.current)
+                .value
+                .load(Ordering::Acquire, &self.guard)
+                .deref()
         }
     }
 }
@@ -225,6 +245,20 @@ mod tests {
         let v = it.value();
         assert_eq!(v.seq, 7);
         assert_eq!(v.value.as_deref(), Some(&b"a"[..]));
+    }
+
+    #[test]
+    fn borrowed_value_outlives_a_concurrent_replacement() {
+        let l = SkipList::new();
+        l.insert(&k(1), Some(b"old"), 1);
+        let mut it = l.iter();
+        it.seek_to_first();
+        let borrowed = it.value_ref();
+        // The update retires the value `borrowed` points at; the
+        // iterator's pin keeps it readable.
+        l.insert(&k(1), Some(b"new"), 2);
+        assert_eq!((borrowed.seq, borrowed.value.as_deref()), (1, Some(&b"old"[..])));
+        assert_eq!(it.value_ref().seq, 2, "a fresh load sees the replacement");
     }
 
     #[test]

@@ -12,7 +12,9 @@ pub struct Bloom {
     k: u32,
 }
 
-fn bloom_hash(key: &[u8]) -> u64 {
+/// The hash a key is filed under: everything the filter needs of a key, so
+/// a table builder keeps 8 bytes per record instead of the key.
+pub fn bloom_hash(key: &[u8]) -> u64 {
     // 64-bit FNV-1a; the upper and lower halves seed double hashing.
     let mut hash = 0xcbf2_9ce4_8422_2325u64;
     for &b in key {
@@ -25,23 +27,42 @@ fn bloom_hash(key: &[u8]) -> u64 {
 impl Bloom {
     /// Builds a filter over `keys` with `bits_per_key` bits of budget each.
     pub fn build<'a>(keys: impl Iterator<Item = &'a [u8]>, n_keys: usize, bits_per_key: usize) -> Self {
+        let mut bloom = Self::sized_for(n_keys, bits_per_key);
+        for key in keys {
+            bloom.insert_hash(bloom_hash(key));
+        }
+        bloom
+    }
+
+    /// [`Bloom::build`] from the keys' [`bloom_hash`]es: the same bits.
+    pub fn from_hashes(hashes: &[u64], bits_per_key: usize) -> Self {
+        let mut bloom = Self::sized_for(hashes.len(), bits_per_key);
+        for &hash in hashes {
+            bloom.insert_hash(hash);
+        }
+        bloom
+    }
+
+    /// An empty filter with room for `n_keys`.
+    fn sized_for(n_keys: usize, bits_per_key: usize) -> Self {
         // k = bits_per_key * ln2 rounded, clamped to a sane range.
         let k = ((bits_per_key as f64 * 0.69) as u32).clamp(1, 30);
         let nbits = (n_keys * bits_per_key).max(64);
-        let nbytes = nbits.div_ceil(8);
-        let nbits = nbytes * 8;
-        let mut bits = vec![0u8; nbytes];
-        for key in keys {
-            let h = bloom_hash(key);
-            let mut acc = h;
-            let delta = h.rotate_left(17) | 1;
-            for _ in 0..k {
-                let bit = (acc % nbits as u64) as usize;
-                bits[bit / 8] |= 1 << (bit % 8);
-                acc = acc.wrapping_add(delta);
-            }
+        Self {
+            bits: vec![0u8; nbits.div_ceil(8)],
+            k,
         }
-        Self { bits, k }
+    }
+
+    fn insert_hash(&mut self, h: u64) {
+        let nbits = self.bits.len() as u64 * 8;
+        let mut acc = h;
+        let delta = h.rotate_left(17) | 1;
+        for _ in 0..self.k {
+            let bit = (acc % nbits) as usize;
+            self.bits[bit / 8] |= 1 << (bit % 8);
+            acc = acc.wrapping_add(delta);
+        }
     }
 
     /// Returns `false` only if `key` was definitely not inserted.
@@ -115,6 +136,21 @@ mod tests {
         let rate = fp as f64 / probes as f64;
         // 10 bits/key gives ~1% theoretical; allow 3%.
         assert!(rate < 0.03, "false positive rate too high: {rate}");
+    }
+
+    #[test]
+    fn filter_from_hashes_is_bit_identical_to_filter_from_keys() {
+        for n in [0usize, 1, 7, 1000] {
+            // Repeated keys too: a version run files its key once per version.
+            let ks: Vec<Vec<u8>> = keys(n).into_iter().flat_map(|k| [k.clone(), k]).collect();
+            let hashes: Vec<u64> = ks.iter().map(|k| bloom_hash(k)).collect();
+            for bits_per_key in [1, 10, 16] {
+                let from_keys = Bloom::build(ks.iter().map(|k| k.as_slice()), ks.len(), bits_per_key);
+                let from_hashes = Bloom::from_hashes(&hashes, bits_per_key);
+                assert_eq!(from_keys, from_hashes);
+                assert_eq!(from_keys.encode(), from_hashes.encode());
+            }
+        }
     }
 
     #[test]

@@ -7,13 +7,12 @@
 //! for each key, the record with the largest sequence number, and drops
 //! tombstones when the output reaches the bottom of the data.
 
-use std::cmp::Reverse;
-use std::collections::BinaryHeap;
+use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::env::Env;
 use crate::error::Result;
-use crate::record::Record;
+use crate::record::RecordRef;
 use crate::sstable::{table_file_name, TableBuilder, TableIterator, TableMeta};
 use crate::table_cache::TableCache;
 use crate::version::{FileHandle, FileMeta, Version, VersionEdit, NUM_LEVELS};
@@ -122,51 +121,97 @@ pub fn pick_compaction(version: &Version, cfg: &CompactionConfig) -> Option<Comp
 
 /// A k-way merge cursor over table iterators that yields, per key, the
 /// record with the largest sequence number.
+///
+/// The heap holds iterator *indices* and orders them by the records the
+/// iterators currently stand on — `(key asc, seq desc, index asc)` — so
+/// nothing is copied to queue an input, and the record handed out is the
+/// winning iterator's own borrow of its block. The one thing the cursor
+/// keeps of a record is the key it last emitted, in a reused buffer, to
+/// skip that key's older versions (in other inputs, or later in the same
+/// input's version run).
 pub struct MergeCursor {
     iters: Vec<TableIterator>,
-    /// Heap of (key, seq, iter index), ordered smallest key first, and
-    /// largest seq first within a key.
-    heap: BinaryHeap<Reverse<(Box<[u8]>, Reverse<u64>, usize)>>,
+    /// Binary min-heap of indices into `iters`; only valid iterators.
+    heap: Vec<usize>,
+    /// Key of the last record handed out.
+    last_key: Vec<u8>,
+    /// Whether the heap's top is the record handed out by the previous
+    /// [`MergeCursor::next_merged`] (so the next call steps past it).
+    emitted: bool,
 }
 
 impl MergeCursor {
     /// Builds a cursor over `iters`; each must already be positioned.
     pub fn new(iters: Vec<TableIterator>) -> Self {
         let mut cursor = Self {
-            heap: BinaryHeap::with_capacity(iters.len()),
+            heap: (0..iters.len()).filter(|&i| iters[i].valid()).collect(),
             iters,
+            last_key: Vec::new(),
+            emitted: false,
         };
-        for i in 0..cursor.iters.len() {
-            cursor.push_from(i);
+        for at in (0..cursor.heap.len() / 2).rev() {
+            cursor.sift_down(at);
         }
         cursor
     }
 
-    fn push_from(&mut self, i: usize) {
-        if self.iters[i].valid() {
-            let r = self.iters[i].record();
-            self.heap
-                .push(Reverse((r.key.clone(), Reverse(r.seq), i)));
+    /// Heap order of two inputs: by the records they stand on.
+    fn precedes(&self, a: usize, b: usize) -> bool {
+        let (ra, rb) = (self.iters[a].record(), self.iters[b].record());
+        let order = ra.key.cmp(rb.key).then(rb.seq.cmp(&ra.seq)).then(a.cmp(&b));
+        order == Ordering::Less
+    }
+
+    fn sift_down(&mut self, mut at: usize) {
+        loop {
+            let mut first = at;
+            for child in [2 * at + 1, 2 * at + 2] {
+                if child < self.heap.len() && self.precedes(self.heap[child], self.heap[first]) {
+                    first = child;
+                }
+            }
+            if first == at {
+                return;
+            }
+            self.heap.swap(at, first);
+            at = first;
         }
     }
 
-    /// Returns the next key's freshest record, merging duplicates.
-    pub fn next_merged(&mut self) -> Result<Option<Record>> {
-        let Some(Reverse((key, _, i))) = self.heap.pop() else {
+    /// Steps the top input past its current record and restores the heap:
+    /// the input sinks to its new place, or leaves when exhausted.
+    fn step_top(&mut self) -> Result<()> {
+        let top = self.heap[0];
+        let stepped = self.iters[top].next();
+        if !self.iters[top].valid() {
+            self.heap.swap_remove(0);
+        }
+        if !self.heap.is_empty() {
+            self.sift_down(0);
+        }
+        stepped
+    }
+
+    /// Returns the next key's freshest record, merging duplicates. The
+    /// record is borrowed from the input it came from, until the next call.
+    pub fn next_merged(&mut self) -> Result<Option<RecordRef<'_>>> {
+        if std::mem::take(&mut self.emitted) {
+            self.step_top()?;
+            // Discard older versions of the key just handed out.
+            while let Some(&top) = self.heap.first() {
+                if self.iters[top].record().key != self.last_key.as_slice() {
+                    break;
+                }
+                self.step_top()?;
+            }
+        }
+        let Some(&top) = self.heap.first() else {
             return Ok(None);
         };
-        let freshest = self.iters[i].record().clone();
-        self.iters[i].next()?;
-        self.push_from(i);
-        // Discard older versions of the same key from other inputs.
-        while let Some(Reverse((k, _, _))) = self.heap.peek() {
-            if k.as_ref() != key.as_ref() {
-                break;
-            }
-            let Reverse((_, _, j)) = self.heap.pop().expect("peeked");
-            self.iters[j].next()?;
-            self.push_from(j);
-        }
+        let freshest = self.iters[top].record();
+        self.last_key.clear();
+        self.last_key.extend_from_slice(freshest.key);
+        self.emitted = true;
         Ok(Some(freshest))
     }
 }
@@ -174,7 +219,7 @@ impl MergeCursor {
 /// Writes a sorted run of records as consecutive tables, cutting to a new
 /// file once the open one reaches `cfg.target_file_bytes`. Memtable
 /// flushes and compaction outputs both go through here.
-pub(crate) struct TableRoller<'a> {
+pub struct TableRoller<'a> {
     env: &'a dyn Env,
     cfg: &'a CompactionConfig,
     new_file_number: &'a mut dyn FnMut() -> u64,
@@ -197,8 +242,9 @@ impl<'a> TableRoller<'a> {
         }
     }
 
-    /// Appends `record` (callers feed them in table order).
-    pub(crate) fn add(&mut self, record: &Record) -> Result<()> {
+    /// Appends `record` (callers feed them in table order); its bytes are
+    /// copied into the open table's block and nowhere else.
+    pub fn add(&mut self, record: RecordRef<'_>) -> Result<()> {
         let (_, builder) = match &mut self.open {
             Some(open) => open,
             None => {
@@ -210,7 +256,7 @@ impl<'a> TableRoller<'a> {
                 ))
             }
         };
-        builder.add(record)?;
+        builder.add_ref(record)?;
         if builder.file_size() >= self.cfg.target_file_bytes {
             self.cut()?;
         }
@@ -265,11 +311,13 @@ pub fn run_compaction(
     let mut cursor = MergeCursor::new(iters);
 
     let mut roller = TableRoller::new(env, cfg, new_file_number);
+    // Block buffer to output block: the merge hands out borrows and the
+    // roller's builder makes the one copy.
     while let Some(record) = cursor.next_merged()? {
         if drop_tombstones && record.is_tombstone() {
             continue;
         }
-        roller.add(&record)?;
+        roller.add(record)?;
     }
     let mut edit = VersionEdit::default();
     let out_level = job.level + 1;
@@ -289,6 +337,7 @@ pub fn run_compaction(
 mod tests {
     use super::*;
     use crate::env::MemEnv;
+    use crate::record::Record;
     use crate::table_cache::ShardedTableCache;
     use crate::version::VersionSet;
 
@@ -384,10 +433,7 @@ mod tests {
         let mut seen = Vec::new();
         while it.valid() {
             let r = it.record();
-            seen.push((
-                u64::from_be_bytes(r.key.as_ref().try_into().unwrap()),
-                r.seq,
-            ));
+            seen.push((u64::from_be_bytes(r.key.try_into().unwrap()), r.seq));
             it.next().unwrap();
         }
         assert_eq!(seen.len(), 15);

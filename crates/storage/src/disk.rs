@@ -19,7 +19,7 @@ use crate::compaction::{pick_compaction, run_compaction, CompactionConfig, Table
 use crate::env::Env;
 use crate::error::Result;
 use crate::manifest;
-use crate::record::Record;
+use crate::record::{Record, RecordRef};
 use crate::sstable::table_file_name;
 use crate::table_cache::{GlobalLockTableCache, ShardedTableCache, TableCache};
 use crate::version::{Version, VersionEdit, VersionSet, NUM_LEVELS};
@@ -279,19 +279,33 @@ impl DiskComponent {
     /// multi-versioned stores from capturing skewed workloads (Figure 16);
     /// versions collapse later, during compaction.
     pub fn flush_records(&self, mut records: Vec<Record>) -> Result<()> {
-        if records.is_empty() {
-            return Ok(());
-        }
         records.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
+        self.flush_sorted(&mut |tables| records.iter().try_for_each(|r| tables.add(r.into())))
+    }
 
+    /// Flushes whatever `fill` feeds the roller — borrowed records, in
+    /// `(key asc, seq desc)` order — into one or more L0 tables; feeding
+    /// nothing flushes nothing.
+    ///
+    /// This is the flush itself ([`DiskComponent::flush_records`] sorts an
+    /// owned vector and feeds it here): a Memtable streams its iterator in,
+    /// so the only copy of a record made on the way to disk is the one into
+    /// its output block. A failed attempt leaves orphaned tables that no
+    /// version references (deleted at the next open); calling again with a
+    /// `fill` that re-iterates the same source is the retry.
+    pub fn flush_sorted(
+        &self,
+        fill: &mut dyn FnMut(&mut TableRoller<'_>) -> Result<()>,
+    ) -> Result<()> {
         let mut alloc = || self.versions.new_file_number();
         let mut roller = TableRoller::new(self.env.as_ref(), &self.opts.compaction, &mut alloc);
-        for record in &records {
-            roller.add(record)?;
-        }
+        fill(&mut roller)?;
         let mut edit = VersionEdit::default();
         for meta in roller.finish()? {
             edit.add(0, meta);
+        }
+        if edit.added.is_empty() {
+            return Ok(());
         }
         self.apply_edit(&edit)?;
         self.flushes.fetch_add(1, Ordering::Relaxed);
@@ -323,24 +337,25 @@ impl DiskComponent {
     }
 
     /// Range scan over `[low, high]` (inclusive): freshest record per key,
-    /// in key order, tombstones included so the caller can shadow.
+    /// in key order, tombstones included so the caller can shadow. The
+    /// owned form of [`DiskComponent::scan_each`].
     pub fn scan(&self, low: &[u8], high: &[u8]) -> Result<Vec<Record>> {
         let mut out = Vec::new();
         self.scan_each(low, high, &mut |record| {
-            out.push(record);
+            out.push(record.to_record());
             ControlFlow::Continue(())
         })?;
         Ok(out)
     }
 
-    /// [`DiskComponent::scan`] without the intermediate vector: hands each
-    /// record to `visit` as the merge produces it, until the range ends or
-    /// `visit` breaks.
+    /// Hands each record of the range to `visit` as the merge produces it
+    /// — borrowed from the block it was read from, valid for that call —
+    /// until the range ends or `visit` breaks.
     pub fn scan_each(
         &self,
         low: &[u8],
         high: &[u8],
-        visit: &mut dyn FnMut(Record) -> ControlFlow<()>,
+        visit: &mut dyn FnMut(RecordRef<'_>) -> ControlFlow<()>,
     ) -> Result<()> {
         let version = self.versions.current();
         let files: Vec<_> = (0..NUM_LEVELS)
@@ -357,7 +372,7 @@ impl DiskComponent {
         }
         let mut cursor = crate::compaction::MergeCursor::new(iters);
         while let Some(record) = cursor.next_merged()? {
-            if record.key.as_ref() > high || visit(record).is_break() {
+            if record.key > high || visit(record).is_break() {
                 break;
             }
         }
@@ -541,7 +556,7 @@ mod tests {
         let (low, high) = (8u64.to_be_bytes(), 24u64.to_be_bytes());
         let mut seen = Vec::new();
         d.scan_each(&low, &high, &mut |r| {
-            seen.push(r);
+            seen.push(r.to_record());
             if seen.len() == 3 {
                 ControlFlow::Break(())
             } else {

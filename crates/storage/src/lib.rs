@@ -41,6 +41,6 @@ pub use env::{Env, FsEnv, MemEnv, PrefixEnv, ThrottleConfig};
 pub use error::{Result, StorageError};
 pub use fault::{FaultEnv, FaultKind, FaultPlan};
 pub use log_manager::{LogConfig, LogManager, RecoveredWal};
-pub use record::Record;
+pub use record::{Record, RecordRef};
 pub use sharding::{read_sharding, shard_dir_name, write_sharding, ShardingSpec};
 pub use wal::BatchAnnotation;

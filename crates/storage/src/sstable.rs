@@ -13,11 +13,11 @@
 
 use std::sync::Arc;
 
-use crate::block::{Block, BlockBuilder};
-use crate::bloom::Bloom;
+use crate::block::{self, BlockBuilder, BlockCursor};
+use crate::bloom::{bloom_hash, Bloom};
 use crate::env::{RandomAccessFile, WritableFile};
 use crate::error::{Result, StorageError};
-use crate::record::{crc32, get_varint, put_varint, Record};
+use crate::record::{crc32, get_varint, put_varint, Record, RecordRef};
 
 const FOOTER_LEN: usize = 48;
 const MAGIC: u64 = 0xF10D_B5_00_EE17_55AA;
@@ -43,6 +43,11 @@ pub struct TableMeta {
 }
 
 /// Streams key-ordered records into an SSTable file.
+///
+/// Per record the builder copies the bytes into the open block and pushes
+/// one `u64` key hash for the bloom filter; everything it remembers about
+/// keys (`largest`, the block's first key) lives in reused buffers, so it
+/// allocates per block and per file, never per record.
 pub struct TableBuilder {
     file: Box<dyn WritableFile>,
     block: BlockBuilder,
@@ -50,10 +55,13 @@ pub struct TableBuilder {
     bloom_bits_per_key: usize,
     /// (first_key, offset, len) of finished blocks.
     index: Vec<(Box<[u8]>, u64, u64)>,
-    keys: Vec<Box<[u8]>>,
+    /// [`bloom_hash`] of every record's key, in order (a version run
+    /// repeats its key's hash, as it repeated the key).
+    key_hashes: Vec<u64>,
     offset: u64,
     smallest: Option<Box<[u8]>>,
-    largest: Option<Box<[u8]>>,
+    /// Key of the last record added; meaningful once `entries > 0`.
+    largest: Vec<u8>,
     entries: u64,
     largest_seq: u64,
 }
@@ -67,32 +75,37 @@ impl TableBuilder {
             block_bytes: block_bytes.max(128),
             bloom_bits_per_key,
             index: Vec::new(),
-            keys: Vec::new(),
+            key_hashes: Vec::new(),
             offset: 0,
             smallest: None,
-            largest: None,
+            largest: Vec::new(),
             entries: 0,
             largest_seq: 0,
         }
     }
 
+    /// Appends an owned record: [`TableBuilder::add_ref`] of its borrow.
+    pub fn add(&mut self, record: &Record) -> Result<()> {
+        self.add_ref(record.into())
+    }
+
     /// Appends a record; keys must arrive in `(key asc, seq desc)` order.
     /// A key may repeat (multi-versioned flushes keep every version).
-    pub fn add(&mut self, record: &Record) -> Result<()> {
+    pub fn add_ref(&mut self, record: RecordRef<'_>) -> Result<()> {
         // Never split a same-key version run across blocks: the index maps
         // a key to exactly one block, and a run straddling a boundary
-        // would hide its freshest versions from point lookups.
-        if self.block.size() >= self.block_bytes
-            && self.largest.as_deref() != Some(record.key.as_ref())
-        {
+        // would hide its freshest versions from point lookups. (Only a
+        // non-empty block meets the size test, so `largest` is a real key.)
+        if self.block.size() >= self.block_bytes && self.largest != record.key {
             self.flush_block()?;
         }
         if self.smallest.is_none() {
-            self.smallest = Some(record.key.clone());
+            self.smallest = Some(record.key.into());
         }
-        self.largest = Some(record.key.clone());
+        self.largest.clear();
+        self.largest.extend_from_slice(record.key);
         self.largest_seq = self.largest_seq.max(record.seq);
-        self.keys.push(record.key.clone());
+        self.key_hashes.push(bloom_hash(record.key));
         self.block.add(record);
         self.entries += 1;
         Ok(())
@@ -109,19 +122,15 @@ impl TableBuilder {
     }
 
     fn flush_block(&mut self) -> Result<()> {
-        if self.block.is_empty() {
+        let Some(first_key) = self.block.first_key() else {
             return Ok(());
-        }
-        let first_key: Box<[u8]> = self
-            .block
-            .first_key()
-            .expect("non-empty block has a first key")
-            .into();
-        let data = self.block.finish();
+        };
+        let data = self.block.bytes();
         self.index
-            .push((first_key, self.offset, data.len() as u64));
-        self.file.append(&data)?;
+            .push((first_key.into(), self.offset, data.len() as u64));
+        self.file.append(data)?;
         self.offset += data.len() as u64;
+        self.block.reset();
         Ok(())
     }
 
@@ -130,11 +139,7 @@ impl TableBuilder {
         self.flush_block()?;
 
         // Bloom filter.
-        let bloom = Bloom::build(
-            self.keys.iter().map(|k| k.as_ref()),
-            self.keys.len(),
-            self.bloom_bits_per_key,
-        );
+        let bloom = Bloom::from_hashes(&self.key_hashes, self.bloom_bits_per_key);
         let bloom_data = bloom.encode();
         let bloom_off = self.offset;
         self.file.append(&bloom_data)?;
@@ -170,11 +175,10 @@ impl TableBuilder {
         let smallest = self
             .smallest
             .ok_or_else(|| StorageError::InvalidArgument("empty table".into()))?;
-        let largest = self.largest.expect("largest set with smallest");
         Ok(TableMeta {
             file_size: self.offset,
             smallest,
-            largest,
+            largest: self.largest.into(),
             entries: self.entries,
             largest_seq: self.largest_seq,
         })
@@ -254,10 +258,9 @@ impl Table {
         self.index.len()
     }
 
-    fn read_block(&self, i: usize) -> Result<Block> {
+    fn read_block(&self, i: usize) -> Result<BlockCursor> {
         let e = &self.index[i];
-        let data = self.file.read_at(e.offset, e.len as usize)?;
-        Block::decode(&data)
+        BlockCursor::new(self.file.read_at(e.offset, e.len as usize)?)
     }
 
     /// Index of the block that may contain `key` (last block whose first
@@ -285,7 +288,9 @@ impl Table {
             return Ok(None);
         };
         let e = &self.index[block_idx];
-        Block::find(&self.file.read_at(e.offset, e.len as usize)?, key)
+        let data = self.file.read_at(e.offset, e.len as usize)?;
+        // The one record a lookup returns is the only one materialized.
+        Ok(block::find(&data, key)?.map(|r| r.to_record()))
     }
 
     /// Creates a cursor over the table.
@@ -294,59 +299,63 @@ impl Table {
             table: Arc::clone(self),
             block: None,
             block_idx: 0,
-            record_idx: 0,
         }
     }
 }
 
 /// Cursor over one table, in key order.
+///
+/// It holds one serialized block at a time ([`BlockCursor`]) and hands out
+/// records borrowed from it. A corrupt block reports at the record the
+/// damage starts at: `seek`, `seek_to_first` or `next` return the error
+/// there, after every whole record before it was handed out.
 pub struct TableIterator {
     table: Arc<Table>,
-    block: Option<Block>,
+    /// The block under the cursor; `None` when unpositioned or exhausted.
+    block: Option<BlockCursor>,
     block_idx: usize,
-    record_idx: usize,
 }
 
 impl TableIterator {
     /// Positions on the first record with `key >= target`.
     pub fn seek(&mut self, target: &[u8]) -> Result<()> {
-        let start_block = self.table.block_for(target).unwrap_or(0);
-        self.block_idx = start_block;
-        self.block = None;
-        if self.table.index.is_empty() {
-            return Ok(());
-        }
-        let block = self.table.read_block(self.block_idx)?;
-        self.record_idx = block.lower_bound(target);
-        let exhausted = self.record_idx >= block.records().len();
-        self.block = Some(block);
-        if exhausted {
-            self.advance_block()?;
-        }
-        Ok(())
+        self.position(self.table.block_for(target).unwrap_or(0), Some(target))
     }
 
     /// Positions on the first record of the table.
     pub fn seek_to_first(&mut self) -> Result<()> {
-        self.block_idx = 0;
-        self.record_idx = 0;
+        self.position(0, None)
+    }
+
+    /// Loads block `idx`, seeks inside it, and moves on to the following
+    /// blocks if it holds nothing at or past `target`.
+    fn position(&mut self, idx: usize, target: Option<&[u8]>) -> Result<()> {
         self.block = None;
-        if !self.table.index.is_empty() {
-            self.block = Some(self.table.read_block(0)?);
+        self.block_idx = idx;
+        if idx >= self.table.index.len() {
+            return Ok(());
         }
-        Ok(())
+        let mut block = self.table.read_block(idx)?;
+        if let Some(target) = target {
+            block.seek(target)?;
+        }
+        if block.valid() {
+            self.block = Some(block);
+            Ok(())
+        } else {
+            self.advance_block()
+        }
     }
 
     fn advance_block(&mut self) -> Result<()> {
+        self.block = None;
         loop {
             self.block_idx += 1;
             if self.block_idx >= self.table.index.len() {
-                self.block = None;
                 return Ok(());
             }
             let block = self.table.read_block(self.block_idx)?;
-            if !block.records().is_empty() {
-                self.record_idx = 0;
+            if block.valid() {
                 self.block = Some(block);
                 return Ok(());
             }
@@ -355,18 +364,17 @@ impl TableIterator {
 
     /// Returns whether the cursor is on a record.
     pub fn valid(&self) -> bool {
-        self.block
-            .as_ref()
-            .is_some_and(|b| self.record_idx < b.records().len())
+        self.block.as_ref().is_some_and(BlockCursor::valid)
     }
 
-    /// Current record.
+    /// Current record, borrowed from the block under the cursor (valid
+    /// until the cursor moves).
     ///
     /// # Panics
     ///
     /// Panics if the cursor is not valid.
-    pub fn record(&self) -> &Record {
-        &self.block.as_ref().expect("valid cursor").records()[self.record_idx]
+    pub fn record(&self) -> RecordRef<'_> {
+        self.block.as_ref().expect("valid cursor").record()
     }
 
     /// Advances the cursor.
@@ -375,11 +383,12 @@ impl TableIterator {
     /// Iterator::next` because advancing can fail with an I/O error.
     #[allow(clippy::should_implement_trait)]
     pub fn next(&mut self) -> Result<()> {
-        self.record_idx += 1;
-        if let Some(b) = &self.block {
-            if self.record_idx >= b.records().len() {
+        if let Some(block) = &mut self.block {
+            // A failed step leaves the block's cursor, and so this one,
+            // invalid.
+            block.advance()?;
+            if !block.valid() {
                 self.advance_block()?;
-                self.record_idx = 0;
             }
         }
         Ok(())
@@ -392,21 +401,24 @@ pub fn verify_table(table: &Arc<Table>) -> Result<u64> {
     let mut it = table.iter();
     it.seek_to_first()?;
     let mut n = 0;
-    let mut prev: Option<(Box<[u8]>, u64)> = None;
+    // The previous record's key (in a reused buffer) and seq.
+    let (mut prev_key, mut prev_seq) = (Vec::new(), 0);
     while it.valid() {
         let r = it.record();
-        if let Some((pk, pseq)) = &prev {
+        if n > 0 {
             // Non-decreasing keys; within a key run, strictly newer first.
-            if pk.as_ref() > r.key.as_ref() {
+            if prev_key.as_slice() > r.key {
                 return Err(StorageError::Corruption("keys out of order".into()));
             }
-            if pk.as_ref() == r.key.as_ref() && *pseq <= r.seq {
+            if prev_key.as_slice() == r.key && prev_seq <= r.seq {
                 return Err(StorageError::Corruption(
                     "version run not newest-first".into(),
                 ));
             }
         }
-        prev = Some((r.key.clone(), r.seq));
+        prev_key.clear();
+        prev_key.extend_from_slice(r.key);
+        prev_seq = r.seq;
         n += 1;
         it.next()?;
     }
@@ -471,7 +483,7 @@ mod tests {
         it.seek_to_first().unwrap();
         let mut n = 0u64;
         while it.valid() {
-            assert_eq!(it.record().key.as_ref(), (n * 2).to_be_bytes());
+            assert_eq!(it.record().key, (n * 2).to_be_bytes());
             n += 1;
             it.next().unwrap();
         }
@@ -487,10 +499,10 @@ mod tests {
         // Seek to a key between entries.
         it.seek(&101u64.to_be_bytes()).unwrap();
         assert!(it.valid());
-        assert_eq!(it.record().key.as_ref(), 102u64.to_be_bytes());
+        assert_eq!(it.record().key, 102u64.to_be_bytes());
         // Seek before the start.
         it.seek(&0u64.to_be_bytes()).unwrap();
-        assert_eq!(it.record().key.as_ref(), 0u64.to_be_bytes());
+        assert_eq!(it.record().key, 0u64.to_be_bytes());
         // Seek past the end.
         it.seek(&10_000u64.to_be_bytes()).unwrap();
         assert!(!it.valid());
@@ -502,6 +514,76 @@ mod tests {
         build_table(&env, "t.sst", 0..100);
         let table = Arc::new(Table::open(env.open_random("t.sst").unwrap()).unwrap());
         assert_eq!(verify_table(&table).unwrap(), 100);
+    }
+
+    /// Copies table `from` to `to` with ten 0xFF bytes — an overlong
+    /// varint — where record `record` of block `block` starts.
+    fn corrupt_copy(env: &MemEnv, from: &str, to: &str, block: usize, record: usize) {
+        let table = Table::open(env.open_random(from).unwrap()).unwrap();
+        let file = env.open_random(from).unwrap();
+        let mut data = file.read_at(0, file.len() as usize).unwrap();
+        let e = &table.index[block];
+        let block_data = &data[e.offset as usize..(e.offset + e.len) as usize];
+        let mut at = 0;
+        for _ in 0..record {
+            RecordRef::decode_from(block_data, &mut at).unwrap();
+        }
+        let at = e.offset as usize + at;
+        data[at..at + 10].fill(0xFF);
+        let mut out = env.new_writable(to).unwrap();
+        out.append(&data).unwrap();
+        out.finish().unwrap();
+    }
+
+    #[test]
+    fn corrupt_block_reports_at_the_record_it_occurs_at() {
+        let env = MemEnv::new(None);
+        build_table(&env, "good.sst", 0..200);
+        let good = Arc::new(Table::open(env.open_random("good.sst").unwrap()).unwrap());
+        assert!(good.num_blocks() > 2);
+        // Keys of block 1, from the intact table.
+        let mut it = good.iter();
+        it.seek(&good.index[1].first_key).unwrap();
+        let first_of_block_1 = u64::from_be_bytes(it.record().key.try_into().unwrap());
+
+        // Damage at record 3 of block 1: everything before it reads whole.
+        corrupt_copy(&env, "good.sst", "bad.sst", 1, 3);
+        let bad = Arc::new(Table::open(env.open_random("bad.sst").unwrap()).unwrap());
+        let mut it = bad.iter();
+        it.seek_to_first().unwrap();
+        let mut walked = 0u64;
+        let err = loop {
+            let r = it.record();
+            assert_eq!(r.key, walked.to_be_bytes());
+            assert_eq!((r.seq, r.value), (walked + 1, Some(&[walked as u8; 16][..])));
+            walked += 1;
+            if let Err(e) = it.next() {
+                break e;
+            }
+            assert!(it.valid(), "the damage comes before the table's end");
+        };
+        assert!(matches!(err, StorageError::Corruption(_)), "{err:?}");
+        assert_eq!(walked, first_of_block_1 + 3, "every whole record before the damage");
+        assert!(!it.valid(), "a failed step leaves no record under the cursor");
+
+        // Seeks and lookups before the damage still work; at or past it
+        // they report it.
+        it.seek(&(first_of_block_1 + 1).to_be_bytes()).unwrap();
+        assert_eq!(it.record().seq, first_of_block_1 + 2);
+        assert!(bad.get(&(first_of_block_1 + 1).to_be_bytes()).unwrap().is_some());
+        let past = (first_of_block_1 + 5).to_be_bytes();
+        assert!(matches!(it.seek(&past), Err(StorageError::Corruption(_))));
+        assert!(!it.valid());
+        assert!(matches!(bad.get(&past), Err(StorageError::Corruption(_))));
+        assert!(matches!(verify_table(&bad), Err(StorageError::Corruption(_))));
+
+        // Damage in the very first record: positioning itself fails.
+        corrupt_copy(&env, "good.sst", "bad0.sst", 0, 0);
+        let bad0 = Arc::new(Table::open(env.open_random("bad0.sst").unwrap()).unwrap());
+        let mut it = bad0.iter();
+        assert!(matches!(it.seek_to_first(), Err(StorageError::Corruption(_))));
+        assert!(!it.valid());
+        assert!(matches!(it.seek(&0u64.to_be_bytes()), Err(StorageError::Corruption(_))));
     }
 
     #[test]

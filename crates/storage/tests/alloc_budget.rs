@@ -1,0 +1,155 @@
+//! Allocation budget for the merge paths: compaction and disk scans
+//! allocate per *block* and per *file*, never per record.
+//!
+//! A record travels from the block buffer it was read from to the output
+//! block (or to the scan's visitor) as a borrow, so the only allocator
+//! calls left on these paths are the buffers `read_at` returns, the index
+//! entry and buffers of each output table, and a handful of vectors per
+//! call. The counts are deterministic, so this is the regression guard a
+//! time-based benchmark on a small, noisy machine cannot be: before the
+//! borrowed-record merge these paths made about eight allocator calls per
+//! record merged.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+use std::ops::ControlFlow;
+use std::sync::Arc;
+
+use flodb_storage::compaction::CompactionConfig;
+use flodb_storage::{DiskComponent, DiskOptions, MemEnv, Record};
+
+thread_local! {
+    /// Allocator calls (`alloc` and `realloc`) made by this thread. Tests
+    /// run on their own threads, so they do not see each other's.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+struct CountingAllocator;
+
+fn count_one() {
+    // A thread's last deallocations can come after its locals are gone.
+    let _ = ALLOCATIONS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call is forwarded unchanged to `System`; the counter is a
+// const-initialized thread-local `Cell` that never allocates.
+unsafe impl GlobalAlloc for CountingAllocator {
+    // SAFETY: `GlobalAlloc::alloc`'s contract is the caller's, passed on.
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.alloc(layout) }
+    }
+
+    // SAFETY: `GlobalAlloc::dealloc`'s contract is the caller's, passed on.
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    // SAFETY: `GlobalAlloc::realloc`'s contract is the caller's, passed on.
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        // SAFETY: the caller's contract, forwarded.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static ALLOCATOR: CountingAllocator = CountingAllocator;
+
+/// Allocator calls `work` makes on this thread.
+fn allocations_of<T>(work: impl FnOnce() -> T) -> (u64, T) {
+    let before = ALLOCATIONS.with(Cell::get);
+    let out = work();
+    (ALLOCATIONS.with(Cell::get) - before, out)
+}
+
+const VALUE_BYTES: usize = 100;
+
+fn key(i: u64) -> [u8; 8] {
+    i.to_be_bytes()
+}
+
+/// A component holding `flushes` overlapping L0 tables of `per_flush`
+/// records each over `key_space` keys (not yet compacted).
+fn flushed(flushes: u64, per_flush: u64, key_space: u64) -> DiskComponent {
+    let disk = DiskComponent::new(
+        Arc::new(MemEnv::new(None)),
+        DiskOptions {
+            compaction: CompactionConfig {
+                base_level_bytes: 1 << 20,
+                target_file_bytes: 512 << 10,
+                ..CompactionConfig::default()
+            },
+            ..DiskOptions::default()
+        },
+    );
+    let mut seq = 0;
+    for flush in 0..flushes {
+        let batch = (0..per_flush)
+            .map(|i| {
+                seq += 1;
+                let k = (i * 7 + flush * 13) % key_space;
+                Record::put(key(k), seq, vec![k as u8; VALUE_BYTES])
+            })
+            .collect();
+        disk.flush_records(batch).unwrap();
+    }
+    disk
+}
+
+#[test]
+fn compaction_allocates_per_block_not_per_record() {
+    const RECORDS: u64 = 50_000;
+    let disk = flushed(5, RECORDS / 5, 30_000);
+    let (allocations, ()) = allocations_of(|| disk.compact_all().unwrap());
+    let stats = disk.stats();
+    assert!(stats.compactions >= 2 && stats.files_per_level[0] == 0, "{stats:?}");
+    // Every flushed record is merged at least once (those that cascade a
+    // level, twice), so this bound is on the generous side of the claim.
+    let per_record = allocations as f64 / RECORDS as f64;
+    assert!(
+        per_record < 0.25,
+        "{allocations} allocations to compact {RECORDS} records ({per_record:.3} per record)"
+    );
+}
+
+#[test]
+fn disk_scan_allocates_per_block_and_file_not_per_record() {
+    const SCAN_KEYS: u64 = 100;
+    // Three sources under every key: two levels and one L0 table.
+    let disk = flushed(5, 10_000, 30_000);
+    disk.compact_all().unwrap();
+    disk.flush_records(
+        (0..30_000)
+            .step_by(3)
+            .map(|k| Record::put(key(k), 1_000_000 + k, vec![1; VALUE_BYTES]))
+            .collect(),
+    )
+    .unwrap();
+    let files: usize = disk.stats().files_per_level.iter().sum();
+    assert!(disk.stats().files_per_level.iter().filter(|&&n| n > 0).count() >= 2);
+
+    let (low, high) = (key(12_000), key(12_000 + SCAN_KEYS - 1));
+    let mut seen = 0u64;
+    let mut scan = || {
+        seen = 0;
+        disk.scan_each(&low, &high, &mut |record| {
+            assert!(record.key >= low.as_slice() && record.key <= high.as_slice());
+            seen += 1;
+            ControlFlow::Continue(())
+        })
+        .unwrap();
+    };
+    // The first scan opens the tables (an index entry per block, cached
+    // from then on); the budget is for the scan itself.
+    scan();
+    let (allocations, ()) = allocations_of(scan);
+    assert!(seen > SCAN_KEYS / 2, "the range is populated: {seen}");
+    // A block per ~35 records per source, a few vectors per call.
+    assert!(
+        (allocations as f64) < 0.25 * seen as f64,
+        "{allocations} allocations to scan {seen} keys over {files} files"
+    );
+}

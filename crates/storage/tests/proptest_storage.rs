@@ -6,9 +6,9 @@
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
-use flodb_storage::block::{Block, BlockBuilder};
+use flodb_storage::block::{self, BlockBuilder, BlockCursor};
 use flodb_storage::bloom::Bloom;
-use flodb_storage::compaction::CompactionConfig;
+use flodb_storage::compaction::{CompactionConfig, MergeCursor};
 use flodb_storage::env::{Env, MemEnv};
 use flodb_storage::sstable::{verify_table, Table, TableBuilder};
 use flodb_storage::wal::{replay, wal_file_name, WalWriter};
@@ -53,16 +53,18 @@ proptest! {
     fn block_roundtrip_and_lookup(records in arb_sorted_records()) {
         let mut builder = BlockBuilder::new();
         for r in &records {
-            builder.add(r);
+            builder.add(r.into());
         }
-        let encoded = builder.finish();
-        let block = Block::decode(&encoded).unwrap();
-        prop_assert_eq!(block.records(), records.as_slice());
+        let encoded = builder.bytes().to_vec();
+        let mut cursor = BlockCursor::new(encoded.clone()).unwrap();
         for r in &records {
-            prop_assert_eq!(block.get(&r.key), Some(r));
-            // The lookup that never decodes the block finds the same record.
-            prop_assert_eq!(Block::find(&encoded, &r.key).unwrap().as_ref(), Some(r));
+            prop_assert!(cursor.valid());
+            prop_assert_eq!(cursor.record(), r.into());
+            cursor.advance().unwrap();
+            // The lookup that never walks the whole block finds the same record.
+            prop_assert_eq!(block::find(&encoded, &r.key).unwrap(), Some(r.into()));
         }
+        prop_assert!(!cursor.valid());
     }
 
     #[test]
@@ -105,7 +107,7 @@ proptest! {
         it.seek_to_first().unwrap();
         let mut seen = Vec::new();
         while it.valid() {
-            seen.push(it.record().clone());
+            seen.push(it.record().to_record());
             it.next().unwrap();
         }
         prop_assert_eq!(seen, records);
@@ -130,10 +132,63 @@ proptest! {
         match expected {
             Some(r) => {
                 prop_assert!(it.valid());
-                prop_assert_eq!(it.record(), r);
+                prop_assert_eq!(it.record(), r.into());
             }
             None => prop_assert!(!it.valid()),
         }
+    }
+
+    #[test]
+    fn merge_cursor_matches_a_max_seq_model(
+        // Each table: (key, seq, live?) triples from a small domain, so
+        // version runs inside one table and across tables are common.
+        tables in proptest::collection::vec(
+            proptest::collection::vec((0u8..24, 0u64..40, any::<bool>()), 1..60), 0..6),
+        probe in proptest::option::of(0u8..26),
+    ) {
+        // A record is a function of (key, seq): the same version met in
+        // two tables is the same record, as after a replayed flush.
+        let record = |key: u8, seq: u64, live: bool| Record {
+            key: vec![key; 1 + usize::from(key % 3)].into_boxed_slice(),
+            seq,
+            value: (live ^ seq.is_multiple_of(5)).then(|| vec![key ^ seq as u8; seq as usize % 50].into()),
+        };
+        let env = MemEnv::new(None);
+        let mut model: BTreeMap<Box<[u8]>, Record> = BTreeMap::new();
+        let mut iters = Vec::new();
+        for (i, entries) in tables.iter().enumerate() {
+            let mut records: Vec<Record> = entries.iter().map(|&(k, s, l)| record(k, s, l)).collect();
+            records.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
+            records.dedup_by(|next, first| next.key == first.key && next.seq == first.seq);
+            let name = format!("{i}.sst");
+            // Tiny blocks: a run of versions crosses what would be block
+            // boundaries, and seeks land mid-table.
+            let mut builder = TableBuilder::new(env.new_writable(&name).unwrap(), 128, 10);
+            for r in &records {
+                builder.add(r).unwrap();
+                if model.get(&r.key).is_none_or(|m| r.seq > m.seq) {
+                    model.insert(r.key.clone(), r.clone());
+                }
+            }
+            builder.finish().unwrap();
+            let table = Arc::new(Table::open(env.open_random(&name).unwrap()).unwrap());
+            let mut it = table.iter();
+            // Inputs the seek exhausts stand in for empty tables.
+            match probe {
+                Some(p) => it.seek(&[p]).unwrap(),
+                None => it.seek_to_first().unwrap(),
+            }
+            iters.push(it);
+        }
+        let mut cursor = MergeCursor::new(iters);
+        let mut merged = Vec::new();
+        while let Some(r) = cursor.next_merged().unwrap() {
+            merged.push(r.to_record());
+        }
+        let low: Box<[u8]> = probe.map_or_else(Box::default, |p| Box::from([p].as_slice()));
+        let want: Vec<Record> = model.range(low..).map(|(_, r)| r.clone()).collect();
+        prop_assert_eq!(merged, want);
+        prop_assert!(cursor.next_merged().unwrap().is_none(), "exhausted stays exhausted");
     }
 
     #[test]
