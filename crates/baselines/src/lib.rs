@@ -32,14 +32,15 @@
 
 mod hash_memtable;
 mod internal_key;
-mod leveldb;
 mod lsm_core;
-mod rocksdb;
+mod store;
 mod versioned_memtable;
 
 pub use hash_memtable::HashMemtable;
 pub use internal_key::{decode_internal, encode_internal, encode_user_prefix};
-pub use leveldb::{HyperLevelDbStore, LevelDbStore};
 pub use lsm_core::{BaselineMemtable, BaselineOptions, MemtableKind};
-pub use rocksdb::{RocksDbClsmStore, RocksDbStore};
+pub use store::{
+    BaselineStore, Design, Discipline, HyperLevelDb, HyperLevelDbStore, LevelDb, LevelDbStore,
+    RocksDb, RocksDbClsm, RocksDbClsmStore, RocksDbStore,
+};
 pub use versioned_memtable::VersionedMemtable;

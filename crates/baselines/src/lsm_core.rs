@@ -117,27 +117,25 @@ pub(crate) enum WriteOp {
 }
 
 impl WriteOp {
-    /// Copies a `WriteBatch` into an owned queue deposit.
-    pub(crate) fn from_batch(batch: &flodb_core::WriteBatch) -> Self {
-        Self::Batch(
-            batch
-                .iter()
-                .map(|(key, value)| (Box::from(key), value.map(Box::from)))
-                .collect(),
-        )
+    /// Copies a submission's operations into an owned queue deposit.
+    pub(crate) fn from_ops<'a>(
+        mut ops: impl ExactSizeIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
+    ) -> Self {
+        let own = |(key, value): (&[u8], Option<&[u8]>)| (Box::from(key), value.map(Box::from));
+        if ops.len() == 1 {
+            let (key, value) = own(ops.next().expect("an iterator of length one"));
+            return Self::One { key, value };
+        }
+        Self::Batch(ops.map(own).collect())
     }
 
     /// Applies the deposit to `core`, one fresh sequence number per op.
     pub(crate) fn apply(self, core: &LsmCore) {
         match self {
-            Self::One { key, value } => {
-                let seq = core.seq.next();
-                core.write(&key, seq, value.as_deref());
-            }
+            Self::One { key, value } => core.write(&key, core.seq.next(), value.as_deref()),
             Self::Batch(ops) => {
                 for (key, value) in ops {
-                    let seq = core.seq.next();
-                    core.write(&key, seq, value.as_deref());
+                    core.write(&key, core.seq.next(), value.as_deref());
                 }
             }
         }
@@ -187,6 +185,7 @@ struct MemState {
     imm: Option<Arc<BaselineMemtable>>,
 }
 
+#[derive(Default)]
 pub(crate) struct CoreStats {
     pub puts: AtomicU64,
     pub deletes: AtomicU64,
@@ -195,20 +194,6 @@ pub(crate) struct CoreStats {
     pub scanned_keys: AtomicU64,
     pub persists: AtomicU64,
     pub stalls: AtomicU64,
-}
-
-impl Default for CoreStats {
-    fn default() -> Self {
-        Self {
-            puts: AtomicU64::new(0),
-            deletes: AtomicU64::new(0),
-            gets: AtomicU64::new(0),
-            scans: AtomicU64::new(0),
-            scanned_keys: AtomicU64::new(0),
-            persists: AtomicU64::new(0),
-            stalls: AtomicU64::new(0),
-        }
-    }
 }
 
 /// The shared single-level LSM engine.
@@ -279,8 +264,11 @@ impl LsmCore {
         }
     }
 
-    /// Appends a version to the active memtable.
+    /// Appends a version to the active memtable, counting it as a put or
+    /// (for a tombstone) a delete.
     pub fn write(&self, key: &[u8], seq: u64, value: Option<&[u8]>) {
+        let counter = if value.is_some() { &self.stats.puts } else { &self.stats.deletes };
+        counter.fetch_add(1, Ordering::Relaxed);
         self.make_room();
         // Hold the state read-lock across the insert: the memtable switch
         // takes the write lock, so it cannot retire `active` into `imm`

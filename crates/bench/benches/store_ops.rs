@@ -1,13 +1,15 @@
-//! Criterion micro-benchmarks: single-threaded put/get across all five
+//! Criterion micro-benchmark: single-threaded put/get across all five
 //! stores, showing the per-operation cost differences that aggregate into
-//! the paper's throughput figures — and what a master scan costs FloDB
-//! when there is nothing to drain.
-
-use std::ops::ControlFlow;
+//! the paper's throughput figures.
+//!
+//! This is the one comparison `benchmark/` cannot express (it links only
+//! the FloDB engine, never the baselines). Every single-system cell lives
+//! there as a named probe instead — `membuffer.*`, `memtable.*`,
+//! `core.put_*_ns`, and the idle-store scan as `scan_p50_us` in the
+//! `read_disk` tails — so a cell is measured in exactly one place.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use flodb_bench::{make_env, make_store, Scale, ALL_SYSTEMS};
-use flodb_core::{FloDb, FloDbOptions, KvStore};
 
 fn store_put_get(c: &mut Criterion) {
     let scale = Scale::from_env();
@@ -38,46 +40,5 @@ fn store_put_get(c: &mut Criterion) {
     }
 }
 
-/// The fixed cost of FloDB's scan on a store shaped like the one in
-/// `benchmark/` (32 MiB memory component, so an 8192-bucket Membuffer):
-/// flushed and idle, one scanner, every scan a master scan that freezes an
-/// *empty* Membuffer. `scan100_idle` then iterates 100 keys off disk;
-/// `freeze_empty_membuffer` scans a range that holds no key, leaving the
-/// freeze alone.
-fn flodb_idle_scans(c: &mut Criterion) {
-    const KEYS: u64 = 100_000;
-    let mut opts = FloDbOptions::default_in_memory();
-    opts.memory_bytes = 32 * 1024 * 1024;
-    let store = FloDb::open(opts).expect("flodb open");
-    for i in 0..KEYS {
-        store.put(&(2 * i).to_be_bytes(), &[0x42; 256]).unwrap();
-    }
-    store.flush_all();
-    store.quiesce();
-
-    let mut group = c.benchmark_group("flodb_idle");
-    let count_range = |low: u64, high: u64| {
-        let mut n = 0u32;
-        store.scan_with(&low.to_be_bytes(), &high.to_be_bytes(), &mut |_, _| {
-            n += 1;
-            ControlFlow::Continue(())
-        });
-        n
-    };
-    // Opens every table once, so the cells time scans, not cache fills.
-    assert_eq!(u64::from(count_range(0, 2 * KEYS)), KEYS);
-    let mut lo = 0u64;
-    group.bench_function("scan100_idle", |b| {
-        b.iter(|| {
-            lo = (lo + 7919) % (KEYS - 100);
-            assert_eq!(count_range(2 * lo, 2 * lo + 198), 100);
-        })
-    });
-    group.bench_function("freeze_empty_membuffer", |b| {
-        b.iter(|| assert_eq!(count_range(2 * KEYS, 2 * KEYS + 198), 0))
-    });
-    group.finish();
-}
-
-criterion_group!(benches, store_put_get, flodb_idle_scans);
+criterion_group!(benches, store_put_get);
 criterion_main!(benches);

@@ -116,7 +116,7 @@ impl WriteBatch {
 
     /// Iterates the buffered operations in insertion order; a `None`
     /// value is a delete.
-    pub fn iter(&self) -> impl Iterator<Item = (&[u8], Option<&[u8]>)> {
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = (&[u8], Option<&[u8]>)> + Clone {
         self.ops
             .iter()
             .map(|op| (op.key.as_ref(), op.value.as_deref()))

@@ -116,9 +116,13 @@ impl FloDbStats {
         counter.fetch_add(1, Ordering::Relaxed);
     }
 
+    /// Adds `n`; adding nothing touches nothing (a one-op submission adds
+    /// to `puts` or to `deletes`, and the other line stays unshared).
     #[inline]
     pub(crate) fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
+        if n != 0 {
+            counter.fetch_add(n, Ordering::Relaxed);
+        }
     }
 
     /// Snapshots the epoch-reclamation counters.
@@ -126,20 +130,12 @@ impl FloDbStats {
     /// The figures are process-global (the epoch collector is shared by
     /// every Membuffer and Memtable in the process), monotonically
     /// increasing, and come from the offline `crossbeam-epoch` shim's
-    /// observability hook. With the `epoch-shim-stats` feature disabled
-    /// (i.e. when the real crossbeam-epoch crate is swapped back in, which
-    /// has no such hook) both counters read zero.
+    /// observability hook (`shim_stats`, which the real crate does not
+    /// have — see README "Swap-back procedure").
     pub fn reclamation() -> ReclamationStats {
-        #[cfg(feature = "epoch-shim-stats")]
-        {
-            ReclamationStats {
-                destructions_deferred: crossbeam_epoch::shim_stats::destructions_deferred(),
-                destructions_executed: crossbeam_epoch::shim_stats::destructions_executed(),
-            }
-        }
-        #[cfg(not(feature = "epoch-shim-stats"))]
-        {
-            ReclamationStats::default()
+        ReclamationStats {
+            destructions_deferred: crossbeam_epoch::shim_stats::destructions_deferred(),
+            destructions_executed: crossbeam_epoch::shim_stats::destructions_executed(),
         }
     }
 
@@ -186,9 +182,7 @@ mod tests {
         unsafe { guard.defer_destroy(value) };
         drop(guard);
         let after = FloDbStats::reclamation();
-        if cfg!(feature = "epoch-shim-stats") {
-            assert!(after.destructions_deferred > before.destructions_deferred);
-        }
+        assert!(after.destructions_deferred > before.destructions_deferred);
         assert!(after.destructions_executed >= before.destructions_executed);
     }
 

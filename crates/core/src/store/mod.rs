@@ -37,6 +37,7 @@ mod scan;
 mod settle;
 mod write;
 
+use std::iter;
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -44,6 +45,7 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 use flodb_membuffer::{MemBuffer, MemBufferConfig};
+use flodb_memtable::SkipList;
 use flodb_storage::{DiskComponent, StorageError};
 use flodb_sync::lock_order::{CORE_FREEZE, CORE_PERSIST_PARK, CORE_ROOM, CORE_THREADS};
 use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
@@ -182,11 +184,11 @@ impl Inner {
 impl FloDb {
     /// Opens a store with `opts`, spawning the background threads.
     ///
-    /// The disk component recovers its file layout from the manifest (when
-    /// `opts.disk.manifest` is set). If a write-ahead log is enabled and
-    /// log files exist in the environment, their intact frames are
-    /// replayed, flushed to the recovered disk component, and the consumed
-    /// logs deleted; sequence numbering resumes past them.
+    /// The disk component recovers its file layout from the manifest. If a
+    /// write-ahead log is enabled and log files exist in the environment,
+    /// their intact frames are replayed, flushed to the recovered disk
+    /// component, and the consumed logs deleted; sequence numbering resumes
+    /// past them.
     ///
     /// # Errors
     ///
@@ -217,7 +219,7 @@ impl FloDb {
             view: ViewCell::new(MemView {
                 mbf: membuffer_enabled.then(|| new_membuffer(&opts)),
                 imm_mbf: None,
-                mtb: recovered.mtb,
+                mtb: Arc::new(SkipList::new()),
                 imm_mtb: None,
             }),
             seq: SequenceGenerator::starting_at(recovered.max_seq + 1),
@@ -346,11 +348,11 @@ impl FloDb {
 /// append is therefore never silently acknowledged, and never a panic.
 impl KvStore for FloDb {
     fn put(&self, key: &[u8], value: &[u8]) -> Result<(), WriteError> {
-        self.inner.put_impl(key, Some(value))
+        self.inner.commit_and_apply(iter::once((key, Some(value))), None)
     }
 
     fn delete(&self, key: &[u8]) -> Result<(), WriteError> {
-        self.inner.put_impl(key, None)
+        self.inner.commit_and_apply(iter::once((key, None)), None)
     }
 
     fn write(&self, batch: &WriteBatch) -> Result<(), WriteError> {

@@ -132,14 +132,12 @@ impl Inner {
                 // every 8th beat — the bound that matters when a live
                 // guard elsewhere holds the counter gap open indefinitely
                 // — and skip entirely while the collector's counters show
-                // no garbage outstanding (two relaxed loads; without the
-                // counters the beat always flushes).
+                // no garbage outstanding (two relaxed loads).
                 idle_beats = idle_beats.wrapping_add(1);
                 let garbage = FloDbStats::reclamation();
-                let flush = idle_beats.is_multiple_of(8)
-                    && (cfg!(not(feature = "epoch-shim-stats"))
-                        || garbage.destructions_executed != garbage.destructions_deferred);
-                if flush {
+                if idle_beats.is_multiple_of(8)
+                    && garbage.destructions_executed != garbage.destructions_deferred
+                {
                     crossbeam_epoch::pin().flush();
                 }
                 std::thread::sleep(Duration::from_micros(100));

@@ -1,7 +1,5 @@
 //! The recover stage: replaying the write-ahead log at open.
 
-use std::sync::Arc;
-
 use flodb_memtable::SkipList;
 use flodb_storage::{log_manager, DiskComponent, StorageError};
 
@@ -10,9 +8,6 @@ use crate::options::{FloDbOptions, WalMode};
 
 /// What `open` resumes from.
 pub(super) struct Recovered {
-    /// The Memtable to start with: the replayed log when it could not be
-    /// settled onto disk, empty otherwise.
-    pub(super) mtb: Arc<SkipList>,
     /// The highest sequence number already persisted or logged.
     pub(super) max_seq: u64,
     /// The generation the new log's first segment gets.
@@ -30,7 +25,6 @@ pub(super) fn recover_wal(
     disk: &DiskComponent,
 ) -> Result<Recovered, StorageError> {
     let mut recovered = Recovered {
-        mtb: Arc::new(SkipList::new()),
         max_seq: disk.max_persisted_seq(),
         next_generation: 1,
     };
@@ -41,33 +35,27 @@ pub(super) fn recover_wal(
     // oldest-live mark were retired (their contents persisted) — any still
     // on disk are leftovers of a crash between the mark and the deletions.
     let log = log_manager::recover_segments(opts.env.as_ref(), disk.wal_oldest_live())?;
+    let replayed = SkipList::new();
     for r in log.records {
-        recovered.mtb.insert(&r.key, r.value.as_deref(), r.seq);
+        replayed.insert(&r.key, r.value.as_deref(), r.seq);
     }
     recovered.max_seq = recovered.max_seq.max(log.max_seq);
     recovered.next_generation = log.max_generation + 1;
-    // With a manifest, settle the recovered state onto disk so the
-    // replayed logs can be pruned; log growth is thereby bounded across
-    // restarts. A crash in here simply replays the same logs again
-    // (flushing is idempotent: duplicate records carry identical seqs).
-    // Without a manifest the flushed layout would not survive the *next*
-    // restart, so the recovered entries must stay in the memory component
-    // and the logs must remain.
-    if opts.disk.manifest {
-        if !recovered.mtb.is_empty() {
-            disk.flush_sorted(&mut |tables| stream_memtable(&recovered.mtb, tables))?;
-            recovered.mtb = Arc::new(SkipList::new());
-        }
-        // Advance the oldest-live mark durably *before* deleting the
-        // consumed segments (crash in between leaves stale files below the
-        // mark, which recovery ignores and the next open prunes right
-        // here).
-        disk.record_wal_oldest_live(recovered.next_generation)?;
-        for segment in &log.segment_names {
-            opts.env.delete(segment)?;
-        }
-        opts.env.sync_dir()?;
+    // Settle the recovered state onto disk so the replayed logs can be
+    // pruned; log growth is thereby bounded across restarts. A crash in
+    // here simply replays the same logs again (flushing is idempotent:
+    // duplicate records carry identical seqs).
+    if !replayed.is_empty() {
+        disk.flush_sorted(&mut |tables| stream_memtable(&replayed, tables))?;
     }
+    // Advance the oldest-live mark durably *before* deleting the consumed
+    // segments (crash in between leaves stale files below the mark, which
+    // recovery ignores and the next open prunes right here).
+    disk.record_wal_oldest_live(recovered.next_generation)?;
+    for segment in &log.segment_names {
+        opts.env.delete(segment)?;
+    }
+    opts.env.sync_dir()?;
     Ok(recovered)
 }
 

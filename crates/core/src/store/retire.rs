@@ -13,13 +13,10 @@ use crate::telemetry::{StageClass, TraceEventKind};
 
 impl Inner {
     /// The log this store retires segments of, if it retires at all: that
-    /// requires the manifest (without it the flushed layout would not
-    /// survive a restart, so segments must never be deleted) and an
-    /// enabled persist path (with persisting off, flushes drop data and
-    /// the log is the only durable state).
+    /// requires an enabled persist path (with persisting off, flushes drop
+    /// data and the log is the only durable state).
     fn retiring_wal(&self) -> Option<&WalState> {
-        let retires = self.opts.disk.manifest && self.opts.persist_enabled;
-        self.wal.as_ref().filter(|_| retires)
+        self.wal.as_ref().filter(|_| self.opts.persist_enabled)
     }
 
     /// Whether sealed segments await retirement.

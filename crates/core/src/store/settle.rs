@@ -94,61 +94,55 @@ impl Inner {
         // so repeated rounds walk sealed garbage through its two-epoch
         // grace period. The background drain threads keep pinning on their
         // idle beat, which can make any individual advancement attempt
-        // fail, so with the shim's counters available we retry until
-        // executed catches up to deferred — bounded, because a thread
-        // holding a guard open (legitimately) stalls reclamation forever.
-        #[cfg(feature = "epoch-shim-stats")]
-        {
-            // Garbage can also sit in a drain thread's *unsealed* local
-            // bag, which only that thread's own idle-beat flush (100us
-            // cadence, see drain_loop) can seal — so once backoff stops
-            // spinning, block in real sleeps long enough for every drain
-            // thread to take an idle beat; pure yields could burn the whole
-            // budget before they are scheduled. The budget is a wall-clock
-            // deadline (not an iteration count) so a briefly-descheduled
-            // drain thread cannot exhaust it, yet a guard held open across
-            // quiesce (which legitimately stalls reclamation forever)
-            // still cannot hang us.
-            // The counters are process-global, so another epoch user in
-            // this process (a second store, a raw skiplist) can hold the
-            // gap open forever; once pumping stops shrinking it, further
-            // rounds are wasted — bail after a stretch of no progress
-            // (~6ms of sleeps, dozens of drain idle beats) rather than
-            // burning the whole deadline.
-            let deadline = Instant::now() + Duration::from_secs(1);
-            let backoff = Backoff::new();
-            let mut best_gap = u64::MAX;
-            let mut stalled_rounds = 0u32;
-            loop {
-                let executed = crossbeam_epoch::shim_stats::destructions_executed();
-                let deferred = crossbeam_epoch::shim_stats::destructions_deferred();
-                if executed == deferred {
+        // fail, so we retry until the shim's counters show executed caught
+        // up to deferred — bounded, because a thread holding a guard open
+        // (legitimately) stalls reclamation forever.
+        //
+        // Garbage can also sit in a drain thread's *unsealed* local bag,
+        // which only that thread's own idle-beat flush (100us cadence, see
+        // drain_loop) can seal — so once backoff stops spinning, block in
+        // real sleeps long enough for every drain thread to take an idle
+        // beat; pure yields could burn the whole budget before they are
+        // scheduled. The budget is a wall-clock deadline (not an iteration
+        // count) so a briefly-descheduled drain thread cannot exhaust it,
+        // yet a guard held open across quiesce (which legitimately stalls
+        // reclamation forever) still cannot hang us.
+        //
+        // The counters are process-global, so another epoch user in this
+        // process (a second store, a raw skiplist) can hold the gap open
+        // forever; once pumping stops shrinking it, further rounds are
+        // wasted — bail after a stretch of no progress (~6ms of sleeps,
+        // dozens of drain idle beats) rather than burning the whole
+        // deadline.
+        let deadline = Instant::now() + Duration::from_secs(1);
+        let backoff = Backoff::new();
+        let mut best_gap = u64::MAX;
+        let mut stalled_rounds = 0u32;
+        loop {
+            let executed = crossbeam_epoch::shim_stats::destructions_executed();
+            let deferred = crossbeam_epoch::shim_stats::destructions_deferred();
+            if executed == deferred {
+                break;
+            }
+            let gap = deferred - executed;
+            if gap < best_gap {
+                best_gap = gap;
+                stalled_rounds = 0;
+            } else {
+                stalled_rounds += 1;
+                if stalled_rounds >= 64 {
                     break;
-                }
-                let gap = deferred - executed;
-                if gap < best_gap {
-                    best_gap = gap;
-                    stalled_rounds = 0;
-                } else {
-                    stalled_rounds += 1;
-                    if stalled_rounds >= 64 {
-                        break;
-                    }
-                }
-                if Instant::now() >= deadline {
-                    break;
-                }
-                crossbeam_epoch::pin().flush();
-                if backoff.is_completed() {
-                    std::thread::sleep(Duration::from_micros(100));
-                } else {
-                    backoff.snooze();
                 }
             }
-        }
-        #[cfg(not(feature = "epoch-shim-stats"))]
-        for _ in 0..4 {
+            if Instant::now() >= deadline {
+                break;
+            }
             crossbeam_epoch::pin().flush();
+            if backoff.is_completed() {
+                std::thread::sleep(Duration::from_micros(100));
+            } else {
+                backoff.snooze();
+            }
         }
     }
 }

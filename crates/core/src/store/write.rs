@@ -38,62 +38,64 @@ impl FloDb {
         batch: &WriteBatch,
         tag: Option<&wal::BatchAnnotation>,
     ) -> Result<(), WriteError> {
-        let inner = &*self.inner;
         debug_assert!(
             tag.is_none_or(|tag| tag.ops as usize == batch.len()),
             "annotation ops must match batch"
         );
-        let t0 = inner.full_timer();
-        if batch.is_empty() {
-            // Even an empty commit observes the poison and health
-            // latches — the contract is that *every* write on a poisoned
-            // or degraded store reports it, so an empty batch cannot
-            // read as a healthy write path.
-            inner.check_writable()?;
-        } else {
-            // Logged→applied window; see `put_impl`.
-            let _inflight = inner.wal.as_ref().map(|w| w.inflight.enter());
-            inner.wal_append(
-                |inner, buf| {
-                    if let Some(tag) = tag {
-                        tag.encode_into(buf);
-                    }
-                    for (key, value) in batch.iter() {
-                        encode_record_parts(buf, key, inner.seq.next(), value);
-                    }
-                },
-                batch.len() as u64,
-            )?;
-            for (key, value) in batch.iter() {
-                inner.apply_to_memory(key, value);
-            }
-            FloDbStats::add(&inner.stats.puts, batch.puts());
-            FloDbStats::add(&inner.stats.deletes, batch.deletes());
-        }
-        // One sample per batch: the caller-visible commit latency.
-        inner.record_op(OpClass::Put, t0);
-        Ok(())
+        self.inner.commit_and_apply(batch.iter(), tag)
     }
 }
 
 impl Inner {
-    /// One put (`value` set) or delete: appends the write to the commit log
-    /// (when enabled), then applies it to the memory component. `Err`
-    /// means the write was *not* acknowledged: its log group failed (or
-    /// the store was already poisoned) and nothing was applied.
+    /// One submission: appends `ops` to the commit log (when enabled) as one
+    /// frame's worth of records, then applies them to the memory component
+    /// in order. A put or delete is the one-op submission
+    /// (`iter::once`), a `WriteBatch` the many-op one; the body is
+    /// monomorphised per caller, so the single put builds no batch and
+    /// allocates nothing here. `Err` means the submission was *not*
+    /// acknowledged: its log group failed (or the store was already
+    /// poisoned or degraded) and nothing was applied.
     ///
     /// The in-flight window spans log append through memory apply: WAL
     /// segment retirement flips this tracker and waits, so a segment is
     /// never retired while a write logged into it has yet to reach the
     /// memory component (where the retirement checkpoint's flush covers
     /// it).
-    pub(super) fn put_impl(&self, key: &[u8], value: Option<&[u8]>) -> Result<(), WriteError> {
+    pub(super) fn commit_and_apply<'a>(
+        &self,
+        ops: impl ExactSizeIterator<Item = (&'a [u8], Option<&'a [u8]>)> + Clone,
+        tag: Option<&wal::BatchAnnotation>,
+    ) -> Result<(), WriteError> {
         let t0 = self.full_timer();
-        let _inflight = self.wal.as_ref().map(|w| w.inflight.enter());
-        self.wal_append(|inner, buf| encode_record_parts(buf, key, inner.seq.next(), value), 1)?;
-        self.apply_to_memory(key, value);
-        let counter = if value.is_some() { &self.stats.puts } else { &self.stats.deletes };
-        FloDbStats::bump(counter);
+        let records = ops.len() as u64;
+        if records == 0 {
+            // Even an empty commit observes the poison and health
+            // latches — the contract is that *every* write on a poisoned
+            // or degraded store reports it, so an empty batch cannot
+            // read as a healthy write path.
+            self.check_writable()?;
+        } else {
+            let _inflight = self.wal.as_ref().map(|w| w.inflight.enter());
+            self.wal_append(
+                |inner, buf| {
+                    if let Some(tag) = tag {
+                        tag.encode_into(buf);
+                    }
+                    for (key, value) in ops.clone() {
+                        encode_record_parts(buf, key, inner.seq.next(), value);
+                    }
+                },
+                records,
+            )?;
+            let mut puts = 0;
+            for (key, value) in ops {
+                self.apply_to_memory(key, value);
+                puts += u64::from(value.is_some());
+            }
+            FloDbStats::add(&self.stats.puts, puts);
+            FloDbStats::add(&self.stats.deletes, records - puts);
+        }
+        // One sample per submission: the caller-visible commit latency.
         // Deletes are tombstone puts; they share the put class.
         self.record_op(OpClass::Put, t0);
         Ok(())

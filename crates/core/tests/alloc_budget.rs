@@ -7,15 +7,18 @@
 //! a 100-key scan over memory and three disk levels made about 600
 //! allocator calls (a tree node and two boxes per version, on top of the
 //! disk merge's), and a flush about 7 per record plus two copies of the
-//! whole Memtable. The counts are deterministic, which a timing on a small
-//! shared machine is not.
+//! whole Memtable. And a put is a one-op submission: it reaches the log
+//! through the same commit-and-apply body as a `WriteBatch`, monomorphised,
+//! so logging it builds no batch and allocates nothing — what a put
+//! allocates is its entry in the memory component. The counts are
+//! deterministic, which a timing on a small shared machine is not.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
 
-use flodb_core::{FloDb, FloDbOptions, KvStore};
+use flodb_core::{FloDb, FloDbOptions, KvStore, WalMode};
 
 /// Allocator calls (`alloc` and `realloc`) by every thread of the process:
 /// the flush runs on the store's persist thread, not the caller's.
@@ -81,6 +84,14 @@ fn put_all(db: &FloDb, keys: impl Iterator<Item = u64>, fill: u8) {
     }
 }
 
+/// One flush per round: drained first, because a forced flush racing the
+/// drain writes a table per trickle, and how many it leaves in L0 decides
+/// whether the next round's table trips the L0 trigger.
+fn settle(db: &FloDb) {
+    db.quiesce();
+    db.flush_all();
+}
+
 #[test]
 fn scan_over_memory_and_three_disk_levels_stays_under_forty_allocations() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
@@ -93,11 +104,11 @@ fn scan_over_memory_and_three_disk_levels_stays_under_forty_allocations() {
     // Oldest data deepest: each round is flushed and compacted under the
     // next, the last one small enough to stay in L0.
     put_all(&db, 0..30_000, 1);
-    db.flush_all();
+    settle(&db);
     put_all(&db, (0..30_000).step_by(2), 2);
-    db.flush_all();
+    settle(&db);
     put_all(&db, (0..30_000).step_by(30), 3);
-    db.flush_all();
+    settle(&db);
     let levels = db.disk_stats().files_per_level;
     assert!(
         levels[0] > 0 && levels.iter().filter(|&&n| n > 0).count() >= 3,
@@ -151,5 +162,35 @@ fn memtable_flush_allocates_per_block_not_per_record() {
     assert!(
         per_record < 0.25,
         "{allocations} allocations to flush {RECORDS} records ({per_record:.3} per record)"
+    );
+}
+
+#[test]
+fn logging_a_put_allocates_nothing() {
+    let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
+    const PUTS: u64 = 5_000;
+    // Straight into the Memtable, with no drain thread beside the writer
+    // and no segment roll (a retirement checkpoint would flush): the only
+    // difference between the two stores is the commit stage.
+    let counted = |wal: WalMode| {
+        let db = store(|opts| {
+            opts.membuffer_enabled = false;
+            opts.drain_threads = 0;
+            opts.wal = wal;
+            opts.wal_segment_max_bytes = 64 << 20;
+        });
+        // The first round sizes the group buffer and the in-memory log
+        // file; the second overwrites the same keys.
+        put_all(&db, 0..PUTS, 1);
+        let (allocations, ()) = allocations_of(|| put_all(&db, 0..PUTS, 2));
+        assert_eq!(db.get(&key(PUTS - 1)), Some(vec![2; VALUE_BYTES]));
+        allocations
+    };
+    let unlogged = counted(WalMode::Disabled);
+    let logged = counted(WalMode::Enabled { sync: false });
+    // The log file doubling once more is the slack.
+    assert!(
+        logged <= unlogged + 8,
+        "{PUTS} logged puts made {logged} allocations, unlogged ones {unlogged}"
     );
 }

@@ -8,8 +8,6 @@
 //! (its own process) because the reclamation counters are process-global
 //! and sibling tests would otherwise race them.
 
-#![cfg(feature = "epoch-shim-stats")]
-
 use std::sync::Arc;
 
 use flodb_core::{FloDb, FloDbOptions, FloDbStats, KvStore};

@@ -36,10 +36,6 @@ pub struct DiskOptions {
     pub sharded_cache: bool,
     /// Shard count for the sharded cache.
     pub cache_shards: usize,
-    /// Log version edits to a MANIFEST so [`DiskComponent::open`] can
-    /// reconstruct the file layout after a restart (LevelDB behaviour).
-    /// [`DiskComponent::new`] ignores this and never writes a manifest.
-    pub manifest: bool,
 }
 
 impl Default for DiskOptions {
@@ -49,7 +45,6 @@ impl Default for DiskOptions {
             cache_capacity: 256,
             sharded_cache: true,
             cache_shards: 16,
-            manifest: true,
         }
     }
 }
@@ -95,16 +90,17 @@ impl DiskComponent {
     /// is read or written, so the layout is lost when the component drops.
     /// Use [`DiskComponent::open`] for a persistent store.
     pub fn new(env: Arc<dyn Env>, opts: DiskOptions) -> Self {
-        Self::build(env, opts, None)
+        Self::build(env, opts)
     }
 
     /// Opens a disk component on `env`, recovering the file layout from
     /// the newest manifest generation if one exists, then starting a fresh
-    /// generation (when `opts.manifest` is set) and deleting obsolete
-    /// manifests and orphaned tables.
+    /// generation and deleting obsolete manifests and orphaned tables. Every
+    /// version edit from then on is logged to that MANIFEST (LevelDB
+    /// behaviour), so the next `open` can reconstruct the layout.
     pub fn open(env: Arc<dyn Env>, opts: DiskOptions) -> Result<Self> {
         let recovered = manifest::recover(env.as_ref())?;
-        let component = Self::build(Arc::clone(&env), opts, None);
+        let mut component = Self::build(Arc::clone(&env), opts);
         let mut generation = 0;
         let mut wal_oldest = 0;
         if let Some(r) = recovered {
@@ -116,33 +112,26 @@ impl DiskComponent {
             wal_oldest = r.wal_oldest_live;
         }
         component.wal_oldest_live.store(wal_oldest, Ordering::Relaxed);
-        let component = if opts.manifest {
-            // Start a fresh generation seeded with a snapshot of the live
-            // layout, so older generations become redundant. The recovered
-            // oldest-live WAL mark is re-stamped into the snapshot record.
-            let mut writer = manifest::ManifestWriter::create(env.as_ref(), generation + 1)?;
-            writer.set_wal_oldest_live(wal_oldest);
-            let version = component.versions.current();
-            let mut snapshot = VersionEdit::default();
-            for (level, files) in version.levels.iter().enumerate() {
-                for file in files {
-                    snapshot.add(level, file.meta.clone());
-                }
+        // Start a fresh generation seeded with a snapshot of the live
+        // layout, so older generations become redundant. The recovered
+        // oldest-live WAL mark is re-stamped into the snapshot record.
+        let mut writer = manifest::ManifestWriter::create(env.as_ref(), generation + 1)?;
+        writer.set_wal_oldest_live(wal_oldest);
+        let version = component.versions.current();
+        let mut snapshot = VersionEdit::default();
+        for (level, files) in version.levels.iter().enumerate() {
+            for file in files {
+                snapshot.add(level, file.meta.clone());
             }
-            writer.append(&snapshot, component.versions.peek_file_number())?;
-            manifest::prune_old_generations(env.as_ref(), generation + 1)?;
-            Self {
-                manifest: Some(ranked_mutex(DISK_MANIFEST, writer)),
-                ..component
-            }
-        } else {
-            component
-        };
+        }
+        writer.append(&snapshot, component.versions.peek_file_number())?;
+        manifest::prune_old_generations(env.as_ref(), generation + 1)?;
+        component.manifest = Some(ranked_mutex(DISK_MANIFEST, writer));
         component.remove_orphaned_tables()?;
         Ok(component)
     }
 
-    fn build(env: Arc<dyn Env>, opts: DiskOptions, manifest: Option<Mutex<manifest::ManifestWriter>>) -> Self {
+    fn build(env: Arc<dyn Env>, opts: DiskOptions) -> Self {
         let cache: Arc<dyn TableCache> = if opts.sharded_cache {
             Arc::new(ShardedTableCache::new(
                 Arc::clone(&env),
@@ -161,7 +150,7 @@ impl DiskComponent {
             cache,
             opts,
             compaction_lock: ranked_mutex(DISK_COMPACTION, ()),
-            manifest,
+            manifest: None,
             wal_oldest_live: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),

@@ -27,6 +27,7 @@ pub mod disk;
 pub mod env;
 pub mod error;
 pub mod fault;
+pub mod frame;
 pub mod log_manager;
 pub mod manifest;
 pub mod record;

@@ -12,8 +12,9 @@
 //!   per call), so rotation always happens at a group boundary and a
 //!   multi-record batch frame is never split across segments.
 //! - **sealed → retired**: when the store has persisted a checkpoint
-//!   covering a sealed segment's records, [`LogManager::retire_up_to`]
-//!   deletes the segment files and syncs the directory. The caller must
+//!   covering a sealed segment's records, [`delete_segments`] removes the
+//!   segment files and syncs the directory, and
+//!   [`LogManager::take_sealed_up_to`] untracks them. The caller must
 //!   first durably record the new oldest-live generation (FloDB puts it
 //!   in the MANIFEST, see `manifest::ManifestWriter::set_wal_oldest_live`)
 //!   so a crash between the record and the deletion leaves only ignorable
@@ -31,8 +32,8 @@
 //! earlier open already accepted as truncation, and the later
 //! generations were written on top of that accepted state (forfeiting
 //! them — as a global stop-at-first-tear rule would — loses their
-//! acknowledged writes, which matters in manifest-less mode where old
-//! segments survive across runs). Recovery time stays proportional to
+//! acknowledged writes, which matters to any caller whose old segments
+//! survive across runs). Recovery time stays proportional to
 //! the live window, not the store's lifetime.
 
 use std::mem;
@@ -196,21 +197,6 @@ impl LogManager {
         (true, false, t0.elapsed().as_nanos() as u64)
     }
 
-    /// Deletes every sealed segment with `generation <= up_to`, then syncs
-    /// the directory so the deletions are durable.
-    ///
-    /// The caller must already have durably recorded an oldest-live
-    /// generation above `up_to`: retirement only ever *narrows* what
-    /// recovery would scan, and a crash mid-deletion leaves stale
-    /// segments below the recorded mark, which recovery ignores and the
-    /// next open prunes. Callers on a write hot path should instead use
-    /// [`Self::take_sealed_up_to`] + [`delete_segments`] so the file I/O
-    /// runs outside whatever lock guards this manager.
-    pub fn retire_up_to(&mut self, up_to: u64) -> Result<Retired> {
-        let taken = self.take_sealed_up_to(up_to);
-        delete_segments(self.env.as_ref(), &taken)
-    }
-
     /// Removes sealed segments with `generation <= up_to` from tracking
     /// and returns them — without touching their files.
     ///
@@ -277,7 +263,13 @@ impl LogManager {
 
 /// Deletes the given sealed segments' files and syncs the directory.
 /// Runs no manager lock — sealed segments are immutable, so deleting
-/// them needs no coordination with appends.
+/// them needs no coordination with appends, and the file I/O stays outside
+/// whatever lock guards the manager.
+///
+/// The caller must already have durably recorded an oldest-live generation
+/// above these segments: retirement only ever *narrows* what recovery
+/// would scan, and a crash mid-deletion leaves stale segments below the
+/// recorded mark, which recovery ignores and the next open prunes.
 ///
 /// On error, already-deleted files are gone and the rest remain as stale
 /// leftovers below the caller's recorded oldest-live mark (recovery
@@ -353,8 +345,7 @@ pub fn recover_segments(env: &dyn Env, oldest_live: u64) -> Result<RecoveredWal>
 mod tests {
     use super::*;
     use crate::env::MemEnv;
-    use crate::record::encode_record_parts;
-    use crate::wal::{FRAME_HEADER_BYTES, SEGMENT_HEADER_BYTES};
+    use crate::wal::{group_frame, SEGMENT_HEADER_BYTES};
 
     fn env() -> Arc<MemEnv> {
         Arc::new(MemEnv::new(None))
@@ -369,9 +360,8 @@ mod tests {
 
     /// Appends one single-record group frame for (`key`, `seq`).
     fn append_one(lm: &mut LogManager, key: u64, seq: u64) -> AppendOutcome {
-        let mut frame = vec![0u8; FRAME_HEADER_BYTES];
-        encode_record_parts(&mut frame, &key.to_be_bytes(), seq, Some(&[7u8; 32]));
-        lm.append_group_frame(&mut frame).unwrap()
+        let record = Record::put(key.to_be_bytes().as_slice(), seq, [7u8; 32].as_slice());
+        lm.append_group_frame(&mut group_frame(&[record])).unwrap()
     }
 
     #[test]
@@ -414,7 +404,10 @@ mod tests {
         let sealed: Vec<u64> = lm.sealed().iter().map(|s| s.generation).collect();
         assert!(sealed.len() >= 2);
         let horizon = sealed[sealed.len() - 1];
-        let retired = lm.retire_up_to(horizon).unwrap();
+        // The store's order: delete the files, then untrack.
+        let doomed: Vec<SealedSegment> = lm.sealed().to_vec();
+        let retired = delete_segments(env.as_ref(), &doomed).unwrap();
+        assert_eq!(lm.take_sealed_up_to(horizon).len(), doomed.len());
         assert_eq!(retired.segments, sealed.len() as u64);
         assert!(retired.bytes >= 256 * retired.segments);
         assert!(lm.sealed().is_empty());
@@ -453,8 +446,8 @@ mod tests {
     #[test]
     fn old_middle_tear_truncates_only_its_own_segment() {
         // A tear in a non-newest generation is an old, already-accepted
-        // crash point (manifest-less stores keep such segments across
-        // runs): its own tail is dropped, but the later generations —
+        // crash point (a caller may keep such segments across runs): its
+        // own tail is dropped, but the later generations —
         // written on top of the accepted truncation — must replay.
         let env = env();
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(128), 1).unwrap();
@@ -509,11 +502,10 @@ mod tests {
         // the roll happens after it: frames never straddle segments.
         let env = env();
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(64), 1).unwrap();
-        let mut frame = vec![0u8; FRAME_HEADER_BYTES];
-        for i in 0..10u64 {
-            encode_record_parts(&mut frame, &i.to_be_bytes(), i + 1, Some(&[1u8; 64]));
-        }
-        let out = lm.append_group_frame(&mut frame).unwrap();
+        let records: Vec<Record> = (0..10u64)
+            .map(|i| Record::put(i.to_be_bytes().as_slice(), i + 1, [1u8; 64].as_slice()))
+            .collect();
+        let out = lm.append_group_frame(&mut group_frame(&records)).unwrap();
         assert!(out.rotated);
         assert_eq!(lm.sealed().len(), 1);
         let r = recover_segments(env.as_ref(), 0).unwrap();

@@ -9,13 +9,13 @@
 //! a tiny checksummed record file at the root, written once when the
 //! sharded store is first created and verified on every subsequent open.
 //!
-//! Framing matches the manifest and WAL (`[len u32][crc u32][payload]`);
-//! a torn or corrupt record is reported as corruption, never silently
-//! treated as "unsharded" — that would re-route every key.
+//! The record is one [`frame`], like the manifest's and the
+//! WAL's; a torn or corrupt record is reported as corruption, never
+//! silently treated as "unsharded" — that would re-route every key.
 
 use crate::env::Env;
 use crate::error::{Result, StorageError};
-use crate::record::crc32;
+use crate::frame::{self, Frames, Tail};
 
 /// Name of the sharding record file at the store root.
 pub const SHARDING_FILE: &str = "SHARDING";
@@ -65,14 +65,11 @@ impl ShardingSpec {
 /// whereas a torn record left behind would read as corruption on every
 /// subsequent open, bricking the root over one transient I/O error.
 pub fn write_sharding(env: &dyn Env, spec: &ShardingSpec) -> Result<()> {
-    let payload = spec.encode();
-    let mut frame = Vec::with_capacity(8 + payload.len());
-    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-    frame.extend_from_slice(&crc32(&payload).to_le_bytes());
-    frame.extend_from_slice(&payload);
+    let mut framed = Vec::new();
+    frame::push(&mut framed, &spec.encode());
     let result = (|| {
         let mut file = env.new_writable(SHARDING_FILE)?;
-        file.append(&frame)?;
+        file.append(&framed)?;
         file.sync()?;
         file.finish()?;
         env.sync_dir()
@@ -95,21 +92,14 @@ pub fn read_sharding(env: &dyn Env) -> Result<Option<ShardingSpec>> {
     }
     let file = env.open_random(SHARDING_FILE)?;
     let data = file.read_at(0, file.len() as usize)?;
-    if data.len() < 8 {
-        return Err(StorageError::Corruption("sharding record truncated".into()));
+    let mut frames = Frames::new(&data);
+    match frames.next() {
+        Some(payload) => ShardingSpec::decode(payload).map(Some),
+        None => Err(StorageError::Corruption(match frames.tail() {
+            Tail::Corrupt => "sharding record checksum mismatch".into(),
+            Tail::Clean | Tail::Torn => "sharding record truncated".into(),
+        })),
     }
-    let len = u32::from_le_bytes(data[..4].try_into().expect("4 bytes")) as usize;
-    let crc = u32::from_le_bytes(data[4..8].try_into().expect("4 bytes"));
-    if data.len() < 8 + len {
-        return Err(StorageError::Corruption("sharding record truncated".into()));
-    }
-    let payload = &data[8..8 + len];
-    if crc32(payload) != crc {
-        return Err(StorageError::Corruption(
-            "sharding record checksum mismatch".into(),
-        ));
-    }
-    ShardingSpec::decode(payload).map(Some)
 }
 
 /// Returns the canonical shard sub-directory name (`shard-NN`, two digits

@@ -2,13 +2,14 @@
 //!
 //! LSMs append updates "to an on-disk commit-log before being applied to
 //! the in-memory component" (§2.1) so recovery can reconstruct lost
-//! operations. Each frame is `[len u32][crc u32][payload]` where the
-//! payload is a batch of encoded [`Record`]s; recovery replays frames until
-//! the first corrupt or truncated one (LevelDB semantics: a torn tail is
-//! data loss at the point of the crash, not an error).
+//! operations. Each [`frame`] holds one commit group — a
+//! batch of encoded [`Record`]s; recovery replays frames until the first
+//! corrupt or truncated one (LevelDB semantics: a torn tail is data loss at
+//! the point of the crash, not an error).
 
-use crate::env::{Env, RandomAccessFile, WritableFile};
+use crate::env::{Env, WritableFile};
 use crate::error::{Result, StorageError};
+use crate::frame::{self, Frames, Tail};
 use crate::record::{crc32, encode_record_parts, Record};
 
 /// Returns the canonical WAL file name for log `number`.
@@ -21,10 +22,10 @@ pub fn parse_wal_name(name: &str) -> Option<u64> {
     name.strip_suffix(".log")?.parse().ok()
 }
 
-/// Bytes of the per-frame header (`len u32` + `crc u32`). Group-commit
-/// callers reserve this much at the start of their batch buffer so
-/// [`WalWriter::append_group_frame`] can patch the header in place.
-pub const FRAME_HEADER_BYTES: usize = 8;
+/// Bytes of the per-frame header. Group-commit callers reserve this much
+/// at the start of their batch buffer so [`WalWriter::append_group_frame`]
+/// can seal the frame in place.
+pub use crate::frame::HEADER_BYTES as FRAME_HEADER_BYTES;
 
 /// Sequence number reserved for in-frame annotation records.
 ///
@@ -107,29 +108,15 @@ pub struct WalWriter {
     file: Box<dyn WritableFile>,
     sync_on_write: bool,
     bytes: u64,
-    /// Reusable frame scratch: cleared (capacity retained) across appends
-    /// so steady-state appends allocate nothing.
-    scratch: Vec<u8>,
     /// Nanoseconds spent in per-append fsync since the last
     /// [`Self::take_sync_ns`]; 0 with `sync_on_write` off.
     sync_ns: u64,
 }
 
 impl WalWriter {
-    /// Creates a writer on `file`; `sync_on_write` forces an fsync per
-    /// batch (durability at the cost of latency).
-    pub fn new(file: Box<dyn WritableFile>, sync_on_write: bool) -> Self {
-        Self {
-            file,
-            sync_on_write,
-            bytes: 0,
-            scratch: Vec::new(),
-            sync_ns: 0,
-        }
-    }
-
-    /// Creates the segment file for `generation` and writes (and syncs)
-    /// its header, then syncs the directory: fsyncing a new file's
+    /// Creates the segment file for `generation` — `sync_on_write` forces
+    /// an fsync per appended frame (durability at the cost of latency) —
+    /// and writes (and syncs) its header, then syncs the directory: fsyncing a new file's
     /// contents does not persist its directory entry, and a segment that
     /// vanishes with the directory after a crash would silently drop
     /// every fsync-acknowledged write it held. The returned writer's
@@ -152,79 +139,22 @@ impl WalWriter {
             file,
             sync_on_write,
             bytes: SEGMENT_HEADER_BYTES as u64,
-            scratch: Vec::new(),
             sync_ns: 0,
         })
     }
 
-    /// Appends one batch of records as a single frame.
-    pub fn append_batch(&mut self, records: &[Record]) -> Result<()> {
-        let mut frame = std::mem::take(&mut self.scratch);
-        frame.clear();
-        frame.extend_from_slice(&[0u8; 8]); // Header space, patched below.
-        for r in records {
-            r.encode_into(&mut frame);
-        }
-        let len = (frame.len() - 8) as u32;
-        let crc = crc32(&frame[8..]);
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        let result = self.append_raw(&frame);
-        self.scratch = frame;
-        result
-    }
-
-    /// Appends an already-encoded multi-record payload as one frame.
-    ///
-    /// `payload` must be a concatenation of records serialized with
-    /// [`crate::record::encode_record_parts`] (or `Record::encode_into`) —
-    /// exactly what [`replay`] decodes. This is the group-commit entry
-    /// point: writers encode into a shared batch buffer and the group
-    /// leader hands the finished payload here, so the frame header is the
-    /// only per-group overhead and the payload bytes are never re-copied.
-    pub fn append_payload(&mut self, payload: &[u8]) -> Result<()> {
-        let mut header = [0u8; 8];
-        header[..4].copy_from_slice(&(payload.len() as u32).to_le_bytes());
-        header[4..].copy_from_slice(&crc32(payload).to_le_bytes());
-        // Small frames: assemble in the scratch and issue one append (one
-        // write syscall / one env lock). Large frames: two appends beat
-        // re-copying the whole group payload.
-        if payload.len() <= 4096 {
-            let mut frame = std::mem::take(&mut self.scratch);
-            frame.clear();
-            frame.extend_from_slice(&header);
-            frame.extend_from_slice(payload);
-            let result = self.append_raw(&frame);
-            self.scratch = frame;
-            return result;
-        }
-        self.file.append(&header)?;
-        self.file.append(payload)?;
-        if self.sync_on_write {
-            self.sync_timed()?;
-        }
-        self.bytes += 8 + payload.len() as u64;
-        Ok(())
-    }
-
-    /// Appends a group frame assembled in place, with one write.
+    /// Appends one commit group as a single frame, with one write.
     ///
     /// `frame` must start with [`FRAME_HEADER_BYTES`] of reserved space
-    /// (see `GroupCommitConfig::frame_prefix`) followed by encoded
-    /// records; the length and CRC are patched into the reserved space
-    /// here, so the batch payload is never re-copied on its way to the
-    /// log. Replays exactly like [`Self::append_batch`] frames.
+    /// (see `GroupCommitConfig::frame_prefix`) followed by records
+    /// serialized with [`encode_record_parts`] — exactly what
+    /// [`replay_segment`] decodes. Writers encode into the shared group
+    /// buffer and the group leader hands it here; the header is sealed
+    /// into the reserved space, so the frame header is the only per-group
+    /// overhead and the payload bytes are never re-copied on their way to
+    /// the log.
     pub fn append_group_frame(&mut self, frame: &mut [u8]) -> Result<()> {
-        debug_assert!(frame.len() >= FRAME_HEADER_BYTES);
-        let len = (frame.len() - FRAME_HEADER_BYTES) as u32;
-        let crc = crc32(&frame[FRAME_HEADER_BYTES..]);
-        frame[..4].copy_from_slice(&len.to_le_bytes());
-        frame[4..8].copy_from_slice(&crc.to_le_bytes());
-        self.append_raw(frame)
-    }
-
-    /// Appends one fully-framed chunk (header already in place).
-    fn append_raw(&mut self, frame: &[u8]) -> Result<()> {
+        frame::seal(frame);
         self.file.append(frame)?;
         if self.sync_on_write {
             self.sync_timed()?;
@@ -262,20 +192,6 @@ impl WalWriter {
     }
 }
 
-/// Replays every intact frame of a log file, in order.
-///
-/// Returns the recovered records and the largest sequence number seen
-/// (useful for resuming the global sequence counter). This is the raw,
-/// headerless entry point; generation-numbered segments replay through
-/// [`replay_segment`], which verifies the segment header first.
-pub fn replay(env: &dyn Env, name: &str) -> Result<(Vec<Record>, u64)> {
-    let file: std::sync::Arc<dyn RandomAccessFile> = env.open_random(name)?;
-    let size = file.len();
-    let data = file.read_at(0, size as usize)?;
-    let replayed = replay_frames(&data, 0)?;
-    Ok((replayed.records, replayed.max_seq))
-}
-
 /// The result of replaying one generation-numbered segment.
 #[derive(Debug)]
 pub struct SegmentReplay {
@@ -311,7 +227,7 @@ pub fn replay_segment(
     name: &str,
     expected_generation: u64,
 ) -> Result<SegmentReplay> {
-    let file: std::sync::Arc<dyn RandomAccessFile> = env.open_random(name)?;
+    let file = env.open_random(name)?;
     let data = file.read_at(0, file.len() as usize)?;
     if data.len() >= SEGMENT_MAGIC.len() && &data[..8] != SEGMENT_MAGIC.as_slice() {
         // Legacy headerless log: frames from byte 0. A non-empty file
@@ -319,7 +235,7 @@ pub fn replay_segment(
         // segment whose magic was corrupted away — and silently reporting
         // an empty segment would vaporize that segment's fsynced frames —
         // so it is reported as corruption rather than success.
-        let replayed = replay_frames(&data, 0)?;
+        let replayed = replay_frames(&data)?;
         if replayed.records.is_empty() {
             return Err(StorageError::Corruption(format!(
                 "{name}: neither a headered WAL segment nor a replayable \
@@ -351,31 +267,19 @@ pub fn replay_segment(
              file name says {expected_generation}"
         )));
     }
-    replay_frames(&data, SEGMENT_HEADER_BYTES)
+    replay_frames(&data[SEGMENT_HEADER_BYTES..])
 }
 
-/// Walks `[len][crc][payload]` frames from `start`, stopping at the first
-/// torn or corrupt one. Records with the [`ANNOTATION_SEQ`] sentinel are
-/// decoded into [`BatchAnnotation`]s instead of joining the recovered
-/// records (and never contribute to `max_seq`).
-fn replay_frames(data: &[u8], start: usize) -> Result<SegmentReplay> {
+/// Decodes every intact frame of `data`, stopping at the first torn or
+/// corrupt one. Records with the [`ANNOTATION_SEQ`] sentinel are decoded
+/// into [`BatchAnnotation`]s instead of joining the recovered records (and
+/// never contribute to `max_seq`).
+fn replay_frames(data: &[u8]) -> Result<SegmentReplay> {
     let mut records = Vec::new();
     let mut annotations = Vec::new();
     let mut max_seq = 0u64;
-    let mut pos = start;
-    loop {
-        if pos + 8 > data.len() {
-            break; // Clean end or torn frame header: stop.
-        }
-        let len = u32::from_le_bytes(data[pos..pos + 4].try_into().expect("4 bytes")) as usize;
-        let crc = u32::from_le_bytes(data[pos + 4..pos + 8].try_into().expect("4 bytes"));
-        if pos + 8 + len > data.len() {
-            break; // Torn payload: stop at the last complete frame.
-        }
-        let payload = &data[pos + 8..pos + 8 + len];
-        if crc32(payload) != crc {
-            break; // Corrupt frame: stop replaying.
-        }
+    let mut frames = Frames::new(data);
+    for payload in frames.by_ref() {
         let mut p = 0;
         while p < payload.len() {
             let r = Record::decode_from(payload, &mut p).map_err(|e| {
@@ -388,15 +292,27 @@ fn replay_frames(data: &[u8], start: usize) -> Result<SegmentReplay> {
             max_seq = max_seq.max(r.seq);
             records.push(r);
         }
-        pos += 8 + len;
     }
-    let clean = pos == data.len();
     Ok(SegmentReplay {
         records,
         max_seq,
         annotations,
-        clean,
+        clean: frames.tail() == Tail::Clean,
     })
+}
+
+/// Test support, shared by this crate's unit tests and the integration
+/// suites above it: `records` as an unsealed commit-group frame — the
+/// reserved header space, then the encoded records — ready for
+/// [`WalWriter::append_group_frame`] (or [`frame::seal`], to lay down the
+/// raw bytes of a legacy headerless log).
+#[doc(hidden)]
+pub fn group_frame(records: &[Record]) -> Vec<u8> {
+    let mut frame = vec![0u8; FRAME_HEADER_BYTES];
+    for r in records {
+        r.encode_into(&mut frame);
+    }
+    frame
 }
 
 #[cfg(test)]
@@ -410,169 +326,28 @@ mod tests {
             .collect()
     }
 
-    #[test]
-    fn write_and_replay() {
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("001.log").unwrap(), false);
-        w.append_batch(&records(0..10)).unwrap();
-        w.append_batch(&records(10..20)).unwrap();
+    /// Writes segment `generation` with one frame per batch; returns the
+    /// file offset each frame ends at.
+    fn write_segment(env: &MemEnv, generation: u64, batches: &[Vec<Record>]) -> Vec<usize> {
+        let mut w = WalWriter::create_segment(env, generation, false).unwrap();
+        let ends = batches
+            .iter()
+            .map(|batch| {
+                w.append_group_frame(&mut group_frame(batch)).unwrap();
+                w.bytes_written() as usize
+            })
+            .collect();
         w.finish().unwrap();
-
-        let (recovered, max_seq) = replay(&env, "001.log").unwrap();
-        assert_eq!(recovered.len(), 20);
-        assert_eq!(max_seq, 19);
-        assert_eq!(recovered[5].key.as_ref(), 5u64.to_be_bytes());
+        ends
     }
 
-    #[test]
-    fn replay_stops_at_torn_frame() {
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("001.log").unwrap(), false);
-        w.append_batch(&records(0..10)).unwrap();
-        let good_len = w.bytes_written();
-        w.append_batch(&records(10..20)).unwrap();
-        w.finish().unwrap();
-
-        // Simulate a crash that tore the second frame: rewrite a truncated
-        // copy of the file.
-        let full = env
-            .open_random("001.log")
-            .unwrap()
-            .read_at(0, (good_len + 5) as usize)
-            .unwrap();
-        let mut f = env.new_writable("001.log").unwrap();
-        f.append(&full).unwrap();
-
-        let (recovered, _) = replay(&env, "001.log").unwrap();
-        assert_eq!(recovered.len(), 10, "only the intact frame replays");
+    fn read_all(env: &MemEnv, name: &str) -> Vec<u8> {
+        let file = env.open_random(name).unwrap();
+        file.read_at(0, file.len() as usize).unwrap()
     }
 
-    #[test]
-    fn replay_stops_at_corrupt_crc() {
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("001.log").unwrap(), false);
-        w.append_batch(&records(0..5)).unwrap();
-        w.append_batch(&records(5..9)).unwrap();
-        w.finish().unwrap();
-
-        let mut full = env
-            .open_random("001.log")
-            .unwrap()
-            .read_at(0, env.open_random("001.log").unwrap().len() as usize)
-            .unwrap();
-        // Flip a payload byte in the second frame.
-        let flip_at = full.len() - 3;
-        full[flip_at] ^= 0xFF;
-        let mut f = env.new_writable("001.log").unwrap();
-        f.append(&full).unwrap();
-
-        let (recovered, _) = replay(&env, "001.log").unwrap();
-        assert_eq!(recovered.len(), 5);
-    }
-
-    #[test]
-    fn empty_log_replays_empty() {
-        let env = MemEnv::new(None);
-        let w = WalWriter::new(env.new_writable("e.log").unwrap(), false);
-        w.finish().unwrap();
-        let (recovered, max_seq) = replay(&env, "e.log").unwrap();
-        assert!(recovered.is_empty());
-        assert_eq!(max_seq, 0);
-    }
-
-    #[test]
-    fn group_frame_replays_identically_to_singles() {
-        // A group of N records committed as one frame must recover the
-        // exact same state as N single-record frames: recovery equivalence
-        // is what lets group commit replace the per-put pipeline without
-        // touching replay.
-        let env = MemEnv::new(None);
-        let batch = {
-            let mut records = records(0..25);
-            records[7].value = None; // A tombstone inside the group.
-            records
-        };
-
-        let mut grouped = WalWriter::new(env.new_writable("group.log").unwrap(), false);
-        let mut payload = Vec::new();
-        for r in &batch {
-            crate::record::encode_record_parts(&mut payload, &r.key, r.seq, r.value.as_deref());
-        }
-        grouped.append_payload(&payload).unwrap();
-        grouped.finish().unwrap();
-
-        // The in-place framing entry point produces byte-identical frames.
-        let mut inplace = WalWriter::new(env.new_writable("inplace.log").unwrap(), false);
-        let mut frame = vec![0u8; FRAME_HEADER_BYTES];
-        frame.extend_from_slice(&payload);
-        inplace.append_group_frame(&mut frame).unwrap();
-        inplace.finish().unwrap();
-
-        let mut singles = WalWriter::new(env.new_writable("singles.log").unwrap(), false);
-        for r in &batch {
-            singles.append_batch(std::slice::from_ref(r)).unwrap();
-        }
-        singles.finish().unwrap();
-
-        let (from_group, group_seq) = replay(&env, "group.log").unwrap();
-        let (from_singles, singles_seq) = replay(&env, "singles.log").unwrap();
-        assert_eq!(from_group, from_singles);
-        assert_eq!(group_seq, singles_seq);
-        assert_eq!(from_group, batch);
-        let (from_inplace, _) = replay(&env, "inplace.log").unwrap();
-        assert_eq!(from_inplace, batch);
-    }
-
-    #[test]
-    fn torn_group_frame_truncates_cleanly() {
-        // Crash mid-way through a group frame: every earlier frame
-        // replays, the torn group is dropped whole (LevelDB semantics) —
-        // no partial group, no error.
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("001.log").unwrap(), false);
-        w.append_batch(&records(0..10)).unwrap();
-        let good_len = w.bytes_written();
-        let mut payload = Vec::new();
-        for r in records(10..30) {
-            r.encode_into(&mut payload);
-        }
-        w.append_payload(&payload).unwrap();
-        w.finish().unwrap();
-
-        let full_len = env.open_random("001.log").unwrap().len();
-        // Tear the group frame at every prefix length: header-only, header
-        // plus part of the payload, all the way to one byte short.
-        for cut in good_len..full_len {
-            let torn = env
-                .open_random("001.log")
-                .unwrap()
-                .read_at(0, cut as usize)
-                .unwrap();
-            let name = format!("torn-{cut}.log");
-            let mut f = env.new_writable(&name).unwrap();
-            f.append(&torn).unwrap();
-            let (recovered, max_seq) = replay(&env, &name).unwrap();
-            assert_eq!(recovered.len(), 10, "cut at {cut}");
-            assert_eq!(max_seq, 9, "cut at {cut}");
-        }
-        // The intact file still replays everything.
-        let (recovered, _) = replay(&env, "001.log").unwrap();
-        assert_eq!(recovered.len(), 30);
-    }
-
-    #[test]
-    fn append_scratch_is_reused() {
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("s.log").unwrap(), false);
-        w.append_batch(&records(0..10)).unwrap();
-        let cap = w.scratch.capacity();
-        assert!(cap > 0, "scratch must be retained after an append");
-        for _ in 0..5 {
-            w.append_batch(&records(0..10)).unwrap();
-        }
-        assert_eq!(w.scratch.capacity(), cap, "same-size batches must not realloc");
-        let (recovered, _) = replay(&env, "s.log").unwrap();
-        assert_eq!(recovered.len(), 60);
+    fn write_all(env: &MemEnv, name: &str, bytes: &[u8]) {
+        env.new_writable(name).unwrap().append(bytes).unwrap();
     }
 
     #[test]
@@ -582,14 +357,14 @@ mod tests {
         assert_eq!(parse_wal_name("matrix.sst"), None);
 
         let env = MemEnv::new(None);
-        let mut w = WalWriter::create_segment(&env, 3, false).unwrap();
+        let w = WalWriter::create_segment(&env, 3, false).unwrap();
         assert_eq!(w.bytes_written(), SEGMENT_HEADER_BYTES as u64);
-        w.append_batch(&records(0..10)).unwrap();
-        w.finish().unwrap();
+        write_segment(&env, 3, &[records(0..10), records(10..20)]);
 
         let r = replay_segment(&env, &wal_file_name(3), 3).unwrap();
-        assert_eq!(r.records.len(), 10);
-        assert_eq!(r.max_seq, 9);
+        assert_eq!(r.records.len(), 20);
+        assert_eq!(r.max_seq, 19);
+        assert_eq!(r.records[5].key.as_ref(), 5u64.to_be_bytes());
         assert!(r.clean);
 
         // A header/name generation mismatch is corruption, not a tear.
@@ -597,28 +372,93 @@ mod tests {
     }
 
     #[test]
+    fn header_only_segment_replays_empty() {
+        let env = MemEnv::new(None);
+        write_segment(&env, 1, &[]);
+        let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        assert!(r.records.is_empty());
+        assert_eq!(r.max_seq, 0);
+        assert!(r.clean);
+    }
+
+    #[test]
+    fn replay_stops_at_corrupt_crc() {
+        let env = MemEnv::new(None);
+        write_segment(&env, 1, &[records(0..5), records(5..9)]);
+        let mut full = read_all(&env, &wal_file_name(1));
+        // Flip a payload byte in the second frame.
+        let flip_at = full.len() - 3;
+        full[flip_at] ^= 0xFF;
+        write_all(&env, &wal_file_name(1), &full);
+
+        let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        assert_eq!(r.records.len(), 5);
+        assert!(!r.clean, "a corrupt tail must be reported");
+    }
+
+    #[test]
+    fn group_frame_replays_identically_to_singles() {
+        // A group of N records committed as one frame must recover the
+        // exact same state as N single-record frames: recovery equivalence
+        // is what lets group commit batch writers without touching replay.
+        let env = MemEnv::new(None);
+        let batch = {
+            let mut records = records(0..25);
+            records[7].value = None; // A tombstone inside the group.
+            records
+        };
+        write_segment(&env, 1, std::slice::from_ref(&batch));
+        let singles: Vec<Vec<Record>> = batch.iter().map(|r| vec![r.clone()]).collect();
+        write_segment(&env, 2, &singles);
+
+        let from_group = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        let from_singles = replay_segment(&env, &wal_file_name(2), 2).unwrap();
+        assert_eq!(from_group.records, from_singles.records);
+        assert_eq!(from_group.max_seq, from_singles.max_seq);
+        assert_eq!(from_group.records, batch);
+    }
+
+    #[test]
+    fn torn_group_frame_truncates_cleanly() {
+        // Crash mid-way through a group frame: every earlier frame
+        // replays, the torn group is dropped whole (LevelDB semantics) —
+        // no partial group, no error.
+        let env = MemEnv::new(None);
+        let ends = write_segment(&env, 1, &[records(0..10), records(10..30)]);
+        let full = read_all(&env, &wal_file_name(1));
+        assert_eq!(ends[1], full.len());
+        // Tear the group frame at every prefix length: header-only, header
+        // plus part of the payload, all the way to one byte short.
+        for cut in ends[0]..ends[1] {
+            write_all(&env, "torn.log", &full[..cut]);
+            let r = replay_segment(&env, "torn.log", 1).unwrap();
+            assert_eq!(r.records.len(), 10, "cut at {cut}");
+            assert_eq!(r.max_seq, 9, "cut at {cut}");
+            assert_eq!(r.clean, cut == ends[0], "cut at {cut}");
+        }
+        // The intact file still replays everything.
+        let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        assert_eq!(r.records.len(), 30);
+    }
+
+    #[test]
     fn legacy_headerless_log_replays_as_a_segment() {
         // Logs written before segment headers existed (no magic) must
         // stay recoverable after an upgrade: frames replay from byte 0.
         let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("000117.log").unwrap(), false);
-        w.append_batch(&records(0..10)).unwrap();
-        let good = w.bytes_written();
-        w.append_batch(&records(10..20)).unwrap();
-        w.finish().unwrap();
-
+        let frames = [records(0..10), records(10..20)].map(|batch| {
+            let mut raw = group_frame(&batch);
+            frame::seal(&mut raw);
+            raw
+        });
+        let log = frames.concat();
+        write_all(&env, "000117.log", &log);
         let r = replay_segment(&env, "000117.log", 117).unwrap();
         assert_eq!(r.records.len(), 20);
         assert!(r.clean);
 
         // A torn legacy tail truncates exactly like it always did.
-        let torn = env
-            .open_random("000117.log")
-            .unwrap()
-            .read_at(0, (good + 3) as usize)
-            .unwrap();
-        let mut f = env.new_writable("000117.log").unwrap();
-        f.append(&torn).unwrap();
+        write_all(&env, "000117.log", &log[..frames[0].len() + 3]);
         let r = replay_segment(&env, "000117.log", 117).unwrap();
         assert_eq!(r.records.len(), 10);
         assert!(!r.clean);
@@ -629,34 +469,11 @@ mod tests {
         let env = MemEnv::new(None);
         let header = segment_header(9);
         for cut in 0..SEGMENT_HEADER_BYTES {
-            let mut f = env.new_writable("torn.log").unwrap();
-            f.append(&header[..cut]).unwrap();
+            write_all(&env, "torn.log", &header[..cut]);
             let r = replay_segment(&env, "torn.log", 9).unwrap();
             assert!(r.records.is_empty(), "cut at {cut}");
             assert!(!r.clean, "cut at {cut}");
         }
-    }
-
-    #[test]
-    fn segment_with_torn_tail_is_not_clean() {
-        let env = MemEnv::new(None);
-        let mut w = WalWriter::create_segment(&env, 1, false).unwrap();
-        w.append_batch(&records(0..5)).unwrap();
-        let good = w.bytes_written();
-        w.append_batch(&records(5..10)).unwrap();
-        w.finish().unwrap();
-
-        let full = env
-            .open_random(&wal_file_name(1))
-            .unwrap()
-            .read_at(0, (good + 3) as usize)
-            .unwrap();
-        let mut f = env.new_writable(&wal_file_name(1)).unwrap();
-        f.append(&full).unwrap();
-
-        let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
-        assert_eq!(r.records.len(), 5, "intact prefix replays");
-        assert!(!r.clean, "a torn tail must be reported");
     }
 
     #[test]
@@ -672,27 +489,23 @@ mod tests {
             shard_count: 2,
             ops: 3,
         };
-        let mut payload = Vec::new();
-        ann_a.encode_into(&mut payload);
-        for r in records(0..3) {
-            r.encode_into(&mut payload);
-        }
-        w.append_payload(&payload).unwrap();
-
         let ann_b = BatchAnnotation {
             batch_id: 42,
             shard: 1,
             shard_count: 2,
             ops: 2,
         };
-        payload.clear();
-        ann_b.encode_into(&mut payload);
-        for r in records(3..5) {
-            r.encode_into(&mut payload);
+        let mut first_frame_end = 0;
+        for (ann, batch) in [(ann_a, records(0..3)), (ann_b, records(3..5))] {
+            let mut frame = vec![0u8; FRAME_HEADER_BYTES];
+            ann.encode_into(&mut frame);
+            frame.extend_from_slice(&group_frame(&batch)[FRAME_HEADER_BYTES..]);
+            w.append_group_frame(&mut frame).unwrap();
+            if first_frame_end == 0 {
+                first_frame_end = w.bytes_written() as usize;
+            }
         }
-        w.append_payload(&payload).unwrap();
-
-        w.append_batch(&records(5..6)).unwrap();
+        w.append_group_frame(&mut group_frame(&records(5..6))).unwrap();
         w.finish().unwrap();
 
         let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
@@ -704,15 +517,8 @@ mod tests {
 
         // A torn second frame drops that sub-batch's annotation and records
         // together — whole-sub-batch semantics.
-        let file = env.open_random(&wal_file_name(1)).unwrap();
-        let bytes = file.read_at(0, file.len() as usize).unwrap();
-        // Recompute the first frame's extent from its header.
-        let at = SEGMENT_HEADER_BYTES;
-        let frame_len = u32::from_le_bytes(bytes[at..at + 4].try_into().unwrap()) as usize;
-        let first_frame_end = at + 8 + frame_len;
-        let mut f = env.new_writable("torn.log").unwrap();
-        f.append(&segment_header(1)).unwrap();
-        f.append(&bytes[SEGMENT_HEADER_BYTES..first_frame_end + 4]).unwrap();
+        let bytes = read_all(&env, &wal_file_name(1));
+        write_all(&env, "torn.log", &bytes[..first_frame_end + 4]);
         let torn = replay_segment(&env, "torn.log", 1).unwrap();
         assert_eq!(torn.records.len(), 3);
         assert_eq!(torn.annotations, vec![ann_a]);
@@ -720,14 +526,15 @@ mod tests {
     }
 
     #[test]
-    fn tombstones_replay() {
+    fn tombstones_replay_from_a_synced_segment() {
         let env = MemEnv::new(None);
-        let mut w = WalWriter::new(env.new_writable("t.log").unwrap(), true);
-        w.append_batch(&[Record::tombstone(b"k".as_slice(), 3)]).unwrap();
+        let mut w = WalWriter::create_segment(&env, 1, true).unwrap();
+        w.append_group_frame(&mut group_frame(&[Record::tombstone(b"k".as_slice(), 3)]))
+            .unwrap();
         w.finish().unwrap();
-        let (recovered, max_seq) = replay(&env, "t.log").unwrap();
-        assert_eq!(recovered.len(), 1);
-        assert!(recovered[0].is_tombstone());
-        assert_eq!(max_seq, 3);
+        let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        assert_eq!(r.records.len(), 1);
+        assert!(r.records[0].is_tombstone());
+        assert_eq!(r.max_seq, 3);
     }
 }

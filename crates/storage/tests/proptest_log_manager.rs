@@ -8,8 +8,7 @@ use std::sync::Arc;
 
 use flodb_storage::env::{Env, MemEnv};
 use flodb_storage::log_manager::{recover_segments, LogConfig, LogManager};
-use flodb_storage::record::encode_record_parts;
-use flodb_storage::wal::{wal_file_name, FRAME_HEADER_BYTES, SEGMENT_HEADER_BYTES};
+use flodb_storage::wal::{group_frame, wal_file_name, SEGMENT_HEADER_BYTES};
 use flodb_storage::Record;
 use proptest::prelude::*;
 
@@ -21,12 +20,8 @@ fn batch_records(first: u64, count: u64, value_bytes: usize) -> Vec<Record> {
 }
 
 /// Appends `records` as one group frame (what a commit group emits).
-fn append_batch(lm: &mut LogManager, records: &[Record]) -> flodb_storage::log_manager::AppendOutcome {
-    let mut frame = vec![0u8; FRAME_HEADER_BYTES];
-    for r in records {
-        encode_record_parts(&mut frame, &r.key, r.seq, r.value.as_deref());
-    }
-    lm.append_group_frame(&mut frame).unwrap()
+fn append_group(lm: &mut LogManager, records: &[Record]) -> flodb_storage::log_manager::AppendOutcome {
+    lm.append_group_frame(&mut group_frame(records)).unwrap()
 }
 
 /// Where each batch landed: its generation, and its frame's end offset
@@ -61,7 +56,7 @@ fn build_log(
         next_key += size;
         let generation = lm.active_generation();
         let before = lm.active_bytes();
-        let outcome = append_batch(&mut lm, &records);
+        let outcome = append_group(&mut lm, &records);
         let frame_end = if outcome.rotated {
             // The batch is the last frame of the now-sealed generation.
             lm.sealed().last().unwrap().bytes
@@ -201,7 +196,7 @@ fn batch_opening_a_fresh_segment_recovers_all_or_nothing() {
     loop {
         let records = batch_records(next_key, 3, 32);
         next_key += 3;
-        let rotated = append_batch(&mut lm, &records).rotated;
+        let rotated = append_group(&mut lm, &records).rotated;
         appended.extend(records);
         if rotated {
             break;
@@ -211,7 +206,7 @@ fn batch_opening_a_fresh_segment_recovers_all_or_nothing() {
 
     // The straddling batch: first frame of the fresh generation.
     let straddler = batch_records(next_key, 5, 32);
-    let outcome = append_batch(&mut lm, &straddler);
+    let outcome = append_group(&mut lm, &straddler);
     assert!(!outcome.rotated, "the straddler must stay in the new segment");
     let newest = lm.active_generation();
     assert_eq!(newest, 2);

@@ -11,7 +11,9 @@ use flodb_storage::bloom::Bloom;
 use flodb_storage::compaction::{CompactionConfig, MergeCursor};
 use flodb_storage::env::{Env, MemEnv};
 use flodb_storage::sstable::{verify_table, Table, TableBuilder};
-use flodb_storage::wal::{replay, wal_file_name, WalWriter};
+use flodb_storage::wal::{
+    group_frame, replay_segment, wal_file_name, WalWriter, SEGMENT_HEADER_BYTES,
+};
 use flodb_storage::{DiskComponent, DiskOptions, Record};
 use proptest::prelude::*;
 
@@ -197,21 +199,16 @@ proptest! {
             proptest::collection::vec(arb_record(), 1..20), 1..10),
     ) {
         let env = MemEnv::new(None);
-        let name = wal_file_name(1);
-        let mut writer = WalWriter::new(env.new_writable(&name).unwrap(), false);
-        let mut expected = Vec::new();
-        let mut max_seq = 0u64;
+        let mut writer = WalWriter::create_segment(&env, 1, false).unwrap();
         for batch in &batches {
-            writer.append_batch(batch).unwrap();
-            for r in batch {
-                max_seq = max_seq.max(r.seq);
-                expected.push(r.clone());
-            }
+            writer.append_group_frame(&mut group_frame(batch)).unwrap();
         }
         writer.finish().unwrap();
-        let (recovered, seen) = replay(&env, &name).unwrap();
-        prop_assert_eq!(recovered, expected);
-        prop_assert_eq!(seen, max_seq);
+        let replayed = replay_segment(&env, &wal_file_name(1), 1).unwrap();
+        let expected: Vec<Record> = batches.iter().flatten().cloned().collect();
+        prop_assert_eq!(replayed.max_seq, expected.iter().map(|r| r.seq).max().unwrap());
+        prop_assert_eq!(replayed.records, expected);
+        prop_assert!(replayed.clean);
     }
 
     #[test]
@@ -226,9 +223,9 @@ proptest! {
         let name = wal_file_name(1);
         let mut frames = Vec::new(); // Cumulative end offset per batch.
         {
-            let mut writer = WalWriter::new(env.new_writable(&name).unwrap(), false);
+            let mut writer = WalWriter::create_segment(&env, 1, false).unwrap();
             for batch in &batches {
-                writer.append_batch(batch).unwrap();
+                writer.append_group_frame(&mut group_frame(batch)).unwrap();
                 frames.push(writer.bytes_written());
             }
             writer.finish().unwrap();
@@ -241,12 +238,15 @@ proptest! {
         truncated.append(&data).unwrap();
         truncated.finish().unwrap();
 
-        let (recovered, _) = replay(&env, "cut.log").unwrap();
+        let replayed = replay_segment(&env, "cut.log", 1).unwrap();
         // The recovered records are exactly the batches whose frames fit
-        // entirely under the cut.
+        // entirely under the cut (none when the cut is inside the segment
+        // header).
         let whole: usize = frames.iter().take_while(|&&end| end as usize <= cut).count();
         let expected: Vec<Record> = batches[..whole].iter().flatten().cloned().collect();
-        prop_assert_eq!(recovered, expected);
+        prop_assert_eq!(replayed.records, expected);
+        let boundary = cut == SEGMENT_HEADER_BYTES || frames.contains(&(cut as u64));
+        prop_assert_eq!(replayed.clean, boundary);
     }
 
     #[test]

@@ -12,11 +12,11 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
+use flodb_core::telemetry::Histogram;
 use flodb_core::KvStore;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
 
-use crate::histogram::Histogram;
 use crate::keys::KeyDistribution;
 use crate::mix::{OpKind, OperationMix};
 

@@ -20,13 +20,11 @@
 #![forbid(unsafe_code)]
 
 pub mod driver;
-pub mod histogram;
 pub mod init;
 pub mod keys;
 pub mod mix;
 
 pub use driver::{run_workload, RunReport, WorkloadConfig};
 pub use init::build_flodb_store;
-pub use histogram::Histogram;
 pub use keys::KeyDistribution;
 pub use mix::{OpKind, OperationMix};

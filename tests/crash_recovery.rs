@@ -459,16 +459,19 @@ fn pre_segment_header_logs_recover_on_upgrade() {
     // subsystem must recover them as legacy segments, then migrate: the
     // recovered state flushes, the legacy files are pruned, and a fresh
     // headered generation above the legacy numbering takes over.
-    use flodb::storage::wal::WalWriter;
-    use flodb::storage::Record;
+    use flodb::storage::wal::group_frame;
+    use flodb::storage::{frame, Record};
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
     {
-        let mut w = WalWriter::new(env.new_writable("000117.log").unwrap(), false);
+        // The legacy format byte for byte: frames from offset 0, no header.
         let records: Vec<Record> = (0..50u64)
             .map(|i| Record::put(key(i).as_slice(), i + 1, i.to_le_bytes().as_slice()))
             .collect();
-        w.append_batch(&records).unwrap();
-        w.finish().unwrap();
+        let mut log = group_frame(&records);
+        frame::seal(&mut log);
+        let mut file = env.new_writable("000117.log").unwrap();
+        file.append(&log).unwrap();
+        file.finish().unwrap();
     }
     let db = FloDb::open(wal_opts(Arc::clone(&env), false)).unwrap();
     for i in 0..50u64 {

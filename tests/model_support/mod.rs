@@ -330,7 +330,7 @@ pub fn group_commit_error_body() {
 /// and no frame of a failed group ever lands in the segment.
 pub fn group_commit_injected_fault_body() {
     use flodb::storage::fault::is_injected;
-    use flodb::storage::wal::{WalWriter, SEGMENT_HEADER_BYTES};
+    use flodb::storage::wal::{WalWriter, FRAME_HEADER_BYTES, SEGMENT_HEADER_BYTES};
     use flodb::storage::{FaultEnv, FaultKind, FaultPlan, MemEnv, StorageError};
 
     let env = std::sync::Arc::new(FaultEnv::new(std::sync::Arc::new(MemEnv::new(None))));
@@ -343,7 +343,8 @@ pub fn group_commit_injected_fault_body() {
 
     let gc: Arc<GroupCommitter<StorageError>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
-        frame_prefix: 0,
+        // Framed in place, as the store's commit stage does it.
+        frame_prefix: FRAME_HEADER_BYTES,
         follower_spin: 0,
     }));
     let handles: Vec<_> = (0..2u8)
@@ -353,7 +354,7 @@ pub fn group_commit_injected_fault_body() {
             thread::spawn(move || {
                 gc.submit(
                     |buf| buf.push(rec),
-                    |payload| writer.lock().append_payload(payload),
+                    |frame| writer.lock().append_group_frame(frame),
                 )
             })
         })

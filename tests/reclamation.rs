@@ -12,12 +12,9 @@
 //! process, so the deferred == executed equality cannot race with
 //! unrelated tests.
 //!
-//! Gated on the umbrella crate's `epoch-shim-stats` feature (which
-//! forwards flodb-core's): with the real crossbeam-epoch swapped back in
-//! there are no shim counters and `FloDbStats::reclamation()` reads zero,
-//! so the equalities below would be vacuous-or-failing.
-
-#![cfg(feature = "epoch-shim-stats")]
+//! The counters come from the offline crossbeam-epoch shim's `shim_stats`
+//! module (through `FloDbStats::reclamation()`); the real crate has no
+//! such hook, which is what README "Swap-back procedure" step 2 is about.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;

@@ -95,9 +95,11 @@ fn histogram_merge_is_associative_and_matches_pooled_recording() {
 fn trace_ring_wraps_without_growing() {
     let ring = TraceRing::with_capacity(64);
     let cap = ring.capacity();
-    // Push three laps' worth of events from several threads: memory is
-    // fixed at construction, so the dump can never exceed capacity and
-    // the survivors are the newest tickets.
+    // Push twelve laps' worth of events from several threads: memory is
+    // fixed at construction, so the dump can never exceed capacity. Which
+    // laps survive is not promised — a writer that laps a predecessor
+    // still mid-write drops its own event (counted), so a slot can keep an
+    // older ticket than the final lap's.
     let ring = Arc::new(ring);
     let handles: Vec<_> = (0..4u32)
         .map(|t| {
@@ -114,11 +116,20 @@ fn trace_ring_wraps_without_growing() {
     }
     let events = ring.dump();
     assert!(events.len() <= cap, "{} events > {cap} slots", events.len());
-    assert_eq!(ring.recorded(), 4 * 3 * 64);
-    // Everything still resident is from the final lap of tickets.
-    let oldest_possible = ring.recorded() - cap as u64;
-    assert!(events.iter().all(|e| e.ticket >= oldest_possible));
+    assert_eq!(ring.recorded(), 4 * 3 * 64, "every push takes a ticket, dropped or not");
+    // The dump is sorted and holds each ticket once, all of them issued.
     assert!(events.windows(2).all(|w| w[0].ticket < w[1].ticket));
+    assert!(events.iter().all(|e| e.ticket < ring.recorded()));
+    // One survivor per slot, each the event of a push that was not dropped.
+    let slots: std::collections::BTreeSet<u64> =
+        events.iter().map(|e| e.ticket % cap as u64).collect();
+    assert_eq!(slots.len(), events.len(), "two survivors share a slot");
+    let published = ring.recorded() - ring.dropped();
+    assert!(
+        events.len() as u64 <= published,
+        "{} survivors of {published} published events",
+        events.len()
+    );
 }
 
 #[test]

@@ -2,7 +2,7 @@
 //!
 //! Two commands share this library:
 //!
-//! * `cargo xtask lint` — six line-based rules ([`run_lint`]), one per
+//! * `cargo xtask lint` — seven line-based rules ([`run_lint`]), one per
 //!   module under [`rules`]:
 //!   1. **`safety-comment`** — every `unsafe` site needs a `// SAFETY:`
 //!      comment or `# Safety` doc section.
@@ -19,6 +19,8 @@
 //!      downgrade to the weakest sufficient ordering.
 //!   6. **`env-read`** — no `std::env::var*` in engine-crate production
 //!      code; configuration arrives through `FloDbOptions` only.
+//!   7. **`orphan-shim`** — every `third_party/*` workspace member is a
+//!      dependency or dev-dependency of some member.
 //! * `cargo xtask locks` — the whole-workspace lock-order analysis
 //!   ([`locks::run_locks`]): lock-site extraction, the declared hierarchy
 //!   in `LOCK_ORDER.toml`, rank/cycle/blocking checks, and the
@@ -39,6 +41,7 @@ use std::path::{Path, PathBuf};
 pub use rules::env_read::check_env_reads;
 pub use rules::env_unwrap::check_env_unwraps;
 pub use rules::ordering::check_seqcst_ordering;
+pub use rules::orphan_shim::check_orphan_shims;
 pub use rules::panic::check_write_path_panics;
 pub use rules::safety::check_safety_comments;
 pub use rules::shim::check_raw_sync;
@@ -46,7 +49,7 @@ pub use rules::{Finding, Rule};
 
 use common::scan;
 
-/// Runs all six lint rules over the workspace rooted at `root` and
+/// Runs all seven lint rules over the workspace rooted at `root` and
 /// returns every finding, sorted by file and line.
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -102,6 +105,9 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     // store links in. The bench and workload harnesses scale themselves
     // from the environment by design and stay out of scope.
     for_each_file(&modeled_files, &mut findings, check_env_reads);
+
+    // Rule 7 scope: the workspace manifests.
+    findings.extend(check_orphan_shims(root));
 
     findings.sort_by(|a, b| a.file.cmp(&b.file).then(a.line.cmp(&b.line)));
     findings

@@ -7,6 +7,7 @@
 pub mod env_read;
 pub mod env_unwrap;
 pub mod ordering;
+pub mod orphan_shim;
 pub mod panic;
 pub mod safety;
 pub mod shim;
@@ -32,6 +33,8 @@ pub enum Rule {
     SeqCstOrdering,
     /// A `std::env::var*` read in engine-crate production code.
     EnvRead,
+    /// A `third_party/*` workspace member no member depends on.
+    OrphanShim,
 }
 
 impl fmt::Display for Rule {
@@ -43,6 +46,7 @@ impl fmt::Display for Rule {
             Rule::EnvUnwrap => write!(f, "env-unwrap"),
             Rule::SeqCstOrdering => write!(f, "seqcst-ordering"),
             Rule::EnvRead => write!(f, "env-read"),
+            Rule::OrphanShim => write!(f, "orphan-shim"),
         }
     }
 }

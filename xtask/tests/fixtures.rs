@@ -6,7 +6,8 @@
 use std::path::Path;
 
 use xtask::{
-    check_env_reads, check_raw_sync, check_safety_comments, check_write_path_panics, Rule,
+    check_env_reads, check_orphan_shims, check_raw_sync, check_safety_comments,
+    check_write_path_panics, Rule,
 };
 
 fn fixture(name: &str) -> (std::path::PathBuf, String) {
@@ -67,6 +68,20 @@ fn env_read_in_engine_fails() {
     );
     assert_eq!(findings[0].rule, Rule::EnvRead);
     assert_eq!(findings[0].line, 4, "the `std::env::var(..)` line");
+}
+
+#[test]
+fn orphan_third_party_member_fails() {
+    let root = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/orphan_shim");
+    let findings = check_orphan_shims(&root);
+    assert_eq!(
+        findings.len(),
+        1,
+        "the dependency and the dev-dependency must not fire, the orphan must: {findings:?}"
+    );
+    assert_eq!(findings[0].rule, Rule::OrphanShim);
+    assert_eq!(findings[0].line, 9, "the `\"third_party/orphan\",` member line");
+    assert!(findings[0].message.contains("third_party/orphan"), "{}", findings[0]);
 }
 
 #[test]
