@@ -71,8 +71,8 @@ pub trait Design: Send + Sync + 'static {
     /// Whether compaction has its own thread; otherwise the flush thread
     /// compacts after every flush.
     const COMPACTION_THREAD: bool;
-    /// Sharded table cache, or the fd cache behind one lock that LevelDB's
-    /// lineage contends on (§4 footnote 2).
+    /// Sharded table cache, or (one shard) the fd cache behind one lock
+    /// that LevelDB's lineage contends on (§4 footnote 2).
     const SHARDED_TABLE_CACHE: bool;
 }
 
@@ -155,7 +155,9 @@ pub struct BaselineStore<D: Design> {
 impl<D: Design> BaselineStore<D> {
     /// Opens a store of this design (memtable kind from `opts.memtable`).
     pub fn open(mut opts: BaselineOptions) -> Self {
-        opts.disk.sharded_cache = D::SHARDED_TABLE_CACHE;
+        if !D::SHARDED_TABLE_CACHE {
+            opts.disk.cache_shards = 1;
+        }
         let core = LsmCore::new(&opts);
         let label = D::NAME.to_lowercase().replace('/', "-");
         let mut threads = vec![{

@@ -1,5 +1,5 @@
-//! Ablation (§4, footnote 2): LevelDB's global-lock fd-cache vs. the
-//! sharded concurrent table cache FloDB substitutes in.
+//! Ablation (§4, footnote 2): LevelDB's global-lock fd-cache (one cache
+//! shard) vs. the sharded concurrent table cache FloDB substitutes in.
 //!
 //! The paper found the global lock on the file-descriptor cache to be "a
 //! major scalability bottleneck" for reads; this bench isolates that one
@@ -13,11 +13,11 @@ use flodb_core::{FloDb, FloDbOptions, KvStore};
 use flodb_workloads::keys::KeyDistribution;
 use flodb_workloads::mix::OperationMix;
 
-fn build(scale: &Scale, sharded: bool) -> Arc<dyn KvStore> {
+fn build(scale: &Scale, cache_shards: usize) -> Arc<dyn KvStore> {
     let mut opts = FloDbOptions::default_in_memory();
     opts.memory_bytes = scale.memory_bytes;
     opts.env = make_env(scale, false);
-    opts.disk.sharded_cache = sharded;
+    opts.disk.cache_shards = cache_shards;
     // A small cache forces open/evict traffic through the cache lock.
     opts.disk.cache_capacity = 32;
     Arc::new(FloDb::open(opts).expect("flodb open"))
@@ -26,11 +26,11 @@ fn build(scale: &Scale, sharded: bool) -> Arc<dyn KvStore> {
 fn main() {
     let scale = Scale::from_env();
     let keys = KeyDistribution::Uniform { n: scale.dataset };
-    let mut table = Table::new(&["threads", "global-lock cache", "sharded cache", "speedup"]);
+    let mut table = Table::new(&["threads", "1 shard (global lock)", "16 shards", "speedup"]);
     for threads in scale.thread_sweep() {
         let mut cells = Vec::new();
-        for sharded in [false, true] {
-            let store = build(&scale, sharded);
+        for cache_shards in [1, 16] {
+            let store = build(&scale, cache_shards);
             flodb_bench::init_store(&store, InitKind::SequentialHalf, &scale);
             let report = flodb_bench::run_cell(
                 &store,

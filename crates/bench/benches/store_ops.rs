@@ -1,6 +1,6 @@
-//! Criterion micro-benchmark: single-threaded put/get across all five
-//! stores, showing the per-operation cost differences that aggregate into
-//! the paper's throughput figures.
+//! Single-threaded put/get cost across all five stores, showing the
+//! per-operation differences that aggregate into the paper's throughput
+//! figures.
 //!
 //! This is the one comparison `benchmark/` cannot express (it links only
 //! the FloDB engine, never the baselines). Every single-system cell lives
@@ -8,37 +8,44 @@
 //! `core.put_*_ns`, and the idle-store scan as `scan_p50_us` in the
 //! `read_disk` tails — so a cell is measured in exactly one place.
 
-use criterion::{criterion_group, criterion_main, Criterion};
-use flodb_bench::{make_env, make_store, Scale, ALL_SYSTEMS};
+use std::hint::black_box;
+use std::time::{Duration, Instant};
 
-fn store_put_get(c: &mut Criterion) {
-    let scale = Scale::from_env();
-    for kind in ALL_SYSTEMS {
-        let mut group = c.benchmark_group(kind.name().replace('/', "_"));
-        group.sample_size(20);
-        let store = make_store(kind, 8 * 1024 * 1024, make_env(&scale, false));
-        for i in 0..10_000u64 {
-            store.put(&i.to_be_bytes(), &[0x42; 64]).unwrap();
+use flodb_bench::{make_env, make_store, Scale, Table, ALL_SYSTEMS};
+
+const KEYS: u64 = 10_000;
+
+/// Mean nanoseconds per call of `op` (handed the next key of the cycle),
+/// over `cell_time` of calls.
+fn ns_per_op(cell_time: Duration, mut op: impl FnMut(&[u8; 8])) -> f64 {
+    let (mut ops, start) = (0u64, Instant::now());
+    loop {
+        for _ in 0..256 {
+            ops += 1;
+            op(&(ops % KEYS).to_be_bytes());
         }
-        let mut i = 0u64;
-        group.bench_function("put", |b| {
-            b.iter(|| {
-                i = (i + 1) % 10_000;
-                store.put(&i.to_be_bytes(), &[0x43; 64]).unwrap();
-            })
-        });
-        let mut j = 0u64;
-        group.bench_function("get", |b| {
-            b.iter(|| {
-                j = (j + 1) % 10_000;
-                store.get(&j.to_be_bytes())
-            })
-        });
-        group.finish();
-        // Drop the store (joins its background threads) before the next.
-        drop(store);
+        let elapsed = start.elapsed();
+        if elapsed >= cell_time {
+            return elapsed.as_nanos() as f64 / ops as f64;
+        }
     }
 }
 
-criterion_group!(benches, store_put_get);
-criterion_main!(benches);
+fn main() {
+    let scale = Scale::from_env();
+    let mut table = Table::new(&["system", "put ns/op", "get ns/op"]);
+    for kind in ALL_SYSTEMS {
+        let store = make_store(kind, 8 * 1024 * 1024, make_env(&scale, false));
+        for i in 0..KEYS {
+            store.put(&i.to_be_bytes(), &[0x42; 64]).unwrap();
+        }
+        let put = ns_per_op(scale.cell_time, |key| store.put(key, &[0x43; 64]).unwrap());
+        let get = ns_per_op(scale.cell_time, |key| {
+            black_box(store.get(black_box(key)));
+        });
+        table.row(vec![kind.name().to_string(), format!("{put:.0}"), format!("{get:.0}")]);
+        // The store drops here (joining its background threads) before
+        // the next one opens.
+    }
+    table.print("Single-threaded put/get over 10 000 keys, 64 B values (ns/op)");
+}

@@ -12,7 +12,7 @@
 //! raised through `FLODB_BENCH_*` environment variables for larger runs.
 //! Absolute numbers differ from the paper (different hardware, simulated
 //! disk); the *shape* — who wins, by roughly what factor, where crossovers
-//! fall — is what EXPERIMENTS.md tracks.
+//! fall — is what the printed tables are for.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]

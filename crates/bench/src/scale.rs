@@ -65,12 +65,6 @@ impl Scale {
             .collect()
     }
 
-    /// A geometric memory-size sweep of `steps` doublings starting at
-    /// `memory_bytes`, mirroring the paper's 128 MB → 192 GB progression.
-    pub fn memory_sweep(&self, steps: usize) -> Vec<usize> {
-        (0..steps).map(|i| self.memory_bytes << i).collect()
-    }
-
     /// A geometric sweep of `steps` doublings starting at
     /// `memory_bytes / div`, for figures whose x-axis must dip *below* the
     /// default size (the paper's memory sweeps start at 128 MB while its
@@ -91,8 +85,7 @@ mod tests {
         let s = Scale::from_env();
         assert!(s.dataset > 0);
         assert!(!s.thread_sweep().is_empty());
-        assert_eq!(s.memory_sweep(3).len(), 3);
-        assert_eq!(s.memory_sweep(3)[1], s.memory_bytes * 2);
+        assert_eq!(s.memory_sweep_from(2, 3).len(), 3);
     }
 
     #[test]

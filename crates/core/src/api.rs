@@ -18,6 +18,7 @@
 //!   convenience built on top of it.
 
 use std::ops::ControlFlow;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 pub use crate::error::WriteError;
 
@@ -123,15 +124,28 @@ impl WriteBatch {
     }
 }
 
-/// Declares [`StoreStats`] and everything that must visit each of its
-/// fields from one table. A row is the field's docs, its kind and its
-/// name; a `counter` accumulates, a `gauge` reports current state (its
-/// delta is the later value). The kind is part of the row, so a new field
-/// cannot skip the decision how it adds, subtracts and exports.
+/// Declares the counters once: [`StoreStats`] (plain values, the shape
+/// every store reports and the telemetry exports), [`FloDbStats`] (the
+/// live atomics FloDB bumps) and everything that must visit each of their
+/// fields. A row is the field's docs, its kind and its name; a `counter`
+/// accumulates, a `gauge` reports current state (its delta is the later
+/// value). The kind is part of the row, so a new field cannot skip the
+/// decision how it adds, subtracts and exports. `live as name` gives the
+/// atomic its own name where FloDB's word for the thing differs from the
+/// cross-store one.
 macro_rules! store_stats {
-    ($($(#[$doc:meta])* $kind:ident $name:ident,)*) => {
+    // A row is `kind name,` or `kind live as name,`: normalize to
+    // `{ docs kind live name }`, then emit.
+    (@rows [$($row:tt)*] $(#[$doc:meta])* $kind:ident $live:ident as $name:ident, $($rest:tt)*) => {
+        store_stats!(@rows [$($row)* { $(#[$doc])* $kind $live $name }] $($rest)*);
+    };
+    (@rows [$($row:tt)*] $(#[$doc:meta])* $kind:ident $name:ident, $($rest:tt)*) => {
+        store_stats!(@rows [$($row)* { $(#[$doc])* $kind $name $name }] $($rest)*);
+    };
+    (@rows [$({ $(#[$doc:meta])* $kind:ident $live:ident $name:ident })*]) => {
         /// Aggregate operation counters common to all stores, used by the
-        /// benchmark harness.
+        /// benchmark harness. The baselines fill the rows that apply to
+        /// them and leave the FloDB-only ones zero.
         #[derive(Debug, Clone, Default, PartialEq, Eq)]
         pub struct StoreStats {
             $($(#[$doc])* pub $name: u64,)*
@@ -160,9 +174,28 @@ macro_rules! store_stats {
                 vec![$((stringify!($name), self.$name),)*]
             }
         }
+
+        /// FloDB's live counters: one atomic per [`StoreStats`] row, cheap
+        /// enough for the hot path (relaxed increments on cache-local
+        /// lines).
+        #[derive(Debug, Default)]
+        pub struct FloDbStats {
+            $($(#[$doc])* pub $live: AtomicU64,)*
+        }
+
+        impl FloDbStats {
+            /// Snapshots the counters into the cross-store [`StoreStats`]
+            /// shape.
+            pub fn snapshot(&self) -> StoreStats {
+                StoreStats {
+                    $($name: self.$live.load(Ordering::Relaxed),)*
+                }
+            }
+        }
     };
     (@delta counter $later:expr, $earlier:expr) => { $later.saturating_sub($earlier) };
     (@delta gauge $later:expr, $earlier:expr) => { $later };
+    ($($rows:tt)*) => { store_stats!(@rows [] $($rows)*); };
 }
 
 store_stats! {
@@ -176,16 +209,41 @@ store_stats! {
     counter scans,
     /// Keys returned across all scans.
     counter scanned_keys,
-    /// Memtable flushes to disk.
-    counter persists,
     /// Writes absorbed directly by the fast memory level (FloDB's
     /// Membuffer; zero for single-level baselines).
-    counter fast_level_writes,
+    counter membuffer_writes as fast_level_writes,
+    /// Writes that fell through to the Memtable, the slow path (FloDB
+    /// only).
+    counter memtable_writes,
+    /// Entries moved Membuffer → Memtable by drains (FloDB only).
+    counter drained_entries,
+    /// Multi-insert batches executed by the background drains (FloDB
+    /// only).
+    counter drain_batches,
+    /// Memtable flushes to disk.
+    counter persists,
     /// Scan restarts caused by concurrent updates (FloDB only).
     counter scan_restarts,
     /// Fallback (writer-blocking) scans (FloDB only).
     counter fallback_scans,
-    /// WAL commit groups written (FloDB only; zero with the WAL off).
+    /// Piggybacking scans — reused a master's sequence number (FloDB
+    /// only).
+    counter piggyback_scans,
+    /// Master scans — froze and drained the Membuffer and established a
+    /// sequence number (FloDB only).
+    counter master_scans,
+    /// Times a paused writer helped drain the immutable Membuffer, i.e.
+    /// claimed at least one chunk of the cooperative drain (FloDB only).
+    counter writer_drain_helps,
+    /// Freezes that got the drained Membuffer back as its sole owner and
+    /// kept it for the next freeze instead of dropping it; the rest found
+    /// a snapshot or a late helper still holding a reference (FloDB only).
+    counter membuffer_recycles,
+    /// Times a writer stalled waiting for Memtable room (FloDB only);
+    /// `write_stall_ns` sizes the stalls this counts.
+    counter write_stalls,
+    /// WAL commit groups written — each is one frame, one write, at most
+    /// one fsync (FloDB only; zero with the WAL off).
     counter wal_groups,
     /// Records across all WAL commit groups (FloDB only); divide by
     /// `wal_groups` for the mean records per group.
@@ -206,16 +264,22 @@ store_stats! {
     /// Gauge: bytes in the active WAL segment, header included (FloDB
     /// only; 0 with the WAL off).
     gauge wal_active_bytes,
-    /// Background I/O attempts retried after a transient failure, and
-    /// WAL rotations deferred by a failed segment creation (FloDB only).
+    /// Background I/O attempts retried after a transient failure (flush,
+    /// compaction, retirement record/delete), plus WAL rotations deferred
+    /// by a failed segment creation — each retried at the next group
+    /// boundary (FloDB only). Nonzero with zero `io_degraded` means the
+    /// device misbehaved and the store rode it out.
     counter io_retries,
     /// Background I/O operations abandoned after exhausting their
-    /// retries; flush/compaction abandonments also latch the store
-    /// degraded — writes rejected, reads still served (FloDB only).
+    /// retries (FloDB only). A flush or compaction abandonment also
+    /// latches the store degraded — writes rejected, reads still served,
+    /// see ARCHITECTURE.md "Failure model"; a retirement abandonment only
+    /// leaves segment files behind (`wal_retire_errors`).
     counter io_degraded,
     /// WAL retirement passes that failed to record the oldest-live mark
     /// or delete retired segment files, leaving the segments on disk as
-    /// stale-but-harmless leftovers (FloDB only).
+    /// stale-but-harmless leftovers, pruned at the next open; only
+    /// disk-footprint boundedness degrades (FloDB only).
     counter wal_retire_errors,
     /// Total nanoseconds writers spent stalled waiting for Memtable room
     /// (FloDB only; 0 below `TelemetryLevel::Counters` — the companion
@@ -380,7 +444,7 @@ mod tests {
     #[test]
     fn stats_add_sums_every_field() {
         let mut a = StoreStats::default();
-        assert_eq!(a.pairs().len(), 21);
+        assert_eq!(a.pairs().len(), 29);
         a.puts = 1;
         a.wal_active_bytes = 16;
         a.wal_retire_errors = 19;
@@ -396,6 +460,100 @@ mod tests {
         let mut one = StoreStats::default();
         one.add(&a);
         assert_eq!(one, a);
+    }
+
+    /// The table against a live store, and — once, here — against a read
+    /// of every counter written out by hand.
+    #[test]
+    fn counter_table_exports_every_row_of_a_live_store() {
+        use crate::{FloDb, FloDbOptions};
+
+        let db = FloDb::open(FloDbOptions::small_for_tests()).unwrap();
+        let live = db.flodb_stats();
+        let load = |counter: &AtomicU64| counter.load(Ordering::Relaxed);
+        // Distinct keys until a full bucket sends one to the Memtable.
+        for i in 0..200_000u64 {
+            db.put(&i.to_be_bytes(), &[7; 64]).unwrap();
+            if load(&live.memtable_writes) > 0 {
+                break;
+            }
+        }
+        // No scan has run, so only the background drain empties the
+        // Membuffer; then a scan freezes and drains what two more puts left.
+        db.quiesce();
+        db.put(b"a", b"1").unwrap();
+        db.put(b"b", b"2").unwrap();
+        assert_eq!(db.scan(b"a", b"b").len(), 2);
+        db.quiesce();
+
+        let by_hand = StoreStats {
+            puts: load(&live.puts),
+            deletes: load(&live.deletes),
+            gets: load(&live.gets),
+            scans: load(&live.scans),
+            scanned_keys: load(&live.scanned_keys),
+            fast_level_writes: load(&live.membuffer_writes),
+            memtable_writes: load(&live.memtable_writes),
+            drained_entries: load(&live.drained_entries),
+            drain_batches: load(&live.drain_batches),
+            persists: load(&live.persists),
+            scan_restarts: load(&live.scan_restarts),
+            fallback_scans: load(&live.fallback_scans),
+            piggyback_scans: load(&live.piggyback_scans),
+            master_scans: load(&live.master_scans),
+            writer_drain_helps: load(&live.writer_drain_helps),
+            membuffer_recycles: load(&live.membuffer_recycles),
+            write_stalls: load(&live.write_stalls),
+            wal_groups: load(&live.wal_groups),
+            wal_group_records: load(&live.wal_group_records),
+            wal_follower_writes: load(&live.wal_follower_writes),
+            wal_rotations: load(&live.wal_rotations),
+            wal_retired_bytes: load(&live.wal_retired_bytes),
+            wal_generations: load(&live.wal_generations),
+            wal_active_bytes: load(&live.wal_active_bytes),
+            io_retries: load(&live.io_retries),
+            io_degraded: load(&live.io_degraded),
+            wal_retire_errors: load(&live.wal_retire_errors),
+            write_stall_ns: load(&live.write_stall_ns),
+            wal_sync_ns: load(&live.wal_sync_ns),
+        };
+        let snapshot = db.telemetry();
+        assert_eq!(live.snapshot(), by_hand);
+        assert_eq!(snapshot.counters, by_hand);
+        assert_eq!(by_hand.puts, by_hand.fast_level_writes + by_hand.memtable_writes);
+        assert!(by_hand.memtable_writes > 0 && by_hand.drain_batches > 0, "{by_hand:?}");
+        assert!(by_hand.master_scans > 0 && by_hand.drained_entries > 0, "{by_hand:?}");
+
+        let (text, json) = (snapshot.to_prometheus_text(), snapshot.to_json());
+        let pairs = by_hand.pairs();
+        for (name, value) in &pairs {
+            assert!(text.contains(&format!("flodb_{name} {value}\n")), "{name} in {text}");
+            assert!(json.contains(&format!("\"{name}\": {value}")), "{name} in {json}");
+        }
+        let exported: Vec<_> = pairs.iter().map(|(name, _)| *name).collect();
+        for new in [
+            "memtable_writes", "drained_entries", "drain_batches", "piggyback_scans",
+            "master_scans", "writer_drain_helps", "membuffer_recycles", "write_stalls",
+        ] {
+            assert!(exported.contains(&new), "{new} must be exported");
+        }
+
+        // Counters subtract, the new rows included; gauges keep the later
+        // value.
+        let earlier = StoreStats {
+            puts: 3,
+            master_scans: 1,
+            wal_generations: 3,
+            ..StoreStats::default()
+        };
+        let later = StoreStats {
+            puts: 10,
+            master_scans: 5,
+            wal_generations: 2,
+            ..StoreStats::default()
+        };
+        let delta = later.delta_since(&earlier);
+        assert_eq!((delta.puts, delta.master_scans, delta.wal_generations), (7, 4, 2));
     }
 
     #[test]

@@ -68,7 +68,7 @@ impl ShardedOptions {
 /// # Scans
 ///
 /// Each shard materializes a validated snapshot through its own restart
-/// protocol ([`FloDb::scan_snapshot`]); the router merges the N sorted
+/// protocol ([`KvStore::scan`]); the router merges the N sorted
 /// snapshots in key order. `ControlFlow::Break` stops the merge
 /// immediately — emission and cursor work over every shard are pruned,
 /// though each shard's snapshot was already built (the restart protocol
@@ -274,7 +274,7 @@ impl KvStore for ShardedFloDb {
         let snapshots: Vec<_> = self
             .shards
             .iter()
-            .map(|s| s.scan_snapshot(low, high))
+            .map(|s| s.scan(low, high))
             .collect();
         merge_snapshots(&snapshots, visitor);
     }

@@ -22,20 +22,19 @@ impl Inner {
     /// behind `freeze_lock` — the spare Membuffer — for
     /// [`Self::freeze_and_drain_membuffer`].
     ///
-    /// The pause flags are counting, so windows of concurrent callers may
-    /// overlap; `freeze_lock` serializes what happens inside them.
+    /// The flag is counting, so windows of concurrent callers may overlap
+    /// — writers and drains stay paused until the last one resumes;
+    /// `freeze_lock` serializes what happens inside them.
     pub(super) fn freeze_window<R>(
         &self,
         body: impl FnOnce(&mut Option<Arc<MemBuffer>>) -> R,
     ) -> R {
-        self.pause_draining.pause();
-        self.pause_writers.pause();
+        self.frozen.pause();
         let out = {
             let mut spare = self.freeze_lock.lock();
             body(&mut spare)
         };
-        self.pause_writers.resume();
-        self.pause_draining.resume();
+        self.frozen.resume();
         out
     }
 
@@ -101,5 +100,85 @@ impl Inner {
             self.telemetry.record_stage(StageClass::FreezeDrain, ns);
             self.telemetry.event(TraceEventKind::FreezeEnd, ns, 0);
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::collections::HashMap;
+    use std::sync::atomic::{AtomicBool, Ordering};
+    use std::sync::mpsc;
+    use std::thread;
+    use std::time::Duration;
+
+    use crate::store::tests::{db, k};
+    use crate::KvStore;
+
+    /// A retirement checkpoint's window opening inside a master scan's:
+    /// Memtable writers and the drain loop stay paused when the first
+    /// window resumes, until the last one does.
+    #[test]
+    fn overlapping_windows_stay_paused_until_the_last_resumes() {
+        let db = db();
+        let inner = &*db.inner;
+        // Five keys of one bucket: four fill it, the fifth must take the
+        // Memtable path.
+        let mut buckets: HashMap<usize, Vec<u64>> = HashMap::new();
+        let same_bucket = (0u64..)
+            .find_map(|i| {
+                let bucket = inner.view.read(|v| v.mbf.as_ref().unwrap().bucket_of(&k(i)));
+                let keys = buckets.entry(bucket).or_default();
+                keys.push(i);
+                (keys.len() == 5).then(|| keys.clone())
+            })
+            .unwrap();
+        let resident = || inner.view.read(|v| v.mbf.as_ref().unwrap().len());
+        let fifth_written = AtomicBool::new(false);
+
+        thread::scope(|s| {
+            let window = || {
+                let (entered, is_open) = mpsc::channel();
+                let (close, closed) = mpsc::channel::<()>();
+                let thread = s.spawn(move || {
+                    inner.freeze_window(|_| {
+                        entered.send(()).unwrap();
+                        closed.recv().unwrap();
+                    })
+                });
+                (is_open, close, thread)
+            };
+            let (first_open, close_first, first) = window();
+            first_open.recv().unwrap();
+            // The fast path is never paused; the drain loop is, so the
+            // bucket stays full for the fifth key.
+            for &i in &same_bucket[..4] {
+                db.put(&k(i), b"fast").unwrap();
+            }
+            s.spawn(|| {
+                db.put(&k(same_bucket[4]), b"slow").unwrap();
+                fifth_written.store(true, Ordering::SeqCst);
+            });
+            // The second window pauses, then queues on the freeze lock.
+            let (second_open, close_second, second) = window();
+            while inner.frozen.pausers() < 2 {
+                thread::yield_now();
+            }
+            close_first.send(()).unwrap();
+            first.join().unwrap();
+            second_open.recv().unwrap();
+
+            assert_eq!(inner.frozen.pausers(), 1, "only the second window is open");
+            thread::sleep(Duration::from_millis(30));
+            assert!(!fifth_written.load(Ordering::SeqCst), "a Memtable writer got through");
+            assert_eq!(resident(), 4, "the drain loop ran inside a freeze window");
+
+            close_second.send(()).unwrap();
+            second.join().unwrap();
+        });
+        assert!(fifth_written.load(Ordering::SeqCst));
+        db.quiesce();
+        assert_eq!(resident(), 0);
+        assert_eq!(db.get(&k(same_bucket[4])), Some(b"slow".to_vec()));
+        assert_eq!(db.stats().memtable_writes, 1);
     }
 }

@@ -5,7 +5,7 @@
 //! modules share state only through [`Inner`]:
 //!
 //! - [`write`] — **Put/Delete** (Algorithm 2): try the Membuffer; on a full
-//!   bucket fall through to the Memtable, first honoring `pauseWriters`
+//!   bucket fall through to the Memtable, first honoring the freeze flag
 //!   (helping drain the frozen Membuffer if one exists) and waiting for
 //!   Memtable room. [`commit`] is its durability half: the group-commit
 //!   pipeline in front of the segmented log.
@@ -54,7 +54,7 @@ use flodb_sync::{PauseFlag, SequenceGenerator};
 use self::commit::WalState;
 use self::latch::ErrorLatch;
 use self::scan::ScanCoordinator;
-use crate::api::{KvStore, ScanEntry, StoreStats, WriteBatch};
+use crate::api::{KvStore, StoreStats, WriteBatch};
 use crate::drain::DrainStyle;
 use crate::error::{OpenError, WriteError};
 use crate::options::{FloDbOptions, WalMode};
@@ -70,8 +70,11 @@ struct Inner {
     view: ViewCell,
     seq: SequenceGenerator,
     disk: DiskComponent,
-    pause_writers: PauseFlag,
-    pause_draining: PauseFlag,
+    /// Algorithm 3's `pauseWriters` and `pauseDrainingThreads` as one flag:
+    /// the paper sets them together (lines 4-5) and clears them together
+    /// (13-14), and only [`Inner::freeze_window`] ever flips either, so
+    /// Memtable writers and the drain loop read the same counting flag.
+    frozen: PauseFlag,
     coord: ScanCoordinator,
     /// Serializes [freeze .. stamp] windows across master and fallback
     /// scans. Two interleaved freezes would let the second one drain
@@ -224,8 +227,7 @@ impl FloDb {
             }),
             seq: SequenceGenerator::starting_at(recovered.max_seq + 1),
             disk,
-            pause_writers: PauseFlag::new(),
-            pause_draining: PauseFlag::new(),
+            frozen: PauseFlag::new(),
             coord: ScanCoordinator::new(),
             freeze_lock: ranked_mutex(CORE_FREEZE, None),
             stats: FloDbStats::default(),
@@ -323,23 +325,6 @@ impl FloDb {
                 + v.imm_mtb.as_ref().map_or(0, |m| m.approximate_bytes())
         })
     }
-
-    /// Runs one validated scan of `[low, high)` and returns the live
-    /// entries as an owned, sorted snapshot.
-    ///
-    /// This is the fan-out building block for the sharded router: each
-    /// shard materializes its snapshot through the full restart protocol,
-    /// then the router k-way-merges the per-shard snapshots and streams
-    /// them to the caller's visitor. Unlike [`KvStore::scan_with`], an
-    /// early `ControlFlow::Break` in that merge prunes the *emission*, not
-    /// the snapshot construction — the restart protocol validates a whole
-    /// range at a time. Counts one `scans` and the returned entries as
-    /// `scanned_keys`, so aggregated stats stay comparable with the
-    /// unsharded path.
-    pub fn scan_snapshot(&self, low: &[u8], high: &[u8]) -> Vec<ScanEntry> {
-        self.scan(low, high)
-    }
-
 }
 
 /// The write methods return `Err(`[`WriteError`]`)` when the write-ahead

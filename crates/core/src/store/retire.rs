@@ -47,7 +47,8 @@ impl Inner {
     ///    Every record from step 2 is in the Membuffer or Memtable (or
     ///    already flushed / superseded by a later logged write), so
     ///    afterwards the disk component covers everything the captured
-    ///    segments hold.
+    ///    segments hold. The flushes leave their compaction debt to the
+    ///    persist loop's next round.
     /// 4. **Record** the new oldest-live generation durably in the
     ///    manifest, **then** delete the segment files and sync the
     ///    directory. A crash between the two leaves stale files below the
@@ -70,15 +71,24 @@ impl Inner {
                 None => return false,
             }
         };
-        // Times the whole retirement pass (grace + checkpoint + mark +
-        // deletions); recorded only when the pass actually retires.
+        // Times the retirement pass — grace wait, freeze/drain, mark and
+        // deletions; recorded only when the pass actually retires. The
+        // pass's own flushes are recorded where every flush is, as
+        // `MemtableFlush`, so their time is taken out of this sample.
         let t0 = self.telemetry.counters().then(Instant::now);
+        let mut flushing = Duration::ZERO;
+        let mut persist_once = |checkpoint: bool| {
+            let began = t0.map(|_| Instant::now());
+            let progress = self.persist_once(checkpoint).is_some();
+            flushing += began.map_or(Duration::ZERO, |began| began.elapsed());
+            progress
+        };
 
         // Step 2: grace over logged→applied windows, servicing flushes so
         // room-stalled writers can make progress (the wait is bounded: each
         // window is one write operation, and nothing new extends it).
         wal.inflight.quiesce_with(|| {
-            if !self.persist_once(false) {
+            if !persist_once(false) {
                 std::thread::sleep(Duration::from_micros(100));
             }
         });
@@ -86,7 +96,7 @@ impl Inner {
         // Step 3: checkpoint. The freeze window may overlap a concurrent
         // scan's; the freeze lock serializes the swaps.
         self.freeze_window(|spare| self.freeze_and_drain_membuffer(spare));
-        self.persist_once(true);
+        persist_once(true);
         if self.is_degraded() {
             // The checkpoint's flush failed: the sealed segments are NOT
             // covered by disk state, so neither the oldest-live mark nor the
@@ -132,7 +142,7 @@ impl Inner {
             Ok(retired) => {
                 FloDbStats::add(&self.stats.wal_retired_bytes, retired.bytes);
                 if let Some(t0) = t0 {
-                    let ns = t0.elapsed().as_nanos() as u64;
+                    let ns = t0.elapsed().saturating_sub(flushing).as_nanos() as u64;
                     self.telemetry.record_stage(StageClass::WalRetirement, ns);
                     self.telemetry.event(
                         TraceEventKind::WalRetirement,

@@ -159,22 +159,19 @@ impl ScanCoordinator {
         }
     }
 
-    /// Admits a scan.
+    /// Admits a scan into a chain of at most `chain_limit` piggybackers.
     ///
-    /// With `linearizable == true` every scan becomes a fresh master
-    /// (waiting for the running one to finish), which makes all scans
-    /// linearizable with respect to updates at the cost of a drain per
-    /// scan (§4.4).
-    fn enter(&self, chain_limit: u32, linearizable: bool) -> ScanRole {
+    /// With a limit of 0 every scan becomes a fresh master (waiting for
+    /// the running one to finish), which makes all scans linearizable with
+    /// respect to updates at the cost of a drain per scan (§4.4).
+    fn enter(&self, chain_limit: u32) -> ScanRole {
         let mut st = self.state.lock();
         loop {
-            if !linearizable {
-                if let Some(seq) = st.published_seq {
-                    if st.active > 0 && st.chain_len < chain_limit {
-                        st.chain_len += 1;
-                        st.active += 1;
-                        return ScanRole::Piggyback(seq);
-                    }
+            if let Some(seq) = st.published_seq {
+                if st.active > 0 && st.chain_len < chain_limit {
+                    st.chain_len += 1;
+                    st.active += 1;
+                    return ScanRole::Piggyback(seq);
                 }
             }
             if !st.master_active {
@@ -246,10 +243,14 @@ impl Inner {
     fn scan_impl(&self, low: &[u8], high: &[u8]) -> ScanArena {
         let mut range = ScanArena::new();
         let mut restarts = 0u32;
+        // A linearizable scan joins no chain: every one is a master.
+        let chain_limit = if self.opts.linearizable_scans {
+            0
+        } else {
+            PIGGYBACK_CHAIN_LIMIT
+        };
         loop {
-            let role = self
-                .coord
-                .enter(PIGGYBACK_CHAIN_LIMIT, self.opts.linearizable_scans);
+            let role = self.coord.enter(chain_limit);
             let scan_seq = match role {
                 ScanRole::Master => {
                     FloDbStats::bump(&self.stats.master_scans);
@@ -377,7 +378,7 @@ mod tests {
     #[test]
     fn first_scan_is_master() {
         let c = ScanCoordinator::new();
-        let role = c.enter(8, false);
+        let role = c.enter(8);
         assert_eq!(role, ScanRole::Master);
         c.publish(5);
         c.exit(role);
@@ -387,9 +388,9 @@ mod tests {
     #[test]
     fn second_scan_piggybacks_on_published_seq() {
         let c = ScanCoordinator::new();
-        let master = c.enter(8, false);
+        let master = c.enter(8);
         c.publish(42);
-        let second = c.enter(8, false);
+        let second = c.enter(8);
         assert_eq!(second, ScanRole::Piggyback(42));
         c.exit(second);
         c.exit(master);
@@ -398,74 +399,56 @@ mod tests {
     #[test]
     fn chain_ends_when_all_scans_exit() {
         let c = ScanCoordinator::new();
-        let master = c.enter(8, false);
+        let master = c.enter(8);
         c.publish(42);
         c.exit(master);
         // No active scan remains: the next scan must be a master.
-        let next = c.enter(8, false);
+        let next = c.enter(8);
         assert_eq!(next, ScanRole::Master);
         c.exit(next);
     }
 
+    /// A full chain sends the next scan to the master slot, where it waits
+    /// for the running master: after one piggybacker with a limit of 1,
+    /// and at once with a limit of 0 (linearizable mode never piggybacks).
     #[test]
     fn chain_limit_forces_new_master() {
-        let c = ScanCoordinator::new();
-        let master = c.enter(1, false);
-        c.publish(7);
-        let pig = c.enter(1, false);
-        assert_eq!(pig, ScanRole::Piggyback(7));
-        // Chain limit reached: the next admission must wait for the master
-        // slot; release the master so it can proceed as master.
-        let c2 = Arc::new(c);
-        let waiter = {
-            let c2 = Arc::clone(&c2);
-            thread::spawn(move || {
-                let role = c2.enter(1, false);
-                assert_eq!(role, ScanRole::Master);
-                c2.exit(role);
-            })
-        };
-        thread::sleep(Duration::from_millis(30));
-        c2.exit(master);
-        waiter.join().unwrap();
-        c2.exit(pig);
-    }
-
-    #[test]
-    fn linearizable_mode_never_piggybacks() {
-        let c = ScanCoordinator::new();
-        let master = c.enter(8, true);
-        c.publish(3);
-        // A linearizable scan must wait rather than piggyback.
-        let c = Arc::new(c);
-        let got_master = Arc::new(AtomicU32::new(0));
-        let waiter = {
-            let c = Arc::clone(&c);
-            let got_master = Arc::clone(&got_master);
-            thread::spawn(move || {
-                let role = c.enter(8, true);
-                assert_eq!(role, ScanRole::Master);
-                got_master.store(1, Ordering::SeqCst);
-                c.exit(role);
-            })
-        };
-        thread::sleep(Duration::from_millis(30));
-        assert_eq!(got_master.load(Ordering::SeqCst), 0);
-        c.exit(master);
-        waiter.join().unwrap();
+        for limit in [1, 0] {
+            let c = Arc::new(ScanCoordinator::new());
+            let master = c.enter(limit);
+            c.publish(7);
+            let chain: Vec<_> = (0..limit).map(|_| c.enter(limit)).collect();
+            assert!(chain.iter().all(|&role| role == ScanRole::Piggyback(7)));
+            let got_master = Arc::new(AtomicU32::new(0));
+            let waiter = {
+                let c = Arc::clone(&c);
+                let got_master = Arc::clone(&got_master);
+                thread::spawn(move || {
+                    let role = c.enter(limit);
+                    assert_eq!(role, ScanRole::Master);
+                    got_master.store(1, Ordering::SeqCst);
+                    c.exit(role);
+                })
+            };
+            thread::sleep(Duration::from_millis(30));
+            assert_eq!(got_master.load(Ordering::SeqCst), 0, "limit {limit}");
+            c.exit(master);
+            waiter.join().unwrap();
+            chain.into_iter().for_each(|role| c.exit(role));
+        }
     }
 
     #[test]
     fn piggybackers_wait_for_publication() {
         let c = Arc::new(ScanCoordinator::new());
-        let master = c.enter(8, false);
+        let master = c.enter(8);
         let seqs = Arc::new(Mutex::new(Vec::new()));
         let mut handles = Vec::new();
         for _ in 0..3 {
             let c = Arc::clone(&c);
             let seqs = Arc::clone(&seqs);
             handles.push(thread::spawn(move || {
-                let role = c.enter(8, false);
+                let role = c.enter(8);
                 if let ScanRole::Piggyback(seq) = role {
                     seqs.lock().push(seq);
                 }

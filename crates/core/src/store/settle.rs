@@ -36,15 +36,18 @@ impl FloDb {
         // ORDERING: symmetric with the set above; the clear must not be
         // reorderable before the final emptiness poll that justified it.
         inner.force_flush.store(false, Ordering::SeqCst);
-        if !inner.is_degraded() {
-            inner.compact();
-        }
+        // The flushes left their compaction debt to the persist thread,
+        // the only one that compacts; wait for it like `quiesce` does.
+        inner.wait_until(|| inner.is_degraded() || !inner.compaction_pending());
     }
 }
 
 impl Inner {
     /// The settle-wait behind `flush_all` and `quiesce`: polls `settled`,
-    /// waking the persist thread before each round.
+    /// waking the persist thread before each round. What it waits for can
+    /// be a compaction — hundreds of milliseconds of another thread's work
+    /// — so once the backoff stops escalating it sleeps between polls
+    /// instead of yielding in a loop beside the thread it waits on.
     fn wait_until(&self, settled: impl Fn() -> bool) {
         let backoff = Backoff::new();
         loop {
@@ -52,7 +55,11 @@ impl Inner {
             if settled() {
                 break;
             }
-            backoff.snooze();
+            if backoff.is_completed() {
+                std::thread::sleep(Duration::from_micros(100));
+            } else {
+                backoff.snooze();
+            }
         }
     }
 
@@ -144,5 +151,32 @@ impl Inner {
                 backoff.snooze();
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use crate::store::tests::k;
+    use crate::{FloDb, FloDbOptions, KvStore};
+
+    /// `flush_all` compacts nothing itself; it returns only once the
+    /// persist thread has serviced the debt its flushes left.
+    #[test]
+    fn flush_all_returns_with_the_compaction_debt_serviced() {
+        let mut opts = FloDbOptions::small_for_tests();
+        // Every flushed table is debt: one L0 file triggers.
+        opts.disk.compaction.l0_trigger = 1;
+        let db = FloDb::open(opts).unwrap();
+        for round in 0..3u64 {
+            for i in 0..200u64 {
+                db.put(&k(i), &round.to_le_bytes()).unwrap();
+            }
+            db.flush_all();
+            let stats = db.disk_stats();
+            assert!(!db.inner.disk.needs_compaction(), "round {round}: {stats:?}");
+            assert_eq!(stats.files_per_level[0], 0, "round {round}: {stats:?}");
+            assert!(stats.flushes > round && stats.compactions > round, "{stats:?}");
+        }
+        assert_eq!(db.get(&k(7)), Some(2u64.to_le_bytes().to_vec()));
     }
 }

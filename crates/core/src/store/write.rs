@@ -121,14 +121,14 @@ impl Inner {
 
         // Slow path (Algorithm 2, lines 12-20).
         loop {
-            // Honor pauseWriters: help drain or wait (lines 12-16). A
+            // Honor the freeze: help drain or wait (lines 12-16). A
             // frozen Membuffer only becomes claimable once the freeze's
             // grace period has elapsed (`drain_ready`); helping before
             // that could claim a bucket a straggling writer is still
             // adding to, and the straggler's entry would be dropped with
             // the buffer. The short timed wait re-checks readiness so
             // writers still join the drain once it opens.
-            while self.pause_writers.is_paused() {
+            while self.frozen.is_paused() {
                 let imm = self.view.read(|v| v.imm_mbf.clone());
                 match imm {
                     // Help only while chunks remain; once the last one is
@@ -154,16 +154,16 @@ impl Inner {
                         // the wait would keep the freezer from recycling
                         // the drained buffer.
                         drop(imm);
-                        self.pause_writers
+                        self.frozen
                             .wait_until_resumed_timeout(Duration::from_micros(50));
                     }
-                    None => self.pause_writers.wait_until_resumed(),
+                    None => self.frozen.wait_until_resumed(),
                 }
             }
             // Wait for Memtable room (lines 17-18).
             let mut stall_start: Option<Instant> = None;
             loop {
-                if self.pause_writers.is_paused() {
+                if self.frozen.is_paused() {
                     break;
                 }
                 let bytes = self.view.read(|v| v.mtb.approximate_bytes());
@@ -212,7 +212,7 @@ impl Inner {
             // pre-stamp entry into a range the scan already iterated past,
             // tearing the snapshot without triggering a restart.
             let inserted = self.view.read(|v| {
-                if self.pause_writers.is_paused() {
+                if self.frozen.is_paused() {
                     return false;
                 }
                 let seq = self.seq.next();

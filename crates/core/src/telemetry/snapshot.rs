@@ -274,9 +274,11 @@ mod tests {
     /// The exported counter names, in export order. Dashboards and the
     /// benchmark's trace parser key on these strings, so the table in
     /// `api.rs` may grow but must not rename or reorder them silently.
-    const EXPORTED: [&str; 21] = [
-        "puts", "deletes", "gets", "scans", "scanned_keys", "persists", "fast_level_writes",
-        "scan_restarts", "fallback_scans", "wal_groups", "wal_group_records",
+    const EXPORTED: [&str; 29] = [
+        "puts", "deletes", "gets", "scans", "scanned_keys", "fast_level_writes",
+        "memtable_writes", "drained_entries", "drain_batches", "persists", "scan_restarts",
+        "fallback_scans", "piggyback_scans", "master_scans", "writer_drain_helps",
+        "membuffer_recycles", "write_stalls", "wal_groups", "wal_group_records",
         "wal_follower_writes", "wal_rotations", "wal_retired_bytes", "wal_generations",
         "wal_active_bytes", "io_retries", "io_degraded", "wal_retire_errors", "write_stall_ns",
         "wal_sync_ns",

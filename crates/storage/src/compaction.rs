@@ -14,18 +14,19 @@ use crate::env::Env;
 use crate::error::Result;
 use crate::record::RecordRef;
 use crate::sstable::{table_file_name, TableBuilder, TableIterator, TableMeta};
-use crate::table_cache::TableCache;
+use crate::table_cache::{ShardedTableCache, TableCache};
 use crate::version::{FileHandle, FileMeta, Version, VersionEdit, NUM_LEVELS};
+
+/// Level-to-level growth ratio (LevelDB's 10×).
+const LEVEL_RATIO: u64 = 10;
 
 /// Tunables for the leveled structure.
 #[derive(Debug, Clone, Copy)]
 pub struct CompactionConfig {
     /// Number of L0 files that triggers an L0→L1 compaction.
     pub l0_trigger: usize,
-    /// Byte budget of L1; level `n` holds `base * ratio^(n-1)`.
+    /// Byte budget of L1; level `n` holds `base * LEVEL_RATIO^(n-1)`.
     pub base_level_bytes: u64,
-    /// Level-to-level growth ratio.
-    pub level_ratio: u64,
     /// Target size of compaction output files.
     pub target_file_bytes: u64,
     /// Data block size for output tables.
@@ -39,7 +40,6 @@ impl Default for CompactionConfig {
         Self {
             l0_trigger: 4,
             base_level_bytes: 8 * 1024 * 1024,
-            level_ratio: 10,
             target_file_bytes: 2 * 1024 * 1024,
             block_bytes: 4096,
             bloom_bits_per_key: 10,
@@ -53,7 +53,7 @@ impl CompactionConfig {
         debug_assert!(level >= 1);
         let mut max = self.base_level_bytes;
         for _ in 1..level {
-            max = max.saturating_mul(self.level_ratio);
+            max = max.saturating_mul(LEVEL_RATIO);
         }
         max
     }
@@ -295,7 +295,7 @@ fn file_meta(number: u64, meta: TableMeta) -> FileMeta {
 /// level can hold shadowed versions of the job's key range.
 pub fn run_compaction(
     env: &dyn Env,
-    cache: &dyn TableCache,
+    cache: &ShardedTableCache,
     job: &CompactionJob,
     cfg: &CompactionConfig,
     new_file_number: &mut dyn FnMut() -> u64,
@@ -338,7 +338,6 @@ mod tests {
     use super::*;
     use crate::env::MemEnv;
     use crate::record::Record;
-    use crate::table_cache::ShardedTableCache;
     use crate::version::VersionSet;
 
     fn write_table(env: &Arc<dyn Env>, number: u64, records: &[Record]) -> FileMeta {

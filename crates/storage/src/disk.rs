@@ -21,7 +21,7 @@ use crate::error::Result;
 use crate::manifest;
 use crate::record::{Record, RecordRef};
 use crate::sstable::table_file_name;
-use crate::table_cache::{GlobalLockTableCache, ShardedTableCache, TableCache};
+use crate::table_cache::{ShardedTableCache, TableCache};
 use crate::version::{Version, VersionEdit, VersionSet, NUM_LEVELS};
 
 /// Options for a [`DiskComponent`].
@@ -31,10 +31,8 @@ pub struct DiskOptions {
     pub compaction: CompactionConfig,
     /// Open-table cache capacity (total handles).
     pub cache_capacity: usize,
-    /// Use the sharded (concurrent) table cache; `false` reproduces the
-    /// LevelDB global-lock fd-cache the baselines contend on.
-    pub sharded_cache: bool,
-    /// Shard count for the sharded cache.
+    /// Lock stripes of the table cache; 1 reproduces the LevelDB
+    /// global-lock fd-cache the baselines contend on.
     pub cache_shards: usize,
 }
 
@@ -43,7 +41,6 @@ impl Default for DiskOptions {
         Self {
             compaction: CompactionConfig::default(),
             cache_capacity: 256,
-            sharded_cache: true,
             cache_shards: 16,
         }
     }
@@ -72,7 +69,7 @@ pub struct DiskStats {
 pub struct DiskComponent {
     env: Arc<dyn Env>,
     versions: VersionSet,
-    cache: Arc<dyn TableCache>,
+    cache: Arc<ShardedTableCache>,
     opts: DiskOptions,
     /// Serializes compactions (flushes may proceed concurrently).
     compaction_lock: Mutex<()>,
@@ -132,18 +129,11 @@ impl DiskComponent {
     }
 
     fn build(env: Arc<dyn Env>, opts: DiskOptions) -> Self {
-        let cache: Arc<dyn TableCache> = if opts.sharded_cache {
-            Arc::new(ShardedTableCache::new(
-                Arc::clone(&env),
-                opts.cache_capacity,
-                opts.cache_shards,
-            ))
-        } else {
-            Arc::new(GlobalLockTableCache::new(
-                Arc::clone(&env),
-                opts.cache_capacity,
-            ))
-        };
+        let cache = Arc::new(ShardedTableCache::new(
+            Arc::clone(&env),
+            opts.cache_capacity,
+            opts.cache_shards,
+        ));
         Self {
             env,
             versions: VersionSet::new(),
@@ -383,7 +373,7 @@ impl DiskComponent {
         let mut alloc = || self.versions.new_file_number();
         let edit = run_compaction(
             self.env.as_ref(),
-            self.cache.as_ref(),
+            &self.cache,
             &job,
             &self.opts.compaction,
             &mut alloc,

@@ -79,11 +79,6 @@ pub struct ThrottleConfig {
 }
 
 impl ThrottleConfig {
-    /// No throttling: the simulated disk is infinitely fast.
-    pub fn unlimited() -> Option<Self> {
-        None
-    }
-
     /// A profile shaped like the paper's SSD: with ~270 B per entry
     /// (8 B key + 256 B value + framing) the paper's ~1.2 M entries/s
     /// persistence rate is roughly 320 MB/s of sequential write bandwidth.

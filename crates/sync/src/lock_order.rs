@@ -69,8 +69,6 @@ pub const VERSION_CURRENT: LockClass = LockClass { name: "version.current", rank
 pub const VERSION_CLEANUP: LockClass = LockClass { name: "version.cleanup", rank: 66 };
 /// `ShardedTableCache.shards`: one shard of the table cache.
 pub const CACHE_SHARD: LockClass = LockClass { name: "cache.shard", rank: 70 };
-/// `GlobalLockTableCache.state`: the global-lock baseline cache.
-pub const CACHE_GLOBAL: LockClass = LockClass { name: "cache.global", rank: 72 };
 /// `FaultState.plans`: armed fault-injection plans.
 pub const FAULT_PLANS: LockClass = LockClass { name: "fault.plans", rank: 80 };
 /// `FaultState.counters`: per-site fault counters.

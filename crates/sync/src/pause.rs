@@ -1,9 +1,10 @@
-//! The `pauseWriters` / `pauseDrainingThreads` protocol flags.
+//! The `pauseWriters` / `pauseDrainingThreads` protocol flag.
 //!
 //! Algorithm 3 of the paper freezes direct Memtable updates and background
-//! draining while a master scan drains the Membuffer. Writers observing the
-//! flag either help with the drain or wait (Algorithm 2, lines 12-16). This
-//! module provides that flag with an efficient blocking wait.
+//! draining while a master scan drains the Membuffer — two names it always
+//! sets and clears together, so the store keeps one flag for both. Writers
+//! observing it either help with the drain or wait (Algorithm 2, lines
+//! 12-16). This module provides that flag with an efficient blocking wait.
 //!
 //! The flag is *counting*: concurrent pausers (e.g. a master scan
 //! overlapping a fallback scan on another thread) stack, and the flag
@@ -60,10 +61,17 @@ impl PauseFlag {
     /// section, or this load observes the pause — never neither.
     #[inline]
     pub fn is_paused(&self) -> bool {
-        // ORDERING: the reader's half of the Dekker argument in the doc
-        // comment above — this load and the writer's slot store must
-        // share one total order with `pause`'s increment.
-        self.pausers.load(Ordering::SeqCst) > 0
+        self.pausers() > 0
+    }
+
+    /// Pausers currently registered (the count behind
+    /// [`PauseFlag::is_paused`]; tests use it to see an overlap).
+    #[inline]
+    pub fn pausers(&self) -> usize {
+        // ORDERING: the reader's half of the Dekker argument in
+        // `is_paused`'s doc comment — this load and the writer's slot
+        // store must share one total order with `pause`'s increment.
+        self.pausers.load(Ordering::SeqCst)
     }
 
     /// Registers a pauser. Waiters block until every pauser resumes.

@@ -1,11 +1,14 @@
 //! Integration tests of the engine telemetry subsystem (PR 10): the
 //! shared histogram against a sorted-vector oracle, the flight
 //! recorder's bounded-memory contract, and end-to-end p99 attribution —
-//! a sync-WAL run whose write tail is explained by fsync time, and a
+//! a sync-WAL run whose write tail is explained by fsync time, a
 //! stall-inducing run whose tail is explained by `write_stall_ns` plus
-//! the begin/end event pair in the trace.
+//! the begin/end event pair in the trace, and a persist thread whose
+//! stage samples add up to no more than the time it had.
 
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::time::Instant;
 
 use flodb::core::telemetry::{Histogram, OpClass, StageClass, TraceEventKind, TraceRing};
 use flodb::storage::{MemEnv, ThrottleConfig};
@@ -197,6 +200,66 @@ fn stalled_run_attributes_the_tail_to_backpressure() {
         .collect();
     assert!(!ends.is_empty());
     assert!(ends.iter().all(|e| e.a > 0), "StallEnd carries the duration");
+}
+
+#[test]
+fn persist_thread_stage_samples_are_disjoint_and_only_it_compacts() {
+    // Small segments and a small memory component: the run rotates the
+    // log, retires segments (grace-period flushes and a checkpoint
+    // included) and compacts, while a second thread keeps calling
+    // `flush_all`.
+    let mut opts = FloDbOptions::small_for_tests();
+    opts.wal = WalMode::Enabled { sync: false };
+    opts.wal_segment_max_bytes = 16 * 1024;
+    opts.telemetry = TelemetryLevel::Full;
+    let start = Instant::now();
+    let db = FloDb::open(opts).unwrap();
+    let done = AtomicBool::new(false);
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            while !done.load(Ordering::Relaxed) {
+                db.flush_all();
+            }
+        });
+        for i in 0..20_000u64 {
+            db.put(&(i % 3_000).to_be_bytes(), &[0x3C; 128]).unwrap();
+        }
+        done.store(true, Ordering::Relaxed);
+    });
+    db.flush_all();
+    db.quiesce();
+    let snap = db.telemetry();
+    let wall_ns = start.elapsed().as_nanos() as f64;
+
+    let stats = db.stats();
+    let disk = db.disk_stats();
+    assert!(stats.wal_rotations > 0 && stats.wal_retired_bytes > 0, "{stats:?}");
+    assert!(disk.flushes > 0 && disk.compactions > 0, "{disk:?}");
+    // Flush, compaction and retirement samples all come from the persist
+    // thread and none contains another, so together they fit in the run.
+    let busy_ns = |stage| {
+        let samples = snap.stage(stage);
+        assert!(samples.count() > 0, "{stage:?} never sampled");
+        samples.count() as f64 * samples.mean_ns()
+    };
+    let (flush, compaction, retirement) = (
+        busy_ns(StageClass::MemtableFlush),
+        busy_ns(StageClass::Compaction),
+        busy_ns(StageClass::WalRetirement),
+    );
+    assert!(
+        flush + compaction + retirement <= wall_ns,
+        "flush {flush} + compaction {compaction} + retirement {retirement} > wall {wall_ns}"
+    );
+    // `flush_all` waits for the persist thread's compaction instead of
+    // running its own: every compaction carries the flushes' thread id.
+    let trace = db.trace_dump();
+    let tids = |kind| -> std::collections::BTreeSet<u32> {
+        trace.iter().filter(|e| e.kind == kind).map(|e| e.tid).collect()
+    };
+    let compactors = tids(TraceEventKind::Compaction);
+    assert_eq!(compactors.len(), 1, "compactions ran on threads {compactors:?}");
+    assert_eq!(compactors, tids(TraceEventKind::Flush));
 }
 
 #[test]
