@@ -111,7 +111,7 @@ impl Inner {
     /// disabled.
     pub(super) fn wal_append(
         &self,
-        encode: impl FnOnce(&Inner, &mut Vec<u8>),
+        encode: impl FnOnce(&mut Vec<u8>),
         records: u64,
     ) -> Result<(), WriteError> {
         self.check_writable()?;
@@ -126,11 +126,10 @@ impl Inner {
         let t_submit = self.full_timer();
         let commit_ns = Cell::new(0u64);
         let outcome = wal.committer.submit(
-            // Encoding runs inside the committer's critical section, so
-            // sampling sequence numbers there makes log order match
-            // sequence order exactly — and keeps a multi-record
-            // submission's records contiguous in the group.
-            |buf| encode(self, buf),
+            // Encoding runs inside the committer's critical section,
+            // which keeps a multi-record submission's records contiguous
+            // in the group; the position it lands at is its log order.
+            encode,
             |frame| self.commit_group_frame(wal, frame, &commit_ns),
         );
         if let Some(t_submit) = t_submit {

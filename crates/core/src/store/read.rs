@@ -35,9 +35,9 @@ impl Inner {
             None => self
                 .disk
                 .get(key)
-                // PANIC-OK: the read path has no error channel by design
-                // (ROADMAP: fallible reads ride with the async-API item);
-                // an I/O error on an in-memory env is a test-harness bug.
+                // PANIC-OK: the read path has no error channel yet
+                // (ROADMAP item 3, fallible verified reads, adds one); an
+                // I/O error on an in-memory env is a test-harness bug.
                 .expect("disk read failed")
                 .and_then(|r| r.value.map(Vec::from)),
         };

@@ -8,7 +8,7 @@ use crate::options::{FloDbOptions, WalMode};
 
 /// What `open` resumes from.
 pub(super) struct Recovered {
-    /// The highest sequence number already persisted or logged.
+    /// The highest sequence number on disk once the replay is flushed.
     pub(super) max_seq: u64,
     /// The generation the new log's first segment gets.
     pub(super) next_generation: u64,
@@ -16,10 +16,16 @@ pub(super) struct Recovered {
 
 /// Replays the live WAL generations, if a log is enabled and any exist.
 ///
-/// The sequence counter must resume past everything already persisted:
-/// disk records keep their original sequence numbers, and a fresh write
-/// stamped below them would lose every seq-based merge (scans would
-/// resurrect stale disk values).
+/// This function is the whole policy for what orders two versions of a
+/// key after a crash. A log record has no number of its own — its order
+/// is its position (generations ascending, frames in append order) — so
+/// replayed record *i* is stamped `disk.max_persisted_seq() + 1 + i`:
+/// above every table, because whatever the live log holds was logged
+/// after everything a retired segment held, and ascending, so the last
+/// record for a key wins. The sequence counter then resumes past the last
+/// stamp: disk records keep their numbers, and a fresh write stamped
+/// below them would lose every seq-based merge (scans would resurrect
+/// stale disk values).
 pub(super) fn recover_wal(
     opts: &FloDbOptions,
     disk: &DiskComponent,
@@ -36,15 +42,16 @@ pub(super) fn recover_wal(
     // on disk are leftovers of a crash between the mark and the deletions.
     let log = log_manager::recover_segments(opts.env.as_ref(), disk.wal_oldest_live())?;
     let replayed = SkipList::new();
-    for r in log.records {
-        replayed.insert(&r.key, r.value.as_deref(), r.seq);
+    for r in &log.records {
+        recovered.max_seq += 1;
+        replayed.insert(&r.key, r.value.as_deref(), recovered.max_seq);
     }
-    recovered.max_seq = recovered.max_seq.max(log.max_seq);
     recovered.next_generation = log.max_generation + 1;
     // Settle the recovered state onto disk so the replayed logs can be
     // pruned; log growth is thereby bounded across restarts. A crash in
-    // here simply replays the same logs again (flushing is idempotent:
-    // duplicate records carry identical seqs).
+    // here replays the same logs again, stamped above this attempt's
+    // tables: the duplicates outrank their earlier copies and keep their
+    // order among themselves, so the state is the same.
     if !replayed.is_empty() {
         disk.flush_sorted(&mut |tables| stream_memtable(&replayed, tables))?;
     }
@@ -91,6 +98,56 @@ mod tests {
             let expect = (i != 3).then(|| i.to_le_bytes().to_vec());
             assert_eq!(db.get(&k(i)), expect, "key {i}");
         }
+    }
+
+    /// The interleaving behind `benchmark/README.md` Finding 1, by hand: a
+    /// retirement checkpoint freezes the Membuffer while it holds a key's
+    /// older version, the writer logs and applies the newer one, and only
+    /// then does the frozen drain stamp the older one — with a number
+    /// taken *after* the newer version was logged. The checkpoint's flush
+    /// puts the older version in a table; the newer one is in the log
+    /// alone when the store dies. Replay must rank it above the table's
+    /// version because its record is later in the log, whatever number the
+    /// drain gave the older one.
+    #[test]
+    fn version_logged_during_a_frozen_drain_outranks_the_one_it_flushes() {
+        use std::sync::atomic::Ordering;
+        use std::time::Duration;
+
+        let opts = wal_opts();
+        {
+            let db = FloDb::open(opts.clone()).unwrap();
+            let inner = &*db.inner;
+            // As a freeze window does: background drain off. Membuffer
+            // writers do not look at the flag.
+            inner.frozen.pause();
+            db.put(b"k", b"older").unwrap();
+            let frozen = inner
+                .view
+                .freeze_membuffer(crate::store::new_membuffer(&inner.opts))
+                .expect("the Membuffer is enabled");
+            db.put(b"k", b"newer").unwrap();
+            frozen.open_for_drain();
+            crate::drain::help_drain_imm_via(&frozen, &inner.view, &inner.seq, inner.drain_style);
+            inner.view.release_frozen_membuffer();
+            // The checkpoint's flush: the Memtable holds only "older".
+            inner.force_flush.store(true, Ordering::SeqCst);
+            while !inner.view.read(|v| v.imm_mtb.is_none() && v.mtb.is_empty()) {
+                inner.wake_persist();
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            inner.force_flush.store(false, Ordering::SeqCst);
+            assert_eq!(db.disk_stats().flushes, 1);
+            assert_eq!(db.get(b"k"), Some(b"newer".to_vec()));
+            // Crash, with the window still open: "newer" never left the
+            // fresh Membuffer.
+        }
+        let db = FloDb::open(opts).unwrap();
+        assert_eq!(db.get(b"k"), Some(b"newer".to_vec()));
+        assert_eq!(
+            db.scan(b"a", b"z"),
+            vec![(b"k".to_vec(), b"newer".to_vec())]
+        );
     }
 
     #[test]

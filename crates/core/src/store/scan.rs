@@ -357,7 +357,7 @@ fn collect_range(
         ControlFlow::Continue(())
     });
     // PANIC-OK: same contract as `get` — the scan path is infallible
-    // until fallible reads land (see ROADMAP), so a disk error aborts.
+    // until fallible reads land (ROADMAP item 3), so a disk error aborts.
     scanned.expect("disk scan failed");
     if fresher {
         return Err(Restart);

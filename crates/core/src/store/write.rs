@@ -77,12 +77,14 @@ impl Inner {
         } else {
             let _inflight = self.wal.as_ref().map(|w| w.inflight.enter());
             self.wal_append(
-                |inner, buf| {
+                |buf| {
                     if let Some(tag) = tag {
                         tag.encode_into(buf);
                     }
+                    // A log record's order is its position; the sequence
+                    // field only tells data (0) from annotation.
                     for (key, value) in ops.clone() {
-                        encode_record_parts(buf, key, inner.seq.next(), value);
+                        encode_record_parts(buf, key, 0, value);
                     }
                 },
                 records,

@@ -29,7 +29,7 @@ use flodb_sync::shim::{ranked_mutex, Mutex};
 /// |---|---|---|
 /// | `FreezeBegin` | — | — |
 /// | `FreezeEnd` | duration (ns) | — |
-/// | `Drain` | duration (ns) | — |
+/// | `Drain` | entries moved | — |
 /// | `WalRotation` | sealed-segment bytes | duration (ns) |
 /// | `WalRetirement` | segments retired | bytes retired |
 /// | `Flush` | records flushed | duration (ns) |

@@ -290,10 +290,10 @@ pub fn delete_segments(env: &dyn Env, segments: &[SealedSegment]) -> Result<Reti
 /// The result of replaying a store's live segment set.
 #[derive(Debug)]
 pub struct RecoveredWal {
-    /// Every recovered record across all replayed segments, in log order.
+    /// Every recovered record across all replayed segments, in log order:
+    /// generations ascending, frames in append order. Position in this
+    /// vector is the only order replay reports.
     pub records: Vec<Record>,
-    /// Largest sequence number seen (0 when nothing was recovered).
-    pub max_seq: u64,
     /// Sub-batch annotations recovered across the replayed segments, in
     /// log order (empty for unsharded stores).
     pub annotations: Vec<BatchAnnotation>,
@@ -324,7 +324,6 @@ pub fn recover_segments(env: &dyn Env, oldest_live: u64) -> Result<RecoveredWal>
 
     let mut out = RecoveredWal {
         records: Vec::new(),
-        max_seq: 0,
         annotations: Vec::new(),
         max_generation: segments.last().map_or(0, |(generation, _)| *generation),
         segment_names: segments.iter().map(|(_, n)| n.clone()).collect(),
@@ -336,7 +335,6 @@ pub fn recover_segments(env: &dyn Env, oldest_live: u64) -> Result<RecoveredWal>
         let replay = crate::wal::replay_segment(env, name, *generation)?;
         out.records.extend(replay.records);
         out.annotations.extend(replay.annotations);
-        out.max_seq = out.max_seq.max(replay.max_seq);
     }
     Ok(out)
 }
@@ -358,10 +356,19 @@ mod tests {
         }
     }
 
-    /// Appends one single-record group frame for (`key`, `seq`).
-    fn append_one(lm: &mut LogManager, key: u64, seq: u64) -> AppendOutcome {
-        let record = Record::put(key.to_be_bytes().as_slice(), seq, [7u8; 32].as_slice());
+    /// Appends one single-record group frame for `key`, with the
+    /// sequence field the store writes (0).
+    fn append_one(lm: &mut LogManager, key: u64) -> AppendOutcome {
+        let record = Record::put(key.to_be_bytes().as_slice(), 0, [7u8; 32].as_slice());
         lm.append_group_frame(&mut group_frame(&[record])).unwrap()
+    }
+
+    /// The keys `append_one` wrote, as replayed.
+    fn keys(r: &RecoveredWal) -> Vec<u64> {
+        r.records
+            .iter()
+            .map(|rec| u64::from_be_bytes(rec.key.as_ref().try_into().unwrap()))
+            .collect()
     }
 
     #[test]
@@ -370,7 +377,7 @@ mod tests {
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(256), 1).unwrap();
         let mut rotations = 0;
         for i in 0..40u64 {
-            if append_one(&mut lm, i, i + 1).rotated {
+            if append_one(&mut lm, i).rotated {
                 rotations += 1;
             }
         }
@@ -386,12 +393,8 @@ mod tests {
         }
         // Everything replays, in order, across the generation boundaries.
         let r = recover_segments(env.as_ref(), 0).unwrap();
-        assert_eq!(r.records.len(), 40);
-        assert_eq!(r.max_seq, 40);
+        assert_eq!(keys(&r), (0..40).collect::<Vec<_>>(), "replay out of order");
         assert_eq!(r.max_generation, lm.active_generation());
-        for pair in r.records.windows(2) {
-            assert!(pair[0].seq < pair[1].seq, "replay out of order");
-        }
     }
 
     #[test]
@@ -399,7 +402,7 @@ mod tests {
         let env = env();
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(256), 1).unwrap();
         for i in 0..40u64 {
-            append_one(&mut lm, i, i + 1);
+            append_one(&mut lm, i);
         }
         let sealed: Vec<u64> = lm.sealed().iter().map(|s| s.generation).collect();
         assert!(sealed.len() >= 2);
@@ -419,7 +422,7 @@ mod tests {
         let r = recover_segments(env.as_ref(), lm.active_generation()).unwrap();
         let replayed = r.records.len() as u64;
         assert!(replayed < 40);
-        assert!(r.records.iter().all(|rec| rec.seq > 40 - replayed));
+        assert_eq!(keys(&r), (40 - replayed..40).collect::<Vec<_>>());
     }
 
     #[test]
@@ -430,7 +433,7 @@ mod tests {
         let env = env();
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(128), 1).unwrap();
         for i in 0..30u64 {
-            append_one(&mut lm, i, i + 1);
+            append_one(&mut lm, i);
         }
         assert!(!lm.sealed().is_empty());
         let first_live = lm.sealed()[1].generation;
@@ -438,7 +441,7 @@ mod tests {
         let r = recover_segments(env.as_ref(), first_live).unwrap();
         assert_eq!(r.segment_names.len(), all_files, "stale names listed");
         assert!(
-            r.records.iter().all(|rec| rec.seq > 1),
+            keys(&r).iter().all(|&key| key > 0),
             "generation 1's records must not replay below the mark"
         );
     }
@@ -452,7 +455,7 @@ mod tests {
         let env = env();
         let mut lm = LogManager::create(Arc::clone(&env) as Arc<dyn Env>, cfg(128), 1).unwrap();
         for i in 0..30u64 {
-            append_one(&mut lm, i, i + 1);
+            append_one(&mut lm, i);
         }
         assert!(lm.sealed().len() >= 2);
         let victim = lm.sealed()[0].generation;
@@ -480,7 +483,7 @@ mod tests {
             "only the torn generation's own records drop; later ones replay"
         );
         assert!(
-            r.records.iter().all(|rec| rec.seq > victim_records as u64),
+            keys(&r).iter().all(|&key| key >= victim_records as u64),
             "the surviving records are exactly the later generations'"
         );
     }

@@ -27,13 +27,15 @@ pub fn parse_wal_name(name: &str) -> Option<u64> {
 /// can seal the frame in place.
 pub use crate::frame::HEADER_BYTES as FRAME_HEADER_BYTES;
 
-/// Sequence number reserved for in-frame annotation records.
+/// The value of a record's sequence field that marks it as an in-frame
+/// annotation.
 ///
-/// Annotations ride the record encoding (so legacy replay code walks over
-/// them without a format change) but carry frame metadata, not data: the
-/// replay path strips them out of the recovered records and excludes this
-/// sentinel from `max_seq`, so the store's sequence counter never jumps
-/// to `u64::MAX` after recovering an annotated log.
+/// A log record's order is its position in the log, so the sequence field
+/// of the record encoding carries no number here: the store writes `0` for
+/// data records and this tag for annotations, which ride the record
+/// encoding (no second format) but carry frame metadata, not data. Replay
+/// decodes them into [`BatchAnnotation`]s instead of returning them among
+/// the recovered records.
 pub const ANNOTATION_SEQ: u64 = u64::MAX;
 
 /// Metadata a sharded router stamps on each per-shard sub-batch frame.
@@ -195,10 +197,10 @@ impl WalWriter {
 /// The result of replaying one generation-numbered segment.
 #[derive(Debug)]
 pub struct SegmentReplay {
-    /// Every record of every intact frame, in append order.
+    /// Every record of every intact frame, in append order — the only
+    /// order a log record has (the `seq` field is whatever the writer put
+    /// there; the store writes 0 and recovery does not read it).
     pub records: Vec<Record>,
-    /// Largest sequence number seen (0 when empty).
-    pub max_seq: u64,
     /// Sub-batch annotations recovered from intact frames, in append
     /// order. Empty for unsharded stores; the sharded recovery sweep uses
     /// these to prove every recovered sub-batch is whole.
@@ -217,11 +219,10 @@ pub struct SegmentReplay {
 /// header is a segment torn at creation: empty, not clean. A complete
 /// header with a CRC mismatch or a generation that does not match
 /// `expected_generation` is corruption — an error, because no crash
-/// interleaving produces it. A file *not* opening with the magic is
-/// treated as a **legacy headerless log** (written before segment
-/// headers existed) and replayed from offset 0, so pre-upgrade stores
-/// stay openable; real corruption of the first frame then simply ends
-/// replay at byte 0, exactly as it always did.
+/// interleaving produces it. So is a file whose first eight bytes are not
+/// the magic: every segment is created with its header, and reading a
+/// damaged magic as "no frames here" would silently drop the fsynced
+/// frames behind it.
 pub fn replay_segment(
     env: &dyn Env,
     name: &str,
@@ -230,26 +231,14 @@ pub fn replay_segment(
     let file = env.open_random(name)?;
     let data = file.read_at(0, file.len() as usize)?;
     if data.len() >= SEGMENT_MAGIC.len() && &data[..8] != SEGMENT_MAGIC.as_slice() {
-        // Legacy headerless log: frames from byte 0. A non-empty file
-        // yielding *no* intact frame is indistinguishable from a headered
-        // segment whose magic was corrupted away — and silently reporting
-        // an empty segment would vaporize that segment's fsynced frames —
-        // so it is reported as corruption rather than success.
-        let replayed = replay_frames(&data)?;
-        if replayed.records.is_empty() {
-            return Err(StorageError::Corruption(format!(
-                "{name}: neither a headered WAL segment nor a replayable \
-                 legacy log"
-            )));
-        }
-        return Ok(replayed);
+        return Err(StorageError::Corruption(format!(
+            "{name}: WAL segment does not open with the segment magic"
+        )));
     }
     if data.len() < SEGMENT_HEADER_BYTES {
-        // Torn at creation (magic prefix or shorter than one frame
-        // header): nothing to recover either way.
+        // Torn at creation: nothing to recover.
         return Ok(SegmentReplay {
             records: Vec::new(),
-            max_seq: 0,
             annotations: Vec::new(),
             clean: false,
         });
@@ -271,13 +260,11 @@ pub fn replay_segment(
 }
 
 /// Decodes every intact frame of `data`, stopping at the first torn or
-/// corrupt one. Records with the [`ANNOTATION_SEQ`] sentinel are decoded
-/// into [`BatchAnnotation`]s instead of joining the recovered records (and
-/// never contribute to `max_seq`).
+/// corrupt one. Records tagged [`ANNOTATION_SEQ`] are decoded into
+/// [`BatchAnnotation`]s instead of joining the recovered records.
 fn replay_frames(data: &[u8]) -> Result<SegmentReplay> {
     let mut records = Vec::new();
     let mut annotations = Vec::new();
-    let mut max_seq = 0u64;
     let mut frames = Frames::new(data);
     for payload in frames.by_ref() {
         let mut p = 0;
@@ -289,13 +276,11 @@ fn replay_frames(data: &[u8]) -> Result<SegmentReplay> {
                 annotations.push(BatchAnnotation::decode(&r.key)?);
                 continue;
             }
-            max_seq = max_seq.max(r.seq);
             records.push(r);
         }
     }
     Ok(SegmentReplay {
         records,
-        max_seq,
         annotations,
         clean: frames.tail() == Tail::Clean,
     })
@@ -304,8 +289,7 @@ fn replay_frames(data: &[u8]) -> Result<SegmentReplay> {
 /// Test support, shared by this crate's unit tests and the integration
 /// suites above it: `records` as an unsealed commit-group frame — the
 /// reserved header space, then the encoded records — ready for
-/// [`WalWriter::append_group_frame`] (or [`frame::seal`], to lay down the
-/// raw bytes of a legacy headerless log).
+/// [`WalWriter::append_group_frame`].
 #[doc(hidden)]
 pub fn group_frame(records: &[Record]) -> Vec<u8> {
     let mut frame = vec![0u8; FRAME_HEADER_BYTES];
@@ -363,7 +347,6 @@ mod tests {
 
         let r = replay_segment(&env, &wal_file_name(3), 3).unwrap();
         assert_eq!(r.records.len(), 20);
-        assert_eq!(r.max_seq, 19);
         assert_eq!(r.records[5].key.as_ref(), 5u64.to_be_bytes());
         assert!(r.clean);
 
@@ -377,7 +360,6 @@ mod tests {
         write_segment(&env, 1, &[]);
         let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
         assert!(r.records.is_empty());
-        assert_eq!(r.max_seq, 0);
         assert!(r.clean);
     }
 
@@ -414,7 +396,6 @@ mod tests {
         let from_group = replay_segment(&env, &wal_file_name(1), 1).unwrap();
         let from_singles = replay_segment(&env, &wal_file_name(2), 2).unwrap();
         assert_eq!(from_group.records, from_singles.records);
-        assert_eq!(from_group.max_seq, from_singles.max_seq);
         assert_eq!(from_group.records, batch);
     }
 
@@ -433,7 +414,6 @@ mod tests {
             write_all(&env, "torn.log", &full[..cut]);
             let r = replay_segment(&env, "torn.log", 1).unwrap();
             assert_eq!(r.records.len(), 10, "cut at {cut}");
-            assert_eq!(r.max_seq, 9, "cut at {cut}");
             assert_eq!(r.clean, cut == ends[0], "cut at {cut}");
         }
         // The intact file still replays everything.
@@ -442,26 +422,23 @@ mod tests {
     }
 
     #[test]
-    fn legacy_headerless_log_replays_as_a_segment() {
-        // Logs written before segment headers existed (no magic) must
-        // stay recoverable after an upgrade: frames replay from byte 0.
+    fn file_without_the_segment_magic_is_corruption() {
+        // Every segment is created with its header, so a complete file
+        // that does not open with the magic is damage, not an older
+        // format: intact, fsynced frames behind a flipped magic byte must
+        // surface as an error, never as an empty or mis-parsed segment.
         let env = MemEnv::new(None);
-        let frames = [records(0..10), records(10..20)].map(|batch| {
-            let mut raw = group_frame(&batch);
-            frame::seal(&mut raw);
-            raw
-        });
-        let log = frames.concat();
-        write_all(&env, "000117.log", &log);
-        let r = replay_segment(&env, "000117.log", 117).unwrap();
-        assert_eq!(r.records.len(), 20);
-        assert!(r.clean);
+        write_segment(&env, 117, &[records(0..10), records(10..20)]);
+        let mut bytes = read_all(&env, &wal_file_name(117));
+        bytes[3] ^= 0x01;
+        write_all(&env, &wal_file_name(117), &bytes);
+        let err = replay_segment(&env, &wal_file_name(117), 117).unwrap_err();
+        assert!(matches!(err, StorageError::Corruption(_)), "got {err:?}");
 
-        // A torn legacy tail truncates exactly like it always did.
-        write_all(&env, "000117.log", &log[..frames[0].len() + 3]);
-        let r = replay_segment(&env, "000117.log", 117).unwrap();
-        assert_eq!(r.records.len(), 10);
-        assert!(!r.clean);
+        // Frames laid down from byte 0 with no header at all read the same.
+        write_all(&env, &wal_file_name(118), &bytes[SEGMENT_HEADER_BYTES..]);
+        let err = replay_segment(&env, &wal_file_name(118), 118).unwrap_err();
+        assert!(matches!(err, StorageError::Corruption(_)), "got {err:?}");
     }
 
     #[test]
@@ -510,7 +487,6 @@ mod tests {
 
         let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
         assert_eq!(r.records.len(), 6, "annotations are not data records");
-        assert_eq!(r.max_seq, 5, "the annotation sentinel must not leak into max_seq");
         assert_eq!(r.annotations, vec![ann_a, ann_b]);
         assert!(r.clean);
         assert!(r.records.iter().all(|rec| rec.seq != ANNOTATION_SEQ));
@@ -535,6 +511,5 @@ mod tests {
         let r = replay_segment(&env, &wal_file_name(1), 1).unwrap();
         assert_eq!(r.records.len(), 1);
         assert!(r.records[0].is_tombstone());
-        assert_eq!(r.max_seq, 3);
     }
 }

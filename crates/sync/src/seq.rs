@@ -6,6 +6,13 @@
 //! larger sequence number must have been written concurrently and forces a
 //! restart. Unlike multi-versioning, a key's sequence number is overwritten
 //! in place together with its value.
+//!
+//! The store's counter has three consumers, and a write meets exactly one
+//! of the first two: a direct Memtable insert (Algorithm 2, lines 19-20),
+//! a drain stamping the entries it moves out of the Membuffer, and a scan
+//! taking its stamp. The commit log takes none — a log record's order is
+//! its position — and recovery stamps what it replays above everything on
+//! disk before the counter resumes.
 
 use crossbeam_utils::CachePadded;
 
@@ -43,8 +50,8 @@ impl SequenceGenerator {
 
     /// Creates a generator whose first issued number is `first`.
     ///
-    /// Used on recovery, to resume numbering after the largest sequence
-    /// number found in the write-ahead log.
+    /// Used on recovery, to resume numbering after the tables' largest
+    /// sequence number and the stamps given to the replayed log.
     pub fn starting_at(first: u64) -> Self {
         Self {
             counter: CachePadded::new(AtomicU64::new(first)),

@@ -18,6 +18,14 @@ fn wal_opts(env: Arc<dyn Env>, sync: bool) -> FloDbOptions {
     opts
 }
 
+/// The `.log` files on `env`, sorted.
+fn log_files(env: &dyn Env) -> Vec<String> {
+    let mut logs = env.list().unwrap();
+    logs.retain(|n| n.ends_with(".log"));
+    logs.sort();
+    logs
+}
+
 #[test]
 fn recovery_restores_puts_and_tombstones() {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
@@ -198,12 +206,7 @@ fn wal_plus_manifest_restores_everything() {
     assert_eq!(db.get(&key(249)).as_deref(), Some(b"new".as_slice()));
     assert_eq!(db.scan(&key(0), &key(249)).len(), 249);
     // Consumed logs were pruned; a fresh generation exists for new writes.
-    let logs = env
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.ends_with(".log"))
-        .count();
+    let logs = log_files(env.as_ref()).len();
     assert_eq!(logs, 1, "exactly the new generation's log should remain");
 }
 
@@ -223,13 +226,190 @@ fn repeated_restarts_accumulate_nothing() {
             );
         }
     }
-    let logs = env
-        .list()
-        .unwrap()
-        .into_iter()
-        .filter(|n| n.ends_with(".log"))
-        .count();
+    let logs = log_files(env.as_ref()).len();
     assert!(logs <= 1, "replayed logs must be pruned, found {logs}");
+}
+
+/// Largest sequence number in any table of the store on `env`, read the
+/// way a reopen reads it.
+fn max_persisted_seq(env: &Arc<dyn Env>, opts: &FloDbOptions) -> u64 {
+    flodb::storage::DiskComponent::open(Arc::clone(env), opts.disk)
+        .unwrap()
+        .max_persisted_seq()
+}
+
+/// The engine-side twin of the benchmark's Finding 1
+/// (`benchmark/e2e/src/findings.rs`): one writer rewrites 2 k keys 100 k
+/// times — half the puts on a 16-key hot set, every put acknowledged
+/// before the next is issued — on a store small enough that flushes, WAL
+/// rotation and retirement checkpoints run continuously while hot keys
+/// sit in the Membuffer. The writing is cut into 100 lives of 1 000 puts,
+/// because only a life's last moments can show the defect (any later
+/// flush or rewrite of the key covers it up): each life ends with the
+/// store dropped unflushed and reopened, every key must read its last
+/// acknowledged version, and a full scan must agree.
+///
+/// At the parent of the commit that added it this fails in ≈ 7 % of the
+/// lives — ten runs of ten failed, first at rounds 1 to 56 (one of
+/// them: round 2, `key 4`, read version 971, last acknowledged 980). A
+/// retirement checkpoint froze the Membuffer holding the older version,
+/// the newer one was logged with its commit-time number, then the frozen
+/// drain stamped the older one with a later number and the checkpoint
+/// flushed it — so the table outranked the replayed log record.
+/// `store/recover.rs` has the same interleaving driven by hand, failing
+/// there every time.
+#[test]
+fn rewritten_keys_recover_their_last_acknowledged_version() {
+    use rand::rngs::SmallRng;
+    use rand::{Rng, SeedableRng};
+    const KEYS: u64 = 2_000;
+    const HOT_KEYS: u64 = 16;
+    const PUTS: u64 = 1_000;
+    const ROUNDS: u64 = 100;
+    fn value(index: u64, version: u64) -> [u8; 96] {
+        let mut v = [index as u8; 96];
+        v[..8].copy_from_slice(&version.to_le_bytes());
+        v
+    }
+    fn version(value: &[u8]) -> u64 {
+        u64::from_le_bytes(value[..8].try_into().unwrap())
+    }
+    let opts = |env: &Arc<dyn Env>| {
+        let mut opts = wal_opts(Arc::clone(env), false);
+        // ≈ 35 puts a segment: the persist thread is in a retirement
+        // checkpoint (freeze, drain, flush, mark, delete) most of the time.
+        opts.wal_segment_max_bytes = 4 * 1024;
+        opts
+    };
+    let (mut flushes, mut retired) = (0, 0);
+    for round in 0..ROUNDS {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+        let db = FloDb::open(opts(&env)).unwrap();
+        let mut last = vec![0u64; KEYS as usize];
+        let mut rng = SmallRng::seed_from_u64(round);
+        for v in 1..=PUTS {
+            let among = if rng.gen() { HOT_KEYS } else { KEYS };
+            let index = rng.gen_range(0..among);
+            db.put(&key(index), &value(index, v)).unwrap();
+            last[index as usize] = v;
+        }
+        let stats = db.stats();
+        flushes += stats.persists;
+        retired += stats.wal_retired_bytes;
+        drop(db); // Crash: no flush_all, no quiesce.
+
+        let db = FloDb::open(opts(&env)).unwrap();
+        let want: Vec<(Vec<u8>, Vec<u8>)> = (0..KEYS)
+            .filter(|&index| last[index as usize] > 0)
+            .map(|index| {
+                let acked = value(index, last[index as usize]);
+                (key(index).to_vec(), acked.to_vec())
+            })
+            .collect();
+        for (index, &acked) in last.iter().enumerate().filter(|(_, &v)| v > 0) {
+            let read = db.get(&key(index as u64)).map(|v| version(&v));
+            assert_eq!(read, Some(acked), "round {round}, key {index}");
+        }
+        assert_eq!(db.scan(&key(0), &key(KEYS)), want, "round {round}: scan");
+    }
+    // A life the writer finishes before the persist thread is first
+    // scheduled proves nothing; most are not like that.
+    assert!(
+        flushes >= ROUNDS && retired > 0,
+        "{flushes} flushes, {retired} B retired"
+    );
+}
+
+#[test]
+fn logged_puts_consume_one_sequence_number_each() {
+    // One sequence domain: a write takes its number when it enters the
+    // Memtable (directly or at drain) and none when it is logged, so N
+    // logged puts of distinct keys and one flush leave the tables'
+    // largest sequence number at N plus the few the flush's own freeze
+    // takes — not 2 N, as when the commit minted a second number.
+    const N: u64 = 1_000;
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    let opts = wal_opts(Arc::clone(&env), false);
+    let db = FloDb::open(opts.clone()).unwrap();
+    for i in 0..N {
+        db.put(&key(i), b"v").unwrap();
+    }
+    db.flush_all();
+    drop(db);
+    let seq = max_persisted_seq(&env, &opts);
+    assert!((N..N + 16).contains(&seq), "{N} puts left max seq {seq}");
+}
+
+#[test]
+fn interrupted_recovery_replays_again_in_log_order() {
+    // Recovery flushes what it replayed, then records the new oldest-live
+    // mark, then deletes the segments. Interrupt it between the flush and
+    // the mark (the third MANIFEST append of an open: layout snapshot,
+    // the flush's edit, the mark): the next open replays the same
+    // segments over the first attempt's tables. That is correct because
+    // the second replay is stamped above everything on disk and keeps its
+    // own order — not because a duplicate carries the number it had.
+    use flodb::storage::{FaultEnv, FaultKind, FaultPlan};
+    let fault = Arc::new(FaultEnv::new(Arc::new(MemEnv::new(None))));
+    let env: Arc<dyn Env> = Arc::clone(&fault) as Arc<dyn Env>;
+    let opts = wal_opts(Arc::clone(&env), false);
+    let mut model = std::collections::BTreeMap::new();
+    {
+        let db = FloDb::open(opts.clone()).unwrap();
+        // Older versions on disk, newer ones and a tombstone in the log,
+        // several versions of one key in log order.
+        for i in 0..100u64 {
+            db.put(&key(i), b"flushed").unwrap();
+            model.insert(key(i).to_vec(), b"flushed".to_vec());
+        }
+        db.flush_all();
+        for round in 0..5u64 {
+            for i in 50..150u64 {
+                let value = (round * 1000 + i).to_le_bytes();
+                db.put(&key(i), &value).unwrap();
+                model.insert(key(i).to_vec(), value.to_vec());
+            }
+        }
+        db.delete(&key(60)).unwrap();
+        model.remove(key(60).as_slice());
+    }
+    let crashed_with = log_files(env.as_ref());
+    let before = max_persisted_seq(&env, &opts);
+
+    fault.arm(FaultPlan::nth("manifest-append", 2, FaultKind::Io));
+    let err = FloDb::open(opts.clone()).unwrap_err();
+    assert!(err.to_string().contains("injected fault"), "{err}");
+    fault.disarm_all();
+    let after_failed_open = log_files(env.as_ref());
+    assert_eq!(after_failed_open, crashed_with, "nothing may be pruned yet");
+    let first_attempt = max_persisted_seq(&env, &opts);
+    assert!(first_attempt > before, "the first attempt's flush landed");
+
+    // Second attempt: the same segments replay again, above the first.
+    let db = FloDb::open(opts.clone()).unwrap();
+    let want: Vec<(Vec<u8>, Vec<u8>)> = model.into_iter().collect();
+    assert_eq!(db.scan(&key(0), &key(u64::MAX)), want);
+    assert_eq!(db.get(&key(60)), None, "the replayed tombstone wins");
+    drop(db);
+    let second_attempt = max_persisted_seq(&env, &opts);
+    assert!(
+        second_attempt > first_attempt,
+        "re-replay must stamp above the first attempt's tables \
+         ({first_attempt} then {second_attempt})"
+    );
+    let left = log_files(env.as_ref());
+    assert!(
+        left.iter().all(|s| !crashed_with.contains(s)),
+        "the replayed segments must be gone after a completed recovery"
+    );
+
+    // Third open: nothing left to replay a third time, so nothing is
+    // stamped anew (a compaction dropping the tombstone, the newest
+    // record, can only lower the tables' maximum).
+    let db = FloDb::open(opts.clone()).unwrap();
+    assert_eq!(db.scan(&key(0), &key(u64::MAX)), want);
+    drop(db);
+    assert!(max_persisted_seq(&env, &opts) <= second_attempt);
 }
 
 #[test]
@@ -453,36 +633,32 @@ fn sharded_kill_at_any_offset_recovers_whole_sub_batch_prefixes() {
 }
 
 #[test]
-fn pre_segment_header_logs_recover_on_upgrade() {
-    // A store written before WAL segment headers existed left headerless
-    // logs (named by sequence number). Opening it with the lifecycle
-    // subsystem must recover them as legacy segments, then migrate: the
-    // recovered state flushes, the legacy files are pruned, and a fresh
-    // headered generation above the legacy numbering takes over.
+fn log_without_the_segment_magic_fails_open_with_typed_corruption() {
+    // Every segment the engine ever wrote opens with the segment header.
+    // A complete log file that does not — frames laid down from byte 0,
+    // or a header whose magic was damaged — must stop the open with a
+    // typed corruption error: replaying it as "no frames" would silently
+    // drop its fsynced writes, and the file must still be there afterwards
+    // for whoever repairs it.
     use flodb::storage::wal::group_frame;
-    use flodb::storage::{frame, Record};
+    use flodb::storage::{frame, Record, StorageError};
+    use flodb::OpenError;
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-    {
-        // The legacy format byte for byte: frames from offset 0, no header.
-        let records: Vec<Record> = (0..50u64)
-            .map(|i| Record::put(key(i).as_slice(), i + 1, i.to_le_bytes().as_slice()))
-            .collect();
-        let mut log = group_frame(&records);
-        frame::seal(&mut log);
-        let mut file = env.new_writable("000117.log").unwrap();
-        file.append(&log).unwrap();
-        file.finish().unwrap();
-    }
-    let db = FloDb::open(wal_opts(Arc::clone(&env), false)).unwrap();
-    for i in 0..50u64 {
-        assert_eq!(db.get(&key(i)), Some(i.to_le_bytes().to_vec()), "key {i}");
-    }
-    db.put(&key(100), b"post-upgrade").unwrap();
-    drop(db);
-    assert!(!env.exists("000117.log"), "legacy log must be pruned");
-    let db = FloDb::open(wal_opts(env, false)).unwrap();
-    assert_eq!(db.get(&key(100)).as_deref(), Some(b"post-upgrade".as_slice()));
-    assert_eq!(db.get(&key(7)), Some(7u64.to_le_bytes().to_vec()));
+    let records: Vec<Record> = (0..50u64)
+        .map(|i| Record::put(key(i).as_slice(), 0, i.to_le_bytes().as_slice()))
+        .collect();
+    let mut log = group_frame(&records);
+    frame::seal(&mut log);
+    let mut file = env.new_writable("000117.log").unwrap();
+    file.append(&log).unwrap();
+    file.finish().unwrap();
+
+    let err = FloDb::open(wal_opts(Arc::clone(&env), false)).unwrap_err();
+    assert!(
+        matches!(err, OpenError::Storage(StorageError::Corruption(_))),
+        "got {err:?}"
+    );
+    assert!(env.exists("000117.log"), "a refused log must not be pruned");
 }
 
 #[test]

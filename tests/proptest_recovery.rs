@@ -15,6 +15,11 @@ enum Step {
     Delete(u8),
     /// Push the memory component to disk (exercises manifest recovery).
     Flush,
+    /// That many ≈ 1 KiB puts on keys of their own: enough volume to trip
+    /// the Memtable's size trigger, so the persist thread flushes (and
+    /// the log rotates and retires) on its own schedule, with whatever
+    /// `Put`s came before still wherever the drain left them.
+    Fill(u8),
     /// Drop the store and reopen it (simulated crash + recovery).
     Crash,
 }
@@ -24,12 +29,19 @@ fn step_strategy() -> impl Strategy<Value = Step> {
         6 => (any::<u8>(), any::<u8>()).prop_map(|(k, v)| Step::Put(k, v)),
         2 => any::<u8>().prop_map(Step::Delete),
         1 => Just(Step::Flush),
+        1 => (200..255u8).prop_map(Step::Fill),
         2 => Just(Step::Crash),
     ]
 }
 
 fn key(k: u8) -> [u8; 8] {
     (u64::from(k) << 32 | 0xAB).to_be_bytes()
+}
+
+/// Filler keys: disjoint from every [`key`] (low byte 0xCD) and sorted
+/// among them, so a scan of the whole range sees both.
+fn filler_key(n: u8) -> [u8; 8] {
+    (u64::from(n) << 32 | 0xCD).to_be_bytes()
 }
 
 proptest! {
@@ -47,6 +59,8 @@ proptest! {
             let mut o = FloDbOptions::small_for_tests();
             o.env = Arc::clone(&env);
             o.wal = WalMode::Enabled { sync: false };
+            // A `Fill` is a few segments' worth.
+            o.wal_segment_max_bytes = 64 * 1024;
             o
         };
         let mut db = Some(FloDb::open(opts()).unwrap());
@@ -62,6 +76,13 @@ proptest! {
                     model.remove(&key(k));
                 }
                 Step::Flush => db.as_ref().unwrap().flush_all(),
+                Step::Fill(n) => {
+                    for i in 0..n {
+                        let value = vec![i ^ n; 1024];
+                        db.as_ref().unwrap().put(&filler_key(i), &value).unwrap();
+                        model.insert(filler_key(i), value);
+                    }
+                }
                 Step::Crash => {
                     drop(db.take());
                     db = Some(FloDb::open(opts()).unwrap());
@@ -71,16 +92,16 @@ proptest! {
         // One final crash, then verify everything.
         drop(db.take());
         let db = FloDb::open(opts()).unwrap();
-        for k in 0..=255u8 {
+        for k in (0..=255u8).flat_map(|k| [key(k), filler_key(k)]) {
             prop_assert_eq!(
-                db.get(&key(k)),
-                model.get(&key(k)).cloned(),
-                "key {} diverged after recovery",
+                db.get(&k),
+                model.get(&k).cloned(),
+                "key {:?} diverged after recovery",
                 k
             );
         }
         // Scans see the recovered state too.
-        let all = db.scan(&key(0), &key(255));
+        let all = db.scan(&key(0), &filler_key(255));
         let want: Vec<(Vec<u8>, Vec<u8>)> = model
             .iter()
             .map(|(k, v)| (k.to_vec(), v.clone()))

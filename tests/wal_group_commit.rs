@@ -166,17 +166,11 @@ fn concurrent_group_commit_loses_and_reorders_nothing() {
     let records = replay_all(env.as_ref());
     assert_eq!(records.len(), (THREADS * OPS) as usize, "no lost records");
 
-    // Log order must equal sequence order: sequence numbers are sampled
-    // inside the committer's critical section, so the log is totally
-    // ordered even across groups.
-    for pair in records.windows(2) {
-        assert!(
-            pair[0].seq < pair[1].seq,
-            "log order and sequence order diverge: {} then {}",
-            pair[0].seq,
-            pair[1].seq
-        );
-    }
+    // A log record's order is its position: the sequence field only tells
+    // a data record (0) from an annotation, so there is no number to
+    // compare — what "nothing reordered" means is each writer's program
+    // order, below.
+    assert!(records.iter().all(|r| r.seq == 0));
 
     // Per-thread program order is preserved, and nothing is duplicated.
     for t in 0..THREADS {
@@ -241,6 +235,76 @@ fn group_commit_recovery_matches_a_sequential_oracle() {
         oracle.into_iter().collect::<Vec<_>>(),
         "group-commit recovery diverged from the sequential oracle"
     );
+}
+
+#[test]
+fn overlapping_writers_recover_a_last_write_and_respect_acknowledged_order() {
+    // What concurrent writers to the *same* keys are promised across a
+    // crash. (1) For each key the recovered value is the last acknowledged
+    // write of *some* writer to it — never an earlier one, never a blend:
+    // the last record for a key in the log is necessarily its writer's
+    // last. (2) Whenever one write was acknowledged before another was
+    // issued, the later one wins. Which of two truly concurrent last
+    // writes wins is not promised to match what a reader saw before the
+    // crash (ROADMAP item 1, the form still open).
+    const THREADS: u64 = 4;
+    const OPS: u64 = 2_000;
+    const KEYS: u64 = 48;
+    // Writer `t`'s `i`-th racing put: the key sets overlap, on purpose.
+    fn racing_key(t: u64, i: u64) -> u64 {
+        (i * (2 * t + 1) + t) % KEYS
+    }
+    let opts = |env: &Arc<dyn Env>| {
+        let mut opts = wal_opts(Arc::clone(env));
+        // Rotation and retirement checkpoints run under the race.
+        opts.wal_segment_max_bytes = 8 * 1024;
+        opts
+    };
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    {
+        let db = Arc::new(FloDb::open(opts(&env)).unwrap());
+        let race = |db: &Arc<FloDb>, body: fn(&FloDb, u64)| {
+            let handles: Vec<_> = (0..THREADS)
+                .map(|t| {
+                    let db = Arc::clone(db);
+                    std::thread::spawn(move || body(&db, t))
+                })
+                .collect();
+            handles.into_iter().for_each(|h| h.join().unwrap());
+        };
+        race(&db, |db, t| {
+            for i in 0..OPS {
+                db.put(&key(0, racing_key(t, i)), &key(t, i)).unwrap();
+            }
+        });
+        // Every racing put is acknowledged; now each writer overwrites the
+        // keys congruent to it mod 8 (half the keys stay as the race left
+        // them), still side by side with the others.
+        race(&db, |db, t| {
+            for k in (t..KEYS).step_by(8) {
+                db.put(&key(0, k), &key(t, OPS + k)).unwrap();
+            }
+        });
+        // Crash without quiescing.
+    }
+    let db = FloDb::open(opts(&env)).unwrap();
+    for k in 0..KEYS {
+        let got = db.get(&key(0, k)).unwrap_or_else(|| panic!("key {k} lost"));
+        if k % 8 < THREADS {
+            assert_eq!(got, key(k % 8, OPS + k), "key {k}: the later write lost");
+        } else {
+            let last_writes: Vec<[u8; 16]> = (0..THREADS)
+                .filter_map(|t| {
+                    let i = (0..OPS).rev().find(|&i| racing_key(t, i) == k)?;
+                    Some(key(t, i))
+                })
+                .collect();
+            assert!(
+                last_writes.iter().any(|w| got == *w),
+                "key {k} recovered {got:?}: not the last write of any writer"
+            );
+        }
+    }
 }
 
 #[test]
