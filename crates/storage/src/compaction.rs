@@ -3,9 +3,16 @@
 //! Reproduces LevelDB's shape (§2.1): L0 compacts on file count, deeper
 //! levels on byte size with a 10× growth ratio; an L0 compaction consumes
 //! every L0 file (they may overlap) plus the overlapping files of L1;
-//! deeper compactions take one file plus its L+1 overlap. The merge keeps,
-//! for each key, the record with the largest sequence number, and drops
-//! tombstones when the output reaches the bottom of the data.
+//! deeper compactions take one file plus its L+1 overlap. Which file is
+//! LevelDB's rule too: the first one past the level's compact pointer,
+//! wrapping round, so a level's compactions lap its key range — except a
+//! compaction into the bottom of the data, which takes the smallest-keyed
+//! file (ARCHITECTURE.md, "Choosing compaction inputs", says why). A job
+//! with nothing to merge — no L+1 overlap, and disjoint inputs — is a
+//! trivial move: the inputs are re-linked one level down, not rewritten.
+//! The merge keeps, for each key, the record with the largest sequence
+//! number, and drops tombstones when the output reaches the bottom of the
+//! data.
 
 use std::cmp::Ordering;
 use std::sync::Arc;
@@ -70,11 +77,45 @@ pub struct CompactionJob {
     pub next_inputs: Vec<Arc<FileHandle>>,
 }
 
-/// Chooses the most urgent compaction, if any.
+impl CompactionJob {
+    /// Whether the job has nothing to merge: no file of `level + 1`
+    /// overlaps it and its inputs are pairwise disjoint (one file below
+    /// L0; at L0, typically one flush's tables — unless the flush cut a
+    /// key's version run across two of them). Its inputs then move to
+    /// `level + 1` unchanged.
+    pub(crate) fn is_trivial_move(&self) -> bool {
+        if !self.next_inputs.is_empty() {
+            return false;
+        }
+        let mut ranges: Vec<&FileMeta> = self.inputs.iter().map(|f| &f.meta).collect();
+        ranges.sort_by(|a, b| a.smallest.cmp(&b.smallest));
+        ranges.windows(2).all(|w| w[0].largest < w[1].smallest)
+    }
+
+    /// The edit of a trivial move: each input deleted at `level` and added,
+    /// the same file, at `level + 1`.
+    pub(crate) fn move_edit(&self) -> VersionEdit {
+        let mut edit = VersionEdit::default();
+        for f in &self.inputs {
+            edit.delete(self.level, f.number);
+            edit.add(self.level + 1, f.meta.clone());
+        }
+        edit
+    }
+}
+
+/// Where each level's next compaction starts: the largest key the level's
+/// last compaction took (LevelDB's `compact_pointer_`), `None` at the
+/// start of a lap. Kept in memory only: a reopen starts every lap again at
+/// the smallest key.
+#[derive(Debug, Default)]
+pub struct CompactPointers([Option<Box<[u8]>>; NUM_LEVELS]);
+
+/// The level whose compaction is most urgent, if any needs one.
 ///
 /// Scores: L0 by file count over trigger, deeper levels by bytes over
 /// budget; the level with the highest score ≥ 1.0 wins.
-pub fn pick_compaction(version: &Version, cfg: &CompactionConfig) -> Option<CompactionJob> {
+pub(crate) fn compaction_level(version: &Version, cfg: &CompactionConfig) -> Option<usize> {
     let mut best: Option<(f64, usize)> = None;
     let l0_score = version.levels[0].len() as f64 / cfg.l0_trigger as f64;
     if l0_score >= 1.0 {
@@ -86,15 +127,34 @@ pub fn pick_compaction(version: &Version, cfg: &CompactionConfig) -> Option<Comp
             best = Some((score, level));
         }
     }
-    let (_, level) = best?;
+    best.map(|(_, level)| level)
+}
 
+/// Chooses the most urgent compaction, if any, and advances that level's
+/// compact pointer past it.
+pub fn pick_compaction(
+    version: &Version,
+    cfg: &CompactionConfig,
+    pointers: &mut CompactPointers,
+) -> Option<CompactionJob> {
+    let level = compaction_level(version, cfg)?;
     let inputs: Vec<Arc<FileHandle>> = if level == 0 {
         // L0 files overlap each other; take them all so the merge sees a
         // consistent freshest-wins view.
         version.levels[0].clone()
     } else {
-        // Take the file with the smallest key (simple deterministic cursor).
-        vec![Arc::clone(version.levels[level].first()?)]
+        let files = &version.levels[level];
+        let into_bottom = version.levels[level + 2..].iter().all(Vec::is_empty);
+        let pointer = &mut pointers.0[level];
+        // Into the bottom, the smallest-keyed file; above it, the first
+        // file past the pointer, wrapping to the first file.
+        let at = match pointer.as_deref() {
+            Some(past) if !into_bottom => files.partition_point(|f| f.largest.as_ref() <= past),
+            _ => 0,
+        };
+        let file = files.get(at).or(files.first())?;
+        *pointer = Some(file.largest.clone());
+        vec![Arc::clone(file)]
     };
     if inputs.is_empty() {
         return None;
@@ -356,6 +416,107 @@ mod tests {
         Record::put(k.to_be_bytes().as_slice(), seq, seq.to_be_bytes().as_slice())
     }
 
+    fn pick_fresh(v: &Version, cfg: &CompactionConfig) -> Option<CompactionJob> {
+        pick_compaction(v, cfg, &mut CompactPointers::default())
+    }
+
+    /// Metadata of a `size`-byte file over keys `lo..=hi`; picking reads
+    /// only metadata, so no table is written.
+    fn span(number: u64, (lo, hi): (u64, u64), size: u64) -> FileMeta {
+        FileMeta {
+            number,
+            size,
+            smallest: Box::new(lo.to_be_bytes()),
+            largest: Box::new(hi.to_be_bytes()),
+            entries: 1,
+            largest_seq: number,
+        }
+    }
+
+    fn version_of(files: &[(usize, FileMeta)]) -> Version {
+        let mut edit = VersionEdit::default();
+        for (level, meta) in files {
+            edit.add(*level, meta.clone());
+        }
+        let (v, _) = VersionSet::new().apply(&edit).unwrap();
+        Version::clone(&v)
+    }
+
+    /// L1 at three times its budget in files 1, 2, 3 (keys 0..300), with
+    /// `below` added under it; every deeper level well within budget.
+    fn l1_over_budget(below: &[(usize, FileMeta)]) -> (Version, CompactionConfig) {
+        let cfg = CompactionConfig {
+            base_level_bytes: 300,
+            ..Default::default()
+        };
+        let mut files: Vec<(usize, FileMeta)> = [(0, 99), (100, 199), (200, 299)]
+            .into_iter()
+            .zip(1..)
+            .map(|(keys, number)| (1, span(number, keys, 300)))
+            .collect();
+        files.extend_from_slice(below);
+        (version_of(&files), cfg)
+    }
+
+    /// The L1 file numbers of `picks` successive picks on `v`.
+    fn l1_picks(v: &Version, cfg: &CompactionConfig, picks: usize) -> Vec<u64> {
+        let mut pointers = CompactPointers::default();
+        (0..picks)
+            .map(|_| {
+                let job = pick_compaction(v, cfg, &mut pointers).unwrap();
+                assert_eq!((job.level, job.inputs.len()), (1, 1));
+                job.inputs[0].number
+            })
+            .collect()
+    }
+
+    #[test]
+    fn compact_pointer_laps_a_level_above_the_bottom() {
+        // L3 holds data, so L1→L2 is not into the bottom.
+        let (v, cfg) = l1_over_budget(&[(2, span(10, (0, 299), 10)), (3, span(11, (0, 299), 10))]);
+        assert_eq!(l1_picks(&v, &cfg, 5), [1, 2, 3, 1, 2], "advances, then wraps");
+        // A pointer that ends inside a file (the level changed under it)
+        // picks that file next.
+        let mut pointers = CompactPointers::default();
+        pointers.0[1] = Some(Box::new(150u64.to_be_bytes()));
+        let job = pick_compaction(&v, &cfg, &mut pointers).unwrap();
+        assert_eq!(job.inputs[0].number, 2);
+        assert_eq!(pointers.0[1].as_deref(), Some(199u64.to_be_bytes().as_slice()));
+    }
+
+    #[test]
+    fn compaction_into_the_deepest_level_takes_the_smallest_file() {
+        // L2 is the deepest non-empty level; then an empty L2.
+        let (v, cfg) = l1_over_budget(&[(2, span(10, (0, 299), 10))]);
+        assert_eq!(l1_picks(&v, &cfg, 3), [1, 1, 1]);
+        let (v, cfg) = l1_over_budget(&[]);
+        assert_eq!(l1_picks(&v, &cfg, 3), [1, 1, 1]);
+    }
+
+    #[test]
+    fn only_disjoint_inputs_with_nothing_below_move() {
+        let cfg = CompactionConfig {
+            l0_trigger: 2,
+            ..Default::default()
+        };
+        let job = |files: &[(usize, FileMeta)]| pick_fresh(&version_of(files), &cfg).unwrap();
+        // One flush's tables: disjoint, and L1 is empty.
+        let flush = [(0, span(1, (0, 99), 10)), (0, span(2, (100, 199), 10))];
+        let moved = job(&flush);
+        assert!(moved.is_trivial_move());
+        let edit = moved.move_edit();
+        assert_eq!(edit.deleted, [(0, 2), (0, 1)]);
+        let added: Vec<(usize, u64)> = edit.added.iter().map(|(l, m)| (*l, m.number)).collect();
+        assert_eq!(added, [(1, 2), (1, 1)]);
+        // Overlapping L0 files are merged even with nothing under them.
+        let overlapping = job(&[(0, span(1, (0, 99), 10)), (0, span(2, (99, 199), 10))]);
+        assert!(overlapping.next_inputs.is_empty() && !overlapping.is_trivial_move());
+        // Disjoint, but L1 overlaps: merged.
+        let under = job(&[flush[0].clone(), flush[1].clone(), (1, span(3, (150, 160), 10))]);
+        assert_eq!(under.next_inputs.len(), 1);
+        assert!(!under.is_trivial_move());
+    }
+
     #[test]
     fn level_budgets_grow_geometrically() {
         let cfg = CompactionConfig::default();
@@ -368,7 +529,7 @@ mod tests {
     fn no_compaction_when_quiet() {
         let cfg = CompactionConfig::default();
         let v = Version::empty();
-        assert!(pick_compaction(&v, &cfg).is_none());
+        assert!(pick_fresh(&v, &cfg).is_none());
     }
 
     #[test]
@@ -384,7 +545,7 @@ mod tests {
             edit.add(0, write_table(&env, i, &[put(10, i), put(20, i)]));
         }
         let (v, _) = vs.apply(&edit).unwrap();
-        let job = pick_compaction(&v, &cfg).expect("L0 over trigger");
+        let job = pick_fresh(&v, &cfg).expect("L0 over trigger");
         assert_eq!(job.level, 0);
         assert_eq!(job.inputs.len(), 3);
     }
@@ -406,7 +567,7 @@ mod tests {
         edit.add(0, write_table(&env, 2, &new));
         let (v, _) = vs.apply(&edit).unwrap();
 
-        let job = pick_compaction(&v, &cfg).unwrap();
+        let job = pick_fresh(&v, &cfg).unwrap();
         let mut next = 100u64;
         let out_edit = run_compaction(
             env.as_ref(),

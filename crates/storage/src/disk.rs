@@ -15,7 +15,10 @@ use std::sync::Arc;
 use flodb_sync::lock_order::{DISK_COMPACTION, DISK_MANIFEST};
 use flodb_sync::shim::{ranked_mutex, Mutex};
 
-use crate::compaction::{pick_compaction, run_compaction, CompactionConfig, TableRoller};
+use crate::compaction::{
+    compaction_level, pick_compaction, run_compaction, CompactPointers, CompactionConfig,
+    TableRoller,
+};
 use crate::env::Env;
 use crate::error::Result;
 use crate::manifest;
@@ -51,8 +54,14 @@ impl Default for DiskOptions {
 pub struct DiskStats {
     /// Number of memtable flushes performed.
     pub flushes: u64,
-    /// Number of compactions performed.
+    /// Number of compactions performed (merges; trivial moves not counted).
     pub compactions: u64,
+    /// Number of trivial moves: compaction jobs that re-linked their
+    /// inputs one level down instead of rewriting them.
+    pub trivial_moves: u64,
+    /// Table bytes compactions wrote, per output level (`[0]` is always
+    /// 0; flushes are not compactions).
+    pub compaction_bytes_written: Vec<u64>,
     /// Files per level.
     pub files_per_level: Vec<usize>,
     /// Bytes per level.
@@ -71,8 +80,9 @@ pub struct DiskComponent {
     versions: VersionSet,
     cache: Arc<ShardedTableCache>,
     opts: DiskOptions,
-    /// Serializes compactions (flushes may proceed concurrently).
-    compaction_lock: Mutex<()>,
+    /// Serializes compactions (flushes may proceed concurrently) and holds
+    /// the state they share: each level's compact pointer.
+    compaction_lock: Mutex<CompactPointers>,
     /// Orders manifest appends with their version-set application.
     manifest: Option<Mutex<manifest::ManifestWriter>>,
     /// Oldest-live WAL generation (0 = unrecorded), mirrored from the
@@ -80,6 +90,8 @@ pub struct DiskComponent {
     wal_oldest_live: AtomicU64,
     flushes: AtomicU64,
     compactions: AtomicU64,
+    trivial_moves: AtomicU64,
+    compaction_bytes: [AtomicU64; NUM_LEVELS],
 }
 
 impl DiskComponent {
@@ -139,11 +151,13 @@ impl DiskComponent {
             versions: VersionSet::new(),
             cache,
             opts,
-            compaction_lock: ranked_mutex(DISK_COMPACTION, ()),
+            compaction_lock: ranked_mutex(DISK_COMPACTION, CompactPointers::default()),
             manifest: None,
             wal_oldest_live: AtomicU64::new(0),
             flushes: AtomicU64::new(0),
             compactions: AtomicU64::new(0),
+            trivial_moves: AtomicU64::new(0),
+            compaction_bytes: Default::default(),
         }
     }
 
@@ -360,25 +374,31 @@ impl DiskComponent {
 
     /// Runs at most one compaction step; returns whether one ran.
     pub fn maybe_compact(&self) -> Result<bool> {
-        let _guard = self.compaction_lock.lock();
+        let mut pointers = self.compaction_lock.lock();
         let version = self.versions.current();
-        let Some(job) = pick_compaction(&version, &self.opts.compaction) else {
+        let Some(job) = pick_compaction(&version, &self.opts.compaction, &mut pointers) else {
             return Ok(false);
         };
-        // Tombstones can be dropped when no level below the output holds
-        // data overlapping the job (then nothing older can resurface).
         let out_level = job.level + 1;
-        let drop_tombstones = ((out_level + 1)..NUM_LEVELS)
-            .all(|l| version.levels[l].is_empty());
-        let mut alloc = || self.versions.new_file_number();
-        let edit = run_compaction(
-            self.env.as_ref(),
-            &self.cache,
-            &job,
-            &self.opts.compaction,
-            &mut alloc,
-            drop_tombstones,
-        )?;
+        let moved = job.is_trivial_move();
+        let edit = if moved {
+            job.move_edit()
+        } else {
+            // Tombstones can be dropped when no level below the output
+            // holds data overlapping the job (then nothing older can
+            // resurface).
+            let drop_tombstones = ((out_level + 1)..NUM_LEVELS)
+                .all(|l| version.levels[l].is_empty());
+            let mut alloc = || self.versions.new_file_number();
+            run_compaction(
+                self.env.as_ref(),
+                &self.cache,
+                &job,
+                &self.opts.compaction,
+                &mut alloc,
+                drop_tombstones,
+            )?
+        };
         let (_, removed) = self.apply_edit(&edit)?;
         for handle in removed {
             // Deletion is deferred until the last snapshot referencing the
@@ -395,7 +415,13 @@ impl DiskComponent {
                 let _ = env.delete(&table_file_name(number));
             });
         }
-        self.compactions.fetch_add(1, Ordering::Relaxed);
+        if moved {
+            self.trivial_moves.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let written = edit.added.iter().map(|(_, meta)| meta.size).sum();
+            self.compaction_bytes[out_level].fetch_add(written, Ordering::Relaxed);
+            self.compactions.fetch_add(1, Ordering::Relaxed);
+        }
         Ok(true)
     }
 
@@ -407,7 +433,7 @@ impl DiskComponent {
 
     /// Returns whether any compaction is currently warranted.
     pub fn needs_compaction(&self) -> bool {
-        pick_compaction(&self.versions.current(), &self.opts.compaction).is_some()
+        compaction_level(&self.versions.current(), &self.opts.compaction).is_some()
     }
 
     /// Current statistics snapshot.
@@ -417,6 +443,12 @@ impl DiskComponent {
         DiskStats {
             flushes: self.flushes.load(Ordering::Relaxed),
             compactions: self.compactions.load(Ordering::Relaxed),
+            trivial_moves: self.trivial_moves.load(Ordering::Relaxed),
+            compaction_bytes_written: self
+                .compaction_bytes
+                .iter()
+                .map(|bytes| bytes.load(Ordering::Relaxed))
+                .collect(),
             files_per_level: version.levels.iter().map(Vec::len).collect(),
             bytes_per_level: (0..NUM_LEVELS).map(|l| version.level_bytes(l)).collect(),
             env_bytes_written: self.env.bytes_written(),
@@ -646,6 +678,92 @@ mod tests {
         assert_eq!(manifests.len(), 1, "only the live generation remains");
         // And the data is intact.
         assert!(d.get(&25u64.to_be_bytes()).unwrap().is_some());
+    }
+
+    fn manifest_bytes(env: &Arc<dyn Env>) -> u64 {
+        let names = env.list().unwrap();
+        let manifests = names.iter().filter(|n| n.starts_with("MANIFEST-"));
+        manifests.map(|n| env.open_random(n).unwrap().len()).sum()
+    }
+
+    #[test]
+    fn trivial_move_relinks_the_table_and_never_unlinks_it() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+        let d = DiskComponent::open(Arc::clone(&env), disk_opts()).unwrap();
+        // One flush's tables are disjoint and L1 is empty: the L0 job moves.
+        d.flush_records((0..600).map(|k| put(k, k + 1)).collect())
+            .unwrap();
+        let before = d.version();
+        let mut moved: Vec<u64> = before.levels[0].iter().map(|f| f.number).collect();
+        moved.sort_unstable();
+        assert!(moved.len() >= 2, "{:?}", d.stats());
+        let (written, logged) = (env.bytes_written(), manifest_bytes(&env));
+        assert!(d.maybe_compact().unwrap());
+        assert_eq!(
+            env.bytes_written() - written,
+            manifest_bytes(&env) - logged,
+            "a move writes its MANIFEST record and no table byte"
+        );
+        let stats = d.stats();
+        assert_eq!((stats.compactions, stats.trivial_moves), (0, 1));
+        assert!(stats.compaction_bytes_written.iter().all(|&b| b == 0));
+
+        let level_one = |d: &DiskComponent| -> Vec<u64> {
+            d.version().levels[1].iter().map(|f| f.number).collect()
+        };
+        let all_readable = |d: &DiskComponent| {
+            for k in 0..600u64 {
+                assert_eq!(d.get(&k.to_be_bytes()).unwrap().unwrap().seq, k + 1, "key {k}");
+            }
+        };
+        assert_eq!(level_one(&d), moved);
+        all_readable(&d);
+        // `before` holds the last references to the handles the move
+        // removed from L0: a delete-cleanup on them would fire here.
+        drop(before);
+        all_readable(&d);
+        drop(d);
+        // The MANIFEST replays a delete and an add of each file number.
+        let d = DiskComponent::open(Arc::clone(&env), disk_opts()).unwrap();
+        assert_eq!(level_one(&d), moved);
+        all_readable(&d);
+    }
+
+    #[test]
+    fn a_snapshot_from_before_a_move_outlives_the_merge_of_the_moved_table() {
+        let d = DiskComponent::open(Arc::new(MemEnv::new(None)), disk_opts()).unwrap();
+        // Older versions of every key, placed in L2 by hand.
+        d.flush_records((0..600).map(|k| put(k, k + 1)).collect())
+            .unwrap();
+        let mut to_l2 = VersionEdit::default();
+        for f in &d.version().levels[0] {
+            to_l2.delete(0, f.number);
+            to_l2.add(2, f.meta.clone());
+        }
+        d.apply_edit(&to_l2).unwrap();
+        d.flush_records((0..600).map(|k| put(k, 1000 + k)).collect())
+            .unwrap();
+        let before = d.version();
+        // L1 is empty: the flush moves. L1 is then over budget, and its
+        // smallest table merges into L2.
+        assert!(d.maybe_compact().unwrap() && d.maybe_compact().unwrap());
+        let stats = d.stats();
+        assert_eq!((stats.trivial_moves, stats.compactions), (1, 1), "{stats:?}");
+        let merged = &before.levels[0]
+            .iter()
+            .find(|f| !d.version().levels[1].iter().any(|g| g.number == f.number))
+            .expect("one moved table was merged away")
+            .meta;
+        let name = table_file_name(merged.number);
+        // The pre-move snapshot still names the merged table under L0.
+        let table = d.cache.get(merged.number).unwrap();
+        let first = table.get(&merged.smallest).unwrap().unwrap();
+        assert!(first.seq >= 1000, "{first:?}");
+        assert!(d.env().list().unwrap().contains(&name));
+        // Its last reference gone, the table's one cleanup unlinks it.
+        drop(table);
+        drop(before);
+        assert!(!d.env().list().unwrap().contains(&name));
     }
 
     #[test]

@@ -261,7 +261,9 @@ impl VersionSet {
     ///
     /// Returns the handles removed from the layout; callers install their
     /// cleanup (evict + unlink) on these, which fires once the last
-    /// snapshot referencing them drops.
+    /// snapshot referencing them drops. A file the edit deletes and adds
+    /// again (a move to another level) keeps its handle and is not
+    /// returned, so every snapshot naming the file shares one cleanup.
     pub fn apply(&self, edit: &VersionEdit) -> Result<(Arc<Version>, Vec<Arc<FileHandle>>)> {
         let mut guard = self.current.lock();
         let mut next = Version {
@@ -279,7 +281,10 @@ impl VersionSet {
         }
         for (level, meta) in &edit.added {
             let files = &mut next.levels[*level];
-            let handle = Arc::new(FileHandle::new(meta.clone()));
+            let handle = match removed.iter().position(|f| f.number == meta.number) {
+                Some(i) => removed.swap_remove(i),
+                None => Arc::new(FileHandle::new(meta.clone())),
+            };
             if *level == 0 {
                 // Newest-first by file number.
                 let pos = files.partition_point(|f| f.number > handle.number);
@@ -399,6 +404,21 @@ mod tests {
         assert_eq!(removed[0].number, 1);
         assert!(v.levels[1].is_empty());
         assert_eq!(v.levels[2].len(), 1);
+    }
+
+    #[test]
+    fn a_moved_file_keeps_its_handle() {
+        let vs = VersionSet::new();
+        let mut edit = VersionEdit::default();
+        edit.add(1, meta(1, 0, 10));
+        let (before, _) = vs.apply(&edit).unwrap();
+        let mut moved = VersionEdit::default();
+        moved.delete(1, 1);
+        moved.add(2, meta(1, 0, 10));
+        let (after, removed) = vs.apply(&moved).unwrap();
+        assert!(removed.is_empty(), "a moved file is not obsolete");
+        assert!(before.levels[2].is_empty() && after.levels[1].is_empty());
+        assert!(Arc::ptr_eq(&before.levels[1][0], &after.levels[2][0]));
     }
 
     #[test]

@@ -105,12 +105,16 @@ fn compaction_allocates_per_block_not_per_record() {
     let disk = flushed(5, RECORDS / 5, 30_000);
     let (allocations, ()) = allocations_of(|| disk.compact_all().unwrap());
     let stats = disk.stats();
-    assert!(stats.compactions >= 2 && stats.files_per_level[0] == 0, "{stats:?}");
-    // Every flushed record is merged at least once (those that cascade a
-    // level, twice), so this bound is on the generous side of the claim.
+    assert!(
+        stats.compactions == 1 && stats.trivial_moves >= 2 && stats.files_per_level[0] == 0,
+        "{stats:?}"
+    );
+    // Every flushed record is merged once, by the L0 compaction; its
+    // output then moves down a level without a rewrite. Measured: 4 340
+    // calls (0.087 per record).
     let per_record = allocations as f64 / RECORDS as f64;
     assert!(
-        per_record < 0.25,
+        per_record < 0.1,
         "{allocations} allocations to compact {RECORDS} records ({per_record:.3} per record)"
     );
 }

@@ -7,6 +7,15 @@
 //! tombstones and empty values, then compaction to quiescence — and
 //! compares the CRC of every `.sst` file ever written with the values
 //! recorded before the borrowed-record merge landed.
+//!
+//! Re-recorded once since, for a compaction *decision*, not a format: with
+//! trivial moves, the second flush's L0→L1 output overflows L1 and two of
+//! its files (`000009`, `000010`), which overlap nothing in L2, now move
+//! there instead of being rewritten — the old list had them again, byte for
+//! byte, as `000013` and `000014`. Every other table is the same bytes: the
+//! first flush's three tables (`000001`–`000003`, written before any
+//! compaction) and everything up to `000012` under the same numbers, and
+//! the old `000015`–`000035` as `000013`–`000033`.
 
 use std::collections::BTreeSet;
 use std::sync::Arc;
@@ -29,29 +38,27 @@ const GOLDEN: &[(&str, u32)] = &[
     ("000010.sst", 0xe5e40f28),
     ("000011.sst", 0x8769f582),
     ("000012.sst", 0x8d82e79a),
-    ("000013.sst", 0x7cb73bea),
-    ("000014.sst", 0xe5e40f28),
-    ("000015.sst", 0xe86589d4),
-    ("000016.sst", 0x7379a37c),
-    ("000017.sst", 0xa4b0fcbd),
-    ("000018.sst", 0x2129e636),
-    ("000019.sst", 0xacec12ba),
-    ("000020.sst", 0xc99249b0),
-    ("000021.sst", 0x831a5d01),
-    ("000022.sst", 0xf79cb76e),
-    ("000023.sst", 0x3f0e421c),
-    ("000024.sst", 0x7ed9d544),
-    ("000025.sst", 0x68ff9c56),
-    ("000026.sst", 0x878acb06),
-    ("000027.sst", 0xdc8b7a30),
-    ("000028.sst", 0xf7b487fc),
-    ("000029.sst", 0x42de321a),
-    ("000030.sst", 0x1dcc4142),
-    ("000031.sst", 0xe5c003bf),
-    ("000032.sst", 0x13026972),
-    ("000033.sst", 0xc4443014),
-    ("000034.sst", 0x1896812c),
-    ("000035.sst", 0x58bfa24d),
+    ("000013.sst", 0xe86589d4),
+    ("000014.sst", 0x7379a37c),
+    ("000015.sst", 0xa4b0fcbd),
+    ("000016.sst", 0x2129e636),
+    ("000017.sst", 0xacec12ba),
+    ("000018.sst", 0xc99249b0),
+    ("000019.sst", 0x831a5d01),
+    ("000020.sst", 0xf79cb76e),
+    ("000021.sst", 0x3f0e421c),
+    ("000022.sst", 0x7ed9d544),
+    ("000023.sst", 0x68ff9c56),
+    ("000024.sst", 0x878acb06),
+    ("000025.sst", 0xdc8b7a30),
+    ("000026.sst", 0xf7b487fc),
+    ("000027.sst", 0x42de321a),
+    ("000028.sst", 0x1dcc4142),
+    ("000029.sst", 0xe5c003bf),
+    ("000030.sst", 0x13026972),
+    ("000031.sst", 0xc4443014),
+    ("000032.sst", 0x1896812c),
+    ("000033.sst", 0x58bfa24d),
 ];
 
 fn lcg(state: &mut u64) -> u64 {

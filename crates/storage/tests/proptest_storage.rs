@@ -39,6 +39,24 @@ fn arb_sorted_records() -> impl Strategy<Value = Vec<Record>> {
     })
 }
 
+/// One flush of `disk_reopen_preserves_model`.
+#[derive(Debug, Clone)]
+enum Flush {
+    /// Puts (`Some`) and deletes (`None`) of keys below 32.
+    Overwrite(Vec<(u64, Option<u8>)>),
+    /// Puts of this many fresh keys above every key so far: the flush's
+    /// tables are disjoint from everything on disk, so they trivially move.
+    Ascending(u64),
+}
+
+fn arb_flush() -> impl Strategy<Value = Flush> {
+    prop_oneof![
+        proptest::collection::vec(((0u64..32), proptest::option::of(any::<u8>())), 1..20)
+            .prop_map(Flush::Overwrite),
+        (100u64..600).prop_map(Flush::Ascending),
+    ]
+}
+
 proptest! {
     #[test]
     fn record_encode_decode_roundtrip(record in arb_record()) {
@@ -322,10 +340,9 @@ proptest! {
 
     #[test]
     fn disk_reopen_preserves_model(
-        flushes in proptest::collection::vec(
-            proptest::collection::vec(
-                ((0u64..32), proptest::option::of(any::<u8>())), 1..20),
-            1..5),
+        // Each flush is followed by a full compaction or not: flushes
+        // that wait accumulate as overlapping L0 files for one merge.
+        flushes in proptest::collection::vec((arb_flush(), any::<bool>()), 1..8),
     ) {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
         let opts = DiskOptions {
@@ -342,10 +359,18 @@ proptest! {
         let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let max_seq;
         let mut seq = 0u64;
+        let mut fresh = 1000u64;
         {
             let disk = DiskComponent::open(Arc::clone(&env), opts).unwrap();
-            for batch in &flushes {
-                let records: Vec<Record> = batch
+            for (flush, compact) in &flushes {
+                let writes: Vec<(u64, Option<u8>)> = match flush {
+                    Flush::Overwrite(batch) => batch.clone(),
+                    Flush::Ascending(run) => {
+                        fresh += run;
+                        (fresh - run..fresh).map(|k| (k, Some(k as u8))).collect()
+                    }
+                };
+                let records: Vec<Record> = writes
                     .iter()
                     .map(|(k, v)| {
                         seq += 1;
@@ -365,6 +390,9 @@ proptest! {
                     })
                     .collect();
                 disk.flush_records(records).unwrap();
+                if *compact {
+                    disk.compact_all().unwrap();
+                }
             }
             disk.compact_all().unwrap();
             max_seq = disk.max_persisted_seq();

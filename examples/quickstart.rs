@@ -82,6 +82,8 @@ fn main() {
     println!("\n--- disk component ---");
     println!("flushes              {}", disk.flushes);
     println!("compactions          {}", disk.compactions);
+    println!("trivial moves        {}", disk.trivial_moves);
+    println!("compaction bytes     {:?}", disk.compaction_bytes_written);
     println!(
         "live sstables        {}",
         disk.files_per_level.iter().sum::<usize>()
