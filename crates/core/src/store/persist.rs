@@ -160,11 +160,11 @@ impl Inner {
             let flushed = self.persist_once(false);
             let compacted = self.compact();
             // The flushed table is freed after the compaction, not where it
-            // was released: its nodes came from the writers' allocator
-            // arenas, so freeing 75 k entries costs ≈ 60 ms while the
-            // writers wait for room — as they do by the time a compaction
-            // ends — and 90–250 ms beside running ones, every cycle
-            // (`ingest` `ops_per_s` −10 % when it was freed first).
+            // was released: its nodes go chunk by chunk, but each of its
+            // ≈ 80 k values was allocated by a writer and is freed on its
+            // own, ≈ 0.3 µs an entry — ≈ 25 ms a cycle that, spent first,
+            // delays the compaction the writers are waiting on (`ingest`
+            // `ops_per_s` −12 % when it was freed first).
             let persisted = flushed.is_some();
             drop(flushed);
             let retired = self.maybe_retire_wal();

@@ -66,7 +66,7 @@ impl<'a> SkipListIter<'a> {
         // SAFETY: The head node is valid for the list's lifetime, and level
         // 0 pointers always reference live nodes.
         self.current = unsafe {
-            (*self.list.head_raw()).tower[0]
+            (*self.list.head_raw()).tower(0)
                 .load(Ordering::Acquire, &self.guard)
                 .as_raw()
         };
@@ -81,11 +81,11 @@ impl<'a> SkipListIter<'a> {
             let mut pred = head;
             for level in (0..crate::skiplist::MAX_HEIGHT).rev() {
                 let mut curr: Shared<'_, Node> =
-                    (*pred).tower[level].load(Ordering::Acquire, &self.guard);
+                    (*pred).tower(level).load(Ordering::Acquire, &self.guard);
                 while let Some(c) = curr.as_ref() {
-                    if c.key.as_ref() < target {
+                    if c.key() < target {
                         pred = curr.as_raw();
-                        curr = c.tower[level].load(Ordering::Acquire, &self.guard);
+                        curr = c.tower(level).load(Ordering::Acquire, &self.guard);
                     } else {
                         break;
                     }
@@ -106,7 +106,7 @@ impl<'a> SkipListIter<'a> {
         assert!(self.valid(), "next() on invalid iterator");
         // SAFETY: `current` is a live node (no removal while list alive).
         self.current = unsafe {
-            (*self.current).tower[0]
+            (*self.current).tower(0)
                 .load(Ordering::Acquire, &self.guard)
                 .as_raw()
         };
@@ -120,7 +120,7 @@ impl<'a> SkipListIter<'a> {
     pub fn key(&self) -> &[u8] {
         assert!(self.valid(), "key() on invalid iterator");
         // SAFETY: `current` is a live node.
-        unsafe { (*self.current).key.as_ref() }
+        unsafe { (*self.current).key() }
     }
 
     /// Returns a snapshot of the current entry's versioned value.

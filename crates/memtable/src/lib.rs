@@ -23,11 +23,20 @@
 //! - **No concurrent removal**: by FloDB's design, entries leave the
 //!   skiplist only when the whole (immutable) Memtable is persisted and
 //!   dropped, which is what makes the lock-free multi-insert sound.
+//! - **One arena per table**: because no node is ever removed, every node
+//!   lives exactly as long as its list, so each list carves its nodes out
+//!   of its own chunks (a lock-free bump allocator). A node is one block —
+//!   header, tower and key inline — and dropping a table frees its values
+//!   and then a handful of chunks, not millions of objects. Values stay on
+//!   the heap, since in-place updates replace them while the list lives.
+//!   [`SkipList::approximate_bytes`] counts exactly the blocks and values
+//!   the table holds, which is what the flush trigger reads.
 
 #![warn(missing_docs)]
 #![warn(rust_2018_idioms)]
 #![deny(unsafe_op_in_unsafe_fn)]
 
+mod arena;
 mod height;
 mod iter;
 mod skiplist;

@@ -5,37 +5,49 @@
 //! linked bottom-up with CAS, searches are wait-free, and no node is ever
 //! unlinked while the list is alive.
 //!
+//! # Node layout
+//!
+//! A node is one block of its list's [`Arena`]: a [`Node`] header (the
+//! value pointer, the tower height, the key length), then `height` tower
+//! slots, then the key bytes. A search hop touches one block instead of a
+//! node, a tower and a key in three places, and the nodes of a list share
+//! a few chunks instead of being separate heap objects.
+//!
 //! # Memory reclamation
 //!
 //! Two object classes have different lifetimes here:
 //!
 //! - **Nodes** are never unlinked, so they live exactly as long as the
-//!   list and are freed wholesale in `Drop` (which in FloDB happens after
-//!   the immutable Memtable is persisted and its last scan snapshot is
-//!   released).
-//! - **Values** ([`VersionedValue`]) are replaced in place by concurrent
-//!   updates. The displaced value is retired through
-//!   `Guard::defer_destroy` *after* the successful CAS that unlinked it,
-//!   under the updater's pin, and the epoch collector frees it only once
-//!   every thread pinned at retire time has unpinned. Correspondingly,
-//!   every read of a node's value pointer (`get`, the iterator, the drain
-//!   path) happens under a pin and dereferences only while that guard is
-//!   alive — see `ARCHITECTURE.md` for the full invariant list.
+//!   list and are never freed one at a time: `Drop` returns the arena's
+//!   chunks whole (which in FloDB happens after the immutable Memtable is
+//!   persisted and its last scan snapshot is released). A node carved out
+//!   for a key that a racing insert linked first is left in its chunk,
+//!   unreachable and still charged to the table.
+//! - **Values** ([`VersionedValue`]) stay heap objects, because they are
+//!   replaced in place by concurrent updates. The displaced value is
+//!   retired through `Guard::defer_destroy` *after* the successful CAS
+//!   that unlinked it, under the updater's pin, and the epoch collector
+//!   frees it only once every thread pinned at retire time has unpinned.
+//!   Correspondingly, every read of a node's value pointer (`get`, the
+//!   iterator, the drain path) happens under a pin and dereferences only
+//!   while that guard is alive — see `ARCHITECTURE.md` for the full
+//!   invariant list. `Drop` frees the values of the linked nodes before
+//!   the chunks go.
+
+use std::mem::size_of;
+use std::{ptr, slice};
 
 use flodb_sync::shim::atomic::{AtomicIsize, AtomicUsize, Ordering};
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 
+use crate::arena::{Arena, ALIGN};
 use crate::height::random_height;
 use crate::value::VersionedValue;
 
 /// Maximum tower height; with branching factor 4 this comfortably indexes
 /// billions of entries.
 pub const MAX_HEIGHT: usize = 16;
-
-/// Approximate fixed per-node overhead used for memory accounting
-/// (allocation headers, tower pointers, key/value boxes).
-const NODE_OVERHEAD: usize = 64;
 
 /// One element of a multi-insert batch.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -48,33 +60,86 @@ pub struct BatchEntry {
     pub seq: u64,
 }
 
+/// The header of a node block: `height` tower slots and then `key_len`
+/// key bytes follow it in the same block (see "Node layout").
+#[repr(C)]
 pub(crate) struct Node {
-    pub(crate) key: Box<[u8]>,
     pub(crate) value: Atomic<VersionedValue>,
-    pub(crate) height: usize,
-    pub(crate) tower: Box<[Atomic<Node>]>,
+    height: u32,
+    key_len: u32,
+    /// Where the tower starts; the block holds `height` slots.
+    tower: [Atomic<Node>; 0],
 }
 
+const _: () = assert!(std::mem::align_of::<Node>() <= ALIGN);
+
 impl Node {
-    fn new(key: Box<[u8]>, value: Owned<VersionedValue>, height: usize) -> Owned<Self> {
-        let tower = (0..height).map(|_| Atomic::null()).collect();
-        Owned::new(Self {
-            key,
-            value: Atomic::from(value),
-            height,
-            tower,
-        })
+    /// Bytes of the block holding a node of `height` with a `key_len`-byte
+    /// key, padding included.
+    fn block_size(height: usize, key_len: usize) -> usize {
+        (size_of::<Node>() + height * size_of::<Atomic<Node>>() + key_len).next_multiple_of(ALIGN)
     }
 
-    fn head() -> Owned<Self> {
-        let tower = (0..MAX_HEIGHT).map(|_| Atomic::null()).collect();
-        Owned::new(Self {
-            key: Box::new([]),
-            value: Atomic::null(),
-            height: MAX_HEIGHT,
-            tower,
-        })
+    /// Carves a node for `key` out of `arena`: value pointer `value`,
+    /// tower all null. Returns it with its block size.
+    fn allocate(
+        arena: &Arena,
+        key: &[u8],
+        height: usize,
+        value: Shared<'_, VersionedValue>,
+    ) -> (*const Node, usize) {
+        let size = Self::block_size(height, key.len());
+        let key_len = u32::try_from(key.len()).expect("keys are shorter than 4 GiB");
+        let node = arena.allocate(size).cast::<Node>().as_ptr();
+        // SAFETY: the block is `size` bytes, aligned for `Node` and claimed
+        // for this call alone, so the header, `height` slots and the key
+        // all fit in it; the slot and key pointers derive from the block's
+        // own pointer.
+        unsafe {
+            node.write(Node {
+                value: Atomic::null(),
+                height: height as u32,
+                key_len,
+                tower: [],
+            });
+            (*node).value.store(value, Ordering::Relaxed);
+            let tower = ptr::addr_of_mut!((*node).tower).cast::<Atomic<Node>>();
+            for level in 0..height {
+                tower.add(level).write(Atomic::null());
+            }
+            ptr::copy_nonoverlapping(key.as_ptr(), tower.add(height).cast::<u8>(), key.len());
+        }
+        (node, size)
     }
+
+    fn height(&self) -> usize {
+        self.height as usize
+    }
+
+    /// Tower slot `level`, which must be below the node's height.
+    pub(crate) fn tower(&self, level: usize) -> &Atomic<Node> {
+        debug_assert!(level < self.height(), "level {level} of a {}-high tower", self.height);
+        // SAFETY: a `Node` exists only as the header of a block laid out by
+        // `Node::allocate`, whose `height` initialised slots follow the
+        // header; `level` is below the height.
+        unsafe { &*self.tower.as_ptr().add(level) }
+    }
+
+    /// The node's key.
+    pub(crate) fn key(&self) -> &[u8] {
+        // SAFETY: as for `tower`: `key_len` key bytes follow the `height`
+        // slots in the same block, written before the node was published
+        // and never again.
+        unsafe {
+            let key = self.tower.as_ptr().add(self.height()).cast::<u8>();
+            slice::from_raw_parts(key, self.key_len as usize)
+        }
+    }
+}
+
+/// The heap bytes behind one value: its `VersionedValue` and its payload.
+fn value_bytes(vv: &VersionedValue) -> usize {
+    size_of::<VersionedValue>() + vv.payload_len()
 }
 
 /// A concurrent, lock-free, insert-only skiplist keyed by byte strings.
@@ -97,14 +162,18 @@ impl Node {
 /// assert_eq!(list.len(), 2);
 /// ```
 pub struct SkipList {
+    /// Every node's block, the head's included; the chunks go after
+    /// `Drop` has freed the values.
+    arena: Arena,
     head: *const Node,
     entries: AtomicUsize,
     bytes: AtomicIsize,
 }
 
-// SAFETY: All shared mutation goes through atomics; node and value
-// lifetimes are managed by crossbeam-epoch and the list's own Drop. The raw
-// head pointer is only written once at construction.
+// SAFETY: All shared mutation goes through atomics; nodes live in the
+// list's own arena until it drops, and value lifetimes are managed by
+// crossbeam-epoch. The raw head pointer is only written once at
+// construction.
 unsafe impl Send for SkipList {}
 // SAFETY: See above; `&SkipList` only exposes lock-free concurrent methods.
 unsafe impl Sync for SkipList {}
@@ -112,9 +181,10 @@ unsafe impl Sync for SkipList {}
 impl SkipList {
     /// Creates an empty skiplist.
     pub fn new() -> Self {
-        let guard = epoch::pin();
-        let head = Node::head().into_shared(&guard).as_raw();
+        let arena = Arena::new();
+        let (head, _) = Node::allocate(&arena, &[], MAX_HEIGHT, Shared::null());
         Self {
+            arena,
             head,
             entries: AtomicUsize::new(0),
             bytes: AtomicIsize::new(0),
@@ -123,10 +193,10 @@ impl SkipList {
 
     #[inline]
     fn head_shared<'g>(&self, _guard: &'g Guard) -> Shared<'g, Node> {
-        // `head` was created from an `Owned` at construction and is freed
-        // only in `Drop`, so it is valid for the list's lifetime; tying the
-        // `Shared` to a guard lifetime keeps all uses epoch-disciplined.
-        Shared::from(self.head as *const _)
+        // `head` lives in the arena, so it is valid for the list's
+        // lifetime; tying the `Shared` to a guard lifetime keeps all uses
+        // epoch-disciplined.
+        Shared::from(self.head)
     }
 
     /// Returns the number of distinct keys in the list.
@@ -139,7 +209,11 @@ impl SkipList {
         self.len() == 0
     }
 
-    /// Returns the approximate memory footprint in bytes.
+    /// Returns the table's memory in bytes: every node block its arena
+    /// handed out, padding and nodes left unlinked by a lost race included,
+    /// plus the allocation behind each current value (its `VersionedValue`
+    /// and payload). The head's block and chunk space not yet handed out
+    /// are not counted, so an empty table reports 0.
     ///
     /// Repeated in-place updates of a key do not grow this figure (beyond a
     /// payload-size delta), which is what lets FloDB capture skewed
@@ -162,7 +236,8 @@ impl SkipList {
         let vv = Owned::new(VersionedValue {
             seq,
             value: value.map(Box::from),
-        });
+        })
+        .into_shared(&guard);
         self.insert_with_preds(key, vv, &mut preds, &mut succs, &guard)
     }
 
@@ -185,7 +260,8 @@ impl SkipList {
             let vv = Owned::new(VersionedValue {
                 seq: entry.seq,
                 value: entry.value,
-            });
+            })
+            .into_shared(&guard);
             if self.insert_with_preds(&entry.key, vv, &mut preds, &mut succs, &guard) {
                 inserted += 1;
             }
@@ -204,13 +280,13 @@ impl SkipList {
             // SAFETY: `pred` is the head or a node reached via a validly
             // linked tower pointer; nodes are never unlinked or freed while
             // the list is alive.
-            let mut curr = unsafe { pred.deref() }.tower[level].load(Ordering::Acquire, &guard);
+            let mut curr = unsafe { pred.deref() }.tower(level).load(Ordering::Acquire, &guard);
             // SAFETY: As above; `curr` comes from a live tower pointer.
             while let Some(c) = unsafe { curr.as_ref() } {
-                match c.key.as_ref().cmp(key) {
+                match c.key().cmp(key) {
                     std::cmp::Ordering::Less => {
                         pred = curr;
-                        curr = c.tower[level].load(Ordering::Acquire, &guard);
+                        curr = c.tower(level).load(Ordering::Acquire, &guard);
                     }
                     std::cmp::Ordering::Equal => {
                         let v = c.value.load(Ordering::Acquire, &guard);
@@ -248,12 +324,12 @@ impl SkipList {
             if stored != head && stored != pred {
                 // SAFETY: Stored predecessors are live nodes (never freed
                 // while the list is alive).
-                let stored_key = unsafe { stored.deref() }.key.as_ref();
+                let stored_key = unsafe { stored.deref() }.key();
                 let advance = if pred == head {
                     true
                 } else {
                     // SAFETY: As above.
-                    stored_key > unsafe { pred.deref() }.key.as_ref()
+                    stored_key > unsafe { pred.deref() }.key()
                 };
                 // Only usable if it is still a predecessor of `key`.
                 if advance && stored_key < key {
@@ -261,72 +337,65 @@ impl SkipList {
                 }
             }
             // SAFETY: `pred` is head or a live node.
-            let mut curr = unsafe { pred.deref() }.tower[level].load(Ordering::Acquire, guard);
+            let mut curr = unsafe { pred.deref() }.tower(level).load(Ordering::Acquire, guard);
             // SAFETY: `curr` is always read from a live tower pointer.
             while let Some(c) = unsafe { curr.as_ref() } {
-                if c.key.as_ref() >= key {
+                if c.key() >= key {
                     break;
                 }
                 pred = curr;
-                curr = c.tower[level].load(Ordering::Acquire, guard);
+                curr = c.tower(level).load(Ordering::Acquire, guard);
             }
             preds[level] = pred;
             succs[level] = curr;
         }
         // SAFETY: `succs[0]` is null or a live node.
-        matches!(unsafe { succs[0].as_ref() }, Some(c) if c.key.as_ref() == key)
+        matches!(unsafe { succs[0].as_ref() }, Some(c) if c.key() == key)
     }
 
     /// Shared insert path for `insert` and `multi_insert`
     /// (Algorithm 1, lines 24-42).
+    ///
+    /// `vv` is reachable by no one else yet; it ends up in a new node, in
+    /// the existing node of `key`, or freed as staler than that node's.
     fn insert_with_preds<'g>(
         &self,
         key: &[u8],
-        vv: Owned<VersionedValue>,
+        vv: Shared<'g, VersionedValue>,
         preds: &mut [Shared<'g, Node>; MAX_HEIGHT],
         succs: &mut [Shared<'g, Node>; MAX_HEIGHT],
         guard: &'g Guard,
     ) -> bool {
-        // Exactly one of `vv` / `new_node` holds the pending value at any
-        // point in the loop: the value moves into the node when it is
-        // allocated and is stolen back if the key turns out to exist.
-        let mut vv = Some(vv);
-        let mut new_node: Option<Owned<Node>> = None;
-        let mut node_bytes = 0usize;
+        // The node is carved out by the first attempt that needs one and
+        // kept across retries, with its block size.
+        let mut new_node: Option<(Shared<'g, Node>, usize)> = None;
         loop {
             if self.find_from_preds(key, preds, succs, guard) {
-                // Key exists: update in place (SWAP in the pseudocode).
-                let owned_vv = match new_node.take() {
-                    Some(mut node) => {
-                        let atomic = std::mem::replace(&mut node.value, Atomic::null());
-                        // SAFETY: `node` was never published, so we hold
-                        // the only pointer to its value.
-                        unsafe { atomic.into_owned() }
-                    }
-                    None => vv.take().expect("value still pending"),
-                };
+                // Key exists: update in place (SWAP in the pseudocode). A
+                // node carved out for it stays in the arena, unreachable.
+                if let Some((_, block)) = new_node {
+                    self.bytes.fetch_add(block as isize, Ordering::Relaxed);
+                }
                 // SAFETY: `succs[0]` is a live node (exact match).
                 let node_ref = unsafe { succs[0].deref() };
-                self.update_in_place(node_ref, owned_vv, guard);
+                self.update_in_place(node_ref, vv, guard);
                 return false;
             }
 
-            let node = match new_node.take() {
-                Some(n) => n,
-                None => {
-                    let owned_vv = vv.take().expect("value still pending");
-                    let height = random_height();
-                    node_bytes =
-                        key.len() + owned_vv.payload_len() + NODE_OVERHEAD + 8 * height;
-                    Node::new(Box::from(key), owned_vv, height)
-                }
-            };
-            let height = node.height;
+            let (node, block) = *new_node.get_or_insert_with(|| {
+                let (node, block) = Node::allocate(&self.arena, key, random_height(), vv);
+                (Shared::from(node), block)
+            });
+            // SAFETY: `node` is a block of this list's arena.
+            let node_ref = unsafe { node.deref() };
+            let height = node_ref.height();
 
             // Point the new tower at the successors before publishing.
             for (level, succ) in succs.iter().enumerate().take(height) {
-                node.tower[level].store(*succ, Ordering::Relaxed);
+                node_ref.tower(level).store(*succ, Ordering::Relaxed);
             }
+            // SAFETY: `vv` is still unpublished, so ours alone.
+            let charge = block + value_bytes(unsafe { vv.deref() });
 
             // Publish at level 0; this is the linearization point.
             // ORDERING: SeqCst on success keeps node publication in one
@@ -335,25 +404,23 @@ impl SkipList {
             // tower but leave the insert unordered against those flags.
             // SAFETY: `preds[0]` is head or a live node.
             let pred0 = unsafe { preds[0].deref() };
-            match pred0.tower[0].compare_exchange(
-                succs[0],
-                node,
-                Ordering::SeqCst, // ORDERING: see publication comment above
-                Ordering::Acquire,
-                guard,
-            ) {
-                Ok(node_shared) => {
-                    self.entries.fetch_add(1, Ordering::Relaxed);
-                    self.bytes.fetch_add(node_bytes as isize, Ordering::Relaxed);
-                    self.link_upper_levels(key, node_shared, height, preds, succs, guard);
-                    return true;
-                }
-                Err(e) => {
-                    // Another insert got there first; keep the allocated
-                    // node and retry with a fresh view.
-                    new_node = Some(e.new);
-                }
+            if pred0
+                .tower(0)
+                .compare_exchange(
+                    succs[0],
+                    node,
+                    Ordering::SeqCst, // ORDERING: see publication comment above
+                    Ordering::Acquire,
+                    guard,
+                )
+                .is_ok()
+            {
+                self.entries.fetch_add(1, Ordering::Relaxed);
+                self.bytes.fetch_add(charge as isize, Ordering::Relaxed);
+                self.link_upper_levels(key, node, height, preds, succs, guard);
+                return true;
             }
+            // Another insert got there first; retry with a fresh view.
         }
     }
 
@@ -378,7 +445,8 @@ impl SkipList {
                 // orders on the same tower slots.
                 // SAFETY: `preds[level]` is head or a live node.
                 let pred = unsafe { preds[level].deref() };
-                if pred.tower[level]
+                if pred
+                    .tower(level)
                     .compare_exchange(
                         succs[level],
                         node_shared,
@@ -397,42 +465,45 @@ impl SkipList {
                     // Already linked at this level by a competing retry.
                     break;
                 }
-                node_ref.tower[level].store(succs[level], Ordering::Release);
+                node_ref.tower(level).store(succs[level], Ordering::Release);
             }
         }
     }
 
-    /// CAS loop replacing a node's value if the incoming one is as fresh or
-    /// fresher (by sequence number).
-    fn update_in_place(&self, node: &Node, mut vv: Owned<VersionedValue>, guard: &Guard) {
+    /// CAS loop replacing a node's value with `vv` if it is as fresh or
+    /// fresher (by sequence number); otherwise `vv` is freed.
+    fn update_in_place(&self, node: &Node, vv: Shared<'_, VersionedValue>, guard: &Guard) {
+        // SAFETY: `vv` is unpublished until the CAS below succeeds, so
+        // ours alone while this loop reads it.
+        let new = unsafe { vv.deref() };
         loop {
             let cur = node.value.load(Ordering::Acquire, guard);
             // SAFETY: Published nodes always hold a non-null value, and
             // `guard` protects it from reclamation.
             let cur_ref = unsafe { cur.deref() };
-            if cur_ref.seq > vv.seq {
+            if cur_ref.seq > new.seq {
                 // The resident value is fresher; drop ours.
+                // SAFETY: `vv` was never published: this is its only owner.
+                drop(unsafe { vv.into_owned() });
                 return;
             }
-            let delta = vv.payload_len() as isize - cur_ref.payload_len() as isize;
+            let delta = new.payload_len() as isize - cur_ref.payload_len() as isize;
             // ORDERING: value replacement is a linearization point readers
             // race with; SeqCst keeps it in the same total order as node
             // publication so a scan's snapshot cannot observe a newer
             // value yet miss an older insert.
-            match node
+            if node
                 .value
                 .compare_exchange(cur, vv, Ordering::SeqCst, Ordering::Acquire, guard) // ORDERING: see comment above
+                .is_ok()
             {
-                Ok(_) => {
-                    self.bytes.fetch_add(delta, Ordering::Relaxed);
-                    // SAFETY: `cur` has been unlinked by the successful CAS,
-                    // so no new reader can acquire it; concurrent readers
-                    // that already loaded it are pinned, and the collector
-                    // waits for them before running the destructor.
-                    unsafe { guard.defer_destroy(cur) };
-                    return;
-                }
-                Err(e) => vv = e.new,
+                self.bytes.fetch_add(delta, Ordering::Relaxed);
+                // SAFETY: `cur` has been unlinked by the successful CAS,
+                // so no new reader can acquire it; concurrent readers
+                // that already loaded it are pinned, and the collector
+                // waits for them before running the destructor.
+                unsafe { guard.defer_destroy(cur) };
+                return;
             }
         }
     }
@@ -450,23 +521,20 @@ impl Default for SkipList {
 
 impl Drop for SkipList {
     fn drop(&mut self) {
+        // The values are the only heap objects the nodes own: free each
+        // linked node's here, then the arena frees the chunks, nodes and
+        // all, when the field drops.
         // SAFETY: We have exclusive access (`&mut self`); no guards can be
         // active on this list, so walking and freeing without protection is
-        // sound. Values replaced earlier were handed to the epoch collector
+        // sound. Every linked node holds a non-null value it alone points
+        // at; values replaced earlier were handed to the epoch collector
         // and are freed independently.
         unsafe {
             let guard = epoch::unprotected();
-            let head = Shared::<'_, Node>::from(self.head as *const _);
-            let mut curr = head.deref().tower[0].load(Ordering::Relaxed, guard);
-            drop(head.into_owned());
+            let mut curr = (*self.head).tower(0).load(Ordering::Relaxed, guard);
             while let Some(node) = curr.as_ref() {
-                let next = node.tower[0].load(Ordering::Relaxed, guard);
-                let value = node.value.load(Ordering::Relaxed, guard);
-                if !value.is_null() {
-                    drop(value.into_owned());
-                }
-                drop(curr.into_owned());
-                curr = next;
+                drop(node.value.load(Ordering::Relaxed, guard).into_owned());
+                curr = node.tower(0).load(Ordering::Relaxed, guard);
             }
         }
     }
@@ -734,5 +802,160 @@ mod tests {
         for h in handles {
             assert!(h.join().unwrap() > 0);
         }
+    }
+
+    #[test]
+    fn bytes_count_every_block_and_value_exactly() {
+        let l = SkipList::new();
+        l.insert(b"", None, 1);
+        l.insert(&[7u8; 300], Some(&[1u8; 100]), 2);
+        for i in 0..500u64 {
+            l.insert(&k(i), Some(&[0u8; 256][..(i % 257) as usize]), i + 3);
+        }
+        l.insert(&k(3), Some(b"shorter"), 1000);
+        let guard = epoch::pin();
+        let mut expected = 0;
+        // SAFETY: the head and every linked node live as long as `l`, and
+        // `guard` protects the values.
+        unsafe {
+            let mut curr = (*l.head_raw()).tower(0).load(Ordering::Acquire, &guard);
+            while let Some(node) = curr.as_ref() {
+                expected += Node::block_size(node.height(), node.key().len())
+                    + value_bytes(node.value.load(Ordering::Acquire, &guard).deref());
+                curr = node.tower(0).load(Ordering::Acquire, &guard);
+            }
+        }
+        assert_eq!(l.approximate_bytes(), expected);
+    }
+
+    /// A key of writer `t`: unique per `(t, i)`, 9 to 65 bytes long.
+    fn writer_key(t: u8, i: u64) -> Vec<u8> {
+        let mut key = vec![t];
+        key.extend_from_slice(&i.to_be_bytes());
+        key.resize(9 + (i as usize * 7) % 57, i as u8);
+        key
+    }
+
+    /// The value written to `key` at `seq`: readers can check it against
+    /// both.
+    fn value_for(key: &[u8], seq: u64) -> Vec<u8> {
+        let mut value = seq.to_be_bytes().to_vec();
+        value.extend(key.iter().rev());
+        value
+    }
+
+    fn check(key: &[u8], v: &VersionedValue) {
+        assert_eq!(v.value.as_deref(), Some(value_for(key, v.seq).as_slice()), "torn entry");
+    }
+
+    #[test]
+    fn concurrent_mixed_writers_and_readers_across_hundreds_of_chunk_rolls() {
+        const WRITERS: u8 = 4;
+        const ROUNDS: u64 = 60;
+        const ROUND: u64 = 50;
+        const HOT: u64 = 8;
+        let hot_key = |j: u64| vec![0xFF, j as u8];
+        let l = Arc::new(SkipList::new());
+        let seq = Arc::new(std::sync::atomic::AtomicU64::new(1));
+        // Own keys of writer `t` below `acked[t]` have been acknowledged.
+        let acked: Arc<Vec<std::sync::atomic::AtomicU64>> =
+            Arc::new((0..WRITERS).map(|_| Default::default()).collect());
+        let stop = Arc::new(std::sync::atomic::AtomicBool::new(false));
+
+        let writers: Vec<_> = (0..WRITERS)
+            .map(|t| {
+                let (l, seq, acked) = (Arc::clone(&l), Arc::clone(&seq), Arc::clone(&acked));
+                thread::spawn(move || {
+                    let mut own = Vec::new();
+                    let mut hot = Vec::new();
+                    for round in 0..ROUNDS {
+                        let mut batch = Vec::new();
+                        for i in round * ROUND..(round + 1) * ROUND {
+                            let key = writer_key(t, i);
+                            let s = seq.fetch_add(1, Ordering::Relaxed);
+                            own.push(s);
+                            // Odd rounds drain like the Membuffer does.
+                            if round % 2 == 1 {
+                                let value = Some(value_for(&key, s).into_boxed_slice());
+                                batch.push(BatchEntry { key: key.into(), value, seq: s });
+                            } else {
+                                assert!(l.insert(&key, Some(&value_for(&key, s)), s));
+                            }
+                            let j = (i + u64::from(t)) % HOT;
+                            let s = seq.fetch_add(1, Ordering::Relaxed);
+                            l.insert(&hot_key(j), Some(&value_for(&hot_key(j), s)), s);
+                            hot.push((j, s));
+                        }
+                        if !batch.is_empty() {
+                            assert_eq!(l.multi_insert(batch), ROUND as usize);
+                        }
+                        acked[t as usize].store((round + 1) * ROUND, Ordering::Release);
+                    }
+                    (own, hot)
+                })
+            })
+            .collect();
+
+        let readers: Vec<_> = (0..2u64)
+            .map(|r| {
+                let (l, acked, stop) = (Arc::clone(&l), Arc::clone(&acked), Arc::clone(&stop));
+                thread::spawn(move || {
+                    let mut x = r + 1;
+                    loop {
+                        let done = stop.load(Ordering::Acquire);
+                        for _ in 0..200 {
+                            x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
+                            let t = (x >> 60) as u8 % WRITERS;
+                            let upto = acked[t as usize].load(Ordering::Acquire);
+                            if upto > 0 {
+                                let key = writer_key(t, (x >> 20) % upto);
+                                check(&key, &l.get(&key).expect("acknowledged key missing"));
+                            }
+                        }
+                        let mut it = l.iter();
+                        it.seek_to_first();
+                        let mut prev: Option<Vec<u8>> = None;
+                        while it.valid() {
+                            check(it.key(), it.value_ref());
+                            assert!(prev.as_deref() < Some(it.key()), "iteration out of order");
+                            prev = Some(it.key().to_vec());
+                            it.next();
+                        }
+                        if done {
+                            break;
+                        }
+                    }
+                })
+            })
+            .collect();
+
+        let mut hot_final = [0u64; HOT as usize];
+        let mut own_seqs = Vec::new();
+        for w in writers {
+            let (own, hot) = w.join().unwrap();
+            for (j, s) in hot {
+                hot_final[j as usize] = hot_final[j as usize].max(s);
+            }
+            own_seqs.push(own);
+        }
+        stop.store(true, Ordering::Release);
+        for r in readers {
+            r.join().unwrap();
+        }
+
+        for (t, seqs) in own_seqs.iter().enumerate() {
+            for (i, &s) in seqs.iter().enumerate() {
+                let key = writer_key(t as u8, i as u64);
+                let v = l.get(&key).expect("acknowledged key missing");
+                assert_eq!((v.seq, v.value.as_deref()), (s, Some(value_for(&key, s).as_slice())));
+            }
+        }
+        for (j, &s) in hot_final.iter().enumerate() {
+            let key = hot_key(j as u64);
+            assert_eq!(l.get(&key).unwrap().value.as_deref(), Some(value_for(&key, s).as_slice()));
+        }
+        let own_total = usize::from(WRITERS) * (ROUNDS * ROUND) as usize;
+        assert_eq!(l.len(), own_total + HOT as usize);
+        assert!(l.arena.chunks() >= 200, "only {} chunks", l.arena.chunks());
     }
 }

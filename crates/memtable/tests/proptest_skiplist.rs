@@ -27,6 +27,47 @@ fn k(key: u8) -> Box<[u8]> {
     Box::new([key])
 }
 
+/// Longer than the arena's largest chunk (1 MiB), so its node gets a
+/// chunk of its own.
+const HUGE_KEY: usize = (1 << 20) + 1;
+
+/// The keys one case draws from: 0 to 300 bytes, half of them over a
+/// two-letter alphabet so that long shared prefixes and prefix-of
+/// relations are common, plus one huge key.
+fn key_pool() -> impl Strategy<Value = Vec<Vec<u8>>> {
+    let key = prop_oneof![
+        proptest::collection::vec(0u8..2, 0..301),
+        proptest::collection::vec(any::<u8>(), 0..301),
+    ];
+    proptest::collection::vec(key, 1..24).prop_map(|mut keys| {
+        keys.push(vec![0x5A; HUGE_KEY]);
+        keys
+    })
+}
+
+/// A put (or, `None`, a delete) of the pool key at an index, taken modulo
+/// the pool's length.
+type Write = (usize, Option<Vec<u8>>);
+
+#[derive(Debug, Clone)]
+enum VarOp {
+    Insert(Write),
+    MultiInsert(Vec<Write>),
+}
+
+fn var_op_strategy() -> impl Strategy<Value = VarOp> {
+    let write = || {
+        (
+            0usize..64,
+            proptest::option::of(proptest::collection::vec(any::<u8>(), 0..40)),
+        )
+    };
+    prop_oneof![
+        write().prop_map(VarOp::Insert),
+        proptest::collection::vec(write(), 1..8).prop_map(VarOp::MultiInsert),
+    ]
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -84,6 +125,48 @@ proptest! {
         let keys: Vec<u8> = collected.iter().map(|(key, _)| key[0]).collect();
         let model_keys: Vec<u8> = model.keys().copied().collect();
         prop_assert_eq!(keys, model_keys);
+    }
+
+    /// The same model check over keys of every length a node block can
+    /// hold, through `insert`, `multi_insert`, `get` and iteration.
+    #[test]
+    fn variable_length_keys_match_btreemap_model(
+        pool in key_pool(),
+        ops in proptest::collection::vec(var_op_strategy(), 1..80),
+    ) {
+        let list = SkipList::new();
+        let mut model: BTreeMap<Vec<u8>, (u64, Option<Vec<u8>>)> = BTreeMap::new();
+        let mut seq = 0u64;
+        let mut apply = |(index, value): Write, model: &mut BTreeMap<_, _>| {
+            seq += 1;
+            let key = pool[index % pool.len()].clone();
+            model.insert(key.clone(), (seq, value.clone()));
+            BatchEntry { key: key.into(), value: value.map(Vec::into_boxed_slice), seq }
+        };
+        for op in ops {
+            match op {
+                VarOp::Insert(write) => {
+                    let e = apply(write, &mut model);
+                    list.insert(&e.key, e.value.as_deref(), e.seq);
+                }
+                VarOp::MultiInsert(writes) => {
+                    let batch = writes.into_iter().map(|w| apply(w, &mut model)).collect();
+                    list.multi_insert(batch);
+                }
+            }
+        }
+
+        prop_assert_eq!(list.len(), model.len());
+        for key in &pool {
+            let got = list.get(key).map(|v| (v.seq, v.value.map(Vec::from)));
+            prop_assert_eq!(got, model.get(key).cloned());
+        }
+        let collected: Vec<(Vec<u8>, (u64, Option<Vec<u8>>))> = list
+            .collect_entries()
+            .into_iter()
+            .map(|(key, v)| (key.into_vec(), (v.seq, v.value.map(Vec::from))))
+            .collect();
+        prop_assert_eq!(collected, model.into_iter().collect::<Vec<_>>());
     }
 
     /// Iteration is always sorted and deduplicated, whatever the inserts.

@@ -119,3 +119,13 @@ fn trace_ring_publishes_untorn_events() {
 fn trace_ring_publishes_untorn_events_random() {
     random().model(scenarios::trace_ring_body);
 }
+
+#[test]
+fn arena_roll_hands_out_disjoint_blocks() {
+    dfs().model(scenarios::arena_roll_body);
+}
+
+#[test]
+fn arena_roll_hands_out_disjoint_blocks_random() {
+    random().model(scenarios::arena_roll_body);
+}

@@ -604,3 +604,43 @@ pub fn trace_ring_body() {
     assert!(events.iter().all(|e| e.b == e.a ^ MAGIC));
     assert!(ring.dropped() <= 2, "at most one lapped push per slot");
 }
+
+/// The Memtable arena's chunk roll: two inserts race to claim node blocks
+/// that do not fit the current chunk.
+///
+/// A node is a block bumped out of its list's current chunk with one
+/// `fetch_add`; a claim that runs past the chunk's end allocates the next
+/// chunk with the block at its front and installs it with a CAS, and the
+/// loser of that CAS frees its chunk and claims again in the winner's. A
+/// 3000-byte key fills the first chunk (4 KiB) so far that neither racer's
+/// 1000-byte key fits, whatever the tower heights, so both claims fail and
+/// both racers try to roll. Under every interleaving the two blocks must
+/// be disjoint: each key is written into its block before its node is
+/// published, and all three read back byte-exact, in order.
+pub fn arena_roll_body() {
+    let list = Arc::new(SkipList::new());
+    let filler = vec![0xF0u8; 3000];
+    list.insert(&filler, Some(b"f"), 1);
+    let key = |t: u8| vec![t; 1000];
+    let racers: Vec<_> = [1u8, 2]
+        .into_iter()
+        .map(|t| {
+            let list = Arc::clone(&list);
+            thread::spawn(move || assert!(list.insert(&key(t), Some(&[t]), u64::from(t) + 1)))
+        })
+        .collect();
+    for racer in racers {
+        racer.join().unwrap();
+    }
+    for t in [1u8, 2] {
+        let value = list.get(&key(t)).and_then(|v| v.value);
+        assert_eq!(value.as_deref(), Some(&[t][..]), "a racer's node was overwritten");
+    }
+    let mut it = list.iter();
+    it.seek_to_first();
+    for want in [key(1), key(2), filler] {
+        assert!(it.valid() && it.key() == want.as_slice(), "a key was overwritten");
+        it.next();
+    }
+    assert!(!it.valid());
+}
