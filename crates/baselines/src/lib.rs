@@ -8,8 +8,8 @@
 //! LevelDB"). This crate therefore reimplements each design over the same
 //! [`flodb_storage::DiskComponent`] substrate FloDB uses:
 //!
-//! - [`LevelDbStore`] — single-writer: writes deposit into a
-//!   flat-combining queue applied by one leader; every read takes a global
+//! - [`LevelDbStore`] — single-writer: writes join a group that one
+//!   leader applies (the `GroupCommitter` batcher); every read takes a global
 //!   mutex **twice** (start and end of the operation); single-threaded
 //!   flush-then-compact; global-lock table cache.
 //! - [`HyperLevelDbStore`] — concurrent memtable inserts, but the global

@@ -101,47 +101,6 @@ impl BaselineMemtable {
     }
 }
 
-/// One deposit in a baseline's write queue: a single operation on the
-/// hot path, or a whole `WriteBatch`'s operations applied as one unit (a
-/// put is just a 1-op batch as far as the queue is concerned).
-pub(crate) enum WriteOp {
-    /// One put/delete.
-    One {
-        /// The user key.
-        key: Box<[u8]>,
-        /// `None` is a delete (tombstone insert).
-        value: Option<Box<[u8]>>,
-    },
-    /// A batch's operations, applied contiguously.
-    Batch(Vec<(Box<[u8]>, Option<Box<[u8]>>)>),
-}
-
-impl WriteOp {
-    /// Copies a submission's operations into an owned queue deposit.
-    pub(crate) fn from_ops<'a>(
-        mut ops: impl ExactSizeIterator<Item = (&'a [u8], Option<&'a [u8]>)>,
-    ) -> Self {
-        let own = |(key, value): (&[u8], Option<&[u8]>)| (Box::from(key), value.map(Box::from));
-        if ops.len() == 1 {
-            let (key, value) = own(ops.next().expect("an iterator of length one"));
-            return Self::One { key, value };
-        }
-        Self::Batch(ops.map(own).collect())
-    }
-
-    /// Applies the deposit to `core`, one fresh sequence number per op.
-    pub(crate) fn apply(self, core: &LsmCore) {
-        match self {
-            Self::One { key, value } => core.write(&key, core.seq.next(), value.as_deref()),
-            Self::Batch(ops) => {
-                for (key, value) in ops {
-                    core.write(&key, core.seq.next(), value.as_deref());
-                }
-            }
-        }
-    }
-}
-
 /// Options shared by every baseline store.
 #[derive(Clone)]
 pub struct BaselineOptions {

@@ -9,9 +9,9 @@
 //!
 //! | design | writes ([`Discipline`]) | reads take the global mutex | background threads | table cache |
 //! |---|---|---|---|---|
-//! | [`LevelDb`] | leader queue, applied under the global mutex | twice per read | one: flush, then compact | global lock |
+//! | [`LevelDb`] | leader's group, applied under the global mutex | twice per read | one: flush, then compact | global lock |
 //! | [`HyperLevelDb`] | sequence under the global mutex, insert concurrently, mutex again | twice per read | flush + compaction | global lock |
-//! | [`RocksDb`] | leader queue, no global mutex | no | flush + compaction | sharded |
+//! | [`RocksDb`] | leader's group, no global mutex | no | flush + compaction | sharded |
 //! | [`RocksDbClsm`] | fully concurrent | no | flush + compaction | sharded |
 //!
 //! **LevelDB** (§2.2) "serializes writes by having threads deposit their
@@ -31,6 +31,7 @@
 //! 3-4, `BaselineOptions::memtable`). **RocksDB/cLSM** (§5.1) is RocksDB
 //! with the cLSM-style concurrent memtable writes enabled: no leader.
 
+use std::convert::Infallible;
 use std::marker::PhantomData;
 use std::ops::ControlFlow;
 use std::sync::atomic::Ordering;
@@ -38,21 +39,23 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 
 use flodb_core::{KvStore, StoreStats, WriteBatch, WriteError};
-use flodb_sync::WriteQueue;
+use flodb_storage::record::encode_record_parts;
+use flodb_storage::RecordRef;
+use flodb_sync::{GroupCommitConfig, GroupCommitter};
 use parking_lot::Mutex;
 
-use crate::lsm_core::{spawn_thread, BaselineOptions, LsmCore, WriteOp};
+use crate::lsm_core::{spawn_thread, BaselineOptions, LsmCore};
 
 /// How a design orders concurrent writers on their way into the memtable.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Discipline {
-    /// Writers deposit into a queue; whichever leads applies every
-    /// deposit, one by one, holding the global mutex.
+    /// Writers join a group; whichever leads applies every record of it,
+    /// one by one, holding the global mutex.
     LeaderUnderGlobalMutex,
     /// Sequence numbers are handed out under the global mutex, the inserts
     /// proceed concurrently, and the mutex is taken again at the end.
     SequenceUnderGlobalMutex,
-    /// The leader queue without any global mutex.
+    /// The leader's group without any global mutex.
     Leader,
     /// No leader and no mutex: every writer takes its sequence numbers and
     /// inserts on its own.
@@ -146,8 +149,9 @@ pub struct BaselineStore<D: Design> {
     /// The global mutex LevelDB's lineage brushes against on every
     /// operation (§2.2); untouched by the RocksDB designs.
     global: Mutex<()>,
-    /// The write-leader queue; unused by the leaderless designs.
-    writers: WriteQueue<WriteOp>,
+    /// The write leader's batcher; unused by the leaderless designs. Its
+    /// commit cannot fail: the leader applies the group to memory.
+    writers: GroupCommitter<Infallible>,
     threads: Mutex<Vec<JoinHandle<()>>>,
     _design: PhantomData<D>,
 }
@@ -175,7 +179,7 @@ impl<D: Design> BaselineStore<D> {
         Self {
             core,
             global: Mutex::new(()),
-            writers: WriteQueue::new(),
+            writers: GroupCommitter::new(GroupCommitConfig::default()),
             threads: Mutex::new(threads),
             _design: PhantomData,
         }
@@ -188,16 +192,28 @@ impl<D: Design> BaselineStore<D> {
         let core = &*self.core;
         match D::WRITES {
             Discipline::LeaderUnderGlobalMutex | Discipline::Leader => {
-                // The whole submission rides the queue as one deposit, so
-                // whichever thread leads applies it contiguously (flat
-                // combining).
-                self.writers.submit(WriteOp::from_ops(ops), |deposits| {
+                // The whole submission is encoded into the open group, so
+                // whichever thread leads applies it contiguously, one fresh
+                // sequence number per record (LevelDB's write path).
+                let encode = |group: &mut Vec<u8>| {
+                    for (key, value) in ops {
+                        encode_record_parts(group, key, 0, value);
+                    }
+                };
+                let apply = |group: &mut Vec<u8>| {
                     let _global = (D::WRITES == Discipline::LeaderUnderGlobalMutex)
                         .then(|| self.global.lock());
-                    for deposit in deposits {
-                        deposit.apply(core);
+                    let mut pos = 0;
+                    while pos < group.len() {
+                        let record = RecordRef::decode_from(group, &mut pos)
+                            .expect("a group holds only records its members encoded");
+                        core.write(record.key, core.seq.next(), record.value);
                     }
-                });
+                    Ok(())
+                };
+                if let Err(never) = self.writers.submit(encode, apply) {
+                    match *never {}
+                }
             }
             Discipline::SequenceUnderGlobalMutex => {
                 // One contiguous block of sequence numbers per submission

@@ -1,9 +1,10 @@
-//! Ablation (§4.2): drain configuration — thread count and batch size.
+//! Ablation (§4.2): drain thread count.
 //!
 //! The paper requires "one or more dedicated background threads" for
-//! draining and leaves the batching policy open; this bench quantifies
-//! both knobs on the write path (persistence disabled, Figure 17 style,
-//! so the drain is the only bottleneck).
+//! draining. A drainer moves one 64-bucket chunk per multi-insert, so the
+//! thread count is the one knob left; this bench measures it on the write
+//! path (persistence disabled, Figure 17 style, so the drain is the only
+//! bottleneck).
 
 use std::sync::Arc;
 
@@ -14,13 +15,12 @@ use flodb_storage::MemEnv;
 use flodb_workloads::keys::KeyDistribution;
 use flodb_workloads::mix::OperationMix;
 
-fn run(scale: &Scale, drain_threads: usize, batch: usize, writers: usize) -> f64 {
+fn run(scale: &Scale, drain_threads: usize, writers: usize) -> f64 {
     let mut opts = FloDbOptions::default_in_memory();
     opts.memory_bytes = scale.memory_bytes;
     opts.env = Arc::new(MemEnv::new(None));
     opts.persist_enabled = false;
     opts.drain_threads = drain_threads;
-    opts.drain_batch_entries = batch;
     let store: Arc<dyn KvStore> = Arc::new(FloDb::open(opts).expect("flodb open"));
     let report = flodb_bench::run_cell(
         &store,
@@ -39,19 +39,7 @@ fn main() {
 
     let mut threads_table = Table::new(&["drain threads", "Mops/s"]);
     for drains in [1usize, 2, 4] {
-        threads_table.row(vec![
-            drains.to_string(),
-            mops(run(&scale, drains, 256, writers)),
-        ]);
+        threads_table.row(vec![drains.to_string(), mops(run(&scale, drains, writers))]);
     }
     threads_table.print("Ablation: drain thread count (write-only, no persistence)");
-
-    let mut batch_table = Table::new(&["batch entries", "Mops/s"]);
-    for batch in [16usize, 64, 256, 1024] {
-        batch_table.row(vec![
-            batch.to_string(),
-            mops(run(&scale, 1, batch, writers)),
-        ]);
-    }
-    batch_table.print("Ablation: drain batch size (write-only, no persistence)");
 }

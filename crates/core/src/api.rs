@@ -217,8 +217,8 @@ store_stats! {
     counter memtable_writes,
     /// Entries moved Membuffer → Memtable by drains (FloDB only).
     counter drained_entries,
-    /// Multi-insert batches executed by the background drains (FloDB
-    /// only).
+    /// Chunks the background drains drained, one multi-insert each
+    /// (FloDB only).
     counter drain_batches,
     /// Memtable flushes to disk.
     counter persists,

@@ -49,15 +49,13 @@ mod store;
 pub mod telemetry;
 
 // Model-checker builds (`RUSTFLAGS="--cfg flodb_model"`) expose the drain
-// pipeline and the RCU view cell so tests/model*.rs in the umbrella crate
+// stage and the RCU view cell so tests/model*.rs in the umbrella crate
 // can drive the freeze/drain machinery under the flodb-check scheduler
 // (the loom convention). Normal builds keep them private.
 #[cfg(flodb_model)]
-pub mod drain;
+pub use store::drain;
 #[cfg(flodb_model)]
 pub mod view;
-#[cfg(not(flodb_model))]
-mod drain;
 #[cfg(not(flodb_model))]
 mod view;
 

@@ -39,8 +39,6 @@ pub struct FloDbOptions {
     /// Number of background draining threads (§4.2; at least 1 unless the
     /// Membuffer is disabled).
     pub drain_threads: usize,
-    /// Entries a drainer accumulates before one multi-insert.
-    pub drain_batch_entries: usize,
     /// Use skiplist multi-insert for draining; `false` falls back to
     /// simple inserts (the Figure 17 ablation).
     pub use_multi_insert: bool,
@@ -98,7 +96,6 @@ impl FloDbOptions {
             partition_bits: 4,
             avg_entry_bytes: 280,
             drain_threads: 1,
-            drain_batch_entries: 256,
             use_multi_insert: true,
             membuffer_enabled: true,
             linearizable_scans: false,

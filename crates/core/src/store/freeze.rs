@@ -10,7 +10,7 @@ use flodb_membuffer::MemBuffer;
 use flodb_sync::Backoff;
 
 use super::Inner;
-use crate::drain;
+use super::drain;
 use crate::stats::FloDbStats;
 use crate::telemetry::{StageClass, TraceEventKind};
 use crate::view::ImmMembuffer;

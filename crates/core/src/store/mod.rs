@@ -17,16 +17,25 @@
 //!   then iterates MTB/IMM_MTB/disk; any entry fresher than the scan
 //!   number forces a restart, bounded by a writer-blocking fallback.
 //!   Concurrent scans piggyback on the master's sequence number.
-//! - [`persist`] — **draining** (Figure 6) and **persisting** run on
-//!   background threads; component switches use RCU and never block
-//!   readers or writers. [`retire`] keeps the on-disk log bounded behind
-//!   them, and [`recover`] replays it at open.
+//! - [`drain`] — **draining** (Figure 6) has one primitive: drain one
+//!   64-bucket chunk inside one RCU read section. The background drain
+//!   threads lap their own disjoint chunk ranges of the live Membuffer
+//!   with it, and the freeze drains the frozen Membuffer with it, chunk by
+//!   chunk, with writer help.
+//! - [`persist`] — **persisting** runs on a background thread; component
+//!   switches use RCU and never block readers or writers. [`retire`]
+//!   keeps the on-disk log bounded behind it, and [`recover`] replays it
+//!   at open.
 //!
 //! This file holds the shared state, `open` and the thin [`KvStore`] impl;
 //! [`settle`] is `flush_all`/`quiesce`, and [`latch`] the error latch
 //! behind the poisoned and degraded states.
 
 mod commit;
+#[cfg(flodb_model)]
+pub mod drain;
+#[cfg(not(flodb_model))]
+mod drain;
 mod freeze;
 mod latch;
 mod persist;
@@ -52,10 +61,10 @@ use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
 use flodb_sync::{PauseFlag, SequenceGenerator};
 
 use self::commit::WalState;
+use self::drain::DrainStyle;
 use self::latch::ErrorLatch;
 use self::scan::ScanCoordinator;
 use crate::api::{KvStore, StoreStats, WriteBatch};
-use crate::drain::DrainStyle;
 use crate::error::{OpenError, WriteError};
 use crate::options::{FloDbOptions, WalMode};
 use crate::stats::FloDbStats;

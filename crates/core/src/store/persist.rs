@@ -1,7 +1,6 @@
-//! The background stages: draining (Figure 6) moves Membuffer entries
-//! into the Memtable; persisting switches a full Memtable out, flushes it
-//! to the disk component and keeps the level shape compacted. Component
-//! switches use RCU and never block readers or writers.
+//! The persist stage: switch a full Memtable out, flush it to the disk
+//! component and keep the level shape compacted, on one background thread.
+//! Component switches use RCU and never block readers or writers.
 
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
@@ -13,7 +12,6 @@ use flodb_storage::{RecordRef, StorageError};
 use flodb_sync::Backoff;
 
 use super::Inner;
-use crate::drain;
 use crate::stats::FloDbStats;
 use crate::telemetry::{StageClass, TraceEventKind};
 
@@ -75,75 +73,6 @@ impl Inner {
                     }
                     std::thread::sleep(Duration::from_millis(1 << attempt.min(4)));
                 }
-            }
-        }
-    }
-
-    /// Background draining (Figure 6): continuously move Membuffer entries
-    /// into the Memtable, keeping Membuffer occupancy low.
-    ///
-    /// Each worker owns a disjoint bucket range (see
-    /// [`drain::drain_sweep`]); the pause check runs *inside* the
-    /// read-side critical section so a master scan's freeze either waits
-    /// for this batch or is observed by it — a batch that slipped past
-    /// both could stamp post-freeze writes with pre-stamp sequence
-    /// numbers.
-    pub(super) fn drain_loop(&self, worker: usize) {
-        let workers = self.opts.drain_threads.max(1);
-        let mut cursor = 0usize;
-        let mut idle_beats = 0usize;
-        let batch = self.opts.drain_batch_entries.max(1);
-        while !self.stop.load(Ordering::Acquire) {
-            if self.frozen.is_paused() {
-                self.frozen
-                    .wait_until_resumed_timeout(Duration::from_millis(10));
-                continue;
-            }
-            // The whole batch runs inside one read-side critical section so
-            // a concurrent component switch waits for it (see ViewCell
-            // docs).
-            let moved = self.view.read(|v| {
-                if self.frozen.is_paused() {
-                    return 0;
-                }
-                let Some(mbf) = &v.mbf else { return 0 };
-                let total = mbf.total_buckets();
-                let start = total * worker / workers;
-                let len = total * (worker + 1) / workers - start;
-                let (moved, next) = drain::drain_sweep(
-                    mbf,
-                    &v.mtb,
-                    &self.seq,
-                    start,
-                    len,
-                    cursor,
-                    batch,
-                    self.drain_style,
-                );
-                cursor = next;
-                moved
-            });
-            if moved == 0 {
-                // Nothing to drain: use the idle beat to walk the
-                // reclamation epoch forward (hot-path pins only attempt
-                // this sporadically). `flush` takes the global
-                // participant/garbage mutexes, so an idle store must not
-                // hammer them every 100us from every worker: throttle to
-                // every 8th beat — the bound that matters when a live
-                // guard elsewhere holds the counter gap open indefinitely
-                // — and skip entirely while the collector's counters show
-                // no garbage outstanding (two relaxed loads).
-                idle_beats = idle_beats.wrapping_add(1);
-                let garbage = FloDbStats::reclamation();
-                if idle_beats.is_multiple_of(8)
-                    && garbage.destructions_executed != garbage.destructions_deferred
-                {
-                    crossbeam_epoch::pin().flush();
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                FloDbStats::add(&self.stats.drained_entries, moved as u64);
-                FloDbStats::bump(&self.stats.drain_batches);
             }
         }
     }

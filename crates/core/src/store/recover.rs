@@ -128,7 +128,7 @@ mod tests {
                 .expect("the Membuffer is enabled");
             db.put(b"k", b"newer").unwrap();
             frozen.open_for_drain();
-            crate::drain::help_drain_imm_via(&frozen, &inner.view, &inner.seq, inner.drain_style);
+            crate::store::drain::help_drain_imm_via(&frozen, &inner.view, &inner.seq, inner.drain_style);
             inner.view.release_frozen_membuffer();
             // The checkpoint's flush: the Memtable holds only "older".
             inner.force_flush.store(true, Ordering::SeqCst);

@@ -8,9 +8,8 @@ use flodb_membuffer::AddResult;
 use flodb_storage::record::encode_record_parts;
 use flodb_storage::wal;
 
-use super::{FloDb, Inner};
+use super::{drain, FloDb, Inner};
 use crate::api::WriteBatch;
-use crate::drain;
 use crate::error::WriteError;
 use crate::stats::FloDbStats;
 use crate::telemetry::{OpClass, StageClass, TraceEventKind};

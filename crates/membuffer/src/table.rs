@@ -145,7 +145,7 @@ pub struct MemBuffer {
     /// empty -> non-empty, `remove_drained` clears on non-empty -> empty),
     /// so the equivalence holds at every lock release. Drainers read it
     /// *without* the lock to skip empty buckets: on the live buffer a
-    /// stale clear bit only defers an entry to the next sweep; on a frozen
+    /// stale clear bit only defers an entry to the next lap; on a frozen
     /// buffer the bits are read after the freeze's grace period, which
     /// orders every writer's flip before the read.
     occupancy: Box<[AtomicU64]>,
@@ -335,11 +335,22 @@ impl MemBuffer {
         None
     }
 
-    /// Creates a tracker for a cooperative full drain: one chunk per
-    /// occupancy word, i.e. per 64 consecutive buckets (see
-    /// [`Self::claim_chunk`]).
+    /// Returns the number of drain chunks: one per occupancy word, i.e.
+    /// per 64 consecutive buckets (see [`Self::claim_chunk`]).
+    pub fn chunks(&self) -> usize {
+        self.occupancy.len()
+    }
+
+    /// Creates a tracker for a cooperative full drain over every chunk.
     pub fn drain_tracker(&self) -> DrainTracker {
-        DrainTracker::new(self.occupancy.len())
+        DrainTracker::new(self.chunks())
+    }
+
+    /// Returns the first chunk in `from..to` (clamped to [`Self::chunks`])
+    /// with an occupied bucket: one load per chunk, no bucket touched.
+    pub fn next_occupied_chunk(&self, from: usize, to: usize) -> Option<usize> {
+        let to = to.min(self.chunks());
+        (from..to).find(|&chunk| self.occupancy[chunk].load(Ordering::Acquire) != 0)
     }
 
     /// Returns the first bucket in `from..to` (global bucket indices,
@@ -375,9 +386,9 @@ impl MemBuffer {
     /// (Figure 6, steps 1-2: retrieve and mark).
     ///
     /// A bucket whose occupancy bit is clear is skipped outright — no
-    /// epoch pin, no bucket lock, no allocation. Consecutive indices fall
-    /// in the same partition, so a drainer sweeping in order produces
-    /// key-neighborhood-local batches.
+    /// epoch pin, no bucket lock, no allocation. The engine drains whole
+    /// chunks ([`Self::claim_chunk`]); this one-bucket form serves tests
+    /// and the per-bucket drain probe.
     pub fn claim_bucket(&self, chunk: usize) -> Vec<DrainedEntry> {
         let mut out = Vec::new();
         if self.next_occupied(chunk, chunk + 1).is_some() {
@@ -402,6 +413,14 @@ impl MemBuffer {
             from = bucket + 1;
         }
         out
+    }
+
+    /// Takes the lock of the bucket with global index `index` and holds it
+    /// until the returned guard drops. Test support: a caller that must
+    /// never wait on a bucket lock can be run against a held one.
+    #[doc(hidden)]
+    pub fn hold_bucket_lock(&self, index: usize) -> impl Sized + '_ {
+        self.partitions[index / (self.bucket_mask + 1)].buckets[index & self.bucket_mask].lock()
     }
 
     fn claim_into(&self, index: usize, out: &mut Vec<DrainedEntry>) {

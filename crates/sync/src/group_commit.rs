@@ -11,11 +11,12 @@
 //! while a leader commits group *g*, every arriving writer accumulates
 //! into group *g+1*, so group size adapts to contention.
 //!
-//! Unlike [`crate::flat_combining::WriteQueue`], which ships each
-//! operation as an owned value and hands the leader a `Vec` of them, the
-//! committer is allocation-free on the steady-state path: records are
-//! encoded directly into a reusable byte buffer, and the two buffers (open
-//! + in-flight) swap roles between groups.
+//! The committer is allocation-free on the steady-state path: records are
+//! encoded directly into a reusable byte buffer, and the open and the
+//! in-flight buffer swap roles between groups. It is the one
+//! leader/follower batcher: the baselines' write leaders encode their
+//! operations into it and apply the decoded group to memory in their
+//! `commit` closure.
 
 use std::collections::HashMap;
 use std::mem;

@@ -13,11 +13,11 @@
 //!   loops.
 //! - [`pause::PauseFlag`] — the `pauseWriters` / `pauseDrainingThreads`
 //!   protocol flags from Algorithms 2 and 3.
-//! - [`flat_combining::WriteQueue`] — a flat-combining write queue modeling
-//!   LevelDB's single-writer leader (§2.2), used by the baselines.
 //! - [`group_commit::GroupCommitter`] — the leader/follower group-commit
 //!   pipeline FloDB's write-ahead log uses so that durability batching
-//!   never re-serializes the lock-free write fast path.
+//!   never re-serializes the lock-free write fast path; the baselines'
+//!   write leaders (LevelDB's single-writer design, §2.2) batch through it
+//!   too.
 //! - [`inflight::PhasedInflight`] — a two-phase in-flight counter giving
 //!   WAL segment retirement a grace period over the logged→applied window
 //!   of each write.
@@ -35,7 +35,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 pub mod backoff;
-pub mod flat_combining;
 pub mod group_commit;
 pub mod inflight;
 pub mod kv;
@@ -46,7 +45,6 @@ pub mod seq;
 pub mod shim;
 
 pub use backoff::Backoff;
-pub use flat_combining::WriteQueue;
 pub use group_commit::{CommitRole, GroupCommitConfig, GroupCommitter};
 pub use inflight::{InflightGuard, PhasedInflight};
 pub use pause::PauseFlag;

@@ -35,8 +35,6 @@ pub struct LockClass {
 pub const CORE_THREADS: LockClass = LockClass { name: "core.threads", rank: 10 };
 /// `ScanCoordinator.state` (+cv): scan admission and drain-pause protocol.
 pub const SCAN_COORDINATOR: LockClass = LockClass { name: "scan.coordinator", rank: 12 };
-/// `WriteQueue.inner` (+condvar): the flat-combining baseline queue.
-pub const SYNC_WRITE_QUEUE: LockClass = LockClass { name: "sync.write_queue", rank: 14 };
 /// `GroupCommitter.state` (+done/room/fill cvs): WAL group-commit batches.
 pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state", rank: 16 };
 /// `PhasedInflight.quiesce_lock`: serializes graced-period quiescers.

@@ -61,6 +61,16 @@ fn persist_switch_loses_nothing_random() {
 }
 
 #[test]
+fn live_drain_freeze_loses_nothing() {
+    dfs().model(scenarios::live_drain_freeze_body);
+}
+
+#[test]
+fn live_drain_freeze_loses_nothing_random() {
+    random().model(scenarios::live_drain_freeze_body);
+}
+
+#[test]
 fn recycle_gate_holds() {
     dfs().model(scenarios::recycle_gate_body);
 }

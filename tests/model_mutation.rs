@@ -1,7 +1,7 @@
 //! Mutation regression tests for the model checker itself: re-introduce
 //! each of PR 5's two freeze races and drop the Membuffer recycle gate's
 //! ownership check (via the `flodb_model_mutation` hooks in
-//! `crates/core/src/{view,drain}.rs`) and assert flodb-check *finds*
+//! `crates/core/src/view.rs` and `crates/core/src/store/drain.rs`) and assert flodb-check *finds*
 //! them. A checker that stops finding known-lost-write races has
 //! bit-rotted; this suite turns that into a red test.
 //!

@@ -13,13 +13,13 @@
 // each uses a subset of these bodies.
 #![allow(dead_code)]
 
-use flodb::core::drain::{help_drain_imm_via, DrainStyle};
+use flodb::core::drain::{help_drain_imm_via, DrainStyle, Drainer};
 use flodb::core::view::{ImmMembuffer, MemView, ViewCell};
 use flodb::membuffer::{MemBuffer, MemBufferConfig};
 use flodb::memtable::SkipList;
 use flodb::sync::shim::atomic::{AtomicUsize, Ordering};
 use flodb::sync::shim::{thread, Arc, Mutex};
-use flodb::sync::{GroupCommitConfig, GroupCommitter, PhasedInflight, SequenceGenerator};
+use flodb::sync::{GroupCommitConfig, GroupCommitter, PauseFlag, PhasedInflight, SequenceGenerator};
 
 /// One partition, one bucket (4 slots): the smallest Membuffer, so every
 /// write and every drain claim contend on the same bucket.
@@ -205,6 +205,70 @@ pub fn persist_switch_body() {
         flushed || new_mtb.get(b"acked").is_some(),
         "acknowledged write missed both the flush and the live Memtable"
     );
+}
+
+/// The background drainer against a freeze: one lap over the live buffer
+/// racing Algorithm 3's pause, freeze and frozen drain.
+///
+/// A writer adds a key to the live Membuffer while a drainer runs one
+/// [`Drainer::lap`]; once the write is acknowledged, the freezer pauses
+/// drains, freezes the buffer (the switch waits a grace period), opens it
+/// for draining and runs the frozen drain. A key added before the freeze
+/// began must be in the Memtable once the frozen drain completes — a
+/// master scan stamps right after it. The lap claims each chunk inside the
+/// read-side section it inserts in, so the freeze's grace period waits for
+/// any claim the lap made. A lap that claimed outside the section could
+/// mark the key, let the freeze and the frozen drain (which skips marked
+/// entries) run past it, and insert the key only after the scan's stamp.
+pub fn live_drain_freeze_body() {
+    let mbf = Arc::new(tiny_membuffer());
+    let mtb = Arc::new(SkipList::new());
+    let view = Arc::new(ViewCell::new(MemView {
+        mbf: Some(Arc::clone(&mbf)),
+        imm_mbf: None,
+        mtb: Arc::clone(&mtb),
+        imm_mtb: None,
+    }));
+    let seq = Arc::new(SequenceGenerator::new());
+    let paused = Arc::new(PauseFlag::new());
+
+    let writer = {
+        let view = Arc::clone(&view);
+        thread::spawn(move || {
+            view.read(|v| {
+                if let Some(m) = &v.mbf {
+                    m.add(b"acked", Some(b"w"));
+                }
+            });
+        })
+    };
+
+    let drainer = {
+        let view = Arc::clone(&view);
+        let paused = Arc::clone(&paused);
+        let seq = Arc::clone(&seq);
+        let chunks = mbf.chunks();
+        thread::spawn(move || {
+            Drainer::new(chunks, 0, 1).lap(&view, &paused, &seq, DrainStyle::MultiInsert);
+        })
+    };
+
+    // The freezer (`freeze_window` + `freeze_and_drain_membuffer`), after
+    // the write was acknowledged.
+    writer.join().unwrap();
+    paused.pause();
+    let imm = view
+        .freeze_membuffer(Arc::new(tiny_membuffer()))
+        .expect("buffer was frozen");
+    imm.open_for_drain();
+    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
+    assert!(imm.tracker.is_complete());
+    assert!(
+        mtb.get(b"acked").is_some(),
+        "a write added before the freeze missed the Memtable after the frozen drain"
+    );
+    paused.resume();
+    drainer.join().unwrap();
 }
 
 /// The recycle gate (`ImmMembuffer::reclaim`): a snapshot holder racing
