@@ -252,8 +252,8 @@ store_stats! {
     /// in a group another thread committed (FloDB only). The leader split
     /// is `wal_groups`.
     counter wal_follower_writes,
-    /// WAL segment rotations — the active segment was sealed at a group
-    /// boundary and a fresh generation opened (FloDB only).
+    /// WAL segment rotations — a Memtable switch sealed the active segment
+    /// and opened a fresh generation (FloDB only).
     counter wal_rotations,
     /// Total bytes of WAL segments retired after a persisted checkpoint
     /// covered their records (FloDB only).
@@ -266,8 +266,8 @@ store_stats! {
     gauge wal_active_bytes,
     /// Background I/O attempts retried after a transient failure (flush,
     /// compaction, retirement record/delete), plus WAL rotations deferred
-    /// by a failed segment creation — each retried at the next group
-    /// boundary (FloDB only). Nonzero with zero `io_degraded` means the
+    /// by a failed segment creation — each retried at the next Memtable
+    /// switch (FloDB only). Nonzero with zero `io_degraded` means the
     /// device misbehaved and the store rode it out.
     counter io_retries,
     /// Background I/O operations abandoned after exhausting their
@@ -276,7 +276,7 @@ store_stats! {
     /// see ARCHITECTURE.md "Failure model"; a retirement abandonment only
     /// leaves segment files behind (`wal_retire_errors`).
     counter io_degraded,
-    /// WAL retirement passes that failed to record the oldest-live mark
+    /// Switches whose WAL retirement failed to record the oldest-live mark
     /// or delete retired segment files, leaving the segments on disk as
     /// stale-but-harmless leftovers, pruned at the next open; only
     /// disk-footprint boundedness degrades (FloDB only).

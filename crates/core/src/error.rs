@@ -83,8 +83,8 @@ pub enum OptionsError {
         /// The rejected byte budget.
         got: usize,
     },
-    /// `wal_segment_max_bytes` is zero, which would seal a fresh segment
-    /// after every single commit group.
+    /// `wal_segment_max_bytes` is zero, which would make a Memtable switch
+    /// due after every single commit group.
     ZeroWalSegmentBytes,
     /// A sharded store was configured with zero shards — there would be
     /// nowhere to route any key.

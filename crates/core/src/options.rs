@@ -53,12 +53,14 @@ pub struct FloDbOptions {
     pub persist_enabled: bool,
     /// Commit-log mode.
     pub wal: WalMode,
-    /// Active WAL segment size (bytes, header included) that makes the
-    /// group-commit leader roll to a fresh generation at the next group
-    /// boundary. Sealed generations are retired (deleted) once a persisted
-    /// checkpoint covers their records, so with the manifest enabled the
-    /// on-disk log stays bounded by roughly one segment under indefinite
-    /// write traffic, and recovery replays only the live generations.
+    /// Log bytes written since the last Memtable switch that make a
+    /// switch due even though the Memtable is below its trigger. Every
+    /// switch rolls the log to a fresh segment and, once its flush is
+    /// durable, deletes the segments it sealed, so this bounds the active
+    /// segment — the log a workload of in-place updates fills faster than
+    /// the Memtable — and the on-disk log stays within about one segment
+    /// plus one Memtable's worth under indefinite write traffic; recovery
+    /// replays only the live generations.
     pub wal_segment_max_bytes: usize,
     /// Disk component tuning.
     pub disk: DiskOptions,
@@ -127,8 +129,8 @@ impl FloDbOptions {
         Self {
             memory_bytes: 256 * 1024,
             avg_entry_bytes: 64,
-            // Big enough that short tests stay in one generation; rotation
-            // tests shrink it explicitly.
+            // Big enough that the Memtable trigger, not the log bound,
+            // switches short tests; rotation tests shrink it explicitly.
             wal_segment_max_bytes: 256 * 1024,
             disk,
             ..Self::default_in_memory()

@@ -3,7 +3,7 @@
 //! log as part of one frame, and is acknowledged — or the log is poisoned.
 
 use std::cell::Cell;
-use std::sync::atomic::Ordering;
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flodb_storage::log_manager::{LogConfig, LogManager};
@@ -17,7 +17,7 @@ use super::Inner;
 use crate::error::WriteError;
 use crate::options::FloDbOptions;
 use crate::stats::FloDbStats;
-use crate::telemetry::{StageClass, TraceEventKind};
+use crate::telemetry::StageClass;
 
 /// The log writer plus the group-commit pipeline in front of it, and the
 /// poison latch that makes log failures deterministic.
@@ -27,20 +27,28 @@ pub(super) struct WalState {
     committer: GroupCommitter<StorageError>,
     /// The segmented log (active writer + sealed backlog). Only one
     /// commit leader at a time appends, so writers never contend on this
-    /// mutex; the persist thread takes it briefly during retirement.
+    /// mutex; the persist thread takes it briefly to roll and retire.
     pub(super) log: Mutex<LogManager>,
-    /// Tracks each write's logged→applied window so segment retirement
-    /// can wait until everything logged into a sealed segment has reached
-    /// the memory component (and is therefore covered by the next
-    /// checkpoint's flush). See [`PhasedInflight`].
+    /// Tracks each write's logged→applied window so a Memtable switch can
+    /// wait until everything logged into the segment it sealed has
+    /// reached the memory component (and is therefore in the table it
+    /// flushes). See [`PhasedInflight`].
     pub(super) inflight: PhasedInflight,
+    /// Active-segment bytes at the last switch; the switch bound
+    /// (`wal_segment_max_bytes`) counts the bytes logged since. Written
+    /// by the persist thread only.
+    pub(super) switched_at: AtomicU64,
+    /// Set by the persist thread from before a switch's roll until its
+    /// Memtable swap; see `Inner::wait_for_cut`.
+    pub(super) cutting: AtomicBool,
     /// Closed by the first append failure; checked by every write.
     pub(super) poison: ErrorLatch,
 }
 
 impl WalState {
     /// Opens the log at `next_generation` (recovery consumed the ones
-    /// below it).
+    /// below it). The log has no size trigger: only the persist thread
+    /// rolls it, at each Memtable switch.
     pub(super) fn create(
         opts: &FloDbOptions,
         sync: bool,
@@ -49,7 +57,7 @@ impl WalState {
         let log = LogManager::create(
             Arc::clone(&opts.env),
             LogConfig {
-                segment_max_bytes: opts.wal_segment_max_bytes as u64,
+                segment_max_bytes: u64::MAX,
                 sync_on_write: sync,
             },
             next_generation,
@@ -62,6 +70,8 @@ impl WalState {
                 frame_prefix: wal::FRAME_HEADER_BYTES,
                 ..GroupCommitConfig::default()
             }),
+            switched_at: AtomicU64::new(log.active_bytes()),
+            cutting: AtomicBool::new(false),
             log: ranked_mutex(WAL_LOG, log),
             inflight: PhasedInflight::new(),
             poison: ErrorLatch::new("write-ahead log poisoned by an earlier append failure"),
@@ -154,11 +164,7 @@ impl Inner {
         Ok(())
     }
 
-    /// Commits one group frame through the segmented log: append, then
-    /// (inside the same poison-checked critical section) roll to a fresh
-    /// segment if the active one crossed its size threshold. Appends are
-    /// whole groups, so the roll is exactly at a group boundary. Rotation
-    /// seals a segment for retirement, so the persist thread is notified.
+    /// Commits one group frame to the active log segment.
     ///
     /// At `TelemetryLevel::Full` the commit's total duration is written
     /// into `commit_ns`, so `wal_append` can subtract it from the
@@ -171,59 +177,29 @@ impl Inner {
         commit_ns: &Cell<u64>,
     ) -> Result<(), StorageError> {
         let t0 = self.full_timer();
-        let outcome = wal.append_checked(|log| {
+        let sync_ns = wal.append_checked(|log| {
             let outcome = log.append_group_frame(frame)?;
-            // Published under the log lock, like retirement's update of
-            // the same gauge: a store after the unlock could overwrite a
-            // newer count with this stale one.
+            // Published under the log lock, like the switch's roll resets
+            // it: a store after the unlock could overwrite the reset with
+            // this stale count.
             self.stats
                 .wal_active_bytes
                 .store(outcome.active_bytes, Ordering::Relaxed);
-            self.stats
-                .wal_generations
-                .store(outcome.live_generations, Ordering::Relaxed);
-            Ok(outcome)
+            Ok(outcome.sync_ns)
         })?;
-        if outcome.sync_ns > 0 && self.telemetry.counters() {
-            FloDbStats::add(&self.stats.wal_sync_ns, outcome.sync_ns);
+        if sync_ns > 0 && self.telemetry.counters() {
+            FloDbStats::add(&self.stats.wal_sync_ns, sync_ns);
         }
         if let Some(t0) = t0 {
-            // Split the commit into its stages: the append outcome carries
-            // the fsync and rotation shares, the remainder is the write
-            // itself (frame copy + file append + lock).
+            // Split the commit into its stages: the fsync share, and the
+            // write itself (frame copy + file append + lock).
             let total = t0.elapsed().as_nanos() as u64;
             commit_ns.set(total);
-            self.telemetry.record_stage(
-                StageClass::WalWrite,
-                total.saturating_sub(outcome.sync_ns + outcome.rotation_ns),
-            );
-            if outcome.sync_ns > 0 {
-                self.telemetry
-                    .record_stage(StageClass::WalFsync, outcome.sync_ns);
+            self.telemetry
+                .record_stage(StageClass::WalWrite, total.saturating_sub(sync_ns));
+            if sync_ns > 0 {
+                self.telemetry.record_stage(StageClass::WalFsync, sync_ns);
             }
-            if outcome.rotated || outcome.rotation_failed {
-                self.telemetry
-                    .record_stage(StageClass::WalRotation, outcome.rotation_ns);
-            }
-        }
-        if outcome.rotated {
-            FloDbStats::bump(&self.stats.wal_rotations);
-            self.telemetry.event(
-                TraceEventKind::WalRotation,
-                outcome.sealed_bytes,
-                outcome.rotation_ns,
-            );
-            // Checkpoint notification: a sealed generation now awaits
-            // retirement; wake the persist thread so the on-disk log
-            // stays bounded instead of waiting for the next size-triggered
-            // flush.
-            self.wake_persist();
-        } else if outcome.rotation_failed {
-            // A due roll was deferred because the next segment could not
-            // be created; the log manager retries at the next group
-            // boundary. Count the deferral so a misbehaving device is
-            // visible even though the append itself succeeded.
-            FloDbStats::bump(&self.stats.io_retries);
         }
         Ok(())
     }

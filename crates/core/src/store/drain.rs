@@ -15,8 +15,8 @@
 //!   buffer's chunks;
 //! - the cooperative full drain of a frozen buffer ([`help_drain_imm_via`],
 //!   Algorithm 3's freeze drain): master scans, the fallback scan, the
-//!   retirement checkpoint and helping writers take chunks from the
-//!   buffer's `DrainTracker`.
+//!   Memtable switch and helping writers take chunks from the buffer's
+//!   `DrainTracker`.
 //!
 //! Reclamation note: nothing in this pipeline holds an epoch-protected
 //! pointer across stages. A claimed `DrainedEntry` carries *owned clones*
@@ -187,8 +187,8 @@ impl Drainer {
 }
 
 /// Participates in the cooperative full drain of a frozen Membuffer
-/// (master scans, helping writers and the WAL-retirement checkpoint,
-/// Algorithm 2 lines 12-16), draining each chunk with [`drain_chunk`]
+/// (master scans, helping writers and the Memtable switch, Algorithm 2
+/// lines 12-16), draining each chunk with [`drain_chunk`]
 /// *inside its own RCU read-side critical section* of `view`.
 ///
 /// Claims chunks from the shared tracker until none remain. An empty

@@ -1,7 +1,7 @@
 //! The freeze stage (Algorithm 3, lines 4-14): pause writers and drains,
 //! swap in a fresh Membuffer, drain the frozen one into the Memtable.
-//! Master scans, the fallback scan and the WAL-retirement checkpoint all
-//! come through here.
+//! Master scans, the fallback scan and every Memtable switch come through
+//! here.
 
 use std::sync::Arc;
 use std::time::Instant;
@@ -114,7 +114,7 @@ mod tests {
     use crate::store::tests::{db, k};
     use crate::KvStore;
 
-    /// A retirement checkpoint's window opening inside a master scan's:
+    /// A switch's window opening inside a master scan's:
     /// Memtable writers and the drain loop stay paused when the first
     /// window resumes, until the last one does.
     #[test]

@@ -22,10 +22,12 @@
 //!   threads lap their own disjoint chunk ranges of the live Membuffer
 //!   with it, and the freeze drains the frozen Membuffer with it, chunk by
 //!   chunk, with writer help.
-//! - [`persist`] — **persisting** runs on a background thread; component
-//!   switches use RCU and never block readers or writers. [`retire`]
-//!   keeps the on-disk log bounded behind it, and [`recover`] replays it
-//!   at open.
+//! - [`persist`] — **persisting** runs on a background thread, and has one
+//!   step: the Memtable switch, which is also the WAL checkpoint — roll
+//!   the log, wait out the writes logged before the roll, freeze-drain
+//!   the Membuffer, switch and flush the Memtable, then retire the sealed
+//!   segments it covers. Component switches use RCU and never block
+//!   readers; [`recover`] replays the log at open.
 //!
 //! This file holds the shared state, `open` and the thin [`KvStore`] impl;
 //! [`settle`] is `flush_all`/`quiesce`, and [`latch`] the error latch
@@ -41,14 +43,13 @@ mod latch;
 mod persist;
 mod read;
 mod recover;
-mod retire;
 mod scan;
 mod settle;
 mod write;
 
 use std::iter;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -98,6 +99,9 @@ struct Inner {
     stats: FloDbStats,
     stop: AtomicBool,
     force_flush: AtomicBool,
+    /// `flush_all`/`quiesce` calls waiting: the persist thread then merges
+    /// a lone flushed run too. A `Relaxed` hint, re-read every round.
+    settling: AtomicUsize,
     /// Writers waiting for Memtable room park here (Algorithm 2, line 18).
     room: Mutex<()>,
     room_cv: Condvar,
@@ -242,6 +246,7 @@ impl FloDb {
             stats: FloDbStats::default(),
             stop: AtomicBool::new(false),
             force_flush: AtomicBool::new(false),
+            settling: AtomicUsize::new(0),
             room: ranked_mutex(CORE_ROOM, ()),
             room_cv: ranked_condvar(CORE_ROOM),
             persist_park: ranked_mutex(CORE_PERSIST_PARK, ()),

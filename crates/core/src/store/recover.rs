@@ -101,10 +101,10 @@ mod tests {
     }
 
     /// The interleaving behind `benchmark/README.md` Finding 1, by hand: a
-    /// retirement checkpoint freezes the Membuffer while it holds a key's
-    /// older version, the writer logs and applies the newer one, and only
-    /// then does the frozen drain stamp the older one — with a number
-    /// taken *after* the newer version was logged. The checkpoint's flush
+    /// freeze (a scan's, or a switch's) catches the Membuffer while it
+    /// holds a key's older version, the writer logs and applies the newer
+    /// one, and only then does the frozen drain stamp the older one — with
+    /// a number taken *after* the newer version was logged. A forced flush
     /// puts the older version in a table; the newer one is in the log
     /// alone when the store dies. Replay must rank it above the table's
     /// version because its record is later in the log, whatever number the
@@ -147,6 +147,70 @@ mod tests {
         assert_eq!(
             db.scan(b"a", b"z"),
             vec![(b"k".to_vec(), b"newer".to_vec())]
+        );
+    }
+
+    /// A switch's table is a per-writer log prefix. By hand: drains are
+    /// paused (as a freeze window pauses them), a writer's older put lands
+    /// in the Membuffer, and its newer one falls through to the Memtable —
+    /// logged, then inserted the way a full bucket sends it there
+    /// (Algorithm 2, lines 19-20). A forced switch then flushes, and the
+    /// crash cuts the active log segment back to its header. A switch that
+    /// flushed the Memtable alone would leave the older write's only copy
+    /// in that lost segment while the newer one survives in a table.
+    #[test]
+    fn a_flushed_table_never_holds_a_write_without_the_writers_earlier_ones() {
+        use std::sync::atomic::Ordering;
+        use std::time::Duration;
+
+        use flodb_storage::record::encode_record_parts;
+        use flodb_storage::wal::{parse_wal_name, SEGMENT_HEADER_BYTES};
+
+        let opts = wal_opts();
+        {
+            let db = FloDb::open(opts.clone()).unwrap();
+            let inner = &*db.inner;
+            inner.frozen.pause();
+            db.put(b"older", b"1").unwrap();
+            inner
+                .wal_append(|buf| encode_record_parts(buf, b"newer", 0, Some(b"2")), 1)
+                .unwrap();
+            inner
+                .view
+                .read(|v| v.mtb.insert(b"newer", Some(b"2"), inner.seq.next()));
+            inner.force_flush.store(true, Ordering::SeqCst);
+            while db.disk_stats().flushes == 0 || inner.view.read(|v| v.imm_mtb.is_some()) {
+                inner.wake_persist();
+                std::thread::sleep(Duration::from_micros(100));
+            }
+            inner.force_flush.store(false, Ordering::SeqCst);
+            // Crash, with drains still paused.
+        }
+        let env = &opts.env;
+        let active = env
+            .list()
+            .unwrap()
+            .into_iter()
+            .filter(|name| parse_wal_name(name).is_some())
+            .max_by_key(|name| parse_wal_name(name))
+            .unwrap();
+        let header = env
+            .open_random(&active)
+            .unwrap()
+            .read_at(0, SEGMENT_HEADER_BYTES)
+            .unwrap();
+        env.new_writable(&active).unwrap().append(&header).unwrap();
+
+        let db = FloDb::open(opts).unwrap();
+        assert_eq!(
+            db.get(b"newer"),
+            Some(b"2".to_vec()),
+            "the flush lost the newer write"
+        );
+        assert_eq!(
+            db.get(b"older"),
+            Some(b"1".to_vec()),
+            "the newer write survived in a table although the older one was lost"
         );
     }
 

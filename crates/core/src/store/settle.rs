@@ -10,7 +10,7 @@ use super::{FloDb, Inner};
 use crate::view::MemView;
 
 /// No entry in the Membuffer and no frozen Membuffer mid-drain.
-fn membuffer_drained(v: &MemView) -> bool {
+pub(super) fn membuffer_drained(v: &MemView) -> bool {
     v.mbf.as_ref().is_none_or(|m| m.is_empty()) && v.imm_mbf.is_none()
 }
 
@@ -49,10 +49,12 @@ impl Inner {
     /// — so once the backoff stops escalating it sleeps between polls
     /// instead of yielding in a loop beside the thread it waits on.
     fn wait_until(&self, settled: impl Fn() -> bool) {
+        self.settling.fetch_add(1, Ordering::Relaxed);
         let backoff = Backoff::new();
         loop {
             self.wake_persist();
             if settled() {
+                self.settling.fetch_sub(1, Ordering::Relaxed);
                 break;
             }
             if backoff.is_completed() {
@@ -66,35 +68,28 @@ impl Inner {
     /// The body of [`KvStore::quiesce`](crate::KvStore::quiesce).
     pub(super) fn quiesce(&self) {
         self.wait_until(|| {
-            let (drained, flushed, memtable_bytes) = self.view.read(|v| {
-                (membuffer_drained(v), v.imm_mtb.is_none(), v.mtb.approximate_bytes())
-            });
-            // An over-trigger Memtable means a persist switch is pending
-            // (or already in flight between its trigger check and the
-            // swap): quiesce must wait it out, or a caller's first
-            // post-quiesce scan races the switch/flush/release sequence —
-            // the pre-existing message_queue flake. Below the trigger,
-            // with no force-flush set, the persist thread provably leaves
-            // the view alone until the next write.
-            let switch_pending = memtable_bytes >= self.memtable_trigger;
-            // Sealed WAL segments awaiting retirement: the retirement
-            // checkpoint flushes and rewrites the manifest; let it finish
-            // so "quiesced" also means the on-disk log is back to one
+            let (drained, flushed) =
+                self.view.read(|v| (membuffer_drained(v), v.imm_mtb.is_none()));
+            // A due switch (or one already in flight between its trigger
+            // check and the swap, or between its roll and the deletion of
+            // the segments it sealed): quiesce must wait it out, or a
+            // caller's first post-quiesce scan races the switch/flush/
+            // release sequence — the pre-existing message_queue flake —
+            // and "quiesced" would not mean the on-disk log is back to one
             // active segment (the bounded-log invariant tests rely on).
-            let retire_pending = self.retirement_pending();
+            // With no switch due and no force-flush set, the persist
+            // thread provably leaves the view alone until the next write.
+            let switch_pending = self.switch_due() || self.retirement_in_flight();
             let compaction_pending = self.compaction_pending();
             // A degraded store can still settle its memory-only work
             // (drains run without disk I/O), but the resident immutable
-            // Memtable, pending switch, retirement backlog and
-            // compaction debt are permanently un-servable — treating
-            // them as pending would wedge quiesce forever. "Quiesced"
-            // then means: no *achievable* background work remains.
+            // Memtable, the sealed segments and the compaction debt are
+            // permanently un-servable — treating them as pending would
+            // wedge quiesce forever. "Quiesced" then means: no
+            // *achievable* background work remains.
             drained
                 && (self.is_degraded()
-                    || (flushed
-                        && !switch_pending
-                        && !retire_pending
-                        && !compaction_pending))
+                    || (flushed && !switch_pending && !compaction_pending))
         });
         // Background work has settled; also settle epoch reclamation. Each
         // round can advance the epoch one step past this thread's own pin,

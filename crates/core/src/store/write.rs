@@ -2,12 +2,15 @@
 //! memory component — the Membuffer when its bucket has room, the
 //! Memtable otherwise.
 
+use std::sync::atomic::Ordering;
 use std::time::{Duration, Instant};
 
 use flodb_membuffer::AddResult;
 use flodb_storage::record::encode_record_parts;
 use flodb_storage::wal;
+use flodb_sync::InflightGuard;
 
+use super::commit::WalState;
 use super::{drain, FloDb, Inner};
 use crate::api::WriteBatch;
 use crate::error::WriteError;
@@ -55,10 +58,10 @@ impl Inner {
     /// acknowledged: its log group failed (or the store was already
     /// poisoned or degraded) and nothing was applied.
     ///
-    /// The in-flight window spans log append through memory apply: WAL
-    /// segment retirement flips this tracker and waits, so a segment is
-    /// never retired while a write logged into it has yet to reach the
-    /// memory component (where the retirement checkpoint's flush covers
+    /// The in-flight window spans log append through memory apply: a
+    /// Memtable switch flips this tracker when it rolls the log and waits,
+    /// so a segment is never retired while a write logged into it has yet
+    /// to reach the memory component (where the switch's flush covers
     /// it).
     pub(super) fn commit_and_apply<'a>(
         &self,
@@ -74,7 +77,7 @@ impl Inner {
             // read as a healthy write path.
             self.check_writable()?;
         } else {
-            let _inflight = self.wal.as_ref().map(|w| w.inflight.enter());
+            let inflight = self.wal.as_ref().map(|w| w.inflight.enter());
             self.wal_append(
                 |buf| {
                     if let Some(tag) = tag {
@@ -88,9 +91,12 @@ impl Inner {
                 },
                 records,
             )?;
+            if let (Some(wal), Some(window), true) = (&self.wal, &inflight, records > 1) {
+                self.wait_for_cut(wal, window);
+            }
             let mut puts = 0;
             for (key, value) in ops {
-                self.apply_to_memory(key, value);
+                self.apply_to_memory(key, value, inflight.as_ref());
                 puts += u64::from(value.is_some());
             }
             FloDbStats::add(&self.stats.puts, puts);
@@ -102,10 +108,33 @@ impl Inner {
         Ok(())
     }
 
+    /// Holds a batch that logged after a switch's roll until the switch has
+    /// swapped its Memtable out. Applied across the swap, part of the batch
+    /// would reach the flushed table while its frame is only in the live
+    /// segment, and losing that segment's tail would recover the batch in
+    /// part. A batch that logged before the roll goes ahead: the switch's
+    /// grace waits for it, so all of it is in the table. A single write
+    /// needs no wait — it is before the swap or after it.
+    fn wait_for_cut(&self, wal: &WalState, window: &InflightGuard<'_>) {
+        // ORDERING: pairs with the persist thread's SeqCst store before its
+        // phase flip: a window that entered after the flip (not awaited)
+        // must see the flag, or the batch would apply across the swap.
+        while wal.cutting.load(Ordering::SeqCst) && !window.is_awaited() {
+            let mut g = self.room.lock();
+            self.room_cv.wait_for(&mut g, Duration::from_micros(500));
+        }
+    }
+
     /// Applies one acknowledged write to the memory component (Algorithm
     /// 2); infallible — by the time a write reaches here it is durable (or
-    /// durability is off).
-    fn apply_to_memory(&self, key: &[u8], value: Option<&[u8]>) {
+    /// durability is off). `inflight` is the write's logged→applied window,
+    /// if the log is on.
+    fn apply_to_memory(
+        &self,
+        key: &[u8],
+        value: Option<&[u8]>,
+        inflight: Option<&InflightGuard<'_>>,
+    ) {
         // Fast path: complete in the Membuffer (Algorithm 2, lines 10-11).
         if self.opts.membuffer_enabled {
             let fast = self.view.read(|v| {
@@ -178,6 +207,12 @@ impl Inner {
                     // only writes in flight before the health latch
                     // closed can be here, a bounded set, so memory stays
                     // bounded too.
+                    break;
+                }
+                if inflight.is_some_and(InflightGuard::is_awaited) {
+                    // The switch that makes room waits for this write to
+                    // reach memory: overshoot the trigger by this one
+                    // submission rather than wait on that very switch.
                     break;
                 }
                 if stall_start.is_none() {

@@ -61,9 +61,9 @@ pub enum StageClass {
     MemtableFlush,
     /// One compaction pass on the persist thread.
     Compaction,
-    /// WAL segment rotation (sealing + fresh-segment creation).
+    /// A switch's WAL roll (fresh-segment creation + sealing).
     WalRotation,
-    /// One WAL retirement pass (checkpoint mark + segment deletes).
+    /// A switch's WAL retirement (grace wait + mark + segment deletes).
     WalRetirement,
 }
 

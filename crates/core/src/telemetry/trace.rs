@@ -46,9 +46,9 @@ pub enum TraceEventKind {
     FreezeEnd,
     /// A drain pass moved entries Membuffer → Memtable.
     Drain,
-    /// The active WAL segment was sealed and a fresh generation opened.
+    /// A switch sealed the active WAL segment and opened a fresh one.
     WalRotation,
-    /// A retirement pass deleted sealed WAL segments.
+    /// A Memtable switch deleted the WAL segments its flush covers.
     WalRetirement,
     /// An immutable Memtable was flushed to disk.
     Flush,

@@ -170,7 +170,7 @@ fn logging_a_put_allocates_nothing() {
     let _turn = ONE_AT_A_TIME.lock().unwrap_or_else(|poisoned| poisoned.into_inner());
     const PUTS: u64 = 5_000;
     // Straight into the Memtable, with no drain thread beside the writer
-    // and no segment roll (a retirement checkpoint would flush): the only
+    // and no Memtable switch (its roll and flush would allocate): the only
     // difference between the two stores is the commit stage.
     let counted = |wal: WalMode| {
         let db = store(|opts| {

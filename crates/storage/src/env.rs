@@ -45,6 +45,14 @@ pub trait RandomAccessFile: Send + Sync {
 pub trait Env: Send + Sync + 'static {
     /// Creates (truncating) a writable file.
     fn new_writable(&self, name: &str) -> Result<Box<dyn WritableFile>>;
+    /// Creates (truncating) a writable file that starts with `header`,
+    /// synced: one creation, which a fault-injecting env fails as such.
+    fn new_writable_with_header(&self, name: &str, header: &[u8]) -> Result<Box<dyn WritableFile>> {
+        let mut file = self.new_writable(name)?;
+        file.append(header)?;
+        file.sync()?;
+        Ok(file)
+    }
     /// Opens an existing file for random-access reads.
     fn open_random(&self, name: &str) -> Result<Arc<dyn RandomAccessFile>>;
     /// Deletes a file (idempotent: missing files are not an error).
@@ -311,6 +319,11 @@ impl PrefixEnv {
 impl Env for PrefixEnv {
     fn new_writable(&self, name: &str) -> Result<Box<dyn WritableFile>> {
         self.parent.new_writable(&self.full(name))
+    }
+
+    fn new_writable_with_header(&self, name: &str, header: &[u8]) -> Result<Box<dyn WritableFile>> {
+        self.parent
+            .new_writable_with_header(&self.full(name), header)
     }
 
     fn open_random(&self, name: &str) -> Result<Arc<dyn RandomAccessFile>> {

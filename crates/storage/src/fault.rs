@@ -39,7 +39,9 @@ use crate::wal::parse_wal_name;
 /// coverage. Each name is `<file class>-<operation>`, except the WAL
 /// segment delete, which is named for the subsystem that performs it
 /// (`retire-delete`). `finish()` calls count toward the `-sync` site of
-/// their file class: both are durability barriers on an open file.
+/// their file class: both are durability barriers on an open file. A
+/// header written at creation ([`Env::new_writable_with_header`]) is part
+/// of the `-create` site.
 pub const TRIP_POINTS: &[&str] = &[
     "segment-create",
     "segment-append",
@@ -391,9 +393,20 @@ impl FaultEnv {
 
 impl Env for FaultEnv {
     fn new_writable(&self, name: &str) -> Result<Box<dyn WritableFile>> {
+        self.new_writable_with_header(name, &[])
+    }
+
+    /// The header's write and sync are part of the create: a segment
+    /// created in the background (a Memtable switch's roll) never takes a
+    /// fault armed for the next commit-group append (`segment-append`).
+    fn new_writable_with_header(&self, name: &str, header: &[u8]) -> Result<Box<dyn WritableFile>> {
         let class = file_class(name);
         self.state.check_site(class, Op::Create)?;
-        let inner = self.inner.new_writable(name)?;
+        let inner = if header.is_empty() {
+            self.inner.new_writable(name)?
+        } else {
+            self.inner.new_writable_with_header(name, header)?
+        };
         Ok(Box::new(FaultFile {
             inner,
             class,

@@ -6,10 +6,13 @@
 //! checksummed header ([`crate::wal::segment_header`]). The
 //! [`LogManager`] owns the set:
 //!
-//! - **active → sealed**: every append lands in the *active* segment;
-//!   once it crosses `segment_max_bytes` the manager *seals* it and rolls
-//!   to a fresh generation. Appends are whole commit groups (one frame
-//!   per call), so rotation always happens at a group boundary and a
+//! - **active → sealed**: every append lands in the *active* segment. A
+//!   [`LogManager::roll`] *seals* it and makes a fresh generation active.
+//!   The owner decides when: FloDB rolls at every Memtable switch, with a
+//!   segment it created outside its log lock; a manager configured with a
+//!   size trigger also rolls by itself once the active segment crosses
+//!   `segment_max_bytes`. Appends are whole commit groups (one frame per
+//!   call), so a roll always happens at a group boundary and a
 //!   multi-record batch frame is never split across segments.
 //! - **sealed → retired**: when the store has persisted a checkpoint
 //!   covering a sealed segment's records, [`delete_segments`] removes the
@@ -47,11 +50,12 @@ use crate::wal::{parse_wal_name, wal_file_name, BatchAnnotation, WalWriter};
 /// Tuning for a [`LogManager`].
 #[derive(Debug, Clone, Copy)]
 pub struct LogConfig {
-    /// Active-segment size (header included) that triggers a roll to a
-    /// fresh generation at the next group boundary. The active segment can
-    /// exceed this by at most one commit group, so live log bytes stay
-    /// bounded by `segment_max_bytes + max group size` once sealed
-    /// segments retire.
+    /// Active-segment size (header included) that makes an append roll to
+    /// a fresh generation at the next group boundary; `u64::MAX` turns
+    /// the size trigger off and leaves every roll to the owner. The active
+    /// segment can exceed this by at most one commit group, so live log
+    /// bytes stay bounded by `segment_max_bytes + max group size` once
+    /// sealed segments retire.
     pub segment_max_bytes: u64,
     /// Fsync every appended frame (durability over latency).
     pub sync_on_write: bool,
@@ -72,25 +76,15 @@ pub struct AppendOutcome {
     /// Whether this append sealed the active segment and rolled to a
     /// fresh generation.
     pub rotated: bool,
-    /// Whether a due rotation could not seal the segment because creating
-    /// the next generation failed. The active segment stays fully usable
-    /// and the roll is retried at the next group boundary; callers should
-    /// surface the deferral (it means the log is growing past its
-    /// threshold on a misbehaving device).
-    pub rotation_failed: bool,
     /// Bytes now in the active segment (header included).
     pub active_bytes: u64,
-    /// Live generations on disk: sealed-but-unretired plus the active one.
-    pub live_generations: u64,
     /// Nanoseconds this append spent fsyncing (0 with `sync_on_write`
     /// off). Drained from the writer before any rotation swaps it, so the
     /// time is always attributed to the group that paid it.
     pub sync_ns: u64,
-    /// Nanoseconds spent sealing and rolling the segment (0 unless
-    /// `rotated` or `rotation_failed` is set).
+    /// Nanoseconds spent on a due roll, whether or not it succeeded (0
+    /// below the threshold).
     pub rotation_ns: u64,
-    /// File bytes of the segment this append sealed (0 unless `rotated`).
-    pub sealed_bytes: u64,
 }
 
 /// What a retirement pass deleted.
@@ -116,8 +110,6 @@ pub struct LogManager {
     /// Sealed segments in generation order (oldest first).
     sealed: Vec<SealedSegment>,
     rotations: u64,
-    /// Due rotations deferred because creating the next segment failed.
-    failed_rotations: u64,
 }
 
 impl LogManager {
@@ -132,7 +124,6 @@ impl LogManager {
             writer,
             sealed: Vec::new(),
             rotations: 0,
-            failed_rotations: 0,
         })
     }
 
@@ -146,19 +137,12 @@ impl LogManager {
         // Drain the fsync time *before* a rotation can swap the writer
         // out, losing the nanoseconds this group just paid.
         let sync_ns = self.writer.take_sync_ns();
-        let (rotated, rotation_failed, rotation_ns) = self.maybe_rotate();
+        let (rotated, rotation_ns) = self.maybe_rotate();
         Ok(AppendOutcome {
             rotated,
-            rotation_failed,
             active_bytes: self.writer.bytes_written(),
-            live_generations: self.live_generations(),
             sync_ns,
             rotation_ns,
-            sealed_bytes: if rotated {
-                self.sealed.last().map_or(0, |s| s.bytes)
-            } else {
-                0
-            },
         })
     }
 
@@ -167,34 +151,41 @@ impl LogManager {
     /// synced) *before* the old writer is finished, so a creation failure
     /// leaves the current segment fully usable — the roll is simply
     /// retried at the next group boundary, and the log grows past its
-    /// threshold instead of losing durability. Returns
-    /// `(rotated, rotation_failed, rotation_ns)`; at most one flag is
-    /// set, and the duration covers only attempted rolls (the cold
-    /// threshold check costs nothing and reports 0).
-    fn maybe_rotate(&mut self) -> (bool, bool, u64) {
+    /// threshold instead of losing durability. Returns whether it rolled
+    /// and the nanoseconds a due roll took.
+    fn maybe_rotate(&mut self) -> (bool, u64) {
         if self.writer.bytes_written() < self.cfg.segment_max_bytes {
-            return (false, false, 0);
+            return (false, 0);
         }
         let t0 = std::time::Instant::now();
         let next = self.active_generation + 1;
         let Ok(fresh) = WalWriter::create_segment(self.env.as_ref(), next, self.cfg.sync_on_write)
         else {
-            self.failed_rotations += 1;
-            return (false, true, t0.elapsed().as_nanos() as u64);
+            return (false, t0.elapsed().as_nanos() as u64);
         };
-        let sealed = mem::replace(&mut self.writer, fresh);
-        let bytes = sealed.bytes_written();
         // Redundant under sync-on-write; best effort otherwise (a failed
         // final sync only matters under power loss, where an unsynced
         // log makes no promises anyway).
-        let _ = sealed.finish();
+        let _ = self.roll(fresh).finish();
+        (true, t0.elapsed().as_nanos() as u64)
+    }
+
+    /// Seals the active segment and makes `fresh` — generation
+    /// [`Self::active_generation`]` + 1`, from
+    /// [`WalWriter::create_segment`] — the active one. Returns the sealed
+    /// segment's writer for the caller to [`WalWriter::finish`], which
+    /// syncs it; a caller that guards the manager with a lock can create
+    /// the fresh segment and finish the sealed one outside it, so the
+    /// swap is the only work under the lock.
+    pub fn roll(&mut self, fresh: WalWriter) -> WalWriter {
+        let sealed = mem::replace(&mut self.writer, fresh);
         self.sealed.push(SealedSegment {
             generation: self.active_generation,
-            bytes,
+            bytes: sealed.bytes_written(),
         });
-        self.active_generation = next;
+        self.active_generation += 1;
         self.rotations += 1;
-        (true, false, t0.elapsed().as_nanos() as u64)
+        sealed
     }
 
     /// Removes sealed segments with `generation <= up_to` from tracking
@@ -244,12 +235,6 @@ impl LogManager {
     /// Total rotations performed by this manager.
     pub fn rotations(&self) -> u64 {
         self.rotations
-    }
-
-    /// Due rotations deferred because the next segment could not be
-    /// created (see [`AppendOutcome::rotation_failed`]).
-    pub fn failed_rotations(&self) -> u64 {
-        self.failed_rotations
     }
 
     /// The oldest generation recovery would need: the oldest sealed

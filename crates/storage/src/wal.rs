@@ -133,9 +133,8 @@ impl WalWriter {
         generation: u64,
         sync_on_write: bool,
     ) -> Result<Self> {
-        let mut file = env.new_writable(&wal_file_name(generation))?;
-        file.append(&segment_header(generation))?;
-        file.sync()?;
+        let file =
+            env.new_writable_with_header(&wal_file_name(generation), &segment_header(generation))?;
         env.sync_dir()?;
         Ok(Self {
             file,

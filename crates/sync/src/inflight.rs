@@ -1,27 +1,32 @@
 //! A phased in-flight counter: a grace period over short critical windows.
 //!
-//! WAL segment retirement needs to know that every write which was
-//! *logged* into a now-sealed segment has also been *applied* to the
-//! memory component — otherwise a checkpoint could flush the memory state,
-//! the segment could be deleted, and a write that was logged there but
-//! applied (and acknowledged!) just after the flush would survive only in
-//! the deleted file. The logged→applied window spans blocking waits
-//! (group-commit parking, Memtable-room stalls), so RCU read-side
-//! sections can't cover it; and a single in-flight counter never reaches
-//! zero under sustained traffic.
+//! A Memtable switch deletes the log segments its flush covers, so it must
+//! know that every write *logged* into those segments has also been
+//! *applied* to the memory component — otherwise the flush could miss a
+//! write that was logged there but applied (and acknowledged!) just
+//! after it, and that write would survive only in the deleted file. The
+//! logged→applied window spans blocking waits (group-commit parking, a
+//! freeze), so RCU read-side sections can't cover it; and a single
+//! in-flight counter never reaches zero under sustained traffic.
 //!
 //! [`PhasedInflight`] solves this the classic way: **two counters and a
-//! phase bit**. Writers enter the counter of the current phase; a
-//! quiescer flips the phase and waits only for the *old* phase's counter
-//! to drain. Writers arriving after the flip land in the new phase and
-//! are not waited for, so the wait is bounded by the windows that were
-//! open at the flip — a true grace period, even at full write rate.
+//! phase bit**. Writers enter the counter of the current phase; the
+//! quiescer flips the phase ([`PhasedInflight::flip`]) and waits only for
+//! the *old* phase's counter to drain ([`Grace::wait`]). Writers arriving
+//! after the flip land in the new phase and are not waited for, so the
+//! wait is bounded by the windows that were open at the flip — a true
+//! grace period, even at full write rate. A window can ask whether a
+//! grace waits for it ([`InflightGuard::is_awaited`]): the store's
+//! writers use that to skip a wait that only the quiescer could end.
 
-use crate::lock_order::WAL_INFLIGHT_QUIESCE;
 use crate::shim::atomic::{AtomicU64, AtomicUsize, Ordering};
-use crate::shim::{ranked_mutex, Mutex};
+use crate::shim::thread;
 
 /// A two-phase in-flight tracker; see the module docs.
+///
+/// One quiescer at a time: a second flip before the first grace ends
+/// would mix two grace periods' entrants into one counter. The store's
+/// persist thread is the only one that flips.
 ///
 /// # Examples
 ///
@@ -30,8 +35,10 @@ use crate::shim::{ranked_mutex, Mutex};
 ///
 /// let inflight = PhasedInflight::new();
 /// let guard = inflight.enter();
+/// let grace = inflight.flip();
+/// assert!(guard.is_awaited(), "the flip left this window in the old phase");
 /// drop(guard); // the tracked window closed
-/// inflight.quiesce_with(|| unreachable!("nothing is in flight"));
+/// grace.wait(); // returns: nothing of the old phase is in flight
 /// ```
 #[derive(Debug)]
 pub struct PhasedInflight {
@@ -39,9 +46,6 @@ pub struct PhasedInflight {
     phase: AtomicUsize,
     /// Entrant counts per phase.
     counts: [AtomicU64; 2],
-    /// Serializes quiescers (a second flip while the first still waits
-    /// would mix two grace periods into one counter).
-    quiesce_lock: Mutex<()>,
 }
 
 /// An open in-flight window; dropping it closes the window.
@@ -49,6 +53,15 @@ pub struct PhasedInflight {
 pub struct InflightGuard<'a> {
     owner: &'a PhasedInflight,
     phase: usize,
+}
+
+/// The grace period a [`PhasedInflight::flip`] began: the windows of the
+/// phase it closed.
+#[derive(Debug)]
+#[must_use = "a flip without its wait is no grace period"]
+pub struct Grace<'a> {
+    owner: &'a PhasedInflight,
+    old: usize,
 }
 
 impl Default for PhasedInflight {
@@ -63,7 +76,6 @@ impl PhasedInflight {
         Self {
             phase: AtomicUsize::new(0),
             counts: [AtomicU64::new(0), AtomicU64::new(0)],
-            quiesce_lock: ranked_mutex(WAL_INFLIGHT_QUIESCE, ()),
         }
     }
 
@@ -91,29 +103,19 @@ impl PhasedInflight {
         }
     }
 
-    /// Flips the phase and waits until every window open at the flip has
-    /// closed, calling `service` between checks (the caller may need to
-    /// unblock the very windows it waits for — e.g. the persist thread
-    /// flushing the Memtable that room-stalled writers are waiting on —
-    /// so the wait loop must not just spin).
-    pub fn quiesce_with(&self, mut service: impl FnMut()) {
-        let _serial = self.quiesce_lock.lock();
+    /// Flips the phase: windows opened from here on land in the new one.
+    /// The returned [`Grace`] waits for the windows open at the flip.
+    ///
+    /// The flip itself takes no lock, so a caller can make it atomic with
+    /// its own state change (the store flips under the log lock, in the
+    /// same critical section that seals a segment).
+    pub fn flip(&self) -> Grace<'_> {
         // ORDERING: the quiescer's half of the Dekker pairing with
         // `enter` — the flip RMW and the drain loads must share the
         // entrants' total order, or a window opened before the flip could
         // be missed by the drain check.
         let old = self.phase.fetch_add(1, Ordering::SeqCst) & 1;
-        while self.counts[old].load(Ordering::SeqCst) != 0 { // ORDERING: Dekker drain load, see comment above
-            service();
-            // The service callback need not contain a yield point; under
-            // the model checker, deprioritize so the open windows can
-            // close (a plain spin would trip the step budget).
-            // LOCK-OK: quiesce_lock exists to serialize quiescers; waiting
-            // out the drain under it is the intended behavior, and window
-            // holders never take it.
-            #[cfg(flodb_model)]
-            crate::shim::thread::yield_now();
-        }
+        Grace { owner: self, old }
     }
 
     /// Windows currently open (both phases; diagnostics only).
@@ -121,6 +123,39 @@ impl PhasedInflight {
         // Diagnostics only — no protocol depends on these loads, so the
         // weakest ordering suffices.
         self.counts[0].load(Ordering::Relaxed) + self.counts[1].load(Ordering::Relaxed)
+    }
+}
+
+impl Grace<'_> {
+    /// Waits until every window open at the flip has closed, yielding
+    /// between checks. Each window is one write operation, and nothing
+    /// opened after the flip extends the wait.
+    pub fn wait(self) {
+        // ORDERING: Dekker drain load, see `PhasedInflight::flip`.
+        while self.owner.counts[self.old].load(Ordering::SeqCst) != 0 {
+            thread::yield_now();
+        }
+    }
+}
+
+impl InflightGuard<'_> {
+    /// Whether a grace period waits for this window: the phase has been
+    /// flipped since it opened. Only one flip can happen while a window
+    /// is open — the next one waits for this grace to end first — so a
+    /// differing phase bit means exactly that.
+    pub fn is_awaited(&self) -> bool {
+        // Mutation hook for the model-checker regression suite
+        // (tests/model_mutation.rs): never report the window awaited, so
+        // a writer waiting on the very quiescer that waits on it hangs.
+        // Never set outside that suite.
+        #[cfg(flodb_model_mutation)]
+        {
+            return false;
+        }
+        // ORDERING: pairs with the flip's SeqCst RMW; a stale read only
+        // delays the answer to the writer's next check.
+        #[cfg(not(flodb_model_mutation))]
+        (self.owner.phase.load(Ordering::SeqCst) & 1 != self.phase)
     }
 }
 
@@ -143,14 +178,14 @@ mod tests {
     use super::*;
 
     #[test]
-    fn quiesce_on_idle_tracker_returns_immediately() {
+    fn grace_on_idle_tracker_returns_immediately() {
         let t = PhasedInflight::new();
-        t.quiesce_with(|| panic!("no window can be open"));
+        t.flip().wait();
         assert_eq!(t.open_windows(), 0);
     }
 
     #[test]
-    fn quiesce_waits_for_windows_open_at_the_flip() {
+    fn grace_waits_for_windows_open_at_the_flip() {
         let t = Arc::new(PhasedInflight::new());
         let release = Arc::new(AtomicBool::new(false));
         let entered = Arc::new(AtomicBool::new(false));
@@ -169,27 +204,30 @@ mod tests {
         while !entered.load(Ordering::SeqCst) {
             thread::yield_now();
         }
+        let done = Arc::new(AtomicBool::new(false));
         let quiesced = {
             let t = Arc::clone(&t);
-            let release = Arc::clone(&release);
+            let done = Arc::clone(&done);
             thread::spawn(move || {
-                t.quiesce_with(|| {
-                    // Service unblocks the holder, modeling the persist
-                    // thread flushing for a room-stalled writer.
-                    release.store(true, Ordering::SeqCst);
-                    thread::yield_now();
-                });
+                t.flip().wait();
+                done.store(true, Ordering::SeqCst);
             })
         };
+        thread::sleep(Duration::from_millis(20));
+        assert!(
+            !done.load(Ordering::SeqCst),
+            "the grace ended with a window open"
+        );
+        release.store(true, Ordering::SeqCst);
         quiesced.join().unwrap();
         holder.join().unwrap();
         assert_eq!(t.open_windows(), 0);
     }
 
     #[test]
-    fn quiesce_does_not_wait_for_late_entrants() {
+    fn grace_does_not_wait_for_late_entrants() {
         // A window opened *after* the flip must not extend the grace
-        // period: quiesce under a continuous stream of fresh entrants
+        // period: a grace under a continuous stream of fresh entrants
         // still terminates.
         let t = Arc::new(PhasedInflight::new());
         let stop = Arc::new(AtomicBool::new(false));
@@ -206,13 +244,13 @@ mod tests {
             })
             .collect();
         for _ in 0..50 {
-            t.quiesce_with(thread::yield_now);
+            t.flip().wait();
         }
         stop.store(true, Ordering::SeqCst);
         for h in churn {
             h.join().unwrap();
         }
-        t.quiesce_with(|| thread::sleep(Duration::from_micros(50)));
+        t.flip().wait();
         assert_eq!(t.open_windows(), 0);
     }
 
@@ -229,7 +267,7 @@ mod tests {
             }));
         }
         for _ in 0..200 {
-            t.quiesce_with(thread::yield_now);
+            t.flip().wait();
         }
         for h in handles {
             h.join().unwrap();

@@ -19,8 +19,8 @@
 //!   write leaders (LevelDB's single-writer design, §2.2) batch through it
 //!   too.
 //! - [`inflight::PhasedInflight`] — a two-phase in-flight counter giving
-//!   WAL segment retirement a grace period over the logged→applied window
-//!   of each write.
+//!   the Memtable switch a grace period over the logged→applied window of
+//!   each write before it retires WAL segments.
 //! - [`kv`] — the common key/value byte-string representation shared by all
 //!   layers.
 //! - [`shim`] — the swappable primitives facade every concurrency-bearing
@@ -46,7 +46,7 @@ pub mod shim;
 
 pub use backoff::Backoff;
 pub use group_commit::{CommitRole, GroupCommitConfig, GroupCommitter};
-pub use inflight::{InflightGuard, PhasedInflight};
+pub use inflight::{Grace, InflightGuard, PhasedInflight};
 pub use pause::PauseFlag;
 pub use rcu::RcuDomain;
 pub use seq::SequenceGenerator;

@@ -37,8 +37,6 @@ pub const CORE_THREADS: LockClass = LockClass { name: "core.threads", rank: 10 }
 pub const SCAN_COORDINATOR: LockClass = LockClass { name: "scan.coordinator", rank: 12 };
 /// `GroupCommitter.state` (+done/room/fill cvs): WAL group-commit batches.
 pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state", rank: 16 };
-/// `PhasedInflight.quiesce_lock`: serializes graced-period quiescers.
-pub const WAL_INFLIGHT_QUIESCE: LockClass = LockClass { name: "wal.inflight_quiesce", rank: 20 };
 /// `Inner.freeze_lock`: serializes memory-component freezes in flodb-core.
 pub const CORE_FREEZE: LockClass = LockClass { name: "core.freeze", rank: 22 };
 /// `ViewCell.switch_lock`: serializes view switches (held across RCU sync).

@@ -417,9 +417,9 @@ fn freezing_scans_never_lose_acknowledged_writes() {
 /// keep overwriting a fixed key set. A second scanner runs wide scans,
 /// each holding a view snapshot — and with it a reference to the
 /// Membuffer of the moment — across its collection; the WAL is on with
-/// small segments, so the persist thread's retirement checkpoints freeze
-/// *that* buffer under the scanner (scans are serialized among themselves,
-/// checkpoints are not), which is exactly when it must not be recycled.
+/// a small log bound, so the persist thread's switches freeze *that*
+/// buffer under the scanner (scans are serialized among themselves,
+/// switches are not), which is exactly when it must not be recycled.
 /// Every key must end at the last version its writer was acknowledged.
 #[test]
 fn recycled_membuffer_never_loses_acknowledged_writes() {

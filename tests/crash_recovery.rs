@@ -241,13 +241,13 @@ fn max_persisted_seq(env: &Arc<dyn Env>, opts: &FloDbOptions) -> u64 {
 /// The engine-side twin of the benchmark's Finding 1
 /// (`benchmark/e2e/src/findings.rs`): one writer rewrites 2 k keys 100 k
 /// times — half the puts on a 16-key hot set, every put acknowledged
-/// before the next is issued — on a store small enough that flushes, WAL
-/// rotation and retirement checkpoints run continuously while hot keys
-/// sit in the Membuffer. The writing is cut into 100 lives of 1 000 puts,
-/// because only a life's last moments can show the defect (any later
-/// flush or rewrite of the key covers it up): each life ends with the
-/// store dropped unflushed and reopened, every key must read its last
-/// acknowledged version, and a full scan must agree.
+/// before the next is issued — on a store small enough that Memtable
+/// switches (each a WAL roll, flush and retirement) run continuously
+/// while hot keys sit in the Membuffer. The writing is cut into 100 lives
+/// of 1 000 puts, because only a life's last moments can show the defect
+/// (any later flush or rewrite of the key covers it up): each life ends
+/// with the store dropped unflushed and reopened, every key must read its
+/// last acknowledged version, and a full scan must agree.
 ///
 /// At the parent of the commit that added it this fails in ≈ 7 % of the
 /// lives — ten runs of ten failed, first at rounds 1 to 56 (one of
@@ -276,8 +276,8 @@ fn rewritten_keys_recover_their_last_acknowledged_version() {
     }
     let opts = |env: &Arc<dyn Env>| {
         let mut opts = wal_opts(Arc::clone(env), false);
-        // ≈ 35 puts a segment: the persist thread is in a retirement
-        // checkpoint (freeze, drain, flush, mark, delete) most of the time.
+        // ≈ 35 puts a switch: the persist thread is in a switch (roll,
+        // grace, freeze, drain, flush, mark, delete) most of the time.
         opts.wal_segment_max_bytes = 4 * 1024;
         opts
     };

@@ -19,6 +19,8 @@
 //! crash-after-fault combination (injected torn append + torn live
 //! tail).
 
+mod crash_support;
+
 use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
@@ -26,6 +28,7 @@ use std::thread;
 use std::time::Duration;
 
 use flodb::storage::{Env, FaultEnv, FaultKind, FaultPlan, MemEnv, StorageError};
+use crash_support::crash_image;
 use flodb::{
     FloDb, FloDbOptions, KvStore, ShardedFloDb, ShardedOptions, WalMode, WriteError,
 };
@@ -108,9 +111,15 @@ fn sweep_site(site: &'static str) {
         }
         Ok(db) => {
             let mut rejected = false;
-            for n in SEED_KEYS..SEED_KEYS + SESSION_KEYS {
+            // The seed keys again, with their own values, then fresh ones:
+            // the session's first tables overlap the seed's, so compaction
+            // merges (and deletes) tables instead of only moving them —
+            // every switch flushes a log prefix, and tables of sequential
+            // keys alone never overlap.
+            for n in (0..SEED_KEYS).chain(SEED_KEYS..SEED_KEYS + SESSION_KEYS) {
                 match db.put(&key(n), &value(n)) {
-                    Ok(()) => acked += 1,
+                    Ok(()) if n >= SEED_KEYS => acked += 1,
+                    Ok(()) => {}
                     Err(e) => {
                         assert!(
                             matches!(e, WriteError::Wal(_) | WriteError::Poisoned(_)),
@@ -361,25 +370,6 @@ fn one_degraded_shard_leaves_its_siblings_untouched() {
     });
 }
 
-/// Copies every file of `src` into a fresh env, truncating `truncate` to
-/// its first `keep` bytes — a crash image with the live tail torn there.
-fn crash_image(src: &dyn Env, truncate: &str, keep: usize) -> Arc<dyn Env> {
-    let dst = MemEnv::new(None);
-    for name in src.list().unwrap() {
-        let file = src.open_random(&name).unwrap();
-        let len = if name == truncate {
-            keep.min(file.len() as usize)
-        } else {
-            file.len() as usize
-        };
-        let data = file.read_at(0, len).unwrap();
-        let mut out = dst.new_writable(&name).unwrap();
-        out.append(&data).unwrap();
-        out.finish().unwrap();
-    }
-    Arc::new(dst)
-}
-
 #[test]
 fn crash_after_injected_fault_still_recovers_a_clean_prefix() {
     // The combination: an injected torn append poisons the store, then
@@ -432,4 +422,48 @@ fn crash_after_injected_fault_still_recovers_a_clean_prefix() {
             );
         }
     }
+}
+
+#[test]
+fn a_switch_whose_roll_fails_still_flushes_and_retires_nothing() {
+    // The switch creates the next log segment before it rolls; with that
+    // create failing, the switch still freeze-drains, switches and
+    // flushes, but keeps every segment (nothing sealed, so nothing is
+    // covered), counts the deferral in `io_retries`, and counts the log
+    // bound from the failed attempt — not from the segment's start, which
+    // would make every later check a switch of a near-empty table.
+    with_watchdog("segment-create at a switch", || {
+        let fault = Arc::new(FaultEnv::new(Arc::new(MemEnv::new(None))));
+        let env: Arc<dyn Env> = Arc::clone(&fault) as Arc<dyn Env>;
+        let bound = opts(Arc::clone(&env)).wal_segment_max_bytes as u64;
+        {
+            let db = FloDb::open(opts(Arc::clone(&env))).unwrap();
+            fault.arm(FaultPlan::persistent("segment-create", FaultKind::Io));
+            for n in 0..SESSION_KEYS {
+                db.put(&key(n), &value(n)).unwrap();
+            }
+            db.quiesce();
+            let (stats, disk) = (db.stats(), db.disk_stats());
+            let deferred = fault.injected("segment-create");
+            assert!(deferred > 0, "no switch tried to roll: {stats:?}");
+            assert!(disk.flushes >= deferred, "a switch skipped its flush: {disk:?}");
+            assert_eq!(stats.wal_rotations, 0, "{stats:?}");
+            assert_eq!(stats.wal_retired_bytes, 0, "a switch retired a live segment");
+            assert!(stats.io_retries >= deferred, "{stats:?}");
+            assert!(
+                disk.flushes <= stats.wal_active_bytes / bound + 1,
+                "a switch loop: {} flushes for {} logged bytes",
+                disk.flushes,
+                stats.wal_active_bytes
+            );
+            for n in 0..SESSION_KEYS {
+                assert_eq!(db.get(&key(n)).as_deref(), Some(&value(n)[..]), "key {n}");
+            }
+        }
+        fault.disarm_all();
+        let db = FloDb::open(opts(env)).unwrap();
+        for n in 0..SESSION_KEYS {
+            assert_eq!(db.get(&key(n)).as_deref(), Some(&value(n)[..]), "key {n} lost");
+        }
+    });
 }

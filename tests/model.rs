@@ -116,6 +116,16 @@ fn inflight_grace_covers_logged_to_applied() {
 }
 
 #[test]
+fn switch_grace_room_stall_completes() {
+    dfs().model(scenarios::switch_grace_room_stall_body);
+}
+
+#[test]
+fn switch_grace_room_stall_completes_random() {
+    random().model(scenarios::switch_grace_room_stall_body);
+}
+
+#[test]
 fn rcu_update_waits_for_old_view_readers() {
     dfs().model(scenarios::rcu_view_switch_body);
 }

@@ -1,9 +1,11 @@
 //! Mutation regression tests for the model checker itself: re-introduce
-//! each of PR 5's two freeze races and drop the Membuffer recycle gate's
-//! ownership check (via the `flodb_model_mutation` hooks in
-//! `crates/core/src/view.rs` and `crates/core/src/store/drain.rs`) and assert flodb-check *finds*
-//! them. A checker that stops finding known-lost-write races has
-//! bit-rotted; this suite turns that into a red test.
+//! each of the two fixed freeze races, drop the Membuffer recycle gate's
+//! ownership check and the switch's room exemption (via the
+//! `flodb_model_mutation` hooks in `crates/core/src/view.rs`,
+//! `crates/core/src/store/drain.rs` and `crates/sync/src/inflight.rs`)
+//! and assert flodb-check *finds* them. A checker that stops finding
+//! known-lost-write races has bit-rotted; this suite turns that into a
+//! red test.
 //!
 //! ```sh
 //! RUSTFLAGS="--cfg flodb_model --cfg flodb_model_mutation" \
@@ -96,6 +98,21 @@ fn checker_finds_the_broken_router_split() {
         .check(scenarios::router_split_broken_body)
         .expect_err("replaying the failing schedule must fail again");
     assert_lost_write(&replayed, "torn across the shard's log");
+}
+
+#[test]
+fn checker_finds_the_room_stall_hang() {
+    // Without the room exemption, a writer whose window the switch's
+    // grace awaits keeps waiting for the room only that switch makes.
+    let failure = Builder::dfs(2)
+        .iterations(3000)
+        .check(scenarios::switch_grace_room_stall_body)
+        .expect_err("the exemption mutation must hang the switch");
+    assert!(
+        matches!(failure.kind, FailureKind::StepBudget(_) | FailureKind::Deadlock),
+        "expected a hang, got {:?}",
+        failure.kind
+    );
 }
 
 #[test]

@@ -543,9 +543,9 @@ fn router_split(broken: bool) {
     );
 }
 
-/// `PhasedInflight` grace coverage: after `quiesce_with` returns, every
-/// write logged before the quiesce began has also been applied — the
-/// property WAL segment retirement stands on.
+/// `PhasedInflight` grace coverage: after a flip's grace returns, every
+/// write logged before the flip has also been applied — the property WAL
+/// segment retirement stands on.
 pub fn inflight_grace_body() {
     let inflight = Arc::new(PhasedInflight::new());
     let logged = Arc::new(AtomicUsize::new(0));
@@ -565,7 +565,7 @@ pub fn inflight_grace_body() {
         })
         .collect();
     let logged_before = logged.load(Ordering::SeqCst);
-    inflight.quiesce_with(|| {});
+    inflight.flip().wait();
     assert!(
         applied.load(Ordering::SeqCst) >= logged_before,
         "grace period missed a logged-but-unapplied window"
@@ -574,6 +574,78 @@ pub fn inflight_grace_body() {
         w.join().unwrap();
     }
     assert_eq!(inflight.open_windows(), 0);
+}
+
+/// The Memtable switch against a writer stalled on Memtable room — the
+/// deadlock the switch's grace must not fall into.
+///
+/// A writer opens its logged→applied window, logs, and finds the Memtable
+/// over its trigger; only a switch makes room. The persist thread then
+/// runs the switch's steps (`persist.rs`): roll (seal under the log lock,
+/// flipping the in-flight phase in the same critical section), grace,
+/// freeze-drain, switch and flush. The grace waits for the writer's
+/// window, and the writer waits for room, so the writer must notice that
+/// a grace awaits it ([`flodb::sync::InflightGuard::is_awaited`]) and
+/// overshoot the trigger instead, as `write.rs` does: the switch then
+/// completes, and the write — logged into the sealed segment — is in the
+/// flushed table. Mutated (`--cfg flodb_model_mutation` never reports a
+/// window awaited), the two wait on each other forever.
+pub fn switch_grace_room_stall_body() {
+    let mtb = Arc::new(SkipList::new());
+    mtb.insert(b"filler", Some(b"f"), 1);
+    // Any byte more than the filler is over the trigger.
+    let trigger = mtb.approximate_bytes() - 1;
+    let view = Arc::new(ViewCell::new(MemView {
+        mbf: Some(Arc::new(tiny_membuffer())),
+        imm_mbf: None,
+        mtb,
+        imm_mtb: None,
+    }));
+    let seq = Arc::new(SequenceGenerator::starting_at(2));
+    let inflight = Arc::new(PhasedInflight::new());
+    // The log: the lock a roll seals under, and the records it holds.
+    let log = Arc::new(Mutex::new(Vec::<u8>::new()));
+
+    let writer = {
+        let (view, seq, inflight, log) = (
+            Arc::clone(&view),
+            Arc::clone(&seq),
+            Arc::clone(&inflight),
+            Arc::clone(&log),
+        );
+        thread::spawn(move || {
+            let window = inflight.enter();
+            log.lock().push(1);
+            // Wait for Memtable room, unless a grace waits for this window.
+            while view.read(|v| v.mtb.approximate_bytes()) > trigger && !window.is_awaited() {
+                thread::yield_now();
+            }
+            view.read(|v| v.mtb.insert(b"acked", Some(b"w"), seq.next()));
+        })
+    };
+
+    // The switch, once the write is logged.
+    while log.lock().is_empty() {
+        thread::yield_now();
+    }
+    let grace = {
+        let _sealing = log.lock();
+        inflight.flip()
+    };
+    grace.wait();
+    let frozen = view
+        .freeze_membuffer(Arc::new(tiny_membuffer()))
+        .expect("buffer was frozen");
+    frozen.open_for_drain();
+    help_drain_imm_via(&frozen, &view, &seq, DrainStyle::MultiInsert);
+    view.release_frozen_membuffer();
+    let flushed = view.switch_memtable(Arc::new(SkipList::new()));
+    assert!(
+        flushed.get(b"acked").is_some(),
+        "a write logged before the roll missed the flushed table"
+    );
+    view.release_immutable_memtable();
+    writer.join().unwrap();
 }
 
 /// RCU grace periods on the view cell: a switch never returns while a

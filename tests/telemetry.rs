@@ -204,10 +204,9 @@ fn stalled_run_attributes_the_tail_to_backpressure() {
 
 #[test]
 fn persist_thread_stage_samples_are_disjoint_and_only_it_compacts() {
-    // Small segments and a small memory component: the run rotates the
-    // log, retires segments (grace-period flushes and a checkpoint
-    // included) and compacts, while a second thread keeps calling
-    // `flush_all`.
+    // A small log bound and a small memory component: the run's switches
+    // roll and retire the log and the persist thread compacts, while a
+    // second thread keeps calling `flush_all`.
     let mut opts = FloDbOptions::small_for_tests();
     opts.wal = WalMode::Enabled { sync: false };
     opts.wal_segment_max_bytes = 16 * 1024;

@@ -135,7 +135,11 @@ fn concurrent_group_commit_loses_and_reorders_nothing() {
     const THREADS: u64 = 8;
     const OPS: u64 = 400;
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
-    let db = Arc::new(FloDb::open(wal_opts(Arc::clone(&env))).unwrap());
+    // Room for every write without a Memtable switch: a switch retires the
+    // log segments its flush covers, and this test reads the log itself.
+    let mut opts = wal_opts(Arc::clone(&env));
+    opts.memory_bytes = 4 << 20;
+    let db = Arc::new(FloDb::open(opts).unwrap());
     let mut handles = Vec::new();
     for t in 0..THREADS {
         let db = Arc::clone(&db);
@@ -256,7 +260,7 @@ fn overlapping_writers_recover_a_last_write_and_respect_acknowledged_order() {
     }
     let opts = |env: &Arc<dyn Env>| {
         let mut opts = wal_opts(Arc::clone(env));
-        // Rotation and retirement checkpoints run under the race.
+        // Switches — roll, flush, retirement — run under the race.
         opts.wal_segment_max_bytes = 8 * 1024;
         opts
     };

@@ -5,8 +5,11 @@
 //! retire-too-early failure mode (deleting a segment whose records were
 //! not yet persisted) would break exactly this.
 
+mod crash_support;
+
 use std::sync::Arc;
 
+use crash_support::crash_image;
 use flodb::storage::{Env, FaultEnv, FaultKind, FaultPlan, MemEnv};
 use flodb::{FloDb, FloDbOptions, KvStore, WalMode, WriteBatch};
 
@@ -37,25 +40,6 @@ fn wal_files(env: &dyn Env) -> Vec<(String, u64)> {
         .collect()
 }
 
-/// Copies every file of `src` into a fresh env, truncating `truncate` to
-/// its first `keep` bytes — a crash image with the live tail torn there.
-fn crash_image(src: &dyn Env, truncate: &str, keep: usize) -> Arc<dyn Env> {
-    let dst = MemEnv::new(None);
-    for name in src.list().unwrap() {
-        let file = src.open_random(&name).unwrap();
-        let len = if name == truncate {
-            keep.min(file.len() as usize)
-        } else {
-            file.len() as usize
-        };
-        let data = file.read_at(0, len).unwrap();
-        let mut out = dst.new_writable(&name).unwrap();
-        out.append(&data).unwrap();
-        out.finish().unwrap();
-    }
-    Arc::new(dst)
-}
-
 /// Drives batches through `db` until at least `rotations` segment rolls
 /// happened; returns the number of keys written (all acknowledged).
 fn write_until_rotations(db: &FloDb, rotations: u64) -> u64 {
@@ -83,8 +67,8 @@ fn write_until_rotations(db: &FloDb, rotations: u64) -> u64 {
 #[test]
 fn sustained_writes_keep_the_log_bounded() {
     // Many short rounds, not one long one: `quiesce` must not return
-    // between a retirement pass's checkpoint and its deletions being done
-    // and counted, and that window is only microseconds wide.
+    // between a switch's flush and its deletions being done and counted,
+    // and that window is only microseconds wide.
     for _ in 0..50 {
         let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
         let db = FloDb::open(opts(Arc::clone(&env))).unwrap();
@@ -128,7 +112,7 @@ fn kill_at_any_offset_recovers_an_acked_prefix_across_retirement() {
         let db = FloDb::open(opts(Arc::clone(&env))).unwrap();
         let mut next = write_until_rotations(&db, 5);
         db.quiesce();
-        // A tail the last retirement checkpoint provably does not cover:
+        // A tail the last switch provably does not cover:
         // these batches live only in the active WAL segment, so the
         // shortest crash image below must genuinely lose them (keeps the
         // sweep's tearing guard non-vacuous).
@@ -146,7 +130,7 @@ fn kill_at_any_offset_recovers_an_acked_prefix_across_retirement() {
     };
 
     // After quiesce the live WAL is one active segment; everything the
-    // retired generations held is in SSTs via the retirement checkpoints.
+    // retired generations held is in SSTs via the switches' flushes.
     let files = wal_files(env.as_ref());
     assert_eq!(files.len(), 1);
     let (live, live_len) = files.into_iter().next().unwrap();
