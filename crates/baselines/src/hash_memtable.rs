@@ -80,28 +80,29 @@ impl HashMemtable {
             .map(|(seq, v)| (*seq, v.clone()))
     }
 
-    /// Range query: collect matching keys, then sort — the "not practical"
-    /// scan path of §2.3, implemented for completeness.
-    pub fn snapshot_range(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        snapshot: u64,
-    ) -> Vec<(Vec<u8>, u64, Option<Box<[u8]>>)> {
+    /// Every version of every key from `low` up to `high` (no bound when
+    /// `None`), in `(key asc, seq desc)` order, tombstones included: a flush
+    /// takes the whole table, a scan its range. Either way the keys are
+    /// collected, then sorted — the linearithmic step Figure 4 charges to
+    /// hash memtables' flushes, and §2.3's "not practical" scan path.
+    pub fn records(&self, low: &[u8], high: Option<&[u8]>) -> Vec<Record> {
         let mut out = Vec::new();
         for shard in &self.shards {
             let shard = shard.lock();
             for (key, versions) in shard.map.iter() {
-                if key.as_ref() >= low && key.as_ref() <= high {
-                    if let Some((seq, v)) =
-                        versions.iter().rev().find(|(seq, _)| *seq <= snapshot)
-                    {
-                        out.push((key.to_vec(), *seq, v.clone()));
-                    }
+                if key.as_ref() < low || high.is_some_and(|high| key.as_ref() > high) {
+                    continue;
+                }
+                for (seq, v) in versions {
+                    out.push(Record {
+                        key: key.clone(),
+                        seq: *seq,
+                        value: v.clone(),
+                    });
                 }
             }
         }
-        out.sort_by(|a, b| a.0.cmp(&b.0));
+        out.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
         out
     }
 
@@ -121,27 +122,6 @@ impl HashMemtable {
     /// Returns whether no versions are stored.
     pub fn is_empty(&self) -> bool {
         self.versions() == 0
-    }
-
-    /// Collects every version for flushing. The explicit sort here is the
-    /// cost Figure 4 charges to hash memtables.
-    pub fn collect_records(&self) -> Vec<Record> {
-        let mut out = Vec::new();
-        for shard in &self.shards {
-            let shard = shard.lock();
-            for (key, versions) in shard.map.iter() {
-                for (seq, v) in versions {
-                    out.push(Record {
-                        key: key.clone(),
-                        seq: *seq,
-                        value: v.clone(),
-                    });
-                }
-            }
-        }
-        // The linearithmic sorting step that delays hash-memtable flushes.
-        out.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
-        out
     }
 }
 
@@ -167,18 +147,18 @@ mod tests {
         for (i, key) in [b"e", b"a", b"c", b"b", b"d"].iter().enumerate() {
             m.insert(*key, i as u64 + 1, Some(b"v"));
         }
-        let out = m.snapshot_range(b"a", b"e", 100);
-        let keys: Vec<&[u8]> = out.iter().map(|(k, _, _)| k.as_slice()).collect();
+        let out = m.records(b"a", Some(b"e"));
+        let keys: Vec<&[u8]> = out.iter().map(|r| r.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"a"[..], b"b", b"c", b"d", b"e"]);
     }
 
     #[test]
-    fn collect_records_sorts() {
+    fn records_sort_every_version() {
         let m = HashMemtable::new();
         m.insert(b"z", 1, Some(b"v"));
         m.insert(b"a", 2, None);
         m.insert(b"a", 5, Some(b"w"));
-        let records = m.collect_records();
+        let records = m.records(&[], None);
         assert_eq!(records.len(), 3);
         assert_eq!(records[0].key.as_ref(), b"a");
         assert_eq!(records[0].seq, 5, "within a key, newest first");

@@ -13,6 +13,7 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
 
+use flodb_storage::merge::{MergeCursor, ScanSource};
 use flodb_storage::{DiskComponent, DiskOptions, Env, MemEnv, Record};
 use flodb_sync::SequenceGenerator;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -63,16 +64,12 @@ impl BaselineMemtable {
         }
     }
 
-    /// Snapshot range query (sorted output).
-    pub fn snapshot_range(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        snapshot: u64,
-    ) -> Vec<(Vec<u8>, u64, Option<Box<[u8]>>)> {
+    /// Every version from `low` up to `high` (no bound when `None`), in
+    /// `(key asc, seq desc)` order: a flush's input, or a scan's run.
+    pub fn records(&self, low: &[u8], high: Option<&[u8]>) -> Vec<Record> {
         match self {
-            Self::Skip(m) => m.snapshot_range(low, high, snapshot),
-            Self::Hash(m) => m.snapshot_range(low, high, snapshot),
+            Self::Skip(m) => m.records(low, high),
+            Self::Hash(m) => m.records(low, high),
         }
     }
 
@@ -89,14 +86,6 @@ impl BaselineMemtable {
         match self {
             Self::Skip(m) => m.is_empty(),
             Self::Hash(m) => m.is_empty(),
-        }
-    }
-
-    /// Drains all versions into flushable records (sorted).
-    pub fn collect_records(&self) -> Vec<Record> {
-        match self {
-            Self::Skip(m) => m.collect_records(),
-            Self::Hash(m) => m.collect_records(),
         }
     }
 }
@@ -262,11 +251,10 @@ impl LsmCore {
     /// Serializable snapshot scan, streamed (multi-versioned: no restarts
     /// needed). Returns the number of live entries emitted.
     ///
-    /// The three sources — active memtable, immutable memtable, disk —
-    /// each yield a sorted run with one (freshest ≤ snapshot) version per
-    /// key; the runs are merged by streaming cursors rather than into an
-    /// intermediate map, so a visitor that returns
-    /// [`ControlFlow::Break`] prunes all remaining merge work.
+    /// The memtables' versions in the range and the range's tables go
+    /// through one merge bounded at the snapshot: a version written after
+    /// it is stepped past, so the key's freshest version it sees wins. A visitor
+    /// that returns [`ControlFlow::Break`] prunes all remaining merge work.
     pub fn scan_snapshot_with(
         &self,
         low: &[u8],
@@ -278,66 +266,30 @@ impl LsmCore {
             let st = self.state.read();
             (Arc::clone(&st.active), st.imm.clone())
         };
-        let a = active.snapshot_range(low, high, snapshot);
-        let b = imm.map_or_else(Vec::new, |m| m.snapshot_range(low, high, snapshot));
-        let d = self.disk.scan(low, high).expect("disk scan failed");
-        let (mut ai, mut bi, mut di) = (0usize, 0usize, 0usize);
+        let mut sources = Vec::with_capacity(2);
+        for memtable in std::iter::once(&active).chain(&imm) {
+            let run = memtable.records(low, Some(high));
+            sources.push(ScanSource::Memory(run.into_iter()));
+        }
+        let _pinned = self
+            .disk
+            .range_sources(low, high, &mut sources)
+            .expect("disk scan");
+        let mut merged = MergeCursor::new(sources, snapshot).expect("disk scan");
         let mut emitted = 0u64;
-        loop {
-            // Disk records fresher than the snapshot are invisible to it
-            // (their key has no older on-disk version: disk merge keeps
-            // one record per key).
-            while d.get(di).is_some_and(|r| r.seq > snapshot) {
-                di += 1;
-            }
-            let ak = a.get(ai).map(|(k, _, _)| k.as_slice());
-            let bk = b.get(bi).map(|(k, _, _)| k.as_slice());
-            let dk = d.get(di).map(|r| r.key.as_ref());
-            let Some(key) = [ak, bk, dk].into_iter().flatten().min() else {
-                break;
-            };
-            // Freshest version among the cursors positioned on `key`;
-            // every matching cursor advances past it.
-            let mut best: (u64, Option<&[u8]>) = (0, None);
-            if ak == Some(key) {
-                let (_, seq, value) = &a[ai];
-                best = (*seq, value.as_deref());
-                ai += 1;
-            }
-            if bk == Some(key) {
-                let (_, seq, value) = &b[bi];
-                if *seq > best.0 {
-                    best = (*seq, value.as_deref());
-                }
-                bi += 1;
-            }
-            if dk == Some(key) {
-                let record = &d[di];
-                if record.seq > best.0 {
-                    best = (record.seq, record.value.as_deref());
-                }
-                di += 1;
-            }
-            if let (_, Some(value)) = best {
+        while let Some(record) = merged
+            .next_merged()
+            .expect("disk scan")
+            .filter(|r| r.key <= high)
+        {
+            if let Some(value) = record.value {
                 emitted += 1;
-                if visitor(key, value).is_break() {
+                if visitor(record.key, value).is_break() {
                     break;
                 }
             }
         }
         emitted
-    }
-
-    /// Collecting convenience over [`Self::scan_snapshot_with`] (the
-    /// stores stream through `scan_with`; tests want the whole range).
-    #[cfg(test)]
-    pub fn scan_snapshot(&self, low: &[u8], high: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-        let mut out = Vec::new();
-        self.scan_snapshot_with(low, high, &mut |key, value| {
-            out.push((key.to_vec(), value.to_vec()));
-            ControlFlow::Continue(())
-        });
-        out
     }
 
     pub fn wake_flush(&self) {
@@ -356,8 +308,8 @@ impl LsmCore {
         let Some(imm) = imm else {
             return false;
         };
-        // `collect_records` is where hash memtables pay their sort.
-        let records = imm.collect_records();
+        // `records` is where hash memtables pay their sort.
+        let records = imm.records(&[], None);
         self.disk.flush_records(records).expect("flush failed");
         self.state.write().imm = None;
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
@@ -453,6 +405,15 @@ pub(crate) fn spawn_thread(
 mod tests {
     use super::*;
 
+    fn scan(core: &LsmCore, low: &[u8], high: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+        let mut out = Vec::new();
+        core.scan_snapshot_with(low, high, &mut |key, value| {
+            out.push((key.to_vec(), value.to_vec()));
+            ControlFlow::Continue(())
+        });
+        out
+    }
+
     #[test]
     fn write_then_get() {
         let core = LsmCore::new(&BaselineOptions::small_for_tests());
@@ -489,8 +450,46 @@ mod tests {
         // Some data on disk now; write more in memory, delete one key.
         let seq = core.seq.next();
         core.write(&3u64.to_be_bytes(), seq, None);
-        let out = core.scan_snapshot(&0u64.to_be_bytes(), &9u64.to_be_bytes());
+        let out = scan(&core, &0u64.to_be_bytes(), &9u64.to_be_bytes());
         assert_eq!(out.len(), 9, "deleted key hidden");
+    }
+
+    /// A flush that lands while a scan runs leaves a key's newest version
+    /// on disk above the scan's snapshot; the version the snapshot sees,
+    /// in an older table, must still be read.
+    #[test]
+    fn snapshot_scan_reads_a_visible_version_under_a_newer_one_on_disk() {
+        let core = LsmCore::new(&BaselineOptions::small_for_tests());
+        while core.seq.current() < 5 {
+            core.seq.next();
+        }
+        let key = 7u64.to_be_bytes();
+        for (seq, value) in [(4, &b"four"[..]), (9, b"nine")] {
+            core.disk
+                .flush_records(vec![Record::put(key.as_slice(), seq, value)])
+                .unwrap();
+        }
+        assert_eq!(core.disk.stats().files_per_level[0], 2);
+        assert_eq!(scan(&core, &key, &key), [(key.to_vec(), b"four".to_vec())]);
+    }
+
+    /// Both memtable kinds keep every version; the snapshot's merge reads
+    /// the one it sees.
+    #[test]
+    fn snapshot_scan_skips_memtable_versions_written_after_it() {
+        for kind in [MemtableKind::SkipList, MemtableKind::HashTable] {
+            let mut opts = BaselineOptions::small_for_tests();
+            opts.memtable = kind;
+            let core = LsmCore::new(&opts);
+            while core.seq.current() < 7 {
+                core.seq.next();
+            }
+            core.write(b"a", 5, Some(b"old"));
+            core.write(b"b", 6, Some(b"b"));
+            core.write(b"a", 10, Some(b"new"));
+            let want = [(b"a".to_vec(), b"old".to_vec()), (b"b".to_vec(), b"b".to_vec())];
+            assert_eq!(scan(&core, b"a", b"z"), want, "{kind:?}");
+        }
     }
 
     #[test]
@@ -503,7 +502,7 @@ mod tests {
             core.write(&i.to_be_bytes(), seq, Some(b"v"));
         }
         assert_eq!(core.get_latest(&25u64.to_be_bytes()), Some(b"v".to_vec()));
-        let out = core.scan_snapshot(&0u64.to_be_bytes(), &49u64.to_be_bytes());
+        let out = scan(&core, &0u64.to_be_bytes(), &49u64.to_be_bytes());
         assert_eq!(out.len(), 50);
         core.quiesce();
         assert_eq!(core.get_latest(&25u64.to_be_bytes()), Some(b"v".to_vec()));

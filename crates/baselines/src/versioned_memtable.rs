@@ -54,34 +54,28 @@ impl VersionedMemtable {
         None
     }
 
-    /// Returns, per user key in `[low, high]`, the freshest version with
-    /// `seq <= snapshot`, in key order (tombstones included).
-    pub fn snapshot_range(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        snapshot: u64,
-    ) -> Vec<(Vec<u8>, u64, Option<Box<[u8]>>)> {
-        let mut out: Vec<(Vec<u8>, u64, Option<Box<[u8]>>)> = Vec::new();
+    /// Every version of every user key from `low` up to `high` (no bound
+    /// when `None`), in `(key asc, seq desc)` order, tombstones included: a
+    /// flush takes the whole table, a scan its range (its merge keeps the
+    /// freshest version its snapshot sees).
+    pub fn records(&self, low: &[u8], high: Option<&[u8]>) -> Vec<Record> {
+        let mut out = Vec::new();
         let mut it = self.list.iter();
-        it.seek(&encode_user_prefix(low)[..encode_user_prefix(low).len() - 2]);
-        // Seek to the beginning of `low`'s escaped form (without the
-        // terminator so `low` itself is included).
+        // Seek to the beginning of `low`'s escaped form, without the
+        // terminator: every key from there on is `low` or above it.
+        let from = encode_user_prefix(low);
+        it.seek(&from[..from.len() - 2]);
         while it.valid() {
-            let Some((user, seq)) = decode_internal(it.key()) else {
-                it.next();
-                continue;
-            };
-            if user.as_slice() > high {
-                break;
-            }
-            let in_range = user.as_slice() >= low;
-            let newest_taken = out
-                .last()
-                .is_some_and(|(last, _, _)| last.as_slice() == user.as_slice());
-            if in_range && !newest_taken && seq <= snapshot {
+            if let Some((key, _)) = decode_internal(it.key()) {
+                if high.is_some_and(|high| key.as_slice() > high) {
+                    break;
+                }
                 let vv = it.value();
-                out.push((user, vv.seq, vv.value));
+                out.push(Record {
+                    key: key.into(),
+                    seq: vv.seq,
+                    value: vv.value,
+                });
             }
             it.next();
         }
@@ -101,23 +95,6 @@ impl VersionedMemtable {
     /// Returns whether no versions are stored.
     pub fn is_empty(&self) -> bool {
         self.list.is_empty()
-    }
-
-    /// Drains every version into flushable records (sorted; the disk
-    /// component keeps the freshest per key).
-    pub fn collect_records(&self) -> Vec<Record> {
-        self.list
-            .collect_entries()
-            .into_iter()
-            .filter_map(|(internal, vv)| {
-                let (key, _) = decode_internal(&internal)?;
-                Some(Record {
-                    key: key.into_boxed_slice(),
-                    seq: vv.seq,
-                    value: vv.value,
-                })
-            })
-            .collect()
     }
 }
 
@@ -152,18 +129,6 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_isolation() {
-        let m = VersionedMemtable::new();
-        m.insert(b"a", 5, Some(b"old"));
-        m.insert(b"b", 6, Some(b"b"));
-        m.insert(b"a", 10, Some(b"new"));
-        // A snapshot at 7 must not see seq 10.
-        let out = m.snapshot_range(b"a", b"z", 7);
-        assert_eq!(out.len(), 2);
-        assert_eq!(out[0].2.as_deref(), Some(&b"old"[..]));
-    }
-
-    #[test]
     fn tombstone_versions() {
         let m = VersionedMemtable::new();
         m.insert(b"k", 1, Some(b"v"));
@@ -189,18 +154,18 @@ mod tests {
         for (i, key) in [b"a", b"c", b"e"].iter().enumerate() {
             m.insert(*key, i as u64 + 1, Some(b"v"));
         }
-        let out = m.snapshot_range(b"b", b"e", 100);
-        let keys: Vec<&[u8]> = out.iter().map(|(k, _, _)| k.as_slice()).collect();
+        let out = m.records(b"b", Some(b"e"));
+        let keys: Vec<&[u8]> = out.iter().map(|r| r.key.as_ref()).collect();
         assert_eq!(keys, vec![&b"c"[..], &b"e"[..]]);
     }
 
     #[test]
-    fn collect_records_decodes_all_versions() {
+    fn records_decode_all_versions() {
         let m = VersionedMemtable::new();
         m.insert(b"k", 1, Some(b"v1"));
         m.insert(b"k", 2, Some(b"v2"));
         m.insert(b"j", 3, None);
-        let records = m.collect_records();
+        let records = m.records(&[], None);
         assert_eq!(records.len(), 3);
         // Sorted by (user key asc, seq desc).
         assert_eq!(records[0].key.as_ref(), b"j");

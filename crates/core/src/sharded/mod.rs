@@ -9,14 +9,12 @@
 //!   ownership (total, insertion-order independent, persisted);
 //! - [`router`] — [`ShardedFloDb`]: the full `KvStore` over the shard
 //!   set, including [`WriteBatch`](crate::WriteBatch) splitting with
-//!   annotated per-shard WAL frames;
-//! - `merge` (private) — the k-way merge fanning per-shard scan
+//!   annotated per-shard WAL frames, and the scan fanning per-shard
 //!   snapshots into one ordered stream.
 //!
 //! [`KvStore`]: crate::KvStore
 
 pub mod partitioner;
-mod merge;
 pub mod router;
 
 pub use partitioner::Partitioner;

@@ -4,14 +4,14 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
+use flodb_storage::merge::MergeCursor;
 use flodb_storage::sharding::{read_sharding, shard_dir_name, write_sharding, ShardingSpec};
 use flodb_storage::wal::BatchAnnotation;
-use flodb_storage::PrefixEnv;
+use flodb_storage::{PrefixEnv, Record};
 
 use crate::api::{KvStore, StoreStats, WriteBatch};
 use crate::error::{OpenError, OptionsError, WriteError};
 use crate::options::FloDbOptions;
-use crate::sharded::merge::merge_snapshots;
 use crate::sharded::partitioner::Partitioner;
 use crate::store::FloDb;
 use crate::telemetry::TelemetrySnapshot;
@@ -68,9 +68,10 @@ impl ShardedOptions {
 /// # Scans
 ///
 /// Each shard materializes a validated snapshot through its own restart
-/// protocol ([`KvStore::scan`]); the router merges the N sorted
-/// snapshots in key order. `ControlFlow::Break` stops the merge
-/// immediately — emission and cursor work over every shard are pruned,
+/// protocol ([`KvStore::scan_with`]); the router merges the N sorted
+/// snapshots in key order through one `MergeCursor`. `ControlFlow::Break`
+/// stops the merge immediately — emission and cursor work over every shard
+/// are pruned,
 /// though each shard's snapshot was already built (the restart protocol
 /// validates whole ranges, not prefixes).
 ///
@@ -271,12 +272,22 @@ impl KvStore for ShardedFloDb {
         high: &[u8],
         visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>,
     ) {
-        let snapshots: Vec<_> = self
-            .shards
-            .iter()
-            .map(|s| s.scan(low, high))
-            .collect();
-        merge_snapshots(&snapshots, visitor);
+        let snapshots = self.shards.iter().map(|shard| {
+            let mut run = Vec::new();
+            shard.scan_with(low, high, &mut |key, value| {
+                run.push(Record::put(key, 0, value));
+                ControlFlow::Continue(())
+            });
+            run.into_iter()
+        });
+        // PANIC-OK: a run in memory never fails to step.
+        let mut merged = MergeCursor::new(snapshots.collect(), u64::MAX).expect("in-memory merge");
+        // PANIC-OK: as above.
+        while let Some(entry) = merged.next_merged().expect("in-memory merge") {
+            if visitor(entry.key, entry.value.unwrap_or_default()).is_break() {
+                break;
+            }
+        }
     }
 
     fn name(&self) -> &'static str {

@@ -10,11 +10,13 @@ use std::time::{Duration, Instant};
 use flodb_memtable::SkipList;
 use flodb_storage::compaction::TableRoller;
 use flodb_storage::log_manager;
+use flodb_storage::merge::MergeSource;
 use flodb_storage::wal::WalWriter;
-use flodb_storage::{RecordRef, StorageError};
+use flodb_storage::StorageError;
 use flodb_sync::{Backoff, Grace};
 
 use super::commit::WalState;
+use super::scan::MemtableSource;
 use super::settle::membuffer_drained;
 use super::Inner;
 use crate::options::WalMode;
@@ -37,14 +39,10 @@ pub(super) fn stream_memtable(
 ) -> Result<(), StorageError> {
     let mut it = mtb.iter();
     it.seek_to_first();
-    while it.valid() {
-        let vv = it.value_ref();
-        tables.add(RecordRef {
-            key: it.key(),
-            seq: vv.seq,
-            value: vv.value.as_deref(),
-        })?;
-        it.next();
+    let mut source = MemtableSource(it);
+    while source.valid() {
+        tables.add(source.record())?;
+        source.next()?;
     }
     Ok(())
 }

@@ -8,13 +8,17 @@
 //! ([`Inner::freeze_window`]) and publishes a scan sequence number;
 //! piggybacking scans reuse it, spreading the drain cost over many scans.
 //! Chains of piggybacking scans are bounded so the reused sequence number
-//! does not grow stale without bound. Every scan then iterates
-//! MTB/IMM_MTB/disk; an entry fresher than its sequence number forces a
-//! restart, and a bounded number of restarts ends in the fallback.
+//! does not grow stale without bound. Every scan then merges MTB, IMM_MTB
+//! and the disk through one [`MergeCursor`] into a [`ScanArena`] that
+//! holds the live winner of each key; a winner fresher than the scan's
+//! sequence number forces a restart, and a bounded number of restarts ends
+//! in the fallback. Only a validated range is emitted.
 
 use std::ops::ControlFlow;
 
-use flodb_storage::DiskComponent;
+use flodb_memtable::SkipListIter;
+use flodb_storage::merge::{MergeCursor, MergeSource, ScanSource};
+use flodb_storage::{DiskComponent, RecordRef};
 use flodb_sync::lock_order::SCAN_COORDINATOR;
 use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
 
@@ -34,39 +38,17 @@ const SCAN_RESTART_THRESHOLD: u32 = 8;
 /// sequence number (§4.4).
 const PIGGYBACK_CHAIN_LIMIT: u32 = 8;
 
-/// One version a scan absorbed: `key_len` key bytes at `start` in the
-/// arena, followed by the value's bytes unless a tombstone.
-#[derive(Debug, Clone, Copy)]
-struct Slot {
-    start: usize,
-    key_len: usize,
-    /// `None` is a tombstone: kept so it can shadow older versions, and
-    /// filtered by the emission.
-    value_len: Option<usize>,
-    seq: u64,
-}
-
-impl Slot {
-    fn key<'a>(&self, bytes: &'a [u8]) -> &'a [u8] {
-        &bytes[self.start..self.start + self.key_len]
-    }
-
-    fn value<'a>(&self, bytes: &'a [u8]) -> Option<&'a [u8]> {
-        let at = self.start + self.key_len;
-        self.value_len.map(|len| &bytes[at..at + len])
-    }
-}
-
-/// A scan's snapshot of its range: every version the Memtables and the
-/// disk held, copied once — from the skiplist node (under the iterator's
-/// guard) or the block buffer it was read from — into one byte arena, plus
-/// one [`Slot`] per version. Two allocations that grow, instead of a tree
-/// node and two boxes per entry; the emission hands the visitor slices of
-/// the arena.
+/// A scan's validated range: the live winner of each key, in key order,
+/// copied once — from the skiplist node or the block buffer it was read
+/// from — into one byte arena that the emission hands out slices of. It is
+/// held whole because a scan validates all of it before the visitor sees
+/// its first entry: a restart could not take back a partial emission.
 #[derive(Debug)]
 struct ScanArena {
     bytes: Vec<u8>,
-    slots: Vec<Slot>,
+    /// Per entry, where its key and its value end in `bytes`; each entry
+    /// starts where the one before it ends.
+    ends: Vec<(usize, usize)>,
 }
 
 impl ScanArena {
@@ -75,51 +57,60 @@ impl ScanArena {
     fn new() -> Self {
         Self {
             bytes: Vec::with_capacity(16 << 10),
-            slots: Vec::with_capacity(256),
+            ends: Vec::with_capacity(256),
         }
     }
 
     fn clear(&mut self) {
         self.bytes.clear();
-        self.slots.clear();
+        self.ends.clear();
     }
 
-    /// Copies one version in.
-    fn absorb(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
-        self.slots.push(Slot {
-            start: self.bytes.len(),
-            key_len: key.len(),
-            value_len: value.map(<[u8]>::len),
-            seq,
-        });
+    /// Copies one entry in, after every entry of a smaller key.
+    fn absorb(&mut self, key: &[u8], value: &[u8]) {
         self.bytes.extend_from_slice(key);
-        self.bytes.extend_from_slice(value.unwrap_or_default());
+        let key_end = self.bytes.len();
+        self.bytes.extend_from_slice(value);
+        self.ends.push((key_end, self.bytes.len()));
     }
 
-    /// Orders the versions `(key asc, seq desc)` and keeps the first —
-    /// freshest — of each key. The sources arrive as a few key-ordered
-    /// runs (one per Memtable, one from the disk merge), which the stable
-    /// sort merges rather than sorts.
-    fn settle(&mut self) {
-        let Self { bytes, slots } = self;
-        slots.sort_by(|a, b| a.key(bytes).cmp(b.key(bytes)).then(b.seq.cmp(&a.seq)));
-        slots.dedup_by(|next, kept| next.key(bytes) == kept.key(bytes));
-    }
-
-    /// Streams the live entries of a settled arena to `visitor`, in key
-    /// order, until it breaks; returns how many it was handed.
+    /// Streams the entries to `visitor`, in key order, until it breaks;
+    /// returns how many it was handed.
     fn emit(&self, visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>) -> u64 {
-        let mut emitted = 0;
-        for slot in &self.slots {
-            let Some(value) = slot.value(&self.bytes) else {
-                continue;
-            };
+        let (mut start, mut emitted) = (0, 0);
+        for &(key_end, end) in &self.ends {
             emitted += 1;
-            if visitor(slot.key(&self.bytes), value).is_break() {
+            if visitor(&self.bytes[start..key_end], &self.bytes[key_end..end]).is_break() {
                 break;
             }
+            start = end;
         }
         emitted
+    }
+}
+
+/// A Memtable as a merge source: the skiplist cursor, each entry read as
+/// its current version, borrowed under the iterator's epoch guard. A flush
+/// streams its Memtable through it too.
+pub(super) struct MemtableSource<'a>(pub(super) SkipListIter<'a>);
+
+impl MergeSource for MemtableSource<'_> {
+    fn valid(&self) -> bool {
+        self.0.valid()
+    }
+
+    fn record(&self) -> RecordRef<'_> {
+        let version = self.0.value_ref();
+        RecordRef {
+            key: self.0.key(),
+            seq: version.seq,
+            value: version.value.as_deref(),
+        }
+    }
+
+    fn next(&mut self) -> flodb_storage::Result<()> {
+        self.0.next();
+        Ok(())
     }
 }
 
@@ -291,7 +282,10 @@ impl Inner {
         scan_seq: u64,
         range: &mut ScanArena,
     ) -> Result<(), Restart> {
-        collect_range(&self.view.snapshot(), &self.disk, low, high, scan_seq, range)
+        let view = self.view.snapshot();
+        // PANIC-OK: same contract as `get` — the scan path is infallible
+        // until fallible reads land (ROADMAP item 3), so a disk error aborts.
+        collect_range(&view, &self.disk, low, high, scan_seq, range).expect("disk scan failed")
     }
 
     /// The writer-blocking fallback guaranteeing scan liveness (§4.4).
@@ -319,11 +313,11 @@ impl Inner {
     }
 }
 
-/// Algorithm 3, lines 15-30: iterate MTB, IMM_MTB and disk into `range`
-/// (cleared first, settled on success), restarting on any entry fresher
-/// than the scan stamp. Every source lends its records — a Memtable value
-/// under its iterator's guard, a disk record out of its block buffer — and
-/// the arena's copy is the only one made.
+/// Algorithm 3, lines 15-30: merge MTB, IMM_MTB and the disk into `range`
+/// (cleared first), restarting on any entry fresher than the scan stamp.
+/// Every source lends its records; the arena's copy of a live winner is the
+/// only one made. `view` must be older than the disk version read here: a
+/// table flushed in between is then read twice (same records), never missed.
 fn collect_range(
     view: &MemView,
     disk: &DiskComponent,
@@ -331,39 +325,26 @@ fn collect_range(
     high: &[u8],
     scan_seq: u64,
     range: &mut ScanArena,
-) -> Result<(), Restart> {
+) -> flodb_storage::Result<Result<(), Restart>> {
     range.clear();
-    let memtables = [Some(&view.mtb), view.imm_mtb.as_ref()];
-    for list in memtables.into_iter().flatten() {
+    let mut sources = Vec::with_capacity(2);
+    for list in [Some(&view.mtb), view.imm_mtb.as_ref()].into_iter().flatten() {
         let mut it = list.iter();
         it.seek(low);
-        while it.valid() && it.key() <= high {
-            let vv = it.value_ref();
-            if vv.seq > scan_seq {
-                return Err(Restart);
-            }
-            range.absorb(it.key(), vv.seq, vv.value.as_deref());
-            it.next();
-        }
+        sources.push(ScanSource::Memory(MemtableSource(it)));
     }
-
-    let mut fresher = false;
-    let scanned = disk.scan_each(low, high, &mut |record| {
+    let _pinned = disk.range_sources(low, high, &mut sources)?;
+    let mut merged = MergeCursor::new(sources, u64::MAX)?;
+    while let Some(record) = merged.next_merged()?.filter(|r| r.key <= high) {
+        // A key with any version above the stamp has its winner above it.
         if record.seq > scan_seq {
-            fresher = true;
-            return ControlFlow::Break(());
+            return Ok(Err(Restart));
         }
-        range.absorb(record.key, record.seq, record.value);
-        ControlFlow::Continue(())
-    });
-    // PANIC-OK: same contract as `get` — the scan path is infallible
-    // until fallible reads land (ROADMAP item 3), so a disk error aborts.
-    scanned.expect("disk scan failed");
-    if fresher {
-        return Err(Restart);
+        if let Some(value) = record.value {
+            range.absorb(record.key, value);
+        }
     }
-    range.settle();
-    Ok(())
+    Ok(Ok(()))
 }
 
 #[cfg(test)]
@@ -534,7 +515,7 @@ mod tests {
         scan_seq: u64,
     ) -> Result<Owned, Restart> {
         let mut range = ScanArena::new();
-        collect_range(view, disk, low, high, scan_seq, &mut range)?;
+        collect_range(view, disk, low, high, scan_seq, &mut range).unwrap()?;
         let mut out = Vec::new();
         range.emit(&mut |key, value| {
             out.push((key.to_vec(), value.to_vec()));
@@ -628,6 +609,7 @@ mod tests {
         }
         let mut range = ScanArena::new();
         collect_range(&view_of(mtb, None), &leveled_disk(), &k(0), &k(9), 100, &mut range)
+            .unwrap()
             .ok()
             .unwrap();
         let mut seen = Vec::new();

@@ -10,17 +10,17 @@
 //! file (ARCHITECTURE.md, "Choosing compaction inputs", says why). A job
 //! with nothing to merge — no L+1 overlap, and disjoint inputs — is a
 //! trivial move: the inputs are re-linked one level down, not rewritten.
-//! The merge keeps, for each key, the record with the largest sequence
-//! number, and drops tombstones when the output reaches the bottom of the
-//! data.
+//! The merge ([`MergeCursor`]) keeps, for each key, the record with the
+//! largest sequence number, and drops tombstones when the output reaches
+//! the bottom of the data.
 
-use std::cmp::Ordering;
 use std::sync::Arc;
 
 use crate::env::Env;
 use crate::error::Result;
+use crate::merge::MergeCursor;
 use crate::record::RecordRef;
-use crate::sstable::{table_file_name, TableBuilder, TableIterator, TableMeta};
+use crate::sstable::{table_file_name, TableBuilder, TableMeta};
 use crate::table_cache::{ShardedTableCache, TableCache};
 use crate::version::{FileHandle, FileMeta, Version, VersionEdit, NUM_LEVELS};
 
@@ -179,103 +179,6 @@ pub fn pick_compaction(
     })
 }
 
-/// A k-way merge cursor over table iterators that yields, per key, the
-/// record with the largest sequence number.
-///
-/// The heap holds iterator *indices* and orders them by the records the
-/// iterators currently stand on — `(key asc, seq desc, index asc)` — so
-/// nothing is copied to queue an input, and the record handed out is the
-/// winning iterator's own borrow of its block. The one thing the cursor
-/// keeps of a record is the key it last emitted, in a reused buffer, to
-/// skip that key's older versions (in other inputs, or later in the same
-/// input's version run).
-pub struct MergeCursor {
-    iters: Vec<TableIterator>,
-    /// Binary min-heap of indices into `iters`; only valid iterators.
-    heap: Vec<usize>,
-    /// Key of the last record handed out.
-    last_key: Vec<u8>,
-    /// Whether the heap's top is the record handed out by the previous
-    /// [`MergeCursor::next_merged`] (so the next call steps past it).
-    emitted: bool,
-}
-
-impl MergeCursor {
-    /// Builds a cursor over `iters`; each must already be positioned.
-    pub fn new(iters: Vec<TableIterator>) -> Self {
-        let mut cursor = Self {
-            heap: (0..iters.len()).filter(|&i| iters[i].valid()).collect(),
-            iters,
-            last_key: Vec::new(),
-            emitted: false,
-        };
-        for at in (0..cursor.heap.len() / 2).rev() {
-            cursor.sift_down(at);
-        }
-        cursor
-    }
-
-    /// Heap order of two inputs: by the records they stand on.
-    fn precedes(&self, a: usize, b: usize) -> bool {
-        let (ra, rb) = (self.iters[a].record(), self.iters[b].record());
-        let order = ra.key.cmp(rb.key).then(rb.seq.cmp(&ra.seq)).then(a.cmp(&b));
-        order == Ordering::Less
-    }
-
-    fn sift_down(&mut self, mut at: usize) {
-        loop {
-            let mut first = at;
-            for child in [2 * at + 1, 2 * at + 2] {
-                if child < self.heap.len() && self.precedes(self.heap[child], self.heap[first]) {
-                    first = child;
-                }
-            }
-            if first == at {
-                return;
-            }
-            self.heap.swap(at, first);
-            at = first;
-        }
-    }
-
-    /// Steps the top input past its current record and restores the heap:
-    /// the input sinks to its new place, or leaves when exhausted.
-    fn step_top(&mut self) -> Result<()> {
-        let top = self.heap[0];
-        let stepped = self.iters[top].next();
-        if !self.iters[top].valid() {
-            self.heap.swap_remove(0);
-        }
-        if !self.heap.is_empty() {
-            self.sift_down(0);
-        }
-        stepped
-    }
-
-    /// Returns the next key's freshest record, merging duplicates. The
-    /// record is borrowed from the input it came from, until the next call.
-    pub fn next_merged(&mut self) -> Result<Option<RecordRef<'_>>> {
-        if std::mem::take(&mut self.emitted) {
-            self.step_top()?;
-            // Discard older versions of the key just handed out.
-            while let Some(&top) = self.heap.first() {
-                if self.iters[top].record().key != self.last_key.as_slice() {
-                    break;
-                }
-                self.step_top()?;
-            }
-        }
-        let Some(&top) = self.heap.first() else {
-            return Ok(None);
-        };
-        let freshest = self.iters[top].record();
-        self.last_key.clear();
-        self.last_key.extend_from_slice(freshest.key);
-        self.emitted = true;
-        Ok(Some(freshest))
-    }
-}
-
 /// Writes a sorted run of records as consecutive tables, cutting to a new
 /// file once the open one reaches `cfg.target_file_bytes`. Memtable
 /// flushes and compaction outputs both go through here.
@@ -363,12 +266,11 @@ pub fn run_compaction(
 ) -> Result<VersionEdit> {
     let mut iters = Vec::new();
     for f in job.inputs.iter().chain(&job.next_inputs) {
-        let table = cache.get(f.number)?;
-        let mut it = table.iter();
+        let mut it = cache.get(f.number)?.iter();
         it.seek_to_first()?;
         iters.push(it);
     }
-    let mut cursor = MergeCursor::new(iters);
+    let mut cursor = MergeCursor::new(iters, u64::MAX)?;
 
     let mut roller = TableRoller::new(env, cfg, new_file_number);
     // Block buffer to output block: the merge hands out borrows and the

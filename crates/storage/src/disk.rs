@@ -8,7 +8,6 @@
 //! component, mirroring the paper's control: "we keep the persisting and
 //! compaction mechanisms of LevelDB" (§4).
 
-use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -22,8 +21,9 @@ use crate::compaction::{
 use crate::env::Env;
 use crate::error::Result;
 use crate::manifest;
-use crate::record::{Record, RecordRef};
-use crate::sstable::table_file_name;
+use crate::merge::MergeCursor;
+use crate::record::Record;
+use crate::sstable::{table_file_name, TableIterator};
 use crate::table_cache::{ShardedTableCache, TableCache};
 use crate::version::{Version, VersionEdit, VersionSet, NUM_LEVELS};
 
@@ -330,46 +330,42 @@ impl DiskComponent {
     }
 
     /// Range scan over `[low, high]` (inclusive): freshest record per key,
-    /// in key order, tombstones included so the caller can shadow. The
-    /// owned form of [`DiskComponent::scan_each`].
+    /// in key order, tombstones included so the caller can shadow.
     pub fn scan(&self, low: &[u8], high: &[u8]) -> Result<Vec<Record>> {
+        let mut tables = Vec::new();
+        let _pinned = self.range_sources(low, high, &mut tables)?;
+        let mut cursor = MergeCursor::<TableIterator>::new(tables, u64::MAX)?;
         let mut out = Vec::new();
-        self.scan_each(low, high, &mut |record| {
+        while let Some(record) = cursor.next_merged()?.filter(|r| r.key <= high) {
             out.push(record.to_record());
-            ControlFlow::Continue(())
-        })?;
+        }
         Ok(out)
     }
 
-    /// Hands each record of the range to `visit` as the merge produces it
-    /// — borrowed from the block it was read from, valid for that call —
-    /// until the range ends or `visit` breaks.
-    pub fn scan_each(
+    /// Appends to `sources` an iterator over each table that overlaps
+    /// `[low, high]`, positioned at `low` — the disk's inputs to a
+    /// [`MergeCursor`] — and returns the [`Version`] they were read from.
+    /// Hold it for as long as the iterators: it pins their files, which a
+    /// compaction deletes only once the last version naming them drops.
+    pub fn range_sources<S: From<TableIterator>>(
         &self,
         low: &[u8],
         high: &[u8],
-        visit: &mut dyn FnMut(RecordRef<'_>) -> ControlFlow<()>,
-    ) -> Result<()> {
+        sources: &mut Vec<S>,
+    ) -> Result<Arc<Version>> {
         let version = self.versions.current();
         let files: Vec<_> = (0..NUM_LEVELS)
             .map(|level| version.overlapping(level, low, high))
             .collect();
-        let mut iters = Vec::with_capacity(files.iter().map(Vec::len).sum());
+        sources.reserve(files.iter().map(Vec::len).sum());
         for file in files.iter().flatten() {
-            let table = self.cache.get(file.number)?;
-            let mut it = table.iter();
+            let mut it = self.cache.get(file.number)?.iter();
             it.seek(low)?;
             if it.valid() {
-                iters.push(it);
+                sources.push(it.into());
             }
         }
-        let mut cursor = crate::compaction::MergeCursor::new(iters);
-        while let Some(record) = cursor.next_merged()? {
-            if record.key > high || visit(record).is_break() {
-                break;
-            }
-        }
-        Ok(())
+        Ok(version)
     }
 
     /// Runs at most one compaction step; returns whether one ran.
@@ -558,24 +554,37 @@ mod tests {
     }
 
     #[test]
-    fn scan_each_stops_where_the_visitor_breaks() {
-        let d = disk();
-        d.flush_records((0..50).map(|k| put(k * 2, k + 1)).collect())
-            .unwrap();
+    fn range_sources_pin_their_files_until_the_version_drops() {
+        let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+        let d = DiskComponent::new(Arc::clone(&env), disk().opts);
+        for seq in [1, 100] {
+            d.flush_records((0..50).map(|k| put(k, k + seq)).collect())
+                .unwrap();
+        }
+        let (low, high) = (0u64.to_be_bytes(), 49u64.to_be_bytes());
+        let mut tables: Vec<TableIterator> = Vec::new();
+        let pinned = d.range_sources(&low, &high, &mut tables).unwrap();
+        let inputs: Vec<String> = pinned.levels[0]
+            .iter()
+            .map(|f| table_file_name(f.number))
+            .collect();
+        assert_eq!((inputs.len(), tables.len()), (2, 2));
+
+        // A compaction merges both inputs away under the open sources...
         d.compact_all().unwrap();
-        d.flush_records(vec![put(10, 1000)]).unwrap();
-        let (low, high) = (8u64.to_be_bytes(), 24u64.to_be_bytes());
-        let mut seen = Vec::new();
-        d.scan_each(&low, &high, &mut |r| {
-            seen.push(r.to_record());
-            if seen.len() == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        })
-        .unwrap();
-        assert_eq!(seen, d.scan(&low, &high).unwrap()[..3]);
+        assert_eq!(d.stats().files_per_level[0], 0);
+        let listed = env.list().unwrap();
+        assert!(inputs.iter().all(|name| listed.contains(name)), "{listed:?}");
+        let mut cursor = MergeCursor::new(tables, u64::MAX).unwrap();
+        let mut seqs = Vec::new();
+        while let Some(record) = cursor.next_merged().unwrap() {
+            seqs.push(record.seq);
+        }
+        assert_eq!(seqs, (100..150).collect::<Vec<u64>>());
+        // ...and deletes them once the last version naming them drops.
+        drop((cursor, pinned));
+        let listed = env.list().unwrap();
+        assert!(inputs.iter().all(|name| !listed.contains(name)), "{listed:?}");
     }
 
     #[test]

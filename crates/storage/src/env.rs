@@ -269,6 +269,22 @@ impl Env for MemEnv {
     }
 }
 
+/// A crash image of `src`: every file copied into a fresh [`MemEnv`], with
+/// `truncate` (when present) cut to its first `keep` bytes — the store died
+/// with that file's tail torn there. Recovery suites reopen the image.
+pub fn crash_image(src: &dyn Env, truncate: &str, keep: usize) -> Result<MemEnv> {
+    let image = MemEnv::new(None);
+    for name in src.list()? {
+        let file = src.open_random(&name)?;
+        let len = file.len() as usize;
+        let data = file.read_at(0, if name == truncate { keep.min(len) } else { len })?;
+        let mut out = image.new_writable(&name)?;
+        out.append(&data)?;
+        out.finish()?;
+    }
+    Ok(image)
+}
+
 // ---------------------------------------------------------------------------
 // Prefixed sub-namespace view of another environment.
 // ---------------------------------------------------------------------------

@@ -30,6 +30,7 @@ pub mod fault;
 pub mod frame;
 pub mod log_manager;
 pub mod manifest;
+pub mod merge;
 pub mod record;
 pub mod sharding;
 pub mod sstable;

@@ -12,10 +12,11 @@
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
-use std::ops::ControlFlow;
 use std::sync::Arc;
 
 use flodb_storage::compaction::CompactionConfig;
+use flodb_storage::merge::MergeCursor;
+use flodb_storage::sstable::TableIterator;
 use flodb_storage::{DiskComponent, DiskOptions, MemEnv, Record};
 
 thread_local! {
@@ -139,12 +140,16 @@ fn disk_scan_allocates_per_block_and_file_not_per_record() {
     let mut seen = 0u64;
     let mut scan = || {
         seen = 0;
-        disk.scan_each(&low, &high, &mut |record| {
+        let mut tables = Vec::new();
+        let _pinned = disk.range_sources(&low, &high, &mut tables).unwrap();
+        let mut merged = MergeCursor::<TableIterator>::new(tables, u64::MAX).unwrap();
+        while let Some(record) = merged.next_merged().unwrap() {
+            if record.key > high.as_slice() {
+                break;
+            }
             assert!(record.key >= low.as_slice() && record.key <= high.as_slice());
             seen += 1;
-            ControlFlow::Continue(())
-        })
-        .unwrap();
+        }
     };
     // The first scan opens the tables (an index entry per block, cached
     // from then on); the budget is for the scan itself.

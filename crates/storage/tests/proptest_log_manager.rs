@@ -6,7 +6,7 @@
 
 use std::sync::Arc;
 
-use flodb_storage::env::{Env, MemEnv};
+use flodb_storage::env::{crash_image, Env, MemEnv};
 use flodb_storage::log_manager::{recover_segments, LogConfig, LogManager};
 use flodb_storage::wal::{group_frame, wal_file_name, SEGMENT_HEADER_BYTES};
 use flodb_storage::Record;
@@ -73,25 +73,6 @@ fn build_log(
     (lm, batches, placements)
 }
 
-/// Copies every file of `src` into a fresh env, truncating `truncate`
-/// (when present) to its first `keep` bytes.
-fn copy_env_truncating(src: &MemEnv, truncate: &str, keep: usize) -> MemEnv {
-    let dst = MemEnv::new(None);
-    for name in src.list().unwrap() {
-        let file = src.open_random(&name).unwrap();
-        let len = if name == truncate {
-            keep.min(file.len() as usize)
-        } else {
-            file.len() as usize
-        };
-        let data = file.read_at(0, len).unwrap();
-        let mut out = dst.new_writable(&name).unwrap();
-        out.append(&data).unwrap();
-        out.finish().unwrap();
-    }
-    dst
-}
-
 proptest! {
     #![proptest_config(ProptestConfig {
         cases: 48,
@@ -119,7 +100,7 @@ proptest! {
         let name = wal_file_name(newest);
         let len = env.open_random(&name).unwrap().len() as usize;
         let cut = cut_seed as usize % (len + 1);
-        let torn = copy_env_truncating(&env, &name, cut);
+        let torn = crash_image(env.as_ref(), &name, cut).unwrap();
 
         let recovered = recover_segments(&torn, 0).unwrap();
 
@@ -215,7 +196,7 @@ fn batch_opening_a_fresh_segment_recovers_all_or_nothing() {
     let len = env.open_random(&name).unwrap().len() as usize;
     let frame_start = SEGMENT_HEADER_BYTES;
     for cut in 0..=len {
-        let torn = copy_env_truncating(&env, &name, cut);
+        let torn = crash_image(env.as_ref(), &name, cut).unwrap();
         let recovered = recover_segments(&torn, 0).unwrap();
         if cut < len {
             assert_eq!(

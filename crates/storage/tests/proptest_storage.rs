@@ -8,8 +8,9 @@ use std::sync::Arc;
 
 use flodb_storage::block::{self, BlockBuilder, BlockCursor};
 use flodb_storage::bloom::Bloom;
-use flodb_storage::compaction::{CompactionConfig, MergeCursor};
+use flodb_storage::compaction::CompactionConfig;
 use flodb_storage::env::{Env, MemEnv};
+use flodb_storage::merge::{MergeCursor, ScanSource};
 use flodb_storage::sstable::{verify_table, Table, TableBuilder};
 use flodb_storage::wal::{
     group_frame, replay_segment, wal_file_name, WalWriter, SEGMENT_HEADER_BYTES,
@@ -160,35 +161,51 @@ proptest! {
 
     #[test]
     fn merge_cursor_matches_a_max_seq_model(
-        // Each table: (key, seq, live?) triples from a small domain, so
-        // version runs inside one table and across tables are common.
+        // Each table, and the in-memory run: (key, seq) pairs from a small
+        // domain, so version runs inside one source and across sources are
+        // common.
         tables in proptest::collection::vec(
-            proptest::collection::vec((0u8..24, 0u64..40, any::<bool>()), 1..60), 0..6),
+            proptest::collection::vec((0u8..24, 0u64..40), 1..60), 0..6),
+        run in proptest::collection::vec((0u8..24, 0u64..40), 0..40),
         probe in proptest::option::of(0u8..26),
+        bound in proptest::option::of(0u64..42),
+        stop in proptest::option::of(0usize..30),
     ) {
         // A record is a function of (key, seq): the same version met in
-        // two tables is the same record, as after a replayed flush.
-        let record = |key: u8, seq: u64, live: bool| Record {
+        // two sources is the same record, as after a replayed flush.
+        let record = |&(key, seq): &(u8, u64)| Record {
             key: vec![key; 1 + usize::from(key % 3)].into_boxed_slice(),
             seq,
-            value: (live ^ seq.is_multiple_of(5)).then(|| vec![key ^ seq as u8; seq as usize % 50].into()),
+            value: (!(u64::from(key) + seq).is_multiple_of(3))
+                .then(|| vec![key ^ seq as u8; seq as usize % 50].into()),
         };
-        let env = MemEnv::new(None);
-        let mut model: BTreeMap<Box<[u8]>, Record> = BTreeMap::new();
-        let mut iters = Vec::new();
-        for (i, entries) in tables.iter().enumerate() {
-            let mut records: Vec<Record> = entries.iter().map(|&(k, s, l)| record(k, s, l)).collect();
+        let sorted = |entries: &[(u8, u64)]| {
+            let mut records: Vec<Record> = entries.iter().map(record).collect();
             records.sort_by(|a, b| a.key.cmp(&b.key).then(b.seq.cmp(&a.seq)));
             records.dedup_by(|next, first| next.key == first.key && next.seq == first.seq);
+            records
+        };
+        let low: Box<[u8]> = probe.map_or_else(Box::default, |p| Box::from([p].as_slice()));
+        let bound = bound.unwrap_or(u64::MAX);
+        let mut model: BTreeMap<Box<[u8]>, Record> = BTreeMap::new();
+        let mut fold = |records: &[Record]| {
+            for r in records.iter().filter(|r| r.seq <= bound) {
+                if model.get(&r.key).is_none_or(|m| r.seq > m.seq) {
+                    model.insert(r.key.clone(), r.clone());
+                }
+            }
+        };
+        let env = MemEnv::new(None);
+        let mut sources = Vec::new();
+        for (i, entries) in tables.iter().enumerate() {
+            let records = sorted(entries);
+            fold(&records);
             let name = format!("{i}.sst");
             // Tiny blocks: a run of versions crosses what would be block
             // boundaries, and seeks land mid-table.
             let mut builder = TableBuilder::new(env.new_writable(&name).unwrap(), 128, 10);
             for r in &records {
                 builder.add(r).unwrap();
-                if model.get(&r.key).is_none_or(|m| r.seq > m.seq) {
-                    model.insert(r.key.clone(), r.clone());
-                }
             }
             builder.finish().unwrap();
             let table = Arc::new(Table::open(env.open_random(&name).unwrap()).unwrap());
@@ -198,17 +215,28 @@ proptest! {
                 Some(p) => it.seek(&[p]).unwrap(),
                 None => it.seek_to_first().unwrap(),
             }
-            iters.push(it);
+            sources.push(ScanSource::Table(it));
         }
-        let mut cursor = MergeCursor::new(iters);
+        // The in-memory run sits among the tables, positioned as they are.
+        let records = sorted(&run);
+        fold(&records);
+        let from_low: Vec<Record> = records.into_iter().filter(|r| r.key >= low).collect();
+        sources.insert(sources.len() / 2, ScanSource::Memory(from_low.into_iter()));
+
+        let mut cursor = MergeCursor::new(sources, bound).unwrap();
+        let mut want: Vec<Record> = model.range(low..).map(|(_, r)| r.clone()).collect();
         let mut merged = Vec::new();
-        while let Some(r) = cursor.next_merged().unwrap() {
+        while merged.len() < stop.unwrap_or(usize::MAX) {
+            let Some(r) = cursor.next_merged().unwrap() else {
+                break;
+            };
             merged.push(r.to_record());
         }
-        let low: Box<[u8]> = probe.map_or_else(Box::default, |p| Box::from([p].as_slice()));
-        let want: Vec<Record> = model.range(low..).map(|(_, r)| r.clone()).collect();
+        want.truncate(stop.unwrap_or(usize::MAX));
         prop_assert_eq!(merged, want);
-        prop_assert!(cursor.next_merged().unwrap().is_none(), "exhausted stays exhausted");
+        if stop.is_none() {
+            prop_assert!(cursor.next_merged().unwrap().is_none(), "exhausted stays exhausted");
+        }
     }
 
     #[test]
@@ -404,5 +432,56 @@ proptest! {
         }
         // The persisted-seq watermark survives the reopen.
         prop_assert_eq!(disk.max_persisted_seq(), max_seq);
+    }
+}
+
+/// Runs of keys at one sequence number, as the sharded router merges its
+/// shards' scans.
+fn runs(keys: &[&[&str]]) -> Vec<Run> {
+    keys.iter()
+        .map(|run| {
+            let records = run
+                .iter()
+                .map(|k| Record::put(k.as_bytes(), 0, k.as_bytes()));
+            records.collect::<Vec<_>>().into_iter()
+        })
+        .collect()
+}
+
+type Run = std::vec::IntoIter<Record>;
+
+fn keys_of(cursor: &mut MergeCursor<Run>, most: usize) -> Vec<String> {
+    let mut keys = Vec::new();
+    while keys.len() < most {
+        let Some(r) = cursor.next_merged().unwrap() else {
+            break;
+        };
+        keys.push(String::from_utf8(r.key.to_vec()).unwrap());
+    }
+    keys
+}
+
+#[test]
+fn merge_cursor_orders_disjoint_runs_globally() {
+    let sources = runs(&[&["b", "e", "h"], &["a", "f"], &[], &["c", "d", "g"]]);
+    let mut cursor = MergeCursor::new(sources, u64::MAX).unwrap();
+    assert_eq!(
+        keys_of(&mut cursor, usize::MAX),
+        ["a", "b", "c", "d", "e", "f", "g", "h"]
+    );
+}
+
+#[test]
+fn merge_cursor_stopped_mid_merge_resumes_where_it_stopped() {
+    let mut cursor = MergeCursor::new(runs(&[&["a", "c"], &["b", "d"]]), u64::MAX).unwrap();
+    assert_eq!(keys_of(&mut cursor, 2), ["a", "b"]);
+    assert_eq!(keys_of(&mut cursor, usize::MAX), ["c", "d"]);
+}
+
+#[test]
+fn merge_cursor_over_no_or_empty_sources_yields_nothing() {
+    for sources in [runs(&[]), runs(&[&[], &[]])] {
+        let mut cursor = MergeCursor::new(sources, u64::MAX).unwrap();
+        assert!(cursor.next_merged().unwrap().is_none());
     }
 }

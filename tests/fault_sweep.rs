@@ -19,16 +19,14 @@
 //! crash-after-fault combination (injected torn append + torn live
 //! tail).
 
-mod crash_support;
-
 use std::collections::HashSet;
 use std::sync::mpsc;
 use std::sync::Arc;
 use std::thread;
 use std::time::Duration;
 
+use flodb::storage::env::crash_image;
 use flodb::storage::{Env, FaultEnv, FaultKind, FaultPlan, MemEnv, StorageError};
-use crash_support::crash_image;
 use flodb::{
     FloDb, FloDbOptions, KvStore, ShardedFloDb, ShardedOptions, WalMode, WriteError,
 };
@@ -406,7 +404,7 @@ fn crash_after_injected_fault_still_recovers_a_clean_prefix() {
         logs.pop().unwrap() // Highest generation = the live tail.
     };
     for cut in [0usize, 17, 1024, live.1 as usize / 2, live.1 as usize] {
-        let image = crash_image(env.as_ref(), &live.0, cut);
+        let image: Arc<dyn Env> = Arc::new(crash_image(env.as_ref(), &live.0, cut).unwrap());
         let db = FloDb::open(opts(Arc::clone(&image)))
             .unwrap_or_else(|e| panic!("cut {cut}: recovery failed: {e}"));
         assert_eq!(db.get(b"poisoned"), None, "cut {cut}: unacked write replayed");

@@ -5,11 +5,9 @@
 //! retire-too-early failure mode (deleting a segment whose records were
 //! not yet persisted) would break exactly this.
 
-mod crash_support;
-
 use std::sync::Arc;
 
-use crash_support::crash_image;
+use flodb::storage::env::crash_image;
 use flodb::storage::{Env, FaultEnv, FaultKind, FaultPlan, MemEnv};
 use flodb::{FloDb, FloDbOptions, KvStore, WalMode, WriteBatch};
 
@@ -142,7 +140,7 @@ fn kill_at_any_offset_recovers_an_acked_prefix_across_retirement() {
     let mut last_recovered = 0u64;
     let mut first_recovered = None;
     for cut in cuts {
-        let image = crash_image(env.as_ref(), &live, cut);
+        let image: Arc<dyn Env> = Arc::new(crash_image(env.as_ref(), &live, cut).unwrap());
         let db = FloDb::open(opts(Arc::clone(&image))).unwrap();
         // Recovered keys must be exactly {0..m}: batches are
         // all-or-nothing (m divisible by the batch size) and nothing
