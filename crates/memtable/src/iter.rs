@@ -167,21 +167,6 @@ impl SkipList {
     pub fn iter(&self) -> SkipListIter<'_> {
         SkipListIter::new(self)
     }
-
-    /// Collects all live entries `(key, value)` in order, skipping nothing.
-    ///
-    /// Tombstones are included (`value == None`): the disk component needs
-    /// them to shadow older on-disk versions.
-    pub fn collect_entries(&self) -> Vec<(Box<[u8]>, VersionedValue)> {
-        let mut out = Vec::with_capacity(self.len());
-        let mut it = self.iter();
-        it.seek_to_first();
-        while it.valid() {
-            out.push((Box::from(it.key()), it.value()));
-            it.next();
-        }
-        out
-    }
 }
 
 #[cfg(test)]
@@ -262,13 +247,17 @@ mod tests {
     }
 
     #[test]
-    fn collect_entries_includes_tombstones() {
+    fn iteration_includes_tombstones() {
         let l = SkipList::new();
         l.insert(&k(1), Some(b"a"), 1);
         l.insert(&k(2), None, 2);
-        let entries = l.collect_entries();
-        assert_eq!(entries.len(), 2);
-        assert!(entries[1].1.is_tombstone());
+        let mut it = l.iter();
+        it.seek_to_first();
+        assert!(!it.value().is_tombstone());
+        it.next();
+        assert!(it.valid() && it.value().is_tombstone());
+        it.next();
+        assert!(!it.valid());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 
 use std::collections::BTreeMap;
 
-use flodb_memtable::{BatchEntry, SkipList};
+use flodb_memtable::{BatchEntry, SkipList, VersionedValue};
 use proptest::prelude::*;
 
 #[derive(Debug, Clone)]
@@ -25,6 +25,18 @@ fn op_strategy() -> impl Strategy<Value = Op> {
 
 fn k(key: u8) -> Box<[u8]> {
     Box::new([key])
+}
+
+/// Every entry `(key, value)` in iteration order, tombstones included.
+fn entries(list: &SkipList) -> Vec<(Box<[u8]>, VersionedValue)> {
+    let mut out = Vec::new();
+    let mut it = list.iter();
+    it.seek_to_first();
+    while it.valid() {
+        out.push((Box::from(it.key()), it.value()));
+        it.next();
+    }
+    out
 }
 
 /// Longer than the arena's largest chunk (1 MiB), so its node gets a
@@ -121,7 +133,7 @@ proptest! {
             prop_assert_eq!(got.value, expected);
         }
         // Iteration order must equal the model's sorted key order.
-        let collected = list.collect_entries();
+        let collected = entries(&list);
         let keys: Vec<u8> = collected.iter().map(|(key, _)| key[0]).collect();
         let model_keys: Vec<u8> = model.keys().copied().collect();
         prop_assert_eq!(keys, model_keys);
@@ -161,8 +173,7 @@ proptest! {
             let got = list.get(key).map(|v| (v.seq, v.value.map(Vec::from)));
             prop_assert_eq!(got, model.get(key).cloned());
         }
-        let collected: Vec<(Vec<u8>, (u64, Option<Vec<u8>>))> = list
-            .collect_entries()
+        let collected: Vec<(Vec<u8>, (u64, Option<Vec<u8>>))> = entries(&list)
             .into_iter()
             .map(|(key, v)| (key.into_vec(), (v.seq, v.value.map(Vec::from))))
             .collect();
@@ -176,7 +187,7 @@ proptest! {
         for (i, key) in keys.iter().enumerate() {
             list.insert(&key.to_be_bytes(), Some(b"v"), i as u64 + 1);
         }
-        let entries = list.collect_entries();
+        let entries = entries(&list);
         for window in entries.windows(2) {
             prop_assert!(window[0].0 < window[1].0, "unsorted or duplicate keys");
         }
@@ -196,6 +207,6 @@ proptest! {
         }
         multi.multi_insert(batch);
         prop_assert_eq!(single.len(), multi.len());
-        prop_assert_eq!(single.collect_entries(), multi.collect_entries());
+        prop_assert_eq!(entries(&single), entries(&multi));
     }
 }

@@ -9,12 +9,13 @@
 //! real files for durability and recovery testing.
 
 use std::collections::HashMap;
-use std::io::{Read, Seek, SeekFrom, Write};
+use std::io::Write;
+use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use flodb_sync::lock_order::{ENV_DATA, ENV_FILE, ENV_INNER, ENV_THROTTLE};
+use flodb_sync::lock_order::{ENV_DATA, ENV_INNER, ENV_THROTTLE};
 use flodb_sync::shim::{ranked_mutex, ranked_rwlock, Mutex, RwLock};
 
 use crate::error::{Result, StorageError};
@@ -33,6 +34,20 @@ pub trait WritableFile: Send {
 pub trait RandomAccessFile: Send + Sync {
     /// Reads exactly `len` bytes at byte offset `off`.
     fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>>;
+    /// Lends exactly `len` bytes at byte offset `off` to `f`, and returns
+    /// what `f` returns: a point read that keeps one record of a block
+    /// needs no copy of the block. The slice lives only for the call (the
+    /// file may hold a lock across it), so `f` copies out what it keeps
+    /// and takes no lock. Past the end it fails as `read_at` does. The
+    /// default lends a `read_at` buffer.
+    fn read_with(
+        &self,
+        off: u64,
+        len: usize,
+        f: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        f(&self.read_at(off, len)?)
+    }
     /// Returns the file length in bytes.
     fn len(&self) -> u64;
     /// Returns whether the file is empty.
@@ -207,17 +222,31 @@ struct MemRandom {
     data: Arc<RwLock<Vec<u8>>>,
 }
 
-impl RandomAccessFile for MemRandom {
-    fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>> {
-        let data = self.data.read();
-        let off = off as usize;
-        if off + len > data.len() {
-            return Err(StorageError::Corruption(format!(
+/// `data[off..off + len]`, or the `Corruption` a read past the end is.
+fn in_bounds(data: &[u8], off: u64, len: usize) -> Result<&[u8]> {
+    usize::try_from(off)
+        .ok()
+        .and_then(|start| data.get(start..start.checked_add(len)?))
+        .ok_or_else(|| {
+            StorageError::Corruption(format!(
                 "read past end: off {off} len {len} size {}",
                 data.len()
-            )));
-        }
-        Ok(data[off..off + len].to_vec())
+            ))
+        })
+}
+
+impl RandomAccessFile for MemRandom {
+    fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>> {
+        Ok(in_bounds(&self.data.read(), off, len)?.to_vec())
+    }
+
+    fn read_with(
+        &self,
+        off: u64,
+        len: usize,
+        f: &mut dyn FnMut(&[u8]) -> Result<()>,
+    ) -> Result<()> {
+        f(in_bounds(&self.data.read(), off, len)?)
     }
 
     fn len(&self) -> u64 {
@@ -423,19 +452,30 @@ impl WritableFile for FsWritable {
 }
 
 struct FsRandom {
-    file: Mutex<std::fs::File>,
+    file: std::fs::File,
     size: u64,
 }
 
 impl RandomAccessFile for FsRandom {
     fn read_at(&self, off: u64, len: usize) -> Result<Vec<u8>> {
-        let mut file = self.file.lock();
-        file.seek(SeekFrom::Start(off))?;
+        let past_end = || {
+            StorageError::Corruption(format!(
+                "read past end: off {off} len {len} size {}",
+                self.size
+            ))
+        };
+        if off.checked_add(len as u64).is_none_or(|end| end > self.size) {
+            return Err(past_end());
+        }
+        // Positioned reads (`pread`) share the descriptor without a lock:
+        // no file offset moves, so concurrent readers cannot race.
         let mut buf = vec![0u8; len];
-        // LOCK-OK: serializing seek+read pairs on the shared descriptor is
-        // this leaf mutex's entire purpose; nothing is acquired under it.
-        file.read_exact(&mut buf)?;
-        Ok(buf)
+        match self.file.read_exact_at(&mut buf, off) {
+            Ok(()) => Ok(buf),
+            // The file shrank since it was opened.
+            Err(e) if e.kind() == std::io::ErrorKind::UnexpectedEof => Err(past_end()),
+            Err(e) => Err(e.into()),
+        }
     }
 
     fn len(&self) -> u64 {
@@ -465,10 +505,7 @@ impl Env for FsEnv {
         let file = std::fs::File::open(&path)
             .map_err(|_| StorageError::NotFound(name.to_string()))?;
         let size = file.metadata()?.len();
-        Ok(Arc::new(FsRandom {
-            file: ranked_mutex(ENV_FILE, file),
-            size,
-        }))
+        Ok(Arc::new(FsRandom { file, size }))
     }
 
     fn delete(&self, name: &str) -> Result<()> {
@@ -644,6 +681,79 @@ mod tests {
         shard.delete("000001.log").unwrap();
         shard.delete("000001.log").unwrap(); // Idempotent.
         assert!(!shard.exists("000001.log"));
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// Reads `len` bytes at `off` through `read_with`, copied out.
+    fn lent(file: &dyn RandomAccessFile, off: u64, len: usize) -> Result<Vec<u8>> {
+        let mut out = Vec::new();
+        file.read_with(off, len, &mut |data| {
+            out.extend_from_slice(data);
+            Ok(())
+        })?;
+        Ok(out)
+    }
+
+    #[test]
+    fn read_with_lends_the_bytes_and_fails_past_the_end_on_both_envs() {
+        let dir = std::env::temp_dir().join(format!("flodb-env-lend-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let envs: [Box<dyn Env>; 2] =
+            [Box::new(MemEnv::new(None)), Box::new(FsEnv::new(&dir).unwrap())];
+        for env in &envs {
+            let mut f = env.new_writable("a").unwrap();
+            f.append(b"hello world").unwrap();
+            f.sync().unwrap();
+            f.finish().unwrap();
+            let r = env.open_random("a").unwrap();
+            assert_eq!(lent(r.as_ref(), 6, 5).unwrap(), b"world");
+            assert_eq!(lent(r.as_ref(), 11, 0).unwrap(), b"");
+            for (off, len) in [(7, 5), (12, 0), (u64::MAX, 1)] {
+                let err = lent(r.as_ref(), off, len).unwrap_err();
+                assert!(matches!(err, StorageError::Corruption(_)), "read_with {off}: {err:?}");
+                let err = r.read_at(off, len).unwrap_err();
+                assert!(matches!(err, StorageError::Corruption(_)), "read_at {off}: {err:?}");
+            }
+            // An error the closure returns is the read's error.
+            let err = r
+                .read_with(0, 1, &mut |_| Err(StorageError::InvalidArgument("stop".into())))
+                .unwrap_err();
+            assert!(matches!(err, StorageError::InvalidArgument(_)), "{err:?}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn fsenv_concurrent_reads_of_disjoint_offsets_get_their_own_bytes() {
+        const CHUNK: usize = 4096;
+        let dir = std::env::temp_dir().join(format!("flodb-env-pread-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let env = FsEnv::new(&dir).unwrap();
+        let mut f = env.new_writable("t.sst").unwrap();
+        for t in 0..4u8 {
+            f.append(&[t + 1; CHUNK]).unwrap();
+        }
+        f.finish().unwrap();
+        let file = env.open_random("t.sst").unwrap();
+        let readers: Vec<_> = (0..4u8)
+            .map(|t| {
+                let file = Arc::clone(&file);
+                std::thread::spawn(move || {
+                    let off = u64::from(t) * CHUNK as u64;
+                    for round in 0..500 {
+                        // Each read a different length, so no two threads'
+                        // reads line up.
+                        let len = CHUNK - (round * 7 + usize::from(t)) % 64;
+                        let data = file.read_at(off, len).unwrap();
+                        assert_eq!(data.len(), len, "thread {t}");
+                        assert!(data.iter().all(|&b| b == t + 1), "thread {t}");
+                    }
+                })
+            })
+            .collect();
+        for r in readers {
+            r.join().unwrap();
+        }
         std::fs::remove_dir_all(&dir).ok();
     }
 

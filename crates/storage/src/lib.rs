@@ -31,6 +31,7 @@ pub mod frame;
 pub mod log_manager;
 pub mod manifest;
 pub mod merge;
+pub mod prefix;
 pub mod record;
 pub mod sharding;
 pub mod sstable;

@@ -9,7 +9,8 @@
 //! The index block stores `(first_key, offset, len)` per data block; the
 //! fixed-size footer stores the bloom/index locations, the entry count and
 //! a magic number. Point lookups consult the bloom filter, binary-search
-//! the index, then scan one block.
+//! the index's dense key prefixes ([`crate::prefix`]), then scan one block
+//! in place, borrowed from the file ([`RandomAccessFile::read_with`]).
 
 use std::sync::Arc;
 
@@ -17,6 +18,7 @@ use crate::block::{self, BlockBuilder, BlockCursor};
 use crate::bloom::{bloom_hash, Bloom};
 use crate::env::{RandomAccessFile, WritableFile};
 use crate::error::{Result, StorageError};
+use crate::prefix::{key_prefix, Probe};
 use crate::record::{crc32, get_varint, put_varint, Record, RecordRef};
 
 const FOOTER_LEN: usize = 48;
@@ -185,8 +187,11 @@ impl TableBuilder {
     }
 }
 
+/// Where one data block's first key sits in the index block, and where
+/// the block sits in the file.
 struct IndexEntry {
-    first_key: Box<[u8]>,
+    key_start: usize,
+    key_end: usize,
     offset: u64,
     len: u64,
 }
@@ -194,6 +199,10 @@ struct IndexEntry {
 /// An open, immutable SSTable.
 pub struct Table {
     file: Arc<dyn RandomAccessFile>,
+    /// [`key_prefix`] of each block's first key: what `block_for` searches.
+    prefixes: Vec<u64>,
+    /// The index block as read; every block's first key lives in it.
+    index_data: Vec<u8>,
     index: Vec<IndexEntry>,
     bloom: Bloom,
     entries: u64,
@@ -223,18 +232,22 @@ impl Table {
         let index_data = file.read_at(index_off, index_len as usize)?;
         let mut pos = 0;
         let n = get_varint(&index_data, &mut pos)? as usize;
-        let mut index = Vec::with_capacity(n);
+        // A corrupt count must not reserve more than the block can hold.
+        let mut index = Vec::with_capacity(n.min(index_data.len()));
+        let mut prefixes = Vec::with_capacity(n.min(index_data.len()));
         for _ in 0..n {
             let klen = get_varint(&index_data, &mut pos)? as usize;
-            if index_data.len() < pos + klen {
+            if index_data.len() - pos < klen {
                 return Err(StorageError::Corruption("truncated index key".into()));
             }
-            let first_key: Box<[u8]> = Box::from(&index_data[pos..pos + klen]);
-            pos += klen;
+            let (key_start, key_end) = (pos, pos + klen);
+            pos = key_end;
             let offset = get_varint(&index_data, &mut pos)?;
             let len = get_varint(&index_data, &mut pos)?;
+            prefixes.push(key_prefix(&index_data[key_start..key_end]));
             index.push(IndexEntry {
-                first_key,
+                key_start,
+                key_end,
                 offset,
                 len,
             });
@@ -242,6 +255,8 @@ impl Table {
 
         Ok(Self {
             file,
+            prefixes,
+            index_data,
             index,
             bloom,
             entries,
@@ -263,20 +278,18 @@ impl Table {
         BlockCursor::new(self.file.read_at(e.offset, e.len as usize)?)
     }
 
+    /// First key of block `i`.
+    fn first_key(&self, i: usize) -> &[u8] {
+        let e = &self.index[i];
+        &self.index_data[e.key_start..e.key_end]
+    }
+
     /// Index of the block that may contain `key` (last block whose first
     /// key is `<= key`).
     fn block_for(&self, key: &[u8]) -> Option<usize> {
-        if self.index.is_empty() {
-            return None;
-        }
-        let i = self
-            .index
-            .partition_point(|e| e.first_key.as_ref() <= key);
-        if i == 0 {
-            None
-        } else {
-            Some(i - 1)
-        }
+        Probe::new(key)
+            .partition(&self.prefixes, true, |i| self.first_key(i))
+            .checked_sub(1)
     }
 
     /// Point lookup.
@@ -288,9 +301,14 @@ impl Table {
             return Ok(None);
         };
         let e = &self.index[block_idx];
-        let data = self.file.read_at(e.offset, e.len as usize)?;
-        // The one record a lookup returns is the only one materialized.
-        Ok(block::find(&data, key)?.map(|r| r.to_record()))
+        // The block is searched where the file keeps it; the one record a
+        // lookup returns is the only one copied out.
+        let mut found = None;
+        self.file.read_with(e.offset, e.len as usize, &mut |data| {
+            found = block::find(data, key)?.map(|r| r.to_record());
+            Ok(())
+        })?;
+        Ok(found)
     }
 
     /// Creates a cursor over the table.
@@ -543,7 +561,7 @@ mod tests {
         assert!(good.num_blocks() > 2);
         // Keys of block 1, from the intact table.
         let mut it = good.iter();
-        it.seek(&good.index[1].first_key).unwrap();
+        it.seek(good.first_key(1)).unwrap();
         let first_of_block_1 = u64::from_be_bytes(it.record().key.try_into().unwrap());
 
         // Damage at record 3 of block 1: everything before it reads whole.
@@ -607,6 +625,35 @@ mod tests {
     fn table_file_names_sort_with_numbers() {
         assert_eq!(table_file_name(7), "000007.sst");
         assert!(table_file_name(9) < table_file_name(10));
+    }
+
+    use crate::prefix::test_keys::{probes_around, tricky_key, tricky_keys};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn block_for_matches_a_whole_key_partition_point(
+            keys in tricky_keys(),
+            extra in proptest::collection::vec(tricky_key(), 0..20),
+        ) {
+            let env = MemEnv::new(None);
+            // 128-byte blocks: three or four records each.
+            let mut b = TableBuilder::new(env.new_writable("t.sst").unwrap(), 128, 10);
+            for (i, k) in keys.iter().enumerate() {
+                b.add(&Record::put(k.as_slice(), i as u64 + 1, vec![0u8; 24])).unwrap();
+            }
+            b.finish().unwrap();
+            let table = Table::open(env.open_random("t.sst").unwrap()).unwrap();
+            let first_keys: Vec<&[u8]> =
+                (0..table.num_blocks()).map(|i| table.first_key(i)).collect();
+            for probe in probes_around(&keys, &extra) {
+                let plain = first_keys.partition_point(|k| *k <= probe.as_slice()).checked_sub(1);
+                prop_assert_eq!(table.block_for(&probe), plain, "probe {:?}", probe);
+            }
+            for (i, k) in keys.iter().enumerate() {
+                prop_assert_eq!(table.get(k).unwrap().map(|r| r.seq), Some(i as u64 + 1));
+            }
+        }
     }
 
     #[test]

@@ -10,7 +10,6 @@
 //! reproduce LevelDB's contention point with `cache_shards = 1`.
 
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use flodb_sync::lock_order::CACHE_SHARD;
@@ -41,15 +40,23 @@ pub trait TableCache: Send + Sync {
     fn stats(&self) -> CacheStats;
 }
 
+/// One stripe: its tables, its use clock and its hit/miss counts, all
+/// under the stripe's lock, so a lookup writes only lines of its stripe.
 struct Shard {
     /// file number -> (table, last-use tick).
     map: HashMap<u64, (Arc<Table>, u64)>,
+    /// Bumped by every lookup; eviction is least-recently-used per stripe,
+    /// so only the order within a stripe matters.
+    tick: u64,
+    stats: CacheStats,
 }
 
 impl Shard {
     fn new() -> Self {
         Self {
             map: HashMap::new(),
+            tick: 0,
+            stats: CacheStats::default(),
         }
     }
 
@@ -58,15 +65,14 @@ impl Shard {
         env: &Arc<dyn Env>,
         file_number: u64,
         capacity: usize,
-        tick: u64,
-        stats: &(AtomicU64, AtomicU64),
     ) -> Result<Arc<Table>> {
+        self.tick += 1;
         if let Some((table, last)) = self.map.get_mut(&file_number) {
-            *last = tick;
-            stats.0.fetch_add(1, Ordering::Relaxed);
+            *last = self.tick;
+            self.stats.hits += 1;
             return Ok(Arc::clone(table));
         }
-        stats.1.fetch_add(1, Ordering::Relaxed);
+        self.stats.misses += 1;
         let file = env.open_random(&table_file_name(file_number))?;
         let table = Arc::new(Table::open(file)?);
         if self.map.len() >= capacity {
@@ -75,7 +81,7 @@ impl Shard {
                 self.map.remove(&victim);
             }
         }
-        self.map.insert(file_number, (Arc::clone(&table), tick));
+        self.map.insert(file_number, (Arc::clone(&table), self.tick));
         Ok(table)
     }
 }
@@ -85,8 +91,6 @@ pub struct ShardedTableCache {
     env: Arc<dyn Env>,
     shards: Vec<Mutex<Shard>>,
     per_shard_capacity: usize,
-    tick: AtomicU64,
-    stats: (AtomicU64, AtomicU64),
 }
 
 impl ShardedTableCache {
@@ -97,23 +101,16 @@ impl ShardedTableCache {
             env,
             shards: (0..shards).map(|_| ranked_mutex(CACHE_SHARD, Shard::new())).collect(),
             per_shard_capacity: (capacity / shards).max(1),
-            tick: AtomicU64::new(0),
-            stats: (AtomicU64::new(0), AtomicU64::new(0)),
         }
     }
 }
 
 impl TableCache for ShardedTableCache {
     fn get(&self, file_number: u64) -> Result<Arc<Table>> {
-        let tick = self.tick.fetch_add(1, Ordering::Relaxed);
         let shard = &self.shards[(file_number as usize) % self.shards.len()];
-        shard.lock().get_or_open(
-            &self.env,
-            file_number,
-            self.per_shard_capacity,
-            tick,
-            &self.stats,
-        )
+        shard
+            .lock()
+            .get_or_open(&self.env, file_number, self.per_shard_capacity)
     }
 
     fn evict(&self, file_number: u64) {
@@ -122,10 +119,13 @@ impl TableCache for ShardedTableCache {
     }
 
     fn stats(&self) -> CacheStats {
-        CacheStats {
-            hits: self.stats.0.load(Ordering::Relaxed),
-            misses: self.stats.1.load(Ordering::Relaxed),
-        }
+        self.shards.iter().fold(CacheStats::default(), |sum, shard| {
+            let stats = shard.lock().stats;
+            CacheStats {
+                hits: sum.hits + stats.hits,
+                misses: sum.misses + stats.misses,
+            }
+        })
     }
 }
 

@@ -1,9 +1,12 @@
 //! Leveled file metadata: versions and version edits.
 //!
 //! A [`Version`] is an immutable snapshot of which SSTables live in which
-//! level. Readers grab an `Arc<Version>` and proceed without locks (the
-//! RocksDB-style read path); writers apply [`VersionEdit`]s under the
-//! [`VersionSet`] mutex, installing a fresh `Arc`.
+//! level. Scans and compactions grab an `Arc<Version>` and proceed without
+//! locks (the RocksDB-style read path); a point read borrows the current
+//! version inside an RCU read section instead
+//! ([`VersionSet::with_current`]), so it writes no line other readers
+//! share. Writers apply [`VersionEdit`]s under the [`VersionSet`] mutex,
+//! installing a fresh `Arc`, and wait out the borrowers of the old one.
 //!
 //! Invariants (checked by `Version::check_invariants`):
 //! - L0 files may overlap and are ordered newest-first (higher file number
@@ -13,9 +16,12 @@
 use std::sync::Arc;
 
 use flodb_sync::lock_order::{VERSION_CLEANUP, VERSION_CURRENT};
+use flodb_sync::shim::atomic::{AtomicPtr, Ordering};
 use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::RcuDomain;
 
 use crate::error::{Result, StorageError};
+use crate::prefix::{key_prefix, Probe};
 
 /// Number of on-disk levels (L0..=L6), matching LevelDB.
 pub const NUM_LEVELS: usize = 7;
@@ -100,19 +106,46 @@ impl std::fmt::Debug for FileHandle {
     }
 }
 
+/// The [`key_prefix`]es of one level's file bounds, in the level's order.
+#[derive(Debug, Clone, Default)]
+struct LevelPrefixes {
+    smallest: Vec<u64>,
+    largest: Vec<u64>,
+}
+
+impl LevelPrefixes {
+    fn of(files: &[Arc<FileHandle>]) -> Self {
+        Self {
+            smallest: files.iter().map(|f| key_prefix(&f.smallest)).collect(),
+            largest: files.iter().map(|f| key_prefix(&f.largest)).collect(),
+        }
+    }
+
+    /// Whether file `i` of the level (`f`) holds `probe`'s key in its range.
+    fn contains(&self, i: usize, f: &FileMeta, probe: &Probe<'_>) -> bool {
+        probe.at_or_above(self.smallest[i], &f.smallest)
+            && probe.at_or_below(self.largest[i], &f.largest)
+    }
+}
+
 /// An immutable snapshot of the file layout.
 #[derive(Debug, Clone, Default)]
 pub struct Version {
     /// `levels[0]` newest-first; deeper levels sorted by smallest key.
     pub levels: Vec<Vec<Arc<FileHandle>>>,
+    /// Per level, the dense bound prefixes point lookups search.
+    prefixes: Vec<LevelPrefixes>,
 }
 
 impl Version {
     /// Creates an empty version.
     pub fn empty() -> Self {
-        Self {
-            levels: vec![Vec::new(); NUM_LEVELS],
-        }
+        Self::with_levels(vec![Vec::new(); NUM_LEVELS])
+    }
+
+    fn with_levels(levels: Vec<Vec<Arc<FileHandle>>>) -> Self {
+        let prefixes = levels.iter().map(|files| LevelPrefixes::of(files)).collect();
+        Self { levels, prefixes }
     }
 
     /// Total bytes at `level`.
@@ -143,22 +176,30 @@ impl Version {
 
     /// Files to consult for a point lookup of `key`, in freshness order:
     /// all matching L0 files (newest first), then at most one file per
-    /// deeper level.
-    pub fn files_for_key(&self, key: &[u8]) -> Vec<(usize, Arc<FileHandle>)> {
-        let mut out = Vec::new();
-        for f in &self.levels[0] {
-            if f.contains(key) {
-                out.push((0, Arc::clone(f)));
-            }
-        }
-        for (level, files) in self.levels.iter().enumerate().skip(1) {
-            // Levels >= 1 are sorted and disjoint: binary search.
-            let i = files.partition_point(|f| f.largest.as_ref() < key);
-            if i < files.len() && files[i].contains(key) {
-                out.push((level, Arc::clone(&files[i])));
-            }
-        }
-        out
+    /// deeper level. Borrowed from the version: nothing is allocated and
+    /// no reference count is touched.
+    pub fn files_for_key<'a>(
+        &'a self,
+        key: &'a [u8],
+    ) -> impl Iterator<Item = (usize, &'a Arc<FileHandle>)> + 'a {
+        let probe = Probe::new(key);
+        let l0 = &self.prefixes[0];
+        let overlapping_l0 = self.levels[0]
+            .iter()
+            .enumerate()
+            .filter(move |(i, f)| l0.contains(*i, f, &probe))
+            .map(|(_, f)| (0, f));
+        let deeper = (1..self.levels.len()).filter_map(move |level| {
+            // Levels >= 1 are sorted and disjoint: the only candidate is
+            // the first file whose largest key is not below `key`.
+            let (files, prefixes) = (&self.levels[level], &self.prefixes[level]);
+            let i = probe.partition(&prefixes.largest, false, |i| &files[i].largest);
+            let f = files.get(i)?;
+            probe
+                .at_or_above(prefixes.smallest[i], &f.smallest)
+                .then_some((level, f))
+        });
+        overlapping_l0.chain(deeper)
     }
 
     /// Checks the structural invariants, returning a description of the
@@ -217,14 +258,23 @@ impl VersionEdit {
 #[derive(Debug)]
 pub struct VersionSet {
     current: Mutex<Arc<Version>>,
+    /// The version `current` holds, for [`VersionSet::with_current`]'s
+    /// borrowers: it stays valid while a read section of `readers` that
+    /// loaded it is open, because `apply` drops its reference to a
+    /// replaced version only after a grace period of `readers`.
+    published: AtomicPtr<Version>,
+    readers: RcuDomain,
     next_file: std::sync::atomic::AtomicU64,
 }
 
 impl VersionSet {
     /// Creates a version set with an empty current version.
     pub fn new() -> Self {
+        let current = Arc::new(Version::empty());
         Self {
-            current: ranked_mutex(VERSION_CURRENT, Arc::new(Version::empty())),
+            published: AtomicPtr::new(Arc::as_ptr(&current).cast_mut()),
+            current: ranked_mutex(VERSION_CURRENT, current),
+            readers: RcuDomain::new(),
             next_file: std::sync::atomic::AtomicU64::new(1),
         }
     }
@@ -232,6 +282,25 @@ impl VersionSet {
     /// Returns the current version snapshot (lock held only for the clone).
     pub fn current(&self) -> Arc<Version> {
         Arc::clone(&self.current.lock())
+    }
+
+    /// Runs `f` on the current version, borrowed inside a read section
+    /// rather than cloned: no lock, and no write to a line another reader
+    /// shares (an `Arc` clone is a read-modify-write on the version's
+    /// count). The point-read path; scans and compactions, which hold a
+    /// version for long, take [`VersionSet::current`].
+    ///
+    /// A [`VersionSet::apply`] that replaces the version waits for `f` to
+    /// return before it drops its reference, so `f` must be short, must
+    /// not apply an edit to this set itself, and must clone what it keeps.
+    pub fn with_current<R>(&self, f: impl FnOnce(&Version) -> R) -> R {
+        let _section = self.readers.read_lock();
+        // SAFETY: `published` always points at the version `current` holds.
+        // `apply` replaces both, then drops its reference to the replaced
+        // version only after `readers.synchronize()`, which waits for this
+        // section; so the version outlives the borrow.
+        let version = unsafe { &*self.published.load(Ordering::Acquire) };
+        f(version)
     }
 
     // The file-number allocator is a pure monotonic counter: uniqueness
@@ -266,12 +335,10 @@ impl VersionSet {
     /// returned, so every snapshot naming the file shares one cleanup.
     pub fn apply(&self, edit: &VersionEdit) -> Result<(Arc<Version>, Vec<Arc<FileHandle>>)> {
         let mut guard = self.current.lock();
-        let mut next = Version {
-            levels: guard.levels.clone(),
-        };
+        let mut levels = guard.levels.clone();
         let mut removed = Vec::new();
         for (level, number) in &edit.deleted {
-            let files = &mut next.levels[*level];
+            let files = &mut levels[*level];
             let Some(pos) = files.iter().position(|f| f.number == *number) else {
                 return Err(StorageError::InvalidArgument(format!(
                     "edit deletes unknown file {number} at L{level}"
@@ -280,7 +347,7 @@ impl VersionSet {
             removed.push(files.remove(pos));
         }
         for (level, meta) in &edit.added {
-            let files = &mut next.levels[*level];
+            let files = &mut levels[*level];
             let handle = match removed.iter().position(|f| f.number == meta.number) {
                 Some(i) => removed.swap_remove(i),
                 None => Arc::new(FileHandle::new(meta.clone())),
@@ -294,9 +361,22 @@ impl VersionSet {
                 files.insert(pos, handle);
             }
         }
+        let next = Version::with_levels(levels);
         next.check_invariants()?;
         let next = Arc::new(next);
-        *guard = Arc::clone(&next);
+        self.published
+            .store(Arc::as_ptr(&next).cast_mut(), Ordering::Release);
+        let replaced = std::mem::replace(&mut *guard, Arc::clone(&next));
+        drop(guard);
+        // Publish, unlock, wait, drop: a point read that borrowed the
+        // replaced version may still be in its read section, and this
+        // reference may be the version's last (whose drop can run a file's
+        // cleanup). Mutation hook for the model-checker regression suite
+        // (tests/model_mutation.rs): skip the grace period. Never set
+        // outside that suite.
+        #[cfg(not(flodb_model_mutation))]
+        self.readers.synchronize();
+        drop(replaced);
         Ok((next, removed))
     }
 }
@@ -327,7 +407,7 @@ mod tests {
         let v = Version::empty();
         v.check_invariants().unwrap();
         assert_eq!(v.num_files(), 0);
-        assert!(v.files_for_key(b"k").is_empty());
+        assert_eq!(v.files_for_key(b"k").count(), 0);
     }
 
     #[test]
@@ -374,8 +454,8 @@ mod tests {
         edit.add(1, meta(5, 0, 60));
         edit.add(2, meta(3, 0, 60));
         let (v, _) = vs.apply(&edit).unwrap();
-        let files = v.files_for_key(&30u64.to_be_bytes());
-        let numbers: Vec<u64> = files.iter().map(|(_, f)| f.number).collect();
+        let key = 30u64.to_be_bytes();
+        let numbers: Vec<u64> = v.files_for_key(&key).map(|(_, f)| f.number).collect();
         assert_eq!(numbers, vec![11, 10, 5, 3]);
     }
 
@@ -419,6 +499,73 @@ mod tests {
         assert!(removed.is_empty(), "a moved file is not obsolete");
         assert!(before.levels[2].is_empty() && after.levels[1].is_empty());
         assert!(Arc::ptr_eq(&before.levels[1][0], &after.levels[2][0]));
+    }
+
+    fn span(number: u64, lo: &[u8], hi: &[u8]) -> FileMeta {
+        FileMeta {
+            number,
+            size: 100,
+            smallest: lo.into(),
+            largest: hi.into(),
+            entries: 1,
+            largest_seq: number,
+        }
+    }
+
+    /// `files_for_key` by whole keys alone: every L0 file whose range holds
+    /// `key`, then per deeper level the first file whose largest key is not
+    /// below `key`, if its range holds it.
+    fn plain_files_for_key(v: &Version, key: &[u8]) -> Vec<(usize, u64)> {
+        let mut out: Vec<(usize, u64)> =
+            v.levels[0].iter().filter(|f| f.contains(key)).map(|f| (0, f.number)).collect();
+        for (level, files) in v.levels.iter().enumerate().skip(1) {
+            let i = files.partition_point(|f| f.largest.as_ref() < key);
+            if i < files.len() && files[i].contains(key) {
+                out.push((level, files[i].number));
+            }
+        }
+        out
+    }
+
+    use crate::prefix::test_keys::{probes_around, tricky_key, tricky_keys};
+    use proptest::prelude::*;
+
+    proptest! {
+        #[test]
+        fn files_for_key_matches_a_whole_key_partition_point(
+            keys in tricky_keys(),
+            draws in proptest::collection::vec(any::<u8>(), 1..64),
+            extra in proptest::collection::vec(tricky_key(), 0..20),
+        ) {
+            // Levels 1..=3 each cut the sorted keys into disjoint files of
+            // 1 to 4 keys, leaving every third span out (a gap); L0 gets
+            // up to three files over arbitrary, overlapping ranges.
+            let mut edit = VersionEdit::default();
+            let mut draw = draws.iter().cycle().map(|&d| usize::from(d));
+            let mut number = 0;
+            for level in 1..=3 {
+                let (mut at, mut spans) = (0, 0);
+                while at < keys.len() {
+                    let end = (at + 1 + draw.next().unwrap() % 4).min(keys.len());
+                    if (spans + level) % 3 != 0 {
+                        number += 1;
+                        edit.add(level, span(number, &keys[at], &keys[end - 1]));
+                    }
+                    (at, spans) = (end, spans + 1);
+                }
+            }
+            for _ in 0..draw.next().unwrap() % 4 {
+                let (a, b) = (draw.next().unwrap() % keys.len(), draw.next().unwrap() % keys.len());
+                number += 1;
+                edit.add(0, span(number, &keys[a.min(b)], &keys[a.max(b)]));
+            }
+            let (v, _) = VersionSet::new().apply(&edit).unwrap();
+            for probe in probes_around(&keys, &extra) {
+                let fast: Vec<(usize, u64)> =
+                    v.files_for_key(&probe).map(|(level, f)| (level, f.number)).collect();
+                prop_assert_eq!(fast, plain_files_for_key(&v, &probe), "probe {:?}", probe);
+            }
+        }
     }
 
     #[test]

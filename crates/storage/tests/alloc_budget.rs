@@ -1,14 +1,18 @@
-//! Allocation budget for the merge paths: compaction and disk scans
-//! allocate per *block* and per *file*, never per record.
+//! Allocation budget for the disk paths: compaction and disk scans
+//! allocate per *block* and per *file*, never per record, and a point get
+//! allocates only the record it returns.
 //!
 //! A record travels from the block buffer it was read from to the output
 //! block (or to the scan's visitor) as a borrow, so the only allocator
-//! calls left on these paths are the buffers `read_at` returns, the index
-//! entry and buffers of each output table, and a handful of vectors per
-//! call. The counts are deterministic, so this is the regression guard a
-//! time-based benchmark on a small, noisy machine cannot be: before the
-//! borrowed-record merge these paths made about eight allocator calls per
-//! record merged.
+//! calls left on the merge paths are the buffers `read_at` returns, the
+//! index entry and buffers of each output table, and a handful of vectors
+//! per call. A point get searches its block where the file keeps it
+//! (`read_with`) and borrows the version's file list. The counts are
+//! deterministic, so this is the regression guard a time-based benchmark
+//! on a small, noisy machine cannot be: before the borrowed-record merge
+//! these paths made about eight allocator calls per record merged, and
+//! before the borrowed block read a warm get of a key held in L0 and
+//! below made seven.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -161,4 +165,58 @@ fn disk_scan_allocates_per_block_and_file_not_per_record() {
         (allocations as f64) < 0.25 * seen as f64,
         "{allocations} allocations to scan {seen} keys over {files} files"
     );
+}
+
+#[test]
+fn disk_get_allocates_only_its_answer() {
+    const KEYS: u64 = 20_000;
+    let disk = DiskComponent::new(
+        Arc::new(MemEnv::new(None)),
+        DiskOptions {
+            compaction: CompactionConfig {
+                base_level_bytes: 64 << 10,
+                target_file_bytes: 32 << 10,
+                ..CompactionConfig::default()
+            },
+            // Every table stays open: a miss would allocate the table.
+            cache_capacity: 1 << 16,
+            ..DiskOptions::default()
+        },
+    );
+    // Three rounds over the key space, each flushed and compacted down:
+    // a key's versions end up at different depths.
+    for round in 0..3u64 {
+        let batch = (0..KEYS)
+            .map(|k| Record::put(key(k), round * KEYS + k + 1, vec![k as u8; VALUE_BYTES]))
+            .collect();
+        disk.flush_records(batch).unwrap();
+        disk.compact_all().unwrap();
+    }
+    // And some keys in L0, so a get also walks an overlapping level.
+    disk.flush_records(
+        (0..KEYS)
+            .step_by(5)
+            .map(|k| Record::put(key(k), 10 * KEYS + k, vec![1; VALUE_BYTES]))
+            .collect(),
+    )
+    .unwrap();
+    let stats = disk.stats();
+    assert!(
+        stats.files_per_level.iter().skip(1).filter(|&&n| n > 0).count() >= 3,
+        "{stats:?}"
+    );
+
+    let probes: Vec<u64> = (0..KEYS).step_by(97).collect();
+    // The first pass opens the tables and registers this thread's read
+    // slot; the budget is for a get on a warm disk.
+    for &k in &probes {
+        disk.get(&key(k)).unwrap().unwrap();
+    }
+    for &k in &probes {
+        let (allocations, record) = allocations_of(|| disk.get(&key(k)).unwrap());
+        let record = record.expect("every probed key is present");
+        assert_eq!(record.key.as_ref(), key(k));
+        // The answer's key and value: no block buffer, no file list.
+        assert!(allocations <= 2, "{allocations} allocations to get key {k}");
+    }
 }

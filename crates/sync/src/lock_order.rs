@@ -41,8 +41,6 @@ pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state"
 pub const CORE_FREEZE: LockClass = LockClass { name: "core.freeze", rank: 22 };
 /// `ViewCell.switch_lock`: serializes view switches (held across RCU sync).
 pub const CORE_VIEW_SWITCH: LockClass = LockClass { name: "core.view_switch", rank: 30 };
-/// `RcuDomain.registry`: reader-slot registry; synchronize scans under it.
-pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 34 };
 /// `WalState.log`: the WAL append path (leader holds it across fsync).
 pub const WAL_LOG: LockClass = LockClass { name: "wal.log", rank: 40 };
 /// `Inner.room` (+room_cv): writers stall here when the memtable is full.
@@ -75,8 +73,9 @@ pub const ENV_INNER: LockClass = LockClass { name: "env.inner", rank: 90 };
 pub const ENV_THROTTLE: LockClass = LockClass { name: "env.throttle", rank: 92 };
 /// `MemEnvInner.files` / `Mem{Writable,Random}.data`: per-file byte store.
 pub const ENV_DATA: LockClass = LockClass { name: "env.data", rank: 94 };
-/// `FsRandom.file`: seek+read serialization on a real file handle.
-pub const ENV_FILE: LockClass = LockClass { name: "env.file", rank: 96 };
+/// `RcuDomain.registry`: reader-slot registry; synchronize scans under it.
+/// The innermost leaf, so a grace period may be awaited under any lock.
+pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 96 };
 
 #[cfg(any(debug_assertions, flodb_model))]
 pub(crate) mod tracker {
@@ -137,7 +136,7 @@ mod tests {
     //! tests only exist in builds where the tracker is compiled in;
     //! release builds run the shim's type-identity test instead.
 
-    use super::{CORE_FREEZE, ENV_DATA, ENV_FILE, WAL_LOG};
+    use super::{CORE_FREEZE, ENV_DATA, SYNC_RCU_REGISTRY, WAL_LOG};
     use crate::shim::{ranked_mutex, ranked_rwlock};
 
     #[test]
@@ -191,10 +190,10 @@ mod tests {
     #[test]
     fn rwlock_accesses_are_ranked() {
         let data = ranked_rwlock(ENV_DATA, 0u8); // rank 94
-        let file = ranked_mutex(ENV_FILE, ()); // rank 96
+        let registry = ranked_mutex(SYNC_RCU_REGISTRY, ()); // rank 96
         let _r = data.read();
-        let _f = file.lock(); // ascends
-        drop(_f);
+        let _g = registry.lock(); // ascends
+        drop(_g);
         drop(_r);
         let _w = data.write();
     }
@@ -203,8 +202,8 @@ mod tests {
     #[should_panic(expected = "lock-order violation")]
     fn rwlock_read_under_higher_rank_panics() {
         let data = ranked_rwlock(ENV_DATA, 0u8); // rank 94
-        let file = ranked_mutex(ENV_FILE, ()); // rank 96
-        let _f = file.lock();
+        let registry = ranked_mutex(SYNC_RCU_REGISTRY, ()); // rank 96
+        let _g = registry.lock();
         let _r = data.read(); // 94 under 96: inversion
     }
 }
