@@ -307,31 +307,26 @@ impl DiskComponent {
 
     /// Point lookup: returns the freshest on-disk record for `key`
     /// (including tombstones) or `None`.
-    ///
-    /// The version is borrowed, not pinned by a reference count
-    /// ([`VersionSet::with_current`]): a compaction that removes a file
-    /// this lookup reads waits for the lookup before it can release it.
     pub fn get(&self, key: &[u8]) -> Result<Option<Record>> {
-        self.versions.with_current(|version| {
-            let mut best_l0: Option<Record> = None;
-            for (level, file) in version.files_for_key(key) {
-                if level != 0 && best_l0.is_some() {
-                    // Deeper levels are strictly older than any L0 hit.
-                    break;
-                }
-                let Some(record) = self.cache.get(file.number)?.get(key)? else {
-                    continue;
-                };
-                if level != 0 {
-                    return Ok(Some(record));
-                }
-                // L0 files overlap; keep searching L0 for a fresher seq.
-                if best_l0.as_ref().is_none_or(|b| record.seq > b.seq) {
-                    best_l0 = Some(record);
-                }
+        let version = self.versions.current();
+        let mut best_l0: Option<Record> = None;
+        for (level, file) in version.files_for_key(key) {
+            if level != 0 && best_l0.is_some() {
+                // Deeper levels are strictly older than any L0 hit.
+                break;
             }
-            Ok(best_l0)
-        })
+            let Some(record) = self.cache.get(file.number)?.get(key)? else {
+                continue;
+            };
+            if level != 0 {
+                return Ok(Some(record));
+            }
+            // L0 files overlap; keep searching L0 for a fresher seq.
+            if best_l0.as_ref().is_none_or(|b| record.seq > b.seq) {
+                best_l0 = Some(record);
+            }
+        }
+        Ok(best_l0)
     }
 
     /// Range scan over `[low, high]` (inclusive): freshest record per key,

@@ -1,12 +1,9 @@
 //! Leveled file metadata: versions and version edits.
 //!
 //! A [`Version`] is an immutable snapshot of which SSTables live in which
-//! level. Scans and compactions grab an `Arc<Version>` and proceed without
-//! locks (the RocksDB-style read path); a point read borrows the current
-//! version inside an RCU read section instead
-//! ([`VersionSet::with_current`]), so it writes no line other readers
-//! share. Writers apply [`VersionEdit`]s under the [`VersionSet`] mutex,
-//! installing a fresh `Arc`, and wait out the borrowers of the old one.
+//! level. Readers grab an `Arc<Version>` and proceed without locks (the
+//! RocksDB-style read path); writers apply [`VersionEdit`]s under the
+//! [`VersionSet`] mutex, installing a fresh `Arc`.
 //!
 //! Invariants (checked by `Version::check_invariants`):
 //! - L0 files may overlap and are ordered newest-first (higher file number
@@ -16,9 +13,7 @@
 use std::sync::Arc;
 
 use flodb_sync::lock_order::{VERSION_CLEANUP, VERSION_CURRENT};
-use flodb_sync::shim::atomic::{AtomicPtr, Ordering};
 use flodb_sync::shim::{ranked_mutex, Mutex};
-use flodb_sync::RcuDomain;
 
 use crate::error::{Result, StorageError};
 use crate::prefix::{key_prefix, Probe};
@@ -106,35 +101,17 @@ impl std::fmt::Debug for FileHandle {
     }
 }
 
-/// The [`key_prefix`]es of one level's file bounds, in the level's order.
-#[derive(Debug, Clone, Default)]
-struct LevelPrefixes {
-    smallest: Vec<u64>,
-    largest: Vec<u64>,
-}
-
-impl LevelPrefixes {
-    fn of(files: &[Arc<FileHandle>]) -> Self {
-        Self {
-            smallest: files.iter().map(|f| key_prefix(&f.smallest)).collect(),
-            largest: files.iter().map(|f| key_prefix(&f.largest)).collect(),
-        }
-    }
-
-    /// Whether file `i` of the level (`f`) holds `probe`'s key in its range.
-    fn contains(&self, i: usize, f: &FileMeta, probe: &Probe<'_>) -> bool {
-        probe.at_or_above(self.smallest[i], &f.smallest)
-            && probe.at_or_below(self.largest[i], &f.largest)
-    }
-}
-
 /// An immutable snapshot of the file layout.
 #[derive(Debug, Clone, Default)]
 pub struct Version {
     /// `levels[0]` newest-first; deeper levels sorted by smallest key.
     pub levels: Vec<Vec<Arc<FileHandle>>>,
-    /// Per level, the dense bound prefixes point lookups search.
-    prefixes: Vec<LevelPrefixes>,
+    /// Per level, the [`key_prefix`] of each file's largest key, in the
+    /// level's order: what a point lookup searches.
+    largest: Vec<Vec<u64>>,
+    /// The [`key_prefix`] of each L0 file's smallest key. Only L0 tests
+    /// every file's lower bound; a deeper level tests one candidate's.
+    l0_smallest: Vec<u64>,
 }
 
 impl Version {
@@ -144,8 +121,14 @@ impl Version {
     }
 
     fn with_levels(levels: Vec<Vec<Arc<FileHandle>>>) -> Self {
-        let prefixes = levels.iter().map(|files| LevelPrefixes::of(files)).collect();
-        Self { levels, prefixes }
+        Self {
+            largest: levels
+                .iter()
+                .map(|files| files.iter().map(|f| key_prefix(&f.largest)).collect())
+                .collect(),
+            l0_smallest: levels[0].iter().map(|f| key_prefix(&f.smallest)).collect(),
+            levels,
+        }
     }
 
     /// Total bytes at `level`.
@@ -183,21 +166,21 @@ impl Version {
         key: &'a [u8],
     ) -> impl Iterator<Item = (usize, &'a Arc<FileHandle>)> + 'a {
         let probe = Probe::new(key);
-        let l0 = &self.prefixes[0];
         let overlapping_l0 = self.levels[0]
             .iter()
             .enumerate()
-            .filter(move |(i, f)| l0.contains(*i, f, &probe))
+            .filter(move |&(i, f)| {
+                probe.at_or_above(self.l0_smallest[i], &f.smallest)
+                    && probe.at_or_below(self.largest[0][i], &f.largest)
+            })
             .map(|(_, f)| (0, f));
         let deeper = (1..self.levels.len()).filter_map(move |level| {
             // Levels >= 1 are sorted and disjoint: the only candidate is
             // the first file whose largest key is not below `key`.
-            let (files, prefixes) = (&self.levels[level], &self.prefixes[level]);
-            let i = probe.partition(&prefixes.largest, false, |i| &files[i].largest);
+            let files = &self.levels[level];
+            let i = probe.partition(&self.largest[level], false, |i| &files[i].largest);
             let f = files.get(i)?;
-            probe
-                .at_or_above(prefixes.smallest[i], &f.smallest)
-                .then_some((level, f))
+            (f.smallest.as_ref() <= key).then_some((level, f))
         });
         overlapping_l0.chain(deeper)
     }
@@ -258,23 +241,14 @@ impl VersionEdit {
 #[derive(Debug)]
 pub struct VersionSet {
     current: Mutex<Arc<Version>>,
-    /// The version `current` holds, for [`VersionSet::with_current`]'s
-    /// borrowers: it stays valid while a read section of `readers` that
-    /// loaded it is open, because `apply` drops its reference to a
-    /// replaced version only after a grace period of `readers`.
-    published: AtomicPtr<Version>,
-    readers: RcuDomain,
     next_file: std::sync::atomic::AtomicU64,
 }
 
 impl VersionSet {
     /// Creates a version set with an empty current version.
     pub fn new() -> Self {
-        let current = Arc::new(Version::empty());
         Self {
-            published: AtomicPtr::new(Arc::as_ptr(&current).cast_mut()),
-            current: ranked_mutex(VERSION_CURRENT, current),
-            readers: RcuDomain::new(),
+            current: ranked_mutex(VERSION_CURRENT, Arc::new(Version::empty())),
             next_file: std::sync::atomic::AtomicU64::new(1),
         }
     }
@@ -282,25 +256,6 @@ impl VersionSet {
     /// Returns the current version snapshot (lock held only for the clone).
     pub fn current(&self) -> Arc<Version> {
         Arc::clone(&self.current.lock())
-    }
-
-    /// Runs `f` on the current version, borrowed inside a read section
-    /// rather than cloned: no lock, and no write to a line another reader
-    /// shares (an `Arc` clone is a read-modify-write on the version's
-    /// count). The point-read path; scans and compactions, which hold a
-    /// version for long, take [`VersionSet::current`].
-    ///
-    /// A [`VersionSet::apply`] that replaces the version waits for `f` to
-    /// return before it drops its reference, so `f` must be short, must
-    /// not apply an edit to this set itself, and must clone what it keeps.
-    pub fn with_current<R>(&self, f: impl FnOnce(&Version) -> R) -> R {
-        let _section = self.readers.read_lock();
-        // SAFETY: `published` always points at the version `current` holds.
-        // `apply` replaces both, then drops its reference to the replaced
-        // version only after `readers.synchronize()`, which waits for this
-        // section; so the version outlives the borrow.
-        let version = unsafe { &*self.published.load(Ordering::Acquire) };
-        f(version)
     }
 
     // The file-number allocator is a pure monotonic counter: uniqueness
@@ -364,19 +319,7 @@ impl VersionSet {
         let next = Version::with_levels(levels);
         next.check_invariants()?;
         let next = Arc::new(next);
-        self.published
-            .store(Arc::as_ptr(&next).cast_mut(), Ordering::Release);
-        let replaced = std::mem::replace(&mut *guard, Arc::clone(&next));
-        drop(guard);
-        // Publish, unlock, wait, drop: a point read that borrowed the
-        // replaced version may still be in its read section, and this
-        // reference may be the version's last (whose drop can run a file's
-        // cleanup). Mutation hook for the model-checker regression suite
-        // (tests/model_mutation.rs): skip the grace period. Never set
-        // outside that suite.
-        #[cfg(not(flodb_model_mutation))]
-        self.readers.synchronize();
-        drop(replaced);
+        *guard = Arc::clone(&next);
         Ok((next, removed))
     }
 }

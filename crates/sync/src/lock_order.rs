@@ -41,6 +41,8 @@ pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state"
 pub const CORE_FREEZE: LockClass = LockClass { name: "core.freeze", rank: 22 };
 /// `ViewCell.switch_lock`: serializes view switches (held across RCU sync).
 pub const CORE_VIEW_SWITCH: LockClass = LockClass { name: "core.view_switch", rank: 30 };
+/// `RcuDomain.registry`: reader-slot registry; synchronize scans under it.
+pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 34 };
 /// `WalState.log`: the WAL append path (leader holds it across fsync).
 pub const WAL_LOG: LockClass = LockClass { name: "wal.log", rank: 40 };
 /// `Inner.room` (+room_cv): writers stall here when the memtable is full.
@@ -73,9 +75,6 @@ pub const ENV_INNER: LockClass = LockClass { name: "env.inner", rank: 90 };
 pub const ENV_THROTTLE: LockClass = LockClass { name: "env.throttle", rank: 92 };
 /// `MemEnvInner.files` / `Mem{Writable,Random}.data`: per-file byte store.
 pub const ENV_DATA: LockClass = LockClass { name: "env.data", rank: 94 };
-/// `RcuDomain.registry`: reader-slot registry; synchronize scans under it.
-/// The innermost leaf, so a grace period may be awaited under any lock.
-pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 96 };
 
 #[cfg(any(debug_assertions, flodb_model))]
 pub(crate) mod tracker {
@@ -136,7 +135,7 @@ mod tests {
     //! tests only exist in builds where the tracker is compiled in;
     //! release builds run the shim's type-identity test instead.
 
-    use super::{CORE_FREEZE, ENV_DATA, SYNC_RCU_REGISTRY, WAL_LOG};
+    use super::{CORE_FREEZE, ENV_DATA, ENV_INNER, WAL_LOG};
     use crate::shim::{ranked_mutex, ranked_rwlock};
 
     #[test]
@@ -189,21 +188,21 @@ mod tests {
 
     #[test]
     fn rwlock_accesses_are_ranked() {
-        let data = ranked_rwlock(ENV_DATA, 0u8); // rank 94
-        let registry = ranked_mutex(SYNC_RCU_REGISTRY, ()); // rank 96
-        let _r = data.read();
-        let _g = registry.lock(); // ascends
-        drop(_g);
+        let dir = ranked_rwlock(ENV_INNER, 0u8); // rank 90
+        let bytes = ranked_mutex(ENV_DATA, ()); // rank 94
+        let _r = dir.read();
+        let _b = bytes.lock(); // ascends
+        drop(_b);
         drop(_r);
-        let _w = data.write();
+        let _w = dir.write();
     }
 
     #[test]
     #[should_panic(expected = "lock-order violation")]
     fn rwlock_read_under_higher_rank_panics() {
-        let data = ranked_rwlock(ENV_DATA, 0u8); // rank 94
-        let registry = ranked_mutex(SYNC_RCU_REGISTRY, ()); // rank 96
-        let _g = registry.lock();
-        let _r = data.read(); // 94 under 96: inversion
+        let dir = ranked_rwlock(ENV_INNER, 0u8); // rank 90
+        let bytes = ranked_mutex(ENV_DATA, ()); // rank 94
+        let _b = bytes.lock();
+        let _r = dir.read(); // 90 under 94: inversion
     }
 }

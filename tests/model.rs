@@ -149,13 +149,3 @@ fn arena_roll_hands_out_disjoint_blocks() {
 fn arena_roll_hands_out_disjoint_blocks_random() {
     random().model(scenarios::arena_roll_body);
 }
-
-#[test]
-fn version_pin_outlives_the_get() {
-    dfs().model(scenarios::version_pin_body);
-}
-
-#[test]
-fn version_pin_outlives_the_get_random() {
-    random().model(scenarios::version_pin_body);
-}

@@ -1,9 +1,8 @@
 //! Mutation regression tests for the model checker itself: re-introduce
 //! each of the two fixed freeze races, drop the Membuffer recycle gate's
-//! ownership check, the switch's room exemption and the version set's
-//! grace period (via the `flodb_model_mutation` hooks in
-//! `crates/core/src/view.rs`, `crates/core/src/store/drain.rs`,
-//! `crates/sync/src/inflight.rs` and `crates/storage/src/version.rs`)
+//! ownership check and the switch's room exemption (via the
+//! `flodb_model_mutation` hooks in `crates/core/src/view.rs`,
+//! `crates/core/src/store/drain.rs` and `crates/sync/src/inflight.rs`)
 //! and assert flodb-check *finds* them. A checker that stops finding
 //! known-lost-write races has bit-rotted; this suite turns that into a
 //! red test.
@@ -114,23 +113,6 @@ fn checker_finds_the_room_stall_hang() {
         "expected a hang, got {:?}",
         failure.kind
     );
-}
-
-#[test]
-fn checker_finds_the_unpinned_version() {
-    // `VersionSet::apply` without its grace period drops the replaced
-    // version while a point get still reads a file only that version
-    // names: the file's cleanup (evict + unlink) runs under the get.
-    let failure = Builder::dfs(2)
-        .iterations(3000)
-        .check(scenarios::version_pin_body)
-        .expect_err("the grace-period mutation must run a cleanup under a get");
-    assert_lost_write(&failure, "cleanup ran while a get still read it");
-
-    let replayed = Builder::replay(failure.schedule.clone())
-        .check(scenarios::version_pin_body)
-        .expect_err("replaying the failing schedule must fail again");
-    assert_lost_write(&replayed, "cleanup ran while a get still read it");
 }
 
 #[test]

@@ -17,7 +17,7 @@ use flodb::core::drain::{help_drain_imm_via, DrainStyle, Drainer};
 use flodb::core::view::{ImmMembuffer, MemView, ViewCell};
 use flodb::membuffer::{MemBuffer, MemBufferConfig};
 use flodb::memtable::SkipList;
-use flodb::sync::shim::atomic::{AtomicBool, AtomicUsize, Ordering};
+use flodb::sync::shim::atomic::{AtomicUsize, Ordering};
 use flodb::sync::shim::{thread, Arc, Mutex};
 use flodb::sync::{GroupCommitConfig, GroupCommitter, PauseFlag, PhasedInflight, SequenceGenerator};
 
@@ -779,72 +779,4 @@ pub fn arena_roll_body() {
         it.next();
     }
     assert!(!it.valid());
-}
-
-/// A disk get's version pin racing an `apply` that deletes the file the
-/// get reads.
-///
-/// `DiskComponent::get` borrows the current version inside a read section
-/// of the version set ([`VersionSet::with_current`]) instead of cloning
-/// its `Arc`. The reader here does what the get does with it: it finds the
-/// file to read with `files_for_key` and, while it would be reading it
-/// (table cache, block read), holds `reading` raised. The applier deletes
-/// that file and drops the handle `apply` hands back, as a compaction
-/// does; the last reference runs the file's cleanup (evict + unlink in the
-/// store), which must never see `reading` raised: `apply` publishes the
-/// new version, unlocks, waits a grace period, and only then drops the
-/// old one. Mutated (`--cfg flodb_model_mutation` skips the grace period),
-/// the cleanup can run while the get still reads.
-///
-/// The reader touches the borrowed version only before its first
-/// synchronization step, so even the mutated run never reads a version
-/// freed under it.
-pub fn version_pin_body() {
-    use flodb::storage::version::{FileMeta, VersionEdit, VersionSet};
-
-    let versions = Arc::new(VersionSet::new());
-    let mut add = VersionEdit::default();
-    add.add(
-        1,
-        FileMeta {
-            number: 1,
-            size: 100,
-            smallest: Box::new(0u64.to_be_bytes()),
-            largest: Box::new(9u64.to_be_bytes()),
-            entries: 10,
-            largest_seq: 10,
-        },
-    );
-    versions.apply(&add).unwrap();
-    let reading = Arc::new(AtomicBool::new(false));
-    let cleanup_check = Arc::clone(&reading);
-    versions.current().levels[1][0].set_cleanup(move || {
-        assert!(
-            !cleanup_check.load(Ordering::SeqCst),
-            "a file's cleanup ran while a get still read it"
-        );
-    });
-
-    let reader = {
-        let versions = Arc::clone(&versions);
-        let reading = Arc::clone(&reading);
-        thread::spawn(move || {
-            let key = 5u64.to_be_bytes();
-            versions.with_current(|version| {
-                if version.files_for_key(&key).any(|(_, f)| f.number == 1) {
-                    reading.store(true, Ordering::SeqCst);
-                    thread::yield_now(); // the table cache and the block read
-                    reading.store(false, Ordering::SeqCst);
-                }
-            });
-        })
-    };
-
-    let mut delete = VersionEdit::default();
-    delete.delete(1, 1);
-    let (_, removed) = versions.apply(&delete).unwrap();
-    // The compaction's reference to the removed handle, dropped after it
-    // installed the cleanup: with the old version gone, the last one.
-    drop(removed);
-    reader.join().unwrap();
 }
