@@ -177,7 +177,7 @@ impl Inner {
         commit_ns: &Cell<u64>,
     ) -> Result<(), StorageError> {
         let t0 = self.full_timer();
-        let sync_ns = wal.append_checked(|log| {
+        let (sync_ns, logged) = wal.append_checked(|log| {
             let outcome = log.append_group_frame(frame)?;
             // Published under the log lock, like the switch's roll resets
             // it: a store after the unlock could overwrite the reset with
@@ -185,8 +185,12 @@ impl Inner {
             self.stats
                 .wal_active_bytes
                 .store(outcome.active_bytes, Ordering::Relaxed);
-            Ok(outcome.sync_ns)
+            Ok((outcome.sync_ns, outcome.active_bytes))
         })?;
+        if self.log_bound_reached(wal, logged) {
+            // The log bound makes a switch due.
+            self.persist_park.wake();
+        }
         if sync_ns > 0 && self.telemetry.counters() {
             FloDbStats::add(&self.stats.wal_sync_ns, sync_ns);
         }

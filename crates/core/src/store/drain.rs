@@ -26,7 +26,6 @@
 
 use std::ops::Range;
 use std::sync::atomic::Ordering;
-use std::time::Duration;
 
 use flodb_membuffer::{MemBuffer, RemoveToken};
 use flodb_memtable::{BatchEntry, SkipList};
@@ -242,40 +241,37 @@ pub fn help_drain_imm_via(
 impl Inner {
     /// Background draining (Figure 6): drainer `worker` laps its chunks of
     /// the live Membuffer ([`Drainer::lap`]), keeping occupancy low. While
-    /// a freeze pauses it, it waits; after a lap that found nothing it
-    /// spends an idle beat.
+    /// a freeze pauses it, it waits for the resume (or the shutdown). After
+    /// a lap that found nothing it parks, unless it was kicked since the
+    /// lap began, until a kick ([`Inner::kick_drainers`]): a writer that
+    /// finds its bucket full (`write.rs`), a settle, or the shutdown.
+    /// Entries added in between wait in the Membuffer, which absorbs them
+    /// by design; waking on every empty → non-empty flip instead would put
+    /// a wake on the fast path of every put into an idle store.
     pub(super) fn drain_loop(&self, worker: usize) {
         let chunks = self.view.read(|v| v.mbf.as_ref().map_or(0, |m| m.chunks()));
         let mut drainer = Drainer::new(chunks, worker, self.opts.drain_threads.max(1));
-        let mut idle_beats = 0usize;
+        let kicked = &self.drain_kicks[worker];
+        let has_work = || self.stop.load(Ordering::Acquire) || kicked.load(Ordering::Relaxed);
         while !self.stop.load(Ordering::Acquire) {
             if self.frozen.is_paused() {
                 self.frozen
-                    .wait_until_resumed_timeout(Duration::from_millis(10));
+                    .wait_until_resumed_or(|| self.stop.load(Ordering::Acquire));
                 continue;
             }
+            // A kick from here on asks for another lap.
+            if kicked.load(Ordering::Relaxed) {
+                kicked.store(false, Ordering::Relaxed);
+            }
             let help = drainer.lap(&self.view, &self.frozen, &self.seq, self.drain_style);
-            if help.entries == 0 {
-                // Nothing to drain: use the idle beat to walk the
-                // reclamation epoch forward (hot-path pins only attempt
-                // this sporadically). `flush` takes the global
-                // participant/garbage mutexes, so an idle store must not
-                // hammer them every 100us from every worker: throttle to
-                // every 8th beat — the bound that matters when a live
-                // guard elsewhere holds the counter gap open indefinitely
-                // — and skip entirely while the collector's counters show
-                // no garbage outstanding (two relaxed loads).
-                idle_beats = idle_beats.wrapping_add(1);
-                let garbage = FloDbStats::reclamation();
-                if idle_beats.is_multiple_of(8)
-                    && garbage.destructions_executed != garbage.destructions_deferred
-                {
-                    crossbeam_epoch::pin().flush();
-                }
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
+            if help.entries > 0 {
                 FloDbStats::add(&self.stats.drained_entries, help.entries as u64);
                 FloDbStats::add(&self.stats.drain_batches, help.chunks as u64);
+                self.wake_persist_if_full();
+            } else if !has_work() {
+                Self::flush_epoch_bag();
+                self.post_progress();
+                self.drain_park.park_until(has_work);
             }
         }
     }

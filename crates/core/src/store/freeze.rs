@@ -35,6 +35,8 @@ impl Inner {
             body(&mut spare)
         };
         self.frozen.resume();
+        // A settle may be waiting for the frozen buffer to go.
+        self.post_progress();
         out
     }
 
@@ -68,6 +70,8 @@ impl Inner {
             // is released.
             if let Some(imm) = &imm {
                 imm.open_for_drain();
+                // Paused writers waiting for the drain to open help now.
+                self.frozen.notify();
                 let moved =
                     drain::help_drain_imm_via(imm, &self.view, &self.seq, self.drain_style).entries;
                 FloDbStats::add(&self.stats.drained_entries, moved as u64);
@@ -82,6 +86,7 @@ impl Inner {
                     "a fully drained frozen Membuffer must be empty — anything \
                      left here is an acknowledged write about to be dropped"
                 );
+                self.wake_persist_if_full();
             }
             self.view.release_frozen_membuffer();
             // That switch's grace period has retired the last view holding

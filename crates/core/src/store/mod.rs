@@ -49,7 +49,7 @@ mod write;
 
 use std::iter;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Instant;
@@ -57,9 +57,9 @@ use std::time::Instant;
 use flodb_membuffer::{MemBuffer, MemBufferConfig};
 use flodb_memtable::SkipList;
 use flodb_storage::{DiskComponent, StorageError};
-use flodb_sync::lock_order::{CORE_FREEZE, CORE_PERSIST_PARK, CORE_ROOM, CORE_THREADS};
-use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
-use flodb_sync::{PauseFlag, SequenceGenerator};
+use flodb_sync::lock_order::{CORE_FREEZE, CORE_THREADS};
+use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::{Park, PauseFlag, SequenceGenerator};
 
 use self::commit::WalState;
 use self::drain::DrainStyle;
@@ -102,12 +102,20 @@ struct Inner {
     /// `flush_all`/`quiesce` calls waiting: the persist thread then merges
     /// a lone flushed run too. A `Relaxed` hint, re-read every round.
     settling: AtomicUsize,
-    /// Writers waiting for Memtable room park here (Algorithm 2, line 18).
-    room: Mutex<()>,
-    room_cv: Condvar,
-    /// The persist thread parks here between checks.
-    persist_park: Mutex<()>,
-    persist_cv: Condvar,
+    /// Writers waiting for Memtable room (Algorithm 2, line 18), or for a
+    /// switch's cut, park here; the switch and a degrade wake them.
+    room: Park,
+    /// The persist thread parks here while no switch is due and no
+    /// compaction is wanted.
+    persist_park: Park,
+    /// The drain threads park here after a lap that found nothing, until
+    /// their flag in `drain_kicks` is set ([`Inner::kick_drainers`]).
+    drain_park: Park,
+    drain_kicks: Box<[AtomicBool]>,
+    /// `flush_all` and `quiesce` park here until the background threads
+    /// end a step ([`Inner::post_progress`]), counted in `steps`.
+    progress: Park,
+    steps: AtomicU64,
     wal: Option<WalState>,
     /// Store-level health latch, closed by a *persistent* background I/O
     /// failure (a flush or compaction still failing after its bounded
@@ -173,11 +181,49 @@ impl Inner {
         // the cause lock is released (the dump takes its own leaf lock).
         self.telemetry.event(TraceEventKind::Degraded, 0, 0);
         self.telemetry.dump_to_stderr(what);
+        // Room waiters and settles treat a degraded store as settled.
+        self.room.wake();
+        self.post_progress();
     }
 
-    fn wake_persist(&self) {
-        let _g = self.persist_park.lock();
-        self.persist_cv.notify_all();
+    /// Wakes the persist thread if the Memtable has reached its trigger:
+    /// called after anything that inserts into it (a drain, a writer's
+    /// slow path, a freeze's drain).
+    fn wake_persist_if_full(&self) {
+        if self.view.read(|v| v.mtb.approximate_bytes()) >= self.memtable_trigger {
+            self.persist_park.wake();
+        }
+    }
+
+    /// Asks every drain thread for another lap — a writer found its bucket
+    /// full, or a settle waits for the Membuffer to empty — and wakes the
+    /// parked ones. A flag already set is only read, so writers that find
+    /// buckets full while the drainers lap write no shared line.
+    fn kick_drainers(&self) {
+        for kick in self.drain_kicks.iter() {
+            if !kick.load(Ordering::Relaxed) {
+                kick.store(true, Ordering::Relaxed);
+            }
+        }
+        self.drain_park.wake();
+    }
+
+    /// Ends a background step: counts it, then wakes `flush_all` and
+    /// `quiesce` to re-check what they wait for.
+    fn post_progress(&self) {
+        self.steps.fetch_add(1, Ordering::Release);
+        self.progress.wake();
+    }
+
+    /// Seals this thread's epoch bag and collects what is due. Only a
+    /// bag's owner can seal it, so an engine thread calls this before it
+    /// parks; skipped while the collector's counters show no garbage
+    /// outstanding (two relaxed loads).
+    fn flush_epoch_bag() {
+        let garbage = FloDbStats::reclamation();
+        if garbage.destructions_executed != garbage.destructions_deferred {
+            crossbeam_epoch::pin().flush();
+        }
     }
 
     /// The start of a latency sample: `Some(now)` at
@@ -247,10 +293,12 @@ impl FloDb {
             stop: AtomicBool::new(false),
             force_flush: AtomicBool::new(false),
             settling: AtomicUsize::new(0),
-            room: ranked_mutex(CORE_ROOM, ()),
-            room_cv: ranked_condvar(CORE_ROOM),
-            persist_park: ranked_mutex(CORE_PERSIST_PARK, ()),
-            persist_cv: ranked_condvar(CORE_PERSIST_PARK),
+            room: Park::new(),
+            persist_park: Park::new(),
+            drain_park: Park::new(),
+            drain_kicks: (0..drain_threads).map(|_| AtomicBool::new(false)).collect(),
+            progress: Park::new(),
+            steps: AtomicU64::new(0),
             wal,
             degraded: ErrorLatch::new("store degraded by a persistent background I/O failure"),
             telemetry: EngineTelemetry::new(opts.telemetry),
@@ -387,7 +435,10 @@ impl KvStore for FloDb {
 impl Drop for FloDb {
     fn drop(&mut self) {
         self.inner.stop.store(true, Ordering::Release);
-        self.inner.wake_persist();
+        self.inner.persist_park.wake();
+        self.inner.kick_drainers();
+        // A drainer may be waiting out a pause nobody will resume.
+        self.inner.frozen.notify();
         for handle in self.threads.lock().drain(..) {
             // LOCK-OK: shutdown-only join; the joined workers never take
             // FloDb.threads, and drop is the lock's only contender.

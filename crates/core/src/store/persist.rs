@@ -75,6 +75,8 @@ impl Inner {
                     while !backoff.is_completed() {
                         backoff.snooze();
                     }
+                    // SLEEP-OK: a failing device's retry backoff (1-16 ms
+                    // over at most IO_RETRY_LIMIT attempts), not a poll.
                     std::thread::sleep(Duration::from_millis(1 << attempt.min(4)));
                 }
             }
@@ -88,14 +90,18 @@ impl Inner {
     /// merging one alone rewrites L1 and the levels below it once per flush
     /// (`ingest` `write_amp` ≈ 12.8 against ≈ 9 in pairs). So a lone run
     /// waits for the next switch's, unless `flush_all` or `quiesce` waits.
+    ///
+    /// Each step ends with a progress notice for them. With no step to
+    /// take, the thread parks until one is due: a Memtable insert that
+    /// reaches the trigger, a commit that reaches the log bound, a settle
+    /// or the shutdown wakes it.
     pub(super) fn persist_loop(&self) {
         let mut unmerged = 0;
         while !self.stop.load(Ordering::Acquire) {
             let flushed = self.persist_once();
             unmerged += usize::from(flushed.is_some());
-            let mut compacted = false;
-            if unmerged != 1 || self.settling.load(Ordering::Relaxed) > 0 {
-                compacted = self.compact();
+            if self.merge_wanted(unmerged) {
+                self.compact();
                 unmerged = 0;
             }
             // The flushed table is freed after the compaction, not where it
@@ -104,17 +110,31 @@ impl Inner {
             // own, ≈ 0.3 µs an entry — ≈ 25 ms a cycle that, spent first,
             // delays the compaction the writers are waiting on (`ingest`
             // `ops_per_s` −12 % when it was freed first).
-            let persisted = flushed.is_some();
             drop(flushed);
-            if !persisted && !compacted {
-                let mut g = self.persist_park.lock();
-                self.persist_cv.wait_for(&mut g, Duration::from_micros(500));
+            self.post_progress();
+            let has_work = || {
+                self.stop.load(Ordering::Acquire)
+                    || self.switch_due()
+                    || (self.merge_wanted(unmerged)
+                        && !self.is_degraded()
+                        && self.compaction_pending())
+            };
+            if !has_work() {
+                Self::flush_epoch_bag();
+                self.persist_park.park_until(has_work);
             }
         }
         // Final switch so `Drop` leaves no due work behind. Compaction
         // debt it leaves is the next open's loop's to service, like the
         // debt of recovery's flushes.
         self.persist_once();
+    }
+
+    /// Whether the loop compacts now, with `unmerged` flushed runs since
+    /// its last compaction: not while one run waits for its pair, unless a
+    /// `flush_all` or `quiesce` waits.
+    fn merge_wanted(&self, unmerged: usize) -> bool {
+        unmerged != 1 || self.settling.load(Ordering::Relaxed) > 0
     }
 
     /// Whether the disk component carries compaction debt this store
@@ -128,23 +148,21 @@ impl Inner {
     /// switch's flush or recovery's at open: retried, timed as a
     /// [`StageClass::Compaction`], and latching the store degraded if it
     /// keeps failing (never a panic — whatever was flushed is already
-    /// durable, only the level shape degrades). Returns whether a pass ran
-    /// to the end.
-    fn compact(&self) -> bool {
+    /// durable, only the level shape degrades).
+    fn compact(&self) {
         if self.is_degraded() || !self.compaction_pending() {
-            return false;
+            return;
         }
         let t0 = self.telemetry.counters().then(Instant::now);
         if let Err(e) = self.io_with_retries(|| self.disk.compact_all()) {
             self.degrade("compaction", &e);
-            return false;
+            return;
         }
         if let Some(t0) = t0 {
             let ns = t0.elapsed().as_nanos() as u64;
             self.telemetry.record_stage(StageClass::Compaction, ns);
             self.telemetry.event(TraceEventKind::Compaction, ns, 0);
         }
-        true
     }
 
     /// The log a switch rolls: none on a degraded store, whose log is the
@@ -160,9 +178,7 @@ impl Inner {
     /// degraded store's unflushable table is still resident.
     pub(super) fn switch_due(&self) -> bool {
         let log_full = self.rolling_wal().is_some_and(|wal| {
-            let logged = self.stats.wal_active_bytes.load(Ordering::Relaxed);
-            logged.saturating_sub(wal.switched_at.load(Ordering::Relaxed))
-                >= self.opts.wal_segment_max_bytes as u64
+            self.log_bound_reached(wal, self.stats.wal_active_bytes.load(Ordering::Relaxed))
         });
         let force = self.force_flush.load(Ordering::Acquire);
         self.view.read(|v| {
@@ -171,6 +187,13 @@ impl Inner {
                     || v.mtb.approximate_bytes() >= self.memtable_trigger
                     || (force && !(v.mtb.is_empty() && membuffer_drained(v))))
         })
+    }
+
+    /// Whether the active segment, `logged` bytes long, holds
+    /// `wal_segment_max_bytes` logged since the last switch.
+    pub(super) fn log_bound_reached(&self, wal: &WalState, logged: u64) -> bool {
+        logged.saturating_sub(wal.switched_at.load(Ordering::Relaxed))
+            >= self.opts.wal_segment_max_bytes as u64
     }
 
     /// Whether a switch has sealed segments it has not retired yet (with
@@ -220,7 +243,7 @@ impl Inner {
         if let Some(wal) = wal {
             wal.cutting.store(false, Ordering::Release);
         }
-        self.notify_room();
+        self.room.wake();
         let flushed = self.flush_imm(&imm);
         if let (Some(wal), Some((horizon, grace_ns))) = (wal, rolled) {
             // A failed flush degraded the store: the sealed segments are
@@ -264,7 +287,7 @@ impl Inner {
             self.telemetry.event(TraceEventKind::IoRetry, 1, 0);
             return None;
         };
-        self.notify_room();
+        self.room.wake();
         let sealed_bytes = sealed.bytes_written();
         // Best effort: the switch's flush covers the segment anyway.
         let _ = sealed.finish();
@@ -322,12 +345,6 @@ impl Inner {
             .store(log.live_generations(), Ordering::Relaxed);
     }
 
-    /// Wakes writers waiting for Memtable room.
-    fn notify_room(&self) {
-        let _g = self.room.lock();
-        self.room_cv.notify_all();
-    }
-
     /// Flushes one immutable Memtable to the disk component and releases
     /// it.
     ///
@@ -365,7 +382,7 @@ impl Inner {
         // Memtable" as "flush settled", counters included.
         FloDbStats::bump(&self.stats.persists);
         self.view.release_immutable_memtable();
-        self.notify_room();
+        self.room.wake();
         true
     }
 }

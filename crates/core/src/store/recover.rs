@@ -112,7 +112,6 @@ mod tests {
     #[test]
     fn version_logged_during_a_frozen_drain_outranks_the_one_it_flushes() {
         use std::sync::atomic::Ordering;
-        use std::time::Duration;
 
         let opts = wal_opts();
         {
@@ -132,10 +131,7 @@ mod tests {
             inner.view.release_frozen_membuffer();
             // The checkpoint's flush: the Memtable holds only "older".
             inner.force_flush.store(true, Ordering::SeqCst);
-            while !inner.view.read(|v| v.imm_mtb.is_none() && v.mtb.is_empty()) {
-                inner.wake_persist();
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            inner.settle_until(|| inner.view.read(|v| v.imm_mtb.is_none() && v.mtb.is_empty()));
             inner.force_flush.store(false, Ordering::SeqCst);
             assert_eq!(db.disk_stats().flushes, 1);
             assert_eq!(db.get(b"k"), Some(b"newer".to_vec()));
@@ -161,7 +157,6 @@ mod tests {
     #[test]
     fn a_flushed_table_never_holds_a_write_without_the_writers_earlier_ones() {
         use std::sync::atomic::Ordering;
-        use std::time::Duration;
 
         use flodb_storage::record::encode_record_parts;
         use flodb_storage::wal::{parse_wal_name, SEGMENT_HEADER_BYTES};
@@ -179,10 +174,9 @@ mod tests {
                 .view
                 .read(|v| v.mtb.insert(b"newer", Some(b"2"), inner.seq.next()));
             inner.force_flush.store(true, Ordering::SeqCst);
-            while db.disk_stats().flushes == 0 || inner.view.read(|v| v.imm_mtb.is_some()) {
-                inner.wake_persist();
-                std::thread::sleep(Duration::from_micros(100));
-            }
+            inner.settle_until(|| {
+                db.disk_stats().flushes > 0 && inner.view.read(|v| v.imm_mtb.is_none())
+            });
             inner.force_flush.store(false, Ordering::SeqCst);
             // Crash, with drains still paused.
         }

@@ -2,11 +2,9 @@
 //! settle-wait on the background stages followed by their own epilogue.
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
-
-use flodb_sync::Backoff;
 
 use super::{FloDb, Inner};
+use crate::stats::FloDbStats;
 use crate::view::MemView;
 
 /// No entry in the Membuffer and no frozen Membuffer mid-drain.
@@ -27,7 +25,7 @@ impl FloDb {
         // On a degraded store the remaining memory-resident data cannot be
         // forced down (that is what degraded *means*); waiting would wedge
         // this maintenance call forever.
-        inner.wait_until(|| {
+        inner.settle_until(|| {
             inner.is_degraded()
                 || inner.view.read(|v| {
                     membuffer_drained(v) && v.imm_mtb.is_none() && v.mtb.is_empty()
@@ -38,36 +36,41 @@ impl FloDb {
         inner.force_flush.store(false, Ordering::SeqCst);
         // The flushes left their compaction debt to the persist thread,
         // the only one that compacts; wait for it like `quiesce` does.
-        inner.wait_until(|| inner.is_degraded() || !inner.compaction_pending());
+        inner.settle_until(|| inner.is_degraded() || !inner.compaction_pending());
     }
 }
 
 impl Inner {
-    /// The settle-wait behind `flush_all` and `quiesce`: polls `settled`,
-    /// waking the persist thread before each round. What it waits for can
-    /// be a compaction — hundreds of milliseconds of another thread's work
-    /// — so once the backoff stops escalating it sleeps between polls
-    /// instead of yielding in a loop beside the thread it waits on.
-    fn wait_until(&self, settled: impl Fn() -> bool) {
+    /// The settle-wait behind `flush_all` and `quiesce`: wakes the persist
+    /// thread (and the drain threads, while the Membuffer holds entries),
+    /// and until `settled` holds, parks until one of them ends a step
+    /// ([`Inner::post_progress`]) — a switch, a compaction, a drainer going
+    /// idle, a freeze window closing — then wakes them again. Every change
+    /// `settled` waits for is one of those steps, so the wait needs no
+    /// timer.
+    pub(super) fn settle_until(&self, settled: impl Fn() -> bool) {
         self.settling.fetch_add(1, Ordering::Relaxed);
-        let backoff = Backoff::new();
         loop {
-            self.wake_persist();
+            let seen = self.steps.load(Ordering::Acquire);
+            self.persist_park.wake();
+            // Only a live Membuffer with entries is work for the drainers:
+            // a kick they answer with an empty lap posts progress, which
+            // would only bring this loop round again.
+            if self.view.read(|v| v.mbf.as_ref().is_some_and(|m| !m.is_empty())) {
+                self.kick_drainers();
+            }
             if settled() {
-                self.settling.fetch_sub(1, Ordering::Relaxed);
                 break;
             }
-            if backoff.is_completed() {
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                backoff.snooze();
-            }
+            self.progress
+                .park_until(|| self.steps.load(Ordering::Acquire) != seen);
         }
+        self.settling.fetch_sub(1, Ordering::Relaxed);
     }
 
     /// The body of [`KvStore::quiesce`](crate::KvStore::quiesce).
     pub(super) fn quiesce(&self) {
-        self.wait_until(|| {
+        self.settle_until(|| {
             let (drained, flushed) =
                 self.view.read(|v| (membuffer_drained(v), v.imm_mtb.is_none()));
             // A due switch (or one already in flight between its trigger
@@ -91,60 +94,30 @@ impl Inner {
                 && (self.is_degraded()
                     || (flushed && !switch_pending && !compaction_pending))
         });
-        // Background work has settled; also settle epoch reclamation. Each
-        // round can advance the epoch one step past this thread's own pin,
-        // so repeated rounds walk sealed garbage through its two-epoch
-        // grace period. The background drain threads keep pinning on their
-        // idle beat, which can make any individual advancement attempt
-        // fail, so we retry until the shim's counters show executed caught
-        // up to deferred — bounded, because a thread holding a guard open
-        // (legitimately) stalls reclamation forever.
-        //
-        // Garbage can also sit in a drain thread's *unsealed* local bag,
-        // which only that thread's own idle-beat flush (100us cadence, see
-        // drain_loop) can seal — so once backoff stops spinning, block in
-        // real sleeps long enough for every drain thread to take an idle
-        // beat; pure yields could burn the whole budget before they are
-        // scheduled. The budget is a wall-clock deadline (not an iteration
-        // count) so a briefly-descheduled drain thread cannot exhaust it,
-        // yet a guard held open across quiesce (which legitimately stalls
-        // reclamation forever) still cannot hang us.
-        //
-        // The counters are process-global, so another epoch user in this
-        // process (a second store, a raw skiplist) can hold the gap open
-        // forever; once pumping stops shrinking it, further rounds are
-        // wasted — bail after a stretch of no progress (~6ms of sleeps,
-        // dozens of drain idle beats) rather than burning the whole
-        // deadline.
-        let deadline = Instant::now() + Duration::from_secs(1);
-        let backoff = Backoff::new();
+        // Background work has settled, and the engine threads sealed their
+        // epoch bags before they parked; settle reclamation from here. Each
+        // round seals this thread's bag and can walk the epoch one step
+        // past its own pin, and garbage needs two steps. Stop once the
+        // counters converge, or once three rounds in a row bring the gap
+        // to no new low: the counters are process-global, and another
+        // epoch user (a second store, a guard held open) can keep the gap
+        // open for good.
         let mut best_gap = u64::MAX;
-        let mut stalled_rounds = 0u32;
-        loop {
-            let executed = crossbeam_epoch::shim_stats::destructions_executed();
-            let deferred = crossbeam_epoch::shim_stats::destructions_deferred();
-            if executed == deferred {
+        let mut idle_rounds = 0;
+        while idle_rounds < 3 {
+            let garbage = FloDbStats::reclamation();
+            let gap = garbage
+                .destructions_deferred
+                .saturating_sub(garbage.destructions_executed);
+            if gap == 0 {
                 break;
             }
-            let gap = deferred - executed;
             if gap < best_gap {
-                best_gap = gap;
-                stalled_rounds = 0;
+                (best_gap, idle_rounds) = (gap, 0);
             } else {
-                stalled_rounds += 1;
-                if stalled_rounds >= 64 {
-                    break;
-                }
-            }
-            if Instant::now() >= deadline {
-                break;
+                idle_rounds += 1;
             }
             crossbeam_epoch::pin().flush();
-            if backoff.is_completed() {
-                std::thread::sleep(Duration::from_micros(100));
-            } else {
-                backoff.snooze();
-            }
         }
     }
 }

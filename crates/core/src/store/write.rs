@@ -3,7 +3,7 @@
 //! Memtable otherwise.
 
 use std::sync::atomic::Ordering;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use flodb_membuffer::AddResult;
 use flodb_storage::record::encode_record_parts;
@@ -116,13 +116,14 @@ impl Inner {
     /// grace waits for it, so all of it is in the table. A single write
     /// needs no wait — it is before the swap or after it.
     fn wait_for_cut(&self, wal: &WalState, window: &InflightGuard<'_>) {
-        // ORDERING: pairs with the persist thread's SeqCst store before its
-        // phase flip: a window that entered after the flip (not awaited)
-        // must see the flag, or the batch would apply across the swap.
-        while wal.cutting.load(Ordering::SeqCst) && !window.is_awaited() {
-            let mut g = self.room.lock();
-            self.room_cv.wait_for(&mut g, Duration::from_micros(500));
-        }
+        // The switch clears the flag after its swap and wakes the room.
+        self.room.park_until(|| {
+            // ORDERING: pairs with the persist thread's SeqCst store before
+            // its phase flip: a window that entered after the flip (not
+            // awaited) must see the flag, or the batch would apply across
+            // the swap.
+            !wal.cutting.load(Ordering::SeqCst) || window.is_awaited()
+        });
     }
 
     /// Applies one acknowledged write to the memory component (Algorithm
@@ -147,6 +148,9 @@ impl Inner {
                 FloDbStats::bump(&self.stats.membuffer_writes);
                 return;
             }
+            // A full bucket is work for a parked drainer. Waking only here,
+            // on the slow path, keeps the fast path's puts free of it.
+            self.kick_drainers();
         }
 
         // Slow path (Algorithm 2, lines 12-20).
@@ -156,8 +160,8 @@ impl Inner {
             // grace period has elapsed (`drain_ready`); helping before
             // that could claim a bucket a straggling writer is still
             // adding to, and the straggler's entry would be dropped with
-            // the buffer. The short timed wait re-checks readiness so
-            // writers still join the drain once it opens.
+            // the buffer. A writer that finds the drain shut waits for the
+            // freezer to open it (it posts on the pause flag) or resume.
             while self.frozen.is_paused() {
                 let imm = self.view.read(|v| v.imm_mbf.clone());
                 match imm {
@@ -184,51 +188,47 @@ impl Inner {
                         // the wait would keep the freezer from recycling
                         // the drained buffer.
                         drop(imm);
-                        self.frozen
-                            .wait_until_resumed_timeout(Duration::from_micros(50));
+                        self.frozen.wait_until_resumed_or(|| {
+                            self.view.read(|v| {
+                                v.imm_mbf.as_ref().is_some_and(|imm| {
+                                    imm.drain_ready() && !imm.tracker.exhausted()
+                                })
+                            })
+                        });
                     }
                     None => self.frozen.wait_until_resumed(),
                 }
             }
-            // Wait for Memtable room (lines 17-18).
-            let mut stall_start: Option<Instant> = None;
-            loop {
-                if self.frozen.is_paused() {
-                    break;
-                }
-                let bytes = self.view.read(|v| v.mtb.approximate_bytes());
-                if bytes <= self.memtable_trigger {
-                    break;
-                }
-                if self.is_degraded() {
-                    // Room is made by flushes — the very thing that just
-                    // failed persistently. This write was already
+            // Wait for Memtable room (lines 17-18). The switch's swap
+            // makes room and wakes the room; so do its roll (for the
+            // exemption below) and a degrade.
+            let has_room = || {
+                self.view.read(|v| v.mtb.approximate_bytes()) <= self.memtable_trigger
+                    // Room is made by flushes — the very thing that fails
+                    // on a degraded store. This write was already
                     // acknowledged in the WAL, so it must reach memory;
-                    // only writes in flight before the health latch
-                    // closed can be here, a bounded set, so memory stays
-                    // bounded too.
-                    break;
-                }
-                if inflight.is_some_and(InflightGuard::is_awaited) {
+                    // only writes in flight before the health latch closed
+                    // can be here, a bounded set, so memory stays bounded
+                    // too.
+                    || self.is_degraded()
                     // The switch that makes room waits for this write to
                     // reach memory: overshoot the trigger by this one
                     // submission rather than wait on that very switch.
-                    break;
-                }
-                if stall_start.is_none() {
-                    FloDbStats::bump(&self.stats.write_stalls);
-                    // The stall duration (`write_stall_ns`, the stage
-                    // histogram and the begin/end event pair) is what
-                    // attributes a write-latency tail to Memtable
-                    // backpressure; the `Instant` is only sampled once a
-                    // stall actually begins, so the unstalled hot path
-                    // pays nothing for it.
-                    stall_start = Some(Instant::now());
-                    self.telemetry.event(TraceEventKind::StallBegin, 0, 0);
-                }
-                self.wake_persist();
-                let mut g = self.room.lock();
-                self.room_cv.wait_for(&mut g, Duration::from_micros(500));
+                    || inflight.is_some_and(InflightGuard::is_awaited)
+            };
+            let mut stall_start: Option<Instant> = None;
+            if !self.frozen.is_paused() && !has_room() {
+                FloDbStats::bump(&self.stats.write_stalls);
+                // The stall duration (`write_stall_ns`, the stage
+                // histogram and the begin/end event pair) is what
+                // attributes a write-latency tail to Memtable
+                // backpressure; the `Instant` is only sampled once a
+                // stall actually begins, so the unstalled hot path pays
+                // nothing for it.
+                stall_start = Some(Instant::now());
+                self.telemetry.event(TraceEventKind::StallBegin, 0, 0);
+                self.persist_park.wake();
+                self.room.park_until(has_room);
             }
             if let Some(t0) = stall_start {
                 let ns = t0.elapsed().as_nanos() as u64;
@@ -249,14 +249,17 @@ impl Inner {
             // tearing the snapshot without triggering a restart.
             let inserted = self.view.read(|v| {
                 if self.frozen.is_paused() {
-                    return false;
+                    return None;
                 }
                 let seq = self.seq.next();
                 v.mtb.insert(key, value, seq);
-                true
+                Some(v.mtb.approximate_bytes())
             });
-            if inserted {
+            if let Some(bytes) = inserted {
                 FloDbStats::bump(&self.stats.memtable_writes);
+                if bytes >= self.memtable_trigger {
+                    self.persist_park.wake();
+                }
                 return;
             }
         }

@@ -395,6 +395,15 @@ impl DiskComponent {
                 drop_tombstones,
             )?
         };
+        // Counted before the edit is published: whoever sees the new
+        // version (a `quiesce` that finds no debt left) sees its job too.
+        if moved {
+            self.trivial_moves.fetch_add(1, Ordering::Relaxed);
+        } else {
+            let written = edit.added.iter().map(|(_, meta)| meta.size).sum();
+            self.compaction_bytes[out_level].fetch_add(written, Ordering::Relaxed);
+            self.compactions.fetch_add(1, Ordering::Relaxed);
+        }
         let (_, removed) = self.apply_edit(&edit)?;
         for handle in removed {
             // Deletion is deferred until the last snapshot referencing the
@@ -410,13 +419,6 @@ impl DiskComponent {
                 // lexical pass sees here.
                 let _ = env.delete(&table_file_name(number));
             });
-        }
-        if moved {
-            self.trivial_moves.fetch_add(1, Ordering::Relaxed);
-        } else {
-            let written = edit.added.iter().map(|(_, meta)| meta.size).sum();
-            self.compaction_bytes[out_level].fetch_add(written, Ordering::Relaxed);
-            self.compactions.fetch_add(1, Ordering::Relaxed);
         }
         Ok(true)
     }

@@ -196,6 +196,8 @@ impl MemWritable {
         if let Some(bucket) = &self.throttle {
             let wait = bucket.lock().consume(n);
             if !wait.is_zero() {
+                // SLEEP-OK: the simulated disk's bandwidth limit; the wait
+                // is the device time this write costs, not a poll.
                 std::thread::sleep(wait);
             }
         }

@@ -25,6 +25,18 @@ use crate::shim::atomic::{AtomicU64, Ordering};
 use crate::lock_order::GROUP_COMMIT_STATE;
 use crate::shim::{ranked_condvar, ranked_mutex, Arc, Condvar, Mutex, MutexGuard};
 
+/// How many `yield_now` iterations a follower spends waiting for its
+/// group's commit before parking on a futex. A commit of a buffered append
+/// finishes within a few scheduling windows, and on an oversubscribed box
+/// the yields are what hand the core back to the leader; a commit that
+/// fsyncs a slow device blows through the budget and parks. Under the
+/// model checker it is 0: a follower parks at once, so every scenario
+/// explores the park path rather than the yields.
+#[cfg(not(flodb_model))]
+const FOLLOWER_SPIN: u32 = 64;
+#[cfg(flodb_model)]
+const FOLLOWER_SPIN: u32 = 0;
+
 /// Tuning knobs for a [`GroupCommitter`].
 #[derive(Debug, Clone, Copy)]
 pub struct GroupCommitConfig {
@@ -39,25 +51,6 @@ pub struct GroupCommitConfig {
     /// reserved space — and hand the whole buffer to one write, instead
     /// of re-copying the payload behind a separately-built header.
     pub frame_prefix: usize,
-    /// How many `yield_now` iterations a follower spends waiting for its
-    /// group's commit before parking on a futex. Group commits of
-    /// in-memory or OS-buffered appends finish within a few scheduling
-    /// windows, and a park/unpark round-trip per record would dominate the
-    /// batching win; slow commits (real fsync) blow through the budget and
-    /// park, so nothing spins against a millisecond-scale flush.
-    ///
-    /// **Retuning guidance.** The default of 64 was chosen on a 1-CPU
-    /// container, where the spin's yields are what hand the core back to
-    /// the leader and batching only forms around *blocking* commits. On
-    /// real multi-core hardware followers spin on their own cores while
-    /// the leader runs, so the right budget tracks the leader's commit
-    /// latency instead of the scheduler: raise it (hundreds of yields)
-    /// for buffered appends on fast devices where commits finish in a few
-    /// microseconds and parking would dominate, and lower it toward zero
-    /// when commits fsync a slow device, where every spin cycle is wasted
-    /// against a millisecond-scale wait. `0` parks immediately and is
-    /// always correct. FloDB's WAL runs on the [`Default`] value.
-    pub follower_spin: u32,
 }
 
 impl Default for GroupCommitConfig {
@@ -65,7 +58,6 @@ impl Default for GroupCommitConfig {
         Self {
             max_group_bytes: 1024 * 1024,
             frame_prefix: 0,
-            follower_spin: 64,
         }
     }
 }
@@ -215,7 +207,7 @@ impl<E: Send + Sync> GroupCommitter<E> {
         while self.committed.load(Ordering::Acquire) < group {
             if spins < 8 {
                 crate::shim::hint::spin_loop();
-            } else if spins < 8 + self.cfg.follower_spin {
+            } else if spins < 8 + FOLLOWER_SPIN {
                 crate::shim::thread::yield_now();
             } else {
                 break;
@@ -496,39 +488,6 @@ mod tests {
             .submit(|buf| buf.extend_from_slice(&[0u8; 64]), |_| Ok(()))
             .unwrap();
         assert_eq!(role, CommitRole::Leader { records: 1, bytes: 64 });
-    }
-
-    #[test]
-    fn zero_follower_spin_parks_immediately_and_loses_nothing() {
-        // The park path must be correct on its own: with the spin budget
-        // at zero every follower goes straight to the condvar, and the
-        // outcome protocol still delivers each record exactly once.
-        let gc: Arc<Committer> = Arc::new(GroupCommitter::new(GroupCommitConfig {
-            follower_spin: 0,
-            ..GroupCommitConfig::default()
-        }));
-        let total = Arc::new(AtomicU64::new(0));
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let gc = Arc::clone(&gc);
-            let total = Arc::clone(&total);
-            handles.push(thread::spawn(move || {
-                for _ in 0..200 {
-                    gc.submit(
-                        |buf| buf.push(1),
-                        |payload| {
-                            total.fetch_add(payload.len() as u64, Ordering::Relaxed);
-                            Ok(())
-                        },
-                    )
-                    .unwrap();
-                }
-            }));
-        }
-        for h in handles {
-            h.join().unwrap();
-        }
-        assert_eq!(total.load(Ordering::Relaxed), 4 * 200);
     }
 
     #[test]

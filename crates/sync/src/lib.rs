@@ -11,6 +11,8 @@
 //!   order Memtable entries relative to scans.
 //! - [`backoff::Backoff`] — bounded exponential backoff for contended CAS
 //!   loops.
+//! - [`park::Park`] — the one blocking wait of the engine's threads: park
+//!   until a condition holds, woken by whoever makes it hold, no timeout.
 //! - [`pause::PauseFlag`] — the `pauseWriters` / `pauseDrainingThreads`
 //!   protocol flags from Algorithms 2 and 3.
 //! - [`group_commit::GroupCommitter`] — the leader/follower group-commit
@@ -39,6 +41,7 @@ pub mod group_commit;
 pub mod inflight;
 pub mod kv;
 pub mod lock_order;
+pub mod park;
 pub mod pause;
 pub mod rcu;
 pub mod seq;
@@ -47,6 +50,7 @@ pub mod shim;
 pub use backoff::Backoff;
 pub use group_commit::{CommitRole, GroupCommitConfig, GroupCommitter};
 pub use inflight::{Grace, InflightGuard, PhasedInflight};
+pub use park::Park;
 pub use pause::PauseFlag;
 pub use rcu::RcuDomain;
 pub use seq::SequenceGenerator;

@@ -41,18 +41,15 @@ pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state"
 pub const CORE_FREEZE: LockClass = LockClass { name: "core.freeze", rank: 22 };
 /// `ViewCell.switch_lock`: serializes view switches (held across RCU sync).
 pub const CORE_VIEW_SWITCH: LockClass = LockClass { name: "core.view_switch", rank: 30 };
+/// `Park.lock` (+cv): every park of the engine (drain, persist, room,
+/// pause, progress); no park lock is taken under another.
+pub const SYNC_PARK: LockClass = LockClass { name: "sync.park", rank: 32 };
 /// `RcuDomain.registry`: reader-slot registry; synchronize scans under it.
 pub const SYNC_RCU_REGISTRY: LockClass = LockClass { name: "sync.rcu_registry", rank: 34 };
 /// `WalState.log`: the WAL append path (leader holds it across fsync).
 pub const WAL_LOG: LockClass = LockClass { name: "wal.log", rank: 40 };
-/// `Inner.room` (+room_cv): writers stall here when the memtable is full.
-pub const CORE_ROOM: LockClass = LockClass { name: "core.room", rank: 50 };
-/// `Inner.persist_park` (+persist_cv): the persist thread's park/wake.
-pub const CORE_PERSIST_PARK: LockClass = LockClass { name: "core.persist_park", rank: 52 };
 /// `ErrorLatch.cause`: the sticky cause of a poisoned WAL or a degraded store.
 pub const CORE_ERROR_LATCH: LockClass = LockClass { name: "core.error_latch", rank: 54 };
-/// `PauseFlag.lock` (+condvar): pause/resume bookkeeping (leaf).
-pub const SYNC_PAUSE: LockClass = LockClass { name: "sync.pause", rank: 56 };
 /// `TraceRing.dump_lock`: serializes flight-recorder dumps (leaf).
 pub const CORE_TRACE_DUMP: LockClass = LockClass { name: "core.trace_dump", rank: 58 };
 /// `DiskComponent.compaction_lock`: serializes compactions.

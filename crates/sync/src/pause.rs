@@ -11,15 +11,15 @@
 //! clears only when every pauser has resumed. A plain boolean would let
 //! one scan's `resume` release writers out from under another.
 
+use crate::park::Park;
 use crate::shim::atomic::{AtomicUsize, Ordering};
-use crate::lock_order::SYNC_PAUSE;
-use crate::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
 
 /// A counting pause flag with blocking waiters.
 ///
 /// Checking the flag ([`PauseFlag::is_paused`]) is a single atomic load on
 /// the fast path, so un-paused operation costs nearly nothing. Waiters
-/// block on a condvar and are woken when the pause count returns to zero.
+/// park until the pause count returns to zero, or until the pauser posts
+/// an event of its own ([`PauseFlag::notify`]).
 ///
 /// # Examples
 ///
@@ -38,8 +38,7 @@ use crate::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
 #[derive(Debug)]
 pub struct PauseFlag {
     pausers: AtomicUsize,
-    lock: Mutex<()>,
-    condvar: Condvar,
+    waiters: Park,
 }
 
 impl PauseFlag {
@@ -47,8 +46,7 @@ impl PauseFlag {
     pub fn new() -> Self {
         Self {
             pausers: AtomicUsize::new(0),
-            lock: ranked_mutex(SYNC_PAUSE, ()),
-            condvar: ranked_condvar(SYNC_PAUSE),
+            waiters: Park::new(),
         }
     }
 
@@ -76,10 +74,8 @@ impl PauseFlag {
 
     /// Registers a pauser. Waiters block until every pauser resumes.
     pub fn pause(&self) {
-        let _g = self.lock.lock();
         // ORDERING: the pauser's half of the Dekker pairing with lock-free
-        // `is_paused` readers; the mutex only serializes pausers against
-        // each other, not against those readers.
+        // `is_paused` readers.
         self.pausers.fetch_add(1, Ordering::SeqCst);
     }
 
@@ -89,13 +85,12 @@ impl PauseFlag {
     ///
     /// Panics if called more times than [`PauseFlag::pause`].
     pub fn resume(&self) {
-        let _g = self.lock.lock();
         // ORDERING: symmetric with `pause` — the decrement participates in
         // the same total order the lock-free readers load from.
         let prev = self.pausers.fetch_sub(1, Ordering::SeqCst);
         assert!(prev > 0, "resume without matching pause");
         if prev == 1 {
-            self.condvar.notify_all();
+            self.waiters.wake();
         }
     }
 
@@ -103,34 +98,22 @@ impl PauseFlag {
     ///
     /// Returns immediately if the flag is not set.
     pub fn wait_until_resumed(&self) {
-        if !self.is_paused() {
-            return;
-        }
-        let mut guard = self.lock.lock();
-        while self.pausers.load(Ordering::Acquire) > 0 {
-            self.condvar.wait(&mut guard);
-        }
+        self.wait_until_resumed_or(|| false);
     }
 
-    /// Like [`PauseFlag::wait_until_resumed`] but gives up after `timeout`,
-    /// returning whether the flag was clear on exit. Shutdown paths use
-    /// this to avoid blocking forever on a flag nobody will clear.
-    pub fn wait_until_resumed_timeout(&self, timeout: std::time::Duration) -> bool {
-        if !self.is_paused() {
-            return true;
-        }
-        let deadline = std::time::Instant::now() + timeout;
-        let mut guard = self.lock.lock();
-        while self.pausers.load(Ordering::Acquire) > 0 {
-            if self
-                .condvar
-                .wait_until(&mut guard, deadline)
-                .timed_out()
-            {
-                return self.pausers.load(Ordering::Acquire) == 0;
-            }
-        }
-        true
+    /// Blocks the calling thread until no pauser is active or `event`
+    /// holds — an event the pauser posts with [`PauseFlag::notify`] (the
+    /// store's freeze opening its drain to helpers). `event` runs under
+    /// the waiters' park lock (see [`Park::park_until`]).
+    pub fn wait_until_resumed_or(&self, mut event: impl FnMut() -> bool) {
+        self.waiters.park_until(|| !self.is_paused() || event());
+    }
+
+    /// Wakes the waiters to re-check the event of
+    /// [`PauseFlag::wait_until_resumed_or`]; call it after making the
+    /// event true.
+    pub fn notify(&self) {
+        self.waiters.wake();
     }
 }
 
@@ -220,14 +203,5 @@ mod tests {
         for w in waiters {
             w.join().unwrap();
         }
-    }
-
-    #[test]
-    fn timeout_wait_returns_false_when_paused() {
-        let f = PauseFlag::new();
-        f.pause();
-        assert!(!f.wait_until_resumed_timeout(Duration::from_millis(20)));
-        f.resume();
-        assert!(f.wait_until_resumed_timeout(Duration::from_millis(20)));
     }
 }

@@ -11,7 +11,8 @@
 //!
 //! - every thread owns one *reader slot* per domain (lazily registered
 //!   through a thread local), holding the global epoch it observed when it
-//!   entered its current critical section, or 0 when quiescent;
+//!   entered its current critical section, or 0 when quiescent; the guard
+//!   carries the slot, so leaving a section touches nothing else;
 //! - [`RcuDomain::synchronize`] bumps the global epoch and waits until every
 //!   slot is either quiescent or stamped with the new epoch.
 //!
@@ -20,7 +21,6 @@
 //! `synchronize`, exactly as the paper requires.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 
 use crossbeam_utils::CachePadded;
 
@@ -34,45 +34,58 @@ const EPOCH_STEP: u64 = 2;
 /// Slot value for a thread outside any critical section.
 const QUIESCENT: u64 = 0;
 
+/// `ReaderSlot::owner` values: a thread uses the slot, the thread exited
+/// (the slot is free for the next thread to register), the domain is gone
+/// (the entry in a thread's list is dead weight).
+const OWNED: u64 = 0;
+const FREE: u64 = 1;
+const DOMAIN_GONE: u64 = 2;
+
 static NEXT_DOMAIN_ID: AtomicUsize = AtomicUsize::new(1);
 
 thread_local! {
-    /// Per-thread map from domain id to this thread's reader slot.
-    static SLOTS: RefCell<HashMap<usize, ThreadSlot>> = RefCell::new(HashMap::new());
+    /// This thread's reader slot in every domain it has entered: a short
+    /// list searched by domain id — a thread enters one or two live
+    /// domains, so a compare or two beats hashing the id. Entries of
+    /// dropped domains are pruned when the thread next registers.
+    static SLOTS: RefCell<Vec<ThreadSlot>> = const { RefCell::new(Vec::new()) };
 }
 
+/// One entry of [`SLOTS`]; frees its slot for the next thread when the
+/// owning thread exits (or prunes it).
 struct ThreadSlot {
+    domain: usize,
     slot: Arc<ReaderSlot>,
-    /// Critical-section nesting depth; the slot is only cleared when the
-    /// outermost guard drops.
-    nesting: usize,
+}
+
+impl Drop for ThreadSlot {
+    fn drop(&mut self) {
+        self.slot.state.store(QUIESCENT, Ordering::Release);
+        // A dropped domain's slot stays marked gone; otherwise the slot
+        // is free to be claimed.
+        let _ = self
+            .slot
+            .owner
+            .compare_exchange(OWNED, FREE, Ordering::AcqRel, Ordering::Relaxed);
+    }
 }
 
 #[derive(Debug)]
 struct ReaderSlot {
     /// 0 when quiescent, otherwise `epoch | 1` for the epoch observed on
-    /// entering the critical section.
+    /// entering the critical section. Only the owning thread writes it, so
+    /// a non-quiescent value on entry means the section is nested.
     state: CachePadded<AtomicU64>,
-    /// Set when the owning thread exits; pruned by the next `synchronize`.
-    retired: CachePadded<AtomicU64>,
+    /// [`OWNED`], [`FREE`] or [`DOMAIN_GONE`].
+    owner: CachePadded<AtomicU64>,
 }
 
 impl ReaderSlot {
     fn new() -> Self {
         Self {
             state: CachePadded::new(AtomicU64::new(QUIESCENT)),
-            retired: CachePadded::new(AtomicU64::new(0)),
+            owner: CachePadded::new(AtomicU64::new(OWNED)),
         }
-    }
-}
-
-/// Drop guard that retires the slot when its owning thread exits.
-struct SlotRetirer(Arc<ReaderSlot>);
-
-impl Drop for SlotRetirer {
-    fn drop(&mut self) {
-        self.0.retired.store(1, Ordering::Release);
-        self.0.state.store(QUIESCENT, Ordering::Release);
     }
 }
 
@@ -100,6 +113,11 @@ impl Drop for SlotRetirer {
 pub struct RcuDomain {
     id: usize,
     epoch: CachePadded<AtomicU64>,
+    /// Every slot this domain ever handed out, kept until the domain
+    /// drops — so a guard may borrow its slot for the domain's lifetime.
+    /// A slot whose thread exited is [`FREE`] and goes to the next thread
+    /// that registers, so the list is as long as the most threads that
+    /// were ever inside the domain at once.
     registry: Mutex<Vec<Arc<ReaderSlot>>>,
 }
 
@@ -116,48 +134,82 @@ impl RcuDomain {
     /// Enters an RCU read-side critical section on the calling thread.
     ///
     /// Critical sections may nest; the section ends when the outermost guard
-    /// is dropped. This never blocks: the cost is one atomic load and one
-    /// store on the thread's own cache-padded slot.
+    /// is dropped. This never blocks: the cost is a search of this
+    /// thread's short slot list, one atomic load and one store on the
+    /// thread's own cache-padded slot.
     pub fn read_lock(&self) -> RcuGuard<'_> {
-        SLOTS.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            let entry = slots.entry(self.id).or_insert_with(|| {
-                let slot = Arc::new(ReaderSlot::new());
-                self.registry.lock().push(Arc::clone(&slot));
-                REAPERS.with(|r| r.borrow_mut().push(SlotRetirer(Arc::clone(&slot))));
-                ThreadSlot { slot, nesting: 0 }
-            });
-            if entry.nesting == 0 {
-                // Restabilization loop: store the observed epoch, then
-                // re-check it. On exit, either the final epoch load saw no
-                // concurrent `synchronize` — in which case the slot store
-                // is SC-ordered before that synchronize's slot scan, which
-                // therefore waits for this section — or it saw the bump,
-                // in which case the RMW in `synchronize` happens-before
-                // this section, so the section observes the new pointer.
-                // Without the loop, a thread descheduled between the epoch
-                // load and the slot store could be missed by the scan while
-                // still reading the old pointer.
-                // ORDERING: every operation in the restabilization loop is
-                // SC — the argument above is stated in terms of the single
-                // total order between the slot store, the epoch loads, and
-                // the synchronizer's epoch RMW and slot scan.
-                let mut epoch = self.epoch.load(Ordering::SeqCst);
-                loop {
-                    entry.slot.state.store(epoch | 1, Ordering::SeqCst); // ORDERING: restabilization, see comment above
-                    let now = self.epoch.load(Ordering::SeqCst); // ORDERING: restabilization, see comment above
-                    if now == epoch {
-                        break;
-                    }
-                    epoch = now;
-                }
-            }
-            entry.nesting += 1;
+        let slot = SLOTS.with(|slots| {
+            let found = slots
+                .borrow()
+                .iter()
+                .find(|s| s.domain == self.id)
+                .map(|s| Arc::as_ptr(&s.slot));
+            found.unwrap_or_else(|| self.register(&mut slots.borrow_mut()))
         });
+        // SAFETY: `registry` holds an `Arc` of every slot this domain
+        // handed out until the domain drops, and the guard borrows the
+        // domain for `'_`.
+        let slot = unsafe { &*slot };
+        let outermost = slot.state.load(Ordering::Relaxed) == QUIESCENT;
+        if outermost {
+            // Restabilization loop: store the observed epoch, then
+            // re-check it. On exit, either the final epoch load saw no
+            // concurrent `synchronize` — in which case the slot store
+            // is SC-ordered before that synchronize's slot scan, which
+            // therefore waits for this section — or it saw the bump,
+            // in which case the RMW in `synchronize` happens-before
+            // this section, so the section observes the new pointer.
+            // Without the loop, a thread descheduled between the epoch
+            // load and the slot store could be missed by the scan while
+            // still reading the old pointer.
+            // ORDERING: every operation in the restabilization loop is
+            // SC — the argument above is stated in terms of the single
+            // total order between the slot store, the epoch loads, and
+            // the synchronizer's epoch RMW and slot scan.
+            let mut epoch = self.epoch.load(Ordering::SeqCst);
+            loop {
+                slot.state.store(epoch | 1, Ordering::SeqCst); // ORDERING: restabilization, see comment above
+                let now = self.epoch.load(Ordering::SeqCst); // ORDERING: restabilization, see comment above
+                if now == epoch {
+                    break;
+                }
+                epoch = now;
+            }
+        }
         RcuGuard {
-            domain: self,
+            slot,
+            outermost,
             _not_send: std::marker::PhantomData,
         }
+    }
+
+    /// This thread's first section in the domain: claims a free slot, or
+    /// registers a new one, and adds it to the thread's list (pruning the
+    /// entries of dropped domains). Returns the slot.
+    #[cold]
+    fn register(&self, slots: &mut Vec<ThreadSlot>) -> *const ReaderSlot {
+        slots.retain(|s| s.slot.owner.load(Ordering::Acquire) != DOMAIN_GONE);
+        let mut registry = self.registry.lock();
+        let claimed = registry.iter().find(|s| {
+            s.owner
+                .compare_exchange(FREE, OWNED, Ordering::AcqRel, Ordering::Relaxed)
+                .is_ok()
+        });
+        let slot = match claimed {
+            Some(slot) => Arc::clone(slot),
+            None => {
+                let slot = Arc::new(ReaderSlot::new());
+                registry.push(Arc::clone(&slot));
+                slot
+            }
+        };
+        drop(registry);
+        let ptr = Arc::as_ptr(&slot);
+        slots.push(ThreadSlot {
+            domain: self.id,
+            slot,
+        });
+        ptr
     }
 
     /// Waits for a grace period: every critical section that was in progress
@@ -172,8 +224,7 @@ impl RcuDomain {
         // epoch bump RMW must be SC-ordered with the readers'
         // restabilization loop (see `read_lock`).
         let new_epoch = self.epoch.fetch_add(EPOCH_STEP, Ordering::SeqCst) + EPOCH_STEP;
-        let mut registry = self.registry.lock();
-        registry.retain(|slot| slot.retired.load(Ordering::Acquire) == 0);
+        let registry = self.registry.lock();
         for slot in registry.iter() {
             let backoff = Backoff::new();
             loop {
@@ -184,9 +235,6 @@ impl RcuDomain {
                 if state == QUIESCENT || (state & !1) >= new_epoch {
                     break;
                 }
-                if slot.retired.load(Ordering::Acquire) != 0 {
-                    break;
-                }
                 // LOCK-OK: synchronize holds the registry while waiting
                 // readers out by design; read-side sections never take the
                 // registry, so the wait cannot feed back into a deadlock.
@@ -195,30 +243,14 @@ impl RcuDomain {
         }
     }
 
-    /// Returns the number of registered (non-retired) reader slots, for
+    /// Returns the number of reader slots in use by live threads, for
     /// diagnostics and tests.
     pub fn reader_slots(&self) -> usize {
         self.registry
             .lock()
             .iter()
-            .filter(|s| s.retired.load(Ordering::Acquire) == 0)
+            .filter(|s| s.owner.load(Ordering::Acquire) == OWNED)
             .count()
-    }
-
-    fn read_unlock(&self) {
-        SLOTS.with(|slots| {
-            let mut slots = slots.borrow_mut();
-            let entry = slots
-                .get_mut(&self.id)
-                .expect("read_unlock without read_lock");
-            entry.nesting -= 1;
-            if entry.nesting == 0 {
-                // ORDERING: the quiescent store must be SC-ordered after
-                // the section's reads so a synchronizer that observes it
-                // can safely reclaim what the section was reading.
-                entry.slot.state.store(QUIESCENT, Ordering::SeqCst);
-            }
-        });
     }
 }
 
@@ -228,26 +260,35 @@ impl Default for RcuDomain {
     }
 }
 
-thread_local! {
-    /// Keeps one retirer per (thread, domain); dropping them on thread exit
-    /// marks the slots retired so `synchronize` can prune them.
-    static REAPERS: RefCell<Vec<SlotRetirer>> = const { RefCell::new(Vec::new()) };
+impl Drop for RcuDomain {
+    fn drop(&mut self) {
+        for slot in self.registry.get_mut().iter() {
+            slot.owner.store(DOMAIN_GONE, Ordering::Release);
+        }
+    }
 }
 
 /// Guard for an RCU read-side critical section; ends the section on drop.
 ///
-/// The guard is `!Send` (via the raw-pointer marker): the critical section
-/// must end on the thread that started it, because the reader slot lives in
-/// that thread's local storage.
+/// The guard carries its thread's slot, so leaving a section looks
+/// nothing up. It is `!Send` (via the raw-pointer marker): the critical
+/// section must end on the thread that started it, the slot's one writer.
 #[derive(Debug)]
 pub struct RcuGuard<'a> {
-    domain: &'a RcuDomain,
+    slot: &'a ReaderSlot,
+    /// Whether this guard entered the section (the others nest in it).
+    outermost: bool,
     _not_send: std::marker::PhantomData<*const ()>,
 }
 
 impl Drop for RcuGuard<'_> {
     fn drop(&mut self) {
-        self.domain.read_unlock();
+        if self.outermost {
+            // ORDERING: the quiescent store must be SC-ordered after the
+            // section's reads so a synchronizer that observes it can
+            // safely reclaim what the section was reading.
+            self.slot.state.store(QUIESCENT, Ordering::SeqCst);
+        }
     }
 }
 
@@ -343,6 +384,40 @@ mod tests {
         }
         stop.store(true, Ordering::SeqCst);
         churn.join().unwrap();
+    }
+
+    #[test]
+    fn an_inner_guard_does_not_end_the_section() {
+        let d = RcuDomain::new();
+        let outer = d.read_lock();
+        drop(d.read_lock());
+        assert_ne!(outer.slot.state.load(Ordering::SeqCst), QUIESCENT);
+        drop(outer);
+        let slot = d.registry.lock()[0].state.load(Ordering::SeqCst);
+        assert_eq!(slot, QUIESCENT);
+    }
+
+    #[test]
+    fn an_exited_threads_slot_goes_to_the_next_thread() {
+        let d = Arc::new(RcuDomain::new());
+        for _ in 0..3 {
+            let d = Arc::clone(&d);
+            thread::spawn(move || drop(d.read_lock())).join().unwrap();
+        }
+        assert_eq!(d.registry.lock().len(), 1, "each thread reused the freed slot");
+        assert_eq!(d.reader_slots(), 0);
+        drop(d.read_lock());
+        assert_eq!(d.reader_slots(), 1);
+    }
+
+    #[test]
+    fn a_dropped_domain_leaves_the_thread_list_at_the_next_registration() {
+        for _ in 0..3 {
+            drop(RcuDomain::new().read_lock());
+        }
+        let live = RcuDomain::new();
+        drop(live.read_lock());
+        assert_eq!(SLOTS.with(|s| s.borrow().len()), 1);
     }
 
     #[test]

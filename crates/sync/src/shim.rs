@@ -17,7 +17,9 @@
 //! through [`ranked_mutex`] / [`ranked_rwlock`]; locks built with the
 //! plain constructors are untracked. In release builds without
 //! `flodb_model` the names below are *re-exports* of the raw primitives
-//! and the ranked constructors compile to the plain ones — zero cost,
+//! (the condvar a transparent wrapper without the timed waits, which no
+//! engine wait may use) and the ranked constructors compile to the plain
+//! ones — zero cost,
 //! proven by the type-identity test at the bottom (which only compiles
 //! in release mode, and runs in CI via `cargo test --release`).
 //!
@@ -29,17 +31,44 @@ pub use std::sync::Arc;
 
 pub use facade::{
     ranked_condvar, ranked_mutex, ranked_rwlock, Condvar, Mutex, MutexGuard, RwLock,
-    RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
+    RwLockReadGuard, RwLockWriteGuard,
 };
 
-/// Release non-model builds: straight re-exports, zero overhead.
+/// Release non-model builds: straight re-exports, zero overhead — but for
+/// the condvar, a transparent wrapper that leaves out the timed waits.
 #[cfg(not(any(debug_assertions, flodb_model)))]
 mod facade {
     use crate::lock_order::LockClass;
 
-    pub use parking_lot::{
-        Condvar, Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard, WaitTimeoutResult,
-    };
+    pub use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard, RwLockWriteGuard};
+
+    /// `parking_lot::Condvar` without its timed waits: an engine wait
+    /// blocks until its event, and whoever causes the event wakes it
+    /// ([`crate::Park`]). Every method is an inlined forward.
+    #[derive(Debug, Default)]
+    #[repr(transparent)]
+    pub struct Condvar(parking_lot::Condvar);
+
+    impl Condvar {
+        /// Creates a new condition variable.
+        #[inline(always)]
+        pub const fn new() -> Self {
+            Self(parking_lot::Condvar::new())
+        }
+
+        /// Blocks until notified, atomically releasing and reacquiring
+        /// the lock.
+        #[inline(always)]
+        pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
+            self.0.wait(guard);
+        }
+
+        /// Wakes all blocked waiters; returns the number woken.
+        #[inline(always)]
+        pub fn notify_all(&self) -> usize {
+            self.0.notify_all()
+        }
+    }
 
     /// Creates a mutex belonging to a ranked lock class (no-op here; the
     /// rank is enforced in debug/model builds and by `cargo xtask locks`).
@@ -73,9 +102,6 @@ mod facade {
     use parking_lot as base;
 
     use crate::lock_order::{tracker, LockClass};
-    use std::time::{Duration, Instant};
-
-    pub use base::WaitTimeoutResult;
 
     /// A mutex that participates in runtime lock-rank checking when built
     /// with [`ranked_mutex`]; see [`crate::lock_order`].
@@ -259,8 +285,8 @@ mod facade {
         }
     }
 
-    /// Condition variable paired with [`Mutex`]. Waiting keeps the
-    /// mutex's rank entry on the stack: the waiting thread cannot acquire
+    /// Condition variable paired with [`Mutex`], with no timed wait (see
+    /// [`crate::Park`]). Waiting keeps the mutex's rank entry on the stack: the waiting thread cannot acquire
     /// anything while parked, and on wake-up it holds the same set of
     /// locks it held at the call, so the recorded state stays accurate.
     #[derive(Default)]
@@ -284,41 +310,6 @@ mod facade {
         /// the lock.
         pub fn wait<T>(&self, guard: &mut MutexGuard<'_, T>) {
             self.inner.wait(&mut guard.inner);
-        }
-
-        /// Blocks until notified or `timeout` elapses.
-        pub fn wait_for<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            timeout: Duration,
-        ) -> WaitTimeoutResult {
-            self.inner.wait_for(&mut guard.inner, timeout)
-        }
-
-        /// Blocks until notified or `deadline` passes.
-        pub fn wait_until<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            deadline: Instant,
-        ) -> WaitTimeoutResult {
-            self.inner.wait_until(&mut guard.inner, deadline)
-        }
-
-        /// Blocks while `condition` holds.
-        pub fn wait_while<T>(
-            &self,
-            guard: &mut MutexGuard<'_, T>,
-            mut condition: impl FnMut(&mut T) -> bool,
-        ) {
-            while condition(&mut *guard.inner) {
-                self.wait(guard);
-            }
-        }
-
-        /// Wakes one blocked waiter; returns whether one was woken (model
-        /// runs only; `false` under parking_lot semantics mirrored here).
-        pub fn notify_one(&self) -> bool {
-            self.inner.notify_one()
         }
 
         /// Wakes all blocked waiters; returns the number woken (model
@@ -384,7 +375,8 @@ pub mod hint {
 mod tests {
     //! Zero-cost proof for release builds: the facade's names are *type
     //! identical* to the primitives they replace — `pub use` re-exports,
-    //! no wrappers — so going through the shim cannot cost an
+    //! no wrappers, but for the `repr(transparent)` condvar whose methods
+    //! are inlined forwards — so going through the shim cannot cost an
     //! instruction. Each binding below only compiles if the two sides
     //! are the same type. Debug/model builds intentionally wrap these
     //! types for lock-rank tracking, so the test is compiled out there;
@@ -397,7 +389,12 @@ mod tests {
             super::ranked_rwlock(crate::lock_order::ENV_DATA, 0u8);
         let _: parking_lot::Mutex<u8> =
             super::ranked_mutex(crate::lock_order::WAL_LOG, 0u8);
-        let _: parking_lot::Condvar = super::Condvar::new();
+        // The condvar is the one wrapper (it leaves out the timed waits):
+        // transparent, so it is the raw condvar's layout and nothing more.
+        assert_eq!(
+            std::mem::size_of::<super::Condvar>(),
+            std::mem::size_of::<parking_lot::Condvar>()
+        );
         let _: std::sync::atomic::AtomicUsize = super::atomic::AtomicUsize::new(0);
         let _: std::sync::atomic::AtomicBool = super::atomic::AtomicBool::new(false);
         let h: std::thread::JoinHandle<()> = super::thread::spawn(|| {});

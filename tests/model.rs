@@ -149,3 +149,13 @@ fn arena_roll_hands_out_disjoint_blocks() {
 fn arena_roll_hands_out_disjoint_blocks_random() {
     random().model(scenarios::arena_roll_body);
 }
+
+#[test]
+fn park_wakes_a_late_producer() {
+    dfs().model(scenarios::park_wake_body);
+}
+
+#[test]
+fn park_wakes_a_late_producer_random() {
+    random().model(scenarios::park_wake_body);
+}

@@ -1,8 +1,9 @@
 //! Mutation regression tests for the model checker itself: re-introduce
 //! each of the two fixed freeze races, drop the Membuffer recycle gate's
-//! ownership check and the switch's room exemption (via the
-//! `flodb_model_mutation` hooks in `crates/core/src/view.rs`,
-//! `crates/core/src/store/drain.rs` and `crates/sync/src/inflight.rs`)
+//! ownership check, the switch's room exemption and the park's re-check
+//! under its lock (via the `flodb_model_mutation` hooks in
+//! `crates/core/src/view.rs`, `crates/core/src/store/drain.rs`,
+//! `crates/sync/src/inflight.rs` and `crates/sync/src/park.rs`)
 //! and assert flodb-check *finds* them. A checker that stops finding
 //! known-lost-write races has bit-rotted; this suite turns that into a
 //! red test.
@@ -113,6 +114,33 @@ fn checker_finds_the_room_stall_hang() {
         "expected a hang, got {:?}",
         failure.kind
     );
+}
+
+#[test]
+fn checker_finds_the_lost_wakeup() {
+    // The park with its re-check under the lock skipped: a wake that lands
+    // between the consumer's last check and its park is lost, and the
+    // consumer waits for good.
+    let failure = Builder::dfs(2)
+        .iterations(3000)
+        .check(scenarios::park_wake_body)
+        .expect_err("the skipped re-check must lose a wakeup");
+    assert!(
+        matches!(failure.kind, FailureKind::Deadlock),
+        "expected a hang, got {:?}",
+        failure.kind
+    );
+    let replayed = Builder::replay(failure.schedule.clone())
+        .check(scenarios::park_wake_body)
+        .expect_err("replaying the failing schedule must fail again");
+    assert!(matches!(replayed.kind, FailureKind::Deadlock), "{:?}", replayed.kind);
+    // An independent, differently-biased search finds it too.
+    let refound = Builder::new()
+        .iterations(300)
+        .seed(0xF10D_B6)
+        .check(scenarios::park_wake_body)
+        .expect_err("the random walk must find the lost wakeup as well");
+    assert!(matches!(refound.kind, FailureKind::Deadlock), "{:?}", refound.kind);
 }
 
 #[test]

@@ -19,7 +19,10 @@ use flodb::membuffer::{MemBuffer, MemBufferConfig};
 use flodb::memtable::SkipList;
 use flodb::sync::shim::atomic::{AtomicUsize, Ordering};
 use flodb::sync::shim::{thread, Arc, Mutex};
-use flodb::sync::{GroupCommitConfig, GroupCommitter, PauseFlag, PhasedInflight, SequenceGenerator};
+use flodb::sync::shim::atomic::AtomicBool;
+use flodb::sync::{
+    GroupCommitConfig, GroupCommitter, Park, PauseFlag, PhasedInflight, SequenceGenerator,
+};
 
 /// One partition, one bucket (4 slots): the smallest Membuffer, so every
 /// write and every drain claim contend on the same bucket.
@@ -332,7 +335,6 @@ pub fn group_commit_broadcast_body() {
     let gc: Arc<GroupCommitter<String>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
         frame_prefix: 0,
-        follower_spin: 0,
     }));
     let handles: Vec<_> = [b'a', b'b']
         .into_iter()
@@ -367,7 +369,6 @@ pub fn group_commit_error_body() {
     let gc: Arc<GroupCommitter<String>> = Arc::new(GroupCommitter::new(GroupCommitConfig {
         max_group_bytes: 1024,
         frame_prefix: 0,
-        follower_spin: 0,
     }));
     let handles: Vec<_> = (0..2u8)
         .map(|rec| {
@@ -409,7 +410,6 @@ pub fn group_commit_injected_fault_body() {
         max_group_bytes: 1024,
         // Framed in place, as the store's commit stage does it.
         frame_prefix: FRAME_HEADER_BYTES,
-        follower_spin: 0,
     }));
     let handles: Vec<_> = (0..2u8)
         .map(|rec| {
@@ -478,7 +478,6 @@ fn router_split(broken: bool) {
                 Arc::new(GroupCommitter::new(GroupCommitConfig {
                     max_group_bytes: 1024,
                     frame_prefix: 0,
-                    follower_spin: 0,
                 })),
                 Arc::new(Mutex::new(Vec::<u8>::new())),
             )
@@ -585,10 +584,10 @@ pub fn inflight_grace_body() {
 /// flipping the in-flight phase in the same critical section), grace,
 /// freeze-drain, switch and flush. The grace waits for the writer's
 /// window, and the writer waits for room, so the writer must notice that
-/// a grace awaits it ([`flodb::sync::InflightGuard::is_awaited`]) and
-/// overshoot the trigger instead, as `write.rs` does: the switch then
-/// completes, and the write — logged into the sealed segment — is in the
-/// flushed table. Mutated (`--cfg flodb_model_mutation` never reports a
+/// a grace awaits it ([`flodb::sync::InflightGuard::is_awaited`]) — the
+/// roll wakes the room — and overshoot the trigger instead, as `write.rs`
+/// does: the switch then completes, and the write — logged into the
+/// sealed segment — is in the flushed table. Mutated (`--cfg flodb_model_mutation` never reports a
 /// window awaited), the two wait on each other forever.
 pub fn switch_grace_room_stall_body() {
     let mtb = Arc::new(SkipList::new());
@@ -606,20 +605,24 @@ pub fn switch_grace_room_stall_body() {
     // The log: the lock a roll seals under, and the records it holds.
     let log = Arc::new(Mutex::new(Vec::<u8>::new()));
 
+    // Writers park here for room; the roll and the swap wake it.
+    let room = Arc::new(Park::new());
+
     let writer = {
-        let (view, seq, inflight, log) = (
+        let (view, seq, inflight, log, room) = (
             Arc::clone(&view),
             Arc::clone(&seq),
             Arc::clone(&inflight),
             Arc::clone(&log),
+            Arc::clone(&room),
         );
         thread::spawn(move || {
             let window = inflight.enter();
             log.lock().push(1);
             // Wait for Memtable room, unless a grace waits for this window.
-            while view.read(|v| v.mtb.approximate_bytes()) > trigger && !window.is_awaited() {
-                thread::yield_now();
-            }
+            room.park_until(|| {
+                view.read(|v| v.mtb.approximate_bytes()) <= trigger || window.is_awaited()
+            });
             view.read(|v| v.mtb.insert(b"acked", Some(b"w"), seq.next()));
         })
     };
@@ -632,6 +635,7 @@ pub fn switch_grace_room_stall_body() {
         let _sealing = log.lock();
         inflight.flip()
     };
+    room.wake();
     grace.wait();
     let frozen = view
         .freeze_membuffer(Arc::new(tiny_membuffer()))
@@ -640,6 +644,7 @@ pub fn switch_grace_room_stall_body() {
     help_drain_imm_via(&frozen, &view, &seq, DrainStyle::MultiInsert);
     view.release_frozen_membuffer();
     let flushed = view.switch_memtable(Arc::new(SkipList::new()));
+    room.wake();
     assert!(
         flushed.get(b"acked").is_some(),
         "a write logged before the roll missed the flushed table"
@@ -780,3 +785,24 @@ pub fn arena_roll_body() {
     }
     assert!(!it.valid());
 }
+
+/// The park/wake primitive every engine wait uses (`flodb_sync::Park`): a
+/// producer makes the consumer's condition true and wakes it, at any point
+/// of the consumer's check-announce-recheck-wait sequence — among them
+/// between the consumer's last check and its park. Under every
+/// interleaving the consumer must wake. Mutated (`--cfg
+/// flodb_model_mutation` waits once on the check made before the
+/// announcement), the wake that lands in that gap is lost and the
+/// consumer parks for good.
+pub fn park_wake_body() {
+    let park = Arc::new(Park::new());
+    let ready = Arc::new(AtomicBool::new(false));
+    let consumer = {
+        let (park, ready) = (Arc::clone(&park), Arc::clone(&ready));
+        thread::spawn(move || park.park_until(|| ready.load(Ordering::SeqCst)))
+    };
+    ready.store(true, Ordering::SeqCst);
+    park.wake();
+    consumer.join().unwrap();
+}
+

@@ -2,7 +2,7 @@
 //!
 //! Two commands share this library:
 //!
-//! * `cargo xtask lint` — seven line-based rules ([`run_lint`]), one per
+//! * `cargo xtask lint` — eight line-based rules ([`run_lint`]), one per
 //!   module under [`rules`]:
 //!   1. **`safety-comment`** — every `unsafe` site needs a `// SAFETY:`
 //!      comment or `# Safety` doc section.
@@ -21,6 +21,9 @@
 //!      code; configuration arrives through `FloDbOptions` only.
 //!   7. **`orphan-shim`** — every `third_party/*` workspace member is a
 //!      dependency or dev-dependency of some member.
+//!   8. **`timed-wait`** — no `sleep(` or timed wait in engine-crate
+//!      production code without a `// SLEEP-OK:` reason; engine waits
+//!      park until their event (`flodb_sync::Park`).
 //! * `cargo xtask locks` — the whole-workspace lock-order analysis
 //!   ([`locks::run_locks`]): lock-site extraction, the declared hierarchy
 //!   in `LOCK_ORDER.toml`, rank/cycle/blocking checks, and the
@@ -45,11 +48,12 @@ pub use rules::orphan_shim::check_orphan_shims;
 pub use rules::panic::check_write_path_panics;
 pub use rules::safety::check_safety_comments;
 pub use rules::shim::check_raw_sync;
+pub use rules::sleep::check_timed_waits;
 pub use rules::{Finding, Rule};
 
 use common::scan;
 
-/// Runs all seven lint rules over the workspace rooted at `root` and
+/// Runs all eight lint rules over the workspace rooted at `root` and
 /// returns every finding, sorted by file and line.
 pub fn run_lint(root: &Path) -> Vec<Finding> {
     let mut findings = Vec::new();
@@ -105,6 +109,10 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     // store links in. The bench and workload harnesses scale themselves
     // from the environment by design and stay out of scope.
     for_each_file(&modeled_files, &mut findings, check_env_reads);
+
+    // Rule 8 scope: the same five crates, whose threads and waits are the
+    // engine's.
+    for_each_file(&modeled_files, &mut findings, check_timed_waits);
 
     // Rule 7 scope: the workspace manifests.
     findings.extend(check_orphan_shims(root));

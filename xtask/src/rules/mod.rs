@@ -11,6 +11,7 @@ pub mod orphan_shim;
 pub mod panic;
 pub mod safety;
 pub mod shim;
+pub mod sleep;
 
 use std::fmt;
 use std::path::PathBuf;
@@ -35,6 +36,8 @@ pub enum Rule {
     EnvRead,
     /// A `third_party/*` workspace member no member depends on.
     OrphanShim,
+    /// An unwaived `sleep(` or timed wait in engine-crate production code.
+    TimedWait,
 }
 
 impl fmt::Display for Rule {
@@ -47,6 +50,7 @@ impl fmt::Display for Rule {
             Rule::SeqCstOrdering => write!(f, "seqcst-ordering"),
             Rule::EnvRead => write!(f, "env-read"),
             Rule::OrphanShim => write!(f, "orphan-shim"),
+            Rule::TimedWait => write!(f, "timed-wait"),
         }
     }
 }

@@ -7,7 +7,7 @@ use std::path::Path;
 
 use xtask::{
     check_env_reads, check_orphan_shims, check_raw_sync, check_safety_comments,
-    check_write_path_panics, Rule,
+    check_timed_waits, check_write_path_panics, Rule,
 };
 
 fn fixture(name: &str) -> (std::path::PathBuf, String) {
@@ -68,6 +68,20 @@ fn env_read_in_engine_fails() {
     );
     assert_eq!(findings[0].rule, Rule::EnvRead);
     assert_eq!(findings[0].line, 4, "the `std::env::var(..)` line");
+}
+
+#[test]
+fn sleep_in_engine_fails() {
+    let (path, content) = fixture("sleep_in_engine.rs");
+    let findings = check_timed_waits(&path, &content);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        [5, 7],
+        "the sleep and the timed wait must fire, the waived and the test ones must not: \
+         {findings:?}"
+    );
+    assert!(findings.iter().all(|f| f.rule == Rule::TimedWait));
 }
 
 #[test]
