@@ -11,12 +11,11 @@ use std::ops::ControlFlow;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
 
 use flodb_storage::merge::{MergeCursor, ScanSource};
 use flodb_storage::{DiskComponent, DiskOptions, Env, MemEnv, Record};
-use flodb_sync::SequenceGenerator;
-use parking_lot::{Condvar, Mutex, RwLock};
+use flodb_sync::{Park, SequenceGenerator};
+use parking_lot::{Mutex, RwLock};
 
 use crate::hash_memtable::HashMemtable;
 use crate::versioned_memtable::VersionedMemtable;
@@ -154,11 +153,14 @@ pub(crate) struct LsmCore {
     /// Serializes flushes so `flush_once` is safe to call from any thread
     /// (background flusher and `quiesce` may race).
     flush_lock: Mutex<()>,
-    flush_park: Mutex<()>,
-    flush_cv: Condvar,
-    room: Mutex<()>,
-    room_cv: Condvar,
-    pub stop: AtomicBool,
+    /// Writers stalled on a full memtable pair park here; the flush that
+    /// clears `imm` wakes them.
+    room: Park,
+    /// The flush and compaction loops park here until there is work: a
+    /// switch leaves an immutable memtable, a flush an L0 table, and
+    /// [`LsmCore::shut_down`] the stop flag.
+    work: Park,
+    stop: AtomicBool,
     pub stats: CoreStats,
 }
 
@@ -174,10 +176,8 @@ impl LsmCore {
                 imm: None,
             }),
             flush_lock: Mutex::new(()),
-            flush_park: Mutex::new(()),
-            flush_cv: Condvar::new(),
-            room: Mutex::new(()),
-            room_cv: Condvar::new(),
+            room: Park::new(),
+            work: Park::new(),
             stop: AtomicBool::new(false),
             stats: CoreStats::default(),
         })
@@ -197,9 +197,11 @@ impl LsmCore {
             if has_imm {
                 // Both memtables full: the write stall of Figure 4.
                 self.stats.stalls.fetch_add(1, Ordering::Relaxed);
-                self.wake_flush();
-                let mut g = self.room.lock();
-                self.room_cv.wait_for(&mut g, Duration::from_micros(500));
+                self.work.wake();
+                self.room.park_until(|| {
+                    let st = self.state.read();
+                    st.imm.is_none() || st.active.approximate_bytes() < self.budget
+                });
                 continue;
             }
             let mut st = self.state.write();
@@ -207,7 +209,7 @@ impl LsmCore {
                 let fresh = Arc::new(BaselineMemtable::new(self.memtable_kind));
                 st.imm = Some(std::mem::replace(&mut st.active, fresh));
                 drop(st);
-                self.wake_flush();
+                self.work.wake();
             }
         }
     }
@@ -292,9 +294,14 @@ impl LsmCore {
         emitted
     }
 
-    pub fn wake_flush(&self) {
-        let _g = self.flush_park.lock();
-        self.flush_cv.notify_all();
+    /// Stops the background loops: they finish their step and return.
+    pub fn shut_down(&self) {
+        self.stop.store(true, Ordering::Release);
+        self.work.wake();
+    }
+
+    fn stopped(&self) -> bool {
+        self.stop.load(Ordering::Acquire)
     }
 
     /// Flushes the immutable memtable if one exists; returns whether work
@@ -313,34 +320,35 @@ impl LsmCore {
         self.disk.flush_records(records).expect("flush failed");
         self.state.write().imm = None;
         self.stats.persists.fetch_add(1, Ordering::Relaxed);
-        {
-            let _g = self.room.lock();
-            self.room_cv.notify_all();
-        }
+        self.room.wake();
+        self.work.wake();
         if compact_inline {
             self.disk.compact_all().expect("compaction failed");
         }
         true
     }
 
-    /// Background flush loop.
+    /// Background flush loop: parks until a switch leaves an immutable
+    /// memtable.
     pub fn flush_loop(self: &Arc<Self>, compact_inline: bool) {
-        while !self.stop.load(Ordering::Acquire) {
+        while !self.stopped() {
             if !self.flush_once(compact_inline) {
-                let mut g = self.flush_park.lock();
-                self.flush_cv
-                    .wait_for(&mut g, Duration::from_micros(500));
+                self.work
+                    .park_until(|| self.stopped() || self.state.read().imm.is_some());
             }
         }
         self.flush_once(compact_inline);
     }
 
-    /// Background compaction loop (RocksDB's decoupled compaction).
+    /// Background compaction loop (RocksDB's decoupled compaction): parks
+    /// until a flush leaves compaction debt.
     pub fn compaction_loop(self: &Arc<Self>) {
-        while !self.stop.load(Ordering::Acquire) {
+        while !self.stopped() {
             match self.disk.maybe_compact() {
                 Ok(true) => {}
-                Ok(false) => std::thread::sleep(Duration::from_micros(500)),
+                Ok(false) => self
+                    .work
+                    .park_until(|| self.stopped() || self.disk.needs_compaction()),
                 Err(e) => panic!("compaction failed: {e}"),
             }
         }

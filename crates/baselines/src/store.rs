@@ -300,8 +300,7 @@ impl<D: Design> KvStore for BaselineStore<D> {
 
 impl<D: Design> Drop for BaselineStore<D> {
     fn drop(&mut self) {
-        self.core.stop.store(true, Ordering::Release);
-        self.core.wake_flush();
+        self.core.shut_down();
         for t in self.threads.lock().drain(..) {
             let _ = t.join();
         }

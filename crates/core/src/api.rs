@@ -18,7 +18,8 @@
 //!   convenience built on top of it.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
+
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
 
 pub use crate::error::WriteError;
 

@@ -7,9 +7,8 @@
 //! unifies them for callers who funnel everything through one type (e.g.
 //! `fn main() -> Result<(), flodb::Error>`).
 
-use std::sync::Arc;
-
 use flodb_storage::StorageError;
+use flodb_sync::shim::Arc;
 
 /// Why a write could not be durably acknowledged.
 ///

@@ -1,8 +1,7 @@
 //! Configuration for a FloDB instance.
 
-use std::sync::Arc;
-
 use flodb_storage::{DiskOptions, Env, MemEnv, ThrottleConfig};
+use flodb_sync::shim::Arc;
 
 use crate::error::OptionsError;
 use crate::telemetry::TelemetryLevel;

@@ -1,13 +1,13 @@
 //! The [`ShardedFloDb`] router: N FloDB instances behind one `KvStore`.
 
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 
 use flodb_storage::merge::MergeCursor;
 use flodb_storage::sharding::{read_sharding, shard_dir_name, write_sharding, ShardingSpec};
 use flodb_storage::wal::BatchAnnotation;
 use flodb_storage::{PrefixEnv, Record};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::Arc;
 
 use crate::api::{KvStore, StoreStats, WriteBatch};
 use crate::error::{OpenError, OptionsError, WriteError};

@@ -2,7 +2,7 @@
 //! counters themselves — [`FloDbStats`] and its `snapshot()` — come from
 //! the one `store_stats!` table in `api.rs`.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
 
 pub use crate::api::FloDbStats;
 

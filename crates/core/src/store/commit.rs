@@ -3,13 +3,12 @@
 //! log as part of one frame, and is acknowledged — or the log is poisoned.
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
 
 use flodb_storage::log_manager::{LogConfig, LogManager};
 use flodb_storage::{wal, StorageError};
 use flodb_sync::lock_order::WAL_LOG;
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::atomic::{AtomicBool, AtomicU64, Ordering};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 use flodb_sync::{CommitRole, GroupCommitConfig, GroupCommitter, PhasedInflight};
 
 use super::latch::ErrorLatch;

@@ -25,10 +25,10 @@
 //! [`MemBuffer::remove_drained`] under that call's own pin.
 
 use std::ops::Range;
-use std::sync::atomic::Ordering;
 
 use flodb_membuffer::{MemBuffer, RemoveToken};
 use flodb_memtable::{BatchEntry, SkipList};
+use flodb_sync::shim::atomic::Ordering;
 use flodb_sync::{PauseFlag, SequenceGenerator};
 
 use super::Inner;
@@ -161,6 +161,10 @@ impl Drainer {
         // The leg being searched, `at..end`, and whether it is the second.
         let (mut at, mut end, mut wrapped) = (first, self.chunks.end, false);
         loop {
+            // Mutation hook (`Hook::LapSection`, tests/model_mutation.rs):
+            // drain the chunk found below after leaving the section.
+            #[cfg(flodb_model_mutation)]
+            let mut outside = None;
             let moved = view.read(|v| {
                 if paused.is_paused() {
                     return None;
@@ -170,6 +174,11 @@ impl Drainer {
                     if let Some(chunk) = mbf.next_occupied_chunk(at, end) {
                         at = chunk + 1;
                         self.cursor = if at == self.chunks.end { self.chunks.start } else { at };
+                        #[cfg(flodb_model_mutation)]
+                        if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::LapSection) {
+                            outside = Some((mbf.clone(), v.mtb.clone(), chunk));
+                            return Some(0);
+                        }
                         return Some(drain_chunk(mbf, &v.mtb, seq, chunk, style));
                     }
                     if wrapped {
@@ -178,6 +187,11 @@ impl Drainer {
                     (at, end, wrapped) = (self.chunks.start, first, true);
                 }
             });
+            #[cfg(flodb_model_mutation)]
+            let moved = match outside {
+                Some((mbf, mtb, chunk)) => Some(drain_chunk(&mbf, &mtb, seq, chunk, style)),
+                None => moved,
+            };
             let Some(moved) = moved else { return help };
             help.chunks += 1;
             help.entries += moved;
@@ -213,25 +227,10 @@ pub fn help_drain_imm_via(
     style: DrainStyle,
 ) -> DrainHelp {
     let mut help = DrainHelp::default();
-    // Mutation hook for the model-checker regression suite
-    // (tests/model_mutation.rs): resolve the Memtable once, outside any
-    // critical section — re-introducing the stale-Memtable race this
-    // function's docs describe, where a persist switch lands between
-    // lookup and insert. Never set outside that suite.
-    #[cfg(flodb_model_mutation)]
-    let mtb = view.read(|v| std::sync::Arc::clone(&v.mtb));
     while let Some(chunk) = imm.tracker.claim() {
         help.chunks += 1;
         if imm.buffer.next_occupied_chunk(chunk, chunk + 1).is_some() {
-            #[cfg(flodb_model_mutation)]
-            {
-                help.entries += drain_chunk(&imm.buffer, &mtb, seq, chunk, style);
-            }
-            #[cfg(not(flodb_model_mutation))]
-            {
-                help.entries +=
-                    view.read(|v| drain_chunk(&imm.buffer, &v.mtb, seq, chunk, style));
-            }
+            help.entries += view.read(|v| drain_chunk(&imm.buffer, &v.mtb, seq, chunk, style));
         }
         imm.tracker.finish();
     }

@@ -3,10 +3,10 @@
 //! Master scans, the fallback scan and every Memtable switch come through
 //! here.
 
-use std::sync::Arc;
 use std::time::Instant;
 
 use flodb_membuffer::MemBuffer;
+use flodb_sync::shim::Arc;
 use flodb_sync::Backoff;
 
 use super::Inner;

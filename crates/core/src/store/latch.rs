@@ -1,12 +1,10 @@
 //! The one-way error latch behind both of the store's failure states: a
 //! poisoned write-ahead log and a degraded store.
 
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-
 use flodb_storage::StorageError;
 use flodb_sync::lock_order::CORE_ERROR_LATCH;
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::atomic::{AtomicBool, Ordering};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 
 use crate::error::WriteError;
 

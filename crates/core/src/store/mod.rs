@@ -49,16 +49,15 @@ mod write;
 
 use std::iter;
 use std::ops::ControlFlow;
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Instant;
 
 use flodb_membuffer::{MemBuffer, MemBufferConfig};
 use flodb_memtable::SkipList;
 use flodb_storage::{DiskComponent, StorageError};
 use flodb_sync::lock_order::{CORE_FREEZE, CORE_THREADS};
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use flodb_sync::shim::thread::{self, JoinHandle};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 use flodb_sync::{Park, PauseFlag, SequenceGenerator};
 
 use self::commit::WalState;
@@ -158,10 +157,7 @@ fn spawn(
     body: impl FnOnce(&Inner) + Send + 'static,
 ) -> Result<JoinHandle<()>, OpenError> {
     let inner = Arc::clone(inner);
-    std::thread::Builder::new()
-        .name(name)
-        .spawn(move || body(&inner))
-        .map_err(OpenError::Spawn)
+    thread::spawn_named(name, move || body(&inner)).map_err(OpenError::Spawn)
 }
 
 impl Inner {

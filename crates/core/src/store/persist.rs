@@ -3,8 +3,6 @@
 //! the level shape, on one background thread. Component switches use RCU
 //! and never block readers or writers.
 
-use std::sync::atomic::Ordering;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flodb_memtable::SkipList;
@@ -13,6 +11,8 @@ use flodb_storage::log_manager;
 use flodb_storage::merge::MergeSource;
 use flodb_storage::wal::WalWriter;
 use flodb_storage::StorageError;
+use flodb_sync::shim::atomic::Ordering;
+use flodb_sync::shim::{thread, Arc};
 use flodb_sync::{Backoff, Grace};
 
 use super::commit::WalState;
@@ -77,7 +77,7 @@ impl Inner {
                     }
                     // SLEEP-OK: a failing device's retry backoff (1-16 ms
                     // over at most IO_RETRY_LIMIT attempts), not a poll.
-                    std::thread::sleep(Duration::from_millis(1 << attempt.min(4)));
+                    thread::sleep(Duration::from_millis(1 << attempt.min(4)));
                 }
             }
         }

@@ -1,7 +1,7 @@
 //! The maintenance entry points: `flush_all` and `quiesce`, both a
 //! settle-wait on the background stages followed by their own epilogue.
 
-use std::sync::atomic::Ordering;
+use flodb_sync::shim::atomic::Ordering;
 
 use super::{FloDb, Inner};
 use crate::stats::FloDbStats;

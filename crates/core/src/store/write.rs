@@ -2,12 +2,12 @@
 //! memory component — the Membuffer when its bucket has room, the
 //! Memtable otherwise.
 
-use std::sync::atomic::Ordering;
 use std::time::Instant;
 
 use flodb_membuffer::AddResult;
 use flodb_storage::record::encode_record_parts;
 use flodb_storage::wal;
+use flodb_sync::shim::atomic::Ordering;
 use flodb_sync::InflightGuard;
 
 use super::commit::WalState;

@@ -7,7 +7,8 @@
 //! cross-counter invariant needs synchronizing).
 
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
+
+use flodb_sync::shim::atomic::{AtomicU32, AtomicU64, Ordering};
 
 use super::histogram::{bucket_index, Histogram, NUM_BUCKETS};
 

@@ -59,16 +59,13 @@ impl ImmMembuffer {
 
     /// Whether draining may begin (the grace period has elapsed).
     pub fn drain_ready(&self) -> bool {
-        // Mutation hook for the model-checker regression suite
-        // (tests/model_mutation.rs): pretend the gate is always open,
-        // re-introducing the pre-PR-5 lost-acked-write race where helpers
-        // claim buckets while straggler writes are still landing. Never
-        // set outside that suite.
+        // Mutation hook (`Hook::DrainGate`, tests/model_mutation.rs):
+        // pretend the gate is always open, re-introducing the race where
+        // helpers claim buckets while straggler writes are still landing.
         #[cfg(flodb_model_mutation)]
-        {
+        if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::DrainGate) {
             return true;
         }
-        #[cfg(not(flodb_model_mutation))]
         self.ready.load(Ordering::Acquire)
     }
 
@@ -86,13 +83,13 @@ impl ImmMembuffer {
     /// buffer must also be empty with an all-clear occupancy summary
     /// ([`MemBuffer::is_drained`]), i.e. indistinguishable from a new one.
     pub fn reclaim(this: Arc<Self>) -> Option<Arc<MemBuffer>> {
-        // Mutation hook for the model-checker regression suite
-        // (tests/model_mutation.rs): skip the sole-owner check, so a
-        // buffer a snapshot still holds gets re-installed. Never set
-        // outside that suite.
+        // Mutation hook (`Hook::Recycle`, tests/model_mutation.rs): skip
+        // the sole-owner check, so a buffer a snapshot still holds gets
+        // re-installed.
         #[cfg(flodb_model_mutation)]
-        let buffer = Arc::clone(&this.buffer);
-        #[cfg(not(flodb_model_mutation))]
+        if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::Recycle) {
+            return Some(Arc::clone(&this.buffer)).filter(|b| b.is_drained());
+        }
         let buffer = {
             let mut buffer = Arc::try_unwrap(this).ok()?.buffer;
             Arc::get_mut(&mut buffer)?;

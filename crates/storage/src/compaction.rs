@@ -14,7 +14,7 @@
 //! largest sequence number, and drops tombstones when the output reaches
 //! the bottom of the data.
 
-use std::sync::Arc;
+use flodb_sync::shim::Arc;
 
 use crate::env::Env;
 use crate::error::Result;

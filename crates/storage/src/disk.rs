@@ -8,11 +8,9 @@
 //! component, mirroring the paper's control: "we keep the persisting and
 //! compaction mechanisms of LevelDB" (§4).
 
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
-
 use flodb_sync::lock_order::{DISK_COMPACTION, DISK_MANIFEST};
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 
 use crate::compaction::{
     compaction_level, pick_compaction, run_compaction, CompactPointers, CompactionConfig,

@@ -12,11 +12,11 @@ use std::collections::HashMap;
 use std::io::Write;
 use std::os::unix::fs::FileExt;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 use flodb_sync::lock_order::{ENV_DATA, ENV_INNER, ENV_THROTTLE};
-use flodb_sync::shim::{ranked_mutex, ranked_rwlock, Mutex, RwLock};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::{ranked_mutex, ranked_rwlock, thread, Arc, Mutex, RwLock};
 
 use crate::error::{Result, StorageError};
 
@@ -169,7 +169,7 @@ struct MemEnvInner {
 pub struct MemEnv {
     inner: Mutex<MemEnvInner>,
     throttle: Option<Arc<Mutex<TokenBucket>>>,
-    bytes_written: Arc<std::sync::atomic::AtomicU64>,
+    bytes_written: Arc<AtomicU64>,
 }
 
 impl MemEnv {
@@ -178,27 +178,26 @@ impl MemEnv {
         Self {
             inner: ranked_mutex(ENV_INNER, MemEnvInner::default()),
             throttle: throttle.map(|cfg| Arc::new(ranked_mutex(ENV_THROTTLE, TokenBucket::new(cfg)))),
-            bytes_written: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            bytes_written: Arc::new(AtomicU64::new(0)),
         }
     }
 }
 
 struct MemWritable {
     throttle: Option<Arc<Mutex<TokenBucket>>>,
-    bytes_written: Arc<std::sync::atomic::AtomicU64>,
+    bytes_written: Arc<AtomicU64>,
     data: Arc<RwLock<Vec<u8>>>,
 }
 
 impl MemWritable {
     fn charge(&self, n: u64) {
-        self.bytes_written
-            .fetch_add(n, std::sync::atomic::Ordering::Relaxed);
+        self.bytes_written.fetch_add(n, Ordering::Relaxed);
         if let Some(bucket) = &self.throttle {
             let wait = bucket.lock().consume(n);
             if !wait.is_zero() {
                 // SLEEP-OK: the simulated disk's bandwidth limit; the wait
                 // is the device time this write costs, not a poll.
-                std::thread::sleep(wait);
+                thread::sleep(wait);
             }
         }
     }
@@ -295,8 +294,7 @@ impl Env for MemEnv {
     }
 
     fn bytes_written(&self) -> u64 {
-        self.bytes_written
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_written.load(Ordering::Relaxed)
     }
 }
 
@@ -410,7 +408,7 @@ impl Env for PrefixEnv {
 /// A real-filesystem environment rooted at a directory.
 pub struct FsEnv {
     root: PathBuf,
-    bytes_written: Arc<std::sync::atomic::AtomicU64>,
+    bytes_written: Arc<AtomicU64>,
 }
 
 impl FsEnv {
@@ -420,7 +418,7 @@ impl FsEnv {
         std::fs::create_dir_all(&root)?;
         Ok(Self {
             root,
-            bytes_written: Arc::new(std::sync::atomic::AtomicU64::new(0)),
+            bytes_written: Arc::new(AtomicU64::new(0)),
         })
     }
 
@@ -431,14 +429,14 @@ impl FsEnv {
 
 struct FsWritable {
     file: std::fs::File,
-    bytes_written: Arc<std::sync::atomic::AtomicU64>,
+    bytes_written: Arc<AtomicU64>,
 }
 
 impl WritableFile for FsWritable {
     fn append(&mut self, data: &[u8]) -> Result<()> {
         self.file.write_all(data)?;
         self.bytes_written
-            .fetch_add(data.len() as u64, std::sync::atomic::Ordering::Relaxed);
+            .fetch_add(data.len() as u64, Ordering::Relaxed);
         Ok(())
     }
 
@@ -549,8 +547,7 @@ impl Env for FsEnv {
     }
 
     fn bytes_written(&self) -> u64 {
-        self.bytes_written
-            .load(std::sync::atomic::Ordering::Relaxed)
+        self.bytes_written.load(Ordering::Relaxed)
     }
 
     fn sync_dir(&self) -> Result<()> {

@@ -23,10 +23,9 @@
 
 use std::collections::HashMap;
 use std::io;
-use std::sync::Arc;
 
 use flodb_sync::lock_order::{FAULT_COUNTERS, FAULT_PLANS};
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 
 use crate::env::{Env, RandomAccessFile, WritableFile};
 use crate::error::{Result, StorageError};

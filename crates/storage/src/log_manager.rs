@@ -40,7 +40,8 @@
 //! the live window, not the store's lifetime.
 
 use std::mem;
-use std::sync::Arc;
+
+use flodb_sync::shim::Arc;
 
 use crate::env::Env;
 use crate::error::Result;

@@ -12,7 +12,7 @@
 //! the index's dense key prefixes ([`crate::prefix`]), then scan one block
 //! in place, borrowed from the file ([`RandomAccessFile::read_with`]).
 
-use std::sync::Arc;
+use flodb_sync::shim::Arc;
 
 use crate::block::{self, BlockBuilder, BlockCursor};
 use crate::bloom::{bloom_hash, Bloom};

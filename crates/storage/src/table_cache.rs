@@ -10,10 +10,9 @@
 //! reproduce LevelDB's contention point with `cache_shards = 1`.
 
 use std::collections::HashMap;
-use std::sync::Arc;
 
 use flodb_sync::lock_order::CACHE_SHARD;
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 
 use crate::env::Env;
 use crate::error::Result;

@@ -10,10 +10,9 @@
 //!   first);
 //! - levels ≥ 1 hold disjoint key ranges, sorted by smallest key.
 
-use std::sync::Arc;
-
 use flodb_sync::lock_order::{VERSION_CLEANUP, VERSION_CURRENT};
-use flodb_sync::shim::{ranked_mutex, Mutex};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 
 use crate::error::{Result, StorageError};
 use crate::prefix::{key_prefix, Probe};
@@ -241,7 +240,7 @@ impl VersionEdit {
 #[derive(Debug)]
 pub struct VersionSet {
     current: Mutex<Arc<Version>>,
-    next_file: std::sync::atomic::AtomicU64,
+    next_file: AtomicU64,
 }
 
 impl VersionSet {
@@ -249,7 +248,7 @@ impl VersionSet {
     pub fn new() -> Self {
         Self {
             current: ranked_mutex(VERSION_CURRENT, Arc::new(Version::empty())),
-            next_file: std::sync::atomic::AtomicU64::new(1),
+            next_file: AtomicU64::new(1),
         }
     }
 
@@ -265,20 +264,18 @@ impl VersionSet {
 
     /// Allocates a fresh file number.
     pub fn new_file_number(&self) -> u64 {
-        self.next_file
-            .fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+        self.next_file.fetch_add(1, Ordering::Relaxed)
     }
 
     /// Returns the next file number without allocating it (recorded in
     /// manifest records so recovery can resume allocation).
     pub fn peek_file_number(&self) -> u64 {
-        self.next_file.load(std::sync::atomic::Ordering::Relaxed)
+        self.next_file.load(Ordering::Relaxed)
     }
 
     /// Moves the allocator forward to at least `n` (manifest recovery).
     pub fn bump_file_number(&self, n: u64) {
-        self.next_file
-            .fetch_max(n, std::sync::atomic::Ordering::Relaxed);
+        self.next_file.fetch_max(n, Ordering::Relaxed);
     }
 
     /// Applies `edit`, installing and returning the new current version.

@@ -144,18 +144,16 @@ impl InflightGuard<'_> {
     /// is open — the next one waits for this grace to end first — so a
     /// differing phase bit means exactly that.
     pub fn is_awaited(&self) -> bool {
-        // Mutation hook for the model-checker regression suite
-        // (tests/model_mutation.rs): never report the window awaited, so
-        // a writer waiting on the very quiescer that waits on it hangs.
-        // Never set outside that suite.
+        // Mutation hook (`Hook::RoomStall`, tests/model_mutation.rs): never
+        // report the window awaited, so a writer waiting on the very
+        // quiescer that waits on it hangs.
         #[cfg(flodb_model_mutation)]
-        {
+        if crate::shim::mutation::on(crate::shim::mutation::Hook::RoomStall) {
             return false;
         }
         // ORDERING: pairs with the flip's SeqCst RMW; a stale read only
         // delays the answer to the writer's next check.
-        #[cfg(not(flodb_model_mutation))]
-        (self.owner.phase.load(Ordering::SeqCst) & 1 != self.phase)
+        self.owner.phase.load(Ordering::SeqCst) & 1 != self.phase
     }
 }
 

@@ -78,12 +78,13 @@ impl Park {
         self.parked.fetch_add(1, Ordering::SeqCst);
         // ORDERING: the same fence pair, as above.
         fence(Ordering::SeqCst);
-        // Mutation hook for the model-checker regression suite
-        // (tests/model_mutation.rs): wait once on the check made before
-        // the announcement — the lost wakeup this module rules out. Never
-        // set outside that suite.
+        // Mutation hook (`Hook::LostWakeup`, tests/model_mutation.rs): wait
+        // once on the check made before the announcement — the lost wakeup
+        // this module rules out.
         #[cfg(flodb_model_mutation)]
-        self.cv.wait(&mut guard);
+        if crate::shim::mutation::on(crate::shim::mutation::Hook::LostWakeup) {
+            self.cv.wait(&mut guard);
+        }
         while !ready() {
             self.cv.wait(&mut guard);
         }

@@ -353,13 +353,69 @@ pub mod atomic {
     };
 }
 
-/// Thread spawn/yield; model threads participate in the explored schedule.
+/// Thread spawn/yield/sleep; model threads join the explored schedule.
 pub mod thread {
     #[cfg(not(flodb_model))]
-    pub use std::thread::{spawn, yield_now, JoinHandle};
+    pub use std::thread::{sleep, spawn, yield_now, JoinHandle};
 
     #[cfg(flodb_model)]
     pub use flodb_check::thread::{spawn, yield_now, JoinHandle};
+
+    /// Sleeps; under the model, the time passing is a yield.
+    // SLEEP-OK: the facade's spelling of a sleep; each caller waives its own.
+    #[cfg(flodb_model)]
+    pub fn sleep(_: std::time::Duration) {
+        yield_now();
+    }
+
+    /// Spawns a thread named `name`; under the model, an unnamed model
+    /// thread.
+    #[cfg_attr(flodb_model, allow(unused_variables))]
+    pub fn spawn_named<F, T>(name: String, f: F) -> std::io::Result<JoinHandle<T>>
+    where
+        F: FnOnce() -> T + Send + 'static,
+        T: Send + 'static,
+    {
+        #[cfg(flodb_model)]
+        return Ok(spawn(f));
+        #[cfg(not(flodb_model))]
+        std::thread::Builder::new().name(name).spawn(f)
+    }
+}
+
+/// Mutation hooks of tests/model_mutation.rs; only the selected one fires.
+#[cfg(flodb_model_mutation)]
+pub mod mutation {
+    use std::sync::atomic::{AtomicU8, Ordering};
+
+    /// One re-introducible defect.
+    #[derive(Debug, Clone, Copy)]
+    pub enum Hook {
+        /// `ImmMembuffer::drain_ready` always open.
+        DrainGate,
+        /// `ImmMembuffer::reclaim` without its sole-owner check.
+        Recycle,
+        /// `InflightGuard::is_awaited` never true.
+        RoomStall,
+        /// `Park::park_until` waits on its first check.
+        LostWakeup,
+        /// `Drainer::lap` drains its chunk outside its read section.
+        LapSection,
+    }
+
+    /// The selected hook's discriminant plus one; 0 is none.
+    static SELECTED: AtomicU8 = AtomicU8::new(0);
+
+    /// Makes `hook` the one that fires (`None`: none does); set it before
+    /// the check starts.
+    pub fn select(hook: Option<Hook>) {
+        SELECTED.store(hook.map_or(0, |h| h as u8 + 1), Ordering::Relaxed);
+    }
+
+    /// Whether `hook` is the selected one.
+    pub fn on(hook: Hook) -> bool {
+        SELECTED.load(Ordering::Relaxed) == hook as u8 + 1
+    }
 }
 
 /// Spin-loop hint; a deprioritizing yield under the model.
@@ -397,8 +453,17 @@ mod tests {
         );
         let _: std::sync::atomic::AtomicUsize = super::atomic::AtomicUsize::new(0);
         let _: std::sync::atomic::AtomicBool = super::atomic::AtomicBool::new(false);
+        let _: std::sync::atomic::AtomicU64 = super::atomic::AtomicU64::new(0);
+        let _: std::sync::atomic::AtomicU32 = super::atomic::AtomicU32::new(0);
         let h: std::thread::JoinHandle<()> = super::thread::spawn(|| {});
         h.join().unwrap();
+        // The named spawn is `std::thread::Builder`'s, handle and all.
+        let h: std::io::Result<std::thread::JoinHandle<()>> =
+            super::thread::spawn_named("shim-named".into(), || {});
+        h.unwrap().join().unwrap();
+        let sleep: fn(std::time::Duration) = std::thread::sleep;
+        let shim_sleep: fn(std::time::Duration) = super::thread::sleep;
+        assert_eq!(sleep as usize, shim_sleep as usize);
         let f: fn() = std::hint::spin_loop;
         let g: fn() = super::hint::spin_loop;
         assert_eq!(f as usize, g as usize);

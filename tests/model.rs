@@ -9,15 +9,18 @@
 //!
 //! Each test explores schedules of one scenario body (see
 //! `model_support/`) with both a bounded-preemption DFS and a seeded
-//! random walk. Budgets are sized to finish in seconds; raise
+//! random walk. The `store_*` tests run a real store; the rest check one
+//! primitive each. Budgets are sized to finish in seconds; raise
 //! `FLODB_CHECK_ITERS` locally for a deeper soak.
 
 #![cfg(all(flodb_model, not(flodb_model_mutation)))]
 
 mod model_support;
 
+use std::sync::Arc;
+
 use flodb_check::Builder;
-use model_support as scenarios;
+use model_support::{self as scenarios, Coverage};
 
 /// DFS with 2 preemptions, capped; catches every race flodb-check can
 /// express within the bound while keeping CI under a few minutes.
@@ -30,14 +33,48 @@ fn random() -> Builder {
     Builder::new().iterations(300).seed(0xF10D_B6)
 }
 
-#[test]
-fn freeze_gate_holds() {
-    dfs().model(scenarios::freeze_gate_body);
+/// Checks a real-store scenario; returns what its schedules covered,
+/// `(persists, helps, stalls)` summed over them.
+fn store(builder: Builder, body: fn(&Coverage)) -> (u64, u64, u64) {
+    let cov = Arc::new(Coverage::default());
+    let seen = Arc::clone(&cov);
+    builder.model(move || body(&seen));
+    cov.totals()
 }
 
 #[test]
-fn freeze_gate_holds_random() {
-    random().model(scenarios::freeze_gate_body);
+fn store_switch_loses_nothing() {
+    let (persists, _, _) = store(dfs(), scenarios::store_switch_body);
+    assert!(persists > 0);
+}
+
+#[test]
+fn store_switch_loses_nothing_random() {
+    let (persists, _, _) = store(random(), scenarios::store_switch_body);
+    assert!(persists > 0);
+}
+
+#[test]
+fn store_scan_sees_every_acknowledged_write() {
+    store(dfs(), scenarios::store_scan_body);
+}
+
+#[test]
+fn store_scan_sees_every_acknowledged_write_random() {
+    let (_, helps, _) = store(random(), scenarios::store_scan_body);
+    assert!(helps > 0, "no schedule had a writer help the scan's frozen drain");
+}
+
+#[test]
+fn store_room_stall_completes() {
+    let (_, _, stalls) = store(dfs(), scenarios::store_room_body);
+    assert!(stalls > 0, "no schedule had a writer wait for Memtable room");
+}
+
+#[test]
+fn store_room_stall_completes_random() {
+    let (_, _, stalls) = store(random(), scenarios::store_room_body);
+    assert!(stalls > 0, "no schedule had a writer wait for Memtable room");
 }
 
 #[test]
@@ -48,26 +85,6 @@ fn gate_claim_holds() {
 #[test]
 fn gate_claim_holds_random() {
     random().model(scenarios::gate_claim_body);
-}
-
-#[test]
-fn persist_switch_loses_nothing() {
-    dfs().model(scenarios::persist_switch_body);
-}
-
-#[test]
-fn persist_switch_loses_nothing_random() {
-    random().model(scenarios::persist_switch_body);
-}
-
-#[test]
-fn live_drain_freeze_loses_nothing() {
-    dfs().model(scenarios::live_drain_freeze_body);
-}
-
-#[test]
-fn live_drain_freeze_loses_nothing_random() {
-    random().model(scenarios::live_drain_freeze_body);
 }
 
 #[test]
@@ -113,16 +130,6 @@ fn router_split_commits_whole_sub_batches_random() {
 #[test]
 fn inflight_grace_covers_logged_to_applied() {
     dfs().model(scenarios::inflight_grace_body);
-}
-
-#[test]
-fn switch_grace_room_stall_completes() {
-    dfs().model(scenarios::switch_grace_room_stall_body);
-}
-
-#[test]
-fn switch_grace_room_stall_completes_random() {
-    random().model(scenarios::switch_grace_room_stall_body);
 }
 
 #[test]

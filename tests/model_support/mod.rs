@@ -1,28 +1,199 @@
 //! Model-test scenario bodies shared by `tests/model.rs` (they must hold
 //! under the checker in normal builds) and `tests/model_mutation.rs`
-//! (re-enabling PR 5's freeze races via `--cfg flodb_model_mutation` must
-//! make the checker find them).
+//! (with one `--cfg flodb_model_mutation` hook selected, the checker must
+//! find the defect it re-introduces).
 //!
 //! Every body builds its entire world from scratch — the checker runs it
-//! once per explored schedule — and uses only `flodb_sync::shim`
-//! primitives, so each synchronization step is a scheduling decision
-//! point.
+//! once per explored schedule — and synchronizes only through
+//! `flodb_sync::shim`, so each synchronization step is a scheduling
+//! decision point. The `store_*` bodies run a real [`FloDb`]: its writers,
+//! its drain and persist threads, its settles, a drop and a reopen. The
+//! other bodies check one primitive each, where a real store could not
+//! reach or could not observe the property.
 
 // The invariant suite (tests/model.rs) and the mutation suite
 // (tests/model_mutation.rs) compile under mutually exclusive cfgs and
 // each uses a subset of these bodies.
 #![allow(dead_code)]
 
-use flodb::core::drain::{help_drain_imm_via, DrainStyle, Drainer};
+use std::sync::atomic::AtomicU64;
+use std::sync::OnceLock;
+
+use flodb::core::drain::{help_drain_imm_via, DrainStyle};
 use flodb::core::view::{ImmMembuffer, MemView, ViewCell};
 use flodb::membuffer::{MemBuffer, MemBufferConfig};
 use flodb::memtable::SkipList;
-use flodb::sync::shim::atomic::{AtomicUsize, Ordering};
+use flodb::storage::{Env, MemEnv};
+use flodb::sync::shim::atomic::{AtomicBool, AtomicUsize, Ordering};
 use flodb::sync::shim::{thread, Arc, Mutex};
-use flodb::sync::shim::atomic::AtomicBool;
-use flodb::sync::{
-    GroupCommitConfig, GroupCommitter, Park, PauseFlag, PhasedInflight, SequenceGenerator,
-};
+use flodb::sync::{GroupCommitConfig, GroupCommitter, Park, PhasedInflight, SequenceGenerator};
+use flodb::{FloDb, FloDbOptions, KvStore, StoreStats, WalMode};
+
+/// What the schedules of one check drove the store through, summed over
+/// them: a scenario asserts its path ran in *some* schedule, as no one
+/// schedule need take it. Plain atomics: only the run's last step reads
+/// the store's counters and adds them here.
+#[derive(Debug, Default)]
+pub struct Coverage {
+    /// Memtable switches (`persists`).
+    pub persists: AtomicU64,
+    /// Writers that helped a frozen drain (`writer_drain_helps`).
+    pub helps: AtomicU64,
+    /// Writers that waited for Memtable room (`write_stalls`).
+    pub stalls: AtomicU64,
+}
+
+impl Coverage {
+    fn add(&self, stats: &StoreStats) {
+        use std::sync::atomic::Ordering::Relaxed;
+        self.persists.fetch_add(stats.persists, Relaxed);
+        self.helps.fetch_add(stats.writer_drain_helps, Relaxed);
+        self.stalls.fetch_add(stats.write_stalls, Relaxed);
+    }
+
+    /// `(persists, helps, stalls)`.
+    pub fn totals(&self) -> (u64, u64, u64) {
+        use std::sync::atomic::Ordering::Relaxed;
+        let load = |n: &AtomicU64| n.load(Relaxed);
+        (load(&self.persists), load(&self.helps), load(&self.stalls))
+    }
+}
+
+/// A store small enough to check whole: one partition, a 48 KiB Memtable
+/// trigger, one drainer, the log on, unsynced. Its 16 KiB Membuffer gets
+/// 128 buckets, two 64-bucket chunks, so a frozen drain has a chunk left
+/// for a helping writer to claim while the freezer drains the first.
+fn tiny_options() -> FloDbOptions {
+    let mut opts = FloDbOptions::small_for_tests();
+    opts.memory_bytes = 64 * 1024;
+    opts.partition_bits = 0;
+    opts.avg_entry_bytes = 32;
+    opts.drain_threads = 1;
+    opts.wal = WalMode::Enabled { sync: false };
+    opts
+}
+
+/// Opens (or reopens) a tiny store on `env`.
+fn tiny_store(env: &Arc<dyn Env>) -> FloDb {
+    let opts = FloDbOptions { env: Arc::clone(env), ..tiny_options() };
+    FloDb::open(opts).expect("a tiny store opens")
+}
+
+/// Key `i` of the keys that share a tiny store's Membuffer bucket 0, in
+/// key order: four fill the bucket, so the fifth takes the slow path and
+/// kicks the drainer.
+fn key(i: usize) -> Vec<u8> {
+    static KEYS: OnceLock<Vec<Vec<u8>>> = OnceLock::new();
+    let keys = KEYS.get_or_init(|| {
+        let o = tiny_options();
+        let probe = MemBuffer::new(MemBufferConfig::for_capacity_bytes(
+            o.membuffer_bytes(),
+            o.partition_bits,
+            o.avg_entry_bytes,
+        ));
+        (0..)
+            .map(|n: u32| format!("k{n:05}").into_bytes())
+            .filter(|k| probe.bucket_of(k) == 0)
+            .take(16)
+            .collect()
+    });
+    keys[i].clone()
+}
+
+/// Every acknowledged write in `acked` reads back from `db`, then from a
+/// reopen of `db`'s env once `db` is dropped (its threads joined, its last
+/// switch done); `db`'s counters go to `cov` first.
+fn reads_back(db: FloDb, env: &Arc<dyn Env>, acked: &[(Vec<u8>, Vec<u8>)], cov: &Coverage) {
+    cov.add(&db.stats());
+    for (k, v) in acked {
+        assert_eq!(db.get(k).as_ref(), Some(v), "an acknowledged write is missing live");
+    }
+    drop(db);
+    let db = tiny_store(env);
+    for (k, v) in acked {
+        assert_eq!(db.get(k).as_ref(), Some(v), "an acknowledged write is missing after reopen");
+    }
+}
+
+/// Puts `keys` with `value`, in order, and returns them acknowledged.
+fn put_all(db: &FloDb, keys: std::ops::Range<usize>, value: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
+    keys.map(|i| {
+        db.put(&key(i), value).expect("the log is in memory and cannot fail");
+        (key(i), value.to_vec())
+    })
+    .collect()
+}
+
+/// The Memtable switch (`flush_all`'s forced switch: roll, grace,
+/// freeze-drain, swap, flush, retire) against a writer and the drainer.
+/// Four keys fill the bucket all keys share and the settle kicks the
+/// drainer, so its lap races the switch's freeze; the writer's puts find
+/// the bucket full or not, and on the slow path meet the freeze, wait for
+/// it and insert into whichever Memtable the swap left. Every
+/// acknowledged write reads back, live and after a reopen, and the settle
+/// and the drop return: no park of the settle, the persist thread, the
+/// drainer or a writer lost its wake.
+pub fn store_switch_body(cov: &Coverage) {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    let db = Arc::new(tiny_store(&env));
+    let mut acked = put_all(&db, 0..4, b"v");
+    let writer = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || put_all(&db, 4..8, b"w"))
+    };
+    db.flush_all();
+    acked.extend(writer.join().unwrap());
+    let db = Arc::into_inner(db).expect("the writer has let go");
+    assert!(db.stats().persists >= 1, "flush_all returned without a switch");
+    reads_back(db, &env, &acked, cov);
+}
+
+/// A scan (Algorithm 3: freeze, frozen drain, stamp, iterate) against a
+/// writer and the background drainer. Four keys fill the bucket all keys
+/// share; the writer's first put finds it full, kicks the drainer and
+/// takes the slow path, where it may meet the scan's freeze and help its
+/// frozen drain. The scan sees every write acknowledged before it began:
+/// a lap that claimed a chunk its freeze's grace period did not wait for
+/// would let the frozen drain skip the claimed entries and the scan stamp
+/// before they reach the Memtable.
+pub fn store_scan_body(cov: &Coverage) {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    let db = Arc::new(tiny_store(&env));
+    let mut acked = put_all(&db, 0..4, b"v");
+    let writer = {
+        let db = Arc::clone(&db);
+        thread::spawn(move || put_all(&db, 4..8, b"w"))
+    };
+    let scanned = db.scan(b"k", b"l");
+    for (k, v) in &acked {
+        assert!(
+            scanned.iter().any(|(sk, sv)| sk == k && sv == v),
+            "a scan missed a write acknowledged before it began"
+        );
+    }
+    acked.extend(writer.join().unwrap());
+    let db = Arc::into_inner(db).expect("the writer has let go");
+    reads_back(db, &env, &acked, cov);
+}
+
+/// A writer stalled on Memtable room against the switch that makes it.
+/// 25 KiB values: four fill the Membuffer's bucket, two take the Memtable
+/// past its 48 KiB trigger, and the seventh put finds no room, wakes the
+/// persist thread and parks (`write_stalls`). The switch's roll flips the
+/// in-flight phase and its grace waits for that writer's window, so the
+/// writer must notice it is awaited and overshoot the trigger instead of
+/// waiting for the swap that the grace holds back (`write.rs`); then the
+/// switch completes and `quiesce` returns. Mutated (`Hook::RoomStall`: a
+/// window never reports awaited), the two wait on each other for good.
+pub fn store_room_body(cov: &Coverage) {
+    let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
+    let db = tiny_store(&env);
+    let value = vec![b'r'; 25 * 1024];
+    let acked = put_all(&db, 0..7, &value);
+    db.quiesce();
+    assert!(db.stats().persists >= 1, "a Memtable over its trigger was never switched");
+    reads_back(db, &env, &acked, cov);
+}
 
 /// One partition, one bucket (4 slots): the smallest Membuffer, so every
 /// write and every drain claim contend on the same bucket.
@@ -33,91 +204,16 @@ fn tiny_membuffer() -> MemBuffer {
     })
 }
 
-/// The PR 5 `open_for_drain` gate scenario (Algorithm 2 lines 12-16 vs.
-/// the freeze in Algorithm 3 lines 6-11).
-///
-/// A straggler writer is mid-`add` against the Membuffer that a master
-/// scan is freezing; a helping writer polls for a frozen buffer and helps
-/// drain it as soon as [`ImmMembuffer::drain_ready`] allows. The gate
-/// opens only after the freeze's grace period, so every straggler entry
-/// has landed before any bucket is claimed — with the gate mutated away
-/// (`--cfg flodb_model_mutation` pretends it is always open), the helper
-/// can claim the straggler's bucket *before* its entry lands, and the
-/// acknowledged write is dropped with the frozen buffer.
-pub fn freeze_gate_body() {
-    let mbf = Arc::new(tiny_membuffer());
-    let mtb = Arc::new(SkipList::new());
-    let view = Arc::new(ViewCell::new(MemView {
-        mbf: Some(Arc::clone(&mbf)),
-        imm_mbf: None,
-        mtb: Arc::clone(&mtb),
-        imm_mtb: None,
-    }));
-    let seq = Arc::new(SequenceGenerator::new());
-
-    // Straggler: an acknowledged put racing the freeze.
-    let writer = {
-        let view = Arc::clone(&view);
-        thread::spawn(move || {
-            view.read(|v| {
-                if let Some(m) = &v.mbf {
-                    m.add(b"straggler", Some(b"w"));
-                }
-            });
-        })
-    };
-
-    // Helping writer (the store's write path): helps with the draining of
-    // the immutable Membuffer once the gate allows.
-    let helper = {
-        let view = Arc::clone(&view);
-        let seq = Arc::clone(&seq);
-        thread::spawn(move || {
-            for _ in 0..2 {
-                let imm = view.read(|v| v.imm_mbf.clone());
-                if let Some(imm) = imm {
-                    if imm.drain_ready() && !imm.tracker.is_complete() {
-                        help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-                        return;
-                    }
-                }
-                thread::yield_now();
-            }
-        })
-    };
-
-    // The freezer (master-scan path, `freeze_and_drain_membuffer`):
-    // install a fresh Membuffer, freeze the old one — the switch waits the
-    // grace period — then open the drain and complete it.
-    let imm = view
-        .freeze_membuffer(Arc::new(tiny_membuffer()))
-        .expect("buffer was frozen");
-    imm.open_for_drain();
-    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-    while !imm.tracker.is_complete() {
-        thread::yield_now();
-    }
-    writer.join().unwrap();
-    helper.join().unwrap();
-    assert_eq!(
-        imm.buffer.len(),
-        0,
-        "acknowledged write left in the dropped frozen Membuffer"
-    );
-}
-
 /// The `open_for_drain` gate, distilled: a straggler `add` racing a
 /// helper's bucket claim on a frozen Membuffer.
 ///
-/// Same components and same gate as [`freeze_gate_body`], but the freeze's
-/// grace period is expressed directly — the freezer joins the straggler
-/// before opening the drain — instead of via an RCU view switch. That keeps
-/// the schedule short enough for the bounded search to cover: in
-/// [`freeze_gate_body`] the failing window hides behind ~30 consecutive
-/// scheduler choices (publish + synchronize + the helper's full view
-/// read), past what a preemption-bounded DFS or a random walk reaches in
-/// CI-sized budgets. Here the claim/add race *is* the whole trace, so the
-/// mutation suite can assert the checker finds it.
+/// The freeze's grace period is expressed directly — the freezer joins the
+/// straggler before opening the drain — instead of via an RCU view switch.
+/// In a real store ([`store_switch_body`]) the failing window hides behind
+/// ~30 consecutive scheduler choices (publish + synchronize + the helper's
+/// full view read), past what a preemption-bounded DFS or a random walk
+/// reaches in CI-sized budgets. Here the claim/add race *is* the whole
+/// trace, so the mutation suite can assert the checker finds it.
 pub fn gate_claim_body() {
     let mbf = Arc::new(tiny_membuffer());
     let mtb = Arc::new(SkipList::new());
@@ -163,115 +259,6 @@ pub fn gate_claim_body() {
         0,
         "acknowledged write left in the dropped frozen Membuffer"
     );
-}
-
-/// The PR 5 stale-Memtable scenario: a cooperative drain racing a persist
-/// switch.
-///
-/// [`help_drain_imm_via`] resolves the target Memtable *inside each
-/// chunk's read-side critical section*, so a persist switch either waits
-/// for the in-flight chunk (grace period) or routes later chunks to the
-/// fresh table. Mutated (`--cfg flodb_model_mutation` resolves the table
-/// once up front), the switch can land between lookup and insert: the
-/// batch goes into the immutable table *after* its flush collected
-/// entries, and is dropped with it.
-pub fn persist_switch_body() {
-    let mbf = Arc::new(tiny_membuffer());
-    mbf.add(b"acked", Some(b"w"));
-    let imm = Arc::new(ImmMembuffer::new(Arc::clone(&mbf)));
-    imm.open_for_drain(); // Legitimately open: the freeze finished long ago.
-    let old_mtb = Arc::new(SkipList::new());
-    let view = Arc::new(ViewCell::new(MemView {
-        mbf: None,
-        imm_mbf: Some(Arc::clone(&imm)),
-        mtb: Arc::clone(&old_mtb),
-        imm_mtb: None,
-    }));
-    let seq = Arc::new(SequenceGenerator::new());
-
-    let helper = {
-        let imm = Arc::clone(&imm);
-        let view = Arc::clone(&view);
-        let seq = Arc::clone(&seq);
-        thread::spawn(move || help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert))
-    };
-
-    // Persist switch: swap in a fresh Memtable, "flush" the old one,
-    // release it — `persist_once`'s own transitions, minus the disk.
-    let new_mtb = Arc::new(SkipList::new());
-    let imm_mtb = view.switch_memtable(Arc::clone(&new_mtb));
-    let flushed = imm_mtb.get(b"acked").is_some();
-    view.release_immutable_memtable();
-
-    helper.join().unwrap();
-    assert!(
-        flushed || new_mtb.get(b"acked").is_some(),
-        "acknowledged write missed both the flush and the live Memtable"
-    );
-}
-
-/// The background drainer against a freeze: one lap over the live buffer
-/// racing Algorithm 3's pause, freeze and frozen drain.
-///
-/// A writer adds a key to the live Membuffer while a drainer runs one
-/// [`Drainer::lap`]; once the write is acknowledged, the freezer pauses
-/// drains, freezes the buffer (the switch waits a grace period), opens it
-/// for draining and runs the frozen drain. A key added before the freeze
-/// began must be in the Memtable once the frozen drain completes — a
-/// master scan stamps right after it. The lap claims each chunk inside the
-/// read-side section it inserts in, so the freeze's grace period waits for
-/// any claim the lap made. A lap that claimed outside the section could
-/// mark the key, let the freeze and the frozen drain (which skips marked
-/// entries) run past it, and insert the key only after the scan's stamp.
-pub fn live_drain_freeze_body() {
-    let mbf = Arc::new(tiny_membuffer());
-    let mtb = Arc::new(SkipList::new());
-    let view = Arc::new(ViewCell::new(MemView {
-        mbf: Some(Arc::clone(&mbf)),
-        imm_mbf: None,
-        mtb: Arc::clone(&mtb),
-        imm_mtb: None,
-    }));
-    let seq = Arc::new(SequenceGenerator::new());
-    let paused = Arc::new(PauseFlag::new());
-
-    let writer = {
-        let view = Arc::clone(&view);
-        thread::spawn(move || {
-            view.read(|v| {
-                if let Some(m) = &v.mbf {
-                    m.add(b"acked", Some(b"w"));
-                }
-            });
-        })
-    };
-
-    let drainer = {
-        let view = Arc::clone(&view);
-        let paused = Arc::clone(&paused);
-        let seq = Arc::clone(&seq);
-        let chunks = mbf.chunks();
-        thread::spawn(move || {
-            Drainer::new(chunks, 0, 1).lap(&view, &paused, &seq, DrainStyle::MultiInsert);
-        })
-    };
-
-    // The freezer (`freeze_window` + `freeze_and_drain_membuffer`), after
-    // the write was acknowledged.
-    writer.join().unwrap();
-    paused.pause();
-    let imm = view
-        .freeze_membuffer(Arc::new(tiny_membuffer()))
-        .expect("buffer was frozen");
-    imm.open_for_drain();
-    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-    assert!(imm.tracker.is_complete());
-    assert!(
-        mtb.get(b"acked").is_some(),
-        "a write added before the freeze missed the Memtable after the frozen drain"
-    );
-    paused.resume();
-    drainer.join().unwrap();
 }
 
 /// The recycle gate (`ImmMembuffer::reclaim`): a snapshot holder racing
@@ -573,84 +560,6 @@ pub fn inflight_grace_body() {
         w.join().unwrap();
     }
     assert_eq!(inflight.open_windows(), 0);
-}
-
-/// The Memtable switch against a writer stalled on Memtable room — the
-/// deadlock the switch's grace must not fall into.
-///
-/// A writer opens its logged→applied window, logs, and finds the Memtable
-/// over its trigger; only a switch makes room. The persist thread then
-/// runs the switch's steps (`persist.rs`): roll (seal under the log lock,
-/// flipping the in-flight phase in the same critical section), grace,
-/// freeze-drain, switch and flush. The grace waits for the writer's
-/// window, and the writer waits for room, so the writer must notice that
-/// a grace awaits it ([`flodb::sync::InflightGuard::is_awaited`]) — the
-/// roll wakes the room — and overshoot the trigger instead, as `write.rs`
-/// does: the switch then completes, and the write — logged into the
-/// sealed segment — is in the flushed table. Mutated (`--cfg flodb_model_mutation` never reports a
-/// window awaited), the two wait on each other forever.
-pub fn switch_grace_room_stall_body() {
-    let mtb = Arc::new(SkipList::new());
-    mtb.insert(b"filler", Some(b"f"), 1);
-    // Any byte more than the filler is over the trigger.
-    let trigger = mtb.approximate_bytes() - 1;
-    let view = Arc::new(ViewCell::new(MemView {
-        mbf: Some(Arc::new(tiny_membuffer())),
-        imm_mbf: None,
-        mtb,
-        imm_mtb: None,
-    }));
-    let seq = Arc::new(SequenceGenerator::starting_at(2));
-    let inflight = Arc::new(PhasedInflight::new());
-    // The log: the lock a roll seals under, and the records it holds.
-    let log = Arc::new(Mutex::new(Vec::<u8>::new()));
-
-    // Writers park here for room; the roll and the swap wake it.
-    let room = Arc::new(Park::new());
-
-    let writer = {
-        let (view, seq, inflight, log, room) = (
-            Arc::clone(&view),
-            Arc::clone(&seq),
-            Arc::clone(&inflight),
-            Arc::clone(&log),
-            Arc::clone(&room),
-        );
-        thread::spawn(move || {
-            let window = inflight.enter();
-            log.lock().push(1);
-            // Wait for Memtable room, unless a grace waits for this window.
-            room.park_until(|| {
-                view.read(|v| v.mtb.approximate_bytes()) <= trigger || window.is_awaited()
-            });
-            view.read(|v| v.mtb.insert(b"acked", Some(b"w"), seq.next()));
-        })
-    };
-
-    // The switch, once the write is logged.
-    while log.lock().is_empty() {
-        thread::yield_now();
-    }
-    let grace = {
-        let _sealing = log.lock();
-        inflight.flip()
-    };
-    room.wake();
-    grace.wait();
-    let frozen = view
-        .freeze_membuffer(Arc::new(tiny_membuffer()))
-        .expect("buffer was frozen");
-    frozen.open_for_drain();
-    help_drain_imm_via(&frozen, &view, &seq, DrainStyle::MultiInsert);
-    view.release_frozen_membuffer();
-    let flushed = view.switch_memtable(Arc::new(SkipList::new()));
-    room.wake();
-    assert!(
-        flushed.get(b"acked").is_some(),
-        "a write logged before the roll missed the flushed table"
-    );
-    view.release_immutable_memtable();
-    writer.join().unwrap();
 }
 
 /// RCU grace periods on the view cell: a switch never returns while a

@@ -7,7 +7,8 @@
 //!   1. **`safety-comment`** — every `unsafe` site needs a `// SAFETY:`
 //!      comment or `# Safety` doc section.
 //!   2. **`raw-sync`** — no raw `std::sync`/`parking_lot`/`std::thread`
-//!      primitives in facade-scoped crates; everything routes through
+//!      primitives in the engine crates (core, storage, sync, membuffer,
+//!      memtable); every thread and atomic routes through
 //!      `flodb_sync::shim` so `--cfg flodb_model` coverage cannot rot.
 //!   3. **`write-path-panic`** — no unwaived `.unwrap()`/`.expect(` in
 //!      `crates/core` production code (`// PANIC-OK:` waivable).
@@ -21,8 +22,8 @@
 //!      code; configuration arrives through `FloDbOptions` only.
 //!   7. **`orphan-shim`** — every `third_party/*` workspace member is a
 //!      dependency or dev-dependency of some member.
-//!   8. **`timed-wait`** — no `sleep(` or timed wait in engine-crate
-//!      production code without a `// SLEEP-OK:` reason; engine waits
+//!   8. **`timed-wait`** — no `sleep(` or timed wait in engine-crate or
+//!      baseline production code without a `// SLEEP-OK:` reason; waits
 //!      park until their event (`flodb_sync::Park`).
 //! * `cargo xtask locks` — the whole-workspace lock-order analysis
 //!   ([`locks::run_locks`]): lock-site extraction, the declared hierarchy
@@ -74,9 +75,11 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     }
     for_each_file(&safety_files, &mut findings, check_safety_comments);
 
-    // Rule 2 scope: the facade-routed crates. shim.rs is the facade.
+    // Rule 2 scope: the facade-routed crates — the five a store links in,
+    // whose every thread and atomic the model checker must see. shim.rs is
+    // the facade.
     let mut sync_files = Vec::new();
-    for rel in ["crates/sync/src", "crates/membuffer/src", "crates/memtable/src"] {
+    for rel in locks::MODELED_CRATES {
         scan(root, rel, &mut sync_files);
     }
     sync_files.retain(|f| f.file_name().is_none_or(|n| n != "shim.rs"));
@@ -111,7 +114,8 @@ pub fn run_lint(root: &Path) -> Vec<Finding> {
     for_each_file(&modeled_files, &mut findings, check_env_reads);
 
     // Rule 8 scope: the same five crates, whose threads and waits are the
-    // engine's.
+    // engine's, and the baselines, whose threads are measured beside them.
+    scan(root, "crates/baselines/src", &mut modeled_files);
     for_each_file(&modeled_files, &mut findings, check_timed_waits);
 
     // Rule 7 scope: the workspace manifests.

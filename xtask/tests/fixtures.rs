@@ -45,6 +45,19 @@ fn raw_std_mutex_in_sync_fails() {
 }
 
 #[test]
+fn raw_thread_in_core_fails() {
+    let (path, content) = fixture("raw_thread_in_core.rs");
+    let findings = check_raw_sync(&path, &content);
+    let lines: Vec<usize> = findings.iter().map(|f| f.line).collect();
+    assert_eq!(
+        lines,
+        [5, 9],
+        "the raw atomic and the raw spawn must fire, the shim's must not: {findings:?}"
+    );
+    assert!(findings.iter().all(|f| f.rule == Rule::RawSync));
+}
+
+#[test]
 fn write_path_unwrap_fails() {
     let (path, content) = fixture("write_path_unwrap.rs");
     let findings = check_write_path_panics(&path, &content);
