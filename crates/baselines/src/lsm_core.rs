@@ -273,9 +273,9 @@ impl LsmCore {
             let run = memtable.records(low, Some(high));
             sources.push(ScanSource::Memory(run.into_iter()));
         }
-        let _pinned = self
-            .disk
-            .range_sources(low, high, &mut sources)
+        let pinned = self.disk.version();
+        self.disk
+            .range_sources(&pinned, low, high, &mut sources)
             .expect("disk scan");
         let mut merged = MergeCursor::new(sources, snapshot).expect("disk scan");
         let mut emitted = 0u64;

@@ -223,9 +223,9 @@ store_stats! {
     counter drain_batches,
     /// Memtable flushes to disk.
     counter persists,
-    /// Scan restarts caused by concurrent updates (FloDB only).
+    /// Scan restarts: 0, as scans read the Memtable as of their stamp.
     counter scan_restarts,
-    /// Fallback (writer-blocking) scans (FloDB only).
+    /// Writer-blocking fallback scans; 0, as `scan_restarts`.
     counter fallback_scans,
     /// Piggybacking scans — reused a master's sequence number (FloDB
     /// only).
@@ -359,10 +359,10 @@ pub trait KvStore: Send + Sync {
     ///
     /// Scans are serializable: the visited sequence is a consistent
     /// snapshot of the store at some point between invocation and return
-    /// (point-in-time semantics, §2.1). Implementations with optimistic
-    /// concurrency (FloDB's restart protocol) may defer emission until an
-    /// attempt validates; multi-versioned stores stream straight off the
-    /// merge, so an early `Break` also prunes the remaining merge work.
+    /// (point-in-time semantics, §2.1). Every store streams straight off
+    /// its merge — FloDB reads each key as of the scan's stamp — so an
+    /// early `Break` also prunes the remaining merge work. The visitor may
+    /// call back into the store.
     fn scan_with(
         &self,
         low: &[u8],

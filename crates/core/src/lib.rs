@@ -18,9 +18,8 @@
 //! walks MBF → IMM_MBF → MTB → IMM_MTB → disk; `put`/`delete` complete in
 //! the Membuffer when its bucket has room and fall through to the Memtable
 //! otherwise; `scan` drains the Membuffer (master scan), takes a sequence
-//! number, and iterates the sorted levels, restarting if a concurrent
-//! in-place update overtakes it, with a writer-blocking fallback bounding
-//! restarts. Memory components are switched with RCU
+//! number, and streams the sorted levels as of it in one pass. Memory
+//! components are switched with RCU
 //! ([`flodb_sync::RcuDomain`]) so readers and writers never block on a
 //! switch.
 //!

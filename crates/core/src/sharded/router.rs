@@ -67,13 +67,10 @@ impl ShardedOptions {
 ///
 /// # Scans
 ///
-/// Each shard materializes a validated snapshot through its own restart
-/// protocol ([`KvStore::scan_with`]); the router merges the N sorted
-/// snapshots in key order through one `MergeCursor`. `ControlFlow::Break`
-/// stops the merge immediately — emission and cursor work over every shard
-/// are pruned,
-/// though each shard's snapshot was already built (the restart protocol
-/// validates whole ranges, not prefixes).
+/// Each shard streams its range into a run through its own scan
+/// ([`KvStore::scan_with`]); the router merges the N sorted runs in key
+/// order through one `MergeCursor`. `ControlFlow::Break` stops that merge
+/// at once, though each shard's run was already collected whole.
 ///
 /// # Examples
 ///

@@ -14,7 +14,7 @@
 //!   `Inner::drain_loop`): each laps its own disjoint range of the live
 //!   buffer's chunks;
 //! - the cooperative full drain of a frozen buffer ([`help_drain_imm_via`],
-//!   Algorithm 3's freeze drain): master scans, the fallback scan, the
+//!   Algorithm 3's freeze drain): master scans, the
 //!   Memtable switch and helping writers take chunks from the buffer's
 //!   `DrainTracker`.
 //!

@@ -1,7 +1,6 @@
 //! The freeze stage (Algorithm 3, lines 4-14): pause writers and drains,
 //! swap in a fresh Membuffer, drain the frozen one into the Memtable.
-//! Master scans, the fallback scan and every Memtable switch come through
-//! here.
+//! Master scans and every Memtable switch come through here.
 
 use std::time::Instant;
 

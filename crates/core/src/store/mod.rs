@@ -13,10 +13,11 @@
 //!   disk; first hit wins because levels are searched in data-flow order.
 //! - [`scan`] — **Scan** (Algorithm 3): a master scan opens a freeze
 //!   window ([`freeze`]: pause writers, swap in a fresh Membuffer, drain
-//!   the frozen one with writer help), takes a sequence number, unfreezes,
-//!   then iterates MTB/IMM_MTB/disk; any entry fresher than the scan
-//!   number forces a restart, bounded by a writer-blocking fallback.
-//!   Concurrent scans piggyback on the master's sequence number.
+//!   the frozen one with writer help), takes a sequence number and a
+//!   snapshot of MTB/IMM_MTB/disk, unfreezes, then streams the snapshot
+//!   as of its stamp to the visitor in one pass. Memtable updates keep the
+//!   versions a live stamp reads, so nothing restarts. Concurrent scans
+//!   piggyback on the master's snapshot.
 //! - [`drain`] — **draining** (Figure 6) has one primitive: drain one
 //!   64-bucket chunk inside one RCU read section. The background drain
 //!   threads lap their own disjoint chunk ranges of the live Membuffer
@@ -52,7 +53,6 @@ use std::ops::ControlFlow;
 use std::time::Instant;
 
 use flodb_membuffer::{MemBuffer, MemBufferConfig};
-use flodb_memtable::SkipList;
 use flodb_storage::{DiskComponent, StorageError};
 use flodb_sync::lock_order::{CORE_FREEZE, CORE_THREADS};
 use flodb_sync::shim::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -85,8 +85,8 @@ struct Inner {
     /// Memtable writers and the drain loop read the same counting flag.
     frozen: PauseFlag,
     coord: ScanCoordinator,
-    /// Serializes [freeze .. stamp] windows across master and fallback
-    /// scans. Two interleaved freezes would let the second one drain
+    /// Serializes [freeze .. stamp] windows across master scans and
+    /// switches. Two interleaved freezes would let the second one drain
     /// writes made *after* the first scan's linearization point into the
     /// Memtable with sequence numbers *below* the first scan's stamp,
     /// silently including a partial post-cut round in its snapshot.
@@ -182,12 +182,15 @@ impl Inner {
         self.post_progress();
     }
 
-    /// Wakes the persist thread if the Memtable has reached its trigger:
-    /// called after anything that inserts into it (a drain, a writer's
-    /// slow path, a freeze's drain).
+    /// Wakes the persist thread if the Memtable has reached its trigger,
+    /// else the writers waiting for room (a cut of a scan's retained
+    /// versions lowers the figure with no switch). Called after anything
+    /// that inserts into it: a drain, a writer's slow path, a freeze.
     fn wake_persist_if_full(&self) {
         if self.view.read(|v| v.mtb.approximate_bytes()) >= self.memtable_trigger {
             self.persist_park.wake();
+        } else {
+            self.room.wake();
         }
     }
 
@@ -267,6 +270,7 @@ impl FloDb {
 
         let membuffer_enabled = opts.membuffer_enabled;
         let drain_threads = opts.drain_threads;
+        let coord = ScanCoordinator::new();
         let inner = Arc::new(Inner {
             memtable_trigger: opts.memtable_bytes(),
             drain_style: if opts.use_multi_insert {
@@ -277,13 +281,13 @@ impl FloDb {
             view: ViewCell::new(MemView {
                 mbf: membuffer_enabled.then(|| new_membuffer(&opts)),
                 imm_mbf: None,
-                mtb: Arc::new(SkipList::new()),
+                mtb: Arc::new(coord.memtable()),
                 imm_mtb: None,
             }),
             seq: SequenceGenerator::starting_at(recovered.max_seq + 1),
             disk,
             frozen: PauseFlag::new(),
-            coord: ScanCoordinator::new(),
+            coord,
             freeze_lock: ranked_mutex(CORE_FREEZE, None),
             stats: FloDbStats::default(),
             stop: AtomicBool::new(false),

@@ -39,7 +39,7 @@ pub(super) fn stream_memtable(
 ) -> Result<(), StorageError> {
     let mut it = mtb.iter();
     it.seek_to_first();
-    let mut source = MemtableSource(it);
+    let mut source = MemtableSource(it, u64::MAX);
     while source.valid() {
         tables.add(source.record())?;
         source.next()?;
@@ -238,7 +238,7 @@ impl Inner {
         // lock serializes the swaps.
         let imm = self.freeze_window(|spare| {
             self.freeze_and_drain_membuffer(spare);
-            self.view.switch_memtable(Arc::new(SkipList::new()))
+            self.view.switch_memtable(Arc::new(self.coord.memtable()))
         });
         if let Some(wal) = wal {
             wal.cutting.store(false, Ordering::Release);

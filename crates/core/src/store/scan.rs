@@ -1,98 +1,41 @@
-//! The scan stage (Algorithm 3): admission, the restart protocol, and the
-//! writer-blocking fallback.
+//! The scan stage (Algorithm 3): admission, the stamp, and a streaming
+//! read as of it.
 //!
 //! "A master scan is a scan that starts when no other scan is concurrently
 //! running. A piggybacking scan is a scan that starts while some other scan
-//! is concurrently running. At any given time, only one master scan may be
-//! running" (§4.4). The master freezes and drains the Membuffer
-//! ([`Inner::freeze_window`]) and publishes a scan sequence number;
-//! piggybacking scans reuse it, spreading the drain cost over many scans.
-//! Chains of piggybacking scans are bounded so the reused sequence number
-//! does not grow stale without bound. Every scan then merges MTB, IMM_MTB
-//! and the disk through one [`MergeCursor`] into a [`ScanArena`] that
-//! holds the live winner of each key; a winner fresher than the scan's
-//! sequence number forces a restart, and a bounded number of restarts ends
-//! in the fallback. Only a validated range is emitted.
+//! is concurrently running" (§4.4). The master freezes and drains the
+//! Membuffer ([`Inner::freeze_window`]), stamps a sequence number and,
+//! still inside the window, takes its [`ScanSnapshot`]; piggybackers reuse
+//! it, in chains bounded so the stamp does not grow stale without bound.
+//! The coordinator publishes the oldest live stamp — the *horizon* — to
+//! every Memtable of the store, whose updates keep the versions a live
+//! stamp reads (`flodb_memtable`'s "Version chains"). So a scan streams
+//! each key's newest version at or below its stamp straight to its
+//! visitor, in one pass: nothing restarts (ARCHITECTURE.md "Scan contract").
 
+use std::collections::BTreeMap;
 use std::ops::ControlFlow;
 
-use flodb_memtable::SkipListIter;
+use flodb_memtable::{SkipList, SkipListIter};
 use flodb_storage::merge::{MergeCursor, MergeSource, ScanSource};
+use flodb_storage::version::Version;
 use flodb_storage::{DiskComponent, RecordRef};
 use flodb_sync::lock_order::SCAN_COORDINATOR;
-use flodb_sync::shim::{ranked_condvar, ranked_mutex, Condvar, Mutex};
+use flodb_sync::shim::atomic::{AtomicU64, Ordering};
+use flodb_sync::shim::{ranked_condvar, ranked_mutex, Arc, Condvar, Mutex};
 
 use super::Inner;
 use crate::stats::FloDbStats;
 use crate::telemetry::OpClass;
-use crate::view::MemView;
-
-/// Scan outcome signalling that a concurrent update invalidated the scan.
-struct Restart;
-
-/// Scan restarts tolerated before the writer-blocking fallback
-/// (RESTART_THRESHOLD in Algorithm 3).
-const SCAN_RESTART_THRESHOLD: u32 = 8;
 
 /// Maximum piggybacking-chain length before a scan must establish a fresh
 /// sequence number (§4.4).
 const PIGGYBACK_CHAIN_LIMIT: u32 = 8;
 
-/// A scan's validated range: the live winner of each key, in key order,
-/// copied once — from the skiplist node or the block buffer it was read
-/// from — into one byte arena that the emission hands out slices of. It is
-/// held whole because a scan validates all of it before the visitor sees
-/// its first entry: a restart could not take back a partial emission.
-#[derive(Debug)]
-struct ScanArena {
-    bytes: Vec<u8>,
-    /// Per entry, where its key and its value end in `bytes`; each entry
-    /// starts where the one before it ends.
-    ends: Vec<(usize, usize)>,
-}
-
-impl ScanArena {
-    /// Room for a range of a hundred-odd small entries before either
-    /// vector has to grow.
-    fn new() -> Self {
-        Self {
-            bytes: Vec::with_capacity(16 << 10),
-            ends: Vec::with_capacity(256),
-        }
-    }
-
-    fn clear(&mut self) {
-        self.bytes.clear();
-        self.ends.clear();
-    }
-
-    /// Copies one entry in, after every entry of a smaller key.
-    fn absorb(&mut self, key: &[u8], value: &[u8]) {
-        self.bytes.extend_from_slice(key);
-        let key_end = self.bytes.len();
-        self.bytes.extend_from_slice(value);
-        self.ends.push((key_end, self.bytes.len()));
-    }
-
-    /// Streams the entries to `visitor`, in key order, until it breaks;
-    /// returns how many it was handed.
-    fn emit(&self, visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>) -> u64 {
-        let (mut start, mut emitted) = (0, 0);
-        for &(key_end, end) in &self.ends {
-            emitted += 1;
-            if visitor(&self.bytes[start..key_end], &self.bytes[key_end..end]).is_break() {
-                break;
-            }
-            start = end;
-        }
-        emitted
-    }
-}
-
-/// A Memtable as a merge source: the skiplist cursor, each entry read as
-/// its current version, borrowed under the iterator's epoch guard. A flush
-/// streams its Memtable through it too.
-pub(super) struct MemtableSource<'a>(pub(super) SkipListIter<'a>);
+/// A Memtable as a merge source: the skiplist cursor, each entry borrowed
+/// as of a stamp (`SkipListIter::value_at`; the cursor's bound skips what
+/// is above it). A flush streams its Memtable through it at `u64::MAX`.
+pub(super) struct MemtableSource<'a>(pub(super) SkipListIter<'a>, pub(super) u64);
 
 impl MergeSource for MemtableSource<'_> {
     fn valid(&self) -> bool {
@@ -100,7 +43,7 @@ impl MergeSource for MemtableSource<'_> {
     }
 
     fn record(&self) -> RecordRef<'_> {
-        let version = self.0.value_ref();
+        let version = self.0.value_at(self.1);
         RecordRef {
             key: self.0.key(),
             seq: version.seq,
@@ -114,31 +57,83 @@ impl MergeSource for MemtableSource<'_> {
     }
 }
 
-/// The role a scan was admitted under.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum ScanRole {
-    /// Must drain the Membuffer and establish a sequence number.
-    Master,
-    /// Reuses the published sequence number of the running chain.
-    Piggyback(u64),
+/// What a scan reads, taken in the master's freeze window right after the
+/// stamp; no Membuffer, as the freeze drained it into the Memtable.
+#[derive(Debug)]
+pub(super) struct ScanSnapshot {
+    stamp: u64,
+    mtb: Arc<SkipList>,
+    imm_mtb: Option<Arc<SkipList>>,
+    /// Read after the Memtables: a table flushed in between is then read
+    /// twice (same records), never missed.
+    disk: Arc<Version>,
+}
+
+impl ScanSnapshot {
+    /// Algorithm 3, lines 15-30, as of the stamp: merges MTB, IMM_MTB and
+    /// the disk, handing each live winner in `[low, high]` to `visitor`
+    /// until it breaks; returns how many it was handed.
+    fn stream(
+        &self,
+        disk: &DiskComponent,
+        low: &[u8],
+        high: &[u8],
+        visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>,
+    ) -> flodb_storage::Result<u64> {
+        let mut sources = Vec::with_capacity(2);
+        for list in std::iter::once(&self.mtb).chain(&self.imm_mtb) {
+            let mut it = list.iter();
+            it.seek(low);
+            sources.push(ScanSource::Memory(MemtableSource(it, self.stamp)));
+        }
+        disk.range_sources(&self.disk, low, high, &mut sources)?;
+        let mut merged = MergeCursor::new(sources, self.stamp)?;
+        let mut emitted = 0;
+        while let Some(record) = merged.next_merged()?.filter(|r| r.key <= high) {
+            if let Some(value) = record.value {
+                emitted += 1;
+                if visitor(record.key, value).is_break() {
+                    break;
+                }
+            }
+        }
+        Ok(emitted)
+    }
 }
 
 #[derive(Debug, Default)]
 struct ScanState {
+    /// A master is between its admission and its publication.
     master_active: bool,
-    /// Sequence number of the live chain, if one is published.
-    published_seq: Option<u64>,
-    /// Scans admitted into the current chain.
+    /// The running chain's snapshot, while a scan reads it.
+    chain: Option<Arc<ScanSnapshot>>,
+    /// Piggybackers admitted into the running chain.
     chain_len: u32,
-    /// Scans currently executing (any role).
-    active: u32,
+    /// Every live stamp with the scans reading at it: the running chain's,
+    /// and those of older chains' stragglers.
+    live: BTreeMap<u64, u32>,
 }
 
-/// Admission control for scans.
+/// Admission control for scans, and the registry of live stamps.
 #[derive(Debug)]
 pub(super) struct ScanCoordinator {
     state: Mutex<ScanState>,
     cv: Condvar,
+    /// The oldest live stamp (`u64::MAX`: no scan is live), which every
+    /// Memtable of the store reads before an in-place update.
+    horizon: Arc<AtomicU64>,
+}
+
+/// A running scan, whose stamp holds the horizon down until it drops.
+pub(super) struct LiveScan<'a> {
+    coord: &'a ScanCoordinator,
+    snapshot: Arc<ScanSnapshot>,
+}
+
+impl Drop for LiveScan<'_> {
+    fn drop(&mut self) {
+        self.coord.exit(self.snapshot.stamp);
+    }
 }
 
 impl ScanCoordinator {
@@ -147,71 +142,85 @@ impl ScanCoordinator {
         Self {
             state: ranked_mutex(SCAN_COORDINATOR, ScanState::default()),
             cv: ranked_condvar(SCAN_COORDINATOR),
+            horizon: Arc::new(AtomicU64::new(u64::MAX)),
         }
     }
 
-    /// Admits a scan into a chain of at most `chain_limit` piggybackers.
-    ///
-    /// With a limit of 0 every scan becomes a fresh master (waiting for
-    /// the running one to finish), which makes all scans linearizable with
-    /// respect to updates at the cost of a drain per scan (§4.4).
-    fn enter(&self, chain_limit: u32) -> ScanRole {
+    /// An empty Memtable that keeps what this coordinator's live scans
+    /// read.
+    pub(super) fn memtable(&self) -> SkipList {
+        SkipList::with_horizon(Arc::clone(&self.horizon))
+    }
+
+    /// Admits a scan into the running chain of at most `chain_limit`
+    /// piggybackers, or else (`None`) as the master, which must
+    /// [`Self::publish`]. A limit of 0 makes every scan a master: all are
+    /// linearizable, at the cost of a drain per scan (§4.4).
+    fn enter(&self, chain_limit: u32) -> Option<LiveScan<'_>> {
         let mut st = self.state.lock();
         loop {
-            if let Some(seq) = st.published_seq {
-                if st.active > 0 && st.chain_len < chain_limit {
-                    st.chain_len += 1;
-                    st.active += 1;
-                    return ScanRole::Piggyback(seq);
-                }
+            if let Some(chain) = st.chain.clone().filter(|_| st.chain_len < chain_limit) {
+                st.chain_len += 1;
+                *st.live.entry(chain.stamp).or_default() += 1;
+                return Some(LiveScan { coord: self, snapshot: chain });
             }
             if !st.master_active {
                 st.master_active = true;
+                st.chain = None;
                 st.chain_len = 0;
-                st.active += 1;
-                st.published_seq = None;
-                return ScanRole::Master;
+                return None;
             }
             self.cv.wait(&mut st);
         }
     }
 
-    /// Publishes the master's established sequence number, releasing
-    /// waiting piggybackers.
-    fn publish(&self, seq: u64) {
+    /// Publishes the master's snapshot as the running chain's, lowers the
+    /// horizon to its stamp and gives up the master slot. Call inside the
+    /// freeze window that minted the stamp, before Memtable updates resume.
+    fn publish(&self, snapshot: ScanSnapshot) -> LiveScan<'_> {
+        let snapshot = Arc::new(snapshot);
         let mut st = self.state.lock();
         debug_assert!(st.master_active);
-        st.published_seq = Some(seq);
+        st.master_active = false;
+        st.chain = Some(Arc::clone(&snapshot));
+        st.live.insert(snapshot.stamp, 1);
+        self.store_horizon(&st);
         self.cv.notify_all();
+        LiveScan { coord: self, snapshot }
     }
 
-    /// Records a scan finishing under `role`.
-    fn exit(&self, role: ScanRole) {
+    /// Records a scan stamped `stamp` finishing.
+    fn exit(&self, stamp: u64) {
         let mut st = self.state.lock();
-        st.active -= 1;
-        if role == ScanRole::Master {
-            st.master_active = false;
-        }
-        if st.active == 0 {
+        // Every `LiveScan` drops once, so its stamp is registered.
+        let Some(scans) = st.live.get_mut(&stamp) else { return };
+        *scans -= 1;
+        if *scans == 0 {
+            st.live.remove(&stamp);
             // The chain dies with its last member: a later scan must
             // re-establish freshness.
-            st.published_seq = None;
-            st.chain_len = 0;
+            if st.chain.as_ref().is_some_and(|chain| chain.stamp == stamp) {
+                st.chain = None;
+                st.chain_len = 0;
+            }
+            self.store_horizon(&st);
         }
-        self.cv.notify_all();
     }
 
-    /// Number of currently executing scans (diagnostics).
-    #[cfg(test)]
-    fn active_scans(&self) -> u32 {
-        self.state.lock().active
+    fn store_horizon(&self, st: &ScanState) {
+        let oldest = st.live.keys().next().copied().unwrap_or(u64::MAX);
+        // ORDERING: pairs with the Memtable update's SeqCst load. A lower
+        // horizon is stored before the freeze resumes the writers (whose
+        // pause check is SeqCst too); a higher one after the scan's reads,
+        // so an update that sees it cuts nothing that scan still reads.
+        self.horizon.store(oldest, Ordering::SeqCst);
     }
 }
 
 impl Inner {
-    /// The body of `KvStore::scan_with`: one validated scan, then the
-    /// emission. The [`OpClass::Scan`] sample covers the restart protocol
-    /// and snapshot construction, not the caller's visitor.
+    /// The body of `KvStore::scan_with`: admission, then one streamed
+    /// pass. The [`OpClass::Scan`] sample covers both, the caller's
+    /// visitor included.
     pub(super) fn scan_with(
         &self,
         low: &[u8],
@@ -219,309 +228,176 @@ impl Inner {
         visitor: &mut dyn FnMut(&[u8], &[u8]) -> ControlFlow<()>,
     ) {
         let t0 = self.full_timer();
-        let range = self.scan_impl(low, high);
-        self.record_op(OpClass::Scan, t0);
-        FloDbStats::bump(&self.stats.scans);
-        FloDbStats::add(&self.stats.scanned_keys, range.emit(visitor));
-    }
-
-    /// Runs the restart protocol to a validated snapshot of the range.
-    ///
-    /// The range is only handed out once an attempt validates (no entry
-    /// fresher than the scan stamp was seen), so callers can stream it to
-    /// a visitor without ever re-emitting across restarts; a restarted
-    /// attempt refills the same arena.
-    fn scan_impl(&self, low: &[u8], high: &[u8]) -> ScanArena {
-        let mut range = ScanArena::new();
-        let mut restarts = 0u32;
-        // A linearizable scan joins no chain: every one is a master.
-        let chain_limit = if self.opts.linearizable_scans {
-            0
-        } else {
-            PIGGYBACK_CHAIN_LIMIT
-        };
-        loop {
-            let role = self.coord.enter(chain_limit);
-            let scan_seq = match role {
-                ScanRole::Master => {
-                    FloDbStats::bump(&self.stats.master_scans);
-                    // Algorithm 3, lines 4-14: freeze, swap, drain, stamp
-                    // (line 12: the scan's linearization point), unfreeze.
-                    let seq = self.freeze_window(|spare| {
-                        self.freeze_and_drain_membuffer(spare);
-                        self.seq.next()
-                    });
-                    self.coord.publish(seq);
-                    seq
-                }
-                ScanRole::Piggyback(seq) => {
-                    FloDbStats::bump(&self.stats.piggyback_scans);
-                    seq
-                }
-            };
-            let result = self.collect_range(low, high, scan_seq, &mut range);
-            self.coord.exit(role);
-            match result {
-                Ok(()) => return range,
-                Err(Restart) => {
-                    FloDbStats::bump(&self.stats.scan_restarts);
-                    restarts += 1;
-                    if restarts >= SCAN_RESTART_THRESHOLD {
-                        self.fallback_scan(low, high, &mut range);
-                        return range;
-                    }
-                }
-            }
-        }
-    }
-
-    fn collect_range(
-        &self,
-        low: &[u8],
-        high: &[u8],
-        scan_seq: u64,
-        range: &mut ScanArena,
-    ) -> Result<(), Restart> {
-        let view = self.view.snapshot();
+        let scan = self.admit_scan();
         // PANIC-OK: same contract as `get` — the scan path is infallible
         // until fallible reads land (ROADMAP item 3), so a disk error aborts.
-        collect_range(&view, &self.disk, low, high, scan_seq, range).expect("disk scan failed")
+        let emitted = scan.snapshot.stream(&self.disk, low, high, visitor).expect("disk scan failed");
+        self.record_op(OpClass::Scan, t0);
+        FloDbStats::bump(&self.stats.scans);
+        FloDbStats::add(&self.stats.scanned_keys, emitted);
     }
 
-    /// The writer-blocking fallback guaranteeing scan liveness (§4.4).
-    ///
-    /// Unlike a master scan, the freeze window stays open through the
-    /// collection: with Memtable writers and drains paused, nothing can
-    /// stamp a newer sequence number mid-iteration, and with the freeze
-    /// lock held no other scan can freeze-and-stamp either, so the scan
-    /// cannot be invalidated. The Membuffer must still be frozen and
-    /// drained first — fast-path writes are never blocked, and a fallback
-    /// reading only the Memtable and disk would miss every update still
-    /// resident in the Membuffer.
-    fn fallback_scan(&self, low: &[u8], high: &[u8], range: &mut ScanArena) {
-        FloDbStats::bump(&self.stats.fallback_scans);
-        self.freeze_window(|spare| loop {
+    /// Admits a scan: into the running chain, or as the master that
+    /// freezes, drains and stamps a fresh snapshot.
+    fn admit_scan(&self) -> LiveScan<'_> {
+        // A linearizable scan joins no chain: every one is a master.
+        let chain_limit = if self.opts.linearizable_scans { 0 } else { PIGGYBACK_CHAIN_LIMIT };
+        if let Some(scan) = self.coord.enter(chain_limit) {
+            FloDbStats::bump(&self.stats.piggyback_scans);
+            return scan;
+        }
+        FloDbStats::bump(&self.stats.master_scans);
+        // Algorithm 3, lines 4-14: freeze, swap, drain, stamp (line 12:
+        // the scan's linearization point), snapshot, unfreeze.
+        self.freeze_window(|spare| {
             self.freeze_and_drain_membuffer(spare);
-            let seq = self.seq.next();
-            // A restart here means a writer slipped in between our pause
-            // and its own pause check; the population of such racers is
-            // bounded by the thread count, so retrying terminates.
-            if self.collect_range(low, high, seq, range).is_ok() {
-                break;
-            }
+            let stamp = self.seq.next();
+            let (mtb, imm_mtb) = self.view.read(|v| (Arc::clone(&v.mtb), v.imm_mtb.clone()));
+            let disk = self.disk.version();
+            self.coord.publish(ScanSnapshot { stamp, mtb, imm_mtb, disk })
         })
     }
 }
 
-/// Algorithm 3, lines 15-30: merge MTB, IMM_MTB and the disk into `range`
-/// (cleared first), restarting on any entry fresher than the scan stamp.
-/// Every source lends its records; the arena's copy of a live winner is the
-/// only one made. `view` must be older than the disk version read here: a
-/// table flushed in between is then read twice (same records), never missed.
-fn collect_range(
-    view: &MemView,
-    disk: &DiskComponent,
-    low: &[u8],
-    high: &[u8],
-    scan_seq: u64,
-    range: &mut ScanArena,
-) -> flodb_storage::Result<Result<(), Restart>> {
-    range.clear();
-    let mut sources = Vec::with_capacity(2);
-    for list in [Some(&view.mtb), view.imm_mtb.as_ref()].into_iter().flatten() {
-        let mut it = list.iter();
-        it.seek(low);
-        sources.push(ScanSource::Memory(MemtableSource(it)));
-    }
-    let _pinned = disk.range_sources(low, high, &mut sources)?;
-    let mut merged = MergeCursor::new(sources, u64::MAX)?;
-    while let Some(record) = merged.next_merged()?.filter(|r| r.key <= high) {
-        // A key with any version above the stamp has its winner above it.
-        if record.seq > scan_seq {
-            return Ok(Err(Restart));
-        }
-        if let Some(value) = record.value {
-            range.absorb(record.key, value);
-        }
-    }
-    Ok(Ok(()))
-}
-
 #[cfg(test)]
 mod tests {
-    use std::sync::atomic::{AtomicU32, Ordering};
-    use std::sync::Arc;
+    use std::sync::atomic::AtomicU32;
     use std::thread;
     use std::time::Duration;
 
-    use super::*;
+    use flodb_storage::compaction::CompactionConfig;
+    use flodb_storage::{DiskOptions, MemEnv, Record};
 
-    #[test]
-    fn first_scan_is_master() {
-        let c = ScanCoordinator::new();
-        let role = c.enter(8);
-        assert_eq!(role, ScanRole::Master);
-        c.publish(5);
-        c.exit(role);
-        assert_eq!(c.active_scans(), 0);
+    use super::*;
+    use crate::store::tests::k;
+
+    fn snapshot(stamp: u64) -> ScanSnapshot {
+        ScanSnapshot {
+            stamp,
+            mtb: Arc::new(SkipList::new()),
+            imm_mtb: None,
+            disk: Arc::new(Version::default()),
+        }
+    }
+
+    fn horizon(c: &ScanCoordinator) -> u64 {
+        c.horizon.load(Ordering::SeqCst)
     }
 
     #[test]
-    fn second_scan_piggybacks_on_published_seq() {
+    fn first_scan_is_master_and_holds_the_horizon() {
         let c = ScanCoordinator::new();
-        let master = c.enter(8);
-        c.publish(42);
-        let second = c.enter(8);
-        assert_eq!(second, ScanRole::Piggyback(42));
-        c.exit(second);
-        c.exit(master);
+        assert!(c.enter(8).is_none());
+        let scan = c.publish(snapshot(5));
+        assert_eq!(horizon(&c), 5);
+        drop(scan);
+        assert_eq!(horizon(&c), u64::MAX);
+        assert!(c.state.lock().live.is_empty());
+    }
+
+    #[test]
+    fn second_scan_piggybacks_on_the_published_snapshot() {
+        let c = ScanCoordinator::new();
+        assert!(c.enter(8).is_none());
+        let master = c.publish(snapshot(42));
+        let second = c.enter(8).expect("a piggybacker");
+        assert!(Arc::ptr_eq(&master.snapshot, &second.snapshot));
+        drop(master);
+        assert_eq!(horizon(&c), 42, "the piggybacker still reads at 42");
+        drop(second);
+        assert_eq!(horizon(&c), u64::MAX);
     }
 
     #[test]
     fn chain_ends_when_all_scans_exit() {
         let c = ScanCoordinator::new();
-        let master = c.enter(8);
-        c.publish(42);
-        c.exit(master);
-        // No active scan remains: the next scan must be a master.
-        let next = c.enter(8);
-        assert_eq!(next, ScanRole::Master);
-        c.exit(next);
+        assert!(c.enter(8).is_none());
+        drop(c.publish(snapshot(42)));
+        // No scan reads the chain any more: the next scan must be a master.
+        assert!(c.enter(8).is_none());
     }
 
-    /// A full chain sends the next scan to the master slot, where it waits
-    /// for the running master: after one piggybacker with a limit of 1,
-    /// and at once with a limit of 0 (linearizable mode never piggybacks).
+    /// A full chain makes the next scan a master at once — the running one
+    /// gave up the slot when it published — and the old chain's scans
+    /// straggle on, holding the horizon at their older stamp. With a
+    /// limit of 0 (linearizable mode) no scan ever piggybacks.
     #[test]
-    fn chain_limit_forces_new_master() {
+    fn a_full_chain_starts_a_new_master_while_stragglers_hold_the_horizon() {
         for limit in [1, 0] {
-            let c = Arc::new(ScanCoordinator::new());
-            let master = c.enter(limit);
-            c.publish(7);
-            let chain: Vec<_> = (0..limit).map(|_| c.enter(limit)).collect();
-            assert!(chain.iter().all(|&role| role == ScanRole::Piggyback(7)));
-            let got_master = Arc::new(AtomicU32::new(0));
-            let waiter = {
-                let c = Arc::clone(&c);
-                let got_master = Arc::clone(&got_master);
-                thread::spawn(move || {
-                    let role = c.enter(limit);
-                    assert_eq!(role, ScanRole::Master);
-                    got_master.store(1, Ordering::SeqCst);
-                    c.exit(role);
-                })
-            };
-            thread::sleep(Duration::from_millis(30));
-            assert_eq!(got_master.load(Ordering::SeqCst), 0, "limit {limit}");
-            c.exit(master);
-            waiter.join().unwrap();
-            chain.into_iter().for_each(|role| c.exit(role));
+            let c = ScanCoordinator::new();
+            assert!(c.enter(limit).is_none());
+            let master = c.publish(snapshot(7));
+            let chain: Vec<_> = (0..limit).map(|_| c.enter(limit).unwrap()).collect();
+            assert!(chain.iter().all(|scan| scan.snapshot.stamp == 7));
+            assert!(c.enter(limit).is_none(), "limit {limit}");
+            let fresh = c.publish(snapshot(9));
+            assert_eq!(horizon(&c), 7);
+            drop(master);
+            drop(chain);
+            assert_eq!(horizon(&c), 9, "limit {limit}");
+            drop(fresh);
+            assert_eq!(horizon(&c), u64::MAX);
         }
     }
 
     #[test]
     fn piggybackers_wait_for_publication() {
-        let c = Arc::new(ScanCoordinator::new());
-        let master = c.enter(8);
-        let seqs = Arc::new(Mutex::new(Vec::new()));
-        let mut handles = Vec::new();
-        for _ in 0..3 {
-            let c = Arc::clone(&c);
-            let seqs = Arc::clone(&seqs);
-            handles.push(thread::spawn(move || {
-                let role = c.enter(8);
-                if let ScanRole::Piggyback(seq) = role {
-                    seqs.lock().push(seq);
-                }
-                c.exit(role);
-            }));
-        }
-        thread::sleep(Duration::from_millis(20));
-        c.publish(99);
-        c.exit(master);
-        for h in handles {
-            h.join().unwrap();
-        }
-        // All concurrent scans piggybacked on seq 99 (or became masters
-        // after the chain died; with the master held until publish, at
-        // least one must have reused 99).
-        assert!(seqs.lock().iter().all(|&s| s == 99));
+        let c = ScanCoordinator::new();
+        assert!(c.enter(8).is_none());
+        let joined = AtomicU32::new(0);
+        thread::scope(|s| {
+            for _ in 0..3 {
+                s.spawn(|| {
+                    let scan = c.enter(8).expect("the master holds its slot until it publishes");
+                    assert_eq!(scan.snapshot.stamp, 99);
+                    joined.fetch_add(1, Ordering::SeqCst);
+                });
+            }
+            thread::sleep(Duration::from_millis(20));
+            assert_eq!(joined.load(Ordering::SeqCst), 0);
+            let master = c.publish(snapshot(99));
+            while joined.load(Ordering::SeqCst) < 3 {
+                thread::yield_now();
+            }
+            drop(master);
+        });
+        assert_eq!(horizon(&c), u64::MAX);
     }
 
-    // --- the arena, against the owned merge it replaced ---
+    // --- the streaming read, against a model that keeps every version ---
 
-    use std::collections::btree_map::Entry;
-    use std::collections::BTreeMap;
-
-    use flodb_memtable::SkipList;
-    use flodb_storage::compaction::CompactionConfig;
-    use flodb_storage::{DiskOptions, MemEnv, Record};
-
-    use crate::store::tests::k;
+    /// Every version of every key; a read as of a stamp takes each key's
+    /// newest at or below it and drops tombstones.
+    #[derive(Default)]
+    struct Reference(BTreeMap<Vec<u8>, Vec<(u64, Option<Vec<u8>>)>>);
 
     type Owned = Vec<(Vec<u8>, Vec<u8>)>;
 
-    /// The collection as it was before the arena: every version cloned
-    /// into a `BTreeMap`, freshest wins, tombstones filtered at the end.
-    fn reference(
-        view: &MemView,
-        disk: &DiskComponent,
-        low: &[u8],
-        high: &[u8],
-        scan_seq: u64,
-    ) -> Result<Owned, Restart> {
-        let mut merged: BTreeMap<Box<[u8]>, (u64, Option<Box<[u8]>>)> = BTreeMap::new();
-        let mut absorb = |key: &[u8], seq: u64, value: Option<Box<[u8]>>| {
-            match merged.entry(Box::from(key)) {
-                Entry::Vacant(e) => {
-                    e.insert((seq, value));
-                }
-                Entry::Occupied(mut e) => {
-                    if seq > e.get().0 {
-                        e.insert((seq, value));
-                    }
-                }
-            }
-        };
-        for list in [Some(&view.mtb), view.imm_mtb.as_ref()].into_iter().flatten() {
-            let mut it = list.iter();
-            it.seek(low);
-            while it.valid() && it.key() <= high {
-                let vv = it.value();
-                if vv.seq > scan_seq {
-                    return Err(Restart);
-                }
-                absorb(it.key(), vv.seq, vv.value);
-                it.next();
-            }
+    impl Reference {
+        fn write(&mut self, key: &[u8], seq: u64, value: Option<&[u8]>) {
+            self.0.entry(key.to_vec()).or_default().push((seq, value.map(<[u8]>::to_vec)));
         }
-        for record in disk.scan(low, high).unwrap() {
-            if record.seq > scan_seq {
-                return Err(Restart);
-            }
-            absorb(&record.key, record.seq, record.value);
+
+        fn read(&self, low: &[u8], high: &[u8], stamp: u64) -> Owned {
+            self.0
+                .range(low.to_vec()..)
+                .take_while(|(key, _)| key.as_slice() <= high)
+                .filter_map(|(key, versions)| {
+                    let newest = versions.iter().filter(|(seq, _)| *seq <= stamp).max_by_key(|v| v.0);
+                    Some((key.clone(), newest?.1.clone()?))
+                })
+                .collect()
         }
-        Ok(merged
-            .into_iter()
-            .filter_map(|(key, (_, value))| Some((key.into_vec(), value?.into_vec())))
-            .collect())
     }
 
-    fn arena_scan(
-        view: &MemView,
-        disk: &DiskComponent,
-        low: &[u8],
-        high: &[u8],
-        scan_seq: u64,
-    ) -> Result<Owned, Restart> {
-        let mut range = ScanArena::new();
-        collect_range(view, disk, low, high, scan_seq, &mut range).unwrap()?;
+    fn stream_all(snap: &ScanSnapshot, disk: &DiskComponent, low: &[u8], high: &[u8]) -> Owned {
         let mut out = Vec::new();
-        range.emit(&mut |key, value| {
+        snap.stream(disk, low, high, &mut |key, value| {
             out.push((key.to_vec(), value.to_vec()));
             ControlFlow::Continue(())
-        });
-        Ok(out)
+        })
+        .unwrap();
+        out
     }
 
     /// A disk component whose first compaction lands in L2: one L0 file
@@ -538,17 +414,12 @@ mod tests {
         DiskComponent::new(Arc::new(MemEnv::new(None)), opts)
     }
 
-    fn view_of(mtb: SkipList, imm_mtb: Option<SkipList>) -> MemView {
-        MemView {
-            mbf: None,
-            imm_mbf: None,
-            mtb: Arc::new(mtb),
-            imm_mtb: imm_mtb.map(Arc::new),
-        }
+    fn snapshot_of(stamp: u64, mtb: &Arc<SkipList>, imm: Option<&Arc<SkipList>>, disk: &DiskComponent) -> ScanSnapshot {
+        ScanSnapshot { stamp, mtb: Arc::clone(mtb), imm_mtb: imm.cloned(), disk: disk.version() }
     }
 
     #[test]
-    fn arena_merges_mtb_imm_l0_and_l2_like_the_owned_merge() {
+    fn stream_merges_mtb_imm_l0_and_l2_as_of_the_stamp() {
         let disk = leveled_disk();
         disk.flush_records((0..40).map(|i| Record::put(k(i), i + 1, vec![i as u8; 32])).collect())
             .unwrap();
@@ -563,90 +434,95 @@ mod tests {
         .unwrap();
         assert_eq!(disk.stats().files_per_level[0], 1);
 
-        let imm = SkipList::new();
+        let imm = Arc::new(SkipList::new());
         imm.insert(&k(5), Some(b"imm"), 60);
         imm.insert(&k(8), None, 61);
         imm.insert(&k(9), Some(b"imm-9"), 62);
-        let mtb = SkipList::new();
+        let mtb = Arc::new(SkipList::new());
         mtb.insert(&k(5), Some(b"mtb"), 70);
         mtb.insert(&k(10), None, 71);
         mtb.insert(&k(41), Some(b"mtb-only"), 72);
-        let view = view_of(mtb, Some(imm));
 
         let (low, high) = (k(0), k(100));
-        let got = arena_scan(&view, &disk, &low, &high, 100).ok().unwrap();
-        assert_eq!(got, reference(&view, &disk, &low, &high, 100).ok().unwrap());
-        let value_of = |key: u64| {
+        let got = stream_all(&snapshot_of(100, &mtb, Some(&imm), &disk), &disk, &low, &high);
+        let value_of = |got: &Owned, key: u64| {
             got.iter()
                 .find(|(found, _)| found.as_slice() == k(key))
-                .map(|(_, v)| v.as_slice())
+                .map(|(_, v)| v.clone())
         };
         // One key in MTB, IMM_MTB, L0 and L2: the freshest wins.
-        assert_eq!(value_of(5), Some(&b"mtb"[..]));
-        assert_eq!(value_of(7), Some(&b"l0-7"[..]), "L0 over L2");
-        assert_eq!(value_of(9), Some(&b"imm-9"[..]), "IMM_MTB over L2");
-        assert_eq!(value_of(41), Some(&b"mtb-only"[..]));
+        assert_eq!(value_of(&got, 5), Some(b"mtb".to_vec()));
+        assert_eq!(value_of(&got, 7), Some(b"l0-7".to_vec()), "L0 over L2");
+        assert_eq!(value_of(&got, 9), Some(b"imm-9".to_vec()), "IMM_MTB over L2");
+        assert_eq!(value_of(&got, 41), Some(b"mtb-only".to_vec()));
         // Tombstones shadow: an L0 one, an IMM_MTB one, an MTB one.
-        assert_eq!((value_of(6), value_of(8), value_of(10)), (None, None, None));
+        assert_eq!((value_of(&got, 6), value_of(&got, 8), value_of(&got, 10)), (None, None, None));
         assert_eq!(got.len(), 40 - 3 + 1);
         assert!(got.windows(2).all(|w| w[0].0 < w[1].0), "sorted, one entry per key");
 
-        // An entry fresher than the stamp restarts, wherever it lives.
-        assert!(arena_scan(&view, &disk, &low, &high, 71).is_err(), "MTB");
-        assert!(arena_scan(&view, &disk, &k(6), &k(9), 61).is_err(), "IMM_MTB");
-        let no_memory = view_of(SkipList::new(), None);
-        assert!(arena_scan(&no_memory, &disk, &low, &high, 51).is_err(), "disk");
-        assert!(reference(&no_memory, &disk, &low, &high, 51).is_err());
-        // ...but only inside the range: [k(0), k(4)] never meets one.
-        assert_eq!(arena_scan(&view, &disk, &k(0), &k(4), 40).ok().unwrap().len(), 5);
+        // Entries above the stamp are skipped, wherever they live.
+        let at_70 = stream_all(&snapshot_of(70, &mtb, Some(&imm), &disk), &disk, &low, &high);
+        assert_eq!(value_of(&at_70, 10), Some(vec![10; 32]), "MTB tombstone at 71");
+        assert_eq!(value_of(&at_70, 41), None, "MTB insert at 72");
+        let at_60 = stream_all(&snapshot_of(60, &mtb, Some(&imm), &disk), &disk, &low, &high);
+        assert_eq!(value_of(&at_60, 5), Some(b"imm".to_vec()));
+        assert_eq!(value_of(&at_60, 9), Some(vec![9; 32]), "IMM_MTB insert at 62");
     }
 
     #[test]
-    fn emission_stops_where_the_visitor_breaks() {
-        let mtb = SkipList::new();
+    fn streaming_stops_where_the_visitor_breaks() {
+        let mtb = Arc::new(SkipList::new());
         for i in 0..10u64 {
             mtb.insert(&k(i), (i != 1).then_some(b"v"), i + 1);
         }
-        let mut range = ScanArena::new();
-        collect_range(&view_of(mtb, None), &leveled_disk(), &k(0), &k(9), 100, &mut range)
-            .unwrap()
-            .ok()
-            .unwrap();
+        let disk = leveled_disk();
         let mut seen = Vec::new();
-        let emitted = range.emit(&mut |key, _| {
-            seen.push(key.to_vec());
-            if seen.len() == 3 {
-                ControlFlow::Break(())
-            } else {
-                ControlFlow::Continue(())
-            }
-        });
+        let emitted = snapshot_of(100, &mtb, None, &disk)
+            .stream(&disk, &k(0), &k(9), &mut |key, _| {
+                seen.push(key.to_vec());
+                if seen.len() == 3 {
+                    ControlFlow::Break(())
+                } else {
+                    ControlFlow::Continue(())
+                }
+            })
+            .unwrap();
         // The tombstone at k(1) is skipped, not counted.
         assert_eq!(emitted, 3);
         assert_eq!(seen, [k(0).to_vec(), k(2).to_vec(), k(3).to_vec()]);
     }
 
+    /// Random histories — flushes (compacted down now and then), then the
+    /// immutable Memtable, then the live one, with in-place updates
+    /// throughout — under a horizon that scans move as they come and go:
+    /// a stamp minted now lowers it from `u64::MAX` or raises it, and the
+    /// last scan's exit clears it. Scans at random stamps at or above the
+    /// final horizon read what the all-versions reference reads.
     #[test]
-    fn arena_matches_the_owned_merge_on_random_histories() {
+    fn streaming_matches_the_all_versions_reference_on_random_histories() {
         let mut x = 0xF10D_B5EEDu64;
         let mut rand = |n: u64| {
             x = x.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
             (x >> 33) % n
         };
-        for round in 0..40 {
+        for round in 0..60 {
             let disk = leveled_disk();
-            let (imm, mtb) = (SkipList::new(), SkipList::new());
+            let mut reference = Reference::default();
+            let coord = ScanCoordinator::new();
+            let (imm, mtb) = (Arc::new(coord.memtable()), Arc::new(coord.memtable()));
             let mut seq = 0u64;
-            // Oldest to newest: flushes (compacted down now and then),
-            // then the immutable Memtable, then the live one.
             for flush in 0..rand(4) {
                 let batch = (0..1 + rand(60))
                     .map(|_| {
                         seq += 1;
-                        match rand(4) {
-                            0 => Record::tombstone(k(rand(64)), seq),
-                            _ => Record::put(k(rand(64)), seq, vec![seq as u8; rand(40) as usize]),
-                        }
+                        let key = k(rand(24));
+                        let value = vec![seq as u8; rand(40) as usize];
+                        let record = match rand(4) {
+                            0 => Record::tombstone(key, seq),
+                            _ => Record::put(key, seq, value),
+                        };
+                        reference.write(&record.key, seq, record.value.as_deref());
+                        record
                     })
                     .collect();
                 disk.flush_records(batch).unwrap();
@@ -654,30 +530,42 @@ mod tests {
                     disk.compact_all().unwrap();
                 }
             }
-            for list in [&imm, &mtb] {
-                for _ in 0..rand(50) {
+            let with_imm = round % 3 != 0;
+            for list in [&imm, &mtb].into_iter().skip(usize::from(!with_imm)) {
+                for _ in 0..rand(80) {
+                    if rand(6) == 0 {
+                        let stamp = match rand(3) {
+                            0 => u64::MAX,
+                            _ => seq + 1,
+                        };
+                        coord.horizon.store(stamp, Ordering::SeqCst);
+                    }
                     seq += 1;
-                    let value = vec![seq as u8; rand(40) as usize];
-                    list.insert(&k(rand(64)), (rand(4) != 0).then_some(&value), seq);
+                    let (key, value) = (k(rand(24)), vec![seq as u8; rand(40) as usize]);
+                    let value = (rand(4) != 0).then_some(value.as_slice());
+                    list.insert(&key, value, seq);
+                    reference.write(&key, seq, value);
                 }
             }
-            let view = view_of(mtb, (round % 3 != 0).then_some(imm));
+            let horizon = coord.horizon.load(Ordering::SeqCst);
+            let imm = with_imm.then_some(&imm);
             for _ in 0..8 {
-                let low = k(rand(64));
-                let high = k(rand(80));
-                // Stamps around the newest sequence number: some scans
-                // validate, some must restart.
-                let stamp = seq.saturating_sub(rand(6)) + rand(3);
-                let got = arena_scan(&view, &disk, &low, &high, stamp).ok();
-                let want = reference(&view, &disk, &low, &high, stamp).ok();
-                assert_eq!(got, want, "round {round}, [{low:?}, {high:?}] at {stamp}");
+                let (low, high) = (k(rand(24)), k(rand(30)));
+                let stamp = match horizon {
+                    u64::MAX => seq + rand(2),
+                    h => h + rand(seq + 2 - h),
+                };
+                let got = stream_all(&snapshot_of(stamp, &mtb, imm, &disk), &disk, &low, &high);
+                let want = reference.read(&low, &high, stamp);
+                assert_eq!(got, want, "round {round}, [{low:?}, {high:?}] at {stamp}, horizon {horizon}");
             }
         }
     }
 
     // --- the protocol, through the store ---
 
-    use std::ops::ControlFlow;
+    use std::collections::BTreeMap;
+use std::ops::ControlFlow;
     use std::sync::atomic::AtomicBool;
 
     use crate::store::tests::db;
@@ -786,6 +674,35 @@ mod tests {
         }
         stop.store(true, Ordering::Relaxed);
         writer.join().unwrap();
+    }
+
+    /// A visitor may call back into the store it scans — a put, a get,
+    /// a nested scan — in either scan mode: the scan holds no lock while
+    /// it streams, and the master gave up its slot when it published.
+    #[test]
+    fn a_visitor_can_put_get_and_scan_the_store_it_scans() {
+        for linearizable in [false, true] {
+            let mut opts = FloDbOptions::small_for_tests();
+            opts.linearizable_scans = linearizable;
+            let db = FloDb::open(opts).unwrap();
+            for i in 0..10u64 {
+                db.put(&k(i), b"before").unwrap();
+            }
+            let mut seen = 0;
+            db.scan_with(&k(0), &k(9), &mut |key, value| {
+                assert_eq!(value, b"before", "the outer scan reads as of its stamp");
+                db.put(key, b"during").unwrap();
+                assert_eq!(db.get(key), Some(b"during".to_vec()));
+                let inner = db.scan(&k(0), &k(9));
+                assert_eq!(inner.len(), 10);
+                seen += 1;
+                ControlFlow::Continue(())
+            });
+            assert_eq!(seen, 10, "linearizable: {linearizable}");
+            assert!(db.scan(&k(0), &k(9)).iter().all(|(_, v)| v == b"during"));
+            let stats = db.stats();
+            assert_eq!((stats.scan_restarts, stats.fallback_scans), (0, 0));
+        }
     }
 
     #[test]

@@ -183,10 +183,12 @@ impl Inner {
                             FloDbStats::bump(&self.stats.writer_drain_helps);
                         }
                     }
-                    Some(imm) => {
+                    imm => {
                         // Let go before parking: a reference held across
                         // the wait would keep the freezer from recycling
-                        // the drained buffer.
+                        // the drained buffer. A writer that got here
+                        // before the freeze published its frozen buffer
+                        // waits for that buffer to open too.
                         drop(imm);
                         self.frozen.wait_until_resumed_or(|| {
                             self.view.read(|v| {
@@ -196,7 +198,6 @@ impl Inner {
                             })
                         });
                     }
-                    None => self.frozen.wait_until_resumed(),
                 }
             }
             // Wait for Memtable room (lines 17-18). The switch's swap
@@ -242,24 +243,21 @@ impl Inner {
             // Insert with a fresh sequence number (lines 19-20). The pause
             // re-check, the sequence acquisition and the insert share one
             // RCU read-side critical section: if this write obtains a
-            // sequence number below a scan's stamp, the scan's grace period
-            // (master or fallback freeze) cannot return before the insert
-            // has completed — otherwise a descheduled writer could slip a
-            // pre-stamp entry into a range the scan already iterated past,
-            // tearing the snapshot without triggering a restart.
+            // sequence number below a scan's stamp, the scan's freeze
+            // cannot return before the insert has completed — otherwise a
+            // descheduled writer could slip a pre-stamp entry into a range
+            // the scan already iterated past, tearing its snapshot.
             let inserted = self.view.read(|v| {
                 if self.frozen.is_paused() {
                     return None;
                 }
                 let seq = self.seq.next();
                 v.mtb.insert(key, value, seq);
-                Some(v.mtb.approximate_bytes())
+                Some(())
             });
-            if let Some(bytes) = inserted {
+            if inserted.is_some() {
                 FloDbStats::bump(&self.stats.memtable_writes);
-                if bytes >= self.memtable_trigger {
-                    self.persist_park.wake();
-                }
+                self.wake_persist_if_full();
                 return;
             }
         }

@@ -19,7 +19,8 @@ pub enum OpClass {
     Put,
     /// Point lookups.
     Get,
-    /// Range scans (whole scan, restarts included).
+    /// Range scans: admission, the freeze a master opens, and the
+    /// streamed pass, the caller's visitor included.
     Scan,
 }
 

@@ -73,15 +73,16 @@ impl ImmMembuffer {
     /// fresh Membuffer — iff the caller is its sole owner.
     ///
     /// Call after the `imm_mbf: None` switch's grace period: the view no
-    /// longer references the buffer then, but a view snapshot taken
-    /// earlier (a range scan's, say) or a helper still holding its `Arc`
-    /// may. Re-installing a buffer such a holder believes frozen would put
-    /// live writes under it, so any other owner — of this `ImmMembuffer`
-    /// or of the buffer itself — means `None`, and the buffer is simply
-    /// dropped by its last holder as before. With no other owner nobody
-    /// can obtain a reference any more, so the check cannot be raced. The
-    /// buffer must also be empty with an all-clear occupancy summary
-    /// ([`MemBuffer::is_drained`]), i.e. indistinguishable from a new one.
+    /// longer references the buffer then, but a view clone taken earlier
+    /// or a helper still holding its `Arc` may (a scan's snapshot holds
+    /// only the Memtables). Re-installing a buffer such a holder believes
+    /// frozen would put live writes under it, so any other owner — of
+    /// this `ImmMembuffer` or of the buffer itself — means `None`, and the
+    /// buffer is simply dropped by its last holder as before. With no
+    /// other owner nobody can obtain a reference any more, so the check
+    /// cannot be raced. The buffer must also be empty with an all-clear
+    /// occupancy summary ([`MemBuffer::is_drained`]), i.e.
+    /// indistinguishable from a new one.
     pub fn reclaim(this: Arc<Self>) -> Option<Arc<MemBuffer>> {
         // Mutation hook (`Hook::Recycle`, tests/model_mutation.rs): skip
         // the sole-owner check, so a buffer a snapshot still holds gets
@@ -146,14 +147,6 @@ impl ViewCell {
         // critical section, so the view is live.
         let view = unsafe { &*self.ptr.load(Ordering::Acquire) };
         f(view)
-    }
-
-    /// Returns a clone of the current view (Arc bumps only).
-    ///
-    /// Long-running operations (scans, persist) snapshot the view and then
-    /// leave the critical section, so they never delay grace periods.
-    pub fn snapshot(&self) -> MemView {
-        self.read(MemView::clone)
     }
 
     /// Atomically replaces the view with `make(current)` and waits one
@@ -351,7 +344,7 @@ mod tests {
     #[test]
     fn snapshot_outlives_switch() {
         let cell = ViewCell::new(view());
-        let snap = cell.snapshot();
+        let snap = cell.read(MemView::clone);
         cell.switch_memtable(Arc::new(SkipList::new()));
         // The snapshot still references the pre-switch memtable.
         snap.mtb.insert(b"z", Some(b"1"), 1);

@@ -14,9 +14,9 @@ use crate::value::VersionedValue;
 /// `key`/`value` while [`SkipListIter::valid`] and advance with
 /// [`SkipListIter::next`]. Because FloDB never removes skiplist nodes, the
 /// cursor remains valid across arbitrary concurrent inserts and in-place
-/// updates: it always observes a key subset that is sound for the scan
-/// algorithm (fresh concurrent inserts may or may not be seen, and their
-/// sequence numbers tell the scanner whether a restart is needed).
+/// updates: fresh concurrent inserts may or may not be seen, and a scan
+/// reads each entry as of its stamp ([`SkipListIter::value_at`]), so what
+/// it emits does not depend on which of them it saw.
 ///
 /// The iterator owns an epoch pin for its whole lifetime, which is what
 /// keeps concurrently replaced values alive until [`SkipListIter::value`]
@@ -123,41 +123,38 @@ impl<'a> SkipListIter<'a> {
         unsafe { (*self.current).key() }
     }
 
-    /// Returns a snapshot of the current entry's versioned value.
-    ///
-    /// The (value, seq) pair is read through a single atomic pointer, so it
-    /// is internally consistent even under concurrent in-place updates.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cursor is not valid.
+    /// Returns a clone of the current entry's versioned value, consistent
+    /// under concurrent in-place updates (see [`SkipListIter::value_at`]).
     pub fn value(&self) -> VersionedValue {
-        self.value_ref().clone()
+        self.value_at(u64::MAX).clone()
     }
 
-    /// Borrows the current entry's versioned value instead of cloning it.
-    ///
-    /// The same single-pointer snapshot as [`SkipListIter::value`]; the
-    /// borrow is tied to the iterator because the iterator's pin is what
-    /// keeps the value alive should a concurrent update replace it — the
-    /// displaced value is retired, not freed, until this guard drops.
-    /// Readers that only copy the bytes onward (a scan's arena, a flush's
-    /// output block) take this and make that one copy.
+    /// Borrows the current entry's newest version at or below `stamp` (at
+    /// `u64::MAX`, its current one), or else the oldest version the list
+    /// holds, which is above `stamp`. The iterator's pin keeps the borrow
+    /// alive should a concurrent update replace the version — it is
+    /// retired, not freed, until the guard drops — so readers that only
+    /// copy the bytes onward (a scan's visitor, a flush) make that one copy.
     ///
     /// # Panics
     ///
     /// Panics if the cursor is not valid.
-    pub fn value_ref(&self) -> &VersionedValue {
-        assert!(self.valid(), "value_ref() on invalid iterator");
+    pub fn value_at(&self, stamp: u64) -> &VersionedValue {
+        assert!(self.valid(), "value_at() on invalid iterator");
         // SAFETY: `current` is a live node; its value pointer is non-null
-        // for published nodes, and `self.guard` — owned by the iterator,
-        // never repinned, and outliving the returned borrow of `self` —
-        // protects the pointee from reclamation.
+        // for published nodes, and each `prev` link is null or a version
+        // unlinked no earlier than this load; `self.guard` — owned by the
+        // iterator, never repinned, and outliving the returned borrow of
+        // `self` — protects every one of them from reclamation.
         unsafe {
-            (*self.current)
-                .value
-                .load(Ordering::Acquire, &self.guard)
-                .deref()
+            let mut version = (*self.current).value.load(Ordering::Acquire, &self.guard).deref();
+            while version.value.seq > stamp {
+                match version.prev.load(Ordering::Acquire, &self.guard).as_ref() {
+                    Some(older) => version = older,
+                    None => break,
+                }
+            }
+            &version.value
         }
     }
 }
@@ -238,12 +235,12 @@ mod tests {
         l.insert(&k(1), Some(b"old"), 1);
         let mut it = l.iter();
         it.seek_to_first();
-        let borrowed = it.value_ref();
+        let borrowed = it.value_at(u64::MAX);
         // The update retires the value `borrowed` points at; the
         // iterator's pin keeps it readable.
         l.insert(&k(1), Some(b"new"), 2);
         assert_eq!((borrowed.seq, borrowed.value.as_deref()), (1, Some(&b"old"[..])));
-        assert_eq!(it.value_ref().seq, 2, "a fresh load sees the replacement");
+        assert_eq!(it.value_at(u64::MAX).seq, 2, "a fresh load sees the replacement");
     }
 
     #[test]

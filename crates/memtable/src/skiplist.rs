@@ -23,21 +23,31 @@
 //!   persisted and its last scan snapshot is released). A node carved out
 //!   for a key that a racing insert linked first is left in its chunk,
 //!   unreachable and still charged to the table.
-//! - **Values** ([`VersionedValue`]) stay heap objects, because they are
-//!   replaced in place by concurrent updates. The displaced value is
-//!   retired through `Guard::defer_destroy` *after* the successful CAS
-//!   that unlinked it, under the updater's pin, and the epoch collector
-//!   frees it only once every thread pinned at retire time has unpinned.
-//!   Correspondingly, every read of a node's value pointer (`get`, the
-//!   iterator, the drain path) happens under a pin and dereferences only
-//!   while that guard is alive — see `ARCHITECTURE.md` for the full
-//!   invariant list. `Drop` frees the values of the linked nodes before
-//!   the chunks go.
+//! - **Versions** (a [`VersionedValue`] plus a `prev` link) stay heap
+//!   objects, because they are replaced in place by concurrent updates.
+//!   A displaced version is retired through `Guard::defer_destroy` *after*
+//!   the swap that unlinked it, under the updater's pin, and the epoch
+//!   collector frees it only once every thread pinned at retire time has
+//!   unpinned. Correspondingly, every read of a node's value pointer
+//!   (`get`, the iterator, the drain path) happens under a pin and
+//!   dereferences only while that guard is alive — see `ARCHITECTURE.md`
+//!   for the full invariant list. `Drop` frees the versions of the linked
+//!   nodes before the chunks go.
+//!
+//! # Version chains
+//!
+//! A list built [`SkipList::with_horizon`] reads one word before an
+//! in-place update: the oldest stamp a live scan reads at (`u64::MAX`:
+//! none). Below it the update links the replaced version as `prev` and
+//! cuts the chain under the newest version at or below the horizon. A
+//! cut retires the tail one version at a time, each by the thread whose
+//! swap unlinked it, so racing cuts never retire (or uncharge) a version
+//! twice; `Drop` frees whole chains.
 
 use std::mem::size_of;
 use std::{ptr, slice};
 
-use flodb_sync::shim::atomic::{AtomicIsize, AtomicUsize, Ordering};
+use flodb_sync::shim::{atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering}, Arc};
 
 use crossbeam_epoch::{self as epoch, Atomic, Guard, Owned, Shared};
 
@@ -60,11 +70,31 @@ pub struct BatchEntry {
     pub seq: u64,
 }
 
+/// A key's value and, while a live scan may read it, the one it replaced.
+pub(crate) struct Version {
+    pub(crate) value: VersionedValue,
+    pub(crate) prev: Atomic<Version>,
+}
+
+impl Version {
+    fn new(seq: u64, value: Option<Box<[u8]>>) -> Owned<Self> {
+        Owned::new(Self { value: VersionedValue { seq, value }, prev: Atomic::null() })
+    }
+
+    /// Unlinks the chain below this version, for the caller alone.
+    fn take_prev<'g>(&self, guard: &'g Guard) -> Shared<'g, Self> {
+        match self.prev.load(Ordering::Acquire, guard) {
+            prev if prev.is_null() => prev,
+            _ => self.prev.swap(Shared::null(), Ordering::AcqRel, guard),
+        }
+    }
+}
+
 /// The header of a node block: `height` tower slots and then `key_len`
 /// key bytes follow it in the same block (see "Node layout").
 #[repr(C)]
 pub(crate) struct Node {
-    pub(crate) value: Atomic<VersionedValue>,
+    pub(crate) value: Atomic<Version>,
     height: u32,
     key_len: u32,
     /// Where the tower starts; the block holds `height` slots.
@@ -86,7 +116,7 @@ impl Node {
         arena: &Arena,
         key: &[u8],
         height: usize,
-        value: Shared<'_, VersionedValue>,
+        value: Shared<'_, Version>,
     ) -> (*const Node, usize) {
         let size = Self::block_size(height, key.len());
         let key_len = u32::try_from(key.len()).expect("keys are shorter than 4 GiB");
@@ -137,9 +167,9 @@ impl Node {
     }
 }
 
-/// The heap bytes behind one value: its `VersionedValue` and its payload.
-fn value_bytes(vv: &VersionedValue) -> usize {
-    size_of::<VersionedValue>() + vv.payload_len()
+/// The heap bytes behind one version: its `Version` and its payload.
+fn value_bytes(version: &Version) -> usize {
+    size_of::<Version>() + version.value.payload_len()
 }
 
 /// A concurrent, lock-free, insert-only skiplist keyed by byte strings.
@@ -147,8 +177,9 @@ fn value_bytes(vv: &VersionedValue) -> usize {
 /// Supports concurrent [`SkipList::insert`], [`SkipList::multi_insert`],
 /// [`SkipList::get`] and iteration. Re-inserting an existing key replaces
 /// its [`VersionedValue`] in place, keeping whichever value carries the
-/// larger sequence number, so the structure holds exactly one version per
-/// key (FloDB's in-place update semantics, §3.2).
+/// larger sequence number, so with no scan live the structure holds
+/// exactly one version per key (FloDB's in-place update semantics, §3.2);
+/// see "Version chains" for what a live scan keeps.
 ///
 /// # Examples
 ///
@@ -168,6 +199,9 @@ pub struct SkipList {
     head: *const Node,
     entries: AtomicUsize,
     bytes: AtomicIsize,
+    /// The oldest stamp a live scan reads at (`u64::MAX`: none); `None`
+    /// never retains a replaced version.
+    horizon: Option<Arc<AtomicU64>>,
 }
 
 // SAFETY: All shared mutation goes through atomics; nodes live in the
@@ -179,7 +213,8 @@ unsafe impl Send for SkipList {}
 unsafe impl Sync for SkipList {}
 
 impl SkipList {
-    /// Creates an empty skiplist.
+    /// Creates an empty skiplist whose in-place updates never retain the
+    /// version they replace.
     pub fn new() -> Self {
         let arena = Arena::new();
         let (head, _) = Node::allocate(&arena, &[], MAX_HEIGHT, Shared::null());
@@ -188,7 +223,17 @@ impl SkipList {
             head,
             entries: AtomicUsize::new(0),
             bytes: AtomicIsize::new(0),
+            horizon: None,
         }
+    }
+
+    /// Creates an empty skiplist whose in-place updates keep a replaced
+    /// version while a scan stamped at or above `horizon` (the oldest live
+    /// stamp, `u64::MAX`: none) may read it; see "Version chains".
+    pub fn with_horizon(horizon: Arc<AtomicU64>) -> Self {
+        let mut list = Self::new();
+        list.horizon = Some(horizon);
+        list
     }
 
     #[inline]
@@ -211,13 +256,14 @@ impl SkipList {
 
     /// Returns the table's memory in bytes: every node block its arena
     /// handed out, padding and nodes left unlinked by a lost race included,
-    /// plus the allocation behind each current value (its `VersionedValue`
-    /// and payload). The head's block and chunk space not yet handed out
-    /// are not counted, so an empty table reports 0.
+    /// plus the allocation behind each version it holds (its `Version` and
+    /// payload), a version a live scan retains included until it is cut.
+    /// The head's block and chunk space not yet handed out are not
+    /// counted, so an empty table reports 0.
     ///
-    /// Repeated in-place updates of a key do not grow this figure (beyond a
-    /// payload-size delta), which is what lets FloDB capture skewed
-    /// workloads in memory (§5.4).
+    /// With no scan live, repeated in-place updates of a key do not grow
+    /// this figure (beyond a payload-size delta), which is what lets FloDB
+    /// capture skewed workloads in memory (§5.4).
     pub fn approximate_bytes(&self) -> usize {
         self.bytes.load(Ordering::Relaxed).max(0) as usize
     }
@@ -233,12 +279,8 @@ impl SkipList {
         let head = self.head_shared(&guard);
         let mut preds = [head; MAX_HEIGHT];
         let mut succs = [head; MAX_HEIGHT];
-        let vv = Owned::new(VersionedValue {
-            seq,
-            value: value.map(Box::from),
-        })
-        .into_shared(&guard);
-        self.insert_with_preds(key, vv, &mut preds, &mut succs, &guard)
+        let version = Version::new(seq, value.map(Box::from)).into_shared(&guard);
+        self.insert_with_preds(key, version, &mut preds, &mut succs, &guard)
     }
 
     /// Inserts a sorted batch, reusing the search path between consecutive
@@ -257,12 +299,8 @@ impl SkipList {
         let mut succs = [head; MAX_HEIGHT];
         let mut inserted = 0;
         for entry in batch {
-            let vv = Owned::new(VersionedValue {
-                seq: entry.seq,
-                value: entry.value,
-            })
-            .into_shared(&guard);
-            if self.insert_with_preds(&entry.key, vv, &mut preds, &mut succs, &guard) {
+            let version = Version::new(entry.seq, entry.value).into_shared(&guard);
+            if self.insert_with_preds(&entry.key, version, &mut preds, &mut succs, &guard) {
                 inserted += 1;
             }
         }
@@ -293,7 +331,7 @@ impl SkipList {
                         // SAFETY: A published node's value pointer is never
                         // null and is protected by `guard` against
                         // reclamation after a concurrent in-place update.
-                        return Some(unsafe { v.deref() }.clone());
+                        return Some(unsafe { v.deref() }.value.clone());
                     }
                     std::cmp::Ordering::Greater => break,
                 }
@@ -361,7 +399,7 @@ impl SkipList {
     fn insert_with_preds<'g>(
         &self,
         key: &[u8],
-        vv: Shared<'g, VersionedValue>,
+        vv: Shared<'g, Version>,
         preds: &mut [Shared<'g, Node>; MAX_HEIGHT],
         succs: &mut [Shared<'g, Node>; MAX_HEIGHT],
         guard: &'g Guard,
@@ -470,24 +508,35 @@ impl SkipList {
         }
     }
 
-    /// CAS loop replacing a node's value with `vv` if it is as fresh or
-    /// fresher (by sequence number); otherwise `vv` is freed.
-    fn update_in_place(&self, node: &Node, vv: Shared<'_, VersionedValue>, guard: &Guard) {
+    /// CAS loop replacing a node's version with `vv` if it is as fresh or
+    /// fresher (by sequence number); otherwise `vv` is freed. With a scan
+    /// live the replaced version stays linked below `vv` until a cut.
+    fn update_in_place<'g>(&self, node: &Node, vv: Shared<'g, Version>, guard: &'g Guard) {
         // SAFETY: `vv` is unpublished until the CAS below succeeds, so
         // ours alone while this loop reads it.
         let new = unsafe { vv.deref() };
+        // ORDERING: pairs with the scan coordinator's SeqCst store: a scan
+        // lowers the horizon before its freeze resumes the writers, so an
+        // update that passed the pause check sees the lowered value.
+        let horizon = self.horizon.as_ref().map_or(u64::MAX, |h| h.load(Ordering::SeqCst));
+        let keep = horizon != u64::MAX;
+        // Mutation hook (`Hook::ChainLink`, tests/model_mutation.rs):
+        // retire the replaced version even while a live scan reads it.
+        #[cfg(flodb_model_mutation)]
+        let keep = keep && !flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::ChainLink);
         loop {
             let cur = node.value.load(Ordering::Acquire, guard);
             // SAFETY: Published nodes always hold a non-null value, and
             // `guard` protects it from reclamation.
             let cur_ref = unsafe { cur.deref() };
-            if cur_ref.seq > new.seq {
-                // The resident value is fresher; drop ours.
+            if cur_ref.value.seq > new.value.seq {
+                // The resident value is fresher; drop ours (it owns nothing
+                // it may have linked on an earlier attempt).
                 // SAFETY: `vv` was never published: this is its only owner.
                 drop(unsafe { vv.into_owned() });
                 return;
             }
-            let delta = new.payload_len() as isize - cur_ref.payload_len() as isize;
+            new.prev.store(if keep { cur } else { Shared::null() }, Ordering::Relaxed);
             // ORDERING: value replacement is a linearization point readers
             // race with; SeqCst keeps it in the same total order as node
             // publication so a scan's snapshot cannot observe a newer
@@ -497,20 +546,64 @@ impl SkipList {
                 .compare_exchange(cur, vv, Ordering::SeqCst, Ordering::Acquire, guard) // ORDERING: see comment above
                 .is_ok()
             {
-                self.bytes.fetch_add(delta, Ordering::Relaxed);
-                // SAFETY: `cur` has been unlinked by the successful CAS,
-                // so no new reader can acquire it; concurrent readers
-                // that already loaded it are pinned, and the collector
-                // waits for them before running the destructor.
-                unsafe { guard.defer_destroy(cur) };
+                let freed = if keep {
+                    self.cut_below(vv, horizon, guard)
+                } else {
+                    // SAFETY: the CAS unlinked `cur` from the node.
+                    unsafe { retire_chain(cur, guard) }
+                };
+                self.bytes
+                    .fetch_add(value_bytes(new) as isize - freed as isize, Ordering::Relaxed);
                 return;
             }
         }
     }
 
+    /// Cuts the chain from `version` down below its newest version at or
+    /// below `horizon`; returns the bytes of the versions it retired.
+    fn cut_below<'g>(&self, mut version: Shared<'g, Version>, horizon: u64, guard: &'g Guard) -> usize {
+        // SAFETY: every version reached is linked from a live one or was
+        // unlinked after this thread's pin loaded the link, so `guard`
+        // keeps it from reclamation; `take_prev` unlinks the tail for this
+        // thread alone.
+        unsafe {
+            while let Some(v) = version.as_ref() {
+                if v.value.seq <= horizon {
+                    return retire_chain(v.take_prev(guard), guard);
+                }
+                version = v.prev.load(Ordering::Acquire, guard);
+            }
+        }
+        0
+    }
+
     pub(crate) fn head_raw(&self) -> *const Node {
         self.head
     }
+}
+
+/// Retires `version` and the chain below it through the epoch collector,
+/// one version at a time; returns their bytes. A version another cut
+/// unlinked first is that cut's to retire.
+///
+/// # Safety
+///
+/// `version` must be null or unlinked from its list for the caller alone,
+/// under a pin `guard` holds.
+unsafe fn retire_chain<'g>(mut version: Shared<'g, Version>, guard: &'g Guard) -> usize {
+    let mut freed = 0;
+    // SAFETY: the caller, and each `take_prev`, unlinked `version` for
+    // this thread alone; pinned readers that loaded it earlier are waited
+    // out by the collector, and its `prev` is null when it is retired.
+    unsafe {
+        while let Some(v) = version.as_ref() {
+            freed += value_bytes(v);
+            let below = v.take_prev(guard);
+            guard.defer_destroy(version);
+            version = below;
+        }
+    }
+    freed
 }
 
 impl Default for SkipList {
@@ -521,19 +614,23 @@ impl Default for SkipList {
 
 impl Drop for SkipList {
     fn drop(&mut self) {
-        // The values are the only heap objects the nodes own: free each
-        // linked node's here, then the arena frees the chunks, nodes and
-        // all, when the field drops.
+        // The versions are the only heap objects the nodes own: free each
+        // linked node's chain here, then the arena frees the chunks, nodes
+        // and all, when the field drops.
         // SAFETY: We have exclusive access (`&mut self`); no guards can be
         // active on this list, so walking and freeing without protection is
-        // sound. Every linked node holds a non-null value it alone points
-        // at; values replaced earlier were handed to the epoch collector
-        // and are freed independently.
+        // sound. Every linked node holds a non-null version it alone points
+        // at, and the chain below it is the node's alone too; versions
+        // unlinked earlier were handed to the epoch collector and are
+        // freed independently.
         unsafe {
             let guard = epoch::unprotected();
             let mut curr = (*self.head).tower(0).load(Ordering::Relaxed, guard);
             while let Some(node) = curr.as_ref() {
-                drop(node.value.load(Ordering::Relaxed, guard).into_owned());
+                let mut version = node.value.load(Ordering::Relaxed, guard);
+                while !version.is_null() {
+                    version = version.into_owned().prev.load(Ordering::Relaxed, guard);
+                }
                 curr = node.tower(0).load(Ordering::Relaxed, guard);
             }
         }
@@ -552,7 +649,6 @@ impl std::fmt::Debug for SkipList {
 #[cfg(test)]
 mod tests {
     use std::collections::BTreeMap;
-    use std::sync::Arc;
     use std::thread;
 
     use super::*;
@@ -828,6 +924,103 @@ mod tests {
         assert_eq!(l.approximate_bytes(), expected);
     }
 
+    /// The bytes the list should charge: every linked node's block plus
+    /// every version of its chain.
+    fn charged(l: &SkipList) -> usize {
+        let guard = epoch::pin();
+        let mut expected = 0;
+        // SAFETY: the head and every linked node live as long as `l`, and
+        // `guard` protects the versions.
+        unsafe {
+            let mut curr = (*l.head_raw()).tower(0).load(Ordering::Acquire, &guard);
+            while let Some(node) = curr.as_ref() {
+                expected += Node::block_size(node.height(), node.key().len());
+                let mut version = node.value.load(Ordering::Acquire, &guard);
+                while let Some(v) = version.as_ref() {
+                    expected += value_bytes(v);
+                    version = v.prev.load(Ordering::Acquire, &guard);
+                }
+                curr = node.tower(0).load(Ordering::Acquire, &guard);
+            }
+        }
+        expected
+    }
+
+    fn seq_at(l: &SkipList, key: &[u8], stamp: u64) -> u64 {
+        let mut it = l.iter();
+        it.seek(key);
+        it.value_at(stamp).seq
+    }
+
+    #[test]
+    fn a_live_horizon_keeps_what_its_scans_read_and_no_more() {
+        let horizon = Arc::new(AtomicU64::new(u64::MAX));
+        let l = SkipList::with_horizon(Arc::clone(&horizon));
+        l.insert(b"k", Some(b"v1"), 1);
+        l.insert(b"k", Some(b"v2"), 2);
+        assert_eq!(seq_at(&l, b"k", 1), 2, "no scan was live: version 1 is gone");
+        // A scan stamped 2 goes live; updates above it link what they replace.
+        horizon.store(2, Ordering::SeqCst);
+        for seq in 3..6 {
+            l.insert(b"k", Some(b"vvv"), seq);
+        }
+        let stamps: Vec<u64> = [2, 3, 4, 5, 9].iter().map(|&s| seq_at(&l, b"k", s)).collect();
+        assert_eq!(stamps, [2, 3, 4, 5, 5]);
+        assert_eq!(l.approximate_bytes(), charged(&l));
+        // The horizon rises to 4: the next update cuts below version 4.
+        horizon.store(4, Ordering::SeqCst);
+        l.insert(b"k", Some(b"v6"), 6);
+        assert_eq!(seq_at(&l, b"k", 2), 4, "versions 2 and 3 were cut");
+        assert_eq!(seq_at(&l, b"k", 5), 5);
+        assert_eq!(l.approximate_bytes(), charged(&l));
+        // A stale write links nothing and frees only itself.
+        l.insert(b"k", Some(b"stale"), 1);
+        assert_eq!(seq_at(&l, b"k", 9), 6);
+        // No scan live: the next update retires the whole chain.
+        horizon.store(u64::MAX, Ordering::SeqCst);
+        l.insert(b"k", Some(b"v7"), 7);
+        assert_eq!(seq_at(&l, b"k", 0), 7);
+        assert_eq!(l.approximate_bytes(), charged(&l));
+        assert_eq!(l.len(), 1);
+    }
+
+    #[test]
+    fn racing_cuts_retire_and_uncharge_each_version_once() {
+        let horizon = Arc::new(AtomicU64::new(u64::MAX));
+        let l = Arc::new(SkipList::with_horizon(Arc::clone(&horizon)));
+        let seq = Arc::new(std::sync::atomic::AtomicU64::new(1));
+        let writers: Vec<_> = (0..3)
+            .map(|_| {
+                let (l, seq) = (Arc::clone(&l), Arc::clone(&seq));
+                thread::spawn(move || {
+                    for i in 0..3000u64 {
+                        let s = seq.fetch_add(1, Ordering::Relaxed);
+                        l.insert(&k(i % 4), Some(&[0u8; 24][..(s % 25) as usize]), s);
+                    }
+                })
+            })
+            .collect();
+        // The horizon moves under the writers as scans come and go; a
+        // stamp is never above a sequence number already handed out.
+        for round in 0..2000u64 {
+            let next = match round % 3 {
+                0 => u64::MAX,
+                _ => seq.load(Ordering::Relaxed).saturating_sub(round % 7),
+            };
+            horizon.store(next, Ordering::SeqCst);
+            thread::yield_now();
+        }
+        for w in writers {
+            w.join().unwrap();
+        }
+        assert_eq!(l.approximate_bytes(), charged(&l));
+        horizon.store(u64::MAX, Ordering::SeqCst);
+        for key in 0..4 {
+            l.insert(&k(key), None, u64::MAX);
+        }
+        assert_eq!(l.approximate_bytes(), charged(&l));
+    }
+
     /// A key of writer `t`: unique per `(t, i)`, 9 to 65 bytes long.
     fn writer_key(t: u8, i: u64) -> Vec<u8> {
         let mut key = vec![t];
@@ -916,7 +1109,7 @@ mod tests {
                         it.seek_to_first();
                         let mut prev: Option<Vec<u8>> = None;
                         while it.valid() {
-                            check(it.key(), it.value_ref());
+                            check(it.key(), it.value_at(u64::MAX));
                             assert!(prev.as_deref() < Some(it.key()), "iteration out of order");
                             prev = Some(it.key().to_vec());
                             it.next();

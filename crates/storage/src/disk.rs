@@ -330,8 +330,8 @@ impl DiskComponent {
     /// Range scan over `[low, high]` (inclusive): freshest record per key,
     /// in key order, tombstones included so the caller can shadow.
     pub fn scan(&self, low: &[u8], high: &[u8]) -> Result<Vec<Record>> {
-        let mut tables = Vec::new();
-        let _pinned = self.range_sources(low, high, &mut tables)?;
+        let (version, mut tables) = (self.version(), Vec::new());
+        self.range_sources(&version, low, high, &mut tables)?;
         let mut cursor = MergeCursor::<TableIterator>::new(tables, u64::MAX)?;
         let mut out = Vec::new();
         while let Some(record) = cursor.next_merged()?.filter(|r| r.key <= high) {
@@ -340,18 +340,19 @@ impl DiskComponent {
         Ok(out)
     }
 
-    /// Appends to `sources` an iterator over each table that overlaps
-    /// `[low, high]`, positioned at `low` — the disk's inputs to a
-    /// [`MergeCursor`] — and returns the [`Version`] they were read from.
-    /// Hold it for as long as the iterators: it pins their files, which a
+    /// Appends to `sources` an iterator over each table of `version` that
+    /// overlaps `[low, high]`, positioned at `low` — the disk's inputs to a
+    /// [`MergeCursor`]. `version` is this component's ([`Self::version`]),
+    /// current or an earlier snapshot (a scan's, taken at its stamp); hold
+    /// it for as long as the iterators: it pins their files, which a
     /// compaction deletes only once the last version naming them drops.
     pub fn range_sources<S: From<TableIterator>>(
         &self,
+        version: &Version,
         low: &[u8],
         high: &[u8],
         sources: &mut Vec<S>,
-    ) -> Result<Arc<Version>> {
-        let version = self.versions.current();
+    ) -> Result<()> {
         let files: Vec<_> = (0..NUM_LEVELS)
             .map(|level| version.overlapping(level, low, high))
             .collect();
@@ -363,7 +364,7 @@ impl DiskComponent {
                 sources.push(it.into());
             }
         }
-        Ok(version)
+        Ok(())
     }
 
     /// Runs at most one compaction step; returns whether one ran.
@@ -563,7 +564,8 @@ mod tests {
         }
         let (low, high) = (0u64.to_be_bytes(), 49u64.to_be_bytes());
         let mut tables: Vec<TableIterator> = Vec::new();
-        let pinned = d.range_sources(&low, &high, &mut tables).unwrap();
+        let pinned = d.version();
+        d.range_sources(&pinned, &low, &high, &mut tables).unwrap();
         let inputs: Vec<String> = pinned.levels[0]
             .iter()
             .map(|f| table_file_name(f.number))

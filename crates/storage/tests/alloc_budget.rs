@@ -145,7 +145,8 @@ fn disk_scan_allocates_per_block_and_file_not_per_record() {
     let mut scan = || {
         seen = 0;
         let mut tables = Vec::new();
-        let _pinned = disk.range_sources(&low, &high, &mut tables).unwrap();
+        let pinned = disk.version();
+        disk.range_sources(&pinned, &low, &high, &mut tables).unwrap();
         let mut merged = MergeCursor::<TableIterator>::new(tables, u64::MAX).unwrap();
         while let Some(record) = merged.next_merged().unwrap() {
             if record.key > high.as_slice() {

@@ -33,12 +33,13 @@ pub struct LockClass {
 
 /// `FloDb.threads`: joined on close; taken only at startup/shutdown.
 pub const CORE_THREADS: LockClass = LockClass { name: "core.threads", rank: 10 };
-/// `ScanCoordinator.state` (+cv): scan admission and drain-pause protocol.
-pub const SCAN_COORDINATOR: LockClass = LockClass { name: "scan.coordinator", rank: 12 };
 /// `GroupCommitter.state` (+done/room/fill cvs): WAL group-commit batches.
 pub const GROUP_COMMIT_STATE: LockClass = LockClass { name: "group_commit.state", rank: 16 };
 /// `Inner.freeze_lock`: serializes memory-component freezes in flodb-core.
 pub const CORE_FREEZE: LockClass = LockClass { name: "core.freeze", rank: 22 };
+/// `ScanCoordinator.state` (+cv): scan admission and the live-stamp
+/// registry; a master publishes inside its freeze window.
+pub const SCAN_COORDINATOR: LockClass = LockClass { name: "scan.coordinator", rank: 24 };
 /// `ViewCell.switch_lock`: serializes view switches (held across RCU sync).
 pub const CORE_VIEW_SWITCH: LockClass = LockClass { name: "core.view_switch", rank: 30 };
 /// `Park.lock` (+cv): every park of the engine (drain, persist, room,

@@ -6,10 +6,9 @@
 //! observing it either help with the drain or wait (Algorithm 2, lines
 //! 12-16). This module provides that flag with an efficient blocking wait.
 //!
-//! The flag is *counting*: concurrent pausers (e.g. a master scan
-//! overlapping a fallback scan on another thread) stack, and the flag
-//! clears only when every pauser has resumed. A plain boolean would let
-//! one scan's `resume` release writers out from under another.
+//! The flag is *counting*: concurrent pausers stack, and the flag clears
+//! only when every pauser has resumed. A plain boolean would let one
+//! pauser's `resume` release writers out from under another.
 
 use crate::park::Park;
 use crate::shim::atomic::{AtomicUsize, Ordering};
@@ -33,7 +32,7 @@ use crate::shim::atomic::{AtomicUsize, Ordering};
 /// assert!(flag.is_paused(), "still one pauser outstanding");
 /// flag.resume();
 /// assert!(!flag.is_paused());
-/// flag.wait_until_resumed(); // returns immediately
+/// flag.wait_until_resumed_or(|| false); // returns immediately
 /// ```
 #[derive(Debug)]
 pub struct PauseFlag {
@@ -94,17 +93,11 @@ impl PauseFlag {
         }
     }
 
-    /// Blocks the calling thread until no pauser is active.
-    ///
-    /// Returns immediately if the flag is not set.
-    pub fn wait_until_resumed(&self) {
-        self.wait_until_resumed_or(|| false);
-    }
-
-    /// Blocks the calling thread until no pauser is active or `event`
-    /// holds — an event the pauser posts with [`PauseFlag::notify`] (the
-    /// store's freeze opening its drain to helpers). `event` runs under
-    /// the waiters' park lock (see [`Park::park_until`]).
+    /// Blocks the calling thread until no pauser is active (at once if
+    /// none is) or `event` holds — an event the pauser posts with
+    /// [`PauseFlag::notify`] (the store's freeze opening its drain to
+    /// helpers). `event` runs under the waiters' park lock (see
+    /// [`Park::park_until`]).
     pub fn wait_until_resumed_or(&self, mut event: impl FnMut() -> bool) {
         self.waiters.park_until(|| !self.is_paused() || event());
     }
@@ -136,7 +129,7 @@ mod tests {
     fn starts_unpaused() {
         let f = PauseFlag::new();
         assert!(!f.is_paused());
-        f.wait_until_resumed();
+        f.wait_until_resumed_or(|| false);
     }
 
     #[test]
@@ -176,7 +169,7 @@ mod tests {
             let f = Arc::clone(&f);
             let woke = Arc::clone(&woke);
             thread::spawn(move || {
-                f.wait_until_resumed();
+                f.wait_until_resumed_or(|| false);
                 woke.store(true, Ordering::SeqCst);
             })
         };
@@ -196,7 +189,7 @@ mod tests {
         let mut waiters = Vec::new();
         for _ in 0..8 {
             let f = Arc::clone(&f);
-            waiters.push(thread::spawn(move || f.wait_until_resumed()));
+            waiters.push(thread::spawn(move || f.wait_until_resumed_or(|| false)));
         }
         thread::sleep(Duration::from_millis(20));
         f.resume();

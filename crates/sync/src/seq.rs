@@ -2,10 +2,11 @@
 //!
 //! FloDB assigns every entry entering the Memtable a sequence number drawn
 //! from a single atomic counter (`globalSeqNumber` in Algorithms 2 and 3).
-//! Scans take a snapshot of the counter; any entry they encounter with a
-//! larger sequence number must have been written concurrently and forces a
-//! restart. Unlike multi-versioning, a key's sequence number is overwritten
-//! in place together with its value.
+//! A scan takes a stamp from the counter; an entry with a larger sequence
+//! number was written after it, so the scan reads the key's newest version
+//! at or below its stamp. Unlike multi-versioning, a key's sequence number
+//! is overwritten in place together with its value, and the replaced
+//! version is kept only while a live scan's stamp needs it.
 //!
 //! The store's counter has three consumers, and a write meets exactly one
 //! of the first two: a direct Memtable insert (Algorithm 2, lines 19-20),
@@ -64,9 +65,9 @@ impl SequenceGenerator {
     #[inline]
     pub fn next(&self) -> u64 {
         // ORDERING: issuance must share one total order with scan
-        // snapshots (`current`) and the SC skiplist publication CASes —
-        // the restart rule "entry seq > snapshot ⇒ concurrent" is argued
-        // in that single order, not in per-pair happens-before edges.
+        // stamps and the SC skiplist publication CASes — the as-of rule
+        // "entry seq > stamp ⇒ written after the scan" is argued in that
+        // single order, not in per-pair happens-before edges.
         self.counter.fetch_add(1, Ordering::SeqCst)
     }
 

@@ -401,6 +401,9 @@ pub mod mutation {
         LostWakeup,
         /// `Drainer::lap` drains its chunk outside its read section.
         LapSection,
+        /// `SkipList::update_in_place` retires the replaced version while
+        /// a live scan's horizon needs it.
+        ChainLink,
     }
 
     /// The selected hook's discriminant plus one; 0 is none.

@@ -86,9 +86,10 @@ fn main() {
             let mut last_seen: Option<Vec<u8>> = None;
             while !stop.load(Ordering::Relaxed) {
                 // The scan sees a consistent point-in-time snapshot: the
-                // master scan drains pending Membuffer writes first, and a
-                // concurrent in-place overwrite inside the range forces a
-                // restart (Algorithm 3), so a batch is never half-old.
+                // master scan drains pending Membuffer writes first, and
+                // reads each key as of its stamp even while a concurrent
+                // in-place overwrite lands (Algorithm 3), so a batch is
+                // never half-old.
                 let batch = db.scan(&low, &high);
                 if batch.is_empty() {
                     std::thread::yield_now();
@@ -124,7 +125,7 @@ fn main() {
     println!("consumed {c} msgs ({:9.0}/s)", c as f64 / secs);
 
     let stats = db.stats();
-    println!("\nscans {} | restarts {} | fallbacks {}", stats.scans, stats.scan_restarts, stats.fallback_scans);
+    println!("\nscans {} | master {} | piggyback {}", stats.scans, stats.master_scans, stats.piggyback_scans);
     println!(
         "membuffer fast-path writes: {:.1}%",
         100.0 * stats.fast_level_writes as f64 / (stats.puts + stats.deletes) as f64

@@ -75,8 +75,8 @@ fn main() {
         100.0 * stats.fast_level_writes as f64 / (stats.puts + stats.deletes) as f64
     );
     println!("memtable persists    {}", stats.persists);
-    println!("scan restarts        {}", stats.scan_restarts);
-    println!("fallback scans       {}", stats.fallback_scans);
+    println!("master scans         {}", stats.master_scans);
+    println!("piggybacking scans   {}", stats.piggyback_scans);
 
     let disk = db.disk_stats();
     println!("\n--- disk component ---");

@@ -3,8 +3,9 @@
 //! — the drain gate forced open, the recycle gate's ownership check
 //! dropped, the switch's room exemption dropped, the park's re-check under
 //! its lock skipped, the drain lap's chunk drained outside its read
-//! section — and asserts flodb-check *finds* the defect, most of them in
-//! a real store, and that the failing schedule replays. A checker that
+//! section, a Memtable update unlinking the version a live scan reads —
+//! and asserts flodb-check *finds* the defect, most of them in a real
+//! store, and that the failing schedule replays. A checker that
 //! stops finding known-lost-write races has bit-rotted; this suite turns
 //! that into a red test.
 //!
@@ -107,6 +108,25 @@ fn checker_finds_the_stale_memtable_race() {
             .expect_err("the lap mutation must lose an acknowledged write");
         assert_lost_write(&failure, "acknowledged write");
         replays(&failure, store(scenarios::store_switch_body));
+    });
+}
+
+#[test]
+fn checker_finds_the_unlinked_version() {
+    // An in-place Memtable update that retires the version it replaces
+    // while a live scan's stamp still reads it: the scan, streaming after
+    // the update, finds only the rewrite above its stamp and so misses
+    // the key. A second search finds the same schedule.
+    with_hook(Some(Hook::ChainLink), || {
+        let failure = dfs()
+            .check(store(scenarios::store_scan_body))
+            .expect_err("the chain mutation must tear a scan");
+        assert_lost_write(&failure, "a scan missed a write acknowledged before it began");
+        replays(&failure, store(scenarios::store_scan_body));
+        let refound = dfs()
+            .check(store(scenarios::store_scan_body))
+            .expect_err("a second search must find it again");
+        assert_eq!((refound.iteration, refound.schedule), (failure.iteration, failure.schedule));
     });
 }
 

@@ -116,12 +116,17 @@ fn reads_back(db: FloDb, env: &Arc<dyn Env>, acked: &[(Vec<u8>, Vec<u8>)], cov: 
 }
 
 /// Puts `keys` with `value`, in order, and returns them acknowledged.
-fn put_all(db: &FloDb, keys: std::ops::Range<usize>, value: &[u8]) -> Vec<(Vec<u8>, Vec<u8>)> {
-    keys.map(|i| {
-        db.put(&key(i), value).expect("the log is in memory and cannot fail");
-        (key(i), value.to_vec())
-    })
-    .collect()
+fn put_all(
+    db: &FloDb,
+    keys: impl IntoIterator<Item = usize>,
+    value: &[u8],
+) -> Vec<(Vec<u8>, Vec<u8>)> {
+    keys.into_iter()
+        .map(|i| {
+            db.put(&key(i), value).expect("the log is in memory and cannot fail");
+            (key(i), value.to_vec())
+        })
+        .collect()
 }
 
 /// The Memtable switch (`flush_all`'s forced switch: roll, grace,
@@ -148,29 +153,38 @@ pub fn store_switch_body(cov: &Coverage) {
     reads_back(db, &env, &acked, cov);
 }
 
-/// A scan (Algorithm 3: freeze, frozen drain, stamp, iterate) against a
-/// writer and the background drainer. Four keys fill the bucket all keys
-/// share; the writer's first put finds it full, kicks the drainer and
-/// takes the slow path, where it may meet the scan's freeze and help its
-/// frozen drain. The scan sees every write acknowledged before it began:
-/// a lap that claimed a chunk its freeze's grace period did not wait for
-/// would let the frozen drain skip the claimed entries and the scan stamp
-/// before they reach the Memtable.
+/// A scan (Algorithm 3: freeze, frozen drain, stamp, stream as of the
+/// stamp) against a writer that rewrites, in order, keys acknowledged
+/// before the scan began, and the background drainer. Five keys settle
+/// into the Memtable, and four more fill the bucket all keys share. The
+/// writer's first rewrite finds it full, kicks the drainer and takes the
+/// slow path, where it may meet the scan's freeze and help its frozen
+/// drain; its slow-path rewrites update Memtable entries in place,
+/// possibly while the scan streams them. The scan returns every key, with
+/// a prefix of the rewrites (those at or below its stamp), in one pass:
+/// an update keeps the version the stamp reads (`Hook::ChainLink` retires
+/// it). The freeze drains every write acknowledged before it: a lap that
+/// claimed a chunk its grace period did not wait for would let the frozen
+/// drain skip the claimed entries and the scan stamp before they reach
+/// the Memtable.
 pub fn store_scan_body(cov: &Coverage) {
     let env: Arc<dyn Env> = Arc::new(MemEnv::new(None));
     let db = Arc::new(tiny_store(&env));
-    let mut acked = put_all(&db, 0..4, b"v");
+    put_all(&db, 0..5, b"v");
+    db.quiesce();
+    let mut acked = put_all(&db, 5..9, b"v");
     let writer = {
         let db = Arc::clone(&db);
-        thread::spawn(move || put_all(&db, 4..8, b"w"))
+        thread::spawn(move || put_all(&db, 0..5, b"w"))
     };
     let scanned = db.scan(b"k", b"l");
-    for (k, v) in &acked {
-        assert!(
-            scanned.iter().any(|(sk, sv)| sk == k && sv == v),
-            "a scan missed a write acknowledged before it began"
-        );
-    }
+    assert_eq!(scanned.len(), 9, "a scan missed a write acknowledged before it began");
+    let rewritten = scanned.iter().take_while(|(_, v)| v == b"w").count();
+    assert!(
+        scanned[rewritten..].iter().all(|(_, v)| v == b"v"),
+        "a scan's cut is not a prefix of the rewrites: {scanned:?}"
+    );
+    assert_eq!(db.stats().scan_restarts, 0);
     acked.extend(writer.join().unwrap());
     let db = Arc::into_inner(db).expect("the writer has let go");
     reads_back(db, &env, &acked, cov);
@@ -266,8 +280,8 @@ pub fn gate_claim_body() {
 ///
 /// The freezer runs `freeze_and_drain_membuffer`'s sequence — freeze,
 /// drain, retire the frozen view, then ask for the drained buffer back to
-/// install it again at the next freeze. A concurrent `ViewCell::snapshot`
-/// (what a range scan holds across its whole collection) may have caught
+/// install it again at the next freeze. A concurrent clone of the view
+/// (what a late helper or any holder of a `MemView` keeps) may have caught
 /// the buffer live, before the freeze, or frozen, between the two
 /// switches; either way it still owns a reference when the freezer asks,
 /// and a buffer someone else can still reach must never go back into
@@ -292,7 +306,7 @@ pub fn recycle_gate_body() {
     // handle until the freezer collects it below.
     let holder = {
         let view = Arc::clone(&view);
-        thread::spawn(move || view.snapshot())
+        thread::spawn(move || view.read(MemView::clone))
     };
 
     let imm = view
