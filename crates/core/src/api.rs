@@ -233,12 +233,13 @@ store_stats! {
     /// Master scans — froze and drained the Membuffer and established a
     /// sequence number (FloDB only).
     counter master_scans,
-    /// Times a paused writer helped drain the immutable Membuffer, i.e.
-    /// claimed at least one chunk of the cooperative drain (FloDB only).
+    /// Times a paused writer helped drain the immutable Membuffer: 0, as
+    /// writers no longer help — a paused writer waits for the resume and
+    /// the freezer drains alone (FloDB only).
     counter writer_drain_helps,
     /// Freezes that got the drained Membuffer back as its sole owner and
     /// kept it for the next freeze instead of dropping it; the rest found
-    /// a snapshot or a late helper still holding a reference (FloDB only).
+    /// a snapshot still holding a reference (FloDB only).
     counter membuffer_recycles,
     /// Times a writer stalled waiting for Memtable room (FloDB only);
     /// `write_stall_ns` sizes the stalls this counts.

@@ -13,10 +13,9 @@
 //! - the background drainers ([`Drainer::lap`], looped by
 //!   `Inner::drain_loop`): each laps its own disjoint range of the live
 //!   buffer's chunks;
-//! - the cooperative full drain of a frozen buffer ([`help_drain_imm_via`],
-//!   Algorithm 3's freeze drain): master scans, the
-//!   Memtable switch and helping writers take chunks from the buffer's
-//!   `DrainTracker`.
+//! - the full drain of a frozen buffer ([`drain_frozen`], Algorithm 3's
+//!   freeze drain): the freezer — a master scan or the Memtable switch —
+//!   walks the frozen buffer's occupied chunks alone.
 //!
 //! Reclamation note: nothing in this pipeline holds an epoch-protected
 //! pointer across stages. A claimed `DrainedEntry` carries *owned clones*
@@ -33,7 +32,7 @@ use flodb_sync::{PauseFlag, SequenceGenerator};
 
 use super::Inner;
 use crate::stats::FloDbStats;
-use crate::view::{ImmMembuffer, ViewCell};
+use crate::view::ViewCell;
 
 /// How a chunk's entries are applied to the skiplist.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,9 +49,9 @@ pub enum DrainStyle {
 /// entries moved.
 ///
 /// Call it inside one read-side critical section of the view `mtb` was
-/// read from, so that a persist switch's grace period waits for the insert
-/// (see [`help_drain_imm_via`]); [`Drainer::lap`] says why the live
-/// buffer's claim must be inside that section too.
+/// read from, so that a persist switch's grace period waits for the insert;
+/// [`Drainer::lap`] says why the live buffer's claim must be inside that
+/// section too.
 pub fn drain_chunk(
     mbf: &MemBuffer,
     mtb: &SkipList,
@@ -91,11 +90,10 @@ pub fn drain_chunk(
     n
 }
 
-/// What one participant drained.
+/// What one lap drained.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct DrainHelp {
-    /// Chunks it drained: taken from a frozen buffer's tracker, or found
-    /// occupied by a lap over the live buffer.
+pub struct LapCount {
+    /// Chunks it found occupied and drained.
     pub chunks: usize,
     /// Entries it moved into the Memtable.
     pub entries: usize,
@@ -155,8 +153,8 @@ impl Drainer {
         paused: &PauseFlag,
         seq: &SequenceGenerator,
         style: DrainStyle,
-    ) -> DrainHelp {
-        let mut help = DrainHelp::default();
+    ) -> LapCount {
+        let mut lapped = LapCount::default();
         let first = self.cursor;
         // The leg being searched, `at..end`, and whether it is the second.
         let (mut at, mut end, mut wrapped) = (first, self.chunks.end, false);
@@ -192,49 +190,40 @@ impl Drainer {
                 Some((mbf, mtb, chunk)) => Some(drain_chunk(&mbf, &mtb, seq, chunk, style)),
                 None => moved,
             };
-            let Some(moved) = moved else { return help };
-            help.chunks += 1;
-            help.entries += moved;
+            let Some(moved) = moved else { return lapped };
+            lapped.chunks += 1;
+            lapped.entries += moved;
         }
     }
 }
 
-/// Participates in the cooperative full drain of a frozen Membuffer
-/// (master scans, helping writers and the Memtable switch, Algorithm 2
-/// lines 12-16), draining each chunk with [`drain_chunk`]
-/// *inside its own RCU read-side critical section* of `view`.
+/// Fully drains the frozen Membuffer `imm` (Algorithm 3, lines 10-11):
+/// walks its occupied chunks, as [`Drainer::lap`] does, and drains each
+/// with [`drain_chunk`] inside its own read-side critical section of
+/// `view`. Returns the number of entries moved.
 ///
-/// Claims chunks from the shared tracker until none remain. An empty
-/// chunk costs its two tracker RMWs and one load, outside any section —
-/// a frozen buffer's words only ever clear once its drain is open — so
-/// the drain is proportional to what the buffer holds, not to what it
-/// could hold.
-///
-/// The per-chunk view coupling is what makes the help race-safe against
-/// the persist thread: resolving the Memtable once up front (an `Arc`
-/// clone) and inserting outside any critical section would let a persist
-/// switch land between the lookup and the insert — the batch would then
-/// go into the *immutable* Memtable after its flush already collected
-/// entries, and be dropped with it: acknowledged writes silently lost.
-/// Inside the read-side section the switch's grace period waits for the
-/// in-flight chunk instead, so every drained entry lands either in the
-/// snapshot the flush collects or in the fresh Memtable — never in the
-/// gap. A switch mid-drain simply routes later chunks to the new table.
-pub fn help_drain_imm_via(
-    imm: &ImmMembuffer,
+/// Only the freezer calls this, after [`ViewCell::freeze_membuffer`]
+/// returned: that switch's grace period has waited for every add against
+/// `imm`, and for every lap chunk claimed in it, so one pass finds every
+/// entry and no other thread touches the buffer any more. An empty chunk
+/// costs one occupancy load, so the drain is proportional to what the
+/// buffer holds, not to what it could hold. Each chunk resolves the
+/// Memtable afresh, but the Memtable cannot switch under the freezer:
+/// every switch runs inside a freeze window under `freeze_lock`, which the
+/// freezer holds.
+pub fn drain_frozen(
+    imm: &MemBuffer,
     view: &ViewCell,
     seq: &SequenceGenerator,
     style: DrainStyle,
-) -> DrainHelp {
-    let mut help = DrainHelp::default();
-    while let Some(chunk) = imm.tracker.claim() {
-        help.chunks += 1;
-        if imm.buffer.next_occupied_chunk(chunk, chunk + 1).is_some() {
-            help.entries += view.read(|v| drain_chunk(&imm.buffer, &v.mtb, seq, chunk, style));
-        }
-        imm.tracker.finish();
+) -> usize {
+    let mut moved = 0;
+    let mut at = 0;
+    while let Some(chunk) = imm.next_occupied_chunk(at, imm.chunks()) {
+        at = chunk + 1;
+        moved += view.read(|v| drain_chunk(imm, &v.mtb, seq, chunk, style));
     }
-    help
+    moved
 }
 
 impl Inner {
@@ -262,10 +251,10 @@ impl Inner {
             if kicked.load(Ordering::Relaxed) {
                 kicked.store(false, Ordering::Relaxed);
             }
-            let help = drainer.lap(&self.view, &self.frozen, &self.seq, self.drain_style);
-            if help.entries > 0 {
-                FloDbStats::add(&self.stats.drained_entries, help.entries as u64);
-                FloDbStats::add(&self.stats.drain_batches, help.chunks as u64);
+            let lapped = drainer.lap(&self.view, &self.frozen, &self.seq, self.drain_style);
+            if lapped.entries > 0 {
+                FloDbStats::add(&self.stats.drained_entries, lapped.entries as u64);
+                FloDbStats::add(&self.stats.drain_batches, lapped.chunks as u64);
                 self.wake_persist_if_full();
             } else if !has_work() {
                 Self::flush_epoch_bag();
@@ -315,7 +304,7 @@ mod tests {
     }
 
     /// One lap of a lone drainer over `view`, unpaused.
-    fn lap(view: &ViewCell, drainer: &mut Drainer, style: DrainStyle) -> DrainHelp {
+    fn lap(view: &ViewCell, drainer: &mut Drainer, style: DrainStyle) -> LapCount {
         drainer.lap(view, &PauseFlag::new(), &SequenceGenerator::new(), style)
     }
 
@@ -344,8 +333,8 @@ mod tests {
         for p in [3, 9] {
             mbf.add(&key(p), Some(b"v"));
         }
-        let help = drainer.lap(&view, &paused, &seq, DrainStyle::MultiInsert);
-        assert_eq!((help.chunks, help.entries), (2, 2), "a lap moves everything");
+        let lapped = drainer.lap(&view, &paused, &seq, DrainStyle::MultiInsert);
+        assert_eq!((lapped.chunks, lapped.entries), (2, 2), "a lap moves everything");
         assert!(mbf.is_drained());
         // The cursor now sits just past partition 9's chunk, so the next
         // lap drains partition 12 before partition 5: it stamps it first.
@@ -388,8 +377,8 @@ mod tests {
         let paused = PauseFlag::new();
         paused.pause();
         let mut drainer = Drainer::new(mbf.chunks(), 0, 1);
-        let help = drainer.lap(&view, &paused, &SequenceGenerator::new(), DrainStyle::MultiInsert);
-        assert_eq!(help, DrainHelp::default());
+        let lapped = drainer.lap(&view, &paused, &SequenceGenerator::new(), DrainStyle::MultiInsert);
+        assert_eq!(lapped, LapCount::default());
         assert_eq!(mbf.len(), 1);
     }
 
@@ -428,14 +417,14 @@ mod tests {
             let view = Arc::clone(&view);
             let chunks = mbf.chunks();
             std::thread::spawn(move || {
-                let help = lap(&view, &mut Drainer::new(chunks, 0, 1), DrainStyle::MultiInsert);
-                tx.send(help).unwrap();
+                let lapped = lap(&view, &mut Drainer::new(chunks, 0, 1), DrainStyle::MultiInsert);
+                tx.send(lapped).unwrap();
             })
         };
-        let help = rx
+        let lapped = rx
             .recv_timeout(std::time::Duration::from_secs(10))
             .expect("an idle lap waited for a bucket lock");
-        assert_eq!(help, DrainHelp::default());
+        assert_eq!(lapped, LapCount::default());
         drainer.join().unwrap();
     }
 
@@ -455,92 +444,22 @@ mod tests {
             assert!(mtb.get(&key).is_some());
         }
         assert!(mbf.is_drained());
-        assert_eq!(lap(&view, &mut drainer, DrainStyle::MultiInsert), DrainHelp::default());
+        assert_eq!(lap(&view, &mut drainer, DrainStyle::MultiInsert), LapCount::default());
     }
 
     #[test]
-    fn cooperative_imm_drain_completes_with_helpers() {
-        let mbf = Arc::new(small_mbf());
-        // Small u64 keys all share their top bits, so they all land in
-        // partition 0 (the paper's skew vulnerability, §4.3): only that
-        // partition's capacity is usable. Count what was accepted.
-        let mut accepted = 0;
-        for i in 0..200u64 {
-            if mbf.add(&i.to_be_bytes(), Some(b"v")) == flodb_membuffer::AddResult::Added {
-                accepted += 1;
+    fn a_frozen_drain_moves_every_occupied_chunk() {
+        let mbf = bench_shape_mbf();
+        // Partition `p` owns chunks 8p..8p+8; a key's top nibble picks it.
+        for p in [0u64, 7, 15] {
+            for i in 0..3u64 {
+                mbf.add(&(p << 60 | i).to_be_bytes(), Some(b"v"));
             }
         }
-        assert!(accepted > 0);
-        let imm = Arc::new(ImmMembuffer::new(Arc::clone(&mbf)));
-        let mtb = Arc::new(SkipList::new());
-        let view = Arc::new(ViewCell::new(MemView {
-            mbf: None,
-            imm_mbf: Some(Arc::clone(&imm)),
-            mtb: Arc::clone(&mtb),
-            imm_mtb: None,
-        }));
-        let seq = Arc::new(SequenceGenerator::new());
-        let mut handles = Vec::new();
-        for _ in 0..4 {
-            let imm = Arc::clone(&imm);
-            let view = Arc::clone(&view);
-            let seq = Arc::clone(&seq);
-            handles.push(std::thread::spawn(move || {
-                help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert).entries
-            }));
-        }
-        let total: usize = handles.into_iter().map(|h| h.join().unwrap()).sum();
-        assert_eq!(total, accepted);
-        assert!(imm.tracker.is_complete());
-        assert_eq!(mtb.len(), accepted);
-        assert_eq!(mbf.len(), 0);
-    }
-
-    #[test]
-    fn view_coupled_help_routes_late_chunks_to_a_switched_memtable() {
-        // A persist switch mid-drain must not lose entries: chunks drained
-        // before the switch land in the old table, chunks after in the new
-        // one — and the two tables together hold everything.
-        let mbf = Arc::new(MemBuffer::new(MemBufferConfig {
-            partition_bits: 2,
-            buckets_per_partition: 64,
-        }));
-        // One 64-bucket chunk per partition; the key's top two bits pick
-        // the partition, so every chunk holds something.
-        let mut accepted = 0;
-        for i in 0..100u64 {
-            let key = (i % 4) << 62 | i;
-            if mbf.add(&key.to_be_bytes(), Some(b"v")) == flodb_membuffer::AddResult::Added {
-                accepted += 1;
-            }
-        }
-        let imm = Arc::new(ImmMembuffer::new(Arc::clone(&mbf)));
-        assert_eq!(imm.tracker.total(), 4);
-        let old_mtb = Arc::new(SkipList::new());
-        let view = ViewCell::new(MemView {
-            mbf: None,
-            imm_mbf: Some(Arc::clone(&imm)),
-            mtb: Arc::clone(&old_mtb),
-            imm_mtb: None,
-        });
-        let seq = SequenceGenerator::new();
-        // Drain two chunks into the current table...
-        let mut moved = 0;
-        for _ in 0..2 {
-            let chunk = imm.tracker.claim().unwrap();
-            moved += view.read(|v| {
-                drain_chunk(&imm.buffer, &v.mtb, &seq, chunk, DrainStyle::MultiInsert)
-            });
-            imm.tracker.finish();
-        }
-        // ...then a persist-style switch...
-        let new_mtb = Arc::new(SkipList::new());
-        view.switch_memtable(Arc::clone(&new_mtb));
-        // ...and the rest of the cooperative drain follows the view.
-        let help = help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-        assert_eq!(help.chunks, 2);
-        assert_eq!(moved + help.entries, accepted);
-        assert!(!old_mtb.is_empty() && !new_mtb.is_empty());
-        assert_eq!(old_mtb.len() + new_mtb.len(), accepted, "no entry lost");
+        let (view, _, mtb) = live_view(small_mbf());
+        let moved = drain_frozen(&mbf, &view, &SequenceGenerator::new(), DrainStyle::MultiInsert);
+        assert_eq!(moved, 9);
+        assert_eq!(mtb.len(), 9);
+        assert!(mbf.is_drained());
     }
 }

@@ -6,13 +6,12 @@ use std::time::Instant;
 
 use flodb_membuffer::MemBuffer;
 use flodb_sync::shim::Arc;
-use flodb_sync::Backoff;
 
 use super::Inner;
 use super::drain;
 use crate::stats::FloDbStats;
 use crate::telemetry::{StageClass, TraceEventKind};
-use crate::view::ImmMembuffer;
+use crate::view;
 
 impl Inner {
     /// Runs `body` inside a freeze window: background drains and Memtable
@@ -40,11 +39,12 @@ impl Inner {
     }
 
     /// Lines 6-11 of Algorithm 3: install a fresh Membuffer, freeze the
-    /// old one, and fully drain it into the Memtable (cooperating with
-    /// helping writers). Call inside [`Self::freeze_window`]: `spare` is
-    /// the Membuffer to install (a new one is built only when there is
-    /// none) and receives the drained one back if nobody else still holds
-    /// it.
+    /// old one, and fully drain it into the Memtable — alone: paused
+    /// Memtable writers wait for the resume instead of helping (the wait
+    /// arm of Algorithm 2, lines 12-16). Call inside
+    /// [`Self::freeze_window`]: `spare` is the Membuffer to install (a new
+    /// one is built only when there is none) and receives the drained one
+    /// back if nobody else still holds it.
     pub(super) fn freeze_and_drain_membuffer(&self, spare: &mut Option<Arc<MemBuffer>>) {
         let t0 = self.telemetry.counters().then(Instant::now);
         self.telemetry.event(TraceEventKind::FreezeBegin, 0, 0);
@@ -54,33 +54,15 @@ impl Inner {
             // and MemTableRCUWait (lines 8-9).
             let fresh = spare.take().unwrap_or_else(|| super::new_membuffer(&self.opts));
             let imm = self.view.freeze_membuffer(fresh);
-            // Drain the frozen buffer, cooperating with helping writers
-            // (lines 10-11). The drain opens only now — after the switch's
-            // grace period — because the frozen view was visible to paused
-            // writers *during* the grace, while straggling writers could
-            // still be adding to the frozen buffer; a bucket claimed that
-            // early would miss a straggler's entry and drop it with the
-            // buffer (an acknowledged write lost — the root cause of the
-            // long-standing message_queue backlog flake). The view-coupled
-            // drain variant resolves the Memtable per chunk, inside a
-            // read-side critical section: a concurrent persist switch would
-            // otherwise race the drain into a Memtable whose flush already
-            // collected its entries, dropping them when the immutable table
-            // is released.
+            // Drain the frozen buffer (lines 10-11). The switch's grace
+            // period has let every straggling add against it land, so one
+            // pass over its occupied chunks finds every entry.
             if let Some(imm) = &imm {
-                imm.open_for_drain();
-                // Paused writers waiting for the drain to open help now.
-                self.frozen.notify();
-                let moved =
-                    drain::help_drain_imm_via(imm, &self.view, &self.seq, self.drain_style).entries;
+                let moved = drain::drain_frozen(imm, &self.view, &self.seq, self.drain_style);
                 FloDbStats::add(&self.stats.drained_entries, moved as u64);
                 self.telemetry.event(TraceEventKind::Drain, moved as u64, 0);
-                let backoff = Backoff::new();
-                while !imm.tracker.is_complete() {
-                    backoff.snooze();
-                }
                 debug_assert_eq!(
-                    imm.buffer.len(),
+                    imm.len(),
                     0,
                     "a fully drained frozen Membuffer must be empty — anything \
                      left here is an acknowledged write about to be dropped"
@@ -90,8 +72,8 @@ impl Inner {
             self.view.release_frozen_membuffer();
             // That switch's grace period has retired the last view holding
             // the drained buffer: keep it for the next freeze unless a
-            // snapshot or a late helper still owns a reference.
-            *spare = imm.and_then(ImmMembuffer::reclaim);
+            // snapshot still owns a reference.
+            *spare = imm.and_then(view::reclaim);
             if spare.is_some() {
                 FloDbStats::bump(&self.stats.membuffer_recycles);
             }

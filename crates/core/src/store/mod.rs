@@ -6,14 +6,14 @@
 //!
 //! - [`write`] — **Put/Delete** (Algorithm 2): try the Membuffer; on a full
 //!   bucket fall through to the Memtable, first honoring the freeze flag
-//!   (helping drain the frozen Membuffer if one exists) and waiting for
-//!   Memtable room. [`commit`] is its durability half: the group-commit
+//!   (waiting out the freezer's drain of the frozen Membuffer) and waiting
+//!   for Memtable room. [`commit`] is its durability half: the group-commit
 //!   pipeline in front of the segmented log.
 //! - [`read`] — **Get** (Algorithm 2): MBF → IMM_MBF → MTB → IMM_MTB →
 //!   disk; first hit wins because levels are searched in data-flow order.
 //! - [`scan`] — **Scan** (Algorithm 3): a master scan opens a freeze
 //!   window ([`freeze`]: pause writers, swap in a fresh Membuffer, drain
-//!   the frozen one with writer help), takes a sequence number and a
+//!   the frozen one alone), takes a sequence number and a
 //!   snapshot of MTB/IMM_MTB/disk, unfreezes, then streams the snapshot
 //!   as of its stamp to the visitor in one pass. Memtable updates keep the
 //!   versions a live stamp reads, so nothing restarts. Concurrent scans
@@ -21,8 +21,8 @@
 //! - [`drain`] — **draining** (Figure 6) has one primitive: drain one
 //!   64-bucket chunk inside one RCU read section. The background drain
 //!   threads lap their own disjoint chunk ranges of the live Membuffer
-//!   with it, and the freeze drains the frozen Membuffer with it, chunk by
-//!   chunk, with writer help.
+//!   with it, and the freezer drains the frozen Membuffer with it, chunk by
+//!   chunk, alone.
 //! - [`persist`] — **persisting** runs on a background thread, and has one
 //!   step: the Memtable switch, which is also the WAL checkpoint — roll
 //!   the log, wait out the writes logged before the roll, freeze-drain
@@ -92,12 +92,16 @@ struct Inner {
     /// silently including a partial post-cut round in its snapshot.
     ///
     /// The lock also owns the *spare* Membuffer: a fully drained buffer
-    /// the last freeze got back as sole owner (`ImmMembuffer::reclaim`),
+    /// the last freeze got back as sole owner (`view::reclaim`),
     /// which the next freeze installs instead of building a new one.
     freeze_lock: Mutex<Option<Arc<MemBuffer>>>,
     stats: FloDbStats,
     stop: AtomicBool,
-    force_flush: AtomicBool,
+    /// `flush_all` calls waiting for memory to empty: while any is, the
+    /// persist thread switches whenever memory holds anything. A count,
+    /// like `settling`, so the first call to return cannot clear it under
+    /// another.
+    force_flush: AtomicUsize,
     /// `flush_all`/`quiesce` calls waiting: the persist thread then merges
     /// a lone flushed run too. A `Relaxed` hint, re-read every round.
     settling: AtomicUsize,
@@ -291,7 +295,7 @@ impl FloDb {
             freeze_lock: ranked_mutex(CORE_FREEZE, None),
             stats: FloDbStats::default(),
             stop: AtomicBool::new(false),
-            force_flush: AtomicBool::new(false),
+            force_flush: AtomicUsize::new(0),
             settling: AtomicUsize::new(0),
             room: Park::new(),
             persist_park: Park::new(),

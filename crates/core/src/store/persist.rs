@@ -180,7 +180,7 @@ impl Inner {
         let log_full = self.rolling_wal().is_some_and(|wal| {
             self.log_bound_reached(wal, self.stats.wal_active_bytes.load(Ordering::Relaxed))
         });
-        let force = self.force_flush.load(Ordering::Acquire);
+        let force = self.force_flush.load(Ordering::Acquire) > 0;
         self.view.read(|v| {
             v.imm_mtb.is_none()
                 && (log_full

@@ -16,7 +16,7 @@ impl Inner {
                 }
             }
             if let Some(imm) = &v.imm_mbf {
-                if let Some(val) = imm.buffer.get(key) {
+                if let Some(val) = imm.get(key) {
                     return Some(val.map(Vec::from));
                 }
             }

@@ -126,13 +126,12 @@ mod tests {
                 .freeze_membuffer(crate::store::new_membuffer(&inner.opts))
                 .expect("the Membuffer is enabled");
             db.put(b"k", b"newer").unwrap();
-            frozen.open_for_drain();
-            crate::store::drain::help_drain_imm_via(&frozen, &inner.view, &inner.seq, inner.drain_style);
+            crate::store::drain::drain_frozen(&frozen, &inner.view, &inner.seq, inner.drain_style);
             inner.view.release_frozen_membuffer();
             // The checkpoint's flush: the Memtable holds only "older".
-            inner.force_flush.store(true, Ordering::SeqCst);
+            inner.force_flush.fetch_add(1, Ordering::SeqCst);
             inner.settle_until(|| inner.view.read(|v| v.imm_mtb.is_none() && v.mtb.is_empty()));
-            inner.force_flush.store(false, Ordering::SeqCst);
+            inner.force_flush.fetch_sub(1, Ordering::SeqCst);
             assert_eq!(db.disk_stats().flushes, 1);
             assert_eq!(db.get(b"k"), Some(b"newer".to_vec()));
             // Crash, with the window still open: "newer" never left the
@@ -173,11 +172,11 @@ mod tests {
             inner
                 .view
                 .read(|v| v.mtb.insert(b"newer", Some(b"2"), inner.seq.next()));
-            inner.force_flush.store(true, Ordering::SeqCst);
+            inner.force_flush.fetch_add(1, Ordering::SeqCst);
             inner.settle_until(|| {
                 db.disk_stats().flushes > 0 && inner.view.read(|v| v.imm_mtb.is_none())
             });
-            inner.force_flush.store(false, Ordering::SeqCst);
+            inner.force_flush.fetch_sub(1, Ordering::SeqCst);
             // Crash, with drains still paused.
         }
         let env = &opts.env;

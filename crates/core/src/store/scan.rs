@@ -564,8 +564,6 @@ mod tests {
 
     // --- the protocol, through the store ---
 
-    use std::collections::BTreeMap;
-use std::ops::ControlFlow;
     use std::sync::atomic::AtomicBool;
 
     use crate::store::tests::db;
@@ -702,6 +700,44 @@ use std::ops::ControlFlow;
             assert!(db.scan(&k(0), &k(9)).iter().all(|(_, v)| v == b"during"));
             let stats = db.stats();
             assert_eq!((stats.scan_restarts, stats.fallback_scans), (0, 0));
+        }
+    }
+
+    /// A Memtable switch in the middle of a scan, in either scan mode: the
+    /// visitor rewrites every key but one, which it deletes, and forces a
+    /// flush on the first key it sees, so the snapshot's Memtable is
+    /// switched, flushed and released while the scan streams it. The scan
+    /// still reads every key as of its stamp; a scan after it reads the new
+    /// state.
+    #[test]
+    fn a_memtable_switch_mid_scan_leaves_the_stream_at_its_stamp() {
+        for linearizable in [false, true] {
+            let mut opts = FloDbOptions::small_for_tests();
+            opts.linearizable_scans = linearizable;
+            let db = FloDb::open(opts).unwrap();
+            for i in 0..200u64 {
+                db.put(&k(i), b"before").unwrap();
+            }
+            let persists = db.stats().persists;
+            let mut seen = Vec::new();
+            db.scan_with(&k(0), &k(199), &mut |key, value| {
+                if key == k(7) {
+                    db.delete(key).unwrap();
+                } else {
+                    db.put(key, b"after").unwrap();
+                }
+                if seen.is_empty() {
+                    db.flush_all();
+                    assert!(db.stats().persists > persists, "the flush switched nothing");
+                }
+                seen.push((key.to_vec(), value.to_vec()));
+                ControlFlow::Continue(())
+            });
+            let want: Vec<_> = (0..200u64).map(|i| (k(i).to_vec(), b"before".to_vec())).collect();
+            assert_eq!(seen, want, "linearizable: {linearizable}");
+            let after = db.scan(&k(0), &k(199));
+            assert_eq!(after.len(), 199, "linearizable: {linearizable}");
+            assert!(after.iter().all(|(key, v)| key.as_slice() != k(7) && v == b"after"));
         }
     }
 

@@ -17,11 +17,11 @@ impl FloDb {
     /// quiescence (drains, flushes and compactions complete).
     pub fn flush_all(&self) {
         let inner = &*self.inner;
-        // ORDERING: the flag must be SC-ordered with the persist thread's
-        // drain decision — store, then wake, then poll; a weaker store
+        // ORDERING: the count must be SC-ordered with the persist thread's
+        // drain decision — increment, then wake, then poll; a weaker one
         // could let a concurrently-parking persist thread read the old
-        // flag after consuming the wake. Maintenance path, not hot.
-        inner.force_flush.store(true, Ordering::SeqCst);
+        // count after consuming the wake. Maintenance path, not hot.
+        inner.force_flush.fetch_add(1, Ordering::SeqCst);
         // On a degraded store the remaining memory-resident data cannot be
         // forced down (that is what degraded *means*); waiting would wedge
         // this maintenance call forever.
@@ -31,9 +31,10 @@ impl FloDb {
                     membuffer_drained(v) && v.imm_mtb.is_none() && v.mtb.is_empty()
                 })
         });
-        // ORDERING: symmetric with the set above; the clear must not be
-        // reorderable before the final emptiness poll that justified it.
-        inner.force_flush.store(false, Ordering::SeqCst);
+        // ORDERING: symmetric with the increment above; the decrement must
+        // not be reorderable before the final emptiness poll that
+        // justified it.
+        inner.force_flush.fetch_sub(1, Ordering::SeqCst);
         // The flushes left their compaction debt to the persist thread,
         // the only one that compacts; wait for it like `quiesce` does.
         inner.settle_until(|| inner.is_degraded() || !inner.compaction_pending());
@@ -124,8 +125,48 @@ impl Inner {
 
 #[cfg(test)]
 mod tests {
+    use std::sync::atomic::Ordering;
+    use std::sync::{mpsc, Arc};
+    use std::thread;
+    use std::time::Duration;
+
+    use super::membuffer_drained;
     use crate::store::tests::k;
     use crate::{FloDb, FloDbOptions, KvStore};
+
+    /// Two `flush_all` calls overlap, and the first returns while the
+    /// second still waits for memory to empty: the second must keep its
+    /// force, or a write landing after the first returned leaves memory
+    /// holding something with no switch due, and the second waits for
+    /// good. Driven step by step: B's force, a put, A's whole call, a put,
+    /// then B's memory wait, under a watchdog.
+    #[test]
+    fn a_flush_all_returning_under_another_leaves_it_forcing() {
+        let db = Arc::new(FloDb::open(FloDbOptions::small_for_tests()).unwrap());
+        db.inner.force_flush.fetch_add(1, Ordering::SeqCst);
+        db.put(&k(1), b"v").unwrap();
+        db.flush_all();
+        db.put(&k(2), b"v").unwrap();
+        let (done, finished) = mpsc::channel();
+        let second = {
+            let db = Arc::clone(&db);
+            thread::spawn(move || {
+                let inner = &*db.inner;
+                inner.settle_until(|| {
+                    inner.view.read(|v| {
+                        membuffer_drained(v) && v.imm_mtb.is_none() && v.mtb.is_empty()
+                    })
+                });
+                inner.force_flush.fetch_sub(1, Ordering::SeqCst);
+                done.send(()).unwrap();
+            })
+        };
+        finished
+            .recv_timeout(Duration::from_secs(10))
+            .expect("the second flush_all lost its force and waits for good");
+        second.join().unwrap();
+        assert_eq!(db.get(&k(2)), Some(b"v".to_vec()));
+    }
 
     /// `flush_all` compacts nothing itself; it returns only once the
     /// persist thread has serviced the debt its flushes left.

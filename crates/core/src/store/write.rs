@@ -11,7 +11,7 @@ use flodb_sync::shim::atomic::Ordering;
 use flodb_sync::InflightGuard;
 
 use super::commit::WalState;
-use super::{drain, FloDb, Inner};
+use super::{FloDb, Inner};
 use crate::api::WriteBatch;
 use crate::error::WriteError;
 use crate::stats::FloDbStats;
@@ -155,51 +155,9 @@ impl Inner {
 
         // Slow path (Algorithm 2, lines 12-20).
         loop {
-            // Honor the freeze: help drain or wait (lines 12-16). A
-            // frozen Membuffer only becomes claimable once the freeze's
-            // grace period has elapsed (`drain_ready`); helping before
-            // that could claim a bucket a straggling writer is still
-            // adding to, and the straggler's entry would be dropped with
-            // the buffer. A writer that finds the drain shut waits for the
-            // freezer to open it (it posts on the pause flag) or resume.
-            while self.frozen.is_paused() {
-                let imm = self.view.read(|v| v.imm_mbf.clone());
-                match imm {
-                    // Help only while chunks remain; once the last one is
-                    // claimed the frozen buffer is someone else's to
-                    // finish, and re-entering the help would spin a core
-                    // the master needs until `is_complete`.
-                    Some(imm) if imm.drain_ready() && !imm.tracker.exhausted() => {
-                        // The view-coupled variant: a persist switch
-                        // racing this help must not strand the batch in a
-                        // Memtable whose flush already collected entries.
-                        let help = drain::help_drain_imm_via(
-                            &imm,
-                            &self.view,
-                            &self.seq,
-                            self.drain_style,
-                        );
-                        if help.chunks > 0 {
-                            FloDbStats::bump(&self.stats.writer_drain_helps);
-                        }
-                    }
-                    imm => {
-                        // Let go before parking: a reference held across
-                        // the wait would keep the freezer from recycling
-                        // the drained buffer. A writer that got here
-                        // before the freeze published its frozen buffer
-                        // waits for that buffer to open too.
-                        drop(imm);
-                        self.frozen.wait_until_resumed_or(|| {
-                            self.view.read(|v| {
-                                v.imm_mbf.as_ref().is_some_and(|imm| {
-                                    imm.drain_ready() && !imm.tracker.exhausted()
-                                })
-                            })
-                        });
-                    }
-                }
-            }
+            // Honor the freeze (lines 12-16): wait for the resume. The
+            // freezer drains the frozen Membuffer alone.
+            self.frozen.wait_until_resumed_or(|| false);
             // Wait for Memtable room (lines 17-18). The switch's swap
             // makes room and wakes the room; so do its roll (for the
             // exemption below) and a degrade.

@@ -12,92 +12,35 @@
 //! [`ViewCell`] — freeze / release the Membuffer, switch / release the
 //! Memtable — and nothing else replaces the view.
 
-use flodb_membuffer::{DrainTracker, MemBuffer};
+use flodb_membuffer::MemBuffer;
 use flodb_memtable::SkipList;
-use flodb_sync::shim::atomic::{AtomicBool, AtomicPtr, Ordering};
+use flodb_sync::shim::atomic::{AtomicPtr, Ordering};
 use flodb_sync::lock_order::CORE_VIEW_SWITCH;
 use flodb_sync::shim::{ranked_mutex, Arc, Mutex};
 use flodb_sync::RcuDomain;
 
-/// An immutable Membuffer being fully drained before a scan, plus the
-/// work-sharing tracker used by the master scanner and helping writers.
-#[derive(Debug)]
-pub struct ImmMembuffer {
-    /// The frozen buffer.
-    pub buffer: Arc<MemBuffer>,
-    /// Chunk tracker shared by all draining participants.
-    pub tracker: DrainTracker,
-    /// Set by the freezer once the freeze's grace period has elapsed —
-    /// i.e. every in-flight write against the frozen buffer has landed.
-    ///
-    /// The frozen view (this struct included) is published *before* the
-    /// grace period runs, so paused writers can see it while stragglers
-    /// are still adding to the frozen buffer. A helper claiming buckets
-    /// in that window would miss a straggler's entry landing in an
-    /// already-claimed bucket — the entry would then be dropped with the
-    /// buffer: a lost acknowledged write. Helpers must hold off until
-    /// [`Self::drain_ready`].
-    ready: AtomicBool,
-}
-
-impl ImmMembuffer {
-    /// Freezes `buffer` for draining (not yet claimable, see
-    /// [`Self::open_for_drain`]).
-    pub fn new(buffer: Arc<MemBuffer>) -> Self {
-        let tracker = buffer.drain_tracker();
-        Self {
-            buffer,
-            tracker,
-            ready: AtomicBool::new(false),
-        }
+/// Hands a fully drained frozen Membuffer back for re-installation as the
+/// next fresh Membuffer — iff the caller is its sole owner.
+///
+/// Call after the `imm_mbf: None` switch's grace period: the view no
+/// longer references the buffer then, but a view clone taken earlier may
+/// (a scan's snapshot holds only the Memtables). Re-installing a buffer
+/// such a holder believes frozen would put live writes under it, so any
+/// other owner means `None`, and the buffer is simply dropped by its last
+/// holder as before. With no other owner nobody can obtain a reference
+/// any more, so the check cannot be raced. The buffer must also be empty
+/// with an all-clear occupancy summary ([`MemBuffer::is_drained`]), i.e.
+/// indistinguishable from a new one.
+pub fn reclaim(mut buffer: Arc<MemBuffer>) -> Option<Arc<MemBuffer>> {
+    // Mutation hook (`Hook::Recycle`, tests/model_mutation.rs): skip the
+    // sole-owner check, so a buffer a snapshot still holds gets
+    // re-installed.
+    #[cfg(flodb_model_mutation)]
+    if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::Recycle) {
+        return Some(buffer).filter(|b| b.is_drained());
     }
-
-    /// Declares the freeze's grace period over: bucket claims may begin.
-    pub fn open_for_drain(&self) {
-        self.ready.store(true, Ordering::Release);
-    }
-
-    /// Whether draining may begin (the grace period has elapsed).
-    pub fn drain_ready(&self) -> bool {
-        // Mutation hook (`Hook::DrainGate`, tests/model_mutation.rs):
-        // pretend the gate is always open, re-introducing the race where
-        // helpers claim buckets while straggler writes are still landing.
-        #[cfg(flodb_model_mutation)]
-        if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::DrainGate) {
-            return true;
-        }
-        self.ready.load(Ordering::Acquire)
-    }
-
-    /// Hands the fully drained buffer back for re-installation as the next
-    /// fresh Membuffer — iff the caller is its sole owner.
-    ///
-    /// Call after the `imm_mbf: None` switch's grace period: the view no
-    /// longer references the buffer then, but a view clone taken earlier
-    /// or a helper still holding its `Arc` may (a scan's snapshot holds
-    /// only the Memtables). Re-installing a buffer such a holder believes
-    /// frozen would put live writes under it, so any other owner — of
-    /// this `ImmMembuffer` or of the buffer itself — means `None`, and the
-    /// buffer is simply dropped by its last holder as before. With no
-    /// other owner nobody can obtain a reference any more, so the check
-    /// cannot be raced. The buffer must also be empty with an all-clear
-    /// occupancy summary ([`MemBuffer::is_drained`]), i.e.
-    /// indistinguishable from a new one.
-    pub fn reclaim(this: Arc<Self>) -> Option<Arc<MemBuffer>> {
-        // Mutation hook (`Hook::Recycle`, tests/model_mutation.rs): skip
-        // the sole-owner check, so a buffer a snapshot still holds gets
-        // re-installed.
-        #[cfg(flodb_model_mutation)]
-        if flodb_sync::shim::mutation::on(flodb_sync::shim::mutation::Hook::Recycle) {
-            return Some(Arc::clone(&this.buffer)).filter(|b| b.is_drained());
-        }
-        let buffer = {
-            let mut buffer = Arc::try_unwrap(this).ok()?.buffer;
-            Arc::get_mut(&mut buffer)?;
-            buffer
-        };
-        buffer.is_drained().then_some(buffer)
-    }
+    Arc::get_mut(&mut buffer)?;
+    buffer.is_drained().then_some(buffer)
 }
 
 /// One immutable snapshot of the four memory components
@@ -106,8 +49,8 @@ impl ImmMembuffer {
 pub struct MemView {
     /// The mutable Membuffer absorbing writes.
     pub mbf: Option<Arc<MemBuffer>>,
-    /// A Membuffer frozen by a master scan, while its drain is incomplete.
-    pub imm_mbf: Option<Arc<ImmMembuffer>>,
+    /// The frozen Membuffer, while the freezer drains it.
+    pub imm_mbf: Option<Arc<MemBuffer>>,
     /// The mutable Memtable.
     pub mtb: Arc<SkipList>,
     /// A Memtable frozen for persisting, until its flush completes.
@@ -175,27 +118,24 @@ impl ViewCell {
     }
 
     /// Installs `fresh` as the Membuffer and freezes the current one
-    /// (Algorithm 3, lines 6-9). Returns the frozen buffer — not yet
-    /// claimable, see [`ImmMembuffer::open_for_drain`] — or `None` if the
-    /// view had no Membuffer.
-    pub fn freeze_membuffer(&self, fresh: Arc<MemBuffer>) -> Option<Arc<ImmMembuffer>> {
+    /// (Algorithm 3, lines 6-9). Returns the frozen buffer, or `None` if
+    /// the view had no Membuffer. On return the grace period has elapsed:
+    /// every add against the frozen buffer has landed, so the caller may
+    /// drain it.
+    pub fn freeze_membuffer(&self, fresh: Arc<MemBuffer>) -> Option<Arc<MemBuffer>> {
         self.update(|old| {
-            let frozen = old
-                .mbf
-                .as_ref()
-                .map(|m| Arc::new(ImmMembuffer::new(Arc::clone(m))));
             let view = MemView {
                 mbf: Some(fresh),
-                imm_mbf: frozen.clone(),
+                imm_mbf: old.mbf.clone(),
                 ..old.clone()
             };
-            (view, frozen)
+            (view, old.mbf.clone())
         })
     }
 
     /// Drops the frozen Membuffer from the view once its drain completed.
-    /// After the grace period only snapshots and late helpers can still
-    /// hold it (see [`ImmMembuffer::reclaim`]).
+    /// After the grace period only snapshots can still hold it (see
+    /// [`reclaim`]).
     pub fn release_frozen_membuffer(&self) {
         self.update(|old| {
             let view = MemView {

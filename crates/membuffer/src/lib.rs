@@ -28,8 +28,6 @@
 #![deny(unsafe_op_in_unsafe_fn)]
 
 mod bucket;
-mod drain;
 mod table;
 
-pub use drain::DrainTracker;
 pub use table::{AddResult, DrainedEntry, MemBuffer, MemBufferConfig, RemoveToken, SLOTS_PER_BUCKET};

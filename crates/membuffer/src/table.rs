@@ -18,13 +18,12 @@ use flodb_sync::kv::key_partition;
 use flodb_sync::shim::atomic::{AtomicIsize, AtomicU64, AtomicUsize, Ordering};
 
 use crate::bucket::{Bucket, HtEntry, SLOTS};
-use crate::drain::DrainTracker;
 
 /// Number of entry slots per bucket (re-exported for sizing math).
 pub const SLOTS_PER_BUCKET: usize = SLOTS;
 
-/// Buckets summarized by one occupancy word — and handed out as one
-/// chunk of a cooperative full drain ([`MemBuffer::claim_chunk`]).
+/// Buckets summarized by one occupancy word — and drained as one chunk
+/// ([`MemBuffer::claim_chunk`]).
 const WORD_BUCKETS: usize = u64::BITS as usize;
 
 /// FNV-1a 64-bit hash; cheap, dependency-free and well distributed for the
@@ -341,11 +340,6 @@ impl MemBuffer {
         self.occupancy.len()
     }
 
-    /// Creates a tracker for a cooperative full drain over every chunk.
-    pub fn drain_tracker(&self) -> DrainTracker {
-        DrainTracker::new(self.chunks())
-    }
-
     /// Returns the first chunk in `from..to` (clamped to [`Self::chunks`])
     /// with an occupied bucket: one load per chunk, no bucket touched.
     pub fn next_occupied_chunk(&self, from: usize, to: usize) -> Option<usize> {
@@ -399,7 +393,7 @@ impl MemBuffer {
     }
 
     /// Claims every unmarked entry in the 64 buckets of occupancy word
-    /// `chunk` (the unit [`Self::drain_tracker`] hands out), visiting only
+    /// `chunk` (the unit the engine drains), visiting only
     /// the buckets whose bit is set: an empty word costs one load.
     pub fn claim_chunk(&self, chunk: usize) -> Vec<DrainedEntry> {
         // Sized once for what the set bits can hold: the drain paths never

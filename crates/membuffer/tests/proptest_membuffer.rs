@@ -177,10 +177,11 @@ proptest! {
         let expected = by_chunk.unclaimed_in(None);
 
         let mut chunked = Vec::new();
-        let tracker = by_chunk.buffer.drain_tracker();
-        while let Some(chunk) = tracker.claim() {
+        let chunks = by_chunk.buffer.chunks();
+        let mut at = 0;
+        while let Some(chunk) = by_chunk.buffer.next_occupied_chunk(at, chunks) {
             chunked.extend(by_chunk.buffer.claim_chunk(chunk));
-            tracker.finish();
+            at = chunk + 1;
         }
         let mut swept = Vec::new();
         for bucket in 0..by_bucket.buffer.total_buckets() {

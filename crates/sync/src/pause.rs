@@ -3,8 +3,9 @@
 //! Algorithm 3 of the paper freezes direct Memtable updates and background
 //! draining while a master scan drains the Membuffer — two names it always
 //! sets and clears together, so the store keeps one flag for both. Writers
-//! observing it either help with the drain or wait (Algorithm 2, lines
-//! 12-16). This module provides that flag with an efficient blocking wait.
+//! observing it may help with the drain or wait (Algorithm 2, lines
+//! 12-16); the store's always wait, and the freezer drains alone. This
+//! module provides that flag with an efficient blocking wait.
 //!
 //! The flag is *counting*: concurrent pausers stack, and the flag clears
 //! only when every pauser has resumed. A plain boolean would let one
@@ -94,10 +95,10 @@ impl PauseFlag {
     }
 
     /// Blocks the calling thread until no pauser is active (at once if
-    /// none is) or `event` holds — an event the pauser posts with
-    /// [`PauseFlag::notify`] (the store's freeze opening its drain to
-    /// helpers). `event` runs under the waiters' park lock (see
-    /// [`Park::park_until`]).
+    /// none is) or `event` holds — an event posted with
+    /// [`PauseFlag::notify`] (the store's shutdown, which a drain thread
+    /// waiting out a pause must see). `event` runs under the waiters' park
+    /// lock (see [`Park::park_until`]).
     pub fn wait_until_resumed_or(&self, mut event: impl FnMut() -> bool) {
         self.waiters.park_until(|| !self.is_paused() || event());
     }

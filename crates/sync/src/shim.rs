@@ -391,9 +391,7 @@ pub mod mutation {
     /// One re-introducible defect.
     #[derive(Debug, Clone, Copy)]
     pub enum Hook {
-        /// `ImmMembuffer::drain_ready` always open.
-        DrainGate,
-        /// `ImmMembuffer::reclaim` without its sole-owner check.
+        /// `view::reclaim` without its sole-owner check.
         Recycle,
         /// `InflightGuard::is_awaited` never true.
         RoomStall,

@@ -292,10 +292,10 @@ fn scan_liveness_under_heavy_contention() {
     assert_eq!((stats.scan_restarts, stats.fallback_scans), (0, 0));
 }
 
-/// The pauseWriters protocol: writers blocked during a master scan's
-/// drain must help and then complete; nothing deadlocks.
+/// The pauseWriters protocol: Memtable writers paused by a master scan's
+/// freeze wait out its drain and then complete; nothing deadlocks.
 #[test]
-fn writers_help_drain_during_scans() {
+fn paused_writers_wait_out_scan_drains_without_deadlock() {
     let mut opts = FloDbOptions::small_for_tests();
     opts.drain_threads = 1;
     let db = Arc::new(FloDb::open(opts).unwrap());
@@ -336,16 +336,15 @@ fn writers_help_drain_during_scans() {
 ///
 /// The frozen-view race this guards against: a freeze publishes the new
 /// view (fresh Membuffer + frozen one) *before* its RCU grace period
-/// elapses, so paused writers could start claiming drain buckets while
-/// straggling writers — still inside pre-swap read sections — were adding
-/// to the frozen buffer. A straggler's entry landing in an
-/// already-claimed bucket was silently dropped with the buffer: an
-/// acknowledged write lost forever (the long-standing message_queue
-/// backlog flake). The drain now opens only after the grace period
-/// (`ImmMembuffer::open_for_drain`); this test hammers exactly that
-/// window with unique-key writers against back-to-back linearizable
-/// scans (every scan a fresh freeze) and then audits every acknowledged
-/// key.
+/// elapses, while straggling writers — still inside pre-swap read
+/// sections — may be adding to the frozen buffer. A drain claiming a
+/// bucket in that window would drop a straggler's entry landing in it
+/// with the buffer: an acknowledged write lost forever (the long-standing
+/// message_queue backlog flake, when paused writers helped drain). The
+/// freezer drains alone, and only once the grace period has elapsed; this
+/// test hammers exactly that window with unique-key writers against
+/// back-to-back linearizable scans (every scan a fresh freeze) and then
+/// audits every acknowledged key.
 #[test]
 fn freezing_scans_never_lose_acknowledged_writes() {
     const WRITERS: u64 = 4;

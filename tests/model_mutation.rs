@@ -1,9 +1,9 @@
 //! Mutation regression tests for the model checker itself: each test
 //! selects one `flodb_model_mutation` hook (`flodb_sync::shim::mutation`)
-//! — the drain gate forced open, the recycle gate's ownership check
-//! dropped, the switch's room exemption dropped, the park's re-check under
-//! its lock skipped, the drain lap's chunk drained outside its read
-//! section, a Memtable update unlinking the version a live scan reads —
+//! — the recycle gate's ownership check dropped, the switch's room
+//! exemption dropped, the park's re-check under its lock skipped, the
+//! drain lap's chunk drained outside its read section, a Memtable update
+//! unlinking the version a live scan reads —
 //! and asserts flodb-check *finds* the defect, most of them in a real
 //! store, and that the failing schedule replays. A checker that
 //! stops finding known-lost-write races has bit-rotted; this suite turns
@@ -76,21 +76,6 @@ fn replays(failure: &Failure, body: impl Fn() + Send + Sync + 'static) {
     if let (FailureKind::Panic(a), FailureKind::Panic(b)) = (&replayed.kind, &failure.kind) {
         assert_eq!(a, b);
     }
-}
-
-#[test]
-fn checker_finds_the_drain_gate_race() {
-    // Helpers claiming buckets before the freeze's grace period has
-    // elapsed (`drain_ready` always open). Uses the distilled gate
-    // scenario — see `gate_claim_body`'s docs for why a real store's
-    // window sits beyond a CI-sized search budget.
-    with_hook(Some(Hook::DrainGate), || {
-        let failure = dfs()
-            .check(scenarios::gate_claim_body)
-            .expect_err("the gate mutation must lose an acknowledged write");
-        assert_lost_write(&failure, "dropped frozen Membuffer");
-        replays(&failure, scenarios::gate_claim_body);
-    });
 }
 
 #[test]

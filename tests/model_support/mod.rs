@@ -19,8 +19,8 @@
 use std::sync::atomic::AtomicU64;
 use std::sync::OnceLock;
 
-use flodb::core::drain::{help_drain_imm_via, DrainStyle};
-use flodb::core::view::{ImmMembuffer, MemView, ViewCell};
+use flodb::core::drain::{drain_frozen, DrainStyle};
+use flodb::core::view::{self, MemView, ViewCell};
 use flodb::membuffer::{MemBuffer, MemBufferConfig};
 use flodb::memtable::SkipList;
 use flodb::storage::{Env, MemEnv};
@@ -37,8 +37,6 @@ use flodb::{FloDb, FloDbOptions, KvStore, StoreStats, WalMode};
 pub struct Coverage {
     /// Memtable switches (`persists`).
     pub persists: AtomicU64,
-    /// Writers that helped a frozen drain (`writer_drain_helps`).
-    pub helps: AtomicU64,
     /// Writers that waited for Memtable room (`write_stalls`).
     pub stalls: AtomicU64,
 }
@@ -47,22 +45,20 @@ impl Coverage {
     fn add(&self, stats: &StoreStats) {
         use std::sync::atomic::Ordering::Relaxed;
         self.persists.fetch_add(stats.persists, Relaxed);
-        self.helps.fetch_add(stats.writer_drain_helps, Relaxed);
         self.stalls.fetch_add(stats.write_stalls, Relaxed);
     }
 
-    /// `(persists, helps, stalls)`.
-    pub fn totals(&self) -> (u64, u64, u64) {
+    /// `(persists, stalls)`.
+    pub fn totals(&self) -> (u64, u64) {
         use std::sync::atomic::Ordering::Relaxed;
         let load = |n: &AtomicU64| n.load(Relaxed);
-        (load(&self.persists), load(&self.helps), load(&self.stalls))
+        (load(&self.persists), load(&self.stalls))
     }
 }
 
 /// A store small enough to check whole: one partition, a 48 KiB Memtable
 /// trigger, one drainer, the log on, unsynced. Its 16 KiB Membuffer gets
-/// 128 buckets, two 64-bucket chunks, so a frozen drain has a chunk left
-/// for a helping writer to claim while the freezer drains the first.
+/// 128 buckets, two 64-bucket chunks.
 fn tiny_options() -> FloDbOptions {
     let mut opts = FloDbOptions::small_for_tests();
     opts.memory_bytes = 64 * 1024;
@@ -158,7 +154,7 @@ pub fn store_switch_body(cov: &Coverage) {
 /// before the scan began, and the background drainer. Five keys settle
 /// into the Memtable, and four more fill the bucket all keys share. The
 /// writer's first rewrite finds it full, kicks the drainer and takes the
-/// slow path, where it may meet the scan's freeze and help its frozen
+/// slow path, where it may meet the scan's freeze and wait out its frozen
 /// drain; its slow-path rewrites update Memtable entries in place,
 /// possibly while the scan streams them. The scan returns every key, with
 /// a prefix of the rewrites (those at or below its stamp), in one pass:
@@ -218,70 +214,13 @@ fn tiny_membuffer() -> MemBuffer {
     })
 }
 
-/// The `open_for_drain` gate, distilled: a straggler `add` racing a
-/// helper's bucket claim on a frozen Membuffer.
-///
-/// The freeze's grace period is expressed directly — the freezer joins the
-/// straggler before opening the drain — instead of via an RCU view switch.
-/// In a real store ([`store_switch_body`]) the failing window hides behind
-/// ~30 consecutive scheduler choices (publish + synchronize + the helper's
-/// full view read), past what a preemption-bounded DFS or a random walk
-/// reaches in CI-sized budgets. Here the claim/add race *is* the whole
-/// trace, so the mutation suite can assert the checker finds it.
-pub fn gate_claim_body() {
-    let mbf = Arc::new(tiny_membuffer());
-    let mtb = Arc::new(SkipList::new());
-    let view = Arc::new(ViewCell::new(MemView {
-        mbf: None,
-        imm_mbf: None,
-        mtb: Arc::clone(&mtb),
-        imm_mtb: None,
-    }));
-    let imm = Arc::new(ImmMembuffer::new(Arc::clone(&mbf)));
-    let seq = Arc::new(SequenceGenerator::new());
-
-    // Straggler: an acknowledged put still in flight against the frozen
-    // buffer.
-    let straggler = {
-        let mbf = Arc::clone(&mbf);
-        thread::spawn(move || {
-            mbf.add(b"straggler", Some(b"w"));
-        })
-    };
-
-    // Helping writer: claims buckets as soon as the gate allows.
-    let helper = {
-        let imm = Arc::clone(&imm);
-        let view = Arc::clone(&view);
-        let seq = Arc::clone(&seq);
-        thread::spawn(move || {
-            if imm.drain_ready() && !imm.tracker.is_complete() {
-                help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-            }
-        })
-    };
-
-    // Freezer: the grace period — every in-flight write has landed — then
-    // open the gate and complete the drain.
-    straggler.join().unwrap();
-    imm.open_for_drain();
-    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
-    helper.join().unwrap();
-    assert!(imm.tracker.is_complete());
-    assert_eq!(
-        imm.buffer.len(),
-        0,
-        "acknowledged write left in the dropped frozen Membuffer"
-    );
-}
-
-/// The recycle gate (`ImmMembuffer::reclaim`): a snapshot holder racing
-/// the freezer.
+/// The recycle gate (`view::reclaim`): a snapshot holder racing the
+/// freezer.
 ///
 /// The freezer runs `freeze_and_drain_membuffer`'s sequence — freeze,
 /// drain, retire the frozen view, then ask for the drained buffer back to
 /// install it again at the next freeze. A concurrent clone of the view
-/// (what a late helper or any holder of a `MemView` keeps) may have caught
+/// (what any holder of a `MemView` keeps) may have caught
 /// the buffer live, before the freeze, or frozen, between the two
 /// switches; either way it still owns a reference when the freezer asks,
 /// and a buffer someone else can still reach must never go back into
@@ -312,17 +251,16 @@ pub fn recycle_gate_body() {
     let imm = view
         .freeze_membuffer(Arc::new(tiny_membuffer()))
         .expect("buffer was frozen");
-    imm.open_for_drain();
-    help_drain_imm_via(&imm, &view, &seq, DrainStyle::MultiInsert);
+    drain_frozen(&imm, &view, &seq, DrainStyle::MultiInsert);
     view.release_frozen_membuffer();
-    let spare = ImmMembuffer::reclaim(imm);
+    let spare = view::reclaim(imm);
 
     let snapshot = holder.join().unwrap();
-    let held = snapshot.mbf.iter().any(|m| Arc::as_ptr(m) == buffer)
-        || snapshot
-            .imm_mbf
-            .iter()
-            .any(|imm| Arc::as_ptr(&imm.buffer) == buffer);
+    let held = snapshot
+        .mbf
+        .iter()
+        .chain(&snapshot.imm_mbf)
+        .any(|m| Arc::as_ptr(m) == buffer);
     assert!(
         !(held && spare.is_some()),
         "Membuffer recycled while a snapshot still holds it"
